@@ -1,9 +1,8 @@
 """Batched search throughput: ``search_many`` vs a loop of ``search()``.
 
-The per-query path verifies candidates one Python-loop row at a time
-(operation-count faithful, fig. 23); the batch path verifies in
-vectorised blocks and can fan queries out over forked workers.  The
-acceptance bar for the engine refactor: pooled ``search_many`` delivers
+Both paths run every query through the engine's one k-NN pipeline; the
+batch path amortises validation and the obs span and can fan queries out
+over forked workers.  The acceptance bar: pooled ``search_many`` delivers
 at least 1.5x the throughput of looping single-query ``search()`` over a
 2^12-series database.  Results must stay byte-identical across all three
 paths.
@@ -68,6 +67,7 @@ def test_batch_search_throughput(database_matrix, query_matrix, report):
         "queries": len(queries),
         "k": k,
         "workers": workers,
+        "cpu_count": os.cpu_count(),
         "single_search_seconds": round(single_wall, 4),
         "search_many_serial_seconds": round(serial_wall, 4),
         "search_many_pooled_seconds": round(pooled_wall, 4),

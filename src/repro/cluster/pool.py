@@ -60,7 +60,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.approx import ApproxPolicy, resolve_policy
-from repro.engine.core import CandidateSet
+from repro.engine.core import CandidateSet, _fallback_candidates, _knn_pipeline
 from repro.exceptions import (
     CorruptionError,
     ReproError,
@@ -231,8 +231,6 @@ def _candidate_payload(sub, op: str, query, arg):
     answered with the shard's exhaustive fallback plus the error, so
     the parent's degradation path is identical for both transports.
     """
-    from repro.cluster.router import _shard_fallback
-
     stats = SearchStats()
     try:
         if op == "knn":
@@ -252,13 +250,12 @@ def _candidate_payload(sub, op: str, query, arg):
     except (ReproError, OSError) as exc:
         fallback_stats = SearchStats()
         fallback_stats.degraded = True
-        return _shard_fallback(len(sub)), fallback_stats, _portable_error(exc)
+        error = _portable_error(exc)
+        return _fallback_candidates(len(sub)), fallback_stats, error
 
 
 def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
     """Worker entry point: warm once, then serve until told to stop."""
-    from repro.engine.batch import _search_one
-
     arena = None
     store = None
     sub = None
@@ -295,7 +292,7 @@ def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
                     policy = ApproxPolicy.from_wire(request[3])
                     sub_k = min(k, len(sub))
                     results = [
-                        _search_one(sub, query, sub_k, policy)
+                        _knn_pipeline(sub, query, sub_k, policy)
                         for query in queries
                     ]
                     conn.send(("ok", results))
@@ -723,8 +720,6 @@ class ShardWorkerPool:
 
     def _crash_triple(self, spec: ShardSpec, message):
         """The scatter triple for a shard whose worker is gone."""
-        from repro.cluster.router import _shard_fallback
-
         if message is not None and message[0] == "err":
             reason = str(message[1])
         elif spec.shard in self._failed:
@@ -737,7 +732,7 @@ class ShardWorkerPool:
         error = WorkerCrashError(
             f"shard {spec.shard} worker unavailable: {reason}"
         )
-        return _shard_fallback(spec.size), stats, error
+        return _fallback_candidates(spec.size), stats, error
 
     def scatter_candidates(self, op: str, query, arg) -> list:
         """One ``(candidates, stats, error)`` triple per shard.

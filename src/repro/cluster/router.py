@@ -40,6 +40,7 @@ from repro import obs
 from repro.engine.core import (
     CandidateSet,
     SigmaTracker,
+    _fallback_candidates,
     execute_knn,
     execute_range,
 )
@@ -50,13 +51,6 @@ from repro.resilience.quarantine import quarantine_of
 from repro.resilience.retry import active_policy
 
 __all__ = ["ShardRouter"]
-
-
-def _shard_fallback(size: int) -> CandidateSet:
-    """Exhaustive shard-local candidates (shard-scoped linear scan)."""
-    return CandidateSet(
-        entries=[(0.0, seq_id) for seq_id in range(size)], generated=size
-    )
 
 
 def _snapshot(stats: SearchStats) -> dict:
@@ -292,7 +286,7 @@ class ShardRouter:
                 quarantine_of(self).note_generator_failure(exc)
                 obs.add("resilience.fallback_scans")
                 stats.degraded = True
-                shard_sets.append(_shard_fallback(len(sub)))
+                shard_sets.append(_fallback_candidates(len(sub)))
         return shard_sets
 
     def _absorb_triples(self, triples, stats: SearchStats):
@@ -346,7 +340,7 @@ class ShardRouter:
             except (ReproError, OSError) as exc:
                 fallback_stats = SearchStats()
                 fallback_stats.degraded = True
-                return _shard_fallback(len(sub)), fallback_stats, exc
+                return _fallback_candidates(len(sub)), fallback_stats, exc
 
         return fork_map(shard_task, range(len(self._shards)), self._workers)
 

@@ -79,8 +79,8 @@ class ApproxPolicy:
     patience:
         Consecutive consumed candidates without a top-k improvement
         before refinement stops (``None``: never stop early).  The unit
-        is a candidate under both the scalar and blocked verifiers, so
-        the knob's meaning does not depend on ``REPRO_VERIFY_BLOCK``.
+        is a candidate at every verify block size, so the knob's meaning
+        does not depend on ``REPRO_VERIFY_BLOCK``.
     """
 
     epsilon: float = 0.0

@@ -1,19 +1,18 @@
 """Batched multi-query search: ``search_many(index, queries, k)``.
 
-The verification hot path — blocked bulk fetches, one vectorised
-distance kernel per block — lives in :mod:`repro.engine.core` and serves
-single queries and batches alike (see ``_refine_knn_blocked`` there; it
-is bit-identical to the scalar reference loop, stats included).  What
-this module adds is the *batch axis*: validation amortised once per
+Every query of a batch runs through the same pipeline as a single
+``index.search`` — :func:`repro.engine.core._knn_pipeline`: guarded
+generation, policy activation, the one refinement loop, the accounting
+invariant — so its result and stats are exactly the single-query ones.
+What this module adds is the *batch axis*: validation amortised once per
 matrix, an ``engine.search_many`` obs span, and fan-out.
 
 ``workers=N`` fans the work out over a process pool through the shared
 executor (:func:`repro.engine.executor.fork_map`; fork start method: the
 index is shared by inheritance, since bound kernels hold closures that
-cannot pickle).  On a single core the blocked verifier is the win; extra
-cores multiply it.  For a :class:`~repro.cluster.ShardRouter` the
-fan-out axis is the *shard* instead of the query span: each worker runs
-the whole batch against one shard and the parent merges the per-shard
+cannot pickle).  For a :class:`~repro.cluster.ShardRouter` the fan-out
+axis is the *shard* instead of the query span: each worker runs the
+whole batch against one shard and the parent merges the per-shard
 answers into global top-k results — same executor, different work items.
 A router backed by a persistent :class:`~repro.cluster.ShardWorkerPool`
 skips the fork entirely: the batch is shipped to the already-warm
@@ -22,45 +21,18 @@ workers in one request per shard (see ``docs/CONCURRENCY.md``).
 
 from __future__ import annotations
 
-import math
+from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.engine.approx import ApproxPolicy, resolve_policy
-from repro.engine.core import (
-    _activate_policy,
-    _check_invariant,
-    _generate_guarded,
-    _publish_approx,
-    _refine_knn,
-)
+from repro.engine.core import _check_invariant, _knn_pipeline
 from repro.engine.executor import fork_map
 from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 
 __all__ = ["search_many"]
-
-
-def _search_one(
-    index, query, k: int, policy: ApproxPolicy | None = None
-) -> tuple[list[Neighbor], SearchStats]:
-    """One query through the generator + the shared core verifier."""
-    policy = resolve_policy(policy)
-    size = len(index)
-    stats = SearchStats()
-    cands, stats = _generate_guarded(
-        index, lambda s: index.knn_candidates(query, k, s), stats, size
-    )
-    active = _activate_policy(policy, stats)
-    best = _refine_knn(index, query, k, cands, stats, size, active)
-    _check_invariant(stats, size, index)
-    _publish_approx(stats)
-    neighbors = sorted(
-        Neighbor(math.sqrt(d_sq), seq_id, index.result_name(seq_id))
-        for d_sq, seq_id in best
-    )
-    return neighbors, stats
 
 
 def _validate(index, queries) -> np.ndarray:
@@ -123,13 +95,14 @@ def search_many(
         else:
             if workers is not None and workers > 1 and len(queries) > 1:
                 results = fork_map(
-                    lambda query: _search_one(index, query, k, policy),
+                    lambda query: _knn_pipeline(index, query, k, policy),
                     queries,
                     workers,
                 )
             if results is None:
                 results = [
-                    _search_one(index, query, k, policy) for query in queries
+                    _knn_pipeline(index, query, k, policy)
+                    for query in queries
                 ]
 
     prefix = f"{index.obs_name}.search"
@@ -156,31 +129,6 @@ def _pool_parts(router, queries, k, policy):
     return parts
 
 
-def _routed_query_from_triples(router, query, k, triples, policy):
-    """Finish one query from pre-scattered per-shard candidate triples.
-
-    The same pipeline as ``execute_knn(router, query, k, policy)`` —
-    guarded gather, policy activation, global refinement, invariant —
-    just with candidate generation already done by the pool's batched
-    scatter, so the answer (results *and* stats) is bit-identical to
-    the per-query path.
-    """
-    size = len(router)
-    stats = SearchStats()
-    cands, stats = _generate_guarded(
-        router, lambda s: router.gather_knn(triples, k, s), stats, size
-    )
-    active = _activate_policy(policy, stats)
-    best = _refine_knn(router, query, k, cands, stats, size, active)
-    _check_invariant(stats, size, router)
-    _publish_approx(stats)
-    neighbors = sorted(
-        Neighbor(math.sqrt(d_sq), seq_id, router.result_name(seq_id))
-        for d_sq, seq_id in best
-    )
-    return neighbors, stats
-
-
 def _sharded_fanout_approx(router, queries, k, workers, policy):
     """Batched fan-out under a non-exact policy: verify at the parent.
 
@@ -200,8 +148,13 @@ def _sharded_fanout_approx(router, queries, k, workers, policy):
     if pool is not None:
         per_query = pool.batch_candidates(queries, k)
         if per_query is not None:
+            # Generation is done; finish each query as ``router.search``
+            # would, gathering the pre-scattered triples instead.
             return [
-                _routed_query_from_triples(router, query, k, triples, policy)
+                _knn_pipeline(
+                    router, query, k, policy,
+                    generate=partial(router.gather_knn, triples, k),
+                )
                 for query, triples in zip(queries, per_query)
             ]
         # A worker died mid-batch: the per-query scatter path absorbs
@@ -238,7 +191,7 @@ def _sharded_fanout(router, queries, k, workers, policy):
     def shard_task(view):
         sub, _ = view
         sub_k = min(k, len(sub))
-        return [_search_one(sub, query, sub_k, policy) for query in queries]
+        return [_knn_pipeline(sub, query, sub_k, policy) for query in queries]
 
     parts = None
     pool = getattr(router, "worker_pool", None)

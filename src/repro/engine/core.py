@@ -3,11 +3,10 @@
 Every structure in :mod:`repro.index` runs the same two-phase discipline
 from fig. 11 of the paper — generate candidates from cheap (compressed or
 feature-space) bounds, then verify the survivors exactly, cheapest first.
-Before this package existed each of the six modules carried its own copy
-of the verification loop, the :math:`\\sigma_{UB}` bookkeeping and the
-statistics accounting; the Lernaean Hydra index evaluations (Echihabi et
-al.) argue that fair cross-index comparison requires exactly one such
-core, shared.  This module is that core:
+The Lernaean Hydra index evaluations (Echihabi et al.) argue that fair
+cross-index comparison requires exactly one verification loop, one
+:math:`\\sigma_{UB}` bookkeeping and one statistics accounting, shared.
+This module is that core:
 
 * :class:`CandidateSet` — what a *candidate generator* (the index-specific
   half: a compressed-domain or feature-space traversal) hands to the
@@ -25,29 +24,35 @@ squared sums avoids ``sqrt`` round-trips, so exact duplicate rows produce
 bit-identical keys and distance ties are always broken by sequence id —
 every index returns byte-identical neighbour lists on tied inputs.
 
-The invariant the verifier enforces (and the tests relied on one index at
-a time before): every database member is either pruned or retrieved,
-exactly once — ``candidates_pruned + full_retrievals == database_size``.
+The invariant the verifier enforces: every database member is either
+pruned or retrieved, exactly once — ``candidates_pruned +
+full_retrievals == database_size``.
 
-**Block-vectorised verification.**  The verifier consumes candidates in
-LB-ordered *blocks* (``REPRO_VERIFY_BLOCK``, default 256): each block is
+**One verifier.**  Verification is one decision loop per stop rule —
+:func:`_refine_knn` against the moving top-k cutoff, :func:`_refine_range`
+against the fixed radius — fed by the same two helpers.
+:func:`_candidate_blocks` hands a loop its candidates in LB order: an
+entry list in ``REPRO_VERIFY_BLOCK`` (default 256) blocks, each
 bulk-fetched in one batched store read (zero-copy when the store is
-memory-mapped), its squared distances come from one chunk-accumulated
-einsum pass, and a cheap Python replay of the scalar decision loop then
-reproduces every heap update, early abandon, tie-break and termination
-*bit-identically* — including every :class:`SearchStats` counter.  The
-replay trick: chunk sums are non-negative, so the scalar kernel's running
-prefix is monotone and it abandons a candidate iff the *full* squared
-distance exceeds the cutoff — which the block path knows without
-re-walking chunks.  ``REPRO_VERIFY_BLOCK=0`` (or 1) selects the scalar
-reference loop, kept as the executable specification; streaming
-generators (the GEMINI R-tree's k-NN) always take it, because pulling a
-stream item mutates the traversal's own accounting.  The only observable
-difference is physical: a terminating block may have prefetched a few
-rows the abandoning loop never touches (charged to
+memory-mapped) with its squared distances from one chunk-accumulated
+einsum pass; a streaming generator (the GEMINI R-tree's k-NN) as
+single-item blocks, never prefetched, because pulling a stream item
+mutates the traversal's own accounting.  :func:`_distance_sq` is the one
+distance source: a distance the traversal already ``paid`` for, else the
+block's prefetched value, else a per-id guarded fetch through the scalar
+early-abandon kernel.  Chunk sums are non-negative, so that kernel's
+running prefix is monotone and it abandons a candidate iff the *full*
+squared distance exceeds the cutoff — which is how a prefetched value
+reproduces every early abandon, and with it every heap update,
+tie-break, termination and :class:`SearchStats` counter, bit-identically.
+``REPRO_VERIFY_BLOCK=0`` (or 1) turns prefetching off: every distance
+then comes from the independent scalar kernel, which is what the
+blocked ≡ scalar tests and benchmarks compare against.  The only
+observable difference is physical: a terminating block may have
+prefetched rows the loop never consumes (charged to
 :class:`~repro.storage.pagestore.IOStats`, discarded unread), so
 ``store.stats.read_calls >= stats.full_retrievals`` under blocking, with
-equality in scalar mode.
+equality at block size 0.
 
 **Approximate tier (opt-in).**  ``execute_knn``/``execute_range`` accept
 an :class:`~repro.engine.approx.ApproxPolicy`: ``epsilon`` relaxes the
@@ -58,9 +63,9 @@ the range filter against the fixed radius (missed matches confined to
 the :math:`(r/(1+\\varepsilon), r]` annulus); ``patience`` stops
 LB-ordered refinement after that many consecutive candidates without a
 top-k improvement (heuristic; recall is measured, see docs/APPROX.md).
-Members the policy skips are accounted
-as ``skipped_approx`` — the invariant extends to ``pruned + retrievals
-+ quarantined + skipped_approx == database_size`` — and the relaxation
+Members the policy skips are accounted as ``skipped_approx`` — the
+invariant extends to ``pruned + retrievals + quarantined +
+skipped_approx == database_size`` — and the relaxation
 lives *only* in this verifier, never in the candidate generators, so a
 shard router's gathered candidate stream sees exactly the thresholds a
 monolithic index would: sharded-approx ≡ monolithic-approx bit-for-bit.
@@ -72,7 +77,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -106,7 +113,7 @@ __all__ = [
 DEFAULT_VERIFY_BLOCK = 256
 
 #: Environment override for the verify block size; ``0`` or ``1``
-#: selects the scalar reference loop.
+#: turns prefetching off (every distance from the per-id scalar kernel).
 VERIFY_BLOCK_ENV = "REPRO_VERIFY_BLOCK"
 
 
@@ -114,12 +121,10 @@ def verify_block_size() -> int:
     """The active verify block size (``REPRO_VERIFY_BLOCK``, default 256).
 
     Junk values raise a :class:`~repro.exceptions.ReproError` naming the
-    variable (they used to fall back to the default silently, masking
-    misconfiguration).
+    variable.
     """
-    return parse_env_int(
-        VERIFY_BLOCK_ENV, DEFAULT_VERIFY_BLOCK, minimum=0
-    )
+    return parse_env_int(VERIFY_BLOCK_ENV, DEFAULT_VERIFY_BLOCK, minimum=0)
+
 
 #: Floating-point slack for range-search rejections: a computed lower
 #: bound may exceed the true distance by rounding error, so rejection
@@ -324,10 +329,9 @@ def _fetch_block_guarded(index, ids: list[int]) -> np.ndarray | None:
     active :class:`~repro.resilience.RetryPolicy` — one retry schedule
     per block instead of one per row.  Returns ``None`` when the block
     cannot be fetched as a unit (permanent corruption, or the transient
-    budget exhausted): the caller then consumes the block per id through
-    :func:`_guarded_fetch`, which reproduces the scalar path's
-    quarantine/degrade semantics exactly for the rows that are actually
-    at fault.
+    budget exhausted): the block is then consumed per id through
+    :func:`_guarded_fetch`, which quarantines exactly the rows that are
+    actually at fault.
     """
     policy = active_policy()
     for attempt in range(policy.max_attempts):
@@ -346,30 +350,27 @@ def _fetch_block_guarded(index, ids: list[int]) -> np.ndarray | None:
 
 
 def _prefetch_block(
-    index, query, entries, start: int, stop: int, paid, slack=None
-) -> dict[int, float] | None:
+    index, query, block, paid, slack=None
+) -> dict[int, float | None] | None:
     """Bulk-fetch one candidate block and compute its exact distances.
 
     Returns ``{seq_id: d_sq}`` for every non-paid entry in the block,
     with already-quarantined ids mapped to ``None`` (their stats are
-    applied at replay time, in entry order, exactly where the scalar
-    loop would have skipped them).  Returns ``None`` when the bulk fetch
-    failed and the caller must fall back to per-id guarded fetches.
+    applied when the loop consumes them, in entry order), or ``None``
+    when the bulk fetch failed and the block must be consumed per id.
 
-    ``slack`` is the *range* path's active ε relaxation, a
+    ``slack`` is the *range* loop's active ε relaxation, a
     ``(relax_sq, radius_threshold_sq)`` pair: entries whose relaxed
-    lower bound clears the fixed radius threshold are left unfetched,
-    and the replay loop accounts them as slack skips with the same
-    predicate.  The threshold must be a constant of the query (the
-    radius) — k-NN refinement never passes one, because its thresholds
-    move with the running cutoff and its relaxation lives in the
-    termination rule instead.
+    lower bound clears the threshold are left unfetched, and the loop
+    accounts them as slack skips with the same predicate.  The threshold
+    must be a constant of the query — k-NN refinement never passes one,
+    because its relaxation lives in the termination rule, against a
+    cutoff that moves.
     """
     quarantine = getattr(index, "_resilience_quarantine", None)
     outcomes: dict[int, float | None] = {}
     fetch_ids: list[int] = []
-    for offset in range(start, stop):
-        lb_sq, seq_id = entries[offset]
+    for lb_sq, seq_id in block:
         if seq_id in paid:
             continue
         if slack is not None and lb_sq * slack[0] > slack[1]:
@@ -387,6 +388,67 @@ def _prefetch_block(
     for seq_id, value in zip(fetch_ids, d_sq.tolist()):
         outcomes[seq_id] = value
     return outcomes
+
+
+def _candidate_blocks(index, query, cands: CandidateSet, slack=None):
+    """Yield ``(block, prefetched)`` pairs in LB order, lazily.
+
+    ``block`` is a run of ``(LB^2, seq_id)`` entries and ``prefetched``
+    what :func:`_prefetch_block` made of it, or ``None`` when its
+    distances must come per id.  Laziness matters: a loop that stops
+    never reads the blocks behind its stopping point, quarantine
+    membership is re-sampled per block (a per-id fetch may quarantine
+    rows mid-query), and a stream — single-item blocks, never
+    prefetched — never bounds a member the loop did not reach.  Block
+    size 0 or 1 is the whole entry list as one unprefetched block.
+    """
+    if cands.stream is not None:
+        for entry in cands.stream:
+            yield (entry,), None
+        return
+    entries = cands.entries
+    block_size = verify_block_size()
+    if block_size <= 1:
+        yield entries, None
+        return
+    for start in range(0, len(entries), block_size):
+        block = entries[start : start + block_size]
+        yield block, _prefetch_block(index, query, block, cands.paid, slack)
+
+
+def _distance_sq(
+    index, query, seq_id: int, paid, prefetched, cutoff_sq: float,
+    stats: SearchStats,
+) -> float | None:
+    """One candidate's exact squared distance, from the cheapest source.
+
+    ``None`` means the candidate contributes no distance: it is
+    quarantined (served degraded, not retrieved), or its comparison was
+    abandoned because the distance exceeds ``cutoff_sq``.  A prefetched
+    value replays the kernel's mid-sum abandon from the full distance.
+    """
+    if seq_id in paid:
+        return paid[seq_id]  # already fetched and counted
+    if prefetched is None:
+        row = _guarded_fetch(index, seq_id, stats)
+        if row is None:
+            return None
+        stats.full_retrievals += 1
+        d_sq = euclidean_early_abandon_sq(query, row, cutoff_sq)
+        if d_sq == math.inf:
+            stats.early_abandons += 1
+            return None
+        return d_sq
+    d_sq = prefetched.get(seq_id)
+    if d_sq is None:
+        # Quarantined before the block was fetched.
+        stats.note_quarantined(seq_id)
+        return None
+    stats.full_retrievals += 1
+    if d_sq > cutoff_sq:
+        stats.early_abandons += 1
+        return None
+    return d_sq
 
 
 # ----------------------------------------------------------------------
@@ -438,9 +500,7 @@ def _guarded_fetch(index, seq_id: int, stats: SearchStats):
     """
     quarantine = getattr(index, "_resilience_quarantine", None)
     if quarantine is not None and seq_id in quarantine:
-        stats.quarantined += 1
-        stats.degraded = True
-        stats.quarantined_ids += (seq_id,)
+        stats.note_quarantined(seq_id)
         return None
     try:
         return index.fetch(seq_id)
@@ -458,9 +518,7 @@ def _guarded_fetch(index, seq_id: int, stats: SearchStats):
     if not policy.degrade:
         raise outcome
     quarantine_of(index).add(seq_id, outcome)
-    stats.quarantined += 1
-    stats.degraded = True
-    stats.quarantined_ids += (seq_id,)
+    stats.note_quarantined(seq_id)
     obs.add("resilience.degraded_fetches")
     return None
 
@@ -495,17 +553,18 @@ def _fallback_candidates(size: int) -> CandidateSet:
     )
 
 
-def _generate_guarded(index, generate, stats: SearchStats, size: int):
+def _generate_guarded(index, generate, size: int):
     """Run a candidate generator; fall back to a linear scan on failure.
 
     A generator failure (a tree traversal hitting a corrupt vantage
     read, a broken bound kernel) abandons whatever partial accounting
     the generator wrote and restarts the query as an exhaustive scan —
     the answer stays correct over every readable member, just without
-    pruning.  Returns ``(candidates, stats)``; the stats object is
-    *replaced* on fallback so partial traversal counts cannot corrupt
-    the accounting invariant.
+    pruning.  Returns ``(candidates, stats)``; the stats object the
+    generator wrote to is *replaced* on fallback so partial traversal
+    counts cannot corrupt the accounting invariant.
     """
+    stats = SearchStats()
     try:
         return generate(stats), stats
     except (ReproError, OSError) as exc:
@@ -546,17 +605,15 @@ def _activate_policy(policy: ApproxPolicy, stats: SearchStats) -> ApproxPolicy:
     return policy
 
 
-def _note_slack_skip(quarantine, seq_id: int, stats: SearchStats) -> None:
-    """Account one candidate the ε slack let the verifier skip.
+def _note_policy_skip(quarantine, seq_id: int, stats: SearchStats) -> None:
+    """Account one candidate an approximate policy left unexamined.
 
     A member that is *already quarantined* keeps its own bucket (the
     exact engine would have skipped it degraded, not pruned): approx
     accounting must never launder a storage fault into a policy skip.
     """
     if quarantine is not None and seq_id in quarantine:
-        stats.quarantined += 1
-        stats.degraded = True
-        stats.quarantined_ids += (seq_id,)
+        stats.note_quarantined(seq_id)
     else:
         stats.skipped_approx += 1
 
@@ -564,13 +621,12 @@ def _note_slack_skip(quarantine, seq_id: int, stats: SearchStats) -> None:
 def _classify_remaining(
     index, remaining, paid, cutoff_sq: float, stats: SearchStats
 ) -> None:
-    """Account entries an approximate policy left unrefined at its stop.
+    """Account the entries a stopped refinement loop left unexamined.
 
-    Mirrors what the exact engine would have done with each entry: a
-    lower bound above the cutoff would have been pruned by the exact
-    termination rule too; a quarantined member would have been served
-    degraded; everything else is an approximation casualty
-    (``skipped_approx``).
+    A lower bound above the cutoff is pruned — after an exact
+    termination that is every remaining entry, by the LB order; under an
+    approximate policy it is what the exact engine would have pruned
+    too, and anything else is the policy's skip.
     """
     quarantine = getattr(index, "_resilience_quarantine", None)
     for lb_sq, seq_id in remaining:
@@ -578,12 +634,8 @@ def _classify_remaining(
             continue
         if lb_sq > cutoff_sq:
             stats.candidates_pruned += 1
-        elif quarantine is not None and seq_id in quarantine:
-            stats.quarantined += 1
-            stats.degraded = True
-            stats.quarantined_ids += (seq_id,)
         else:
-            stats.skipped_approx += 1
+            _note_policy_skip(quarantine, seq_id, stats)
 
 
 def _publish_approx(stats: SearchStats) -> None:
@@ -593,6 +645,13 @@ def _publish_approx(stats: SearchStats) -> None:
         obs.add("engine.approx.skipped", stats.skipped_approx)
     if stats.stopped_early:
         obs.add("engine.approx.early_stops")
+
+
+def _refine_span(policy: ApproxPolicy):
+    """The ``engine.approx.refine`` span around non-exact refinement."""
+    if policy.exact:
+        return nullcontext()
+    return obs.span("engine.approx.refine")
 
 
 # ----------------------------------------------------------------------
@@ -608,27 +667,35 @@ def execute_knn(
     """
     policy = resolve_policy(policy)
     query = _validate_query(index, query)
-    size = len(index)
-    if not 1 <= k <= size:
-        raise ValueError(f"k must be in [1, {size}], got {k}")
-    stats = SearchStats()
+    if not 1 <= k <= len(index):
+        raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     with obs.span(f"{index.obs_name}.search"):
-        cands, stats = _generate_guarded(
-            index,
-            lambda s: index.knn_candidates(query, k, s),
-            stats,
-            size,
-        )
-        active = _activate_policy(policy, stats)
-        if active.exact:
-            best = _refine_knn(index, query, k, cands, stats, size, active)
-        else:
-            with obs.span("engine.approx.refine"):
-                best = _refine_knn(
-                    index, query, k, cands, stats, size, active
-                )
-    _check_invariant(stats, size, index)
+        neighbors, stats = _knn_pipeline(index, query, k, policy)
     stats.publish(f"{index.obs_name}.search")
+    return neighbors, stats
+
+
+def _knn_pipeline(
+    index, query, k: int, policy: ApproxPolicy, generate=None
+) -> tuple[list[Neighbor], SearchStats]:
+    """One validated k-NN query from candidate generation to neighbours.
+
+    Guarded generation, policy activation, refinement, the accounting
+    invariant and the approx counters, in that order, for every caller:
+    :func:`execute_knn`, each query of a :func:`~repro.engine.search_many`
+    batch and each per-shard sub-search of a pool worker.  ``generate``
+    replaces the index's own ``knn_candidates`` (a ``stats -> CandidateSet``
+    callable) when the candidates were already scattered.  The caller
+    publishes the returned stats.
+    """
+    if generate is None:
+        generate = partial(index.knn_candidates, query, k)
+    size = len(index)
+    cands, stats = _generate_guarded(index, generate, size)
+    active = _activate_policy(policy, stats)
+    with _refine_span(active):
+        best = _refine_knn(index, query, k, cands, stats, size, active)
+    _check_invariant(stats, size, index)
     _publish_approx(stats)
     neighbors = sorted(
         Neighbor(math.sqrt(d_sq), seq_id, index.result_name(seq_id))
@@ -657,41 +724,27 @@ def _refine_knn(
 
     An active :class:`ApproxPolicy` relaxes exactly one comparison:
     termination fires as soon as ``lb_sq * (1+ε)^2`` exceeds the running
-    cutoff — the best-so-far k-th distance, a distance the answer
-    actually reports, which is what makes the relaxation sound (every
-    member left behind is provably more than ``reported_kth/(1+ε)``
-    away; a relaxation against the σ_UB filter would carry no such
-    guarantee, because the members *achieving* σ_UB could themselves be
-    skipped).  The entries the early stop leaves unrefined are
-    classified by :func:`_classify_remaining` (``skipped_approx``).
-    ``patience`` consecutive consumed candidates without a top-k
-    improvement stop refinement early — the unit is a candidate under
-    both verifiers, so the knob's meaning does not depend on
-    ``REPRO_VERIFY_BLOCK``.  The exact policy multiplies by exactly ``1.0``
-    and arms no counter, so this loop remains the executable
-    specification the blocked path replays.
+    cutoff.  The cutoff is a distance the answer actually reports, which
+    is what makes the relaxation sound: every member left behind is
+    provably more than ``reported_kth/(1+ε)`` away (relaxing the σ_UB
+    filter instead would not be — the members *achieving* σ_UB could
+    themselves be skipped).  ``patience`` consecutive consumed
+    candidates without a top-k improvement stop refinement early; its
+    unit is a candidate at every block size.
 
-    Entry lists are consumed through :func:`_refine_knn_blocked` (bulk
-    fetches, vectorised distances) unless ``REPRO_VERIFY_BLOCK`` selects
-    the scalar reference loop below; streams always take the scalar loop
-    because pulling an item mutates the traversal's own accounting.
+    Blocking (:func:`_candidate_blocks`) and the distance source
+    (:func:`_distance_sq`) never change a decision, so results and
+    :class:`SearchStats` are identical at every block size.  A stop
+    mid-block discards the rest of the block's prefetched rows:
+    physical I/O only, no logical accounting.
     """
     paid = cands.paid
-    if cands.stream is not None:
-        ordered: Iterator[tuple[float, int]] = cands.stream
-    else:
+    if cands.stream is None:
         stats.candidates_after_traversal = cands.generated
         stats.candidates_after_sub_filter = len(cands.entries)
         # Members never bounded (pruned subtrees) plus those the SUB
         # filter discarded.  Traversal-paid members are all in `entries`.
-        stats.candidates_pruned += size - cands.generated
-        stats.candidates_pruned += cands.generated - len(cands.entries)
-        block = verify_block_size()
-        if block > 1:
-            return _refine_knn_blocked(
-                index, query, k, cands, stats, block, policy
-            )
-        ordered = iter(cands.entries)
+        stats.candidates_pruned += size - len(cands.entries)
 
     relax_sq = policy.relax_sq
     patience = policy.patience
@@ -703,158 +756,24 @@ def _refine_knn(
     terminated = False
     stopped = False
     unimproved = 0
-    for lb_sq, seq_id in ordered:
-        if len(best) == k and lb_sq * relax_sq > cutoff_sq:
-            # Increasing-LB order: every remaining candidate is at least
-            # as far, and cannot even tie (its distance is strictly
-            # above the cutoff — or above cutoff/(1+ε) under the
-            # relaxation, which is sound because the cutoff is a real
-            # distance the answer reports: every member left behind is
-            # provably more than reported_kth/(1+ε) away).
-            terminated = True
-            break
-        consumed += 1
-        d_sq = None
-        if seq_id in paid:
-            d_sq = paid[seq_id]  # already fetched and counted
-        else:
-            row = _guarded_fetch(index, seq_id, stats)
-            if row is not None:
-                stats.full_retrievals += 1
-                d_sq = euclidean_early_abandon_sq(query, row, cutoff_sq)
-                if d_sq == math.inf:
-                    stats.early_abandons += 1
-                    d_sq = None
-            # else quarantined: served degraded, not retrieved
-        improved = False
-        if d_sq is not None and not (
-            len(best) == k and (d_sq, seq_id) >= (cutoff_sq, cutoff_id)
-        ):
-            # Better than the incumbent k-th (ties lose to lower ids).
-            heapq.heappush(best, (-d_sq, -seq_id))
-            if len(best) > k:
-                heapq.heappop(best)
-            if len(best) == k:
-                cutoff_sq = -best[0][0]
-                cutoff_id = -best[0][1]
-            improved = True
-        if patience is not None and len(best) == k:
-            unimproved = 0 if improved else unimproved + 1
-            if unimproved >= patience:
-                stats.stopped_early = True
-                stopped = True
-                break
-
-    if cands.stream is not None:
-        # Streaming generators bound members lazily; everything not
-        # consumed before termination was pruned by the stream's own
-        # increasing-LB guarantee.  (Streams never carry paid entries.)
-        # A patience stop leaves later members unbounded, so they land
-        # here too — the ``stopped_early`` flag is the honest record.
-        stats.candidates_pruned += size - consumed
-    elif terminated or stopped:
-        remaining = cands.entries[consumed:]
-        if policy.exact:
-            stats.candidates_pruned += sum(
-                1 for _, seq_id in remaining if seq_id not in paid
-            )
-        else:
-            _classify_remaining(index, remaining, paid, cutoff_sq, stats)
-    return [(-neg_d, -neg_id) for neg_d, neg_id in best]
-
-
-def _refine_knn_blocked(
-    index,
-    query,
-    k: int,
-    cands: CandidateSet,
-    stats: SearchStats,
-    block: int,
-    policy: ApproxPolicy,
-) -> list[tuple[float, int]]:
-    """Block-vectorised refinement, bit-identical to the scalar loop.
-
-    Each block of candidates is bulk-fetched (one batched store read)
-    and its exact squared distances computed in one vectorised pass;
-    a replay of the scalar decision sequence then applies termination,
-    early-abandon, tie-break and heap updates in entry order, so results
-    *and* :class:`SearchStats` match the scalar loop exactly.  The
-    scalar kernel abandons a row iff its full squared distance exceeds
-    the cutoff in effect when the row is consumed (its running prefix is
-    monotone), so the replay reproduces ``early_abandons`` from the full
-    distances alone.  A terminating block may have prefetched rows the
-    scalar loop never reads — physical I/O only; they are discarded
-    without touching the logical accounting.
-
-    An active policy replays the same decisions as the scalar loop:
-    ε relaxes the identical termination comparison and ``patience`` is
-    counted per consumed candidate inside the replay, so *every*
-    policy — not just the exact one — is bit-identical between the
-    blocked and scalar paths.  A patience stop mid-block discards the
-    rest of the prefetched rows exactly like a termination does:
-    physical I/O only, no logical accounting.
-    """
-    entries = cands.entries
-    paid = cands.paid
-    relax_sq = policy.relax_sq
-    patience = policy.patience
-
-    best: list[tuple[float, int]] = []  # max-heap of (-d^2, -seq_id)
-    cutoff_sq = math.inf
-    cutoff_id = -1
-    consumed = 0
-    terminated = False
-    stopped = False
-    unimproved = 0
-    total = len(entries)
-    position = 0
-    while position < total and not terminated and not stopped:
-        stop = min(position + block, total)
-        # Quarantine membership is re-sampled per block: a per-id
-        # fallback below may quarantine rows mid-query.
-        prefetched = _prefetch_block(
-            index, query, entries, position, stop, paid
-        )
-        for offset in range(position, stop):
-            lb_sq, seq_id = entries[offset]
+    for block, prefetched in _candidate_blocks(index, query, cands):
+        for lb_sq, seq_id in block:
             if len(best) == k and lb_sq * relax_sq > cutoff_sq:
+                # Increasing-LB order: every remaining candidate is at
+                # least as far, and cannot even tie (its distance is
+                # strictly above the cutoff — or above cutoff/(1+ε)
+                # under the relaxation).
                 terminated = True
                 break
             consumed += 1
-            d_sq = None
-            if seq_id in paid:
-                d_sq = paid[seq_id]  # already fetched and counted
-            elif prefetched is None:
-                # Bulk fetch failed: consume this block per id through
-                # the scalar guarded path (exact fault semantics).
-                row = _guarded_fetch(index, seq_id, stats)
-                if row is not None:
-                    stats.full_retrievals += 1
-                    d_sq = euclidean_early_abandon_sq(
-                        query, row, cutoff_sq
-                    )
-                    if d_sq == math.inf:
-                        stats.early_abandons += 1
-                        d_sq = None
-            else:
-                value = prefetched.get(seq_id)
-                if value is None:
-                    # Quarantined before the block was fetched: the
-                    # scalar loop would have skipped it here, degraded.
-                    stats.quarantined += 1
-                    stats.degraded = True
-                    stats.quarantined_ids += (seq_id,)
-                else:
-                    stats.full_retrievals += 1
-                    if value > cutoff_sq:
-                        # Replay of the kernel's mid-sum abandon.
-                        stats.early_abandons += 1
-                    else:
-                        d_sq = value
+            d_sq = _distance_sq(
+                index, query, seq_id, paid, prefetched, cutoff_sq, stats
+            )
             improved = False
             if d_sq is not None and not (
                 len(best) == k and (d_sq, seq_id) >= (cutoff_sq, cutoff_id)
             ):
+                # Better than the incumbent k-th (ties lose to lower ids).
                 heapq.heappush(best, (-d_sq, -seq_id))
                 if len(best) > k:
                     heapq.heappop(best)
@@ -865,19 +784,24 @@ def _refine_knn_blocked(
             if patience is not None and len(best) == k:
                 unimproved = 0 if improved else unimproved + 1
                 if unimproved >= patience:
-                    stats.stopped_early = True
-                    stopped = True
+                    stats.stopped_early = stopped = True
                     break
-        position = stop
+        if terminated or stopped:
+            break
 
-    if terminated or stopped:
-        remaining = entries[consumed:]
-        if policy.exact:
-            stats.candidates_pruned += sum(
-                1 for _, seq_id in remaining if seq_id not in paid
-            )
+    if cands.stream is not None:
+        # A stream bounds members lazily, so nothing behind the stopping
+        # point was ever bounded.  After an LB termination the stream's
+        # increasing order prunes all of it; a patience stop proves
+        # nothing about it, so it is the policy's skip.
+        if stopped:
+            stats.skipped_approx += size - consumed
         else:
-            _classify_remaining(index, remaining, paid, cutoff_sq, stats)
+            stats.candidates_pruned += size - consumed
+    elif terminated or stopped:
+        _classify_remaining(
+            index, cands.entries[consumed:], paid, cutoff_sq, stats
+        )
     return [(-neg_d, -neg_id) for neg_d, neg_id in best]
 
 
@@ -903,24 +827,14 @@ def execute_range(
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     size = len(index)
-    stats = SearchStats()
+    generate = partial(index.range_candidates, query, radius)
     with obs.span(f"{index.obs_name}.range_search"):
-        cands, stats = _generate_guarded(
-            index,
-            lambda s: index.range_candidates(query, radius, s),
-            stats,
-            size,
-        )
+        cands, stats = _generate_guarded(index, generate, size)
         active = _activate_policy(policy, stats)
-        if active.exact:
+        with _refine_span(active):
             hits = _refine_range(
                 index, query, radius, cands, stats, size, active
             )
-        else:
-            with obs.span("engine.approx.refine"):
-                hits = _refine_range(
-                    index, query, radius, cands, stats, size, active
-                )
     _check_invariant(stats, size, index)
     stats.publish(f"{index.obs_name}.range_search")
     _publish_approx(stats)
@@ -936,12 +850,22 @@ def _refine_range(
     size: int,
     policy: ApproxPolicy,
 ) -> list[Neighbor]:
+    """Verify every candidate against the fixed radius.
+
+    The abandon threshold is the constant radius-plus-slack, and every
+    entry is consumed: no termination, hence no prefetch overshoot
+    (``read_calls`` matches ``full_retrievals`` at every block size).
+    Under an ε policy, entries whose relaxed lower bound clears that
+    threshold are neither fetched nor prefetched; they are accounted as
+    slack skips.
+    """
     slack_sq = (radius + RANGE_SLACK) ** 2
     radius_sq = radius * radius
     if cands.stream is not None:
-        entries = list(cands.stream)
-    else:
-        entries = cands.entries
+        # A range stream is radius-bounded and consumed to its end, so
+        # it is materialised and verified in prefetched blocks.
+        cands = replace(cands, entries=list(cands.stream), stream=None)
+    entries = cands.entries
     stats.candidates_after_traversal = (
         cands.generated if cands.generated is not None else len(entries)
     )
@@ -954,103 +878,20 @@ def _refine_range(
     # filter the generator already applied and can never fire.
     slack = (policy.relax_sq, slack_sq) if policy.epsilon > 0.0 else None
     quarantine = getattr(index, "_resilience_quarantine", None)
-    block = verify_block_size()
-    if block > 1:
-        return _refine_range_blocked(
-            index,
-            query,
-            entries,
-            paid,
-            stats,
-            slack_sq,
-            radius_sq,
-            block,
-            slack,
-        )
     hits: list[Neighbor] = []
-    for lb_sq, seq_id in entries:
-        if seq_id in paid:
-            d_sq = paid[seq_id]
-        elif slack is not None and lb_sq * slack[0] > slack[1]:
-            _note_slack_skip(quarantine, seq_id, stats)
-            continue
-        else:
-            row = _guarded_fetch(index, seq_id, stats)
-            if row is None:
-                continue  # quarantined: served degraded, not retrieved
-            stats.full_retrievals += 1
-            d_sq = euclidean_early_abandon_sq(query, row, slack_sq)
-            if d_sq == math.inf:
-                stats.early_abandons += 1
+    for block, prefetched in _candidate_blocks(index, query, cands, slack):
+        for lb_sq, seq_id in block:
+            if (
+                slack is not None
+                and seq_id not in paid
+                and lb_sq * slack[0] > slack[1]
+            ):
+                _note_policy_skip(quarantine, seq_id, stats)
                 continue
-        if d_sq <= radius_sq:
-            hits.append(
-                Neighbor(
-                    math.sqrt(d_sq), seq_id, index.result_name(seq_id)
-                )
+            d_sq = _distance_sq(
+                index, query, seq_id, paid, prefetched, slack_sq, stats
             )
-    return hits
-
-
-def _refine_range_blocked(
-    index,
-    query,
-    entries,
-    paid,
-    stats: SearchStats,
-    slack_sq: float,
-    radius_sq: float,
-    block: int,
-    slack=None,
-) -> list[Neighbor]:
-    """Block-vectorised range verification (see :func:`_refine_knn_blocked`).
-
-    Range verification has no evolving cutoff — the abandon threshold is
-    the fixed radius-plus-slack — so the replay is simpler than k-NN:
-    a row is abandoned iff its full squared distance exceeds
-    ``slack_sq``, and every entry is consumed (no termination, hence no
-    prefetch overshoot: ``read_calls`` matches ``full_retrievals`` here
-    even under blocking).  ``slack`` is an active ε-policy's
-    ``(relax_sq, threshold_sq)`` pair; matching entries are excluded
-    from the bulk fetch and accounted as slack skips.
-    """
-    quarantine = getattr(index, "_resilience_quarantine", None)
-    hits: list[Neighbor] = []
-    for position in range(0, len(entries), block):
-        stop = min(position + block, len(entries))
-        prefetched = _prefetch_block(
-            index, query, entries, position, stop, paid, slack
-        )
-        for offset in range(position, stop):
-            lb_sq, seq_id = entries[offset]
-            if seq_id in paid:
-                d_sq = paid[seq_id]
-            elif slack is not None and lb_sq * slack[0] > slack[1]:
-                # Never fetched (excluded from the bulk read above).
-                _note_slack_skip(quarantine, seq_id, stats)
-                continue
-            elif prefetched is None:
-                row = _guarded_fetch(index, seq_id, stats)
-                if row is None:
-                    continue
-                stats.full_retrievals += 1
-                d_sq = euclidean_early_abandon_sq(query, row, slack_sq)
-                if d_sq == math.inf:
-                    stats.early_abandons += 1
-                    continue
-            else:
-                value = prefetched.get(seq_id)
-                if value is None:
-                    stats.quarantined += 1
-                    stats.degraded = True
-                    stats.quarantined_ids += (seq_id,)
-                    continue
-                stats.full_retrievals += 1
-                d_sq = value
-                if d_sq > slack_sq:
-                    stats.early_abandons += 1
-                    continue
-            if d_sq <= radius_sq:
+            if d_sq is not None and d_sq <= radius_sq:
                 hits.append(
                     Neighbor(
                         math.sqrt(d_sq), seq_id, index.result_name(seq_id)

@@ -120,6 +120,12 @@ class SearchStats:
             return 0.0
         return self.candidates_pruned / considered
 
+    def note_quarantined(self, seq_id: int) -> None:
+        """Book one member skipped as quarantined; the answer is degraded."""
+        self.quarantined += 1
+        self.degraded = True
+        self.quarantined_ids += (seq_id,)
+
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another query's counters into this one."""
         for spec in fields(self):

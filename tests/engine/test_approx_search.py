@@ -146,16 +146,21 @@ def test_huge_patience_never_fires(matrix, queries):
     assert stats.full_retrievals == exact_stats.full_retrievals
 
 
-def test_stream_backend_patience_counts_unconsumed_pruned(matrix, queries):
+def test_stream_backend_patience_counts_unconsumed_skipped(matrix, queries):
     """R-tree streams: a patience stop leaves the tail bounded nowhere,
-    so it lands in ``candidates_pruned`` with ``stopped_early`` as the
-    honest record, and the invariant still closes."""
+    so it is the policy's skip (``skipped_approx``), never a prune — the
+    stream pruned nothing it did not reach — and the invariant closes."""
     index = get_index("rtree", matrix)
     _, stats = index.search(queries[0], k=3, policy=ApproxPolicy(patience=1))
     assert stats.stopped_early is True
-    assert stats.skipped_approx == 0  # streams are never slack-skipped
+    assert stats.candidates_pruned == 0
+    assert stats.skipped_approx == len(index) - stats.full_retrievals
+    assert stats.skipped_approx > 0
+    # An LB termination on the same stream is still a genuine prune.
+    _, exact_stats = index.search(queries[0], k=3)
+    assert exact_stats.skipped_approx == 0
     assert (
-        stats.candidates_pruned + stats.full_retrievals + stats.quarantined
+        exact_stats.candidates_pruned + exact_stats.full_retrievals
         == len(index)
     )
 
