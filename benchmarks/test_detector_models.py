@@ -7,6 +7,9 @@ Two questions this benchmark prices:
   workload — the number an operator needs before switching the stream
   monitor from the default ``ma`` to Kleinberg's automaton (dynamic
   programming over states) or the elastic SWT.
+* **What does bulk seeding save?**  A full-series add hands a whole
+  history to ``OnlineDetector.extend``; for ``ma`` that is one
+  vectorised pass against a push per day (same alerts, asserted here).
 * **What does the online periodogram save?**  Per-push cost of the
   sliding-DFT recurrence (reading recurrence-grade ``power`` each day)
   against the naive alternative — a full ``rfft`` of the window every
@@ -20,7 +23,10 @@ Acceptance bars (default scale; smoke scales record and skip):
   that is the reason :class:`~repro.spectral.online.OnlinePeriodogram`
   exists;
 * every model must clear a floor of 10k days/second batch detect
-  throughput at the default workload.
+  throughput at the default workload;
+* seeding an ``ma`` detector with ``extend`` must cost at most a third
+  of pushing the same days (gated at every scale: the ratio is about
+  5x from 128 to 512 days, so the smoke scale can carry the gate).
 
 Appends to the ``BENCH_detectors.json`` trend at the repo root.
 ``REPRO_DETECTOR_BENCH_SIZE`` (``"series,days"``) selects a smoke
@@ -108,12 +114,6 @@ def test_detector_model_throughput(report):
             "regions": regions,
         }
 
-    # ------------------------------------------------------------------
-    # Online periodogram: amortised slide vs full recompute per push
-    # ------------------------------------------------------------------
-    pgram_days = PGRAM_DAYS if not smoke else max(4 * PGRAM_WINDOW, 1024)
-    signal = _workload(1, pgram_days, seed=23)[0]
-
     def best_of(runner, repeats=3):
         """Best-of-N wall time: damps scheduler noise around the gate."""
         times, state = [], None
@@ -122,6 +122,34 @@ def test_detector_model_throughput(report):
             state = runner()
             times.append(time.perf_counter() - start)
         return min(times), state
+
+    # ------------------------------------------------------------------
+    # Seeding the stream monitor's default model: extend vs push per day
+    # ------------------------------------------------------------------
+    ma = get_burst_model("ma")
+
+    def run_seeded():
+        return [ma.online().extend(row) for row in values]
+
+    def run_pushed():
+        alerts = []
+        for row in values:
+            detector = ma.online()
+            alerts.append(
+                [a for day, v in enumerate(row) for a in detector.push(day, v)]
+            )
+        return alerts
+
+    seeded, seeded_alerts = best_of(run_seeded)
+    pushed, pushed_alerts = best_of(run_pushed)
+    assert seeded_alerts == pushed_alerts  # field for field, floats exact
+    seed_speedup = pushed / seeded
+
+    # ------------------------------------------------------------------
+    # Online periodogram: amortised slide vs full recompute per push
+    # ------------------------------------------------------------------
+    pgram_days = PGRAM_DAYS if not smoke else max(4 * PGRAM_WINDOW, 1024)
+    signal = _workload(1, pgram_days, seed=23)[0]
 
     def run_amortised():
         online = OnlinePeriodogram(PGRAM_WINDOW)
@@ -175,6 +203,9 @@ def test_detector_model_throughput(report):
             ),
         ),
         f"sliding-DFT speedup over full recompute: {speedup:.2f}x",
+        f"ma seeded by extend: {seeded / series * 1e3:.3f} ms a series, "
+        f"pushed per day: {pushed / series * 1e3:.3f} ms "
+        f"({seed_speedup:.2f}x)",
     )
 
     append_trend(
@@ -183,6 +214,11 @@ def test_detector_model_throughput(report):
             "bench": "detector_models",
             "workload": {"series": series, "days": days},
             "models": model_stats,
+            "ma_seed": {
+                "seeded_seconds": seeded,
+                "pushed_seconds": pushed,
+                "speedup": seed_speedup,
+            },
             "periodogram": {
                 "window": PGRAM_WINDOW,
                 "pushes": pgram_days,
@@ -205,8 +241,13 @@ def test_detector_model_throughput(report):
         batch_pgram(signal[-PGRAM_WINDOW:]).power,
     )
 
+    assert seed_speedup >= 3.0, (
+        f"seeding ma with extend must be >= 3x cheaper than pushing, "
+        f"got {seed_speedup:.2f}x"
+    )
+
     if smoke:
-        return  # smoke scale: record the entry, skip the gates
+        return  # smoke scale: record the entry, skip the other gates
 
     assert speedup > 1.0, (
         f"the sliding recurrence must beat a full rfft per push, "

@@ -10,7 +10,8 @@ manifest behind every seal.  This benchmark prices that machinery:
   batch — the amortisation the fast-ingest path is built on);
 * seal latency (live tier -> checksummed segment + manifest commit);
 * recovery wall time for a directory with a sealed generation and a
-  WAL tail (the restart-to-serving cost);
+  WAL tail, reopened at the constructor defaults (the restart-to-serving
+  cost a default user pays, burst monitor on);
 * compaction wall time over two overlapping generations.
 
 Acceptance bar: batching must amortise the fsync — ``append_many``
@@ -97,13 +98,11 @@ def test_stream_ingest_throughput(report, tmp_path):
     before = _answers(store, queries)
     store.close()
 
-    # Recovery: adopt the manifest, open the segment, replay the tail.
-    # Alerting stays off, as on the writer: with it on, replay would
-    # also re-feed every day to the burst monitor (O(days^2) a series).
+    # Recovery: adopt the manifest, open the segment, replay the tail —
+    # at the constructor defaults, so every replayed add also seeds its
+    # burst detector.
     started = time.perf_counter()
-    recovered = StreamStore(
-        tmp_path / "stream", fsync=False, burst_window=None
-    )
+    recovered = StreamStore(tmp_path / "stream", fsync=False)
     recover_wall = time.perf_counter() - started
     assert recovered.recovery.wal_records >= len(batch)
     assert _answers(recovered, queries) == before  # bit-identical
@@ -130,6 +129,7 @@ def test_stream_ingest_throughput(report, tmp_path):
         "batch_speedup": round(batch_rate / single_rate, 2),
         "seal_seconds": round(seal_wall, 4),
         "recover_seconds": round(recover_wall, 4),
+        "recover_burst_monitor": recovered.monitor.model.name,
         "compact_seconds": round(compact_wall, 4),
         "wal_records_replayed": recovered.recovery.wal_records,
     }

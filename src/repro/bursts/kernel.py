@@ -10,19 +10,30 @@ time either side is edited.  Now both sides call here:
 
 * :class:`TrailingMA` is the stateful kernel.  :meth:`TrailingMA.push`
   extends the smoothed series in O(1) through the prefix-sum recurrence;
-  :meth:`TrailingMA.extend` from an *empty* state is the vectorised
-  ``np.cumsum`` formulation.  The two are bit-identical because
-  ``np.cumsum`` performs the same sequential left-to-right additions the
-  recurrence does, and the window arithmetic
+  :meth:`TrailingMA.extend` is the vectorised formulation: one
+  ``np.cumsum`` seeded with the running prefix total, one vectorised
+  window division.  The two are bit-identical because ``np.cumsum``
+  performs the same sequential left-to-right additions the recurrence
+  does, and the window arithmetic
   ``(prefix[i+1] - prefix[lo]) / (i + 1 - lo)`` is the same IEEE
   expression scalar-by-scalar or vectorised.
 * :func:`burst_cutoff` is the shared threshold ``mean(MA) + x*std(MA)``
   — one numpy reduction spelling for both sides, so the cutoffs cannot
   drift apart either.
+* :func:`prefix_cutoffs` is the bulk form of that threshold: every
+  prefix's cutoff, each equal to ``burst_cutoff(smoothed[:i], x)``
+  exactly.  It keeps two ``np.add.reduce`` calls per prefix (mean,
+  variance) because numpy sums pairwise: the association tree depends
+  on the length, so an O(n) running total (cumsum, Welford) lands an
+  ulp away from the batch detector.  Those reductions are what
+  bit-identity costs; the ``mean``/``std`` dispatch, divisions, square
+  roots and comparisons around them run once per block, not per day.
 
 ``tests/bursts/test_kernel.py`` asserts push-vs-extend bit-identity on
-random data for every window; the detector-level equivalence suites then
-inherit it instead of re-proving it.
+random data for every window, ``tests/bursts/test_bulk_seed.py`` asserts
+``prefix_cutoffs`` against ``burst_cutoff`` prefix by prefix; the
+detector-level equivalence suites inherit both instead of re-proving
+them.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ import numpy as np
 
 from repro.timeseries.preprocessing import as_float_array
 
-__all__ = ["TrailingMA", "burst_cutoff"]
+__all__ = ["TrailingMA", "burst_cutoff", "prefix_cutoffs"]
 
 
 def burst_cutoff(smoothed: np.ndarray, threshold_sigmas: float) -> float:
@@ -41,6 +52,27 @@ def burst_cutoff(smoothed: np.ndarray, threshold_sigmas: float) -> float:
             f"threshold_sigmas must be positive, got {threshold_sigmas}"
         )
     return float(smoothed.mean() + threshold_sigmas * smoothed.std())
+
+
+def prefix_cutoffs(
+    smoothed: np.ndarray, threshold_sigmas: float, start: int = 0
+) -> np.ndarray:
+    """:func:`burst_cutoff` of every prefix longer than ``start``, exactly.
+
+    Entry ``j`` is ``burst_cutoff(smoothed[: start + j + 1], x)``: the
+    steps numpy's ``mean`` and ``std`` take, with the two ``add.reduce``
+    calls kept per prefix and the rest run once over the block.
+    """
+    lengths = np.arange(start + 1, smoothed.size + 1)
+    prefixes = [smoothed[:length] for length in lengths.tolist()]
+    sums = np.array([np.add.reduce(prefix) for prefix in prefixes])
+    means = sums / lengths
+    scratch = np.empty(smoothed.size, dtype=np.float64)
+    for j, prefix in enumerate(prefixes):
+        deviations = np.subtract(prefix, means[j], out=scratch[: prefix.size])
+        np.multiply(deviations, deviations, out=deviations)
+        sums[j] = np.add.reduce(deviations)
+    return means + threshold_sigmas * np.sqrt(sums / lengths)
 
 
 class TrailingMA:
@@ -98,17 +130,17 @@ class TrailingMA:
         self._prefix = prefix
         self._smoothed = smoothed
 
-    def push(self, value) -> float:
+    def push(self, value: float) -> float:
         """Absorb one value; returns its smoothed (trailing-mean) value.
 
         O(1): one prefix-sum addition and one window division, the same
         arithmetic ``np.cumsum`` + vectorised division performs in
-        :meth:`extend`.
+        :meth:`extend`.  The value is not validated here: the detectors
+        that push day by day do that once, at their own boundary.
         """
-        arr = as_float_array([value])  # same validation as the batch path
         self._reserve(1)
         index = self._size
-        self._prefix[index + 1] = self._prefix[index] + arr[0]
+        self._prefix[index + 1] = self._prefix[index] + value
         lo = max(index - self.window + 1, 0)
         smoothed = (self._prefix[index + 1] - self._prefix[lo]) / (
             index + 1 - lo
@@ -120,24 +152,21 @@ class TrailingMA:
     def extend(self, values) -> np.ndarray:
         """Absorb a block of values; returns their smoothed values.
 
-        From an empty state this is the vectorised batch formulation
-        (one ``np.cumsum``, one vectorised window division) — bit-identical
-        to pushing one value at a time because ``np.cumsum`` accumulates
-        sequentially.  A non-empty state falls back to sequential pushes:
-        seeding a cumsum with the running prefix total would re-associate
-        the additions and break bit-identity.
+        One ``np.cumsum`` seeded with the running prefix total and one
+        vectorised window division: ``np.cumsum`` accumulates
+        sequentially, so these are exactly the additions :meth:`push`
+        performs, from an empty kernel or a seeded one.  The block is
+        validated whole before any of it is absorbed.
         """
         arr = as_float_array(values)
-        if self._size > 0:
-            return np.array([self.push(v) for v in arr], dtype=np.float64)
-        n = arr.size
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
+        size, n = self._size, arr.size
         self._reserve(n)
-        self._prefix[1 : n + 1] = np.cumsum(arr)
-        idx = np.arange(n)
+        self._prefix[size : size + n + 1] = np.cumsum(
+            np.concatenate((self._prefix[size : size + 1], arr))
+        )
+        idx = np.arange(size, size + n)
         lo = np.maximum(idx - self.window + 1, 0)
         smoothed = (self._prefix[idx + 1] - self._prefix[lo]) / (idx + 1 - lo)
-        self._smoothed[:n] = smoothed
-        self._size = n
-        return smoothed.copy()
+        self._smoothed[size : size + n] = smoothed
+        self._size += n
+        return smoothed

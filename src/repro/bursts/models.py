@@ -53,6 +53,7 @@ from repro.bursts.protocol import (
     BurstModel,
     BurstRegion,
     OnlineDetector,
+    RegionAlert,
     mask_regions,
 )
 from repro.bursts.streaming import OnlineBurstDetector
@@ -127,7 +128,32 @@ class _OnlineMovingAverage(OnlineDetector):
         self._detector = OnlineBurstDetector(window, threshold_sigmas)
 
     def _absorb(self, value: float) -> bool:
-        return self._detector.push(value)
+        return self._detector._absorb(value)
+
+    def _absorb_block(self, arr: np.ndarray) -> list[RegionAlert]:
+        """One kernel pass; rising edges from one array comparison.
+
+        An alert's region is the one :meth:`regions` held at its firing
+        prefix (the run ending at the alert day, under *that* prefix's
+        cutoff), cut from the arrays, not rebuilt with every region.
+        """
+        first = self._size
+        latest, cutoffs = self._detector.extend(arr)
+        flags = latest > cutoffs
+        rising = flags & ~np.concatenate(([self._bursting], flags[:-1]))
+        smoothed = self._detector.smoothed if rising.any() else None
+        alerts = []
+        for j in np.flatnonzero(rising).tolist():
+            day, cutoff = first + j, float(cutoffs[j])
+            quiet = np.flatnonzero(~(smoothed[:day] > cutoff))
+            start = int(quiet[-1]) + 1 if quiet.size else 0
+            weight = float(np.sum(smoothed[start : day + 1] - cutoff))
+            region = BurstRegion(start, day, weight)
+            value, statistic = float(arr[j]), float(latest[j])
+            alerts.append(RegionAlert(day, value, statistic, cutoff, region))
+        self._bursting = bool(flags[-1])
+        self._size += arr.size
+        return alerts
 
     def regions(self) -> list[BurstRegion]:
         if len(self._detector) == 0:

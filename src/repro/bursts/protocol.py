@@ -188,7 +188,8 @@ class OnlineDetector(abc.ABC):
 
         Days must arrive densely in order (``day == size``): an online
         detector cannot honour the batch-equivalence contract over a
-        sequence with holes in it.
+        sequence with holes in it.  This is the one place a pushed value
+        is validated; the kernels below take it as given.
         """
         day = int(day)
         if day != self._size:
@@ -196,14 +197,36 @@ class OnlineDetector(abc.ABC):
                 f"days must arrive in order: expected day {self._size}, "
                 f"got {day}"
             )
-        arr = as_float_array([value])  # shared NaN/shape validation
-        bursting = bool(self._absorb(float(arr[0])))
+        return self._step(float(as_float_array([value])[0]))
+
+    def extend(self, values) -> list[RegionAlert]:
+        """Absorb a block of days: the alerts and the state of pushing
+        them one at a time, validated once, up front.
+
+        A NaN anywhere in the block therefore raises before *any* day is
+        absorbed, where a loop of pushes would have kept the prefix
+        before it.  Models with a bulk form override
+        :meth:`_absorb_block`; the rest run the per-day step.
+        """
+        arr = np.asarray(values, dtype=np.float64)
+        return self._absorb_block(as_float_array(arr)) if arr.size else []
+
+    def _absorb_block(self, arr: np.ndarray) -> list[RegionAlert]:
+        alerts: list[RegionAlert] = []
+        for value in arr.tolist():
+            alerts.extend(self._step(value))
+        return alerts
+
+    def _step(self, value: float) -> list[RegionAlert]:
+        """Absorb one validated value as day ``size``; edge-trigger."""
+        day = self._size
+        bursting = bool(self._absorb(value))
         alerts: list[RegionAlert] = []
         if bursting and not self._bursting:
             alerts.append(
                 RegionAlert(
                     day=day,
-                    value=float(arr[0]),
+                    value=value,
                     statistic=float(self.decision_statistic),
                     threshold=float(self.decision_threshold),
                     region=self._region_at(day),
@@ -211,13 +234,6 @@ class OnlineDetector(abc.ABC):
             )
         self._bursting = bursting
         self._size += 1
-        return alerts
-
-    def extend(self, values) -> list[RegionAlert]:
-        """Push a whole block of days; returns every alert raised."""
-        alerts: list[RegionAlert] = []
-        for value in np.asarray(values, dtype=np.float64):
-            alerts.extend(self.push(self._size, value))
         return alerts
 
     def _region_at(self, day: int) -> BurstRegion:

@@ -17,6 +17,13 @@ time, so this module incrementalises the same three-line recipe:
    moves the global mean and std);
 3. the burst decision for the newest day falls out of the fresh cutoff.
 
+:meth:`OnlineBurstDetector.extend` absorbs a block of days at once (a
+full-series add, a WAL replay): one seeded ``np.cumsum`` for step 1,
+:func:`~repro.bursts.kernel.prefix_cutoffs` for step 2, one array
+comparison for step 3.  Step 2 still reduces every prefix separately —
+numpy's pairwise sums leave no O(1) update that matches the batch
+cutoff to the bit — but without a ``mean``/``std`` dispatch per day.
+
 Equivalence contract (asserted by ``tests/stream/test_alerts.py``):
 after pushing ``values[:i]`` one at a time, :meth:`OnlineBurstDetector
 .annotation` equals ``BurstDetector(window, x).detect(values[:i])``
@@ -34,7 +41,8 @@ import numpy as np
 
 from repro import obs
 from repro.bursts.detection import LONG_TERM_WINDOW, BurstAnnotation
-from repro.bursts.kernel import TrailingMA, burst_cutoff
+from repro.bursts.kernel import TrailingMA, burst_cutoff, prefix_cutoffs
+from repro.timeseries.preprocessing import as_float_array
 
 __all__ = ["OnlineBurstDetector"]
 
@@ -86,11 +94,31 @@ class OnlineBurstDetector:
         price of a cutoff that is bit-identical to the batch detector's
         at every prefix.
         """
+        return self._absorb(float(as_float_array([value])[0]))
+
+    def _absorb(self, value: float) -> bool:
+        """:meth:`push` for a value the caller has already validated."""
         latest = self._kernel.push(value)
         smoothed = self._kernel.smoothed
         self._cutoff = burst_cutoff(smoothed, self.threshold_sigmas)
         obs.add("bursts.online_pushes")
         return bool(latest > self._cutoff)
+
+    def extend(self, values) -> tuple[np.ndarray, np.ndarray]:
+        """Absorb a block of days; same state as pushing them one by one.
+
+        Returns the block's smoothed values and the cutoff that stood
+        after each day: day ``j`` bursts iff ``smoothed[j] > cutoffs[j]``.
+        The block is validated whole; a NaN in it absorbs nothing.
+        """
+        start = self._kernel.size
+        latest = self._kernel.extend(values)
+        cutoffs = prefix_cutoffs(
+            self._kernel.smoothed, self.threshold_sigmas, start
+        )
+        self._cutoff = float(cutoffs[-1])
+        obs.add("bursts.online_pushes", latest.size)
+        return latest, cutoffs
 
     def annotation(self) -> BurstAnnotation:
         """The batch-identical :class:`BurstAnnotation` for all days seen."""

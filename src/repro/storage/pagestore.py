@@ -872,7 +872,16 @@ class MemorySequenceStore:
         return len(self._rows) - 1
 
     def append_matrix(self, matrix: np.ndarray) -> list[int]:
-        return [self.append(row) for row in np.asarray(matrix, dtype=np.float64)]
+        """Append every row; validated and copied once, as a block."""
+        matrix = as_float_matrix(matrix)
+        if matrix.shape[1] != self.sequence_length:
+            raise StorageError(
+                f"store holds sequences of length {self.sequence_length}, "
+                f"got {matrix.shape[1]}"
+            )
+        first = len(self._rows)
+        self._rows.extend(matrix.copy())  # row views of the one copy
+        return list(range(first, len(self._rows)))
 
     def read(self, seq_id: int) -> np.ndarray:
         if not 0 <= seq_id < len(self._rows):
@@ -886,7 +895,17 @@ class MemorySequenceStore:
 
     def read_many(self, seq_ids) -> np.ndarray:
         """Fetch several sequences as one matrix; counts one call per id."""
-        return np.stack([self.read(int(seq_id)) for seq_id in seq_ids])
+        ids = [int(seq_id) for seq_id in seq_ids]
+        rows = self._rows
+        for seq_id in ids:
+            if not 0 <= seq_id < len(rows):
+                raise KeyNotFoundError(seq_id)
+        self.stats.read_calls += len(ids)
+        obs.add("storage.read_calls", len(ids))
+        obs.add("storage.pages_read", 0)
+        return np.array([rows[seq_id] for seq_id in ids]).reshape(
+            len(ids), self.sequence_length
+        )
 
     def close(self) -> None:
         """No-op, for interface parity with :class:`SequencePageStore`."""

@@ -9,12 +9,13 @@ by default the paper's trailing moving-average model, but any
 registered backend via ``model=`` (a
 :func:`~repro.bursts.registry.get_burst_model` name or an
 already-built :class:`~repro.bursts.protocol.BurstModel`).  Full-series
-adds feed their whole history; each rollover feeds the day it just
-closed.  A :class:`BurstAlert` fires on the *rising edge* — the first
-bursting day after a quiet one — so a multi-day burst alerts once, not
-daily.  The detectors honour the protocol's online-equivalence
-contract, so an alert here is bit-for-bit the decision the same model's
-batch form would have made on the same prefix.
+adds feed their whole history as one block (the detector's bulk
+``extend``); each rollover feeds the day it just closed.  A
+:class:`BurstAlert` fires on the *rising edge* — the first bursting day
+after a quiet one — so a multi-day burst alerts once, not daily.  The
+detectors honour the protocol's online-equivalence contract, so an alert
+here is bit-for-bit the decision the same model's batch form would have
+made on the same prefix.
 
 :class:`LivePeriodMonitor` is the spectral sibling: one
 :class:`~repro.periods.online.OnlinePeriodDetector` per series, raising
@@ -99,33 +100,36 @@ class LiveBurstMonitor:
 
     def observe(self, name: str, value: float) -> BurstAlert | None:
         """Feed one completed day; returns the alert if one fired."""
-        detector = self._detectors.get(name)
-        if detector is None:
-            detector = self.model.online()
-            self._detectors[name] = detector
-        raised = detector.push(detector.size, value)
-        if not raised:
-            return None
-        (event,) = raised  # the protocol raises at most one per day
-        alert = BurstAlert(
-            name=name,
-            day=event.day,
-            value=event.value,
-            smoothed=event.statistic,
-            cutoff=event.threshold,
-            region=event.region,
-        )
-        self._alerts.append(alert)
-        obs.add("stream.burst_alerts")
-        return alert
+        detector = self._detector_for(name)
+        raised = self._emit(name, detector.push(detector.size, value))
+        return raised[0] if raised else None  # at most one per day
 
     def observe_series(self, name: str, values) -> list[BurstAlert]:
-        """Feed a whole history (e.g. a full-series add), day by day."""
-        alerts = []
-        for value in values:
-            alert = self.observe(name, float(value))
-            if alert is not None:
-                alerts.append(alert)
+        """Feed a whole history (e.g. a full-series add) as one block.
+
+        Same alerts and state as :meth:`observe` day by day, through the
+        detector's ``extend`` (one vectorised pass for ``ma``, a per-day
+        loop elsewhere).  A NaN in the block absorbs none of it.
+        """
+        return self._emit(name, self._detector_for(name).extend(values))
+
+    def _detector_for(self, name: str) -> OnlineDetector:
+        detector = self._detectors.get(name)
+        if detector is None:
+            detector = self._detectors[name] = self.model.online()
+        return detector
+
+    def _emit(self, name: str, events) -> list[BurstAlert]:
+        """Buffer and count the detector's rising edges as alerts."""
+        alerts = [
+            BurstAlert(
+                name, e.day, e.value, e.statistic, e.threshold, e.region
+            )
+            for e in events
+        ]
+        if alerts:
+            self._alerts.extend(alerts)
+            obs.add("stream.burst_alerts", len(alerts))
         return alerts
 
     def forget(self, name: str) -> None:

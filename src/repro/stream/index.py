@@ -32,7 +32,12 @@ import math
 
 import numpy as np
 
-from repro.engine.core import CandidateSet, execute_knn, execute_range
+from repro.engine.core import (
+    CandidateSet,
+    execute_knn,
+    execute_range,
+    fetch_block,
+)
 from repro.engine.registry import get_index
 
 __all__ = ["StreamIndex"]
@@ -112,21 +117,17 @@ class StreamIndex:
         return self._live[seq_id - self._sealed_count]
 
     def _read_many(self, seq_ids) -> np.ndarray:
-        from repro.engine.core import fetch_block
-
-        ids = [int(seq_id) for seq_id in seq_ids]
-        out = np.empty((len(ids), self._length), dtype=np.float64)
-        sealed_rows = [
-            (row, seq_id) for row, seq_id in enumerate(ids)
-            if seq_id < self._sealed_count
-        ]
-        if sealed_rows:
-            block = fetch_block(self._inner, [s for _, s in sealed_rows])
-            for (row, _), values in zip(sealed_rows, block):
-                out[row] = values
-        for row, seq_id in enumerate(ids):
-            if seq_id >= self._sealed_count:
-                out[row] = self._live[seq_id - self._sealed_count]
+        ids = np.asarray(seq_ids, dtype=np.intp)
+        live = ids >= self._sealed_count
+        # LB order puts the live tier first, so most blocks sit wholly
+        # in one tier and need no second copy.
+        if live.all():
+            return self._live[ids - self._sealed_count]
+        if not live.any():
+            return fetch_block(self._inner, ids.tolist())
+        out = np.empty((ids.size, self._length), dtype=np.float64)
+        out[~live] = fetch_block(self._inner, ids[~live].tolist())
+        out[live] = self._live[ids[live] - self._sealed_count]
         return out
 
     def _live_entries(self) -> list[tuple[float, int]]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import IngestionError, KeyNotFoundError, StorageError
-from repro.timeseries.preprocessing import zscore
 
 __all__ = ["LiveTier"]
 
@@ -134,6 +133,9 @@ class LiveTier:
         all-zero) window z-scores to zeros, exactly like the batch
         pipeline's :func:`~repro.timeseries.preprocessing.zscore`.
         """
-        if not self._raw:
-            return np.empty((0, self.sequence_length), dtype=np.float64)
-        return np.stack([zscore(row) for row in self._raw.values()])
+        raw = self.raw_matrix()
+        # zscore() of every row at once: reductions along the contiguous
+        # axis sum each row as the 1-D form does, so the bits match.
+        centred = raw - raw.mean(axis=1, keepdims=True)
+        std = raw.std(axis=1, keepdims=True)
+        return np.divide(centred, std, out=centred, where=std > 0.0)

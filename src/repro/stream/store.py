@@ -741,9 +741,9 @@ class StreamStore:
             by_segment.setdefault(seg_idx, []).append((out_row, row_idx))
         for seg_idx, pairs in by_segment.items():
             _, store = self._segments[seg_idx]
-            block = store.read_many([row for _, row in pairs])
-            for (out_row, _), values in zip(pairs, block):
-                out[out_row] = values
+            out[[out_row for out_row, _ in pairs]] = store.read_many(
+                [row for _, row in pairs]
+            )
         return out
 
     def index(self, backend: str = "flat", **kwargs) -> StreamIndex:

@@ -10,6 +10,7 @@ import repro.obs as obs
 from repro.exceptions import (
     CorruptionError,
     KeyNotFoundError,
+    SeriesLengthError,
     StorageError,
     TornWriteError,
 )
@@ -351,6 +352,27 @@ class TestMemorySequenceStore:
         store = MemorySequenceStore(4)
         with pytest.raises(StorageError):
             store.append(np.zeros(5))
+
+    def test_bulk_paths_match_the_per_row_ones(self):
+        rows = np.arange(24.0).reshape(6, 4)
+        store = MemorySequenceStore(4)
+        assert store.append(rows[0]) == 0
+        assert store.append_matrix(rows[1:]) == [1, 2, 3, 4, 5]
+        rows[1:] = -1.0  # the store holds its own copy
+        ids = [5, 0, 3, 3]
+        block = store.read_many(ids)
+        np.testing.assert_array_equal(
+            block, np.stack([store.read(seq_id) for seq_id in ids])
+        )
+        assert block[0, 0] == 20.0
+        assert store.stats.read_calls == 8
+        with pytest.raises(KeyNotFoundError):
+            store.read_many([0, 6])
+        with pytest.raises(StorageError):
+            store.append_matrix(np.zeros((2, 5)))
+        with pytest.raises(SeriesLengthError):
+            store.append_matrix(np.array([[1.0, np.nan, 0.0, 0.0]]))
+        assert len(store) == 6
 
     def test_context_manager(self):
         with MemorySequenceStore(4) as store:

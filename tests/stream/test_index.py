@@ -44,10 +44,13 @@ class TestIdentifierLayout:
     def test_read_many_interleaves_both_tiers(self, tiers):
         sealed, sealed_names, live, live_names = tiers
         index = StreamIndex("flat", sealed, sealed_names, live, live_names)
-        ids = [12, 0, 11, 9, 13]
-        block = index._read_many(ids)
-        expected = np.vstack([sealed, live])[ids]
-        np.testing.assert_array_equal(block, expected)
+        union = np.vstack([sealed, live])
+        # Mixed, sealed-only, live-only (the single-tier blocks skip the
+        # merge copy) and empty.
+        for ids in ([12, 0, 11, 9, 13], [7, 0, 9], [13, 10], []):
+            block = index._read_many(ids)
+            assert block.shape == (len(ids), DAYS)
+            np.testing.assert_array_equal(block, union[ids])
 
 
 class TestUnionAnswers:

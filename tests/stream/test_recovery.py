@@ -291,3 +291,59 @@ def test_repeated_kills_then_recovery_converges(tmp_path):
         survivor.seal()  # and the seal still lands when allowed to
         assert sorted(survivor.names()) == sorted(before[0])
         assert survivor.live_count == 0
+
+
+def test_recovered_monitor_equals_one_that_never_crashed(tmp_path):
+    """Replayed adds take the bulk path: same alerts, same detector state.
+
+    The crashed store and its twin acknowledge the same ``append_many``
+    batches, events and rollovers; the crashed one is then killed inside
+    one more (unacknowledged) batch and reopened at constructor
+    defaults, so every add in the WAL is replayed through the burst
+    monitor's bulk ``extend``.
+    """
+
+    def bursty(seed: int) -> np.ndarray:
+        values = _counts(seed)
+        values[12 + seed % 9 :][:3] += 400.0
+        return values
+
+    def acknowledged(store) -> None:
+        for batch in range(3):
+            store.append_many(
+                (f"q{batch}-{i}", bursty(4 * batch + i)) for i in range(4)
+            )
+        store.record("q0-1", 900.0)
+        store.rollover()
+        store.delete("q1-2")  # forgets the detector ...
+        store.append("q1-2", bursty(40))  # ... and seeds a fresh one
+
+    def monitor_state(store) -> dict:
+        state = {}
+        for name in sorted(store.names()):
+            detector = store.monitor.detector(name)
+            state[name] = (
+                detector.regions(),
+                detector.size,
+                detector.bursting,
+                detector.decision_statistic,
+                detector.decision_threshold,
+            )
+        return state
+
+    crashed = StreamStore(tmp_path / "crashed", DAYS)
+    acknowledged(crashed)
+    with pytest.raises(InjectedCrashError):
+        with crash_plan(CrashPlan(point="wal.write")):
+            crashed.append_many([("lost", bursty(50))])
+    with contextlib.suppress(Exception):
+        crashed.close()
+
+    with StreamStore(tmp_path / "twin", DAYS) as twin:
+        acknowledged(twin)
+        with StreamStore(tmp_path / "crashed") as reopened:
+            assert reopened.recovery.wal_records > 0
+            assert "lost" not in reopened.names()
+            alerts = reopened.drain_alerts()
+            assert alerts and alerts == twin.drain_alerts()
+            assert monitor_state(reopened) == monitor_state(twin)
