@@ -87,9 +87,10 @@ class ShiftedWaveletTree:
     def guard_level(self, length: int) -> int:
         """The SWT level whose cells contain every window of ``length``.
 
-        A window of length ``w`` shifted arbitrarily is always contained
-        in a level-``l`` cell when ``2**(l-1) >= w - 1 + 2**(l-1) - ...``;
-        concretely the classic guarantee is ``w <= 2**(l-1) + 1``.
+        Level-``l`` cells are ``2**l`` long and start every ``2**(l-1)``
+        positions, so a window of length ``w <= 2**(l-1) + 1`` lies
+        inside one wherever it starts.  Returns the lowest such level,
+        capped at ``max_level`` (whose cells span the whole sequence).
         """
         level = 1
         while 2 ** (level - 1) + 1 < length and level < self.max_level:
@@ -128,6 +129,17 @@ class ElasticBurstDetector:
         the no-false-dismissal guarantee relies on a containing window's
         sum dominating the contained window's sum.
         """
+        return [
+            ElasticBurst(*window) for window in zip(*self.windows(values))
+        ]
+
+    def windows(self, values) -> tuple[list[int], list[int], list[float]]:
+        """:meth:`detect` as parallel ``(starts, ends, totals)`` lists.
+
+        Per length, one vectorised pass: the start positions inside
+        alarmed guard-level cells become a coverage mask, and only those
+        windows are summed and compared.
+        """
         if isinstance(values, TimeSeries):
             values = values.values
         arr = as_float_array(values)
@@ -136,31 +148,34 @@ class ElasticBurstDetector:
                 "elastic burst detection requires non-negative counts"
             )
         tree = ShiftedWaveletTree(arr)
-        n = tree.values.size
-        found: list[ElasticBurst] = []
-        seen: set[tuple[int, int]] = set()
+        n = arr.size
+        starts, ends, totals = [], [], []
         for length in self.lengths:
             if length > n:
                 continue
             cutoff = self.threshold(length)
             level = tree.guard_level(length)
-            sums = tree.levels[level]
-            starts = tree.level_starts[level]
-            window = 2**level
-            alarmed = np.flatnonzero(sums >= cutoff)
-            for cell in alarmed:
-                cell_start = int(starts[cell])
-                cell_end = min(cell_start + window, n)
-                for start in range(
-                    cell_start, min(cell_end - length, n - length) + 1
-                ):
-                    total = tree.window_sum(start, length)
-                    key = (start, start + length - 1)
-                    if total >= cutoff and key not in seen:
-                        seen.add(key)
-                        found.append(ElasticBurst(key[0], key[1], total))
-        found.sort()
-        return found
+            cells = tree.level_starts[level][tree.levels[level] >= cutoff]
+            # A cell holds the windows starting in [cell, last].  A clipped
+            # cell shorter than the window has last < cell: it subtracts
+            # only past n - length, where no window starts.
+            last = np.minimum(cells + 2**level, n) - length
+            edges = np.bincount(cells, minlength=n + 1) - np.bincount(
+                last + 1, minlength=n + 1
+            )
+            covered = np.flatnonzero(np.cumsum(edges) > 0)
+            sums = tree.prefix[covered + length] - tree.prefix[covered]
+            hits = sums >= cutoff
+            starts.append(covered[hits])
+            ends.append(covered[hits] + (length - 1))
+            totals.append(sums[hits])
+        if not starts:
+            return [], [], []
+        starts, ends, totals = map(np.concatenate, (starts, ends, totals))
+        order = np.lexsort((totals, ends, starts))
+        return (
+            starts[order].tolist(), ends[order].tolist(), totals[order].tolist()
+        )
 
     def detect_naive(self, values) -> list[ElasticBurst]:
         """Reference implementation: test every window exhaustively."""

@@ -128,28 +128,39 @@ class KleinbergDetector:
         return states, savings
 
     def _viterbi(self, n: int, emission: np.ndarray) -> np.ndarray:
-        transition = np.zeros((self.states, self.states))
-        for i in range(self.states):
-            for j in range(self.states):
-                transition[i, j] = self._transition_cost(i, j, n)
+        """First-minimum Viterbi path, on Python floats.
 
-        cost = np.full(self.states, np.inf)
-        cost[0] = emission[0, 0]  # streams start in the baseline state
-        if self.states > 1:
-            for j in range(1, self.states):
-                cost[j] = transition[0, j] + emission[0, j]
-        backpointer = np.zeros((n, self.states), dtype=np.intp)
-        for day in range(1, n):
-            step = cost[:, None] + transition
-            best_from = np.argmin(step, axis=0)
-            cost = step[best_from, np.arange(self.states)] + emission[day]
-            backpointer[day] = best_from
+        ``k`` states make a day ``k * k`` scalar additions, far below what
+        one numpy call costs; a strict ``<`` keeps the lowest state on a
+        tie, as ``np.argmin`` does, and the additions are the numpy
+        recurrence's in the same order, so the path is bit-for-bit its.
+        """
+        states = range(self.states)
+        # into[j][i]: the cost of entering state j from state i.
+        into = [
+            [self._transition_cost(i, j, n) for i in states] for j in states
+        ]
+        days = emission.tolist()
+        # Streams start in the baseline state.
+        cost = [days[0][0]] + [into[j][0] + days[0][j] for j in states[1:]]
+        backpointers = []
+        for today in days[1:]:
+            arrived, best_from = [], []
+            for climb, emitted in zip(into, today):
+                best, source = cost[0] + climb[0], 0
+                for i in states[1:]:
+                    step = cost[i] + climb[i]
+                    if step < best:
+                        best, source = step, i
+                arrived.append(best + emitted)
+                best_from.append(source)
+            cost = arrived
+            backpointers.append(best_from)
 
-        states = np.zeros(n, dtype=np.intp)
-        states[-1] = int(np.argmin(cost))
-        for day in range(n - 1, 0, -1):
-            states[day - 1] = backpointer[day, states[day]]
-        return states
+        path = [min(states, key=cost.__getitem__)]
+        for best_from in reversed(backpointers):
+            path.append(best_from[path[-1]])
+        return np.array(path[::-1], dtype=np.intp)
 
     def detect(self, counts) -> list[KleinbergBurst]:
         """Maximal bursty runs (state >= 1), with their peak level."""

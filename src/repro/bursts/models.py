@@ -242,8 +242,8 @@ class ElasticModel(BurstModel):
     def detect(self, values) -> list[BurstRegion]:
         arr = np.maximum(_values_of(values), 0.0)
         return [
-            BurstRegion(b.start, b.end, b.total)
-            for b in self._detector.detect(arr)
+            BurstRegion(*window)
+            for window in zip(*self._detector.windows(arr))
         ]
 
     def online(self) -> OnlineDetector:

@@ -47,7 +47,7 @@ from repro.bursts.protocol import BurstModel, BurstRegion
 from repro.bursts.registry import get_burst_model
 from repro.bursts.similarity import burst_similarity
 from repro.exceptions import IngestionError, UnknownQueryError
-from repro.storage.table import Table, ge, le
+from repro.storage.table import Predicate, Table, eq, ge, le
 from repro.timeseries.preprocessing import zscore
 from repro.timeseries.series import TimeSeries
 
@@ -68,6 +68,34 @@ class BurstMatch:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BurstMatch({self.name!r}, BSim={self.similarity:.3f})"
+
+
+def _overlapping_sequences(
+    table: Table,
+    spans: Sequence[Burst | BurstRegion],
+    longest: int,
+    extra: Sequence[Predicate] = (),
+) -> set[str]:
+    """Sequence names with a stored row overlapping any of ``spans``.
+
+    Runs the fig. 18 plan once per span, as a bounded probe: a stored
+    row overlapping ``[start, end]`` ends on or after ``start`` and is at
+    most ``longest`` days long, so it starts no earlier than ``start -
+    longest + 1``.  Both bounds on ``start`` merge into one B-tree
+    range; ``end`` and the ``extra`` predicates filter what it yields.
+    """
+    names: set[str] = set()
+    for span in spans:
+        rows = table.select(
+            [
+                ge("start", span.start - longest + 1),
+                le("start", span.end),
+                ge("end", span.start),
+                *extra,
+            ]
+        )
+        names.update(row["sequence"] for row in rows)
+    return names
 
 
 class BurstDatabase:
@@ -107,6 +135,9 @@ class BurstDatabase:
         )
         self.table.create_index("start")
         self.table.create_index("end")
+        # Longest span ever stored, in days.  Never lowered on removal:
+        # a stale bound makes the probe looser, never unsound.
+        self.longest = 0
         self._known: dict[str, dict[int, list[Burst]]] = {}
         self._row_ids: dict[str, list[int]] = {}
 
@@ -123,10 +154,13 @@ class BurstDatabase:
     def names(self) -> tuple[str, ...]:
         return tuple(self._known)
 
-    def _features(self, values) -> dict[int, list[Burst]]:
+    def _features(
+        self, values, window: int | None = None
+    ) -> dict[int, list[Burst]]:
         """Burst triplets per detector window for one sequence.
 
-        Rejects non-finite input with a typed
+        A query compares under one ``window`` and runs only that
+        detector.  Rejects non-finite input with a typed
         :class:`~repro.exceptions.IngestionError` before anything lands
         in the relational table — a NaN would otherwise corrupt the
         standardisation, the detector thresholds and every stored row.
@@ -143,8 +177,11 @@ class BurstDatabase:
         prepared = zscore(values) if self.standardize else values
         features: dict[int, list[Burst]] = {}
         for detector in self.detectors:
-            annotation = detector.detect(prepared)
-            features[detector.window] = compact_bursts(prepared, annotation)
+            if window is None or detector.window == window:
+                annotation = detector.detect(prepared)
+                features[detector.window] = compact_bursts(
+                    prepared, annotation
+                )
         return features
 
     def add(self, series: TimeSeries) -> int:
@@ -163,6 +200,7 @@ class BurstDatabase:
             row_ids: list[int] = []
             for window, bursts in features.items():
                 for burst in bursts:
+                    self.longest = max(self.longest, len(burst))
                     row_ids.append(
                         self.table.insert(
                             sequence=series.name,
@@ -214,22 +252,6 @@ class BurstDatabase:
     # ------------------------------------------------------------------
     # Query-by-burst
     # ------------------------------------------------------------------
-    def _candidates(self, bursts: Sequence[Burst], window: int) -> set[str]:
-        """Sequence names with at least one overlapping stored burst.
-
-        Runs the fig. 18 plan once per query burst: an indexed range
-        probe on ``start`` plus filters on ``end`` and the window tag.
-        """
-        names: set[str] = set()
-        for burst in bursts:
-            rows = self.table.select(
-                [le("start", burst.end), ge("end", burst.start)]
-            )
-            names.update(
-                row["sequence"] for row in rows if row["window"] == window
-            )
-        return names
-
     def query(
         self,
         values,
@@ -263,13 +285,17 @@ class BurstDatabase:
                 exclude = exclude if exclude is not None else values
                 query_bursts = self.bursts_of(values, window)
             else:
-                query_bursts = self._features(values).get(window, [])
+                query_bursts = self._features(values, window)[window]
             if not query_bursts:
                 obs.add("bursts.queries")
                 return []
 
-            matches = []
-            candidates = self._candidates(query_bursts, window)
+            candidates = _overlapping_sequences(
+                self.table, query_bursts, self.longest, [eq("window", window)]
+            )
+            # Plain tuples order as BurstMatch does, without a Python
+            # ``__lt__`` per comparison; only the survivors become matches.
+            scored = []
             for name in candidates:
                 if name == exclude:
                     continue
@@ -277,11 +303,11 @@ class BurstDatabase:
                     query_bursts, self._known[name].get(window, [])
                 )
                 if score > 0.0:
-                    matches.append(BurstMatch(score, name))
-            matches.sort(reverse=True)
+                    scored.append((score, name))
+            scored.sort(reverse=True)
         obs.add("bursts.queries")
         obs.add("bursts.candidate_sequences", len(candidates))
-        return matches[:top]
+        return [BurstMatch(*pair) for pair in scored[:top]]
 
     def query_many(
         self,
@@ -372,6 +398,7 @@ class BurstRegionDatabase:
         )
         self.table.create_index("start")
         self.table.create_index("end")
+        self.longest = 0  # as in BurstDatabase: a running maximum
         self._known: dict[str, tuple[BurstRegion, ...]] = {}
         self._row_ids: dict[str, list[int]] = {}
 
@@ -408,6 +435,9 @@ class BurstRegionDatabase:
             )
         with obs.span("bursts.region_add"):
             regions = self._features(series)
+            self.longest = max(
+                self.longest, max(map(len, regions), default=0)
+            )
             row_ids = [
                 self.table.insert(
                     sequence=series.name,
@@ -444,16 +474,6 @@ class BurstRegionDatabase:
         except KeyError:
             raise UnknownQueryError(name) from None
 
-    def _candidates(self, regions: Sequence[BurstRegion]) -> set[str]:
-        """Names with at least one overlapping stored region (fig. 18)."""
-        names: set[str] = set()
-        for region in regions:
-            rows = self.table.select(
-                [le("start", region.end), ge("end", region.start)]
-            )
-            names.update(row["sequence"] for row in rows)
-        return names
-
     def query(
         self,
         values,
@@ -476,8 +496,10 @@ class BurstRegionDatabase:
             if not query_regions:
                 obs.add("bursts.region_queries")
                 return []
-            candidates = self._candidates(query_regions)
-            matches = []
+            candidates = _overlapping_sequences(
+                self.table, query_regions, self.longest
+            )
+            scored = []
             for name in candidates:
                 if name == exclude:
                     continue
@@ -485,8 +507,8 @@ class BurstRegionDatabase:
                     query_regions, self._known[name]
                 )
                 if score > 0.0:
-                    matches.append(BurstMatch(score, name))
-            matches.sort(key=lambda m: (-m.similarity, m.name))
+                    scored.append((-score, name))
+            scored.sort()
         obs.add("bursts.region_queries")
         obs.add("bursts.region_candidates", len(candidates))
-        return matches[:top]
+        return [BurstMatch(-loss, name) for loss, name in scored[:top]]

@@ -60,10 +60,21 @@ def burst_similarity(
     arguments.  Only overlapping pairs contribute, so sequences that burst
     at the same time with similar (standardised) intensity score highest.
     """
+    # ``intersect * value_similarity`` of the single-pair forms, inlined:
+    # same operations in the same pair order, so the float sum is theirs.
     total = 0.0
     for a in bursts_x:
+        a_start, a_end, a_average = a.start, a.end, a.average
+        a_length = a_end - a_start + 1
         for b in bursts_y:
-            weight = intersect(a, b)
-            if weight:
-                total += weight * value_similarity(a, b)
+            b_start, b_end = b.start, b.end
+            if b_end < a_start or a_end < b_start:
+                continue
+            shared = (
+                (a_end if a_end < b_end else b_end)
+                - (a_start if a_start > b_start else b_start)
+                + 1
+            )
+            weight = 0.5 * (shared / a_length + shared / (b_end - b_start + 1))
+            total += weight * (1.0 / (1.0 + abs(a_average - b.average)))
     return total

@@ -15,8 +15,9 @@ through a B-tree index.  The table supports:
 * secondary indexes on any column (``create_index``), maintained on insert
   and delete,
 * ``select`` with a conjunction of column/constant comparisons; a simple
-  planner picks the most selective indexed predicate as the access path and
-  applies the remaining predicates as filters,
+  planner takes the first indexed column a predicate names, merges every
+  range / point predicate on it into one bounded B-tree probe, and tests
+  the remaining predicates on the raw tuples before a ``Row`` exists,
 * ``delete`` by row id.
 
 It is intentionally small — enough to be a real access-path substrate for
@@ -25,9 +26,11 @@ the experiments without growing into a SQL engine.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro import obs
 from repro.exceptions import KeyNotFoundError, SchemaError
 from repro.storage.btree import BPlusTree
 
@@ -50,11 +53,11 @@ class Predicate:
 
 
 _TESTS: dict[str, Callable[[Any, Any], bool]] = {
-    "==": lambda cell, value: cell == value,
-    "<": lambda cell, value: cell < value,
-    "<=": lambda cell, value: cell <= value,
-    ">": lambda cell, value: cell > value,
-    ">=": lambda cell, value: cell >= value,
+    "==": operator.eq,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
@@ -110,9 +113,11 @@ class Table:
         self._rows: dict[int, tuple] = {}
         self._indexes: dict[str, BPlusTree] = {}
         self._next_row_id = 0
-        # Planner bookkeeping: how many index probes vs full scans ran.
+        # Planner bookkeeping: how many index probes vs full scans ran,
+        # and how many rows they handed to the filters.
         self.scan_count = 0
         self.index_probe_count = 0
+        self.rows_examined = 0
 
     # ------------------------------------------------------------------
     # Schema
@@ -230,59 +235,70 @@ class Table:
             yield self.row(row_id)
 
     def select(self, predicates: Iterable[Predicate] = ()) -> list[Row]:
-        """Rows satisfying every predicate (a conjunction).
+        """Rows satisfying every predicate (a conjunction), in index order.
 
-        Access-path choice: the first predicate on an indexed column is
-        served by a B-tree range/point probe; the rest are applied as
-        filters.  Without an indexed predicate the whole heap is scanned.
+        Access-path choice: the first indexed column a predicate names;
+        every predicate on that column is merged into one bounded B-tree
+        range probe.  The rest are tested on the raw tuples, so a ``Row``
+        is built only for rows that pass.  Without an indexed predicate
+        the whole heap is scanned.
         """
         predicates = list(predicates)
-        for predicate in predicates:
-            self._column_position(predicate.column)  # validate schema early
-
-        access, filters = self._pick_access_path(predicates)
-        if access is None:
+        tests = [  # resolved once per call; validates schema and operators
+            (self._column_position(p.column), _TESTS[p.op], p.value)
+            for p in predicates
+        ]
+        access = self._pick_access_path(predicates)
+        if not access:
             self.scan_count += 1
-            candidate_ids: Iterable[int] = list(self._rows)
+            row_ids = list(self._rows)
         else:
             self.index_probe_count += 1
-            candidate_ids = self._probe_index(access)
+            row_ids = self._probe_index(access)
+        filters = [t for t, p in zip(tests, predicates) if p not in access]
 
-        results = []
-        for row_id in candidate_ids:
-            raw = self._rows[row_id]
-            if all(
-                predicate.matches(raw[self._column_position(predicate.column)])
-                for predicate in filters
-            ):
-                results.append(self.row(row_id))
-        return results
+        self.rows_examined += len(row_ids)
+        obs.add("storage.table.rows_examined", len(row_ids))
+        rows = self._rows
+        for position, test, value in filters:
+            row_ids = [i for i in row_ids if test(rows[i][position], value)]
+        return [Row(i, dict(zip(self.columns, rows[i]))) for i in row_ids]
 
     def _pick_access_path(
         self, predicates: list[Predicate]
-    ) -> tuple[Predicate | None, list[Predicate]]:
-        for i, predicate in enumerate(predicates):
+    ) -> list[Predicate]:
+        """Every predicate on the first indexed column one of them names."""
+        for predicate in predicates:
             if predicate.column in self._indexes:
-                return predicate, predicates[:i] + predicates[i + 1 :]
-        return None, predicates
+                return [p for p in predicates if p.column == predicate.column]
+        return []
 
-    def _probe_index(self, predicate: Predicate) -> Iterator[int]:
-        index = self._indexes[predicate.column]
-        if predicate.op == "==":
-            bucket = index.get(predicate.value)
-            pairs: Iterable[tuple[Any, list[int]]] = (
-                [(predicate.value, bucket)] if bucket is not None else []
-            )
-        elif predicate.op in ("<", "<="):
-            pairs = index.range(
-                high=predicate.value, inclusive=(True, predicate.op == "<=")
-            )
-        else:  # ">", ">="
-            pairs = index.range(
-                low=predicate.value, inclusive=(predicate.op == ">=", True)
-            )
-        for _, bucket in pairs:
-            yield from bucket
+    def _probe_index(self, predicates: list[Predicate]) -> list[int]:
+        """Row ids, in index order, inside the predicates' merged bounds.
+
+        The tightest bound on each side wins and keeps its strictness
+        (``==`` bounds both sides); contradictory bounds touch no leaf.
+        """
+        low = high = None
+        low_closed = high_closed = True
+        for predicate in predicates:
+            op, value = predicate.op, predicate.value
+            if op in ("==", ">", ">=") and (
+                low is None or value > low or (value == low and op == ">")
+            ):
+                low, low_closed = value, op != ">"
+            if op in ("==", "<", "<=") and (
+                high is None or value < high or (value == high and op == "<")
+            ):
+                high, high_closed = value, op != "<"
+        if low is not None and high is not None and (
+            low > high or (low == high and not (low_closed and high_closed))
+        ):
+            return []
+        pairs = self._indexes[predicates[0].column].range(
+            low, high, inclusive=(low_closed, high_closed)
+        )
+        return [row_id for _, bucket in pairs for row_id in bucket]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bursts import ElasticBurst, ElasticBurstDetector, ShiftedWaveletTree
+from repro.bursts import (
+    BurstRegion,
+    ElasticBurst,
+    ElasticBurstDetector,
+    ShiftedWaveletTree,
+)
+from repro.bursts.models import ElasticModel
 
 
 def linear_threshold(scale=10.0, per_unit=2.0):
@@ -74,6 +80,41 @@ class TestElasticBurstDetector:
             lambda w: 12.0 + 4.0 * w, lengths=(1, 2, 4, 8)
         )
         assert detector.detect(counts) == detector.detect_naive(counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=5000),
+        n=st.integers(min_value=1, max_value=160),
+        lengths=st.lists(
+            st.integers(min_value=1, max_value=200), min_size=1, max_size=5
+        ),
+        # 0/0: every cell alarms and every window qualifies, as on the
+        # raw counts the benchmark feeds the default model.
+        threshold=st.sampled_from([(0.0, 0.0), (4.0, 1.0), (12.0, 4.0), (60.0, 0.5)]),
+    )
+    def test_vectorised_pass_equals_the_exhaustive_spec(
+        self, seed, n, lengths, threshold
+    ):
+        """Any length mix (some longer than the series), any alarm rate."""
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(3.0, size=n).astype(float)
+        spikes = rng.integers(0, n, size=2)
+        counts[spikes] += rng.integers(10, 60, size=2)
+        offset, rate = threshold
+        detector = ElasticBurstDetector(
+            lambda w: offset + rate * w, lengths=lengths
+        )
+        naive = detector.detect_naive(counts)
+        assert detector.detect(counts) == naive
+
+        # The model clips negatives to zero first and emits the same
+        # windows as regions, straight from the arrays.
+        signed = counts - rng.integers(0, 5, size=n)
+        model = ElasticModel(lengths=lengths, offset=offset, rate=rate)
+        assert model.detect(signed) == [
+            BurstRegion(b.start, b.end, b.total)
+            for b in detector.detect_naive(np.maximum(signed, 0.0))
+        ]
 
     def test_elasticity_finds_slow_wide_bursts(self):
         """A burst too weak per-day still qualifies over a wide window."""

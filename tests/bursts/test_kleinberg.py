@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bursts import KleinbergBurst, KleinbergDetector
 
@@ -117,3 +119,99 @@ class TestAgreementWithMovingAverage:
             ma_days.update(range(burst.start, burst.end + 1))
         overlap = len(k_days & ma_days) / min(len(k_days), len(ma_days))
         assert overlap > 0.5
+
+
+def numpy_viterbi(detector, n, emission):
+    """The per-day numpy recurrence ``_viterbi`` replaced: the oracle."""
+    k = detector.states
+    transition = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            transition[i, j] = detector._transition_cost(i, j, n)
+    cost = np.full(k, np.inf)
+    cost[0] = emission[0, 0]
+    for j in range(1, k):
+        cost[j] = transition[0, j] + emission[0, j]
+    backpointer = np.zeros((n, k), dtype=np.intp)
+    for day in range(1, n):
+        step = cost[:, None] + transition
+        best_from = np.argmin(step, axis=0)
+        cost = step[best_from, np.arange(k)] + emission[day]
+        backpointer[day] = best_from
+    states = np.zeros(n, dtype=np.intp)
+    states[-1] = int(np.argmin(cost))
+    for day in range(n - 1, 0, -1):
+        states[day - 1] = backpointer[day, states[day]]
+    return states
+
+
+# All-zero, constant, one spike, huge, length 1 and 2: where costs tie and
+# the first minimum (the lowest state) must win, as np.argmin picks it.
+tie_prone_counts = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=80),
+    st.lists(st.sampled_from([0, 0, 0, 1, 7, 10**9]), min_size=1, max_size=40),
+    st.builds(
+        lambda n, level, at, spike: [level] * (at % n)
+        + [level + spike]
+        + [level] * (n - 1 - at % n),
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0),
+        st.sampled_from([0, 1, 50, 10**6, 10**12]),
+    ),
+)
+
+
+class TestViterbiAgainstTheNumpyRecurrence:
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        counts=tie_prone_counts,
+        gamma=st.sampled_from([0.25, 1.0, 3.0]),
+        scaling=st.sampled_from([1.5, 2.0, 4.0]),
+    )
+    def test_state_sequence_is_the_oracles(self, states, counts, gamma, scaling):
+        detector = KleinbergDetector(scaling=scaling, gamma=gamma, states=states)
+        arr = np.asarray(counts, dtype=np.float64)
+        emission = detector._emission_costs(arr, detector._rates(arr))
+        want = numpy_viterbi(detector, arr.size, emission)
+        got = detector.state_sequence(arr)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_first_minimum_wins_on_tied_costs(self, states, data):
+        """Poisson costs almost never tie exactly; whole-number ones do.
+
+        Descending is free, so equal accumulated costs in two states tie
+        every comparison downstream of them: ``<=`` for ``<`` in the
+        kernel fails here and nowhere above.
+        """
+        n = data.draw(st.integers(min_value=1, max_value=24))
+        cell = st.sampled_from([0.0, 0.0, 1.0, 2.0, float("inf")])
+        emission = np.array(
+            data.draw(
+                st.lists(
+                    st.lists(cell, min_size=states, max_size=states),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        )
+        detector = KleinbergDetector(states=states)
+        np.testing.assert_array_equal(
+            detector._viterbi(n, emission), numpy_viterbi(detector, n, emission)
+        )
+
+    @pytest.mark.parametrize("states", [2, 3, 4])
+    def test_the_named_tie_cases(self, states):
+        detector = KleinbergDetector(states=states)
+        for counts in ([0], [5], [0, 0], [3, 3], [0] * 30, [7] * 30, [10**9, 0]):
+            arr = np.asarray(counts, dtype=np.float64)
+            emission = detector._emission_costs(arr, detector._rates(arr))
+            np.testing.assert_array_equal(
+                detector.state_sequence(arr),
+                numpy_viterbi(detector, arr.size, emission),
+            )

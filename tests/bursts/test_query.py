@@ -4,9 +4,25 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bursts import Burst, BurstDatabase, BurstDetector, burst_similarity
+from repro import obs
+from repro.bursts import (
+    Burst,
+    BurstDatabase,
+    BurstDetector,
+    burst_similarity,
+    overlap,
+)
+from repro.bursts.query import (
+    BurstMatch,
+    BurstRegionDatabase,
+    _overlapping_sequences,
+    region_overlap_score,
+)
 from repro.exceptions import UnknownQueryError
+from repro.storage import Table
 from repro.timeseries import TimeSeries, TimeSeriesCollection
 
 
@@ -179,3 +195,181 @@ class TestRemoveAndReplace:
         db = BurstDatabase(detectors=[BurstDetector(window=14)])
         assert db.replace(bursty_series("fresh", [100])) >= 1
         assert "fresh" in db
+
+
+# ----------------------------------------------------------------------
+# query == brute force, under mutation, for both database classes
+# ----------------------------------------------------------------------
+DAYS = 96
+
+
+@st.composite
+def spiky_values(draw):
+    """Rippled low counts with up to three drawn plateaus."""
+    values = 5.0 + np.arange(DAYS) % 3
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=DAYS - 1))
+        width = draw(st.integers(min_value=1, max_value=30))
+        values[start : start + width] += draw(st.integers(min_value=5, max_value=60))
+    return values
+
+
+class Triplets:
+    """The paper's database: MA triplets per window, ranked by ``BSim``."""
+
+    windows = (9, 4)
+
+    def __init__(self):
+        self.db = BurstDatabase(
+            detectors=[BurstDetector(window=w) for w in self.windows]
+        )
+
+    def stored(self, name, window=None):
+        return self.db.bursts_of(name, window)
+
+    def extracted(self, values, window):
+        return self.db._features(values)[window]
+
+    def replace(self, series):
+        self.db.replace(series)
+
+    def ranked(self, spans, window, exclude):
+        scored = [
+            (burst_similarity(spans, self.stored(name, window)), name)
+            for name in self.db.names
+            if name != exclude
+        ]
+        return sorted((pair for pair in scored if pair[0] > 0.0), reverse=True)
+
+
+class Regions:
+    """Any model's regions, ranked by ``region_overlap_score``."""
+
+    windows = (None,)
+
+    def __init__(self, model, **kwargs):
+        self.db = BurstRegionDatabase(model, **kwargs)
+
+    def stored(self, name, window=None):
+        return self.db.regions_of(name)
+
+    def extracted(self, values, window):
+        return self.db._features(values)
+
+    def replace(self, series):
+        if series.name in self.db:
+            self.db.remove(series.name)
+        self.db.add(series)
+
+    def ranked(self, spans, window, exclude):
+        scored = [
+            (region_overlap_score(spans, self.stored(name)), name)
+            for name in self.db.names
+            if name != exclude
+        ]
+        return sorted(
+            (pair for pair in scored if pair[0] > 0.0),
+            key=lambda pair: (-pair[0], pair[1]),
+        )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        Triplets,
+        lambda: Regions("ma", window=5),
+        lambda: Regions("kleinberg"),
+    ],
+    ids=["triplets", "regions-ma", "regions-kleinberg"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_query_equals_brute_force_under_mutation(build, data):
+    """The bounded probe never drops an answer and examines no spare row.
+
+    ``longest`` here is the test's own running maximum over everything
+    ever stored, so a database that lowers its bound on ``remove``, or
+    probes one day further back than ``start - longest + 1``, examines a
+    different number of rows even where its answers survive.
+    """
+    side = build()
+    db = side.db
+    longest = 0
+
+    def store(name, values):
+        nonlocal longest
+        side.replace(TimeSeries(values, name=name))
+        longest = max([longest, *map(len, side.stored(name))])
+
+    for i in range(data.draw(st.integers(min_value=3, max_value=7))):
+        store(f"s{i}", data.draw(spiky_values()))
+    for _ in range(data.draw(st.integers(min_value=0, max_value=4))):
+        name = data.draw(st.sampled_from(db.names + ("fresh",)))
+        if name in db and data.draw(st.booleans()):
+            db.remove(name)
+        else:
+            store(name, data.draw(spiky_values()))
+    # The owner of the longest stored span goes, by remove or by replace.
+    if db.names:
+        owner = max(
+            db.names,
+            key=lambda name: max(map(len, side.stored(name)), default=0),
+        )
+        if data.draw(st.booleans()):
+            db.remove(owner)
+        else:
+            store(owner, 5.0 + np.arange(DAYS) % 3)
+    assert db.longest == longest
+
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        window = data.draw(st.sampled_from(side.windows))
+        kwargs = {} if window is None else {"window": window}
+        top = data.draw(st.integers(min_value=1, max_value=5))
+        exclude = data.draw(st.sampled_from((None,) + db.names))
+        if db.names and data.draw(st.booleans()):
+            query = data.draw(st.sampled_from(db.names))
+            spans = side.stored(query, window)
+            excluded = exclude if exclude is not None else query
+        else:
+            query = data.draw(spiky_values())
+            spans = side.extracted(query, window)
+            excluded = exclude
+        examined = sum(
+            span.start - longest + 1 <= row["start"] <= span.end
+            for span in spans
+            for row in db.table.all_rows()
+        )
+        before = db.table.rows_examined
+        answer = db.query(query, top=top, exclude=exclude, **kwargs)
+        assert answer == [
+            BurstMatch(score, name)
+            for score, name in side.ranked(spans, window, excluded)[:top]
+        ]
+        assert db.table.rows_examined - before == examined
+
+
+def test_a_probe_examines_exactly_the_bounded_start_range():
+    """Fig. 18 benchmark table: 4,000 random bursts, counted not timed."""
+    rng = np.random.default_rng(0)
+    table = Table("bursts", ["sequence", "start", "end", "avg"])
+    table.create_index("start")
+    table.create_index("end")
+    starts, longest = [], 0
+    for i in range(4000):
+        start = int(rng.integers(0, 1022))
+        end = int(min(start + rng.integers(1, 60), 1023))
+        table.insert(f"seq-{i}", start, end, float(rng.normal(2, 0.5)))
+        starts.append(start)
+        longest = max(longest, end - start + 1)
+    query = Burst(500, 540, 2.0)
+    with obs.observed() as registry:
+        names = _overlapping_sequences(table, [query], longest)
+        mirrored = registry.counter("storage.table.rows_examined").value
+    bounded = sum(query.start - longest + 1 <= s <= query.end for s in starts)
+    assert table.rows_examined == mirrored == bounded
+    assert bounded < sum(s <= query.end for s in starts) / 3  # the one-sided walk
+    assert names == {
+        row["sequence"]
+        for row in table.all_rows()
+        if overlap(Burst(row["start"], row["end"], 0.0), query)
+    }

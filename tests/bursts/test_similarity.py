@@ -117,3 +117,22 @@ class TestBurstSimilarity:
         backward = burst_similarity(ys, xs)
         assert forward == pytest.approx(backward)
         assert forward >= 0.0
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(valid_bursts(), max_size=8),
+        st.lists(valid_bursts(), max_size=8),
+    )
+    def test_equals_the_composed_single_pair_forms(self, xs, ys):
+        """Unsorted, mutually overlapping lists; ``==``, not approx.
+
+        The inlined loop must add the same products in the same order
+        as ``intersect * value_similarity`` pair by pair.
+        """
+        total = 0.0
+        for a in xs:
+            for b in ys:
+                weight = intersect(a, b)
+                if weight:
+                    total += weight * value_similarity(a, b)
+        assert burst_similarity(xs, ys) == total

@@ -1,9 +1,12 @@
 """Tests for the relational table substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.exceptions import KeyNotFoundError, SchemaError
-from repro.storage import Table, eq, ge, gt, le, lt
+from repro.storage import Predicate, Table, eq, ge, gt, le, lt
 
 
 @pytest.fixture
@@ -170,3 +173,150 @@ class TestRow:
         assert row["start"] == 10
         with pytest.raises(SchemaError):
             row["nope"]
+
+
+# ----------------------------------------------------------------------
+# The planner as a property: select == a brute-force filter, in index order
+# ----------------------------------------------------------------------
+COLUMNS = ("k", "v", "w")
+cells = st.integers(min_value=0, max_value=8)  # narrow: duplicate keys
+# "k" is drawn twice as often, so two or three predicates on one column,
+# an == beside a range and contradictory bounds all come up routinely.
+predicate_lists = st.lists(
+    st.builds(
+        Predicate,
+        st.sampled_from(("k",) + COLUMNS),
+        st.sampled_from(("==", "<", "<=", ">", ">=")),
+        st.integers(min_value=-1, max_value=9),
+    ),
+    max_size=4,
+)
+mutations = st.lists(
+    st.one_of(
+        st.tuples(st.just("delete"), st.integers(min_value=0)),
+        st.tuples(
+            st.just("update"),
+            st.integers(min_value=0),
+            st.sampled_from(COLUMNS),
+            cells,
+        ),
+        st.tuples(st.just("insert"), st.tuples(cells, cells, cells)),
+    ),
+    max_size=12,
+)
+
+
+def brute_force(table, predicates, entered):
+    """What ``select`` must return, from ``all_rows`` alone.
+
+    Returns ``(rows, examined)``.  Index order is ascending key, ties in
+    the order the rows entered that key's bucket (``entered`` ticks);
+    without an indexed predicate it is heap order.  The planner may
+    examine exactly the rows its access column's predicates admit.
+    """
+    column = next(
+        (p.column for p in predicates if p.column in table.indexed_columns),
+        None,
+    )
+    rows = list(table.all_rows())
+    if column is not None:
+        rows = [
+            row
+            for row in rows
+            if all(p.matches(row[column]) for p in predicates if p.column == column)
+        ]
+        rows.sort(key=lambda row: (row[column], entered[column, row.row_id]))
+    examined = len(rows)
+    return (
+        [
+            row
+            for row in rows
+            if all(p.matches(row[p.column]) for p in predicates)
+        ],
+        examined,
+    )
+
+
+class TestPlannerProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(cells, cells, cells), max_size=200),
+        st.sets(st.sampled_from(COLUMNS)),
+        st.booleans(),
+        mutations,
+        st.lists(predicate_lists, min_size=1, max_size=4),
+    )
+    def test_select_equals_brute_force(
+        self, rows, indexed, index_late, changes, queries
+    ):
+        table = Table("t", COLUMNS)
+        entered = {}  # (column, row id) -> when the row entered its bucket
+        clock = iter(range(10**6))
+
+        def stamp(row_id, columns=COLUMNS):
+            for column in columns:
+                entered[column, row_id] = next(clock)
+
+        if not index_late:
+            for column in sorted(indexed):
+                table.create_index(column)
+        for row in rows:
+            stamp(table.insert(*row))
+        if index_late:  # backfill walks the heap: the same order
+            for column in sorted(indexed):
+                table.create_index(column)
+
+        def check():
+            for predicates in queries:
+                before = table.rows_examined
+                want, examined = brute_force(table, predicates, entered)
+                assert table.select(predicates) == want
+                assert table.rows_examined - before == examined
+
+        check()
+        for change in changes:
+            live = [row.row_id for row in table.all_rows()]
+            if change[0] == "insert":
+                stamp(table.insert(*change[1]))
+            elif not live:
+                continue
+            elif change[0] == "delete":
+                table.delete(live[change[1] % len(live)])
+            else:
+                _, pick, column, value = change
+                row_id = live[pick % len(live)]
+                if table.row(row_id)[column] != value:
+                    stamp(row_id, [column])
+                table.update(row_id, **{column: value})
+        check()
+        assert table.scan_count + table.index_probe_count == 2 * len(queries)
+
+    def test_bounds_on_one_column_merge_into_one_probe(self, bursts):
+        bursts.create_index("start")
+        hits = bursts.select([ge("start", 15), le("start", 40), gt("start", 15)])
+        assert [r["start"] for r in hits] == [18, 40]
+        assert bursts.index_probe_count == 1
+        assert bursts.rows_examined == 2  # not the 4 rows with start >= 15
+
+    def test_equality_beside_a_range(self, bursts):
+        bursts.create_index("start")
+        hits = bursts.select([lt("start", 99), eq("start", 15)])
+        assert [r.row_id for r in hits] == [2]
+        assert bursts.rows_examined == 1
+        assert bursts.select([eq("start", 15), gt("start", 15)]) == []
+
+    def test_contradictory_bounds_touch_no_leaf(self, bursts):
+        bursts.create_index("start")
+        with obs.observed() as registry:
+            assert bursts.select([gt("start", 40), lt("start", 18)]) == []
+            assert bursts.select([ge("start", 18), lt("start", 18)]) == []
+            assert registry.counter("btree.node_visits").value == 0
+            assert registry.counter("storage.table.rows_examined").value == 0
+            bursts.select([ge("start", 18), le("start", 18)])
+            assert registry.counter("btree.node_visits").value > 0
+            assert registry.counter("storage.table.rows_examined").value == 1
+        assert bursts.rows_examined == 1
+
+    def test_rows_examined_counts_scans_too(self, bursts):
+        bursts.select([eq("avg", 1.5)])
+        assert bursts.rows_examined == len(bursts)
