@@ -1,21 +1,19 @@
-"""Shard-scaling throughput: fork-per-call vs persistent shard workers.
+"""Shard-scaling throughput: serial scatter vs persistent shard workers.
 
-Two sweeps over the same database and query stream, one per scatter
-transport:
+Two sweeps over the same database and query stream, one per transport:
 
-* ``fork`` — the original fork-per-call pool: every batched call forks
-  fresh workers and tears them down again.  Recorded for the trend (it
-  is the transport the pre-pool entries in ``BENCH_shards.json``
-  measured) but no longer gated: its per-call spawn cost is exactly what
-  the pool removes.
+* ``serial`` — every shard's sub-search runs in process, one after the
+  other.  It prices what partitioning alone costs (per-shard kernels
+  over fewer rows, plus the merge) and is recorded for the trend, not
+  gated.
 * ``pool`` — the persistent :class:`~repro.cluster.ShardWorkerPool`:
   one warm worker per shard over shared memory, spawned once during the
-  untimed build.  This is the architecture's acceptance bar: with at
-  least 4 cores, 4 pooled shards must beat the single-shard baseline
-  (``speedup_vs_single_shard > 1.0``).  On smaller hosts the record
-  still lands in the JSON (with the honest ``cpu_count``) and the gate
-  is skipped with a reason, because shard parallelism cannot exceed the
-  cores under it.
+  untimed build.  This is the architecture's acceptance bar: at the
+  largest measured shard count the host has a core for — 4 shards on
+  4 cores, 2 on 2 — pooled shards must beat the single-shard baseline
+  (``speedup_vs_single_shard > 1.0``).  A one-core host records its
+  entry (with the honest ``cpu_count``) and skips the gate with a
+  reason, because shard parallelism cannot exceed the cores under it.
 
 Results must stay bit-identical to the monolithic index at every shard
 count and on both transports; exactness is asserted inside the
@@ -25,32 +23,28 @@ experiment.  Each sweep appends its own ``mode``-tagged entry to the
 
 import json
 import os
-import time
 
 import numpy as np
 import pytest
 
 from _bench_io import REPO_ROOT, append_trend
 from repro.compression import StorageBudget
-from repro.engine import get_index, search_many
 from repro.evaluation import shard_scaling_experiment
 
 BENCH_JSON = REPO_ROOT / "BENCH_shards.json"
 
 K = 5
-WORKERS = 4
 SHARD_COUNTS = (1, 2, 4)
 
 
-def _record(result, matrix, extra):
-    entry = {
+def _record(result, matrix):
+    return {
         "bench": "shard_scaling",
         "mode": result.mode,
         "database_size": result.database_size,
         "sequence_length": int(matrix.shape[1]),
         "queries": result.queries,
         "k": K,
-        "workers": WORKERS,
         "backend": result.backend,
         "cpu_count": os.cpu_count(),
         "agreement": result.agreement,
@@ -65,64 +59,53 @@ def _record(result, matrix, extra):
         ],
         "four_shard_speedup": round(result.row_for(4).speedup, 2),
     }
-    entry.update(extra)
-    return entry
 
 
 def test_shard_scaling_throughput(database_matrix, query_matrix, report):
     matrix = database_matrix[:4096]
     # Steady-state traffic, not a single probe: both transports are
-    # measured over a real query stream, so per-call overheads (fork
-    # spawns there, queue round-trips here) are priced honestly.
+    # measured over a real query stream, so the pool's per-request pipe
+    # round-trips are priced honestly.
     queries = np.vstack([query_matrix] * 8)
     compressor = StorageBudget(16).compressor("best_min_error")
     common = dict(
         shard_counts=SHARD_COUNTS,
         k=K,
-        workers=WORKERS,
         backend="flat",
         repeats=2,
         compressor=compressor,
     )
 
-    forked = shard_scaling_experiment(matrix, queries, **common)
-    assert forked.agreement  # sharded == monolithic, bit for bit
+    serial = shard_scaling_experiment(matrix, queries, **common)
+    assert serial.agreement  # sharded == monolithic, bit for bit
     pooled = shard_scaling_experiment(
         matrix, queries, worker_pool=True, **common
     )
     assert pooled.agreement
 
-    # Context row: the monolithic index on the query-axis fork pool, so
-    # the record relates both shard transports to the pre-cluster path.
-    index = get_index("flat", matrix, compressor=compressor)
-    started = time.perf_counter()
-    search_many(index, queries, k=K, workers=WORKERS)
-    monolithic_pooled_wall = time.perf_counter() - started
-
-    context = {"monolithic_pooled_seconds": round(monolithic_pooled_wall, 4)}
-    fork_entry = _record(forked, matrix, context)
-    pool_entry = _record(pooled, matrix, context)
-    append_trend(BENCH_JSON, fork_entry)
+    serial_entry = _record(serial, matrix)
+    pool_entry = _record(pooled, matrix)
+    append_trend(BENCH_JSON, serial_entry)
     append_trend(BENCH_JSON, pool_entry)
 
     report(
-        forked.as_table(),
+        serial.as_table(),
         pooled.as_table(),
-        f"BENCH {json.dumps(fork_entry)}",
+        f"BENCH {json.dumps(serial_entry)}",
         f"BENCH {json.dumps(pool_entry)}",
     )
 
     assert len(matrix) == 2**12
-    assert forked.row_for(1).speedup == 1.0
+    assert serial.row_for(1).speedup == 1.0
     assert pooled.row_for(1).speedup == 1.0
 
-    # The acceptance bar: persistent workers must make 4 shards *win*
-    # over 1 — the fork transport never did (its per-call spawn cost ate
-    # the parallelism; see docs/PERFORMANCE.md for the history).
+    # The acceptance bar: persistent workers must make N shards *win*
+    # over 1, at the largest measured N the host has a core for.
     cpus = os.cpu_count() or 1
-    if cpus < 4:
+    gate_shards = max(count for count in SHARD_COUNTS if count <= cpus)
+    if gate_shards == 1:
         pytest.skip(
-            f"pooled >1x gate needs >= 4 CPUs for 4 shards; host has "
-            f"{cpus} (entry recorded with honest cpu_count)"
+            "pooled >1x gate needs >= 2 CPUs; host has 1 (entry "
+            "recorded with honest cpu_count)"
         )
-    assert pooled.row_for(4).speedup > 1.0
+    assert pooled.row_for(gate_shards).speedup > 1.0

@@ -223,10 +223,6 @@ class _CountedKernel:
     Counting happens at the dispatch level, not inside the method
     bodies, so composite kernels (``best_min_error_safe`` runs two inner
     kernels) still count as one call over ``len(db)`` pairs.
-
-    The wrapper reduces to its method name under pickle, so index
-    structures holding a kernel (flat, VP-tree, MVP-tree) can cross the
-    fork-pool result boundary of the parallel shard builder.
     """
 
     __slots__ = ("method", "__wrapped__")
@@ -249,12 +245,9 @@ class _CountedKernel:
         obs.add("bounds.pairs", len(db))
         return self.__wrapped__(batch, db)
 
-    def __reduce__(self):
-        return (_CountedKernel, (self.method,))
-
 
 def get_batch_kernel(method: str):
-    """The (picklable) counted batch kernel registered under ``method``."""
+    """The counted batch kernel registered under ``method``."""
     return _CountedKernel(method)
 
 

@@ -12,8 +12,8 @@ layer (see ``docs/SHARDING.md``):
   index (any registry backend) and optionally its own page-store file,
   described by a CRC-checked :class:`ShardManifest`;
 * :class:`ShardRouter` — an :class:`~repro.engine.core.EngineIndex` over
-  the shards: candidate generation scatters to every shard (serially,
-  on a fork pool, or on the persistent worker pool), gathers the
+  the shards: candidate generation scatters to every shard (serially
+  in process, or on the persistent worker pool), gathers the
   per-shard candidate sets, and merges them under one *global*
   :math:`\\sigma_{UB}` so cross-shard pruning is no weaker than the
   monolithic index.  The shared verifier, the obs accounting and the

@@ -11,14 +11,18 @@ router from that directory alone.
 
 The default shard count comes from the ``REPRO_SHARDS`` environment
 variable (else 2), which is how the CI matrix runs the whole tier-1
-suite against a 4-shard router without touching any test.  Setting
-``REPRO_SHARD_WORKERS`` (to any integer >= 1) additionally routes
-builds and searches through the persistent
-:class:`~repro.cluster.ShardWorkerPool` — one long-lived worker process
-per populated shard over shared memory — again without touching any
-test; ``worker_pool=True``/``False`` overrides the environment per
-call.  Pooled routers serve the same bit-identical answers but cannot
-accept dynamic inserts (see ``docs/CONCURRENCY.md``).
+suite against a 4-shard router without touching any test.
+
+A router is built and served on one of two transports.  By default the
+shards are built one after another and scattered serially, in process.
+Setting ``REPRO_SHARD_WORKERS`` (to any integer >= 1) routes builds and
+searches through the persistent :class:`~repro.cluster.ShardWorkerPool`
+— one long-lived worker process per populated shard over shared memory
+— again without touching any test; ``worker_pool=True``/``False``
+overrides the environment per call.  Pooled routers serve the same
+bit-identical answers but cannot accept dynamic inserts (see
+``docs/CONCURRENCY.md``; ``docs/PERFORMANCE.md`` has the measured table
+behind the choice of these two).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from repro.cluster.manifest import ShardManifest
 from repro.cluster.partitioner import Partitioner
 from repro.cluster.router import ShardRouter
 from repro.compression.database import SketchDatabase
-from repro.engine.executor import fork_map
 from repro.exceptions import CorruptionError, ReproError, SeriesMismatchError
 from repro.storage.pagestore import SequencePageStore
 from repro.tools.envparse import parse_env_int
@@ -71,13 +74,10 @@ def default_worker_pool() -> bool:
 
     Any integer >= 1 enables it; the pool always runs one worker per
     populated shard, so the value is a switch, not a count.  Unset,
-    empty, or non-positive keeps the in-process scatter paths.
+    empty or ``0`` keeps the in-process scatter; anything else raises
+    :class:`~repro.exceptions.ReproError` naming the variable.
     """
-    raw = os.environ.get("REPRO_SHARD_WORKERS", "").strip()
-    try:
-        return int(raw) >= 1
-    except ValueError:
-        return False
+    return parse_env_int("REPRO_SHARD_WORKERS", 0, minimum=0) >= 1
 
 
 def _canonical_backend(backend: str) -> str:
@@ -108,8 +108,6 @@ def build_sharded(
     names: Sequence[str] | None = None,
     directory: str | os.PathLike | None = None,
     partitioner: Partitioner | None = None,
-    workers: int | None = None,
-    build_workers: int | None = None,
     worker_pool: bool | None = None,
     **index_kwargs,
 ) -> ShardRouter:
@@ -132,24 +130,12 @@ def build_sharded(
         When given, each shard's sequences are persisted to its own
         page-store file there and a checksummed manifest is written, so
         :func:`open_sharded` can rebuild the router later.
-    workers:
-        Scatter parallelism of the returned router (see
-        :class:`~repro.cluster.ShardRouter`).
-    build_workers:
-        Build parallelism: shards are built (store write + index
-        construction) on a pool of forked workers, the same
-        :func:`~repro.engine.executor.fork_map` machinery the batched
-        search uses.  ``None`` or 1 keeps the serial path; the built
-        shard indexes — stores included — are pickled back to the
-        parent, which is why every registry backend is picklable.
-        Ignored when the worker pool is active: the pool's own warm-up
-        *is* the parallel build (every worker writes its shard's store
-        and constructs its index concurrently), so a separate build
-        fan-out would be redundant.
     worker_pool:
         ``True`` routes the returned router through a persistent
-        :class:`~repro.cluster.ShardWorkerPool`; ``False`` forces the
-        in-process paths; ``None`` (default) defers to
+        :class:`~repro.cluster.ShardWorkerPool`, whose warm-up is also
+        the parallel build (every worker writes its shard's store and
+        constructs its index concurrently); ``False`` builds and
+        scatters serially in process; ``None`` (default) defers to
         :func:`default_worker_pool` (the ``REPRO_SHARD_WORKERS``
         environment switch).  Pooled routers return bit-identical
         answers, shut their workers down deterministically via
@@ -208,16 +194,10 @@ def build_sharded(
             members=members,
             shared_sketches=shared_sketches,
             index_kwargs=index_kwargs,
-            workers=workers,
         )
 
     def build_one(shard: int):
-        """Build shard ``shard`` end to end: store write + index build.
-
-        Runs either in the parent (serial path) or in a forked pool
-        worker; workers inherit ``matrix``/``members`` by fork and only
-        the finished shard index crosses the pickle boundary back.
-        """
+        """Build shard ``shard`` end to end: store write + index build."""
         rows = members[shard]
         sub_matrix = matrix[rows]
         store = None
@@ -248,9 +228,7 @@ def build_sharded(
         sub.obs_name = f"index.sharded.shard{shard:02d}"
         return sub
 
-    built = fork_map(build_one, range(len(members)), build_workers)
-    if built is None:
-        built = [build_one(shard) for shard in range(len(members))]
+    built = [build_one(shard) for shard in range(len(members))]
     pairs = list(zip(built, members))
     files = (
         [_shard_file(shard) for shard in range(len(members))]
@@ -261,7 +239,6 @@ def build_sharded(
     router = ShardRouter(
         pairs,
         partitioner=partitioner,
-        workers=workers,
         sequence_length=n if total == 0 else None,
     )
     if directory is not None:
@@ -332,7 +309,6 @@ def _build_pooled(
     members,
     shared_sketches,
     index_kwargs,
-    workers,
 ):
     """The worker-pool build: publish, spawn, warm, wire the router.
 
@@ -413,7 +389,6 @@ def _build_pooled(
         router = ShardRouter(
             pairs,
             partitioner=partitioner,
-            workers=workers,
             sequence_length=n if total == 0 else None,
             pool=pool,
         )
@@ -440,7 +415,6 @@ def open_sharded(
     directory: str | os.PathLike,
     *,
     backend: str | None = None,
-    workers: int | None = None,
     worker_pool: bool | None = None,
     **index_kwargs,
 ) -> ShardRouter:
@@ -499,7 +473,6 @@ def open_sharded(
             return ShardRouter(
                 pairs,
                 partitioner=partitioner,
-                workers=workers,
                 sequence_length=manifest.sequence_length,
                 pool=pool,
             )
@@ -535,6 +508,5 @@ def open_sharded(
     return ShardRouter(
         pairs,
         partitioner=partitioner,
-        workers=workers,
         sequence_length=manifest.sequence_length,
     )

@@ -1,13 +1,13 @@
 """Persistent shard workers: long-lived processes over shared memory.
 
-The first cluster iteration scattered every query on a *fork-per-call*
-pool: each scatter forked fresh workers, re-pickled warm state, and tore
-everything down again — and ``BENCH_shards.json`` showed that cost
-eating the entire parallel win (0.43x at 4 shards on the original
-host).  The Lernaean Hydra evaluations (PAPERS.md) make the same point
-about similarity-search benchmarking generally: honest steady-state
-numbers require warm, long-lived execution.  This module is that
-refactor:
+Scatter-gather pays off only when the per-shard state stays warm: a
+process started per call spends more on start-up, pickling and
+teardown than the scatter saves (``docs/PERFORMANCE.md`` has the
+measurement).  The Lernaean Hydra evaluations (PAPERS.md) make the same
+point about similarity-search benchmarking generally: honest
+steady-state numbers require warm, long-lived execution.  This module
+is that transport, the one parallel path beside the in-process serial
+scatter:
 
 * :class:`ShardWorkerPool` — one **persistent process per populated
   shard**.  A worker attaches the shard's sequence matrix and packed
@@ -26,9 +26,9 @@ request/response): ``("ping",)``, ``("knn", query, k)``,
 ``("range", query, radius)``, ``("batch", queries, k, policy_wire)``,
 ``("cands", queries, k)``, ``("stop",)``.  Responses are
 ``("ok", payload)`` / ``("err", reason)``; candidate payloads are
-exactly the ``(CandidateSet, SearchStats, error)`` triples the router's
-fork-pool scatter produced, so the gather (and therefore the answers)
-is bit-identical to both the fork path and the serial path.
+``(CandidateSet, SearchStats, error)`` triples holding exactly what the
+router's serial scatter generates per shard, so the gather (and
+therefore the answers) is bit-identical to the serial path.
 ``policy_wire`` is the batch's resolved
 :meth:`~repro.engine.approx.ApproxPolicy.wire` tuple — shipped
 explicitly so a worker never re-reads ``REPRO_APPROX_*`` on its own
@@ -96,15 +96,20 @@ def default_start_method() -> str:
 
     ``fork`` is preferred where available: workers inherit the parent's
     imports and (copy-on-write) address space, so spawn latency is
-    milliseconds.  ``spawn`` works everywhere the specs pickle.
+    milliseconds.  ``spawn`` works everywhere the specs pickle.  A
+    configured method this platform lacks raises
+    :class:`~repro.exceptions.ReproError` listing the ones it has.
     """
     import multiprocessing
 
     configured = os.environ.get("REPRO_POOL_START_METHOD", "").strip()
     available = multiprocessing.get_all_start_methods()
-    if configured in available:
-        return configured
-    return "fork" if "fork" in available else "spawn"
+    if configured and configured not in available:
+        raise ReproError(
+            f"REPRO_POOL_START_METHOD must be one of "
+            f"{', '.join(available)}, got {configured!r}"
+        )
+    return configured or ("fork" if "fork" in available else "spawn")
 
 
 @dataclass
@@ -225,11 +230,10 @@ def _portable_error(exc: BaseException) -> BaseException:
 def _candidate_payload(sub, op: str, query, arg):
     """One shard's generator run, in the router's scatter-triple form.
 
-    Mirrors the fork-pool scatter task exactly: streams are
-    materialised (iterators cannot cross processes; a consumed k-NN
-    stream has bounded every member), and a generator failure is
-    answered with the shard's exhaustive fallback plus the error, so
-    the parent's degradation path is identical for both transports.
+    Streams are materialised (iterators cannot cross processes; a
+    consumed k-NN stream has bounded every member), and a generator
+    failure is answered with the shard's exhaustive fallback plus the
+    error, so the parent degrades exactly as the serial scatter does.
     """
     stats = SearchStats()
     try:

@@ -5,18 +5,18 @@ Every query of a batch runs through the same pipeline as a single
 generation, policy activation, the one refinement loop, the accounting
 invariant — so its result and stats are exactly the single-query ones.
 What this module adds is the *batch axis*: validation amortised once per
-matrix, an ``engine.search_many`` obs span, and fan-out.
+matrix, an ``engine.search_many`` obs span, and — for a
+:class:`~repro.cluster.ShardRouter` — one full sub-search per shard,
+merged by the parent into global top-k results.
 
-``workers=N`` fans the work out over a process pool through the shared
-executor (:func:`repro.engine.executor.fork_map`; fork start method: the
-index is shared by inheritance, since bound kernels hold closures that
-cannot pickle).  For a :class:`~repro.cluster.ShardRouter` the fan-out
-axis is the *shard* instead of the query span: each worker runs the
-whole batch against one shard and the parent merges the per-shard
-answers into global top-k results — same executor, different work items.
-A router backed by a persistent :class:`~repro.cluster.ShardWorkerPool`
-skips the fork entirely: the batch is shipped to the already-warm
-workers in one request per shard (see ``docs/CONCURRENCY.md``).
+A batch runs on one of two transports.  In process it is a loop over
+the queries (per shard, for a router).  A router backed by a persistent
+:class:`~repro.cluster.ShardWorkerPool` ships the whole batch to its
+already-warm workers in one request per shard; that is the parallel
+path, so a caller who wants a batch spread over cores builds
+``build_sharded(matrix, shards=cores, worker_pool=True)`` (see
+``docs/CONCURRENCY.md``; ``docs/PERFORMANCE.md`` has the measured
+table).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from repro import obs
 from repro.engine.approx import ApproxPolicy, resolve_policy
 from repro.engine.core import _check_invariant, _knn_pipeline
-from repro.engine.executor import fork_map
 from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 
@@ -54,7 +53,6 @@ def search_many(
     queries,
     k: int = 1,
     *,
-    workers: int | None = None,
     policy: ApproxPolicy | None = None,
 ) -> list[tuple[list[Neighbor], SearchStats]]:
     """k-NN for every row of ``queries``; returns one result per query.
@@ -67,16 +65,12 @@ def search_many(
         ``(q, n)`` matrix of queries, validated once for the whole batch.
     k:
         Neighbours per query.
-    workers:
-        ``None`` (or 1) runs in-process; ``N > 1`` fans contiguous query
-        chunks out over ``N`` forked worker processes.  Falls back to
-        in-process execution where fork is unavailable.
     policy:
         An :class:`~repro.engine.ApproxPolicy` opting the whole batch
         into the approximate tier; ``None`` defers to the
         ``REPRO_APPROX_*`` knobs.  The policy is resolved once here and
-        shipped explicitly to forked and pooled workers, so a batch is
-        never split across two readings of the environment.
+        shipped explicitly to pooled workers, so a batch is never split
+        across two readings of the environment.
 
     Each query's result is exactly what ``index.search(query, k,
     policy)`` returns; per-query stats are published to the active obs
@@ -89,21 +83,12 @@ def search_many(
     policy = resolve_policy(policy)
 
     with obs.span("engine.search_many"):
-        results: list[tuple[list[Neighbor], SearchStats]] | None = None
         if callable(getattr(index, "shard_views", None)):
-            results = _sharded_fanout(index, queries, k, workers, policy)
+            results = _sharded_fanout(index, queries, k, policy)
         else:
-            if workers is not None and workers > 1 and len(queries) > 1:
-                results = fork_map(
-                    lambda query: _knn_pipeline(index, query, k, policy),
-                    queries,
-                    workers,
-                )
-            if results is None:
-                results = [
-                    _knn_pipeline(index, query, k, policy)
-                    for query in queries
-                ]
+            results = [
+                _knn_pipeline(index, query, k, policy) for query in queries
+            ]
 
     prefix = f"{index.obs_name}.search"
     for _, stats in results:
@@ -129,7 +114,7 @@ def _pool_parts(router, queries, k, policy):
     return parts
 
 
-def _sharded_fanout_approx(router, queries, k, workers, policy):
+def _sharded_fanout_approx(router, queries, k, policy):
     """Batched fan-out under a non-exact policy: verify at the parent.
 
     The exact batch path runs one *full sub-search per shard* and merges
@@ -145,29 +130,24 @@ def _sharded_fanout_approx(router, queries, k, workers, policy):
     bit-identical to the per-query path.
     """
     pool = getattr(router, "worker_pool", None)
-    if pool is not None:
-        per_query = pool.batch_candidates(queries, k)
-        if per_query is not None:
-            # Generation is done; finish each query as ``router.search``
-            # would, gathering the pre-scattered triples instead.
-            return [
-                _knn_pipeline(
-                    router, query, k, policy,
-                    generate=partial(router.gather_knn, triples, k),
-                )
-                for query, triples in zip(queries, per_query)
-            ]
-        # A worker died mid-batch: the per-query scatter path absorbs
-        # worker death (fallback scan + quarantine note).
+    per_query = pool.batch_candidates(queries, k) if pool is not None else None
+    if per_query is None:
+        # No pool, or a worker died mid-batch: the per-query scatter
+        # path serves both, and absorbs worker death (fallback scan +
+        # quarantine note).
         return [router.search(query, k=k, policy=policy) for query in queries]
-    # No pool: the per-query scatter already fans out across shards
-    # (``fork_map`` inside ``router.search``), and ``fork_map`` is not
-    # reentrant — an outer fork over queries would have its inherited
-    # globals cleared by the inner call — so the query axis stays serial.
-    return [router.search(query, k=k, policy=policy) for query in queries]
+    # Generation is done; finish each query as ``router.search`` would,
+    # gathering the pre-scattered triples instead.
+    return [
+        _knn_pipeline(
+            router, query, k, policy,
+            generate=partial(router.gather_knn, triples, k),
+        )
+        for query, triples in zip(queries, per_query)
+    ]
 
 
-def _sharded_fanout(router, queries, k, workers, policy):
+def _sharded_fanout(router, queries, k, policy):
     """One full sub-search per shard, merged into global per-query top-k.
 
     The parallelism axis is the *shard*: each task runs the whole query
@@ -182,23 +162,14 @@ def _sharded_fanout(router, queries, k, workers, policy):
     it locally.  That containment argument needs *exact* sub-searches,
     so non-exact policies take :func:`_sharded_fanout_approx` instead.
     """
-    if workers is None:
-        workers = getattr(router, "scatter_workers", None)
     if not policy.exact:
-        return _sharded_fanout_approx(router, queries, k, workers, policy)
+        return _sharded_fanout_approx(router, queries, k, policy)
     views = router.shard_views()
 
-    def shard_task(view):
-        sub, _ = view
-        sub_k = min(k, len(sub))
-        return [_knn_pipeline(sub, query, sub_k, policy) for query in queries]
-
-    parts = None
-    pool = getattr(router, "worker_pool", None)
-    if pool is not None:
+    if getattr(router, "worker_pool", None) is not None:
         # Persistent-pool fan-out: every warm worker runs the whole
-        # batch against its shard in one request — the same work as
-        # ``shard_task``, without a fork or a re-pickle of the index.
+        # batch against its shard in one request — the same work as the
+        # in-process loop below, on the workers' own copy of the index.
         parts = _pool_parts(router, queries, k, policy)
         if parts is None:
             # A worker died mid-batch.  The per-query scatter path
@@ -206,20 +177,24 @@ def _sharded_fanout(router, queries, k, workers, policy):
             # answers exact but flagged degraded), so route the batch
             # through it rather than reasoning about partial results.
             return [router.search(query, k=k, policy=policy) for query in queries]
-    if parts is None:
-        parts = fork_map(shard_task, views, workers)
-    if parts is None:
-        parts = [shard_task(view) for view in views]
+    else:
+        parts = [
+            [
+                _knn_pipeline(sub, query, min(k, len(sub)), policy)
+                for query in queries
+            ]
+            for sub, _ in views
+        ]
     obs.add("cluster.fanout_shards", len(views))
 
     size = len(router)
     results = []
     for position in range(len(queries)):
         merged = SearchStats()
-        pool: list[Neighbor] = []
+        hits: list[Neighbor] = []
         for (sub, global_ids), shard_results in zip(views, parts):
             neighbors, stats = shard_results[position]
-            pool.extend(
+            hits.extend(
                 Neighbor(n.distance, int(global_ids[n.seq_id]), n.name)
                 for n in neighbors
             )
@@ -229,5 +204,5 @@ def _sharded_fanout(router, queries, k, workers, policy):
             stats.publish(f"{sub.obs_name}.search")
             merged.merge(stats)
         _check_invariant(merged, size, router)
-        results.append((sorted(pool)[:k], merged))
+        results.append((sorted(hits)[:k], merged))
     return results

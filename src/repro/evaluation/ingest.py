@@ -16,9 +16,7 @@ the fast ingest pipeline against their per-row references:
 
 Equivalence is asserted inside the experiment, not assumed: the batch
 database must compare equal array-for-array with the scalar one, and the
-bulk-written file must be byte-identical to the per-row file.  A third
-section times :func:`repro.cluster.build_sharded` serially vs on the
-fork pool, when shard counts are requested.
+bulk-written file must be byte-identical to the per-row file.
 """
 
 from __future__ import annotations
@@ -70,10 +68,6 @@ class IngestResult:
     compress_batch: IngestRow
     store_scalar: IngestRow
     store_bulk: IngestRow
-    shard_serial_seconds: float | None
-    shard_parallel_seconds: float | None
-    shard_count: int | None
-    build_workers: int | None
     equivalent: bool
 
     @property
@@ -96,14 +90,6 @@ class IngestResult:
         )
         batch = self.compress_batch.cpu_seconds + self.store_bulk.cpu_seconds
         return scalar / max(batch, 1e-12)
-
-    @property
-    def shard_build_speedup(self) -> float | None:
-        if self.shard_serial_seconds is None:
-            return None
-        return self.shard_serial_seconds / max(
-            self.shard_parallel_seconds, 1e-12
-        )
 
     def rows(self) -> tuple[IngestRow, ...]:
         return (
@@ -132,25 +118,16 @@ class IngestResult:
             ),
             digits=3,
         )
-        lines = [
-            table,
-            f"speedups: compress {self.compress_speedup:.1f}x, "
-            f"store {self.store_speedup:.1f}x, "
-            f"end-to-end {self.ingest_speedup:.1f}x",
-        ]
-        if self.shard_serial_seconds is not None:
-            lines.append(
-                f"shard build ({self.shard_count} shards): serial "
-                f"{self.shard_serial_seconds:.3f}s, "
-                f"{self.build_workers}-worker pool "
-                f"{self.shard_parallel_seconds:.3f}s "
-                f"({self.shard_build_speedup:.1f}x)"
+        return "\n".join(
+            (
+                table,
+                f"speedups: compress {self.compress_speedup:.1f}x, "
+                f"store {self.store_speedup:.1f}x, "
+                f"end-to-end {self.ingest_speedup:.1f}x",
+                "batch/scalar equivalence: "
+                + ("bit-identical" if self.equivalent else "MISMATCH"),
             )
-        lines.append(
-            "batch/scalar equivalence: "
-            + ("bit-identical" if self.equivalent else "MISMATCH")
         )
-        return "\n".join(lines)
 
 
 def databases_equal(left: SketchDatabase, right: SketchDatabase) -> bool:
@@ -173,9 +150,6 @@ def ingest_experiment(
     matrix: np.ndarray,
     tmp_dir,
     compressor=None,
-    shards: int | None = None,
-    build_workers: int | None = None,
-    shard_backend: str = "flat",
     repeats: int = 3,
 ) -> IngestResult:
     """Time batch vs per-row ingest over ``matrix``, asserting equivalence.
@@ -189,14 +163,6 @@ def ingest_experiment(
     compressor:
         Any fixed-k compressor (default ``BestMinErrorCompressor(14)``,
         the paper's headline configuration).
-    shards / build_workers:
-        When both are given, additionally time
-        :func:`repro.cluster.build_sharded` with ``build_workers=None``
-        (serial) vs the requested pool size.
-    shard_backend:
-        Registry backend for the shard-build timing.  ``"vptree"`` makes
-        the per-shard work dominate (tree construction), which is the
-        configuration the parallel-build speedup gate measures.
     repeats:
         Each compress/store leg runs this many times and reports its
         *minimum* CPU and wall time — the standard way to separate the
@@ -211,9 +177,8 @@ def ingest_experiment(
 
     # One untimed warm-up pass.  The vectorised path's first call pays
     # one-off costs that real ingest amortises — page faults for its
-    # large working arrays and pocketfft setup (build_sharded alone
-    # invokes it once per shard) — so both paths are timed at steady
-    # state, in the same process condition.
+    # large working arrays and pocketfft setup — so both paths are
+    # timed at steady state, in the same process condition.
     SketchDatabase.from_matrix(matrix, compressor)
 
     # Every leg is timed ``repeats`` times and reported as the minimum
@@ -276,32 +241,6 @@ def ingest_experiment(
         scalar_path, bulk_path, shallow=False
     )
 
-    shard_serial = shard_parallel = None
-    if shards is not None and build_workers is not None:
-        from repro.cluster.build import build_sharded
-
-        kwargs = dict(
-            shards=shards, backend=shard_backend, compressor=compressor
-        )
-        os.sync()
-        started = time.perf_counter()
-        build_sharded(
-            matrix,
-            directory=os.path.join(tmp_dir, "shards-serial"),
-            build_workers=None,
-            **kwargs,
-        )
-        shard_serial = time.perf_counter() - started
-        os.sync()
-        started = time.perf_counter()
-        build_sharded(
-            matrix,
-            directory=os.path.join(tmp_dir, "shards-parallel"),
-            build_workers=build_workers,
-            **kwargs,
-        )
-        shard_parallel = time.perf_counter() - started
-
     def row(path: str, timing: tuple[float, float]) -> IngestRow:
         wall, cpu = timing
         return IngestRow(path, wall, cpu, count / max(cpu, 1e-12))
@@ -313,9 +252,5 @@ def ingest_experiment(
         compress_batch=row("compress batch", batch_compress),
         store_scalar=row("store per-row append", scalar_store),
         store_bulk=row("store bulk append_matrix", bulk_store),
-        shard_serial_seconds=shard_serial,
-        shard_parallel_seconds=shard_parallel,
-        shard_count=shards if shard_serial is not None else None,
-        build_workers=build_workers if shard_serial is not None else None,
         equivalent=equivalent,
     )

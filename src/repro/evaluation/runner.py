@@ -157,8 +157,6 @@ def run_report(
                 matrix,
                 tmp,
                 compressor=budget_objects[-1].compressor("best_min_error"),
-                shards=shards or 4,
-                build_workers=4,
             )
         print(result.as_table(), file=out)
 
@@ -186,7 +184,6 @@ def run_report(
             query_matrix,
             shard_counts=counts,
             k=5,
-            workers=min(4, max(shards, 1)),
             backend="flat",
             compressor=budget_objects[-1].compressor("best_min_error"),
         )

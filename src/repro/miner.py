@@ -426,15 +426,15 @@ class QueryLogMiner:
             return [hit for hit in hits if hit.name != exclude][:k]
 
     def similar_many(
-        self, queries: Sequence, k: int = 5, *, workers: int | None = None
+        self, queries: Sequence, k: int = 5
     ) -> list[list[Neighbor]]:
         """:meth:`similar` for a whole batch of queries at once.
 
         Runs through the engine's batched
-        :func:`~repro.engine.search_many` path (optionally over a worker
-        pool), which amortises validation and verifies candidates in
-        vectorised blocks; per-query results and exclusion semantics are
-        identical to calling :meth:`similar` in a loop.
+        :func:`~repro.engine.search_many` path, which amortises
+        validation and verifies candidates in vectorised blocks;
+        per-query results and exclusion semantics are identical to
+        calling :meth:`similar` in a loop.
         """
         with obs.span("miner.similar_many"):
             excludes = [
@@ -448,7 +448,6 @@ class QueryLogMiner:
                 self._live_index(),
                 matrix,
                 k=depth,
-                workers=workers,
                 policy=self._approx_policy,
             )
             return [

@@ -249,16 +249,12 @@ class SequencePageStore:
         self._pages_per_sequence = -(-bytes_per_sequence // payload)
 
     def _init_cache(self, cache_bytes: int | None) -> None:
-        self._cache_budget = (
+        budget = (
             cache_budget_from_env() if cache_bytes is None else int(cache_bytes)
         )
-        if self._cache_budget < 0:
-            raise StorageError(
-                f"cache_bytes must be >= 0, got {self._cache_budget}"
-            )
-        self._cache = (
-            SequenceCache(self._cache_budget) if self._cache_budget else None
-        )
+        if budget < 0:
+            raise StorageError(f"cache_bytes must be >= 0, got {budget}")
+        self._cache = SequenceCache(budget) if budget else None
 
     def _init_mmap(self, use_mmap: bool | None) -> None:
         self._use_mmap = (
@@ -419,36 +415,6 @@ class SequencePageStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Pickling — used by the parallel shard builder, whose worker
-    # processes build a shard's store and ship the handle back to the
-    # parent.  The open file descriptor cannot cross processes, so the
-    # state carries the path plus a was-open flag and the receiving side
-    # reopens; cache contents are dropped (only the budget travels).
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        was_open = not self._file.closed
-        if was_open:
-            self._file.flush()
-        state["_file"] = was_open
-        state["_cache"] = None
-        # The map holds OS resources that cannot cross processes; the
-        # receiving side re-maps lazily on its first mapped read.
-        state["_mmap"] = None
-        state["_mmap_rows"] = 0
-        return state
-
-    def __setstate__(self, state) -> None:
-        was_open = state.pop("_file")
-        self.__dict__.update(state)
-        self._file = open(self.path, "r+b")
-        if not was_open:
-            self._file.close()
-        self._cache = (
-            SequenceCache(self._cache_budget) if self._cache_budget else None
-        )
 
     # ------------------------------------------------------------------
     # Storage interface

@@ -1,9 +1,10 @@
 """Shared parsing for the ``REPRO_*`` environment knobs.
 
-Every tunable the engine reads from the environment —
-``REPRO_VERIFY_BLOCK``, ``REPRO_SHARDS``, ``REPRO_CACHE_BYTES``,
-``REPRO_APPROX_EPSILON``, ``REPRO_APPROX_PATIENCE`` — goes through the
-helpers below, so a typo'd value fails the same way everywhere: a
+Every numeric tunable the engine reads from the environment —
+``REPRO_VERIFY_BLOCK``, ``REPRO_SHARDS``, ``REPRO_SHARD_WORKERS``,
+``REPRO_CACHE_BYTES``, ``REPRO_APPROX_EPSILON``,
+``REPRO_APPROX_PATIENCE`` — goes through the helpers below, so a
+typo'd value fails the same way everywhere: a
 :class:`~repro.exceptions.ReproError` (or a caller-chosen subclass)
 whose message names the variable, quotes the offending value, and
 states what would have been accepted.  Before this module each call

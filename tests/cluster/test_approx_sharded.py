@@ -120,9 +120,10 @@ def test_batched_matches_per_query(matrix, queries, pooled, policy):
     ``router.search`` per query.
     """
     router = build_sharded(
-        matrix, shards=3, backend="flat", workers=2 if pooled else None
+        matrix, shards=3, backend="flat", worker_pool=pooled
     )
     try:
+        assert (router.worker_pool is not None) == pooled
         batch = np.stack(queries)
         batched = search_many(router, batch, k=5, policy=policy)
         for query, (hits, stats) in zip(queries, batched):

@@ -156,9 +156,10 @@ def test_worker_pool_modes(matrix, queries, pooled):
     """
     reference = build_sharded(matrix, shards=3, backend="vptree")
     router = build_sharded(
-        matrix, shards=3, backend="vptree", workers=2 if pooled else None
+        matrix, shards=3, backend="vptree", worker_pool=pooled
     )
     try:
+        assert (router.worker_pool is not None) == pooled
         for query in queries:
             explicit = snap(*router.search(query, k=5, policy=EXACT))
             plain = snap(*reference.search(query, k=5))

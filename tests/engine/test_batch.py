@@ -1,4 +1,4 @@
-"""``search_many``: blocked verification, pool fan-out, miner batching."""
+"""``search_many``: blocked verification, shard fan-out, miner batching."""
 
 import numpy as np
 import pytest
@@ -38,26 +38,6 @@ class TestSerialBatch:
         index = get_index("flat", matrix, names=names)
         (hits, _), = search_many(index, matrix[:1], k=1)
         assert hits[0].name == "q0"
-
-
-class TestPooledBatch:
-    @pytest.mark.parametrize("name", ("flat", "mtree", "sharded"))
-    def test_pool_matches_serial(self, matrix, queries, name):
-        index = get_index(name, matrix)
-        batch = np.stack(queries)
-        serial = search_many(index, batch, k=3)
-        pooled = search_many(index, batch, k=3, workers=2)
-        assert as_pairs(pooled) == as_pairs(serial), name
-
-    def test_single_query_batch_stays_in_process(self, matrix):
-        index = get_index("flat", matrix)
-        results = search_many(index, matrix[:1], k=2, workers=4)
-        assert len(results) == 1
-
-    def test_more_workers_than_queries(self, matrix):
-        index = get_index("scan", matrix)
-        results = search_many(index, matrix[:3], k=1, workers=8)
-        assert [hits[0].seq_id for hits, _ in results] == [0, 1, 2]
 
 
 class TestValidation:

@@ -177,9 +177,10 @@ def test_worker_pool_modes(matrix, queries, pooled, monkeypatch):
     monkeypatch.delenv("REPRO_VERIFY_BLOCK", raising=False)
     reference = build_sharded(matrix, shards=3, backend="vptree")
     router = build_sharded(
-        matrix, shards=3, backend="vptree", workers=2 if pooled else None
+        matrix, shards=3, backend="vptree", worker_pool=pooled
     )
     try:
+        assert (router.worker_pool is not None) == pooled
         for query in queries:
             blocked_pool = snap(*router.search(query, k=5))
             monkeypatch.setenv("REPRO_VERIFY_BLOCK", "0")

@@ -196,19 +196,14 @@ class TestIngestExperiment:
         from repro.evaluation import ingest_experiment
 
         matrix = np.random.default_rng(8).normal(size=(64, 128))
-        result = ingest_experiment(
-            matrix, tmp_path, shards=3, build_workers=2
-        )
+        result = ingest_experiment(matrix, tmp_path)
         assert result.equivalent
         assert result.database_size == 64
-        assert result.shard_count == 3 and result.build_workers == 2
-        assert result.shard_build_speedup is not None
         table = result.as_table()
         for marker in (
             "compress per-row",
             "compress batch",
             "store bulk append_matrix",
-            "shard build (3 shards)",
             "bit-identical",
         ):
             assert marker in table, marker
@@ -221,5 +216,4 @@ class TestIngestExperiment:
         matrix = np.random.default_rng(9).normal(size=(32, 64))
         result = ingest_experiment(matrix, tmp_path)
         assert result.equivalent
-        assert result.shard_build_speedup is None
         assert "shard build" not in result.as_table()

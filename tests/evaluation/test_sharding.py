@@ -26,7 +26,7 @@ class TestShardScalingExperiment:
     def test_measures_each_count_and_agrees(self):
         matrix, probes = make_workload()
         result = shard_scaling_experiment(
-            matrix, probes, shard_counts=(1, 3), k=4, workers=2
+            matrix, probes, shard_counts=(1, 3), k=4
         )
         assert result.agreement
         assert [row.shards for row in result.rows] == [1, 3]
@@ -40,7 +40,7 @@ class TestShardScalingExperiment:
     def test_row_for_missing_count_raises(self):
         matrix, probes = make_workload()
         result = shard_scaling_experiment(
-            matrix, probes, shard_counts=(2,), k=2, workers=1
+            matrix, probes, shard_counts=(2,), k=2
         )
         with pytest.raises(ReproError, match="no row measured"):
             result.row_for(8)
@@ -53,8 +53,7 @@ class TestShardScalingExperiment:
     def test_table_renders(self):
         matrix, probes = make_workload()
         result = shard_scaling_experiment(
-            matrix, probes, shard_counts=(1, 2), k=3, workers=1,
-            backend="scan",
+            matrix, probes, shard_counts=(1, 2), k=3, backend="scan"
         )
         table = result.as_table()
         assert "shard scaling" in table

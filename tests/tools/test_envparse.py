@@ -124,6 +124,20 @@ class TestKnobsAreWired:
         with pytest.raises(ReproError, match="REPRO_SHARDS"):
             default_shard_count()
 
+    def test_shard_workers(self, monkeypatch):
+        from repro.cluster.build import default_worker_pool
+
+        monkeypatch.setenv("REPRO_SHARD_WORKERS", "yes")
+        with pytest.raises(ReproError, match="REPRO_SHARD_WORKERS"):
+            default_worker_pool()
+
+    def test_pool_start_method(self, monkeypatch):
+        from repro.cluster.pool import default_start_method
+
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "threads")
+        with pytest.raises(ReproError, match="REPRO_POOL_START_METHOD.*spawn"):
+            default_start_method()
+
     def test_cache_bytes_keeps_storage_error(self, monkeypatch):
         from repro.storage.cache import cache_budget_from_env
 
