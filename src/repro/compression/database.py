@@ -28,8 +28,7 @@ integrity handshake (the norms block) instead of per-consumer re-packing.
 
 The batch bound kernels in :mod:`repro.bounds.batch` consume this layout;
 :meth:`SketchDatabase.sketch` recovers an individual
-:class:`~repro.compression.base.SpectralSketch` for spot checks and for
-the VP-tree's per-node computations.
+:class:`~repro.compression.base.SpectralSketch` for spot checks.
 """
 
 from __future__ import annotations
@@ -403,10 +402,9 @@ class SketchDatabase:
     def take(self, rows) -> "SketchDatabase":
         """A lightweight row-subset view (arrays sliced, metadata shared).
 
-        Used by the VP-tree to evaluate a whole leaf's bounds with one
-        vectorised kernel call instead of per-object Python calls, and by
-        the shard partitioner to split one compression pass into
-        shard-local databases.
+        Used by the shard partitioner to split one compression pass into
+        shard-local databases.  Kernels are row-independent, so bounding
+        a view equals indexing the full database's bounds by ``rows``.
         """
         rows = np.asarray(rows, dtype=np.intp)
         subset = SketchDatabase.from_soa(

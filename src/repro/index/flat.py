@@ -14,9 +14,9 @@ When to choose which:
   compression, perfectly predictable performance; bounds are computed for
   every object (vectorised), so cost is Θ(D·k) per query plus
   verification.
-* :class:`~repro.index.VPTreeIndex` — can skip bound computations for
-  whole subtrees, which wins when queries are highly selective; costs a
-  build pass and per-node Python overhead.
+* :class:`~repro.index.VPTreeIndex` — the paper's index: after the same
+  kernel pass it examines only the objects its walk reaches (the unit of
+  fig. 23's cost model); costs a build pass and a Python walk per query.
 
 The ablation benchmark compares them head to head.
 

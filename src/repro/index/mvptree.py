@@ -8,12 +8,12 @@ points; the first partitions the points by its median distance, and each
 half is partitioned again by its own median distance to the second
 vantage point, yielding four children per node.
 
-The payoff: one extra bound computation per node (the second vantage
+The payoff: one extra object examined per node (the second vantage
 point) buys two independent pruning tests per quadrant — each quadrant
 can be discarded by *either* vantage point's annulus condition.  The same
-compressed sketches, batch bound kernels and two-phase
-(traverse + SUB-filter + verify) search of the VP-tree are reused
-verbatim, which is precisely the paper's point.
+compressed sketches, one-pass bounds (:mod:`repro.index.walk`) and
+two-phase (traverse + SUB-filter + verify) search of the VP-tree are
+reused verbatim, which is precisely the paper's point.
 
 The ablation benchmark compares its search work against the binary
 VP-tree at identical storage.
@@ -26,20 +26,19 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bounds.batch import BatchBounds, get_batch_kernel
+from repro.bounds.batch import get_batch_kernel
 from repro.compression.best_k import BestMinErrorCompressor
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     RANGE_SLACK,
     CandidateSet,
-    SigmaTracker,
     execute_knn,
     execute_range,
 )
 from repro.exceptions import SeriesMismatchError
 from repro.index.distance import distances_to_query
 from repro.index.results import Neighbor, SearchStats
-from repro.spectral.dft import Spectrum
+from repro.index.walk import BoundedWalk
 from repro.storage.pagestore import MemorySequenceStore
 
 __all__ = ["MVPTreeIndex"]
@@ -128,9 +127,6 @@ class MVPTreeIndex:
     def store(self):
         return self._store
 
-    def _name(self, seq_id: int) -> str | None:
-        return self._names[seq_id] if self._names is not None else None
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -213,60 +209,42 @@ class MVPTreeIndex:
         return self._n
 
     def result_name(self, seq_id: int) -> str | None:
-        return self._name(seq_id)
+        return self._names[seq_id] if self._names is not None else None
 
     def fetch(self, seq_id: int) -> np.ndarray:
         return self._store.read(seq_id)
 
+    def _walk(self, node, walk: BoundedWalk, limit=None) -> None:
+        """Visit the quadrants whose members may be within ``limit``, or,
+        with ``limit=None`` (k-NN), within the walk's current ``sigma``,
+        which earlier quadrants tighten."""
+        walk.stats.nodes_visited += 1
+        if isinstance(node, _Leaf):
+            walk.examine(node.rows.tolist())
+            return
+        walk.examine((node.first_id, node.second_id))
+        lb1, ub1 = walk.lower[node.first_id], walk.upper[node.first_id]
+        lb2, ub2 = walk.lower[node.second_id], walk.upper[node.second_id]
+        for quadrant in node.quadrants:
+            by_first = self._side_min_distance(
+                lb1, ub1, node.first_median, quadrant.first_side_low
+            )
+            by_second = self._side_min_distance(
+                lb2, ub2, quadrant.second_median, quadrant.second_side_low
+            )
+            if max(by_first, by_second) > (
+                walk.sigma if limit is None else limit
+            ):
+                walk.stats.subtrees_pruned += 1
+                continue
+            self._walk(quadrant.child, walk, limit)
+
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        batch = BatchBounds(Spectrum.from_series(query))
-        tracker = SigmaTracker(k)
-        candidates: list[tuple[float, int]] = []
-
-        def note(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb, ub in zip(rows, lower, upper):
-                candidates.append((float(lb), int(seq_id)))
-                tracker.offer(float(ub))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _Leaf):
-                note(node.rows)
-                return
-            lowers, uppers = note(
-                np.array([node.first_id, node.second_id])
-            )
-            lb1, ub1 = float(lowers[0]), float(uppers[0])
-            lb2, ub2 = float(lowers[1]), float(uppers[1])
-            for quadrant in node.quadrants:
-                sigma = tracker.sigma()  # earlier quadrants tighten it
-                by_first = self._side_min_distance(
-                    lb1, ub1, node.first_median, quadrant.first_side_low
-                )
-                by_second = self._side_min_distance(
-                    lb2, ub2, quadrant.second_median, quadrant.second_side_low
-                )
-                if max(by_first, by_second) > sigma:
-                    stats.subtrees_pruned += 1
-                    continue
-                traverse(quadrant.child)
-
-        traverse(self._root)
-        sigma = tracker.sigma()
-        survivors = sorted(
-            (lb * lb, seq_id) for lb, seq_id in candidates if lb <= sigma
-        )
-        return CandidateSet(
-            entries=survivors,
-            generated=len(candidates),
-            sigma_sq=sigma * sigma,
-            top_ubs=tracker.values(),
-        )
+        walk = BoundedWalk(self._kernel, self._sketch_db, query, stats, k)
+        self._walk(self._root, walk)
+        return walk.knn_result()
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
@@ -274,44 +252,11 @@ class MVPTreeIndex:
         """Fixed-radius traversal: a quadrant is skipped when *either*
         vantage point's annulus condition proves every member farther
         than ``radius``."""
-        batch = BatchBounds(Spectrum.from_series(query))
+        walk = BoundedWalk(self._kernel, self._sketch_db, query, stats)
         bound = radius + RANGE_SLACK
-        to_verify: list[tuple[float, int]] = []
-
-        def consider(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb in zip(rows, lower):
-                lb = float(lb)
-                if lb > bound:
-                    continue
-                to_verify.append((lb * lb, int(seq_id)))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _Leaf):
-                consider(node.rows)
-                return
-            lowers, uppers = consider(
-                np.array([node.first_id, node.second_id])
-            )
-            lb1, ub1 = float(lowers[0]), float(uppers[0])
-            lb2, ub2 = float(lowers[1]), float(uppers[1])
-            for quadrant in node.quadrants:
-                by_first = self._side_min_distance(
-                    lb1, ub1, node.first_median, quadrant.first_side_low
-                )
-                by_second = self._side_min_distance(
-                    lb2, ub2, quadrant.second_median, quadrant.second_side_low
-                )
-                if max(by_first, by_second) > bound:
-                    stats.subtrees_pruned += 1
-                    continue
-                traverse(quadrant.child)
-
-        traverse(self._root)
-        return CandidateSet(entries=sorted(to_verify), generated=None)
+        self._walk(self._root, walk, bound)
+        near = ((lb * lb, i) for lb, i in walk.examined if not lb > bound)
+        return CandidateSet(entries=sorted(near), generated=None)
 
     def search(
         self, query, k: int = 1, policy=None

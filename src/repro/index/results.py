@@ -39,10 +39,13 @@ class SearchStats:
         sequences).  ``full_retrievals / database_size`` is the paper's
         "fraction of the database examined" (fig. 22).
     bound_computations:
-        Cheap distance estimates evaluated instead of exact distances
-        (unit: evaluations): LB/UB pairs against compressed sketches for
-        the sketch indexes, feature-space distances for the GEMINI
-        R-tree, triangle-inequality parent filters for the M-tree.
+        Cheap distance estimates used instead of exact distances (unit:
+        objects): compressed objects whose LB/UB the search examined for
+        the sketch indexes (all of them for flat, those the fig. 11 walk
+        met for the trees — the paper's cost model, not the rows a kernel
+        pass evaluated, which is the obs counter ``bounds.pairs``),
+        feature-space distances for the GEMINI R-tree, triangle-inequality
+        parent filters for the M-tree.
     nodes_visited:
         Index nodes (internal + leaf) touched during traversal; 0 for the
         tree-less structures.

@@ -14,12 +14,15 @@ Construction follows the paper exactly:
 Search is the two-phase algorithm of fig. 11, generalised from 1-NN to
 k-NN:
 
-1. **Traversal.**  Depth-first, computing LB/UB between the full query and
-   every compressed vantage point / leaf object met.  ``sigma_UB`` — the
-   k-th smallest upper bound seen so far — drives the pruning rules: the
-   right subtree is skipped when ``UB(Q, VP) < mu - sigma_UB`` and the
-   left when ``LB(Q, VP) > mu + sigma_UB``.  A *guided* heuristic visits
-   first the child whose annulus overlap with ``[LB, UB]`` is larger.
+1. **Traversal.**  One kernel pass bounds the full query against every
+   compressed object (:mod:`repro.index.walk`); the depth-first walk
+   reads LB/UB of each vantage point / leaf object it meets by sequence
+   id and counts it in ``SearchStats.bound_computations``.  ``sigma_UB``
+   — the k-th smallest upper bound met so far — drives the pruning
+   rules: the right subtree is skipped when ``UB(Q, VP) < mu - sigma_UB``
+   and the left when ``LB(Q, VP) > mu + sigma_UB``.  A *guided* heuristic
+   visits first the child whose annulus overlap with ``[LB, UB]`` is
+   larger.
 2. **Verification.**  Candidates with ``LB > SUB`` (smallest k-th upper
    bound) are discarded; the rest are fetched uncompressed from the
    sequence store in increasing-LB order and compared exactly with early
@@ -41,21 +44,21 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bounds.batch import BatchBounds, get_batch_kernel
+from repro.bounds.batch import get_batch_kernel
 from repro.compression.best_k import BestMinErrorCompressor
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     RANGE_SLACK as _RANGE_SLACK,
     CandidateSet,
-    SigmaTracker,
     execute_knn,
     execute_range,
 )
 from repro.exceptions import SeriesMismatchError
 from repro.index.distance import distances_to_query
 from repro.index.results import Neighbor, SearchStats
+from repro.index.walk import BoundedWalk
 from repro.spectral.dft import Spectrum
-from repro.storage.pagestore import MemorySequenceStore
+from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
 from repro.timeseries.preprocessing import as_float_array
 
 __all__ = ["VPTreeIndex"]
@@ -180,11 +183,6 @@ class VPTreeIndex:
     def store(self):
         return self._store
 
-    def _name(self, seq_id: int) -> str | None:
-        if self._names is None or seq_id >= len(self._names):
-            return None
-        return self._names[seq_id]
-
     def _select_vantage(self, rows: np.ndarray) -> int:
         """Row index (into ``rows``) of the highest-distance-spread candidate."""
         count = len(rows)
@@ -303,7 +301,9 @@ class VPTreeIndex:
         return self._n
 
     def result_name(self, seq_id: int) -> str | None:
-        return self._name(seq_id)
+        if self._names is None or seq_id >= len(self._names):
+            return None
+        return self._names[seq_id]
 
     def fetch(self, seq_id: int) -> np.ndarray:
         return self._store.read(seq_id)
@@ -311,72 +311,50 @@ class VPTreeIndex:
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        """Fig. 11 traversal: bound every vantage point / leaf object met.
+        """Fig. 11 traversal over the query's precomputed bounds.
 
-        ``sigma`` — the k-th smallest upper bound seen so far — drives the
-        subtree pruning rules; the engine applies the final SUB filter and
-        verifies the survivors.
+        ``sigma`` — the k-th smallest upper bound among the objects met so
+        far — drives the subtree pruning rules; the engine applies the
+        final SUB filter and verifies the survivors.
         """
-        batch = BatchBounds(Spectrum.from_series(query))
-        tracker = SigmaTracker(k)
-        candidates: list[tuple[float, int]] = []  # (lb, seq_id)
-
-        def note(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """Bound a group of rows with one vectorised kernel call.
-
-            Tombstoned rows still produce bounds (a deleted vantage point
-            keeps routing) but never become candidates.
-            """
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb, ub in zip(rows, lower, upper):
-                if int(seq_id) in self._deleted:
-                    continue
-                candidates.append((float(lb), int(seq_id)))
-                tracker.offer(float(ub))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _LeafNode):
-                note(node.rows)
-                return
-            lower_arr, upper_arr = note(np.array([node.vantage_id]))
-            lower, upper = float(lower_arr[0]), float(upper_arr[0])
-
-            sigma = tracker.sigma()
-            visit_left = lower <= node.median + sigma
-            visit_right = upper >= node.median - sigma
-            if not visit_left and not visit_right:
-                # The annulus excludes both only through rounding; fall
-                # back to the side the bounds point at.
-                visit_left = True
-            order = []
-            if visit_left:
-                order.append(node.left)
-            if visit_right:
-                order.append(node.right)
-            stats.subtrees_pruned += 2 - len(order)
-            if len(order) == 2 and self._guided:
-                # Guided traversal: larger annulus overlap first.
-                left_overlap = min(upper, node.median) - lower
-                right_overlap = upper - max(lower, node.median)
-                if right_overlap > left_overlap:
-                    order.reverse()
-            for child in order:
-                traverse(child)
-
-        traverse(self._root)
-        sigma = tracker.sigma()
-        survivors = sorted(
-            (lb * lb, seq_id) for lb, seq_id in candidates if lb <= sigma
+        walk = BoundedWalk(
+            self._kernel, self._sketch_db, query, stats, k, self._deleted
         )
-        return CandidateSet(
-            entries=survivors,
-            generated=len(candidates),
-            sigma_sq=sigma * sigma,
-            top_ubs=tracker.values(),
-        )
+        self._knn_walk(self._root, walk)
+        return walk.knn_result()
+
+    def _knn_walk(self, node, walk: BoundedWalk) -> None:
+        # A method, not a closure calling itself: that would be a reference
+        # cycle holding the query's bound lists until a cyclic collection.
+        stats = walk.stats
+        stats.nodes_visited += 1
+        if isinstance(node, _LeafNode):
+            walk.examine(node.rows.tolist())
+            return
+        walk.examine((node.vantage_id,))
+        lower = walk.lower[node.vantage_id]
+        upper = walk.upper[node.vantage_id]
+        sigma = walk.sigma
+        visit_left = lower <= node.median + sigma
+        visit_right = upper >= node.median - sigma
+        if not visit_left and not visit_right:
+            # The annulus excludes both only through rounding; fall
+            # back to the side the bounds point at.
+            visit_left = True
+        order = []
+        if visit_left:
+            order.append(node.left)
+        if visit_right:
+            order.append(node.right)
+        stats.subtrees_pruned += 2 - len(order)
+        if len(order) == 2 and self._guided:
+            # Guided traversal: larger annulus overlap first.
+            left_overlap = min(upper, node.median) - lower
+            right_overlap = upper - max(lower, node.median)
+            if right_overlap > left_overlap:
+                order.reverse()
+        for child in order:
+            self._knn_walk(child, walk)
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
@@ -387,43 +365,34 @@ class VPTreeIndex:
         ``radius``; a candidate whose lower bound exceeds ``radius`` is
         rejected without touching its uncompressed form.
         """
-        batch = BatchBounds(Spectrum.from_series(query))
-        to_verify: list[tuple[float, int]] = []
+        walk = BoundedWalk(
+            self._kernel, self._sketch_db, query, stats, deleted=self._deleted
+        )
+        bound = radius + _RANGE_SLACK
+        self._range_walk(self._root, walk, bound)
+        # lb > bound rejects without touching the full sequence; the slack
+        # absorbs the floating-point error of a computed lb.  ``** 2`` is
+        # deliberate: ``lb * lb`` differs from it in the last bit for about
+        # one float in a thousand, and stored LB^2 values carry this form.
+        near = ((lb ** 2, i) for lb, i in walk.examined if not lb > bound)
+        return CandidateSet(entries=sorted(near), generated=None)
 
-        def consider(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            lower, upper = self._kernel(batch, self._sketch_db.take(rows))
-            stats.bound_computations += int(rows.size)
-            for seq_id, lb in zip(rows, lower):
-                seq_id = int(seq_id)
-                # lb > radius rejects without touching the full sequence
-                # (with a small slack: the computed lb can exceed the true
-                # distance by floating-point error); survivors are
-                # verified exactly.
-                if seq_id in self._deleted or lb > radius + _RANGE_SLACK:
-                    continue
-                to_verify.append((float(lb) ** 2, seq_id))
-            return lower, upper
-
-        def traverse(node) -> None:
-            stats.nodes_visited += 1
-            if isinstance(node, _LeafNode):
-                consider(node.rows)
-                return
-            lower_arr, upper_arr = consider(np.array([node.vantage_id]))
-            lower, upper = float(lower_arr[0]), float(upper_arr[0])
-            # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median;
-            # for the right, D(Q,R) >= median - UB(Q,VP).
-            if lower - node.median <= radius + _RANGE_SLACK:
-                traverse(node.left)
-            else:
-                stats.subtrees_pruned += 1
-            if node.median - upper <= radius + _RANGE_SLACK:
-                traverse(node.right)
-            else:
-                stats.subtrees_pruned += 1
-
-        traverse(self._root)
-        return CandidateSet(entries=sorted(to_verify), generated=None)
+    def _range_walk(self, node, walk: BoundedWalk, bound: float) -> None:
+        walk.stats.nodes_visited += 1
+        if isinstance(node, _LeafNode):
+            walk.examine(node.rows.tolist())
+            return
+        walk.examine((node.vantage_id,))
+        # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median;
+        # for the right, D(Q,R) >= median - UB(Q,VP).
+        if walk.lower[node.vantage_id] - node.median <= bound:
+            self._range_walk(node.left, walk, bound)
+        else:
+            walk.stats.subtrees_pruned += 1
+        if node.median - walk.upper[node.vantage_id] <= bound:
+            self._range_walk(node.right, walk, bound)
+        else:
+            walk.stats.subtrees_pruned += 1
 
     # ------------------------------------------------------------------
     # Search
@@ -486,7 +455,8 @@ class VPTreeIndex:
                 list(self._names) if self._names is not None else [], dtype=str
             ),
             "config": np.array(
-                [str(self._count), str(self._n), self.bound_method],
+                [str(self._count), str(self._n), self.bound_method,
+                 str(int(self._guided))],
                 dtype=str,
             ),
             # Sketch database columns: the canonical SoA blocks (same
@@ -498,8 +468,6 @@ class VPTreeIndex:
                 dtype=str,
             ),
         }
-        from repro.storage.pagestore import SequencePageStore
-
         if isinstance(self._store, SequencePageStore):
             payload["store_path"] = np.array([self._store.path], dtype=str)
         else:
@@ -512,11 +480,10 @@ class VPTreeIndex:
     @classmethod
     def load(cls, path) -> "VPTreeIndex":
         """Load an index previously written by :meth:`save`."""
-        from repro.storage.pagestore import SequencePageStore
-
         with np.load(path, allow_pickle=False) as payload:
             index = object.__new__(cls)
-            count, n, bound_method = payload["config"].tolist()
+            # A file written before ``guided`` was saved has three fields.
+            count, n, bound_method, *guided = payload["config"].tolist()
             index._count = int(count)
             index._n = int(n)
             index.bound_method = bound_method
@@ -524,7 +491,7 @@ class VPTreeIndex:
             index._deleted = set(int(i) for i in payload["deleted"])
             names = payload["names"]
             index._names = tuple(names.tolist()) if names.size else None
-            index._guided = True
+            index._guided = guided != ["0"]
             index._leaf_size = int(payload["leaf_lengths"].max(initial=1))
             index._vantage_candidates = 8
             index._vantage_sample = 64

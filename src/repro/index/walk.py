@@ -1,0 +1,71 @@
+"""Per-query state of the sketch trees' fig. 11 walk.
+
+A tree query bounds the whole sketch database with **one** kernel call
+and walks its nodes reading the bounds by sequence id.  Every batch
+kernel is row-independent — ``kernel(batch, db.take(rows))`` equals
+``kernel(batch, db)[rows]`` bit for bit (``tests/bounds/test_batch.py``)
+— so a bound read from the full pass is the bound a node-local call
+would return.
+"""
+
+from __future__ import annotations
+
+import math
+
+from repro.bounds.batch import BatchBounds
+from repro.engine.core import CandidateSet, SigmaTracker
+from repro.spectral.dft import Spectrum
+
+__all__ = ["BoundedWalk"]
+
+
+class BoundedWalk:
+    """One query's bounds, and the objects its walk has examined.
+
+    ``lower`` / ``upper`` are lists of Python floats indexed by sequence
+    id.  ``examined`` holds ``(LB, seq_id)`` of every live object met, in
+    visit order, and ``sigma`` the k-th smallest upper bound among them
+    (``inf`` until k are met, and throughout a range walk: ``k=None``).
+    A tombstoned object is counted in ``stats.bound_computations`` like
+    any other — a deleted vantage point still routes by its bounds — but
+    never enters ``examined`` or ``sigma``.
+    """
+
+    def __init__(
+        self, kernel, sketch_db, query, stats, k=None, deleted=frozenset()
+    ) -> None:
+        lower, upper = kernel(
+            BatchBounds(Spectrum.from_series(query)), sketch_db
+        )
+        self.lower: list[float] = lower.tolist()
+        self.upper: list[float] = upper.tolist()
+        self.examined: list[tuple[float, int]] = []
+        self.sigma = math.inf
+        self.stats = stats
+        self._deleted = deleted
+        self._tracker = SigmaTracker(k) if k is not None else None
+
+    def examine(self, seq_ids) -> None:
+        """Meet the compressed objects ``seq_ids`` (a list or tuple)."""
+        self.stats.bound_computations += len(seq_ids)
+        lower, upper, deleted = self.lower, self.upper, self._deleted
+        examined, tracker = self.examined, self._tracker
+        for seq_id in seq_ids:
+            if seq_id in deleted:
+                continue
+            examined.append((lower[seq_id], seq_id))
+            # Only an upper bound below sigma changes the k smallest.
+            if tracker is not None and upper[seq_id] < self.sigma:
+                tracker.offer(upper[seq_id])
+                self.sigma = tracker.sigma()
+
+    def knn_result(self) -> CandidateSet:
+        """The examined objects that pass the SUB filter, by LB."""
+        sigma = self.sigma
+        near = ((lb * lb, i) for lb, i in self.examined if lb <= sigma)
+        return CandidateSet(
+            entries=sorted(near),
+            generated=len(self.examined),
+            sigma_sq=sigma * sigma,
+            top_ubs=self._tracker.values(),
+        )

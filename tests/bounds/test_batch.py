@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bounds import batch_bounds, bounds_for
+from repro.bounds.batch import _KERNELS, BatchBounds, get_batch_kernel
 from repro.compression import (
+    AdaptiveEnergyCompressor,
     BestErrorCompressor,
     BestMinCompressor,
     BestMinErrorCompressor,
@@ -98,6 +100,69 @@ class TestBatchEqualsScalar:
                 np.testing.assert_allclose(lb[row], pair.lower, atol=1e-9)
                 if not np.isinf(pair.upper):
                     np.testing.assert_allclose(ub[row], pair.upper, atol=1e-9)
+
+
+#: Every kernel name, with compressors whose sketches it can bound: a
+#: fixed-k one and, where the shape allows, the ragged adaptive one.
+KERNEL_SKETCHES = {
+    "gemini": [GeminiCompressor(5)],
+    "wang": [WangCompressor(5)],
+    "best_error": [BestErrorCompressor(5)],
+    "best_min": [BestMinCompressor(5)],
+    "best_min_error": [BestMinErrorCompressor(5)],
+    "adaptive_best_min_error": [AdaptiveEnergyCompressor(0.7, max_k=12)],
+    "best_min_error_safe": [
+        BestMinErrorCompressor(5),
+        AdaptiveEnergyCompressor(0.7, max_k=12),
+    ],
+}
+
+
+class TestRowIndependence:
+    """``kernel(batch, db.take(rows)) == kernel(batch, db)[rows]``, bitwise.
+
+    The sketch trees bound the whole database once per query and read a
+    node's bounds by row; that is the per-node computation only if no
+    kernel lets one row's result depend on which rows sit beside it.
+    """
+
+    def test_every_registered_kernel_is_covered(self):
+        assert set(KERNEL_SKETCHES) == set(_KERNELS)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=5000),
+        grown=st.booleans(),
+        data=st.data(),
+    )
+    def test_take_commutes_with_kernel(self, seed, grown, data):
+        matrix = make_matrix(seed, count=12, n=64)
+        rng = np.random.default_rng(seed + 1)
+        batch = BatchBounds(Spectrum.from_series(zscore(rng.normal(size=64))))
+        rows = data.draw(
+            st.one_of(
+                st.lists(st.integers(0, 11), min_size=1, max_size=30),
+                st.just(list(range(12))),
+            )
+        )
+        for method, compressors in KERNEL_SKETCHES.items():
+            kernel = get_batch_kernel(method)
+            for compressor in compressors:
+                if grown:
+                    db = SketchDatabase.from_matrix(matrix[:9], compressor)
+                    for row in matrix[9:]:
+                        db = db.appended(
+                            compressor.compress(Spectrum.from_series(row))
+                        )
+                else:
+                    db = SketchDatabase.from_matrix(matrix, compressor)
+                lower, upper = kernel(batch, db)
+                sub_lower, sub_upper = kernel(batch, db.take(rows))
+                context = (method, type(compressor).__name__, rows)
+                assert np.array_equal(sub_lower, lower[rows]), context
+                assert np.array_equal(
+                    sub_upper, upper[rows], equal_nan=True
+                ), context
 
 
 class TestOddLengths:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.compression import BestMinErrorCompressor
 from repro.exceptions import SeriesMismatchError
-from repro.index import VPTreeIndex, distances_to_query
+from repro.index import SearchStats, VPTreeIndex, distances_to_query
 from repro.storage import SequencePageStore
 from repro.timeseries import zscore
 
@@ -129,3 +129,36 @@ class TestSaveLoad:
         hits, _ = loaded.search(query, k=2)
         truth = np.sort(distances_to_query(full, query))[:2]
         np.testing.assert_allclose([h.distance for h in hits], truth, atol=1e-9)
+
+    def test_guided_flag_survives(self, tmp_path):
+        matrix = make_db(count=300, n=64, seed=11)
+        config = dict(compressor=BestMinErrorCompressor(16), leaf_size=4, seed=12)
+        index = VPTreeIndex(matrix, guided=False, **config)
+        guided_twin = VPTreeIndex(matrix, guided=True, **config)
+        index.save(tmp_path / "unguided.npz")
+        loaded = VPTreeIndex.load(tmp_path / "unguided.npz")
+
+        def walk(tree, query):
+            stats = SearchStats()
+            candidates = tree.knn_candidates(query, 1, stats)
+            return candidates, (
+                stats.bound_computations,
+                stats.nodes_visited,
+                stats.subtrees_pruned,
+            )
+
+        queries = make_db(count=20, n=64, seed=13)
+        for query in queries:
+            assert walk(loaded, query) == walk(index, query)
+        # The flag matters on this data: a load that forgot it would show.
+        assert any(
+            walk(guided_twin, query) != walk(index, query) for query in queries
+        )
+
+    def test_file_without_guided_loads_guided(self, matrix, tmp_path):
+        VPTreeIndex(matrix, guided=False, seed=14).save(tmp_path / "new.npz")
+        with np.load(tmp_path / "new.npz") as payload:
+            fields = dict(payload)
+        fields["config"] = fields["config"][:3]  # count, n, bound_method
+        np.savez_compressed(tmp_path / "old.npz", **fields)
+        assert VPTreeIndex.load(tmp_path / "old.npz")._guided is True

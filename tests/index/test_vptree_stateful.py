@@ -1,4 +1,10 @@
-"""Stateful testing of the dynamic VP-tree against a brute-force model."""
+"""Stateful testing of the dynamic VP-tree against a brute-force model.
+
+Every search is also replayed through the per-node fig. 11 reference
+(``fig11_reference.py``): candidates, counters, answers and
+``SearchStats`` must match it bit for bit after any interleaving of
+inserts, leaf rebuilds and removals.
+"""
 
 import numpy as np
 from hypothesis import settings
@@ -14,8 +20,14 @@ from hypothesis.stateful import (
 from repro.compression import BestMinErrorCompressor
 from repro.index import VPTreeIndex, distances_to_query
 from repro.timeseries import zscore
+from tests.index.fig11_reference import (
+    assert_same_answers,
+    assert_same_candidates,
+    vantage_ids,
+)
 
 N = 32
+LEAF_SIZE = 3
 
 
 def make_rows(count, seed):
@@ -33,15 +45,18 @@ def make_rows(count, seed):
 class VPTreeMachine(RuleBasedStateMachine):
     """Insert / remove / search interleavings stay exact vs brute force."""
 
-    @initialize(seed=st.integers(min_value=0, max_value=10_000))
-    def setup(self, seed):
+    @initialize(
+        seed=st.integers(min_value=0, max_value=10_000), guided=st.booleans()
+    )
+    def setup(self, seed, guided):
         self.seed = seed
         self.fresh = iter(make_rows(200, seed + 1))
         rows = make_rows(12, seed)
         self.index = VPTreeIndex(
             np.stack(rows),
             compressor=BestMinErrorCompressor(6),
-            leaf_size=3,
+            leaf_size=LEAF_SIZE,
+            guided=guided,
             seed=seed,
         )
         self.model: dict[int, np.ndarray] = dict(enumerate(rows))
@@ -53,6 +68,19 @@ class VPTreeMachine(RuleBasedStateMachine):
             return
         seq_id = self.index.insert(row)
         self.model[seq_id] = row
+
+    @rule(pick=st.integers(min_value=0, max_value=10**6))
+    def insert_past_rebuild(self, pick):
+        """Crowd one leaf past ``4 * leaf_size``: it is rebuilt as a subtree."""
+        anchor = self.model[sorted(self.model)[pick % len(self.model)]]
+        rng = np.random.default_rng(pick)
+        internal = len(vantage_ids(self.index))
+        for _ in range(3 * (4 * LEAF_SIZE + 1)):
+            row = zscore(anchor + 1e-3 * rng.normal(size=N))
+            self.model[self.index.insert(row)] = row
+            if len(vantage_ids(self.index)) > internal:
+                return
+        raise AssertionError("no leaf was rebuilt")
 
     @precondition(lambda self: len(self.model) > 2)
     @rule(pick=st.integers(min_value=0, max_value=10**6))
@@ -75,6 +103,9 @@ class VPTreeMachine(RuleBasedStateMachine):
             [h.distance for h in hits], truth, atol=1e-9
         )
         assert all(h.seq_id in self.model for h in hits)
+        for each in {k, len(self.model)}:
+            assert_same_candidates(self.index, "knn", query, each)
+            assert_same_answers(self.index, "knn", query, each)
 
     @precondition(lambda self: len(self.model) >= 1)
     @rule(seed=st.integers(min_value=0, max_value=10**6))
@@ -93,6 +124,8 @@ class VPTreeMachine(RuleBasedStateMachine):
             live_ids[i] for i in np.flatnonzero(truth <= radius)
         }
         assert {h.seq_id for h in hits} == expected
+        assert_same_candidates(self.index, "range", query, radius)
+        assert_same_answers(self.index, "range", query, radius)
 
     @invariant()
     def size_agrees(self):
