@@ -37,7 +37,7 @@ from repro.cluster.manifest import ShardManifest
 from repro.cluster.partitioner import Partitioner
 from repro.cluster.router import ShardRouter
 from repro.compression.database import SketchDatabase
-from repro.exceptions import CorruptionError, ReproError, SeriesMismatchError
+from repro.exceptions import CorruptionError, ReproError
 from repro.storage.pagestore import SequencePageStore
 from repro.tools.envparse import parse_env_int
 
@@ -143,14 +143,9 @@ def build_sharded(
         dynamic inserts.
     """
     from repro.engine.registry import get_index
+    from repro.index.base import SketchIndexBase, as_database
 
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise SeriesMismatchError(
-            f"expected a 2-D database matrix, got shape {matrix.shape}"
-        )
-    if names is not None and len(names) != len(matrix):
-        raise SeriesMismatchError("names must align with the matrix rows")
+    matrix, names = as_database(matrix, names)
     key = _canonical_backend(backend)
     if partitioner is None:
         partitioner = Partitioner(
@@ -169,10 +164,8 @@ def build_sharded(
     # per-shard compression would produce, since sketches are per-row).
     shared_sketches = None
     if key == "flat" and "sketch_db" not in index_kwargs and total:
-        from repro.compression.best_k import BestMinErrorCompressor
-
-        compressor = index_kwargs.get("compressor") or BestMinErrorCompressor(
-            14
+        compressor = (
+            index_kwargs.get("compressor") or SketchIndexBase.DEFAULT_COMPRESSOR
         )
         with obs.span("ingest.compress"):
             shared_sketches = SketchDatabase.from_matrix(matrix, compressor)

@@ -151,7 +151,6 @@ class SketchDatabase:
         compressor,
         names: Sequence[str] | None = None,
         basis: str = "fourier",
-        batch: bool = True,
     ) -> "SketchDatabase":
         """Compress every row of a ``(count, n)`` time-domain matrix.
 
@@ -159,13 +158,13 @@ class SketchDatabase:
         (:mod:`repro.compression.batch`) whenever the compressor family
         supports them — bit-identical to the per-row path, an order of
         magnitude faster at database scale — and falls back to
-        :meth:`from_matrix_scalar` otherwise (or when ``batch=False``).
+        :meth:`from_matrix_scalar` for a compressor without one.  Call
+        :meth:`from_matrix_scalar` directly for the per-row reference.
         """
-        if batch:
-            from repro.compression.batch import batch_compress, supports_batch
+        from repro.compression.batch import batch_compress, supports_batch
 
-            if supports_batch(compressor):
-                return batch_compress(matrix, compressor, names, basis)
+        if supports_batch(compressor):
+            return batch_compress(matrix, compressor, names, basis)
         return cls.from_matrix_scalar(matrix, compressor, names, basis)
 
     @classmethod

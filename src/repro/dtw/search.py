@@ -25,6 +25,7 @@ import numpy as np
 from repro.dtw.bounds import WarpingEnvelope, lb_kim
 from repro.dtw.distance import dtw_distance, resolve_band
 from repro.exceptions import SeriesMismatchError
+from repro.index.base import as_database
 from repro.index.results import Neighbor
 from repro.timeseries.preprocessing import as_float_array
 
@@ -70,14 +71,7 @@ class DTWSearch:
         band: int | float | None = 0.1,
         names: Sequence[str] | None = None,
     ) -> None:
-        self._matrix = np.asarray(matrix, dtype=np.float64)
-        if self._matrix.ndim != 2:
-            raise SeriesMismatchError(
-                f"expected a 2-D database matrix, got shape {self._matrix.shape}"
-            )
-        if names is not None and len(names) != len(self._matrix):
-            raise SeriesMismatchError("names must align with the matrix rows")
-        self._names = tuple(names) if names is not None else None
+        self._matrix, self._names = as_database(matrix, names)
         self.band = resolve_band(self._matrix.shape[1], band)
         # Precompute every candidate's envelope once (index-build time).
         envelopes = [

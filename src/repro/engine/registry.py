@@ -15,10 +15,16 @@ Every registered structure implements the engine's
 supports ``search``, ``range_search`` and
 :func:`~repro.engine.batch.search_many`.
 
-The sketch-based structures ("flat", "vptree", "mvptree") accept the
-compression keywords (``compressor``, ``store``, ``bound_method``); the
-exact/feature-space baselines ("mtree", "rtree", "scan") have no sketch
-to configure and reject them.  All builders accept ``names``.
+The six structures derive from :mod:`repro.index.base`, which holds
+their shared construction rules once.  The sketch-based structures
+("flat", "vptree", "mvptree") accept the compression keywords
+(``compressor``, ``bound_method``); the exact/feature-space baselines
+("mtree", "rtree", "scan") have no sketch to configure and reject them.
+The sketch structures and "scan" accept a verification ``store``: an
+empty one is filled from the matrix, and a non-empty one must hold
+exactly the matrix's rows or the builder raises
+:class:`~repro.exceptions.SeriesMismatchError`.  All builders accept
+``names``.
 """
 
 from __future__ import annotations

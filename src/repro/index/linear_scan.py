@@ -14,22 +14,16 @@ index uses — retrieves and compares all of them.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.engine.core import (
-    CandidateSet,
-    execute_knn,
-    execute_range,
-)
-from repro.exceptions import SeriesMismatchError
-from repro.index.results import Neighbor, SearchStats
+from repro.engine.core import CandidateSet
+from repro.index.base import IndexBase
+from repro.index.results import SearchStats
 
 __all__ = ["LinearScanIndex"]
 
 
-class LinearScanIndex:
+class LinearScanIndex(IndexBase):
     """Brute-force k-NN and range search over uncompressed sequences.
 
     Parameters
@@ -47,43 +41,6 @@ class LinearScanIndex:
     """
 
     obs_name = "index.scan"
-
-    def __init__(
-        self,
-        matrix: np.ndarray,
-        names: Sequence[str] | None = None,
-        store=None,
-    ) -> None:
-        self._matrix = np.asarray(matrix, dtype=np.float64)
-        if self._matrix.ndim != 2:
-            raise SeriesMismatchError(
-                f"expected a 2-D database matrix, got shape {self._matrix.shape}"
-            )
-        if names is not None and len(names) != len(self._matrix):
-            raise SeriesMismatchError("names must align with the matrix rows")
-        self._names = tuple(names) if names is not None else None
-        self._store = store
-        if store is not None and len(store) == 0:
-            store.append_matrix(self._matrix)
-
-    def __len__(self) -> int:
-        return int(self._matrix.shape[0])
-
-    @property
-    def sequence_length(self) -> int:
-        return int(self._matrix.shape[1])
-
-    @property
-    def store(self):
-        return self._store
-
-    def fetch(self, seq_id: int) -> np.ndarray:
-        if self._store is not None:
-            return self._store.read(seq_id)
-        return self._matrix[seq_id]
-
-    def result_name(self, seq_id: int) -> str | None:
-        return self._names[seq_id] if self._names is not None else None
 
     # ------------------------------------------------------------------
     # Candidate generation (the engine owns verification)
@@ -105,18 +62,3 @@ class LinearScanIndex:
         self, query: np.ndarray, radius: float, stats: SearchStats
     ) -> CandidateSet:
         return self._all_candidates()
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def search(
-        self, query, k: int = 1, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """The ``k`` nearest neighbours of ``query``, with cost statistics."""
-        return execute_knn(self, query, k, policy)
-
-    def range_search(
-        self, query, radius: float, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """All sequences within ``radius`` of the query."""
-        return execute_range(self, query, radius, policy)

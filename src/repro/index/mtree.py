@@ -37,16 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.core import (
-    RANGE_SLACK,
-    CandidateSet,
-    SigmaTracker,
-    execute_knn,
-    execute_range,
-)
-from repro.exceptions import SeriesMismatchError
+from repro.engine.core import RANGE_SLACK, CandidateSet, SigmaTracker
+from repro.index.base import IndexBase
 from repro.index.distance import euclidean_early_abandon_sq
-from repro.index.results import Neighbor, SearchStats
+from repro.index.results import SearchStats
 
 __all__ = ["MTreeStats", "MTreeIndex"]
 
@@ -72,7 +66,7 @@ class _Node:
     parent_entry: _Entry | None = None
 
 
-class MTreeIndex:
+class MTreeIndex(IndexBase):
     """Exact-distance M-tree over a matrix of sequences.
 
     Parameters
@@ -94,27 +88,14 @@ class MTreeIndex:
         capacity: int = 16,
         names: Sequence[str] | None = None,
     ) -> None:
-        self._matrix = np.asarray(matrix, dtype=np.float64)
-        if self._matrix.ndim != 2:
-            raise SeriesMismatchError(
-                f"expected a 2-D database matrix, got shape {self._matrix.shape}"
-            )
         if capacity < 4:
             raise ValueError(f"capacity must be >= 4, got {capacity}")
-        if names is not None and len(names) != len(self._matrix):
-            raise SeriesMismatchError("names must align with the matrix rows")
-        self._names = tuple(names) if names is not None else None
+        super().__init__(matrix, names)
         self._capacity = capacity
         self._root = _Node(is_leaf=True)
         self.build_distance_computations = 0
-        for seq_id in range(len(self._matrix)):
+        for seq_id in range(self._count):
             self._insert(seq_id)
-
-    def __len__(self) -> int:
-        return int(self._matrix.shape[0])
-
-    def _name(self, seq_id: int) -> str | None:
-        return self._names[seq_id] if self._names is not None else None
 
     def _distance(self, a_id: int, b_id: int) -> float:
         # Build and query must share ONE distance routine: the parent
@@ -248,16 +229,6 @@ class MTreeIndex:
     # ------------------------------------------------------------------
     # Candidate generation (the engine owns verification)
     # ------------------------------------------------------------------
-    @property
-    def sequence_length(self) -> int:
-        return int(self._matrix.shape[1])
-
-    def result_name(self, seq_id: int) -> str | None:
-        return self._name(seq_id)
-
-    def fetch(self, seq_id: int) -> np.ndarray:
-        return self._matrix[seq_id]
-
     def _traverse(
         self, query: np.ndarray, prune_bound, offer, stats: SearchStats
     ) -> tuple[list[tuple[float, int]], dict[int, float]]:
@@ -382,21 +353,6 @@ class MTreeIndex:
             generated=len(candidates),
             paid=exact_sq,
         )
-
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def search(
-        self, query, k: int = 1, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """The ``k`` nearest neighbours by exact best-first search."""
-        return execute_knn(self, query, k, policy)
-
-    def range_search(
-        self, query, radius: float, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """All sequences within ``radius`` of the query."""
-        return execute_range(self, query, radius, policy)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -26,20 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.bounds.batch import get_batch_kernel
-from repro.compression.best_k import BestMinErrorCompressor
-from repro.compression.database import SketchDatabase
-from repro.engine.core import (
-    RANGE_SLACK,
-    CandidateSet,
-    execute_knn,
-    execute_range,
-)
-from repro.exceptions import SeriesMismatchError
+from repro.engine.core import RANGE_SLACK, CandidateSet
+from repro.index.base import SketchIndexBase
 from repro.index.distance import distances_to_query
-from repro.index.results import Neighbor, SearchStats
+from repro.index.results import SearchStats
 from repro.index.walk import BoundedWalk
-from repro.storage.pagestore import MemorySequenceStore
 
 __all__ = ["MVPTreeIndex"]
 
@@ -67,7 +58,7 @@ class _Node:
     quadrants: list[_Quadrant]
 
 
-class MVPTreeIndex:
+class MVPTreeIndex(SketchIndexBase):
     """Four-way MVP-tree with compressed vantage points.
 
     The constructor arguments mirror :class:`repro.index.VPTreeIndex`.
@@ -88,44 +79,13 @@ class MVPTreeIndex:
         leaf_size: int = 16,
         seed: int = 0,
     ) -> None:
-        self._matrix = np.asarray(matrix, dtype=np.float64)
-        if self._matrix.ndim != 2:
-            raise SeriesMismatchError(
-                f"expected a 2-D database matrix, got shape {self._matrix.shape}"
-            )
-        if names is not None and len(names) != len(self._matrix):
-            raise SeriesMismatchError("names must align with the matrix rows")
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-
-        self._names = tuple(names) if names is not None else None
-        self._compressor = compressor or BestMinErrorCompressor(14)
-        self.bound_method = bound_method or self._compressor.method
-        self._kernel = get_batch_kernel(self.bound_method)
+        super().__init__(matrix, compressor, names, store, bound_method)
         self._leaf_size = leaf_size
         self._rng = np.random.default_rng(seed)
-
-        self._store = store if store is not None else MemorySequenceStore(
-            self._matrix.shape[1]
-        )
-        if len(self._store) == 0:
-            self._store.append_matrix(self._matrix)
-
-        # Batched compression — bit-identical to compressing per row.
-        self._sketch_db = SketchDatabase.from_matrix(
-            self._matrix, self._compressor
-        )
-        self._count = int(self._matrix.shape[0])
-        self._n = int(self._matrix.shape[1])
         self._root = self._build(np.arange(self._count), self._matrix)
         self._matrix = None
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def store(self):
-        return self._store
 
     # ------------------------------------------------------------------
     # Construction
@@ -204,16 +164,6 @@ class MVPTreeIndex:
             return lower - median
         return median - upper  # d(x, vp) > median  =>  D >= median - UB
 
-    @property
-    def sequence_length(self) -> int:
-        return self._n
-
-    def result_name(self, seq_id: int) -> str | None:
-        return self._names[seq_id] if self._names is not None else None
-
-    def fetch(self, seq_id: int) -> np.ndarray:
-        return self._store.read(seq_id)
-
     def _walk(self, node, walk: BoundedWalk, limit=None) -> None:
         """Visit the quadrants whose members may be within ``limit``, or,
         with ``limit=None`` (k-NN), within the walk's current ``sigma``,
@@ -242,7 +192,7 @@ class MVPTreeIndex:
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        walk = BoundedWalk(self._kernel, self._sketch_db, query, stats, k)
+        walk = BoundedWalk(*self._bounds(query), stats, k)
         self._walk(self._root, walk)
         return walk.knn_result()
 
@@ -252,20 +202,8 @@ class MVPTreeIndex:
         """Fixed-radius traversal: a quadrant is skipped when *either*
         vantage point's annulus condition proves every member farther
         than ``radius``."""
-        walk = BoundedWalk(self._kernel, self._sketch_db, query, stats)
+        walk = BoundedWalk(*self._bounds(query), stats)
         bound = radius + RANGE_SLACK
         self._walk(self._root, walk, bound)
         near = ((lb * lb, i) for lb, i in walk.examined if not lb > bound)
         return CandidateSet(entries=sorted(near), generated=None)
-
-    def search(
-        self, query, k: int = 1, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """The ``k`` nearest neighbours of an uncompressed query."""
-        return execute_knn(self, query, k, policy)
-
-    def range_search(
-        self, query, radius: float, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """All sequences within ``radius`` of the query."""
-        return execute_range(self, query, radius, policy)

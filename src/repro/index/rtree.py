@@ -31,14 +31,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.core import (
-    RANGE_SLACK,
-    CandidateSet,
-    execute_knn,
-    execute_range,
-)
-from repro.index.results import Neighbor, SearchStats
+from repro.engine.core import RANGE_SLACK, CandidateSet
 from repro.exceptions import SeriesMismatchError
+from repro.index.base import IndexBase
+from repro.index.results import SearchStats
 from repro.spectral.dft import Spectrum
 from repro.timeseries.preprocessing import as_float_array
 
@@ -342,7 +338,7 @@ def gemini_features_matrix(matrix: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([scale * coeffs.real, scale * coeffs.imag], axis=1)
 
 
-class GeminiRTreeIndex:
+class GeminiRTreeIndex(IndexBase):
     """The classic GEMINI pipeline: R-tree over first-k features + verify.
 
     Exactness follows from the lower-bounding lemma: feature distances
@@ -365,14 +361,7 @@ class GeminiRTreeIndex:
         capacity: int = 16,
         names: Sequence[str] | None = None,
     ) -> None:
-        self._matrix = np.asarray(matrix, dtype=np.float64)
-        if self._matrix.ndim != 2:
-            raise SeriesMismatchError(
-                f"expected a 2-D database matrix, got shape {self._matrix.shape}"
-            )
-        if names is not None and len(names) != len(self._matrix):
-            raise SeriesMismatchError("names must align with the matrix rows")
-        self._names = tuple(names) if names is not None else None
+        super().__init__(matrix, names)
         self.k = k
         # Featurise the whole database with one batched FFT; the tree
         # inserts stay per-row (insertion order shapes the node splits).
@@ -380,22 +369,6 @@ class GeminiRTreeIndex:
         self._tree = RTree(dimensions=features.shape[1], capacity=capacity)
         for row_id in range(features.shape[0]):
             self._tree.insert(features[row_id], row_id)
-
-    def __len__(self) -> int:
-        return int(self._matrix.shape[0])
-
-    def _name(self, seq_id: int) -> str | None:
-        return self._names[seq_id] if self._names is not None else None
-
-    @property
-    def sequence_length(self) -> int:
-        return int(self._matrix.shape[1])
-
-    def result_name(self, seq_id: int) -> str | None:
-        return self._name(seq_id)
-
-    def fetch(self, seq_id: int) -> np.ndarray:
-        return self._matrix[seq_id]
 
     def _feature_stream(
         self, query: np.ndarray, stats: SearchStats
@@ -427,15 +400,3 @@ class GeminiRTreeIndex:
                 self._feature_stream(query, stats),
             ),
         )
-
-    def search(
-        self, query, k: int = 1, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """Exact k-NN via incremental feature-space NN + verification."""
-        return execute_knn(self, query, k, policy)
-
-    def range_search(
-        self, query, radius: float, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """All sequences within ``radius`` of the query."""
-        return execute_range(self, query, radius, policy)

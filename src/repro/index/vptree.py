@@ -45,17 +45,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.bounds.batch import get_batch_kernel
-from repro.compression.best_k import BestMinErrorCompressor
 from repro.compression.database import SketchDatabase
-from repro.engine.core import (
-    RANGE_SLACK as _RANGE_SLACK,
-    CandidateSet,
-    execute_knn,
-    execute_range,
-)
+from repro.engine.core import RANGE_SLACK as _RANGE_SLACK, CandidateSet
 from repro.exceptions import SeriesMismatchError
+from repro.index.base import IndexBase, SketchIndexBase
 from repro.index.distance import distances_to_query
-from repro.index.results import Neighbor, SearchStats
+from repro.index.results import SearchStats
 from repro.index.walk import BoundedWalk
 from repro.spectral.dft import Spectrum
 from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
@@ -77,7 +72,7 @@ class _InternalNode:
     right: "_InternalNode | _LeafNode"
 
 
-class VPTreeIndex:
+class VPTreeIndex(SketchIndexBase):
     """A VP-tree over compressed sequence representations.
 
     Parameters
@@ -131,41 +126,16 @@ class VPTreeIndex:
         guided: bool = True,
         seed: int = 0,
     ) -> None:
-        self._matrix = np.asarray(matrix, dtype=np.float64)
-        if self._matrix.ndim != 2:
-            raise SeriesMismatchError(
-                f"expected a 2-D database matrix, got shape {self._matrix.shape}"
-            )
-        if names is not None and len(names) != len(self._matrix):
-            raise SeriesMismatchError("names must align with the matrix rows")
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
         if vantage_candidates < 1 or vantage_sample < 2:
             raise ValueError("vantage sampling parameters out of range")
-
-        self._names = tuple(names) if names is not None else None
-        self._compressor = compressor or BestMinErrorCompressor(14)
-        self.bound_method = bound_method or self._compressor.method
-        self._kernel = get_batch_kernel(self.bound_method)
+        super().__init__(matrix, compressor, names, store, bound_method)
         self._leaf_size = leaf_size
         self._vantage_candidates = vantage_candidates
         self._vantage_sample = vantage_sample
         self._guided = guided
         self._rng = np.random.default_rng(seed)
-
-        self._store = store if store is not None else MemorySequenceStore(
-            self._matrix.shape[1]
-        )
-        if len(self._store) == 0:
-            self._store.append_matrix(self._matrix)
-
-        # Batched compression (bit-identical to compressing per row);
-        # the packed database is the only sketch state the index keeps.
-        self._sketch_db = SketchDatabase.from_matrix(
-            self._matrix, self._compressor
-        )
-        self._count = int(self._matrix.shape[0])
-        self._n = int(self._matrix.shape[1])
         self._deleted: set[int] = set()
         self._root = self._build(np.arange(self._count), self._matrix)
         # Construction is the only phase that holds all raw rows; drop them
@@ -178,10 +148,6 @@ class VPTreeIndex:
     def __len__(self) -> int:
         """Number of live (non-deleted) sequences in the index."""
         return self._count - len(self._deleted)
-
-    @property
-    def store(self):
-        return self._store
 
     def _select_vantage(self, rows: np.ndarray) -> int:
         """Row index (into ``rows``) of the highest-distance-spread candidate."""
@@ -296,18 +262,6 @@ class VPTreeIndex:
     # ------------------------------------------------------------------
     # Candidate generation (the engine owns verification)
     # ------------------------------------------------------------------
-    @property
-    def sequence_length(self) -> int:
-        return self._n
-
-    def result_name(self, seq_id: int) -> str | None:
-        if self._names is None or seq_id >= len(self._names):
-            return None
-        return self._names[seq_id]
-
-    def fetch(self, seq_id: int) -> np.ndarray:
-        return self._store.read(seq_id)
-
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
@@ -317,9 +271,7 @@ class VPTreeIndex:
         far — drives the subtree pruning rules; the engine applies the
         final SUB filter and verifies the survivors.
         """
-        walk = BoundedWalk(
-            self._kernel, self._sketch_db, query, stats, k, self._deleted
-        )
+        walk = BoundedWalk(*self._bounds(query), stats, k, self._deleted)
         self._knn_walk(self._root, walk)
         return walk.knn_result()
 
@@ -365,9 +317,7 @@ class VPTreeIndex:
         ``radius``; a candidate whose lower bound exceeds ``radius`` is
         rejected without touching its uncompressed form.
         """
-        walk = BoundedWalk(
-            self._kernel, self._sketch_db, query, stats, deleted=self._deleted
-        )
+        walk = BoundedWalk(*self._bounds(query), stats, deleted=self._deleted)
         bound = radius + _RANGE_SLACK
         self._range_walk(self._root, walk, bound)
         # lb > bound rejects without touching the full sequence; the slack
@@ -394,20 +344,10 @@ class VPTreeIndex:
         else:
             walk.stats.subtrees_pruned += 1
 
-    # ------------------------------------------------------------------
-    # Search
-    # ------------------------------------------------------------------
-    def search(
-        self, query, k: int = 1, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """The ``k`` nearest neighbours of an *uncompressed* query."""
-        return execute_knn(self, query, k, policy)
-
-    def range_search(
-        self, query, radius: float, policy=None
-    ) -> tuple[list[Neighbor], SearchStats]:
-        """All sequences within ``radius`` of the query (epsilon search)."""
-        return execute_range(self, query, radius, policy)
+    # ``bench/trace.py`` wraps only methods in a class's own ``__dict__``,
+    # so the engine entry points are bound here by name.
+    search = IndexBase.search
+    range_search = IndexBase.range_search
 
     # ------------------------------------------------------------------
     # Persistence

@@ -1,8 +1,9 @@
 """Per-query state of the sketch trees' fig. 11 walk.
 
 A tree query bounds the whole sketch database with **one** kernel call
-and walks its nodes reading the bounds by sequence id.  Every batch
-kernel is row-independent — ``kernel(batch, db.take(rows))`` equals
+(:meth:`~repro.index.base.SketchIndexBase._bounds`) and walks its nodes
+reading the bounds by sequence id.  Every batch kernel is
+row-independent — ``kernel(batch, db.take(rows))`` equals
 ``kernel(batch, db)[rows]`` bit for bit (``tests/bounds/test_batch.py``)
 — so a bound read from the full pass is the bound a node-local call
 would return.
@@ -12,9 +13,7 @@ from __future__ import annotations
 
 import math
 
-from repro.bounds.batch import BatchBounds
 from repro.engine.core import CandidateSet, SigmaTracker
-from repro.spectral.dft import Spectrum
 
 __all__ = ["BoundedWalk"]
 
@@ -22,9 +21,10 @@ __all__ = ["BoundedWalk"]
 class BoundedWalk:
     """One query's bounds, and the objects its walk has examined.
 
-    ``lower`` / ``upper`` are lists of Python floats indexed by sequence
-    id.  ``examined`` holds ``(LB, seq_id)`` of every live object met, in
-    visit order, and ``sigma`` the k-th smallest upper bound among them
+    Built from the kernel's two bound arrays, ``lower`` / ``upper`` are
+    lists of Python floats indexed by sequence id.  ``examined`` holds
+    ``(LB, seq_id)`` of every live object met, in visit order, and
+    ``sigma`` the k-th smallest upper bound among them
     (``inf`` until k are met, and throughout a range walk: ``k=None``).
     A tombstoned object is counted in ``stats.bound_computations`` like
     any other — a deleted vantage point still routes by its bounds — but
@@ -32,11 +32,8 @@ class BoundedWalk:
     """
 
     def __init__(
-        self, kernel, sketch_db, query, stats, k=None, deleted=frozenset()
+        self, lower, upper, stats, k=None, deleted=frozenset()
     ) -> None:
-        lower, upper = kernel(
-            BatchBounds(Spectrum.from_series(query)), sketch_db
-        )
         self.lower: list[float] = lower.tolist()
         self.upper: list[float] = upper.tolist()
         self.examined: list[tuple[float, int]] = []

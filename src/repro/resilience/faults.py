@@ -484,9 +484,9 @@ class FaultyStore:
 class FaultyIndex:
     """An engine-index wrapper that injects faults into ``fetch``.
 
-    The M-tree, R-tree and linear-scan structures fetch straight from
-    their in-memory matrices, so store-level wrappers cannot reach them;
-    this wrapper conforms to the
+    The M-tree and R-tree fetch straight from their in-memory matrices,
+    and so does the linear scan when built without a store, so
+    store-level wrappers cannot reach them; this wrapper conforms to the
     :class:`~repro.engine.core.EngineIndex` protocol and faults the one
     seam every backend shares — the verifier's ``fetch`` — which is how
     the acceptance suite drives all six backends through identical fault

@@ -91,8 +91,8 @@ def test_from_matrix_dispatches_to_batch(monkeypatch):
     explicit = batch_compress(matrix, compressor)
     assert databases_equal(via_dispatch, explicit)
 
-    # batch=False pins the scalar path; result must still be identical.
-    scalar = SketchDatabase.from_matrix(matrix, compressor, batch=False)
+    # The per-row reference path must give the identical database.
+    scalar = SketchDatabase.from_matrix_scalar(matrix, compressor)
     assert databases_equal(via_dispatch, scalar)
 
 

@@ -235,5 +235,5 @@ class TestRoundTrips:
         )
         compressor = BestMinErrorCompressor(5)
         batch = SketchDatabase.from_matrix(matrix, compressor)
-        scalar = SketchDatabase.from_matrix(matrix, compressor, batch=False)
+        scalar = SketchDatabase.from_matrix_scalar(matrix, compressor)
         assert_databases_equal(batch, scalar)

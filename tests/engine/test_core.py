@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine import get_index
+from repro.engine import available_indexes, get_index
 from repro.engine.core import (
     CandidateSet,
     EngineIndex,
@@ -15,6 +15,7 @@ from repro.engine.core import (
     execute_range,
 )
 from repro.exceptions import SeriesMismatchError
+from repro.stream.index import StreamIndex
 
 
 class TestSigmaTracker:
@@ -103,9 +104,21 @@ class TestAccountingInvariant:
         with pytest.raises(AssertionError, match="accounting drift"):
             execute_range(_DriftingIndex(matrix), matrix[0], radius=1.0)
 
-    def test_real_indexes_satisfy_protocol(self, matrix):
-        index = get_index("flat", matrix)
-        assert isinstance(index, EngineIndex)
+    @pytest.mark.parametrize("name", [*available_indexes(), "stream"])
+    def test_real_indexes_satisfy_protocol(self, matrix, name):
+        if name == "stream":
+            names = [f"s{i}" for i in range(len(matrix))]
+            index = StreamIndex(
+                "flat", matrix[:80], names[:80], matrix[80:], names[80:]
+            )
+        else:
+            index = get_index(name, matrix)
+        try:
+            assert isinstance(index, EngineIndex)
+        finally:
+            close = getattr(index, "close", None)
+            if close is not None:
+                close()
 
 
 class TestValidation:
