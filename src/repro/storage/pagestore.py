@@ -26,26 +26,35 @@ See ``docs/RESILIENCE.md`` for the fault model.
 
 Reads have two physical paths with identical semantics and accounting:
 
-* **buffered** (default) — ``seek`` + ``read`` on the backing file, one
-  syscall pair per sequence;
+* **buffered** (default) — :meth:`SequencePageStore.read` is a ``seek``
+  + ``read`` on the backing file; :meth:`SequencePageStore.read_many`
+  sorts a block's disk reads by offset and reads each run of adjacent
+  sequences with one ``preadv(2)`` straight into the block buffer;
 * **memory-mapped** (``use_mmap=True`` or ``REPRO_MMAP=1``) — the file
   is mapped once and raw blocks are gathered as numpy slices of the
-  map, so :meth:`SequencePageStore.read_many` serves a whole candidate
-  block with zero syscalls.  CRC validation, the
-  :class:`~repro.storage.cache.SequenceCache` and every
-  :class:`IOStats` charge are unchanged — pages are *logical* I/O
-  units, charged whether the bytes arrive via ``read(2)`` or a page
-  fault.
+  map, so ``read_many`` serves a whole candidate block with zero
+  syscalls.
 
-:meth:`SequencePageStore.read_many` replays exactly the per-id scalar
-sequence — cache probe, charge, raw-block gather, CRC validation, cache
-fill, in id order — but defers the payload *assembly* (page
-de-concatenation and float64 reinterpretation) to one vectorised pass
-over the whole batch, which is where the scalar loop spends its time.
+CRC validation, the :class:`~repro.storage.cache.SequenceCache` and
+every :class:`IOStats` charge are the same on both — pages are *logical*
+I/O units, charged whether the bytes arrive via ``read(2)`` or a page
+fault.
+
+:meth:`SequencePageStore.read_many` handles a block of ids as arrays:
+one bounds check, one planning pass over the cache
+(:meth:`~repro.storage.cache.SequenceCache.replay`), one gather of the
+disk reads, one CRC pass over every page, counters charged in aggregate
+and the payloads copied straight into the result, one strided copy per
+page column.  Everything it reports — bytes, :class:`IOStats`, cache
+counters and LRU order — equals what :meth:`SequencePageStore.read`
+called per id in request order reports.  A block that fails any check
+is handed to that per-id loop whole, so errors, and the side effects
+before them, are the loop's own.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import zlib
@@ -117,6 +126,19 @@ _BULK_CHUNK_BYTES = 4 << 20
 #: able to request absurd allocations before the CRC check existed (v1).
 _MAX_PAGE_SIZE = 1 << 24
 _MAX_SEQUENCE_LENGTH = 1 << 40
+#: ``preadv(2)``, and the most buffers one call accepts (``EINVAL``
+#: beyond it).  Where it is missing, buffered blocks are read per id.
+_PREADV = getattr(os, "preadv", None)
+_IOV_MAX = os.sysconf("SC_IOV_MAX") if _PREADV is not None else 0
+
+
+def _checked_ids(seq_ids, count: int) -> np.ndarray:
+    """``seq_ids`` as an array; the first id outside ``[0, count)`` raises."""
+    ids = np.fromiter(seq_ids, dtype=np.intp)
+    outside = (ids < 0) | (ids >= count)
+    if outside.any():
+        raise KeyNotFoundError(int(ids[outside.argmax()]))
+    return ids
 
 
 @dataclass
@@ -149,6 +171,33 @@ class IOStats:
         self.read_calls += 1
         obs.add("storage.read_calls")
         obs.add("storage.pages_read", 0)
+
+    def charge_many(
+        self, first_pages: np.ndarray, page_count: int, cached: int
+    ) -> None:
+        """Record a block: one read at each of ``first_pages``, in request
+        order, plus ``cached`` cache hits.
+
+        Leaves every counter where :meth:`charge` per read and
+        :meth:`charge_cached` per hit, in request order, leave them:
+        hits move no head, so only the reads' order decides the seeks.
+        """
+        reads = len(first_pages)
+        self.read_calls += reads + cached
+        obs.add("storage.read_calls", reads + cached)
+        obs.add("storage.pages_read", reads * page_count)
+        if not reads:
+            return
+        self.pages_read += reads * page_count
+        seeks = int(
+            np.count_nonzero(first_pages[1:] != first_pages[:-1] + page_count)
+        )
+        if self._last_page is None or first_pages[0] != self._last_page:
+            seeks += 1
+        if seeks:
+            self.seeks += seeks
+            obs.add("storage.seeks", seeks)
+        self._last_page = int(first_pages[-1]) + page_count
 
     def reset(self) -> None:
         self.read_calls = 0
@@ -549,44 +598,82 @@ class SequencePageStore:
         flat[:, payload:] = checksums.view(np.uint8).reshape(-1, _PAGE_CRC_BYTES)
         return buf.reshape(-1)
 
-    def _decode_block(self, seq_id: int, block: bytes) -> np.ndarray:
-        """Validate a sequence's pages and strip the checksums."""
+    # ------------------------------------------------------------------
+    # Block checks and decoding: one checker, one decoder, any count
+    # ------------------------------------------------------------------
+    def _failed_pages(self, raw: np.ndarray) -> np.ndarray:
+        """Pages of the C-contiguous uint8 blocks ``raw`` whose CRC fails.
+
+        Returns flat page numbers (``row * pages_per_sequence + page``),
+        ascending; empty for format 1 or with verification off.  Pure:
+        no counter moves.  The stored CRCs are read as one ``<u4`` view,
+        and ``zlib.crc32`` is the only call made per page.
+        """
+        if self.format_version == 1 or not self.verify_checksums:
+            return np.empty(0, dtype=np.intp)
+        pages = raw.reshape(-1, self.page_size)
+        payload = self._payload_per_page
+        stored = pages[:, payload:].view("<u4")[:, 0]
+        flat = memoryview(raw).cast("B")
+        crc32 = zlib.crc32
+        computed = np.fromiter(
+            [
+                crc32(flat[start : start + payload])
+                for start in range(0, len(flat), self.page_size)
+            ],
+            dtype=np.uint32,
+            count=len(pages),
+        )
+        return np.flatnonzero(computed != stored)
+
+    def _check_block(self, seq_id: int, block: np.ndarray) -> None:
+        """Raise the typed error for the first fault of one raw block.
+
+        :class:`~repro.exceptions.TornWriteError` for a short block or a
+        page never written, :class:`~repro.exceptions.CorruptionError`
+        for a CRC mismatch.
+        """
         expected = self._pages_per_sequence * self.page_size
         if len(block) < expected:
             raise TornWriteError(
                 f"store {self.path!r}: sequence {seq_id} is truncated "
                 f"({len(block)} of {expected} bytes on disk)"
             )
-        if self.format_version == 1:
-            payload = block[: self.sequence_length * 8]
-            return np.frombuffer(payload, dtype=np.float64).copy()
-        payload = bytearray()
-        verify = self.verify_checksums
-        for page in range(self._pages_per_sequence):
-            start = page * self.page_size
-            chunk = block[start : start + self._payload_per_page]
-            if verify:
-                stored = _PAGE_CRC.unpack_from(
-                    block, start + self._payload_per_page
-                )[0]
-                computed = zlib.crc32(chunk)
-                if stored != computed:
-                    page_bytes = block[start : start + self.page_size]
-                    obs.add("resilience.corrupt_pages")
-                    if not any(page_bytes):
-                        raise TornWriteError(
-                            f"store {self.path!r}: sequence {seq_id} page "
-                            f"{page} was never written (torn write)"
-                        )
-                    raise CorruptionError(
-                        f"store {self.path!r}: sequence {seq_id} page "
-                        f"{page} CRC mismatch (stored {stored:#010x}, "
-                        f"computed {computed:#010x})"
-                    )
-            payload += chunk
-        return np.frombuffer(
-            bytes(payload[: self.sequence_length * 8]), dtype=np.float64
-        ).copy()
+        failed = self._failed_pages(block)
+        if not failed.size:
+            return
+        page = int(failed[0])
+        page_bytes = block[page * self.page_size : (page + 1) * self.page_size]
+        stored = int(page_bytes[self._payload_per_page :].view("<u4")[0])
+        computed = zlib.crc32(page_bytes[: self._payload_per_page])
+        obs.add("resilience.corrupt_pages")
+        if not page_bytes.any():
+            raise TornWriteError(
+                f"store {self.path!r}: sequence {seq_id} page "
+                f"{page} was never written (torn write)"
+            )
+        raise CorruptionError(
+            f"store {self.path!r}: sequence {seq_id} page "
+            f"{page} CRC mismatch (stored {stored:#010x}, "
+            f"computed {computed:#010x})"
+        )
+
+    def _decode(self, raw: np.ndarray) -> np.ndarray:
+        """The ``(m, sequence_length)`` payloads of ``m`` raw blocks.
+
+        Copies straight into the result, one strided copy per page
+        column; the page tails (CRC and padding) are skipped.
+        """
+        count = raw.shape[0]
+        out = np.empty((count, self.sequence_length), dtype=np.float64)
+        dest = out.view(np.uint8)
+        pages = raw.reshape(count, self._pages_per_sequence, self.page_size)
+        row_bytes = dest.shape[1]
+        payload = self._payload_per_page
+        for page, start in enumerate(range(0, row_bytes, payload)):
+            width = min(payload, row_bytes - start)
+            dest[:, start : start + width] = pages[:, page, :width]
+        return out
 
     # ------------------------------------------------------------------
     # Raw block access: buffered or memory-mapped
@@ -652,131 +739,120 @@ class SequencePageStore:
             cached = cache.get(seq_id)
             if cached is not None:
                 self.stats.charge_cached()
+                block = np.frombuffer(cached, dtype=np.uint8)
                 try:
-                    return self._decode_block(seq_id, cached)
+                    self._check_block(seq_id, block)
                 except CorruptionError:
                     # A block that no longer validates (e.g. checksum
                     # verification was toggled on after it was cached)
                     # must not be served again.
                     cache.invalidate(seq_id)
                     raise
+                return self._decode(block[None])[0]
         offset = self._offset_of(seq_id)
         self.stats.charge(offset // self.page_size, self._pages_per_sequence)
-        block = self._read_block(seq_id)
-        decoded = self._decode_block(seq_id, block)
+        data = self._read_block(seq_id)
+        block = np.frombuffer(data, dtype=np.uint8)
+        self._check_block(seq_id, block)
         if cache is not None:
-            cache.put(seq_id, block)
-        return decoded
-
-    def _validate_block(self, seq_id: int, block: np.ndarray) -> None:
-        """CRC-check one raw block (uint8 row) without assembling payload.
-
-        Raises exactly what :meth:`_decode_block` would raise for the
-        same bytes — same exception types, same messages — so the bulk
-        reader's failure surface is indistinguishable from the scalar
-        one.
-        """
-        if len(block) < self._pages_per_sequence * self.page_size:
-            raise TornWriteError(
-                f"store {self.path!r}: sequence {seq_id} is truncated "
-                f"({len(block)} of "
-                f"{self._pages_per_sequence * self.page_size} bytes on disk)"
-            )
-        if self.format_version == 1 or not self.verify_checksums:
-            return
-        pages = block.reshape(self._pages_per_sequence, self.page_size)
-        for page in range(self._pages_per_sequence):
-            chunk = pages[page, : self._payload_per_page]
-            stored = _PAGE_CRC.unpack_from(
-                pages[page], self._payload_per_page
-            )[0]
-            computed = zlib.crc32(chunk)
-            if stored != computed:
-                obs.add("resilience.corrupt_pages")
-                if not pages[page].any():
-                    raise TornWriteError(
-                        f"store {self.path!r}: sequence {seq_id} page "
-                        f"{page} was never written (torn write)"
-                    )
-                raise CorruptionError(
-                    f"store {self.path!r}: sequence {seq_id} page "
-                    f"{page} CRC mismatch (stored {stored:#010x}, "
-                    f"computed {computed:#010x})"
-                )
-
-    def _extract_payloads(self, raw: np.ndarray) -> np.ndarray:
-        """One vectorised payload assembly for a batch of raw blocks.
-
-        ``raw`` is ``(m, block_bytes)`` uint8; the result is the
-        ``(m, sequence_length)`` float64 matrix whose rows are bitwise
-        what :meth:`_decode_block` returns for each block.
-        """
-        count = raw.shape[0]
-        row_bytes = self.sequence_length * 8
-        if self.format_version == 1:
-            payload = raw[:, :row_bytes]
-        else:
-            pages = raw.reshape(
-                count, self._pages_per_sequence, self.page_size
-            )
-            payload = np.ascontiguousarray(
-                pages[:, :, : self._payload_per_page]
-            ).reshape(count, -1)[:, :row_bytes]
-        return np.ascontiguousarray(payload).view(np.float64)
+            cache.put(seq_id, data)
+        return self._decode(block[None])[0]
 
     def read_many(self, seq_ids) -> np.ndarray:
         """Fetch several sequences as a ``(len(seq_ids), n)`` matrix.
 
-        Semantics and accounting replay :meth:`read` per id in order —
-        cache probe (hits are re-validated and charged as cached reads),
-        :class:`IOStats` charge, raw-block gather, CRC validation, cache
-        fill — so counters, cache dynamics and failure behaviour are
-        identical to the scalar loop.  Two things are vectorised: with
-        the store memory-mapped the gather is a numpy slice per id
-        (zero syscalls), and the payload assembly for the whole batch is
-        a single numpy pass instead of per-id byte joins.
+        Returns, raises and counts exactly what :meth:`read` called per
+        id in request order would — payload bytes, :class:`IOStats`
+        (seeks in request order), cache hits, misses, evictions and LRU
+        order — but handles the block as arrays: the cache is planned
+        in one pass (:meth:`SequenceCache.replay`), the disk reads are
+        one gather, every page is CRC-checked in one pass, and the
+        counters are charged in aggregate.  The checks run before any
+        side effect; a block that fails one (a bad page, a short file)
+        is read by the per-id loop instead, which then raises exactly
+        where, and after exactly the side effects, it always did.
         """
-        ids = [int(seq_id) for seq_id in seq_ids]
-        if not ids:
+        ids = _checked_ids(seq_ids, self._count)
+        if not ids.size:
             return np.empty((0, self.sequence_length), dtype=np.float64)
-        for seq_id in ids:
-            if not 0 <= seq_id < self._count:
-                raise KeyNotFoundError(seq_id)
+        requests = ids.tolist()
         block_bytes = self._pages_per_sequence * self.page_size
-        view = self._block_view()
-        cache = self._cache
         raw = np.empty((len(ids), block_bytes), dtype=np.uint8)
-        for row, seq_id in enumerate(ids):
-            cached = cache.get(seq_id) if cache is not None else None
-            if cached is not None:
-                self.stats.charge_cached()
-                block = np.frombuffer(cached, dtype=np.uint8)
-                try:
-                    self._validate_block(seq_id, block)
-                except CorruptionError:
-                    cache.invalidate(seq_id)
-                    raise
-                raw[row, : len(block)] = block
-                continue
-            offset = self._offset_of(seq_id)
-            self.stats.charge(
-                offset // self.page_size, self._pages_per_sequence
-            )
-            if view is not None:
-                raw[row] = view[seq_id]
-            else:
-                self._file.seek(offset)
-                block = np.frombuffer(
-                    self._file.read(block_bytes), dtype=np.uint8
-                )
-                raw[row, : len(block)] = block
-                if len(block) < block_bytes:
-                    # Same truncation surface as the scalar decode.
-                    self._validate_block(seq_id, block)
-            self._validate_block(seq_id, raw[row])
-            if cache is not None:
-                cache.put(seq_id, raw[row].tobytes())
-        return self._extract_payloads(raw)
+        cache = self._cache
+        if cache is None:
+            replay, misses = None, np.arange(len(ids))
+        else:
+            replay = cache.replay(requests, block_bytes)
+            misses = np.array(replay.misses, dtype=np.intp)
+            flat = memoryview(raw).cast("B")
+            for position, block in replay.hits:
+                if len(block) != block_bytes:  # per-id reads raise on it
+                    return self._read_each(requests)
+                flat[position * block_bytes : (position + 1) * block_bytes] = block
+        if misses.size and not self._read_into(raw, ids[misses], misses):
+            return self._read_each(requests)
+        if replay is not None:
+            for position, source in replay.repeats:
+                raw[position] = raw[source]
+        if self._failed_pages(raw).size:
+            return self._read_each(requests)
+        self.stats.charge_many(
+            self._offset_of(ids[misses]) // self.page_size,
+            self._pages_per_sequence,
+            cached=len(ids) - len(misses),
+        )
+        if replay is not None:
+            cache.commit(replay, raw)
+        return self._decode(raw)
+
+    def _read_each(self, seq_ids: list[int]) -> np.ndarray:
+        """:meth:`read` per id, in order: the reference ``read_many``."""
+        return np.stack([self.read(seq_id) for seq_id in seq_ids])
+
+    def _read_into(
+        self, raw: np.ndarray, seq_ids: np.ndarray, rows: np.ndarray
+    ) -> bool:
+        """Copy the on-disk blocks of ``seq_ids`` into ``raw[rows]``.
+
+        Memory-mapped, one fancy-index gather.  Buffered, the ids are
+        sorted by offset, adjacent ones joined into runs, and each run
+        is one ``preadv(2)`` into the rows it fills (split at
+        ``IOV_MAX`` rows).  Returns False when the blocks cannot all be
+        read that way — a short file, a closed one, or a backing file
+        object that is not the store's own (fault injection wraps it
+        and must see every ``read``) — and the caller reads per id.
+        """
+        view = self._block_view()
+        if view is not None:
+            raw[rows] = view[seq_ids]
+            return True
+        file = self._file
+        if _PREADV is None or type(file) is not io.BufferedRandom or file.closed:
+            return False
+        file.flush()  # appends may still sit in the file object's buffer
+        block_bytes = raw.shape[1]
+        order = np.argsort(seq_ids, kind="stable")
+        ordered = seq_ids[order]
+        # A read starts where the ids stop being adjacent, and every
+        # IOV_MAX rows into a run.
+        position = np.arange(len(ordered))
+        new_run = np.empty(len(ordered), dtype=bool)
+        new_run[0] = True
+        np.not_equal(np.diff(ordered), 1, out=new_run[1:])
+        run_start = np.maximum.accumulate(np.where(new_run, position, 0))
+        starts = np.flatnonzero(new_run | ((position - run_start) % _IOV_MAX == 0))
+        flat = memoryview(raw).cast("B")
+        buffers = [
+            flat[row * block_bytes : (row + 1) * block_bytes]
+            for row in rows[order].tolist()
+        ]
+        fd = file.fileno()
+        bounds = starts.tolist() + [len(ordered)]
+        offsets = self._offset_of(ordered[starts]).tolist()
+        for start, stop, offset in zip(bounds, bounds[1:], offsets):
+            if _PREADV(fd, buffers[start:stop], offset) != (stop - start) * block_bytes:
+                return False
+        return True
 
     def scrub(self) -> tuple[int, ...]:
         """Verify every stored sequence; return the ids that fail.
@@ -794,8 +870,9 @@ class SequencePageStore:
         """
         bad: list[int] = []
         for seq_id in range(self._count):
+            block = np.frombuffer(self._read_block(seq_id), dtype=np.uint8)
             try:
-                self._decode_block(seq_id, self._read_block(seq_id))
+                self._check_block(seq_id, block)
             except CorruptionError:
                 bad.append(seq_id)
         if bad:
@@ -818,10 +895,13 @@ class MemorySequenceStore:
             raise StorageError("sequence_length must be positive")
         self.sequence_length = int(sequence_length)
         self.stats = IOStats()
-        self._rows: list[np.ndarray] = []
+        # Row storage with spare capacity; the first ``_count`` rows hold
+        # the sequences, so a block read is one fancy index.
+        self._matrix = np.empty((0, self.sequence_length), dtype=np.float64)
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._count
 
     @property
     def pages_per_sequence(self) -> int:
@@ -834,8 +914,7 @@ class MemorySequenceStore:
                 f"store holds sequences of length {self.sequence_length}, "
                 f"got {arr.size}"
             )
-        self._rows.append(arr.copy())
-        return len(self._rows) - 1
+        return self._extend(arr.reshape(1, -1))[0]
 
     def append_matrix(self, matrix: np.ndarray) -> list[int]:
         """Append every row; validated and copied once, as a block."""
@@ -845,33 +924,38 @@ class MemorySequenceStore:
                 f"store holds sequences of length {self.sequence_length}, "
                 f"got {matrix.shape[1]}"
             )
-        first = len(self._rows)
-        self._rows.extend(matrix.copy())  # row views of the one copy
-        return list(range(first, len(self._rows)))
+        return self._extend(matrix)
+
+    def _extend(self, rows: np.ndarray) -> list[int]:
+        """Copy ``rows`` in after the last sequence, growing geometrically."""
+        first, end = self._count, self._count + len(rows)
+        if end > len(self._matrix):
+            grown = np.empty(
+                (max(end, 2 * len(self._matrix)), self.sequence_length)
+            )
+            grown[:first] = self._matrix[:first]
+            self._matrix = grown
+        self._matrix[first:end] = rows
+        self._count = end
+        return list(range(first, end))
 
     def read(self, seq_id: int) -> np.ndarray:
-        if not 0 <= seq_id < len(self._rows):
+        if not 0 <= seq_id < self._count:
             raise KeyNotFoundError(seq_id)
         self.stats.read_calls += 1
         # Charge zero pages so the page counter exists (and stays zero)
         # for in-memory runs — reports can show "0 pages" explicitly.
         obs.add("storage.read_calls")
         obs.add("storage.pages_read", 0)
-        return self._rows[seq_id]
+        return self._matrix[seq_id]
 
     def read_many(self, seq_ids) -> np.ndarray:
         """Fetch several sequences as one matrix; counts one call per id."""
-        ids = [int(seq_id) for seq_id in seq_ids]
-        rows = self._rows
-        for seq_id in ids:
-            if not 0 <= seq_id < len(rows):
-                raise KeyNotFoundError(seq_id)
+        ids = _checked_ids(seq_ids, self._count)
         self.stats.read_calls += len(ids)
         obs.add("storage.read_calls", len(ids))
         obs.add("storage.pages_read", 0)
-        return np.array([rows[seq_id] for seq_id in ids]).reshape(
-            len(ids), self.sequence_length
-        )
+        return self._matrix[ids]
 
     def close(self) -> None:
         """No-op, for interface parity with :class:`SequencePageStore`."""
