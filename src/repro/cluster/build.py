@@ -1,28 +1,37 @@
 """Building (and reopening) a sharded population.
 
 :func:`build_sharded` splits a ``(count, n)`` database matrix into N
-shards under a deterministic :class:`~repro.cluster.Partitioner`, builds
-one registry backend per shard, and wires them behind a
-:class:`~repro.cluster.ShardRouter`.  With a ``directory``, each shard
-also gets its own checksummed page-store file (pagestore format v2) and
-the split is described by a CRC-checked
-:class:`~repro.cluster.ShardManifest`; :func:`open_sharded` rebuilds the
-router from that directory alone.
+shards under a deterministic :class:`~repro.cluster.Partitioner`;
+:func:`open_sharded` reopens a directory it persisted.  Both follow one
+recipe on either transport:
+
+1. **Specs** — one :class:`~repro.cluster.ShardSpec` per populated
+   shard: backend, kwargs, names, and the shard's page-store file when
+   the population is persisted.
+2. **Build** — every shard index comes out of the one builder,
+   ``pool._build_shard_index``: called in process for the serial
+   transport, or by each worker of a
+   :class:`~repro.cluster.ShardWorkerPool` while it warms (the pooled
+   transport, whose warm-up is also the parallel build).
+3. **Wire** — one :class:`~repro.cluster.ShardRouter` over the built
+   indexes, or over :class:`~repro.cluster.ShardStub` data-plane
+   stand-ins for pooled shards.
+
+With a ``directory``, each shard gets its own checksummed page-store
+file (pagestore format v2) and the split is described by a CRC-checked
+:class:`~repro.cluster.ShardManifest`; :func:`open_sharded` checks every
+file's population against it before any index is built or any worker
+is spawned.
 
 The default shard count comes from the ``REPRO_SHARDS`` environment
-variable (else 2), which is how the CI matrix runs the whole tier-1
-suite against a 4-shard router without touching any test.
-
-A router is built and served on one of two transports.  By default the
-shards are built one after another and scattered serially, in process.
-Setting ``REPRO_SHARD_WORKERS`` (to any integer >= 1) routes builds and
-searches through the persistent :class:`~repro.cluster.ShardWorkerPool`
-— one long-lived worker process per populated shard over shared memory
-— again without touching any test; ``worker_pool=True``/``False``
-overrides the environment per call.  Pooled routers serve the same
-bit-identical answers but cannot accept dynamic inserts (see
-``docs/CONCURRENCY.md``; ``docs/PERFORMANCE.md`` has the measured table
-behind the choice of these two).
+variable (else 2), and ``REPRO_SHARD_WORKERS`` (any integer >= 1)
+selects the pooled transport — which is how the CI matrix runs the
+whole tier-1 suite against a 4-shard or a pooled router without
+touching any test; ``worker_pool=True``/``False`` overrides the
+environment per call.  Pooled routers serve the same bit-identical
+answers but cannot accept dynamic inserts (see ``docs/CONCURRENCY.md``;
+``docs/PERFORMANCE.md`` has the measured table behind the choice of
+these two transports).
 """
 
 from __future__ import annotations
@@ -35,10 +44,22 @@ import numpy as np
 from repro import obs
 from repro.cluster.manifest import ShardManifest
 from repro.cluster.partitioner import Partitioner
+from repro.cluster.pool import (
+    ShardSpec,
+    ShardStub,
+    ShardWorkerPool,
+    _build_shard_index,
+    _open_shard_store,
+)
 from repro.cluster.router import ShardRouter
 from repro.compression.database import SketchDatabase
 from repro.exceptions import CorruptionError, ReproError
 from repro.storage.pagestore import SequencePageStore
+from repro.storage.shm import (
+    MatrixSequenceStore,
+    SharedArena,
+    stage_sketch_database,
+)
 from repro.tools.envparse import parse_env_int
 
 __all__ = [
@@ -50,9 +71,6 @@ __all__ = [
 
 #: Fallback shard count when ``REPRO_SHARDS`` is unset or blank.
 DEFAULT_SHARDS = 2
-
-#: Registry backends whose constructors accept a ``store=`` keyword.
-_STORE_BACKENDS = frozenset({"flat", "vptree", "mvptree", "scan"})
 
 #: Registry backends with seeded construction randomness; ``seed`` is
 #: shared between the partitioner and their per-shard constructors.
@@ -96,6 +114,126 @@ def _canonical_backend(backend: str) -> str:
 
 def _shard_file(shard: int) -> str:
     return f"shard-{shard:02d}.pages"
+
+
+def _specs(
+    key, members, n, index_kwargs, *, seed, files, directory, write_store,
+    names=None,
+) -> list[ShardSpec]:
+    """The build recipe of every populated shard.
+
+    ``seed`` also seeds backends with construction randomness unless
+    ``index_kwargs`` carries its own.  A reopen passes the manifest's
+    seed, so it rebuilds the very trees the first build made.
+    """
+    if key in _SEEDED_BACKENDS and "seed" not in index_kwargs:
+        index_kwargs = {**index_kwargs, "seed": seed}
+    return [
+        ShardSpec(
+            shard=shard,
+            backend=key,
+            size=int(rows.size),
+            sequence_length=n,
+            obs_name=f"index.sharded.shard{shard:02d}",
+            names=(
+                tuple(names[int(i)] for i in rows)
+                if names is not None
+                else None
+            ),
+            index_kwargs=dict(index_kwargs),
+            store_path=(
+                os.path.join(directory, files[shard])
+                if directory is not None
+                else None
+            ),
+            write_store=write_store,
+        )
+        for shard, rows in enumerate(members)
+        if rows.size
+    ]
+
+
+def _stage(arena: SharedArena, specs, matrix, members, sketches) -> None:
+    """Publish every spec's rows, norms and sketch view into ``arena``.
+
+    The norms are the workers' attach-time integrity handshake.
+    """
+    for spec in specs:
+        prefix = f"shard{spec.shard:02d}"
+        rows = members[spec.shard]
+        sub_matrix = np.ascontiguousarray(matrix[rows])
+        spec.matrix_key, spec.norms_key = f"{prefix}.matrix", f"{prefix}.norms"
+        arena.stage(spec.matrix_key, sub_matrix)
+        arena.stage(
+            spec.norms_key, np.einsum("ij,ij->i", sub_matrix, sub_matrix)
+        )
+        if sketches is not None:
+            spec.sketch_meta = stage_sketch_database(
+                arena, f"{prefix}.sketches", sketches.take(rows)
+            )
+    arena.seal()
+
+
+def _serve(
+    specs, members, partitioner, n, pooled, *,
+    matrix=None, sketches=None, stores=None,
+) -> ShardRouter:
+    """Build ``specs`` in process or on a warm pool; wire one router.
+
+    ``matrix`` / ``sketches`` (a fresh build) are the whole population
+    and its shared sketch database, sliced per shard as each is built;
+    ``stores`` (a reopen) maps shards to the parent's count-checked page
+    stores.  Any failure — staging, spawn, a worker refusing to warm, a
+    build — closes every store, the pool and the arena before the
+    exception propagates: no orphan processes, no leaked ``/dev/shm``
+    segments.
+    """
+    stores = {} if stores is None else stores
+    subs = {}
+    pool = arena = None
+    try:
+        if pooled:
+            if matrix is not None:
+                arena = SharedArena()
+                _stage(arena, specs, matrix, members, sketches)
+            pool = ShardWorkerPool(specs, arena, shard_count=len(members))
+            pool.start()  # warm-up = parallel store writes + index builds
+            for spec in specs:
+                if spec.shard not in stores:
+                    stores[spec.shard] = (
+                        _open_shard_store(spec.store_path, spec.size)
+                        if spec.store_path is not None
+                        else MatrixSequenceStore(arena.array(spec.matrix_key))
+                    )
+                subs[spec.shard] = ShardStub(
+                    spec.shard, spec.size, n, stores[spec.shard],
+                    spec.names, spec.obs_name, pool,
+                )
+        else:
+            for spec in specs:
+                rows = members[spec.shard]
+                subs[spec.shard], _ = _build_shard_index(
+                    spec,
+                    matrix=matrix[rows] if matrix is not None else None,
+                    sketch_db=(
+                        sketches.take(rows) if sketches is not None else None
+                    ),
+                    store=stores.get(spec.shard),
+                )
+        return ShardRouter(
+            [(subs.get(shard), rows) for shard, rows in enumerate(members)],
+            partitioner=partitioner,
+            sequence_length=n,
+            pool=pool,
+        )
+    except BaseException:
+        for store in stores.values():
+            store.close()
+        if pool is not None:
+            pool.close()
+        elif arena is not None:
+            arena.close()
+        raise
 
 
 def build_sharded(
@@ -142,7 +280,6 @@ def build_sharded(
         ``router.close()`` (or a ``with`` block), and do not support
         dynamic inserts.
     """
-    from repro.engine.registry import get_index
     from repro.index.base import SketchIndexBase, as_database
 
     matrix, names = as_database(matrix, names)
@@ -153,10 +290,9 @@ def build_sharded(
             policy=policy,
             seed=seed,
         )
-    if key in _SEEDED_BACKENDS and "seed" not in index_kwargs:
-        index_kwargs["seed"] = seed
     total, n = int(matrix.shape[0]), int(matrix.shape[1])
     members = partitioner.members(total)
+    files = [_shard_file(shard) for shard in range(len(members))]
 
     # One compression pass for the whole population, sliced into
     # shard-local views — the flat backend then skips per-shard
@@ -173,219 +309,24 @@ def build_sharded(
     if directory is not None:
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
+        for file, rows in zip(files, members):
+            if rows.size == 0:
+                # No spec builds an empty shard; its (empty) store file
+                # is written here so reopen finds every file the
+                # manifest promises.
+                SequencePageStore(os.path.join(directory, file), n).close()
 
-    pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
-    if pooled:
-        return _build_pooled(
-            matrix=matrix,
-            n=n,
-            total=total,
-            key=key,
-            names=names,
-            directory=directory,
-            partitioner=partitioner,
-            members=members,
-            shared_sketches=shared_sketches,
-            index_kwargs=index_kwargs,
-        )
-
-    def build_one(shard: int):
-        """Build shard ``shard`` end to end: store write + index build."""
-        rows = members[shard]
-        sub_matrix = matrix[rows]
-        store = None
-        if directory is not None:
-            with obs.span("ingest.store_write"):
-                store = SequencePageStore(
-                    os.path.join(directory, _shard_file(shard)), n
-                )
-                store.append_matrix(sub_matrix)
-        if rows.size == 0:
-            if store is not None:
-                store.close()
-            return None
-        kwargs = dict(index_kwargs)
-        if store is not None and key in _STORE_BACKENDS:
-            kwargs["store"] = store
-        elif store is not None:
-            store.close()  # matrix-backed structure; file stays for reopen
-        if shared_sketches is not None:
-            kwargs["sketch_db"] = shared_sketches.take(rows)
-        sub_names = (
-            [names[int(i)] for i in rows] if names is not None else None
-        )
-        with obs.span("ingest.build"):
-            sub = get_index(key, sub_matrix, names=sub_names, **kwargs)
-        # Instance-level obs tag, so every engine span and counter the
-        # sub-index emits is shard-addressed automatically.
-        sub.obs_name = f"index.sharded.shard{shard:02d}"
-        return sub
-
-    built = [build_one(shard) for shard in range(len(members))]
-    pairs = list(zip(built, members))
-    files = (
-        [_shard_file(shard) for shard in range(len(members))]
-        if directory is not None
-        else []
+    specs = _specs(
+        key, members, n, index_kwargs, seed=seed, files=files,
+        directory=directory, write_store=directory is not None, names=names,
     )
-
-    router = ShardRouter(
-        pairs,
-        partitioner=partitioner,
-        sequence_length=n if total == 0 else None,
+    pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
+    router = _serve(
+        specs, members, partitioner, n, pooled,
+        matrix=matrix, sketches=shared_sketches,
     )
     if directory is not None:
-        ShardManifest(
-            policy=partitioner.policy,
-            seed=partitioner.seed,
-            shards=partitioner.shards,
-            total=total,
-            sequence_length=n,
-            backend=key,
-            counts=tuple(int(rows.size) for rows in members),
-            files=tuple(files),
-        ).save(directory)
-    return router
-
-
-def _pooled_pairs(pool, specs, members, sequence_length, arena):
-    """Parent-side ``(ShardStub, global_ids)`` pairs for a warm pool.
-
-    Each stub gets the parent's *own* handle on the shard's bytes — a
-    fresh read handle on the checksummed page store, or a store view
-    over the shared-memory matrix — so verification never round-trips
-    through a worker.
-    """
-    from repro.cluster.pool import ShardStub
-    from repro.storage.shm import MatrixSequenceStore
-
-    by_shard = {spec.shard: spec for spec in specs}
-    pairs: list[tuple[object, np.ndarray]] = []
-    for shard, rows in enumerate(members):
-        if rows.size == 0:
-            pairs.append((None, rows))
-            continue
-        spec = by_shard[shard]
-        if spec.store_path is not None:
-            store = SequencePageStore.open(spec.store_path)
-            if len(store) != int(rows.size):
-                count = len(store)
-                store.close()
-                raise CorruptionError(
-                    f"shard file {os.path.basename(spec.store_path)} "
-                    f"holds {count} sequences, expected {rows.size}"
-                )
-        else:
-            store = MatrixSequenceStore(arena.array(spec.matrix_key))
-        stub = ShardStub(
-            shard,
-            int(rows.size),
-            sequence_length,
-            store,
-            spec.names,
-            spec.obs_name,
-            pool,
-        )
-        pairs.append((stub, rows))
-    return pairs
-
-
-def _build_pooled(
-    *,
-    matrix,
-    n,
-    total,
-    key,
-    names,
-    directory,
-    partitioner,
-    members,
-    shared_sketches,
-    index_kwargs,
-):
-    """The worker-pool build: publish, spawn, warm, wire the router.
-
-    The parent stages each shard's sub-matrix, its squared norms (the
-    workers' attach-time integrity handshake) and its slice of the
-    shared sketch blocks into one :class:`SharedArena`, then starts the
-    pool; every worker writes its own page store (when persisting) and
-    builds its own index concurrently during warm-up, which is also the
-    parallel-build path.  Any failure — staging, spawn, a worker
-    refusing to warm, manifest write — tears the pool (and the arena)
-    down deterministically before the exception propagates: no orphan
-    processes, no leaked ``/dev/shm`` segments.
-    """
-    from repro.cluster.pool import ShardSpec, ShardWorkerPool
-    from repro.storage.shm import SharedArena, stage_sketch_database
-
-    arena = SharedArena()
-    specs: list[ShardSpec] = []
-    try:
-        for shard, rows in enumerate(members):
-            if rows.size == 0:
-                if directory is not None:
-                    # Workers only exist for populated shards; the
-                    # parent writes the (empty) store file so reopen
-                    # finds the full set the manifest promises.
-                    SequencePageStore(
-                        os.path.join(directory, _shard_file(shard)), n
-                    ).close()
-                continue
-            sub_matrix = np.ascontiguousarray(matrix[rows])
-            matrix_key = f"shard{shard:02d}.matrix"
-            norms_key = f"shard{shard:02d}.norms"
-            arena.stage(matrix_key, sub_matrix)
-            arena.stage(
-                norms_key,
-                np.einsum("ij,ij->i", sub_matrix, sub_matrix),
-            )
-            sketch_meta = None
-            if shared_sketches is not None:
-                sketch_meta = stage_sketch_database(
-                    arena,
-                    f"shard{shard:02d}.sketches",
-                    shared_sketches.take(rows),
-                )
-            specs.append(
-                ShardSpec(
-                    shard=shard,
-                    backend=key,
-                    size=int(rows.size),
-                    sequence_length=n,
-                    obs_name=f"index.sharded.shard{shard:02d}",
-                    names=(
-                        tuple(names[int(i)] for i in rows)
-                        if names is not None
-                        else None
-                    ),
-                    index_kwargs=dict(index_kwargs),
-                    store_path=(
-                        os.path.join(directory, _shard_file(shard))
-                        if directory is not None
-                        else None
-                    ),
-                    write_store=directory is not None,
-                    matrix_key=matrix_key,
-                    norms_key=norms_key,
-                    sketch_meta=sketch_meta,
-                )
-            )
-        arena.seal()
-    except BaseException:
-        arena.close()
-        raise
-
-    pool = ShardWorkerPool(specs, arena, shard_count=len(members))
-    try:
-        pool.start()  # warm-up = parallel store writes + index builds
-        pairs = _pooled_pairs(pool, specs, members, n, arena)
-        router = ShardRouter(
-            pairs,
-            partitioner=partitioner,
-            sequence_length=n if total == 0 else None,
-            pool=pool,
-        )
-        if directory is not None:
+        try:
             ShardManifest(
                 policy=partitioner.policy,
                 seed=partitioner.seed,
@@ -394,14 +335,12 @@ def _build_pooled(
                 sequence_length=n,
                 backend=key,
                 counts=tuple(int(rows.size) for rows in members),
-                files=tuple(
-                    _shard_file(shard) for shard in range(len(members))
-                ),
+                files=tuple(files),
             ).save(directory)
-        return router
-    except BaseException:
-        pool.close()
-        raise
+        except BaseException:
+            router.close()
+            raise
+    return router
 
 
 def open_sharded(
@@ -414,16 +353,15 @@ def open_sharded(
     """Rebuild a sharded router from a directory written by
     :func:`build_sharded`.
 
-    The manifest's CRC and per-shard counts are verified before any
-    index is built; a mismatch raises
+    The manifest's CRC and per-shard counts, and every shard file's
+    population, are verified before any index is built or any worker is
+    spawned; a mismatch raises
     :class:`~repro.exceptions.CorruptionError`.  ``backend`` defaults to
     the one recorded in the manifest.  ``worker_pool`` follows the same
     ``REPRO_SHARD_WORKERS`` default as :func:`build_sharded`; a pooled
     reopen warms one worker per populated shard from its page-store
     file (no shared-memory arena — the stores are the source of truth).
     """
-    from repro.engine.registry import get_index
-
     directory = os.fspath(directory)
     manifest = ShardManifest.load(directory)
     key = _canonical_backend(backend or manifest.backend)
@@ -438,68 +376,28 @@ def open_sharded(
                 f"per manifest but the partitioner assigns {rows.size}"
             )
 
+    stores: dict[int, SequencePageStore] = {}
+    try:
+        for shard, rows in enumerate(members):
+            store = _open_shard_store(
+                os.path.join(directory, manifest.files[shard]), int(rows.size)
+            )
+            if rows.size:
+                stores[shard] = store
+            else:
+                store.close()
+    except BaseException:
+        for store in stores.values():
+            store.close()
+        raise
+
+    specs = _specs(
+        key, members, manifest.sequence_length, index_kwargs,
+        seed=manifest.seed, files=manifest.files, directory=directory,
+        write_store=False,
+    )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
-    if pooled:
-        from repro.cluster.pool import ShardSpec, ShardWorkerPool
-
-        specs = [
-            ShardSpec(
-                shard=shard,
-                backend=key,
-                size=int(rows.size),
-                sequence_length=manifest.sequence_length,
-                obs_name=f"index.sharded.shard{shard:02d}",
-                names=None,  # page stores persist sequences, not names
-                index_kwargs=dict(index_kwargs),
-                store_path=os.path.join(directory, manifest.files[shard]),
-                write_store=False,
-            )
-            for shard, rows in enumerate(members)
-            if rows.size > 0
-        ]
-        pool = ShardWorkerPool(specs, None, shard_count=len(members))
-        try:
-            pool.start()
-            pairs = _pooled_pairs(
-                pool, specs, members, manifest.sequence_length, None
-            )
-            return ShardRouter(
-                pairs,
-                partitioner=partitioner,
-                sequence_length=manifest.sequence_length,
-                pool=pool,
-            )
-        except BaseException:
-            pool.close()
-            raise
-
-    pairs: list[tuple[object, np.ndarray]] = []
-    for shard, rows in enumerate(members):
-        store = SequencePageStore.open(
-            os.path.join(directory, manifest.files[shard])
-        )
-        if len(store) != int(rows.size):
-            count = len(store)
-            store.close()
-            raise CorruptionError(
-                f"shard file {manifest.files[shard]} holds {count} "
-                f"sequences, manifest says {rows.size}"
-            )
-        if rows.size == 0:
-            store.close()
-            pairs.append((None, rows))
-            continue
-        sub_matrix = store.read_many(range(int(rows.size)))
-        kwargs = dict(index_kwargs)
-        if key in _STORE_BACKENDS:
-            kwargs["store"] = store
-        else:
-            store.close()
-        sub = get_index(key, sub_matrix, **kwargs)
-        sub.obs_name = f"index.sharded.shard{shard:02d}"
-        pairs.append((sub, rows))
-    return ShardRouter(
-        pairs,
-        partitioner=partitioner,
-        sequence_length=manifest.sequence_length,
+    return _serve(
+        specs, members, partitioner, manifest.sequence_length, pooled,
+        stores=stores,
     )

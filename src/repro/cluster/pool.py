@@ -15,26 +15,27 @@ scatter:
   :class:`~repro.storage.shm.SharedArena` (or opens the shard's
   checksummed page store), builds its engine index **once**, and then
   serves scatter requests over a duplex pipe until told to stop.
-* :class:`ShardSpec` — the picklable build recipe a worker (re)builds
-  its shard from; respawning a crashed worker replays the spec.
-* :class:`ShardStub` — the parent-side stand-in for a pooled shard: it
-  answers ``len``/``fetch``/``result_name`` (the verifier runs in the
-  parent) and delegates candidate generation to the worker.
+* :class:`ShardSpec` — the picklable recipe every shard index is built
+  from, in a worker or in process (:func:`_build_shard_index` is the
+  one builder); respawning a crashed worker replays the spec.
+* :class:`ShardStub` — the parent-side stand-in for a pooled shard.  It
+  serves the data plane only — ``len``/``fetch``/``result_name``/
+  ``store``, for the verifier that runs in the parent; candidates come
+  from the pool's scatter and batch requests, never through the stub.
 
 Request protocol (one in-flight request per worker, strictly
 request/response): ``("ping",)``, ``("knn", query, k)``,
-``("range", query, radius)``, ``("batch", queries, k, policy_wire)``,
+``("range", query, radius)``, ``("batch", queries, k)``,
 ``("cands", queries, k)``, ``("stop",)``.  Responses are
 ``("ok", payload)`` / ``("err", reason)``; candidate payloads are
 ``(CandidateSet, SearchStats, error)`` triples holding exactly what the
 router's serial scatter generates per shard, so the gather (and
-therefore the answers) is bit-identical to the serial path.
-``policy_wire`` is the batch's resolved
-:meth:`~repro.engine.approx.ApproxPolicy.wire` tuple — shipped
-explicitly so a worker never re-reads ``REPRO_APPROX_*`` on its own
-(an approximate *batch* never uses ``batch`` anyway: global slack and
-patience decisions cannot be made per shard, so the router gathers
-``cands`` batches and verifies at the parent — see
+therefore the answers) is bit-identical to the serial path.  ``batch``
+takes no policy: it runs the exact per-shard sub-search
+(:func:`~repro.engine.batch._shard_batch`, the same function the
+in-process fan-out runs).  An approximate batch never uses it — global
+slack and patience decisions cannot be made per shard, so the router
+gathers ``cands`` batches and verifies at the parent (see
 ``engine/batch.py``).
 
 Failure model (see ``docs/CONCURRENCY.md`` for the full matrix): a
@@ -59,14 +60,16 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.engine.approx import ApproxPolicy, resolve_policy
-from repro.engine.core import CandidateSet, _fallback_candidates, _knn_pipeline
+from repro.engine.batch import _shard_batch
+from repro.engine.core import CandidateSet, _fallback_candidates
+from repro.engine.registry import get_index
 from repro.exceptions import (
     CorruptionError,
     ReproError,
     WorkerCrashError,
 )
 from repro.index.results import SearchStats
+from repro.storage.pagestore import SequencePageStore
 from repro.storage.shm import (
     ArenaMeta,
     MatrixSequenceStore,
@@ -114,13 +117,13 @@ def default_start_method() -> str:
 
 @dataclass
 class ShardSpec:
-    """Everything a worker needs to (re)build one shard, picklable.
+    """Everything needed to (re)build one shard, picklable.
 
     ``write_store`` is ``True`` only for the *first* build of a
-    directory-backed shard (the worker writes the checksummed page
-    store itself — this is how ``build_sharded`` reuses the pool for
-    parallel builds); after a successful warm-up the pool flips it off,
-    so a respawned worker reopens the finished file instead of
+    directory-backed shard (the builder writes the checksummed page
+    store itself — in a worker, this is how ``build_sharded`` reuses the
+    pool for parallel builds); after a successful warm-up the pool flips
+    it off, so a respawned worker reopens the finished file instead of
     rewriting it.
     """
 
@@ -139,78 +142,85 @@ class ShardSpec:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# The one shard builder (run in a worker, or in process)
 # ----------------------------------------------------------------------
-def _store_backends() -> frozenset:
-    from repro.cluster.build import _STORE_BACKENDS
-
-    return _STORE_BACKENDS
+#: Registry backends whose constructors accept a ``store=`` keyword.
+_STORE_BACKENDS = frozenset({"flat", "vptree", "mvptree", "scan"})
 
 
-def _build_shard_index(spec: ShardSpec, arena: SharedArena | None):
-    """Build the shard's index exactly as the serial builder would.
+def _open_shard_store(path: str, size: int) -> SequencePageStore:
+    """Open a shard's page store, refusing a file of the wrong population."""
+    store = SequencePageStore.open(path)
+    if len(store) != size:
+        count = len(store)
+        store.close()
+        raise CorruptionError(
+            f"shard file {os.path.basename(path)} holds {count} "
+            f"sequences, manifest says {size}"
+        )
+    return store
 
-    Returns ``(index, store)``; the index is constructed from the same
-    sub-matrix, sketch view, names and kwargs as an in-parent build, so
-    it is bit-identical to one (construction is deterministic under the
-    shared seed).
+
+def _build_shard_index(
+    spec: ShardSpec,
+    arena: SharedArena | None = None,
+    *,
+    matrix: np.ndarray | None = None,
+    sketch_db=None,
+    store=None,
+):
+    """Build one shard's index from its spec: the only way one is made.
+
+    The rows come from ``matrix`` (an in-process build), from the arena
+    block ``spec.matrix_key`` (a pooled build), or from the shard's page
+    store (a reopen, or a respawn after the first build wrote it); a
+    ``store`` the caller already opened and count-checked is used as
+    is.  Every path feeds the same sub-matrix, sketches, names and
+    kwargs to the registry, so a worker's index is bit-identical to an
+    in-process one (construction is deterministic under the shared
+    seed).  Returns ``(index, store)``.
     """
-    from repro.engine.registry import get_index
-    from repro.storage.pagestore import SequencePageStore
-
-    store = None
-    if spec.store_path is not None:
-        if spec.write_store:
-            sub_matrix = np.asarray(arena.array(spec.matrix_key))
-            with obs.span("ingest.store_write"):
-                store = SequencePageStore(
-                    spec.store_path, spec.sequence_length
-                )
-                store.append_matrix(sub_matrix)
-                # Close-and-reopen so every byte is flushed before the
-                # parent (which opens this file the moment we report
-                # ready) can read a torn tail out of our write buffer.
-                store.close()
-                store = SequencePageStore.open(spec.store_path)
-            matrix = arena.array(spec.matrix_key)
-        else:
-            store = SequencePageStore.open(spec.store_path)
-            if len(store) != spec.size:
-                count = len(store)
-                store.close()
-                raise CorruptionError(
-                    f"shard {spec.shard} store holds {count} sequences, "
-                    f"manifest says {spec.size}"
-                )
-            matrix = store.read_many(range(spec.size))
-    else:
+    if matrix is None and spec.matrix_key is not None:
         matrix = arena.array(spec.matrix_key)
+        if spec.norms_key is not None:
+            # Shared-memory integrity handshake: recompute the per-row
+            # squared norms from the attached bytes and compare bitwise
+            # with what the parent published.  Same op on the same bytes
+            # is bit-equal, so any mismatch means a torn or misattached
+            # segment — fail the warm-up instead of serving wrong bounds.
+            published = arena.array(spec.norms_key)
+            recomputed = np.einsum("ij,ij->i", matrix, matrix)
+            if not np.array_equal(published, recomputed):
+                raise CorruptionError(
+                    f"shard {spec.shard}: shared-memory matrix failed the "
+                    "norm handshake (torn or misattached segment)"
+                )
+    if spec.store_path is not None and spec.write_store:
+        with obs.span("ingest.store_write"):
+            store = SequencePageStore(spec.store_path, spec.sequence_length)
+            store.append_matrix(matrix)
+            # Close-and-reopen so every byte is flushed before the
+            # parent (which opens this file the moment a worker reports
+            # ready) can read a torn tail out of our write buffer.
+            store.close()
+            store = SequencePageStore.open(spec.store_path)
+    elif spec.store_path is not None:
+        if store is None:
+            store = _open_shard_store(spec.store_path, spec.size)
+        matrix = store.read_many(range(spec.size))
+    elif arena is not None:
         store = MatrixSequenceStore(matrix)
-
-    if arena is not None and spec.norms_key is not None:
-        # Shared-memory integrity handshake: recompute the per-row
-        # squared norms from the attached bytes and compare bitwise
-        # with what the parent published.  Same op on the same bytes
-        # is bit-equal, so any mismatch means a torn or misattached
-        # segment — fail the warm-up instead of serving wrong bounds.
-        published = arena.array(spec.norms_key)
-        recomputed = np.einsum("ij,ij->i", matrix, matrix)
-        if not np.array_equal(published, recomputed):
-            raise CorruptionError(
-                f"shard {spec.shard}: shared-memory matrix failed the "
-                "norm handshake (torn or misattached segment)"
-            )
 
     kwargs = dict(spec.index_kwargs)
     if spec.sketch_meta is not None:
-        kwargs["sketch_db"] = attach_sketch_database(
-            arena, spec.sketch_meta
-        )
-    if spec.backend in _store_backends():
-        kwargs["store"] = store
-    elif spec.store_path is not None and store is not None:
-        store.close()  # matrix-backed structure; file stays for reopen
+        sketch_db = attach_sketch_database(arena, spec.sketch_meta)
+    if sketch_db is not None:
+        kwargs["sketch_db"] = sketch_db
+    if store is not None and spec.backend not in _STORE_BACKENDS:
+        store.close()  # matrix-backed structure; the file stays for reopen
         store = None
+    if store is not None:
+        kwargs["store"] = store
     names = list(spec.names) if spec.names is not None else None
     with obs.span("ingest.build"):
         sub = get_index(spec.backend, matrix, names=names, **kwargs)
@@ -292,14 +302,9 @@ def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
                     )
                     conn.send(("ok", payload))
                 elif op == "batch":
-                    queries, k = request[1], int(request[2])
-                    policy = ApproxPolicy.from_wire(request[3])
-                    sub_k = min(k, len(sub))
-                    results = [
-                        _knn_pipeline(sub, query, sub_k, policy)
-                        for query in queries
-                    ]
-                    conn.send(("ok", results))
+                    conn.send(
+                        ("ok", _shard_batch(sub, request[1], int(request[2])))
+                    )
                 elif op == "cands":
                     queries, k = request[1], int(request[2])
                     payloads = [
@@ -334,13 +339,12 @@ def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
 class ShardStub:
     """Parent-side stand-in for a shard whose index lives in a worker.
 
-    The router's verifier runs in the parent, so the stub answers the
-    data-plane surface (``fetch``/``result_name``/``store``) from the
-    parent's own handle on the shard's bytes — the shared-memory view
-    or a read handle on the checksummed page store.  Candidate
-    generation delegates to the pool; a dead worker raises
-    :class:`WorkerCrashError`, which the engine's degradation machinery
-    treats like any generator failure.
+    The router's verifier runs in the parent, so the stub serves the
+    data plane only (``len``/``fetch``/``result_name``/``store``) from
+    the parent's own handle on the shard's bytes — the shared-memory
+    view or a read handle on the checksummed page store.  Candidates
+    never pass through it: the router asks ``pool`` for every shard at
+    once (``scatter_knn`` / ``scatter_range`` / ``batch_*``).
     """
 
     def __init__(
@@ -377,21 +381,6 @@ class ShardStub:
 
     def result_name(self, seq_id: int) -> str | None:
         return self._names[seq_id] if self._names is not None else None
-
-    def _delegate(self, op: str, query, arg, stats: SearchStats):
-        cands, sub_stats, error = self._pool.request_candidates(
-            self.shard, op, query, arg
-        )
-        if error is not None:
-            raise error
-        stats.merge(sub_stats)
-        return cands
-
-    def knn_candidates(self, query, k: int, stats: SearchStats):
-        return self._delegate("knn", query, k, stats)
-
-    def range_candidates(self, query, radius: float, stats: SearchStats):
-        return self._delegate("range", query, radius, stats)
 
     def close(self) -> None:
         if self._store is not None and hasattr(self._store, "close"):
@@ -771,25 +760,20 @@ class ShardWorkerPool:
     def scatter_range(self, query, radius: float) -> list:
         return self.scatter_candidates("range", query, float(radius))
 
-    def batch_search(
-        self, queries, k: int, policy=None
-    ) -> dict[int, list | None]:
-        """Whole-batch sub-searches, one per populated shard.
+    def batch_search(self, queries, k: int) -> dict[int, list | None]:
+        """Whole-batch exact sub-searches, one per populated shard.
 
         Each worker runs the full query batch against its warm index at
-        ``min(k, shard_size)`` and returns per-query ``(neighbors,
-        stats)`` with shard-local ids; the caller merges.  A dead
-        worker maps to ``None`` — the caller falls back to the
-        per-query scatter path, which serves that shard degraded.  The
-        resolved :class:`~repro.engine.approx.ApproxPolicy` travels on
-        the wire so workers never consult their own environment; the
-        router only routes *exact* batches here (see
-        ``engine/batch.py``).
+        ``min(k, shard_size)`` under the exact policy and returns
+        per-query ``(neighbors, stats)`` with shard-local ids; the
+        caller merges.  A dead worker maps to ``None`` — the caller
+        falls back to the per-query scatter path, which serves that
+        shard degraded.  Approximate batches never come here (see
+        ``engine/batch.py``), so no policy travels on the wire.
         """
-        wire = resolve_policy(policy).wire()
         with obs.span("cluster.pool.batch"):
             responses = self._scatter_request(
-                lambda shard: ("batch", queries, int(k), wire)
+                lambda shard: ("batch", queries, int(k))
             )
         out: dict[int, list | None] = {}
         for shard, spec in self._specs.items():
@@ -797,8 +781,7 @@ class ShardWorkerPool:
             if message is not None and message[0] == "ok":
                 out[shard] = message[1]
             else:
-                if message is None or message[0] != "ok":
-                    self._crash_triple(spec, message)  # book-keeping only
+                self._crash_triple(spec, message)  # book-keeping only
                 out[shard] = None
         return out
 
@@ -846,21 +829,3 @@ class ShardWorkerPool:
                     triples.append(shard_payloads[position])
             out.append(triples)
         return out
-
-    def request_candidates(self, shard: int, op: str, query, arg):
-        """One shard's scatter triple (the :class:`ShardStub` path)."""
-        spec = self._specs.get(shard)
-        if spec is None:
-            return CandidateSet(entries=[], generated=0), SearchStats(), None
-        if not self._ensure(shard):
-            return self._crash_triple(spec, None)
-        try:
-            self._conns[shard].send((op, query, arg))
-            obs.add("cluster.pool.requests")
-        except (BrokenPipeError, OSError):
-            self._note_death(shard)
-            return self._crash_triple(spec, None)
-        message = self._collect(shard)
-        if message is not None and message[0] == "ok":
-            return message[1]
-        return self._crash_triple(spec, message)

@@ -43,6 +43,7 @@ from repro.engine.core import (
     _fallback_candidates,
     execute_knn,
     execute_range,
+    fetch_block,
 )
 from repro.exceptions import KeyNotFoundError, ReproError
 from repro.index.results import Neighbor, SearchStats
@@ -68,8 +69,10 @@ class _RouterStore:
     """Batched reads over the per-shard stores, keyed by global id.
 
     Exists so the engine's block fetcher (``fetch_block``) can keep
-    using one ``read_many`` call per verification block; reads are
-    grouped by shard and reassembled in request order.
+    using one ``read_many`` call per verification block: one gather of
+    the ids' shards and local ids, then one ``fetch_block`` per shard
+    (shards in order of first appearance, ids in request order within
+    each), scattered back into request order.
     """
 
     def __init__(self, router: "ShardRouter") -> None:
@@ -83,23 +86,20 @@ class _RouterStore:
 
     def read_many(self, seq_ids) -> np.ndarray:
         router = self._router
-        ids = [int(seq_id) for seq_id in seq_ids]
-        rows: list[np.ndarray | None] = [None] * len(ids)
-        by_shard: dict[int, list[tuple[int, int]]] = {}
-        for position, gid in enumerate(ids):
-            shard, local = router._locate(gid)
-            by_shard.setdefault(shard, []).append((position, local))
-        for shard, pairs in by_shard.items():
-            sub = router._shards[shard]
-            store = getattr(sub, "store", None)
-            locals_ = [local for _, local in pairs]
-            if store is not None and hasattr(store, "read_many"):
-                block = store.read_many(locals_)
-            else:
-                block = [sub.fetch(local) for local in locals_]
-            for (position, _), row in zip(pairs, block):
-                rows[position] = row
-        return np.stack(rows)
+        ids = np.asarray(seq_ids, dtype=np.intp).reshape(-1)
+        outside = (ids < 0) | (ids >= router._shard_of.size)
+        if outside.any():
+            router._locate(int(ids[outside][0]))  # raises KeyNotFoundError
+        shard_of = router._shard_of[ids]
+        local_of = router._local_of[ids]
+        rows = np.empty((ids.size, router.sequence_length))
+        _, first = np.unique(shard_of, return_index=True)
+        for shard in shard_of[np.sort(first)]:
+            mask = shard_of == shard
+            rows[mask] = fetch_block(
+                router._shards[shard], local_of[mask].tolist()
+            )
+        return rows
 
 
 class ShardRouter:

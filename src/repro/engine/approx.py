@@ -128,13 +128,8 @@ class ApproxPolicy:
         return cls(epsilon=DEFAULT_EPSILON, patience=DEFAULT_PATIENCE)
 
     def wire(self) -> tuple[float, int | None]:
-        """The picklable wire form for the worker-pool protocol."""
+        """The policy as a plain ``(epsilon, patience)`` tuple."""
         return (self.epsilon, self.patience)
-
-    @classmethod
-    def from_wire(cls, wire: tuple[float, int | None]) -> "ApproxPolicy":
-        epsilon, patience = wire
-        return cls(epsilon=epsilon, patience=patience)
 
 
 def env_approx_policy() -> ApproxPolicy:

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine.approx import ApproxPolicy, resolve_policy
-from repro.engine.core import _check_invariant, _knn_pipeline
+from repro.engine.core import _EXACT_POLICY, _check_invariant, _knn_pipeline
 from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 
@@ -68,8 +68,9 @@ def search_many(
     policy:
         An :class:`~repro.engine.ApproxPolicy` opting the whole batch
         into the approximate tier; ``None`` defers to the
-        ``REPRO_APPROX_*`` knobs.  The policy is resolved once here and
-        shipped explicitly to pooled workers, so a batch is never split
+        ``REPRO_APPROX_*`` knobs.  The policy is resolved once here,
+        and only the parent applies it (pooled workers run exact
+        sub-searches or generate candidates), so a batch is never split
         across two readings of the environment.
 
     Each query's result is exactly what ``index.search(query, k,
@@ -96,7 +97,19 @@ def search_many(
     return results
 
 
-def _pool_parts(router, queries, k, policy):
+def _shard_batch(sub, queries, k: int) -> list:
+    """One shard's exact sub-search of a whole batch, at ``min(k, size)``.
+
+    The per-shard half of :func:`_sharded_fanout`, run in process for a
+    serial router and by each pool worker for its ``batch`` request.
+    """
+    sub_k = min(k, len(sub))
+    return [
+        _knn_pipeline(sub, query, sub_k, _EXACT_POLICY) for query in queries
+    ]
+
+
+def _pool_parts(router, queries, k):
     """Per-shard batch results from the persistent worker pool.
 
     Returns one ``[(neighbors, stats), ...]`` list per populated shard,
@@ -104,7 +117,7 @@ def _pool_parts(router, queries, k, policy):
     died, in which case the caller falls back to the per-query scatter
     path (which serves dead shards degraded).
     """
-    batches = router.worker_pool.batch_search(queries, k, policy)
+    batches = router.worker_pool.batch_search(queries, k)
     parts = []
     for shard in router.populated_shards():
         shard_results = batches.get(shard)
@@ -168,9 +181,10 @@ def _sharded_fanout(router, queries, k, policy):
 
     if getattr(router, "worker_pool", None) is not None:
         # Persistent-pool fan-out: every warm worker runs the whole
-        # batch against its shard in one request — the same work as the
-        # in-process loop below, on the workers' own copy of the index.
-        parts = _pool_parts(router, queries, k, policy)
+        # batch against its shard in one request — the same
+        # ``_shard_batch`` as the in-process path below, on the
+        # workers' own copy of the index.
+        parts = _pool_parts(router, queries, k)
         if parts is None:
             # A worker died mid-batch.  The per-query scatter path
             # absorbs worker death (fallback scan + quarantine note,
@@ -178,13 +192,7 @@ def _sharded_fanout(router, queries, k, policy):
             # through it rather than reasoning about partial results.
             return [router.search(query, k=k, policy=policy) for query in queries]
     else:
-        parts = [
-            [
-                _knn_pipeline(sub, query, min(k, len(sub)), policy)
-                for query in queries
-            ]
-            for sub, _ in views
-        ]
+        parts = [_shard_batch(sub, queries, k) for sub, _ in views]
     obs.add("cluster.fanout_shards", len(views))
 
     size = len(router)

@@ -90,14 +90,14 @@ class FlatSketchIndex(SketchIndexBase):
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
         lower, upper = self._bounds(query)
-        stats.bound_computations = len(self)
+        stats.bound_computations += len(self)
         return candidates_from_bound_arrays(lower, upper, k)
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
     ) -> CandidateSet:
         lower, _ = self._bounds(query)
-        stats.bound_computations = len(self)
+        stats.bound_computations += len(self)
         survivor_ids = np.flatnonzero(lower <= radius + RANGE_SLACK)
         lb_sq = lower[survivor_ids] ** 2
         return CandidateSet(

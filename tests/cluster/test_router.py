@@ -107,6 +107,54 @@ class TestRouterStore:
         block = router.store.read_many(ids)
         assert np.array_equal(block, matrix[ids])
 
+    @pytest.mark.parametrize("backend", ["flat", "mtree", "rtree"])
+    def test_read_many_equals_stacked_fetch(self, matrix, backend):
+        """Ids spanning shards, repeated and unsorted, as one block.
+
+        ``mtree`` / ``rtree`` shards keep no store, so their rows come
+        through ``fetch_block``'s per-row fallback.
+        """
+        ids = [len(matrix) - 1, 4, 4, 0, 33, 17, 4, 61, 2]
+        with build_sharded(
+            matrix, shards=3, backend=backend, worker_pool=False
+        ) as router:
+            expected = np.stack([router.fetch(gid) for gid in ids])
+            assert np.array_equal(router.store.read_many(ids), expected)
+            assert router.store.read_many([]).shape == (0, matrix.shape[1])
+            for bad in (len(matrix), -1):
+                with pytest.raises(KeyNotFoundError, match="out of range"):
+                    router.store.read_many(ids + [bad])
+
+    def test_read_many_keeps_each_stores_request_order(
+        self, matrix, tmp_path, monkeypatch
+    ):
+        """Per-shard I/O counters, cache counters and LRU order equal a
+        per-id ``fetch`` loop's: each shard is read in request order."""
+        monkeypatch.setenv("REPRO_CACHE_BYTES", str(3 * 4096))
+        ids = [40, 3, 41, 3, 90, 7, 40, 12, 55, 3, 70, 1]
+        routers = [
+            build_sharded(
+                matrix, shards=3, backend="flat", worker_pool=False,
+                directory=tmp_path / name,
+            )
+            for name in ("block", "per-id")
+        ]
+        with routers[0] as block, routers[1] as per_id:
+            block.store.read_many(ids)
+            for gid in ids:
+                per_id.fetch(gid)
+            for (ours, _), (theirs, _) in zip(
+                block.shard_views(), per_id.shard_views()
+            ):
+                assert ours.store.stats == theirs.store.stats
+                for name in ("hits", "misses", "evictions"):
+                    assert getattr(ours.store.cache, name) == getattr(
+                        theirs.store.cache, name
+                    )
+                assert list(ours.store.cache._blocks) == list(
+                    theirs.store.cache._blocks
+                )
+
 
 class TestInsert:
     def test_insert_routes_by_partitioner(self, matrix):

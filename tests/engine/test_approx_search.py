@@ -52,11 +52,6 @@ class TestPolicyValidation:
         with pytest.raises(ReproError, match="patience"):
             ApproxPolicy(patience=bad)
 
-    def test_wire_round_trip(self):
-        policy = ApproxPolicy(epsilon=0.3, patience=5)
-        assert ApproxPolicy.from_wire(policy.wire()) == policy
-        assert ApproxPolicy.from_wire(ApproxPolicy().wire()).exact
-
     def test_policy_argument_type_checked(self, matrix):
         index = get_index("flat", matrix)
         with pytest.raises(ReproError, match="ApproxPolicy"):

@@ -71,12 +71,21 @@ class VPTreeMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(min_value=0, max_value=10**6))
     def insert_past_rebuild(self, pick):
-        """Crowd one leaf past ``4 * leaf_size``: it is rebuilt as a subtree."""
+        """Crowd one leaf past ``4 * leaf_size``: it is rebuilt as a subtree.
+
+        Copies of one near-copy of a member route to the same leaf every
+        time, so the crowding cannot spread over sibling leaves (distinct
+        near-copies can, once earlier crowding has split the region).
+        That leaf overflows within ``4 * leaf_size + 1`` inserts; if its
+        older rows were mostly tombstoned the rebuild is a single leaf,
+        and the next ``4 * leaf_size + 1`` copies overflow that one with
+        enough live rows to split.
+        """
         anchor = self.model[sorted(self.model)[pick % len(self.model)]]
         rng = np.random.default_rng(pick)
+        row = zscore(anchor + 1e-3 * rng.normal(size=N))
         internal = len(vantage_ids(self.index))
-        for _ in range(3 * (4 * LEAF_SIZE + 1)):
-            row = zscore(anchor + 1e-3 * rng.normal(size=N))
+        for _ in range(2 * (4 * LEAF_SIZE + 1)):
             self.model[self.index.insert(row)] = row
             if len(vantage_ids(self.index)) > internal:
                 return
@@ -136,3 +145,18 @@ TestVPTreeStateful = VPTreeMachine.TestCase
 TestVPTreeStateful.settings = settings(
     max_examples=12, stateful_step_count=16, deadline=None
 )
+
+
+def test_crowding_one_anchor_again_still_rebuilds():
+    """A sequence that once drew 39 near-copies without a rebuild.
+
+    The third crowding of one anchor used to spread its near-copies over
+    leaves that never passed ``4 * leaf_size``.
+    """
+    machine = VPTreeMachine()
+    machine.setup(seed=1500, guided=True)
+    for _ in range(3):
+        machine.insert_past_rebuild(pick=0)
+        machine.size_agrees()
+    machine.knn_search(seed=0, k=3)
+    machine.range_search(seed=0)
