@@ -10,9 +10,6 @@ entries, not as a silently replaced number.
 File shape::
 
     {"bench": "<name>", "runs": [{...record..., "timestamp": "..."}, ...]}
-
-Legacy single-record files (one bare JSON object, the pre-trend format)
-are converted in place: the old record becomes ``runs[0]``.
 """
 
 from __future__ import annotations
@@ -28,19 +25,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 MAX_RUNS = 50
 
 
-def _load_runs(path) -> list[dict]:
-    """The stored run history at ``path`` (legacy single records too)."""
-    path = Path(path)
-    if not path.exists():
-        return []
-    existing = json.loads(path.read_text())
-    if isinstance(existing, dict) and "runs" in existing:
-        return list(existing["runs"])
-    if isinstance(existing, dict):
-        return [existing]
-    return []
-
-
 def append_trend(path, record: dict) -> dict:
     """Append ``record`` (timestamped) to the trend file at ``path``.
 
@@ -51,46 +35,8 @@ def append_trend(path, record: dict) -> dict:
     entry["timestamp"] = datetime.now(timezone.utc).isoformat(
         timespec="seconds"
     )
-    runs = _load_runs(path)
+    runs = json.loads(path.read_text())["runs"] if path.exists() else []
     runs.append(entry)
-    runs = runs[-MAX_RUNS:]
-    payload = {"bench": record.get("bench"), "runs": runs}
+    payload = {"bench": record.get("bench"), "runs": runs[-MAX_RUNS:]}
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return entry
-
-
-def latest_trend(path, match: dict | None = None) -> dict | None:
-    """The newest stored run at ``path``, or ``None`` if there is none.
-
-    ``match`` filters to runs whose record carries those exact
-    key/value pairs — pass the current host/config fingerprint so a
-    laptop run is never compared against a CI run.
-    """
-    for entry in reversed(_load_runs(path)):
-        if match is None or all(
-            entry.get(key) == value for key, value in match.items()
-        ):
-            return entry
-    return None
-
-
-def regression_delta(
-    path, record: dict, metric: str, match: dict | None = None
-) -> float | None:
-    """Relative change of ``record[metric]`` vs the newest matching run.
-
-    Positive means the new value is higher.  Returns ``None`` when
-    there is no comparable prior run, the prior run lacks the metric,
-    or the prior value is zero — callers print the delta for trend
-    visibility rather than hard-failing on it, because committed trend
-    files mix hosts and sizes (the ``match`` fingerprint keeps the
-    comparison honest; see ``docs/PERFORMANCE.md``).
-    """
-    previous = latest_trend(path, match)
-    if previous is None:
-        return None
-    baseline = previous.get(metric)
-    current = record.get(metric)
-    if not baseline or current is None:
-        return None
-    return (current - baseline) / baseline

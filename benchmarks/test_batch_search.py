@@ -1,5 +1,9 @@
 """Batched search throughput: ``search_many`` vs a loop of ``search()``.
 
+Kept beside ``bench/``: ``bench/`` never runs ``search_many`` on a
+monolithic index, and a bound kernel over a block of queries
+(ROADMAP.md) is judged by this serial leg.
+
 Both paths run every query through the engine's one k-NN pipeline; the
 batch path amortises validation and the obs span, and over a router on
 the persistent :class:`~repro.cluster.ShardWorkerPool` it ships the

@@ -1,5 +1,8 @@
 """Pluggable detector stack: per-model throughput, sliding-DFT savings.
 
+Kept beside ``bench/``: ``mine-detect`` times only ``extend`` and the
+sliding DFT, never the per-day push and per-push ``rfft`` they replace.
+
 Two questions this benchmark prices:
 
 * **What does each burst backend cost?**  Batch ``detect`` throughput
@@ -46,7 +49,7 @@ from repro.spectral.online import OnlinePeriodogram
 
 BENCH_JSON = REPO_ROOT / "BENCH_detectors.json"
 
-#: Default workload: 64 series of 512 days; periodogram window 256.
+#: Default workload: 64 series of 512 days; periodogram window 512.
 DEFAULT_SIZE = (64, 512)
 PGRAM_WINDOW = 512
 PGRAM_DAYS = 8192
@@ -212,6 +215,7 @@ def test_detector_model_throughput(report):
         BENCH_JSON,
         {
             "bench": "detector_models",
+            "cpu_count": os.cpu_count(),
             "workload": {"series": series, "days": days},
             "models": model_stats,
             "ma_seed": {

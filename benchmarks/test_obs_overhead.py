@@ -1,5 +1,8 @@
 """Micro-benchmark: disabled observability must cost (nearly) nothing.
 
+Kept beside ``bench/``: ``bench/`` cannot switch ``repro.obs`` off, so
+only this gate prices a disabled call site.
+
 The instrumentation threaded through the hot paths (bound kernels, index
 searches, the page store) reduces to one ``None`` check per call site
 when no registry is active.  This benchmark makes that claim a number:

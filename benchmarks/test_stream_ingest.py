@@ -1,5 +1,9 @@
 """Streaming ingest throughput: WAL appends, seal latency, recovery.
 
+Kept beside ``bench/``: ``stream-rw`` never compares fsynced single
+appends with ``append_many``, so only this gate prices the batch's
+fsync amortisation.
+
 The crash-safe streaming store (``repro.stream``) buys durability with
 a write-ahead log in front of every mutation and a generational
 manifest behind every seal.  This benchmark prices that machinery:
@@ -122,6 +126,7 @@ def test_stream_ingest_throughput(report, tmp_path):
     record = {
         "bench": "stream_ingest",
         "fsync": True,
+        "cpu_count": os.cpu_count(),
         "database_size": rows,
         "sequence_length": length,
         "single_appends_per_second": round(single_rate, 1),

@@ -22,10 +22,8 @@ work:
 * **patience early-stop** (``patience``): refinement stops after that
   many consecutive candidates are consumed with no top-k improvement.
   This is a heuristic — it carries no ε-guarantee — so its quality is
-  *measured*, not assumed: ``evaluation/approx.py`` reports recall@k
-  and tightness against the exact oracle, and
-  ``benchmarks/test_approx_search.py`` gates the default knobs at
-  recall@10 ≥ 0.95.
+  *measured*, not assumed: ``bench/`` reports ``recall_at_10`` of the
+  default knobs against a brute-force oracle on ``knn-sharded-pool``.
 
 ``ApproxPolicy(0.0, None)`` — the default — is bit-identical to the
 exact engine: the relaxation factor multiplies lower bounds by exactly
@@ -57,11 +55,9 @@ EPSILON_ENV = "REPRO_APPROX_EPSILON"
 #: Environment override for the early-stop patience (unset: no stop).
 PATIENCE_ENV = "REPRO_APPROX_PATIENCE"
 
-#: The documented opt-in knobs (:meth:`ApproxPolicy.default`): what the
-#: recall benchmark gates at and what ``--approx`` reports by default.
-#: Chosen empirically against the gate — recall@10 >= 0.95 on the
-#: benchmark workload with measurable work saved (docs/APPROX.md):
-#: 0.981 recall at 0.49x the exact tier's retrievals.
+#: The documented opt-in knobs (:meth:`ApproxPolicy.default`), tuned
+#: once for recall@10 >= 0.95 with measurable work saved
+#: (docs/APPROX.md): 0.981 recall at 0.49x the exact tier's retrievals.
 DEFAULT_EPSILON = 0.05
 DEFAULT_PATIENCE = 128
 
@@ -124,7 +120,7 @@ class ApproxPolicy:
 
     @classmethod
     def default(cls) -> "ApproxPolicy":
-        """The documented opt-in knobs the recall benchmark gates at."""
+        """The documented opt-in knobs; ``bench/`` measures their recall."""
         return cls(epsilon=DEFAULT_EPSILON, patience=DEFAULT_PATIENCE)
 
     def wire(self) -> tuple[float, int | None]:

@@ -1,23 +1,11 @@
 """Experiment harness implementing the paper's section 7 protocols."""
 
-from repro.evaluation.approx import (
-    ApproxQualityResult,
-    ApproxQualityRow,
-    approx_quality_experiment,
-)
 from repro.evaluation.pruning import (
     PruningResult,
     fraction_examined,
     pruning_power_experiment,
 )
-from repro.evaluation.ingest import IngestResult, IngestRow, ingest_experiment
 from repro.evaluation.reporting import format_float, format_table
-from repro.evaluation.sharding import (
-    ShardScalingResult,
-    ShardScalingRow,
-    shard_scaling_experiment,
-)
-from repro.evaluation.streaming import StreamResult, stream_experiment
 from repro.evaluation.tightness import TightnessResult, bound_tightness_experiment
 from repro.evaluation.timing import (
     TimingResult,
@@ -28,23 +16,12 @@ from repro.evaluation.timing import (
 __all__ = [
     "format_table",
     "format_float",
-    "ApproxQualityRow",
-    "ApproxQualityResult",
-    "approx_quality_experiment",
     "TightnessResult",
     "bound_tightness_experiment",
     "PruningResult",
     "fraction_examined",
     "pruning_power_experiment",
-    "IngestRow",
-    "IngestResult",
-    "ingest_experiment",
     "TimingRow",
     "TimingResult",
     "index_vs_scan_experiment",
-    "ShardScalingRow",
-    "ShardScalingResult",
-    "shard_scaling_experiment",
-    "StreamResult",
-    "stream_experiment",
 ]

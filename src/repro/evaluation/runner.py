@@ -14,40 +14,10 @@ Example::
 ratios, I/O counters) to the report; ``--obs-json PATH`` additionally
 writes the full metric/span record as JSON lines.
 
-``--shards N`` appends the cluster scatter-gather section: the same
-database behind an N-shard :class:`~repro.cluster.ShardRouter`, timed
-against the unsharded index with bit-identical results asserted (see
-:func:`repro.evaluation.sharding.shard_scaling_experiment`).
-
-``--ingest`` appends the ingest-pipeline section: batched compression
-and bulk store writes timed against the per-row reference, with
-equivalence asserted (see
-:func:`repro.evaluation.ingest.ingest_experiment`).
-
-``--stream`` appends the streaming-lifecycle section: the same raw
-counts ingested through a crash-safe
-:class:`~repro.stream.StreamStore` (WAL-backed appends, a timed seal, a
-mid-seal injected crash with bit-identical recovery asserted, and a
-compaction), verified against an independent reference index (see
-:func:`repro.evaluation.streaming.stream_experiment`).
-
-``--approx`` appends the approximate-tier quality section: recall@k,
-tightness and work saved for the documented default
-:class:`~repro.engine.ApproxPolicy` knobs, measured per backend and per
-shard count against the same configuration's exact answers (see
-:func:`repro.evaluation.approx.approx_quality_experiment` and
-``docs/APPROX.md``).
-
 ``--bursts [MODEL]`` appends the pluggable-burst-model section: the
 named backend's burstiness leaderboard over the catalog, plus the
 cross-model agreement matrix with the worst-agreeing query per pair
 (see :func:`repro.evaluation.bursts.burst_model_experiment`).
-
-``--faults [SEED]`` skips the report and runs the resilience drill
-instead (see :func:`repro.evaluation.fault_drill.fault_drill`): every
-index backend under seeded transient faults and permanent corruption,
-plus write-path crash drills over the streaming store and an on-disk
-CRC round trip.  Exit status reflects the drill verdict.
 """
 
 from __future__ import annotations
@@ -63,12 +33,8 @@ from repro.bursts.detection import BurstDetector
 from repro.bursts.query import BurstDatabase
 from repro.compression.budget import StorageBudget
 from repro.datagen.generator import QueryLogGenerator
-from repro.evaluation.approx import approx_quality_experiment
 from repro.evaluation.bursts import burst_model_experiment
-from repro.evaluation.ingest import ingest_experiment
 from repro.evaluation.pruning import pruning_power_experiment
-from repro.evaluation.sharding import shard_scaling_experiment
-from repro.evaluation.streaming import stream_experiment
 from repro.evaluation.tightness import bound_tightness_experiment
 from repro.evaluation.timing import index_vs_scan_experiment
 from repro.periods.detector import PeriodDetector
@@ -90,11 +56,7 @@ def run_report(
     pairs: int = 100,
     seed: int = 11,
     budgets: tuple[int, ...] = (8, 16, 32),
-    shards: int | None = None,
-    ingest: bool = False,
-    stream: bool = False,
     bursts: str | None = None,
-    approx: bool = False,
     out=None,
 ) -> None:
     """Run every experiment once and print the consolidated report."""
@@ -149,71 +111,6 @@ def run_report(
         f"memory {timing.speedup_memory():.1f}x",
         file=out,
     )
-
-    if ingest:
-        _section("ingest pipeline - batch vs per-row build", out)
-        with tempfile.TemporaryDirectory() as tmp:
-            result = ingest_experiment(
-                matrix,
-                tmp,
-                compressor=budget_objects[-1].compressor("best_min_error"),
-            )
-        print(result.as_table(), file=out)
-
-    if stream:
-        _section("streaming ingest - WAL, seal, crash recovery, compaction", out)
-        with tempfile.TemporaryDirectory() as tmp:
-            result = stream_experiment(
-                database.as_matrix(),
-                database.names,
-                query_matrix,
-                tmp,
-                k=5,
-            )
-        print(result.as_table(), file=out)
-
-    if shards is not None:
-        _section(
-            f"cluster - scatter-gather scaling (router over {shards} "
-            f"shard{'s' if shards != 1 else ''})",
-            out,
-        )
-        counts = (1, shards) if shards > 1 else (1,)
-        scaling = shard_scaling_experiment(
-            matrix,
-            query_matrix,
-            shard_counts=counts,
-            k=5,
-            backend="flat",
-            compressor=budget_objects[-1].compressor("best_min_error"),
-        )
-        print(scaling.as_table(), file=out)
-        print(
-            "agreement with the unsharded index: "
-            + ("bit-identical" if scaling.agreement else "MISMATCH"),
-            file=out,
-        )
-
-    if approx:
-        _section(
-            "approximate tier - recall@k and tightness vs exact answers",
-            out,
-        )
-        quality = approx_quality_experiment(
-            matrix,
-            query_matrix,
-            k=min(10, db_size),
-            shard_counts=(shards,) if shards else (2,),
-            seed=seed,
-        )
-        print(quality.as_table(), file=out)
-        print(
-            f"worst recall@{quality.k} over all configurations: "
-            f"{quality.worst_recall:.3f} "
-            f"(epsilon-skip distance bound: {quality.guarantee_bound:g}x; "
-            f"patience stops are heuristic — measured above)",
-            file=out,
-        )
 
     _section("fig 13 - significant periods (2002 catalog)", out)
     year = QueryLogGenerator(seed=0, start=_dt.date(2002, 1, 1), days=365)
@@ -273,35 +170,6 @@ def main(argv=None) -> int:
         help="storage budgets as the paper's c in '2*(c)+1 doubles'",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="append the cluster scatter-gather scaling section, "
-        "comparing an N-shard router against the unsharded index",
-    )
-    parser.add_argument(
-        "--ingest",
-        action="store_true",
-        help="append the ingest-pipeline section, timing batched "
-        "compression and bulk store writes against the per-row "
-        "reference (equivalence asserted)",
-    )
-    parser.add_argument(
-        "--stream",
-        action="store_true",
-        help="append the streaming-ingest section: WAL-backed appends, "
-        "a timed seal, an injected mid-seal crash with bit-identical "
-        "recovery asserted, and a compaction",
-    )
-    parser.add_argument(
-        "--approx",
-        action="store_true",
-        help="append the approximate-tier quality section: recall@k, "
-        "tightness and work saved at the default ApproxPolicy knobs, "
-        "per backend and shard count, against exact answers",
-    )
-    parser.add_argument(
         "--bursts",
         nargs="?",
         const="ma",
@@ -310,16 +178,6 @@ def main(argv=None) -> int:
         help="append the pluggable-burst-model section: the MODEL "
         "leaderboard over the catalog (default 'ma') plus the "
         "cross-model agreement matrix",
-    )
-    parser.add_argument(
-        "--faults",
-        nargs="?",
-        type=int,
-        const=11,
-        default=None,
-        metavar="SEED",
-        help="run the resilience fault drill (optionally seeded) instead "
-        "of the evaluation report",
     )
     parser.add_argument(
         "--obs",
@@ -334,12 +192,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.faults is not None:
-        from repro.evaluation.fault_drill import fault_drill
-
-        _section(f"resilience fault drill (seed {args.faults})", sys.stdout)
-        return 0 if fault_drill(seed=args.faults) else 1
-
     watch = args.obs or args.obs_json is not None
     registry = obs.enable() if watch else None
     try:
@@ -350,11 +202,7 @@ def main(argv=None) -> int:
             pairs=args.pairs,
             seed=args.seed,
             budgets=tuple(args.budgets),
-            shards=args.shards,
-            ingest=args.ingest,
-            stream=args.stream,
             bursts=args.bursts,
-            approx=args.approx,
         )
     finally:
         if watch:

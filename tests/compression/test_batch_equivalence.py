@@ -23,8 +23,24 @@ from repro.compression import (
     supports_batch,
 )
 from repro.compression.database import SketchDatabase
-from repro.evaluation.ingest import databases_equal
 from repro.exceptions import CompressionError, SeriesMismatchError
+
+
+def databases_equal(left: SketchDatabase, right: SketchDatabase) -> bool:
+    """Exact array-for-array equality of two packed sketch databases."""
+    return (
+        left.n == right.n
+        and left.basis == right.basis
+        and left.method == right.method
+        and left.names == right.names
+        and np.array_equal(left.positions, right.positions)
+        and np.array_equal(left.coefficients, right.coefficients)
+        and np.array_equal(left.weights, right.weights)
+        and np.array_equal(left.errors, right.errors, equal_nan=True)
+        and np.array_equal(left.min_powers, right.min_powers, equal_nan=True)
+        and np.array_equal(left._widths, right._widths)
+    )
+
 
 FAMILIES = {
     "gemini": GeminiCompressor,  # first + middle

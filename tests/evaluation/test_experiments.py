@@ -185,35 +185,3 @@ class TestTiming:
             b, _ = index.search(query, k=1)
             assert a[0].distance == pytest.approx(truth, abs=1e-9)
             assert b[0].distance == pytest.approx(truth, abs=1e-9)
-
-
-class TestIngestExperiment:
-    """The ingest-pipeline experiment: timings plus asserted equivalence."""
-
-    def test_sections_and_equivalence(self, tmp_path):
-        import numpy as np
-
-        from repro.evaluation import ingest_experiment
-
-        matrix = np.random.default_rng(8).normal(size=(64, 128))
-        result = ingest_experiment(matrix, tmp_path)
-        assert result.equivalent
-        assert result.database_size == 64
-        table = result.as_table()
-        for marker in (
-            "compress per-row",
-            "compress batch",
-            "store bulk append_matrix",
-            "bit-identical",
-        ):
-            assert marker in table, marker
-
-    def test_shardless_configuration(self, tmp_path):
-        import numpy as np
-
-        from repro.evaluation import ingest_experiment
-
-        matrix = np.random.default_rng(9).normal(size=(32, 64))
-        result = ingest_experiment(matrix, tmp_path)
-        assert result.equivalent
-        assert "shard build" not in result.as_table()

@@ -47,23 +47,3 @@ class TestRunner:
         )
         captured = capsys.readouterr()
         assert "bound tightness" in captured.out
-
-
-class TestIngestSection:
-    def test_ingest_flag_appends_section(self):
-        import io
-
-        out = io.StringIO()
-        run_report(
-            db_size=64,
-            days=64,
-            queries=2,
-            pairs=5,
-            seed=2,
-            budgets=(8,),
-            ingest=True,
-            out=out,
-        )
-        text = out.getvalue()
-        assert "ingest pipeline - batch vs per-row build" in text
-        assert "bit-identical" in text

@@ -241,6 +241,30 @@ def test_kill_at_every_compaction_seam(tmp_path):
             assert reopened.recovery.wal_records > 0 or seam.endswith(".gc")
 
 
+def test_torn_wal_tail_costs_only_the_last_group(tmp_path):
+    """A kill mid-``write(2)`` tears the WAL's final record: the store
+    reopens, truncates the tear, and answers like a twin that only ever
+    saw the groups before it."""
+    directory = tmp_path / "stream"
+    store = StreamStore(directory, DAYS, fsync=False)
+    for i in range(3):
+        store.append(f"s{i}", _counts(i))
+    store.close()
+    (wal,) = directory.glob("wal-*.log")
+    with open(wal, "r+b") as handle:
+        handle.truncate(wal.stat().st_size - 5)
+
+    with StreamStore(directory, fsync=False) as reopened, StreamStore(
+        tmp_path / "twin", DAYS, fsync=False
+    ) as twin:
+        assert reopened.recovery.wal_truncated_bytes > 0
+        for i in range(2):
+            twin.append(f"s{i}", _counts(i))
+        recovered, expected = _snapshot(reopened), _snapshot(twin)
+        assert recovered[0] == expected[0] == ("s0", "s1")
+        assert recovered[2] == expected[2]
+
+
 def test_recovered_store_serves_every_backend(tmp_path):
     """After a mid-seal kill, the union answers on all seven backends."""
     directory = tmp_path / "stream"
