@@ -94,6 +94,11 @@ class LiveBurstMonitor:
     def __len__(self) -> int:
         return len(self._detectors)
 
+    def __bool__(self) -> bool:
+        # A monitor that watches no series yet (say, right after a seal)
+        # is still a monitor: ``if store.monitor`` asks whether one is on.
+        return True
+
     def detector(self, name: str) -> OnlineDetector | None:
         """The per-series online detector, or ``None`` if never observed."""
         return self._detectors.get(name)
@@ -177,6 +182,9 @@ class LivePeriodMonitor:
 
     def __len__(self) -> int:
         return len(self._detectors)
+
+    def __bool__(self) -> bool:
+        return True  # on, even while it watches no series (see above)
 
     def detector(self, name: str) -> OnlinePeriodDetector | None:
         """The per-series detector, or ``None`` if never observed."""

@@ -27,6 +27,7 @@ population), live rows follow as ``S..S+L-1`` in insertion order.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
@@ -80,8 +81,7 @@ class StreamIndex:
     ) -> None:
         self.backend = backend
         self._sealed_count = int(sealed_matrix.shape[0])
-        self._live = np.ascontiguousarray(live_matrix, dtype=np.float64)
-        self._names = tuple(sealed_names) + tuple(live_names)
+        self._sealed_names = tuple(sealed_names)
         # Both snapshots are (rows, n) with the same window length n,
         # even when empty — the store builds them that way.
         self._length = int(sealed_matrix.shape[1] or live_matrix.shape[1])
@@ -90,7 +90,24 @@ class StreamIndex:
             if self._sealed_count
             else None
         )
+        self._set_live(live_matrix, live_names)
+
+    def _set_live(self, live_matrix: np.ndarray, live_names) -> None:
+        self._live = np.ascontiguousarray(live_matrix, dtype=np.float64)
+        self._names = self._sealed_names + tuple(live_names)
         self.store = _UnionStore(self)
+
+    def with_live(
+        self, live_matrix: np.ndarray, live_names: tuple[str, ...]
+    ) -> "StreamIndex":
+        """A new union of the same inner (sealed) index and a new live tier.
+
+        Nothing sealed is re-read or rebuilt.  The inner index is shared,
+        not copied, so it must be closed once, through one of the unions.
+        """
+        union = copy.copy(self)
+        union._set_live(live_matrix, live_names)
+        return union
 
     # ------------------------------------------------------------------
     # EngineIndex protocol
@@ -195,7 +212,10 @@ class StreamIndex:
         return execute_range(self, query, radius, policy)
 
     def close(self) -> None:
-        """Release the inner backend (routers hold files/processes)."""
+        """Release the inner backend (routers hold files/processes).
+
+        Unions made by :meth:`with_live` share it: close one of them.
+        """
         closer = getattr(self._inner, "close", None)
         if closer is not None:
             closer()

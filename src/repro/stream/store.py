@@ -156,8 +156,10 @@ class StreamStore:
             else None
         )
         self._segments: list[tuple[SegmentInfo, SequencePageStore]] = []
+        # Cached unions per (backend, kwargs), each tagged with the live
+        # epoch its live snapshot was taken in (see index()).
         self._indexes: dict = {}
-        self._epoch = 0
+        self._live_epoch = 0
         self._poisoned = False
         self._closed = False
         os.makedirs(self.directory, exist_ok=True)
@@ -333,8 +335,7 @@ class StreamStore:
             if record.name in self._live:
                 self._live.delete(record.name)
             self._tombstones.add(record.name)
-            for monitor in self._monitors():
-                monitor.forget(record.name)
+            self._forget_detectors((record.name,))
         else:  # pragma: no cover - decode guarantees the kind set
             raise CorruptionError(f"unknown WAL record kind {record.kind!r}")
 
@@ -412,12 +413,13 @@ class StreamStore:
                     store.close()
             raise
 
-    def _mutated(self) -> None:
-        self._epoch += 1
-        self._drop_indexes()
-
     def _drop_indexes(self) -> None:
-        for index in self._indexes.values():
+        """Sealed visibility moved (or the store closes): close them all.
+
+        Every union cached for a key shares that key's inner index, so
+        closing the newest one closes the inner exactly once.
+        """
+        for _, index in self._indexes.values():
             with contextlib.suppress(Exception):
                 index.close()
         self._indexes.clear()
@@ -453,7 +455,13 @@ class StreamStore:
         # a crash inside the WAL write leaves both sides at pre-batch.
         for record in records:
             self._apply(record)
-        self._mutated()
+        # Only a tombstone (delete, or a supersede of a sealed name)
+        # changes which sealed rows are visible between seals.
+        # Anything else ends only the live epoch (see index()).
+        if any(record.kind == "tomb" for record in records):
+            self._drop_indexes()
+        else:
+            self._live_epoch += 1
 
     def append(self, name: str, values) -> None:
         """Add a full-window raw count series under ``name``.
@@ -567,7 +575,8 @@ class StreamStore:
         segment first, fresh WAL second, manifest rename third, old-WAL
         delete last — a crash between any two steps leaves either the
         old generation (plus unreferenced orphans) or the new one (plus
-        an unreferenced old WAL), both of which open cleanly.
+        an unreferenced old WAL), both of which open cleanly.  The sealed
+        series' burst and period detectors are forgotten.
         """
         self._check_usable()
         if len(self._live) == 0:
@@ -639,8 +648,11 @@ class StreamStore:
         self._manifest = manifest
         self._segments.append((manifest.segments[-1], writer))
         self._tombstones = set(manifest.tombstones)
+        # A sealed series is never fed again, and a reopened store seeds
+        # detectors only from the WAL written since the seal.
+        self._forget_detectors(self._live.names)
         self._live.clear()
-        self._mutated()
+        self._drop_indexes()
 
     # ------------------------------------------------------------------
     # Compaction
@@ -701,7 +713,7 @@ class StreamStore:
             self._manifest = next_manifest
             self._segments = [merged] if merged else []
             self._tombstones = set()
-            self._mutated()
+            self._drop_indexes()
             crashpoint("compact.gc")
             for info, store in old_segments:
                 store.close()
@@ -749,32 +761,42 @@ class StreamStore:
     def index(self, backend: str = "flat", **kwargs) -> StreamIndex:
         """An engine-protocol index over the current union snapshot.
 
-        Snapshots are cached per ``(backend, kwargs)`` and invalidated
-        by any mutation; the sealed rows are read back through the
-        checksummed page stores, so silent corruption surfaces here as
-        a typed error, never as garbage distances.
+        Cached per ``(backend, kwargs)`` in two epochs.  The *sealed*
+        epoch ends only when sealed visibility changes — ``seal()``,
+        ``compact()``, or a WAL group holding a tombstone (a delete, or
+        a supersede of a sealed name); the inner index is then closed
+        and the next call re-reads every visible sealed row through the
+        checksummed page stores (silent corruption surfaces here as a
+        typed error, never as garbage distances) and rebuilds it.  Any
+        other mutation ends only the *live* epoch: the next call wraps
+        the same inner index around a fresh live snapshot
+        (:meth:`StreamIndex.with_live`).  The store owns each inner
+        index and closes it once, on the next sealed change or on
+        :meth:`close`.
         """
         self._check_usable()
         key = (backend, tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
         cached = self._indexes.get(key)
+        if cached is not None and cached[0] == self._live_epoch:
+            return cached[1]
+        live = (self._live.matrix(), self._live.names)
         if cached is not None:
-            return cached
-        visible = self._visible_sealed()
-        sealed_names = tuple(name for _, _, name in visible)
-        sealed_matrix = (
-            self._gather_rows(visible)
-            if visible
-            else np.empty((0, self.sequence_length), dtype=np.float64)
-        )
-        built = StreamIndex(
-            backend,
-            sealed_matrix,
-            sealed_names,
-            self._live.matrix(),
-            self._live.names,
-            **kwargs,
-        )
-        self._indexes[key] = built
+            built = cached[1].with_live(*live)
+        else:
+            visible = self._visible_sealed()
+            sealed_matrix = (
+                self._gather_rows(visible)
+                if visible
+                else np.empty((0, self.sequence_length), dtype=np.float64)
+            )
+            built = StreamIndex(
+                backend,
+                sealed_matrix,
+                tuple(name for _, _, name in visible),
+                *live,
+                **kwargs,
+            )
+        self._indexes[key] = (self._live_epoch, built)
         return built
 
     def search(self, query, k: int = 1, *, backend: str = "flat", **kwargs):
@@ -796,6 +818,12 @@ class StreamStore:
         if self._period_monitor is not None:
             active.append(self._period_monitor)
         return active
+
+    def _forget_detectors(self, names) -> None:
+        """Drop the named series' detectors from every monitor."""
+        for monitor in self._monitors():
+            for name in names:
+                monitor.forget(name)
 
     def drain_alerts(self) -> list[BurstAlert]:
         """Burst alerts raised since the last drain (empty if disabled)."""

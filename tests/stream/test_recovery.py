@@ -321,10 +321,12 @@ def test_recovered_monitor_equals_one_that_never_crashed(tmp_path):
     """Replayed adds take the bulk path: same alerts, same detector state.
 
     The crashed store and its twin acknowledge the same ``append_many``
-    batches, events and rollovers; the crashed one is then killed inside
-    one more (unacknowledged) batch and reopened at constructor
+    batches, seal, events and rollovers; the crashed one is then killed
+    inside one more (unacknowledged) batch and reopened at constructor
     defaults, so every add in the WAL is replayed through the burst
-    monitor's bulk ``extend``.
+    monitor's bulk ``extend``.  The seal forgets the sealed series'
+    detectors, as the reopened store, which replays only the WAL written
+    since the seal, never builds them.
     """
 
     def bursty(seed: int) -> np.ndarray:
@@ -337,7 +339,10 @@ def test_recovered_monitor_equals_one_that_never_crashed(tmp_path):
             store.append_many(
                 (f"q{batch}-{i}", bursty(4 * batch + i)) for i in range(4)
             )
-        store.record("q0-1", 900.0)
+            if batch == 0:
+                store.seal()
+                store.drain_alerts()  # raised before the replayed WAL
+        store.record("q0-1", 900.0)  # supersedes a sealed series
         store.rollover()
         store.delete("q1-2")  # forgets the detector ...
         store.append("q1-2", bursty(40))  # ... and seeds a fresh one
@@ -346,7 +351,7 @@ def test_recovered_monitor_equals_one_that_never_crashed(tmp_path):
         state = {}
         for name in sorted(store.names()):
             detector = store.monitor.detector(name)
-            state[name] = (
+            state[name] = None if detector is None else (
                 detector.regions(),
                 detector.size,
                 detector.bursting,
@@ -371,3 +376,4 @@ def test_recovered_monitor_equals_one_that_never_crashed(tmp_path):
             alerts = reopened.drain_alerts()
             assert alerts and alerts == twin.drain_alerts()
             assert monitor_state(reopened) == monitor_state(twin)
+            assert len(reopened.monitor) == len(twin.monitor)

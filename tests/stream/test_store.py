@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.engine.registry import get_index
-from repro.exceptions import IngestionError, KeyNotFoundError, StorageError
+from repro.exceptions import (
+    CorruptionError,
+    IngestionError,
+    KeyNotFoundError,
+    StorageError,
+)
+from repro.storage import SequencePageStore
 from repro.stream import StreamStore
 from repro.stream.store import fsync_enabled_from_env
 from repro.timeseries.preprocessing import zscore
@@ -183,6 +189,111 @@ class TestIndexCache:
         scan = store.index("scan")
         assert flat is not scan
         assert store.index("flat") is flat
+
+    @staticmethod
+    def _two_segments_and_live(store):
+        store.append_many((f"s{i}", _counts(i)) for i in range(6))
+        store.seal()
+        store.append_many((f"t{i}", _counts(10 + i)) for i in range(3))
+        store.seal()
+        store.append("live", _counts(50))
+
+    @staticmethod
+    def _union_names(index):
+        return tuple(index.result_name(i) for i in range(len(index)))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda s: s.append("new", _counts(60)),
+            lambda s: s.append_many([("new", _counts(60))]),
+            lambda s: s.record("live", 2.0),
+            lambda s: s.record("new", 2.0),
+            lambda s: s.rollover(),
+        ],
+        ids=["append", "append_many", "record-live", "record-new", "rollover"],
+    )
+    def test_live_mutation_keeps_the_sealed_index(self, store, mutate):
+        self._two_segments_and_live(store)
+        first = store.index()
+        mutate(store)
+        second = store.index()
+        assert second is not first and second._inner is first._inner
+        assert self._union_names(second) == store.names()
+        assert store.index() is second
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda s: s.seal(),
+            lambda s: s.compact(),
+            lambda s: s.delete("s1"),
+            lambda s: s.append("s2", _counts(70)),
+            lambda s: s.record("t0", 1.0),
+        ],
+        ids=["seal", "compact", "delete", "supersede-append", "supersede-record"],
+    )
+    def test_sealed_change_replaces_the_inner_index(self, store, mutate):
+        self._two_segments_and_live(store)
+        first = store.index()
+        mutate(store)
+        second = store.index()
+        assert second._inner is not first._inner
+        assert self._union_names(second) == store.names()
+
+    def test_sharded_inner_is_closed_once_and_reaps_its_workers(self, store):
+        self._two_segments_and_live(store)
+        options = {"backend": "sharded", "shards": 2, "worker_pool": True}
+
+        def watched():
+            router = store.index(**options)._inner
+            pids = [pid for pid in router.worker_pool.pids().values() if pid]
+            closes = []
+            close = router.close
+            router.close = lambda: (closes.append(1), close())
+            return router, pids, closes
+
+        def reaped(router, pids):
+            assert router.worker_pool.closed
+            for pid in pids:
+                with pytest.raises(OSError):
+                    os.kill(pid, 0)  # ESRCH: process fully reaped
+            return True
+
+        router, pids, closes = watched()
+        assert pids
+        store.record("live", 1.0)
+        store.rollover()
+        assert store.index(**options)._inner is router and closes == []
+        store.delete("s0")  # a sealed change closes it ...
+        assert closes == [1] and reaped(router, pids)
+        router, pids, closes = watched()
+        store.close()  # ... and so does close(), once
+        store.close()
+        assert closes == [1] and reaped(router, pids)
+
+
+class TestCorruption:
+    def test_sealed_epoch_change_rereads_through_the_crc(self, store):
+        store.append_many((f"s{i}", _counts(i)) for i in range(4))
+        store.seal()
+        query = zscore(_counts(1))
+        before = _answers(store, query)
+        path = os.path.join(store.directory, store.segment_files()[0])
+        with SequencePageStore.open(path) as probe:
+            offset = probe._offset_of(1) + 100  # inside s1's payload
+        with open(path, "r+b") as raw:
+            raw.seek(offset)
+            byte = raw.read(1)[0]
+            raw.seek(offset)
+            raw.write(bytes([byte ^ 0x01]))
+        # A live-only write keeps the copy that was CRC-checked at load.
+        store.record("fresh", 1.0)
+        after = _answers(store, query, k=5)
+        assert {hit for hit in after if hit[0] != "fresh"} == before
+        store.delete("s3")  # a sealed change re-reads every visible row
+        with pytest.raises(CorruptionError):
+            store.search(query, 1)
 
 
 class TestBackendAgreement:
@@ -370,3 +481,16 @@ class TestPluggableAlerting:
             store.delete("q")
             assert store.monitor.detector("q") is None
             assert store.period_monitor.detector("q") is None
+
+    def test_seal_forgets_both_monitors_and_leaves_them_on(self, tmp_path):
+        with StreamStore(
+            tmp_path / "stream",
+            DAYS,
+            fsync=False,
+            period_window=16,
+        ) as store:
+            store.append("q", self._spiky())
+            store.seal()
+            for monitor in (store.monitor, store.period_monitor):
+                assert monitor.detector("q") is None and len(monitor) == 0
+                assert monitor  # watching nothing, but still on
