@@ -25,10 +25,12 @@ The kernels lean on the database's canonical structure-of-arrays layout
 (:meth:`SketchDatabase.soa_blocks`): every per-field block is one
 contiguous array, so the gathers and einsum reductions below run over
 unit-stride memory whether the database was built in-process, attached
-from a shared-memory arena, or loaded from disk.  :meth:`_exact_and_stored`
-asserts that contract once per evaluation.  Query-side tables live in
-:class:`BatchBounds` and are database-independent — build one per query
-and reuse it across shards or candidate blocks via :meth:`bounds_for`.
+from a shared-memory arena, or loaded from disk.  Query-side tables live
+in :class:`BatchBounds`; the terms that depend only on the database are
+cached on it by :meth:`SketchDatabase.kernel_terms`, which asserts that
+contract.  Every kernel starts from one shared pass (:meth:`BatchBounds._rows`)
+and builds each envelope from one helper per term, so the sound default
+``best_min_error_safe`` bounds its rows once.
 """
 
 from __future__ import annotations
@@ -64,129 +66,126 @@ class BatchBounds:
     # ------------------------------------------------------------------
     # Shared row-wise pieces
     # ------------------------------------------------------------------
-    def _exact_and_stored(self, db: SketchDatabase):
-        """Exact-part distances plus stored query magnitudes/weights."""
-        db.check_query(self.query)
-        # The SoA contract: gathers and reductions below assume the
-        # canonical contiguous field blocks (soa_blocks enforces and
-        # caches contiguity, so repeat evaluations are free).
-        db.soa_blocks()
-        q_sel = self.query.coefficients[db.positions]
-        exact_sq = np.einsum(
-            "ij,ij->i", db.weights, np.abs(q_sel - db.coefficients) ** 2
-        )
-        q_sel_mags = np.abs(q_sel)
-        return exact_sq, q_sel_mags
+    def _rows(self, db: SketchDatabase, *, errors=False, min_powers=False):
+        """The per-row pieces every kernel starts from.
 
-    def bounds_for(self, db: SketchDatabase, method: str | None = None):
-        """Bound arrays for ``db`` using this query's precomputed tables.
-
-        Equivalent to :func:`batch_bounds` but reusing the sort and
-        prefix sums already paid for — the cheap entry point when one
-        query is evaluated against many databases (shard fan-out,
-        per-block bounding).
+        Returns the database's hoisted terms, the exact-part squared
+        distances, the stored query magnitudes and the ``(rows, k)``
+        scratch buffer that the squared terms of the envelopes reuse.
         """
-        method = method or db.method
-        try:
-            kernel = _KERNELS[method]
-        except KeyError:
+        terms = db.kernel_terms()
+        if errors and terms["errors_nan"]:
             raise CompressionError(
-                f"unknown bound method {method!r}"
-            ) from None
-        obs.add("bounds.kernel_calls")
-        obs.add("bounds.pairs", len(db))
-        return kernel(self, db)
+                f"method {db.method!r} sketches store no error term"
+            )
+        if min_powers and terms["min_powers_nan"]:
+            raise CompressionError(
+                f"method {db.method!r} sketches carry no minProperty"
+            )
+        db.check_query(self.query)
+        diff = self.query.coefficients[db.positions]
+        np.subtract(diff, db.coefficients, out=diff)
+        sq = np.abs(diff)
+        np.square(sq, out=sq)
+        exact_sq = np.einsum("ij,ij->i", db.weights, sq)
+        # Bitwise |q_sel|: Spectrum.magnitudes is np.abs(coefficients).
+        q_sel_mags = self.query.magnitudes[db.positions]
+        return terms, exact_sq, q_sel_mags, sq
 
-    def _suffix_sums(self, thresholds: np.ndarray):
-        """Sums of w, w*mag, w*mag^2 over query coefficients with mag > t."""
-        idx = np.searchsorted(self._sorted_mags, thresholds, side="right")
+    def _suffix_sums(self, terms):
+        """Sums of w, w*mag, w*mag^2 over query coefficients with mag > m.
+
+        The rows' minPowers are searched in their cached sorted order.
+        """
+        idx = np.empty(terms["min_order"].size, dtype=np.intp)
+        idx[terms["min_order"]] = np.searchsorted(
+            self._sorted_mags, terms["min_sorted"], side="right"
+        )
         suffix_w = self._prefix_w[-1] - self._prefix_w[idx]
         suffix_wm = self._prefix_wm[-1] - self._prefix_wm[idx]
         suffix_wm2 = self._prefix_wm2[-1] - self._prefix_wm2[idx]
         prefix_wm2 = self._prefix_wm2[idx]
         return suffix_w, suffix_wm, suffix_wm2, prefix_wm2
 
+    def _error_envelope(self, db, terms, exact_sq, q_sel_mags, sq):
+        """BestError's LB/UB from the shared row pieces."""
+        np.square(q_sel_mags, out=sq)
+        stored_energy = np.einsum("ij,ij->i", db.weights, sq)
+        q_err = np.sqrt(np.maximum(self.total_energy - stored_energy, 0.0))
+        t_err = terms["sqrt_errors"]
+        lower = np.sqrt(exact_sq + (q_err - t_err) ** 2)
+        upper = np.sqrt(exact_sq + (q_err + t_err) ** 2)
+        return lower, upper
+
+    def _case1(self, db, terms, q_sel_mags, sq, suffix):
+        """The minProperty's case-1 LB sum, its stored mask and weights."""
+        m = db.min_powers
+        m_col = terms["min_col"]
+        suffix_w, suffix_wm, suffix_wm2, _ = suffix
+        stored_case1 = q_sel_mags > m_col
+        w_case1 = db.weights * stored_case1
+        # Correction for the stored positions, which the full-query sums
+        # wrongly include.
+        np.subtract(q_sel_mags, m_col, out=sq)
+        np.square(sq, out=sq)
+        corr_lb = np.einsum("ij,ij->i", w_case1, sq)
+        case1_lb = np.maximum(
+            (suffix_wm2 - 2 * m * suffix_wm + terms["min_sq"] * suffix_w)
+            - corr_lb,
+            0.0,
+        )
+        return case1_lb, stored_case1, w_case1
+
+    def _min_envelope(self, db, terms, exact_sq, q_sel_mags, sq):
+        """BestMin's LB/UB from the shared row pieces."""
+        suffix = self._suffix_sums(terms)
+        case1_lb, _, _ = self._case1(db, terms, q_sel_mags, sq, suffix)
+        # Upper bound: sum of w*(mag + m)^2 over the omitted coefficients.
+        all_ub = (
+            self._prefix_wm2[-1]
+            + 2 * db.min_powers * self._prefix_wm[-1]
+            + terms["min_sq"] * self._prefix_w[-1]
+        )
+        np.add(q_sel_mags, terms["min_col"], out=sq)
+        np.square(sq, out=sq)
+        corr_ub = np.einsum("ij,ij->i", db.weights, sq)
+        upper_sq = np.maximum(all_ub - corr_ub, 0.0)
+        return np.sqrt(exact_sq + case1_lb), np.sqrt(exact_sq + upper_sq)
+
     # ------------------------------------------------------------------
     # Method kernels
     # ------------------------------------------------------------------
     def gemini(self, db: SketchDatabase):
         """LB_GEMINI for every row; upper bounds are ``inf``."""
-        exact_sq, _ = self._exact_and_stored(db)
+        _, exact_sq, _, _ = self._rows(db)
         lower = np.sqrt(np.maximum(exact_sq, 0.0))
         return lower, np.full(len(db), np.inf)
 
     def best_error(self, db: SketchDatabase):
         """LB/UB of BestError (or Wang on first-coefficient sketches)."""
-        if np.isnan(db.errors).any():
-            raise CompressionError(
-                f"method {db.method!r} sketches store no error term"
-            )
-        exact_sq, q_sel_mags = self._exact_and_stored(db)
-        stored_energy = np.einsum("ij,ij->i", db.weights, q_sel_mags**2)
-        q_err = np.sqrt(np.maximum(self.total_energy - stored_energy, 0.0))
-        t_err = np.sqrt(db.errors)
-        lower = np.sqrt(exact_sq + (q_err - t_err) ** 2)
-        upper = np.sqrt(exact_sq + (q_err + t_err) ** 2)
-        return lower, upper
+        return self._error_envelope(db, *self._rows(db, errors=True))
 
     wang = best_error
 
-    def _min_property_terms(self, db: SketchDatabase, q_sel_mags: np.ndarray):
-        """Per-row case-1/case-2 sums over the omitted coefficients."""
-        if np.isnan(db.min_powers).any():
-            raise CompressionError(
-                f"method {db.method!r} sketches carry no minProperty"
-            )
-        m = db.min_powers
-        suffix_w, suffix_wm, suffix_wm2, prefix_wm2 = self._suffix_sums(m)
-
-        stored_case1 = q_sel_mags > m[:, None]
-        w_case1 = db.weights * stored_case1
-        # Correction terms for the stored positions, which the full-query
-        # sums wrongly include.
-        corr_lb = np.einsum(
-            "ij,ij->i", w_case1, (q_sel_mags - m[:, None]) ** 2
-        )
-        corr_w = w_case1.sum(axis=1)
-        corr_case2 = np.einsum(
-            "ij,ij->i", db.weights * ~stored_case1, q_sel_mags**2
-        )
-
-        case1_lb = np.maximum(
-            (suffix_wm2 - 2 * m * suffix_wm + m**2 * suffix_w) - corr_lb, 0.0
-        )
-        case1_w = np.maximum(suffix_w - corr_w, 0.0)
-        q_unused = np.maximum(prefix_wm2 - corr_case2, 0.0)
-        return case1_lb, case1_w, q_unused
-
     def best_min(self, db: SketchDatabase):
         """LB/UB of BestMin for every row."""
-        exact_sq, q_sel_mags = self._exact_and_stored(db)
-        case1_lb, _, _ = self._min_property_terms(db, q_sel_mags)
-        m = db.min_powers
-        # Upper bound: sum of w*(mag + m)^2 over the omitted coefficients.
-        all_ub = (
-            self._prefix_wm2[-1]
-            + 2 * m * self._prefix_wm[-1]
-            + m**2 * self._prefix_w[-1]
-        )
-        corr_ub = np.einsum(
-            "ij,ij->i", db.weights, (q_sel_mags + m[:, None]) ** 2
-        )
-        upper_sq = np.maximum(all_ub - corr_ub, 0.0)
-        lower = np.sqrt(exact_sq + case1_lb)
-        upper = np.sqrt(exact_sq + upper_sq)
-        return lower, upper
+        return self._min_envelope(db, *self._rows(db, min_powers=True))
 
     def best_min_error(self, db: SketchDatabase):
         """LB/UB of the paper's BestMinError (see its soundness note)."""
-        if np.isnan(db.errors).any():
-            raise CompressionError(
-                f"method {db.method!r} sketches store no error term"
-            )
-        exact_sq, q_sel_mags = self._exact_and_stored(db)
-        case1_lb, case1_w, q_unused = self._min_property_terms(db, q_sel_mags)
-        t_unused = np.maximum(db.errors - case1_w * db.min_powers**2, 0.0)
+        terms, exact_sq, q_sel_mags, sq = self._rows(
+            db, errors=True, min_powers=True
+        )
+        suffix = self._suffix_sums(terms)
+        case1_lb, stored_case1, w_case1 = self._case1(
+            db, terms, q_sel_mags, sq, suffix
+        )
+        suffix_w, _, _, prefix_wm2 = suffix
+        case1_w = np.maximum(suffix_w - w_case1.sum(axis=1), 0.0)
+        np.square(q_sel_mags, out=sq)
+        corr_case2 = np.einsum("ij,ij->i", db.weights * ~stored_case1, sq)
+        q_unused = np.maximum(prefix_wm2 - corr_case2, 0.0)
+        t_unused = np.maximum(db.errors - case1_w * terms["min_sq"], 0.0)
         lower = np.sqrt(
             exact_sq
             + case1_lb
@@ -195,14 +194,15 @@ class BatchBounds:
         upper = np.sqrt(
             exact_sq
             + case1_lb
-            + (np.sqrt(q_unused) + np.sqrt(db.errors)) ** 2
+            + (np.sqrt(q_unused) + terms["sqrt_errors"]) ** 2
         )
         return lower, upper
 
     def best_min_error_safe(self, db: SketchDatabase):
         """Sound envelope: max of BestMin/BestError LBs, min of UBs."""
-        lb_min, ub_min = self.best_min(db)
-        lb_err, ub_err = self.best_error(db)
+        rows = self._rows(db, errors=True, min_powers=True)
+        lb_min, ub_min = self._min_envelope(db, *rows)
+        lb_err, ub_err = self._error_envelope(db, *rows)
         return np.maximum(lb_min, lb_err), np.minimum(ub_min, ub_err)
 
 
@@ -221,8 +221,7 @@ class _CountedKernel:
     """A kernel wrapper feeding the metrics layer on every invocation.
 
     Counting happens at the dispatch level, not inside the method
-    bodies, so composite kernels (``best_min_error_safe`` runs two inner
-    kernels) still count as one call over ``len(db)`` pairs.
+    bodies, so every kernel counts as one call over ``len(db)`` pairs.
     """
 
     __slots__ = ("method", "__wrapped__")
@@ -260,4 +259,4 @@ def batch_bounds(
     ``"best_min_error_safe"`` to evaluate the sound envelope on
     BestMinError-shaped sketches.
     """
-    return BatchBounds(query).bounds_for(db, method)
+    return get_batch_kernel(method or db.method)(BatchBounds(query), db)

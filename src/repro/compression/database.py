@@ -289,6 +289,48 @@ class SketchDatabase:
             self._norms_cache = cached
         return cached
 
+    def kernel_terms(self) -> dict:
+        """Per-row terms the batch bound kernels derive from the blocks alone.
+
+        The NaN checks of ``errors`` / ``min_powers``, ``sqrt(errors)``,
+        ``min_powers**2``, the ``min_powers[:, None]`` column and a stable
+        argsort of ``min_powers`` (with the sorted values), computed once
+        per database instead of once per query.  Building them runs
+        :meth:`soa_blocks`, so the kernels' unit-stride contract is
+        asserted here.  The cache is keyed on the identity of the field
+        blocks: replacing a block rebuilds it, and a :meth:`take` view or
+        an :meth:`appended` database, a new instance, builds its own.
+        """
+        cached = getattr(self, "_kernel_terms", None)
+        if cached is not None and all(
+            a is b for a, b in zip(cached["blocks"], self._kernel_blocks())
+        ):
+            return cached
+        self.soa_blocks()
+        m = self.min_powers
+        order = np.argsort(m, kind="stable")
+        cached = {
+            "blocks": self._kernel_blocks(),
+            "errors_nan": bool(np.isnan(self.errors).any()),
+            "min_powers_nan": bool(np.isnan(m).any()),
+            "sqrt_errors": np.sqrt(self.errors),
+            "min_sq": m**2,
+            "min_col": m[:, None],
+            "min_order": order,
+            "min_sorted": m[order],
+        }
+        self._kernel_terms = cached
+        return cached
+
+    def _kernel_blocks(self) -> tuple[np.ndarray, ...]:
+        return (
+            self.positions,
+            self.coefficients,
+            self.weights,
+            self.errors,
+            self.min_powers,
+        )
+
     @property
     def widths(self) -> np.ndarray:
         """Per-row sketch widths (the ``widths`` SoA block, read-only alias)."""

@@ -32,10 +32,13 @@ full_retrievals == database_size``.
 :func:`_refine_knn` against the moving top-k cutoff, :func:`_refine_range`
 against the fixed radius — fed by the same two helpers.
 :func:`_candidate_blocks` hands a loop its candidates in LB order: an
-entry list in ``REPRO_VERIFY_BLOCK`` (default 256) blocks, each
-bulk-fetched in one batched store read (zero-copy when the store is
+entry list in blocks of at most ``REPRO_VERIFY_BLOCK`` (default 256),
+each bulk-fetched in one batched store read (zero-copy when the store is
 memory-mapped) with its squared distances from one chunk-accumulated
-einsum pass; a streaming generator (the GEMINI R-tree's k-NN) as
+einsum pass.  A k-NN block reads only what the loop's stop rule can
+still admit: the first holds ``k`` entries, and each later one ends
+before the first entry whose relaxed lower bound exceeds the running
+cutoff.  A streaming generator (the GEMINI R-tree's k-NN) comes as
 single-item blocks, never prefetched, because pulling a stream item
 mutates the traversal's own accounting.  :func:`_distance_sq` is the one
 distance source: a distance the traversal already ``paid`` for, else the
@@ -49,10 +52,10 @@ tie-break, termination and :class:`SearchStats` counter, bit-identically.
 then comes from the independent scalar kernel, which is what the
 blocked ≡ scalar tests and benchmarks compare against.  The only
 observable difference is physical: a terminating block may have
-prefetched rows the loop never consumes (charged to
-:class:`~repro.storage.pagestore.IOStats`, discarded unread), so
-``store.stats.read_calls >= stats.full_retrievals`` under blocking, with
-equality at block size 0.
+prefetched rows the loop never consumes, when the cutoff fell inside the
+block (charged to :class:`~repro.storage.pagestore.IOStats`, discarded
+unread), so ``store.stats.read_calls >= stats.full_retrievals`` under
+blocking, with equality at block size 0.
 
 **Approximate tier (opt-in).**  ``execute_knn``/``execute_range`` accept
 an :class:`~repro.engine.approx.ApproxPolicy`: ``epsilon`` relaxes the
@@ -77,6 +80,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -390,7 +394,9 @@ def _prefetch_block(
     return outcomes
 
 
-def _candidate_blocks(index, query, cands: CandidateSet, slack=None):
+def _candidate_blocks(
+    index, query, cands: CandidateSet, slack=None, stop=None
+):
     """Yield ``(block, prefetched)`` pairs in LB order, lazily.
 
     ``block`` is a run of ``(LB^2, seq_id)`` entries and ``prefetched``
@@ -401,6 +407,17 @@ def _candidate_blocks(index, query, cands: CandidateSet, slack=None):
     rows mid-query), and a stream — single-item blocks, never
     prefetched — never bounds a member the loop did not reach.  Block
     size 0 or 1 is the whole entry list as one unprefetched block.
+
+    ``stop`` is the k-NN loop's termination rule, a ``(k, relax_sq,
+    cutoff_sq)`` triple whose ``cutoff_sq`` reads the loop's running
+    cutoff when called.  It bounds what a block prefetches.  The first
+    block holds ``k`` entries, because no cutoff exists before k
+    distances are known.  Every later block ends before the first entry
+    whose relaxed lower bound already exceeds the cutoff: the loop
+    terminates on that entry, and the cutoff never grows, so no row
+    the loop wants is left out.  When that leaves a block empty, the
+    rest is yielded unprefetched and the loop's test fires on its first
+    entry.
     """
     if cands.stream is not None:
         for entry in cands.stream:
@@ -411,9 +428,27 @@ def _candidate_blocks(index, query, cands: CandidateSet, slack=None):
     if block_size <= 1:
         yield entries, None
         return
-    for start in range(0, len(entries), block_size):
-        block = entries[start : start + block_size]
+    start = 0
+    while start < len(entries):
+        end = start + block_size
+        if stop is not None:
+            k, relax_sq, cutoff_sq = stop
+            if start == 0:
+                end = min(end, k)
+            else:
+                end = bisect_right(
+                    entries,
+                    cutoff_sq(),
+                    start,
+                    min(end, len(entries)),
+                    key=lambda entry: entry[0] * relax_sq,
+                )
+                if end == start:
+                    yield entries[start:], None
+                    return
+        block = entries[start:end]
         yield block, _prefetch_block(index, query, block, cands.paid, slack)
+        start = end
 
 
 def _distance_sq(
@@ -756,7 +791,8 @@ def _refine_knn(
     terminated = False
     stopped = False
     unimproved = 0
-    for block, prefetched in _candidate_blocks(index, query, cands):
+    stop = (k, relax_sq, lambda: cutoff_sq)  # reads the running cutoff
+    for block, prefetched in _candidate_blocks(index, query, cands, stop=stop):
         for lb_sq, seq_id in block:
             if len(best) == k and lb_sq * relax_sq > cutoff_sq:
                 # Increasing-LB order: every remaining candidate is at

@@ -165,6 +165,83 @@ class TestRowIndependence:
                 ), context
 
 
+class TestOnePassSafeKernel:
+    """``best_min_error_safe`` is, bit for bit, the envelope of the
+    registered ``best_min`` and ``best_error`` kernels: one pass over the
+    shared row pieces computes exactly what the two kernels compute
+    separately, on every database shape a kernel meets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=5000),
+        adaptive=st.booleans(),
+        shape=st.sampled_from(["packed", "appended", "take", "from_soa"]),
+        data=st.data(),
+    )
+    def test_safe_is_the_envelope_of_its_parts(
+        self, seed, adaptive, shape, data
+    ):
+        matrix = make_matrix(seed, count=12, n=64)
+        rng = np.random.default_rng(seed + 1)
+        batch = BatchBounds(Spectrum.from_series(zscore(rng.normal(size=64))))
+        if adaptive:
+            compressor = AdaptiveEnergyCompressor(0.7, max_k=12)
+        else:
+            compressor = BestMinErrorCompressor(data.draw(st.integers(2, 9)))
+        safe = get_batch_kernel("best_min_error_safe")
+        db = SketchDatabase.from_matrix(matrix[:9], compressor)
+        safe(batch, db)  # the parent's cached terms exist before deriving
+        if shape == "appended":
+            for row in matrix[9:]:
+                db = db.appended(compressor.compress(Spectrum.from_series(row)))
+        elif shape == "take":
+            db = db.take(
+                data.draw(st.lists(st.integers(0, 8), min_size=1, max_size=20))
+            )
+        elif shape == "from_soa":
+            blocks = db.soa_blocks()
+            db = SketchDatabase.from_soa(
+                {f: blocks[f] for f in SketchDatabase.SOA_FIELDS},
+                n=db.n,
+                basis=db.basis,
+                method=db.method,
+            )
+        lower, upper = safe(batch, db)
+        lb_min, ub_min = get_batch_kernel("best_min")(batch, db)
+        lb_err, ub_err = get_batch_kernel("best_error")(batch, db)
+        assert lower.tobytes() == np.maximum(lb_min, lb_err).tobytes()
+        assert upper.tobytes() == np.minimum(ub_min, ub_err).tobytes()
+
+    def test_hoisted_terms_stay_with_their_database(self, matrix):
+        compressor = BestMinErrorCompressor(5)
+        parent = SketchDatabase.from_matrix(matrix[:-1], compressor)
+        parent_terms = parent.kernel_terms()
+        children = {
+            "take": parent.take([3, 0, 7, 3]),
+            "appended": parent.appended(
+                compressor.compress(Spectrum.from_series(matrix[-1]))
+            ),
+        }
+        for name, child in children.items():
+            blocks = child.soa_blocks()
+            fresh = SketchDatabase.from_soa(
+                {f: blocks[f] for f in SketchDatabase.SOA_FIELDS},
+                n=child.n,
+                basis=child.basis,
+                method=child.method,
+            ).kernel_terms()
+            terms = child.kernel_terms()
+            assert terms is not parent_terms, name
+            for key, value in fresh.items():
+                if key != "blocks":
+                    assert np.array_equal(terms[key], value), (name, key)
+        # Replacing a field block rebuilds the database's own terms.
+        parent.min_powers = parent.min_powers * 2.0
+        rebuilt = parent.kernel_terms()
+        assert rebuilt is not parent_terms
+        assert np.array_equal(rebuilt["min_sq"], parent.min_powers**2)
+
+
 class TestOddLengths:
     """The paper assumes power-of-two lengths; odd lengths must still be
     sound (no real Nyquist coefficient exists, so the middle filler is

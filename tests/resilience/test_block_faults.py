@@ -91,15 +91,21 @@ class _FlakyBulk:
 def test_transient_bulk_failure_retries_once_per_block(workload):
     matrix, queries = workload
     clean = snap(get_index("flat", matrix), queries)
+    # An un-faulted twin counts the query's blocks.
+    twin = get_index("flat", matrix)
+    counted = _FlakyBulk(twin.store, failures=0)
+    twin._store = counted
+    twin.search(queries[0], K)
+    clean_blocks = counted.bulk_calls
     index = get_index("flat", matrix)
     flaky = _FlakyBulk(index.store, failures=1)
     index._store = flaky
     with policy_context(FAST), obs.observed() as registry:
         neighbors, stats = index.search(queries[0], K)
-    # One block, one retry — not one retry per row.
+    # One retry for the failed block — not one retry per row.
     assert registry.counter("resilience.retries").value == 1
     assert registry.counter("resilience.giveups").value == 0
-    assert flaky.bulk_calls == 2
+    assert flaky.bulk_calls == clean_blocks + 1
     assert not stats.degraded
     assert_invariant(stats, len(matrix))
     assert [(n.seq_id, n.distance) for n in neighbors] == clean[0][0]
