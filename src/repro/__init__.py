@@ -19,7 +19,7 @@ The package mirrors the paper's structure:
   batched ``search_many`` entry point;
 * :mod:`repro.cluster` — horizontal partitioning: deterministic shard
   assignment, per-shard page stores with a checksummed manifest, and the
-  scatter-gather ``ShardRouter`` behind the same engine protocol;
+  flat-filtered ``ShardRouter`` behind the same engine protocol;
 * :mod:`repro.periods` — the exponential-threshold period detector of
   section 5;
 * :mod:`repro.bursts` — burst detection, compaction, similarity and

@@ -1,4 +1,4 @@
-"""Shard-aware query architecture: partitioned stores + scatter-gather.
+"""Shard-aware query architecture: one filter over partitioned rows.
 
 The paper's experiments index up to :math:`2^{15}` sequences behind one
 monolithic structure; the ROADMAP north-star is a production-scale
@@ -12,15 +12,14 @@ layer (see ``docs/SHARDING.md``):
   index (any registry backend) and optionally its own page-store file,
   described by a CRC-checked :class:`ShardManifest`;
 * :class:`ShardRouter` — an :class:`~repro.engine.core.EngineIndex` over
-  the shards: candidate generation scatters to every shard (serially
-  in process, or on the persistent worker pool), gathers the
-  per-shard candidate sets, and merges them under one *global*
-  :math:`\\sigma_{UB}` so cross-shard pruning is no weaker than the
-  monolithic index.  The shared verifier, the obs accounting and the
-  resilience guards all apply unchanged.
+  the shards: it holds one filter (the whole population's sketches) and
+  bounds every single query against it exactly as the ``flat`` index
+  does, then verifies through the shards' stores.  The shared verifier,
+  the obs accounting and the resilience guards all apply unchanged.
 * :class:`ShardWorkerPool` — one persistent worker process per
   populated shard, each holding its warm index over zero-copy
-  shared-memory views of the shard's matrix and sketch blocks; enabled
+  shared-memory views of the shard's matrix and sketch blocks; it
+  builds the shards and serves exact ``search_many`` batches; enabled
   with ``worker_pool=True`` or the ``REPRO_SHARD_WORKERS`` environment
   switch (see ``docs/CONCURRENCY.md``).
 

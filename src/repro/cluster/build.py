@@ -92,7 +92,7 @@ def default_worker_pool() -> bool:
 
     Any integer >= 1 enables it; the pool always runs one worker per
     populated shard, so the value is a switch, not a count.  Unset,
-    empty or ``0`` keeps the in-process scatter; anything else raises
+    empty or ``0`` keeps the shards in process; anything else raises
     :class:`~repro.exceptions.ReproError` naming the variable.
     """
     return parse_env_int("REPRO_SHARD_WORKERS", 0, minimum=0) >= 1
@@ -110,6 +110,19 @@ def _canonical_backend(backend: str) -> str:
             f"unknown shard backend {backend!r}; available: {known}"
         )
     return key
+
+
+def _filter_kwargs(key: str, index_kwargs) -> dict:
+    """The router's filter: the caller's ``compressor`` / ``bound_method``.
+
+    A ``scan`` population keeps no filter (the scan is the baseline).
+    """
+    kwargs = {
+        name: index_kwargs[name]
+        for name in ("compressor", "bound_method")
+        if name in index_kwargs
+    }
+    return {**kwargs, "filtered": key != "scan"}
 
 
 def _shard_file(shard: int) -> str:
@@ -175,19 +188,24 @@ def _stage(arena: SharedArena, specs, matrix, members, sketches) -> None:
 
 
 def _serve(
-    specs, members, partitioner, n, pooled, *,
+    specs, members, partitioner, n, pooled, filter_kwargs, *,
     matrix=None, sketches=None, stores=None,
 ) -> ShardRouter:
     """Build ``specs`` in process or on a warm pool; wire one router.
 
     ``matrix`` / ``sketches`` (a fresh build) are the whole population
-    and its shared sketch database, sliced per shard as each is built;
-    ``stores`` (a reopen) maps shards to the parent's count-checked page
-    stores.  Any failure — staging, spawn, a worker refusing to warm, a
-    build — closes every store, the pool and the arena before the
-    exception propagates: no orphan processes, no leaked ``/dev/shm``
-    segments.
+    and its sketch database: the router's filter, and sliced per shard
+    for ``flat`` shards; ``stores`` (a reopen) maps shards to the
+    parent's count-checked page stores, from which the router reads its
+    filter's rows.  ``filter_kwargs`` configure the router's filter
+    (:func:`_filter_kwargs`).  Any failure — staging, spawn, a worker
+    refusing to warm, a build — closes every store, the pool and the
+    arena before the exception propagates: no orphan processes, no
+    leaked ``/dev/shm`` segments.
     """
+    shard_sketches = (
+        sketches if specs and specs[0].backend == "flat" else None
+    )
     stores = {} if stores is None else stores
     subs = {}
     pool = arena = None
@@ -195,7 +213,7 @@ def _serve(
         if pooled:
             if matrix is not None:
                 arena = SharedArena()
-                _stage(arena, specs, matrix, members, sketches)
+                _stage(arena, specs, matrix, members, shard_sketches)
             pool = ShardWorkerPool(specs, arena, shard_count=len(members))
             pool.start()  # warm-up = parallel store writes + index builds
             for spec in specs:
@@ -216,7 +234,9 @@ def _serve(
                     spec,
                     matrix=matrix[rows] if matrix is not None else None,
                     sketch_db=(
-                        sketches.take(rows) if sketches is not None else None
+                        shard_sketches.take(rows)
+                        if shard_sketches is not None
+                        else None
                     ),
                     store=stores.get(spec.shard),
                 )
@@ -225,6 +245,8 @@ def _serve(
             partitioner=partitioner,
             sequence_length=n,
             pool=pool,
+            sketch_db=sketches,
+            **filter_kwargs,
         )
     except BaseException:
         for store in stores.values():
@@ -272,8 +294,9 @@ def build_sharded(
         ``True`` routes the returned router through a persistent
         :class:`~repro.cluster.ShardWorkerPool`, whose warm-up is also
         the parallel build (every worker writes its shard's store and
-        constructs its index concurrently); ``False`` builds and
-        scatters serially in process; ``None`` (default) defers to
+        constructs its index concurrently) and serves exact
+        ``search_many`` batches; ``False`` builds and serves in
+        process; ``None`` (default) defers to
         :func:`default_worker_pool` (the ``REPRO_SHARD_WORKERS``
         environment switch).  Pooled routers return bit-identical
         answers, shut their workers down deterministically via
@@ -294,17 +317,19 @@ def build_sharded(
     members = partitioner.members(total)
     files = [_shard_file(shard) for shard in range(len(members))]
 
-    # One compression pass for the whole population, sliced into
-    # shard-local views — the flat backend then skips per-shard
-    # recompression entirely (and the views are bit-identical to what a
-    # per-shard compression would produce, since sketches are per-row).
-    shared_sketches = None
-    if key == "flat" and "sketch_db" not in index_kwargs and total:
+    # One compression pass for the whole population: the router's filter,
+    # also sliced into shard-local views for flat shards, which then skip
+    # per-shard recompression (the views are bit-identical to what
+    # a per-shard compression would produce, since sketches are per-row).
+    filter_kwargs = _filter_kwargs(key, index_kwargs)
+    sketches = None
+    if total and filter_kwargs["filtered"]:
         compressor = (
-            index_kwargs.get("compressor") or SketchIndexBase.DEFAULT_COMPRESSOR
+            filter_kwargs.get("compressor")
+            or SketchIndexBase.DEFAULT_COMPRESSOR
         )
         with obs.span("ingest.compress"):
-            shared_sketches = SketchDatabase.from_matrix(matrix, compressor)
+            sketches = SketchDatabase.from_matrix(matrix, compressor)
 
     if directory is not None:
         directory = os.fspath(directory)
@@ -322,8 +347,8 @@ def build_sharded(
     )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
     router = _serve(
-        specs, members, partitioner, n, pooled,
-        matrix=matrix, sketches=shared_sketches,
+        specs, members, partitioner, n, pooled, filter_kwargs,
+        matrix=matrix, sketches=sketches,
     )
     if directory is not None:
         try:
@@ -399,5 +424,5 @@ def open_sharded(
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
     return _serve(
         specs, members, partitioner, manifest.sequence_length, pooled,
-        stores=stores,
+        _filter_kwargs(key, index_kwargs), stores=stores,
     )

@@ -1,53 +1,48 @@
 """Persistent shard workers: long-lived processes over shared memory.
 
-Scatter-gather pays off only when the per-shard state stays warm: a
+Shard workers pay off only when the per-shard state stays warm: a
 process started per call spends more on start-up, pickling and
-teardown than the scatter saves (``docs/PERFORMANCE.md`` has the
+teardown than the parallel work saves (``docs/PERFORMANCE.md`` has the
 measurement).  The Lernaean Hydra evaluations (PAPERS.md) make the same
 point about similarity-search benchmarking generally: honest
 steady-state numbers require warm, long-lived execution.  This module
-is that transport, the one parallel path beside the in-process serial
-scatter:
+is that transport, the one parallel path beside in-process serving.  It
+serves shard builds and exact ``search_many`` batches; single queries
+are bounded by the router's own filter in the parent and never come
+here:
 
 * :class:`ShardWorkerPool` — one **persistent process per populated
   shard**.  A worker attaches the shard's sequence matrix and packed
   sketch blocks as zero-copy read-only views from a
   :class:`~repro.storage.shm.SharedArena` (or opens the shard's
   checksummed page store), builds its engine index **once**, and then
-  serves scatter requests over a duplex pipe until told to stop.
+  serves requests over a duplex pipe until told to stop.
 * :class:`ShardSpec` — the picklable recipe every shard index is built
   from, in a worker or in process (:func:`_build_shard_index` is the
   one builder); respawning a crashed worker replays the spec.
 * :class:`ShardStub` — the parent-side stand-in for a pooled shard.  It
   serves the data plane only — ``len``/``fetch``/``result_name``/
-  ``store``, for the verifier that runs in the parent; candidates come
-  from the pool's scatter and batch requests, never through the stub.
+  ``store``, for the verifier and the filter that run in the parent.
 
 Request protocol (one in-flight request per worker, strictly
-request/response): ``("ping",)``, ``("knn", query, k)``,
-``("range", query, radius)``, ``("batch", queries, k)``,
+request/response): ``("ping",)``, ``("batch", queries, k)``,
+``("knn", query, k)``, ``("range", query, radius)``,
 ``("cands", queries, k)``, ``("stop",)``.  Responses are
-``("ok", payload)`` / ``("err", reason)``; candidate payloads are
-``(CandidateSet, SearchStats, error)`` triples holding exactly what the
-router's serial scatter generates per shard, so the gather (and
-therefore the answers) is bit-identical to the serial path.  ``batch``
-takes no policy: it runs the exact per-shard sub-search
-(:func:`~repro.engine.batch._shard_batch`, the same function the
-in-process fan-out runs).  An approximate batch never uses it — global
-slack and patience decisions cannot be made per shard, so the router
-gathers ``cands`` batches and verifies at the parent (see
-``engine/batch.py``).
+``("ok", payload)`` / ``("err", reason)``.  ``batch`` takes no policy:
+it runs the exact per-shard sub-search
+(:func:`~repro.engine.batch._shard_batch`); global slack and patience
+decisions cannot be made per shard, so an approximate batch runs in the
+parent.  ``knn`` / ``range`` / ``cands`` answer with
+``(CandidateSet, SearchStats, error)`` triples for
+:meth:`~repro.cluster.ShardRouter.gather_knn`; they stay as the pool's
+request API, though no serving path sends them.
 
 Failure model (see ``docs/CONCURRENCY.md`` for the full matrix): a
 worker death — crash, SIGKILL, OOM — is detected by the collect loop
-(pipe EOF or ``is_alive()`` going false), **never hangs the gather**,
-and degrades exactly like a generator failure: the shard is served by a
-parent-side exhaustive fallback scan (the answer stays *correct*, just
-unpruned for that shard), the failure is recorded on the router's
-quarantine, and the pool respawns the worker from its spec before the
-next request (up to ``max_respawns``; after that the shard stays in
-fallback).  With ``RetryPolicy(degrade=False)`` the death raises
-:class:`~repro.exceptions.WorkerCrashError` instead.
+(pipe EOF or ``is_alive()`` going false) and **never hangs a batch**.
+The batch then runs in the parent over the router's filter, exact and
+not degraded, and the pool respawns the worker from its spec before the
+next request (up to ``max_respawns``; after that the shard stays down).
 """
 
 from __future__ import annotations
@@ -238,12 +233,12 @@ def _portable_error(exc: BaseException) -> BaseException:
 
 
 def _candidate_payload(sub, op: str, query, arg):
-    """One shard's generator run, in the router's scatter-triple form.
+    """One shard's generator run, as a ``gather_knn`` triple.
 
     Streams are materialised (iterators cannot cross processes; a
     consumed k-NN stream has bounded every member), and a generator
     failure is answered with the shard's exhaustive fallback plus the
-    error, so the parent degrades exactly as the serial scatter does.
+    error, which the router's gather records on its quarantine.
     """
     stats = SearchStats()
     try:
@@ -339,12 +334,12 @@ def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
 class ShardStub:
     """Parent-side stand-in for a shard whose index lives in a worker.
 
-    The router's verifier runs in the parent, so the stub serves the
-    data plane only (``len``/``fetch``/``result_name``/``store``) from
-    the parent's own handle on the shard's bytes — the shared-memory
-    view or a read handle on the checksummed page store.  Candidates
-    never pass through it: the router asks ``pool`` for every shard at
-    once (``scatter_knn`` / ``scatter_range`` / ``batch_*``).
+    The router's filter and verifier run in the parent, so the stub
+    serves the data plane only (``len``/``fetch``/``result_name``/
+    ``store``) from the parent's own handle on the shard's bytes — the
+    shared-memory view or a read handle on the checksummed page store.
+    Sub-searches never pass through it: ``search_many`` asks the pool
+    for every shard at once (``batch_search``).
     """
 
     def __init__(
@@ -766,9 +761,9 @@ class ShardWorkerPool:
         Each worker runs the full query batch against its warm index at
         ``min(k, shard_size)`` under the exact policy and returns
         per-query ``(neighbors, stats)`` with shard-local ids; the
-        caller merges.  A dead worker maps to ``None`` — the caller
-        falls back to the per-query scatter path, which serves that
-        shard degraded.  Approximate batches never come here (see
+        caller merges.  A dead worker maps to ``None`` (and books a
+        ``cluster.pool.fallbacks``) — the caller then runs the batch in
+        the parent.  Approximate batches never come here (see
         ``engine/batch.py``), so no policy travels on the wire.
         """
         with obs.span("cluster.pool.batch"):
@@ -792,13 +787,10 @@ class ShardWorkerPool:
         request; each worker runs its k-NN generator once per query and
         answers with one ``(CandidateSet, SearchStats, error)`` triple
         per query — the same payloads ``scatter_knn`` would produce one
-        query at a time, so a parent-side gather over them is
-        bit-identical to the per-query scatter.  Returns one
+        query at a time.  Returns one
         full-shard-range triple list per query (the
         :meth:`scatter_candidates` shape), or ``None`` when any worker
-        died — partial batches are not reasoned about; the caller falls
-        back to per-query scatter, which serves the dead shard
-        degraded.
+        died — partial batches are not reasoned about.
         """
         with obs.span("cluster.pool.batch_cands"):
             responses = self._scatter_request(

@@ -1,68 +1,58 @@
-"""Scatter-gather candidate generation over N shards, one engine index.
+"""One engine index over N shards: one filter, partitioned rows.
 
 :class:`ShardRouter` implements the engine's
 :class:`~repro.engine.core.EngineIndex` protocol, so everything built on
-that seam — the shared verifier, the blocked batched verifier, the obs
+that seam — the shared verifier, the batched ``search_many``, the obs
 accounting, the resilience guards, :class:`~repro.resilience.FaultyIndex`
-— works against a sharded population unchanged.  The router owns only
-*routing*:
+— works against a sharded population unchanged.  It splits the paper's
+two resident halves (fig. 23) the way the paper keeps them:
 
-* **scatter** — each shard's own generator runs over the query (serially
-  in process, or on the persistent
-  :class:`~repro.cluster.ShardWorkerPool`), producing a per-shard
-  :class:`~repro.engine.core.CandidateSet`;
-* **gather** — per-shard candidates are translated to global ids and
-  merged under one *global* :math:`\\sigma_{UB}`, rebuilt from the
-  shards' ``top_ubs``: each of the global k smallest upper bounds lies
-  inside its own shard's top-k, so the merged k-th smallest equals the
-  exact global value and cross-shard pruning is no weaker than a
-  monolithic traversal;
-* **degradation** — a shard whose generator fails is served by an
-  exhaustive scan of *that shard only* (mirroring the engine's global
-  fallback), so one poisoned shard cannot take down the others'
-  answers; member-level faults flow through the engine's usual
-  quarantine path with global ids.
+* **the filter** — one :class:`~repro.compression.SketchDatabase` over
+  the whole population, in global-id order, held by the router.  A
+  single k-NN or range query is bounded against it in one kernel pass
+  and filtered exactly as the ``flat`` index filters (the SUB filter of
+  :func:`~repro.engine.core.candidates_from_bound_arrays`, or the range
+  survivors), so answers and every :class:`SearchStats` field equal
+  ``get_index("flat", matrix)`` with the same compressor;
+* **the rows** — partitioned across the shards' stores, read by the
+  verifier through :class:`_RouterStore` (one ``read_many`` per shard
+  per verification block).
 
-The extended accounting invariant ``pruned + retrievals + quarantined ==
-database_size`` holds globally because every shard's generator accounts
-for exactly its own members and shards partition the population.
+The shard sub-indexes (in process, or in the persistent
+:class:`~repro.cluster.ShardWorkerPool`) serve exact ``search_many``
+batches, one full sub-search per shard.  Quarantine, degradation and
+obs stay keyed to the router: a failing filter falls back to the
+engine's global exhaustive scan, and a member that cannot be read is
+quarantined under its global id.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import fields as dataclass_fields
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.bounds.batch import BatchBounds, get_batch_kernel
+from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     CandidateSet,
     SigmaTracker,
     _fallback_candidates,
+    candidates_from_bound_arrays,
+    candidates_in_range,
     execute_knn,
     execute_range,
     fetch_block,
 )
 from repro.exceptions import KeyNotFoundError, ReproError
+from repro.index.base import SketchIndexBase
 from repro.index.results import Neighbor, SearchStats
 from repro.resilience.quarantine import quarantine_of
 from repro.resilience.retry import active_policy
+from repro.spectral.dft import Spectrum
 
 __all__ = ["ShardRouter"]
-
-
-def _snapshot(stats: SearchStats) -> dict:
-    return {
-        spec.name: getattr(stats, spec.name)
-        for spec in dataclass_fields(stats)
-    }
-
-
-def _restore(stats: SearchStats, snapshot: dict) -> None:
-    for name, value in snapshot.items():
-        setattr(stats, name, value)
 
 
 class _RouterStore:
@@ -116,12 +106,22 @@ class ShardRouter:
         required for routing dynamic inserts.
     pool:
         A started :class:`~repro.cluster.ShardWorkerPool`.  When given,
-        candidate generation is delegated to the persistent workers
-        (one warm process per populated shard) instead of running in
-        process; the router owns the pool and shuts it down in
-        :meth:`close`.  Gather, verification and accounting are
-        unchanged, so answers are bit-identical to the serial scatter
-        (see ``docs/CONCURRENCY.md``).
+        exact ``search_many`` batches run on the persistent workers (one
+        warm process per populated shard); single queries never leave
+        the parent.  The router owns the pool and shuts it down in
+        :meth:`close`.
+    sketch_db:
+        The filter: the whole population's sketches in global-id order.
+        ``None`` reads every row through the shard stores (one read per
+        shard) and compresses them with ``compressor``.
+    compressor / bound_method:
+        The filter's compressor (default
+        :attr:`SketchIndexBase.DEFAULT_COMPRESSOR`) and batch bound
+        kernel, with the ``flat`` index's defaults and meaning.
+    filtered:
+        ``False`` keeps no filter: every query's candidates are the
+        whole population at a lower bound of zero, in id order — the
+        ``scan`` backend's, so a sharded scan stays the paper's baseline.
     """
 
     obs_name = "index.sharded"
@@ -132,6 +132,11 @@ class ShardRouter:
         partitioner=None,
         sequence_length: int | None = None,
         pool=None,
+        *,
+        sketch_db: SketchDatabase | None = None,
+        compressor=None,
+        bound_method: str | None = "best_min_error_safe",
+        filtered: bool = True,
     ) -> None:
         if not shards:
             raise ReproError("a ShardRouter needs at least one shard")
@@ -173,14 +178,28 @@ class ShardRouter:
         self._n = int(sequence_length)
         self._store = _RouterStore(self)
         self._pool = pool
+        self._compressor = compressor or SketchIndexBase.DEFAULT_COMPRESSOR
+        self._kernel = get_batch_kernel(
+            bound_method or self._compressor.method
+        )
+        if not (filtered and total):
+            sketch_db = None  # every query scans the whole population
+        elif sketch_db is None:
+            sketch_db = SketchDatabase.from_matrix(
+                self._store.read_many(np.arange(total)), self._compressor
+            )
+        elif len(sketch_db) != total:
+            raise ReproError(
+                f"the filter holds {len(sketch_db)} sketches but the "
+                f"shards hold {total} members"
+            )
+        self._sketch_db = sketch_db
 
     # ------------------------------------------------------------------
     # EngineIndex surface
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return int(
-            sum(len(sub) for sub in self._shards if sub is not None)
-        )
+        return int(self._shard_of.size)
 
     @property
     def sequence_length(self) -> int:
@@ -210,8 +229,8 @@ class ShardRouter:
     def shard_views(self) -> list[tuple[object, np.ndarray]]:
         """The populated shards as ``(index, global_ids)`` pairs.
 
-        The batched fan-out in :func:`repro.engine.batch.search_many`
-        uses this to run one full sub-search per shard and merge.
+        The pooled batch in :func:`repro.engine.batch.search_many`
+        merges one full sub-search per shard in this order.
         """
         return [
             (sub, ids)
@@ -240,36 +259,35 @@ class ShardRouter:
         return self._shards[shard].result_name(local)
 
     # ------------------------------------------------------------------
-    # Scatter
+    # Candidate generation: the one filter (the engine owns verification)
     # ------------------------------------------------------------------
-    def _scatter(self, generate, stats: SearchStats):
-        """One candidate set per shard (``None`` subs yield empty sets).
+    def _bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """LB and UB of the query against every sketch: one kernel pass."""
+        with obs.span("cluster.filter"):
+            bounds = BatchBounds(Spectrum.from_series(query))
+            return self._kernel(bounds, self._sketch_db)
 
-        Serial scatter passes the caller's ``stats`` straight through to
-        the shard generators (streaming generators keep mutating it
-        lazily, exactly as monolithically); a generator failure restores
-        the pre-shard snapshot and swaps in that shard's exhaustive
-        fallback, so one poisoned shard degrades only itself.
-        """
-        shard_sets = []
-        for sub in self._shards:
-            if sub is None or len(sub) == 0:
-                shard_sets.append(CandidateSet(entries=[], generated=0))
-                continue
-            snapshot = _snapshot(stats)
-            try:
-                with obs.span(f"{sub.obs_name}.generate"):
-                    shard_sets.append(generate(sub, stats))
-            except (ReproError, OSError) as exc:
-                if not active_policy().degrade:
-                    raise
-                _restore(stats, snapshot)
-                quarantine_of(self).note_generator_failure(exc)
-                obs.add("resilience.fallback_scans")
-                stats.degraded = True
-                shard_sets.append(_fallback_candidates(len(sub)))
-        return shard_sets
+    def knn_candidates(
+        self, query: np.ndarray, k: int, stats: SearchStats
+    ) -> CandidateSet:
+        if self._sketch_db is None:
+            return _fallback_candidates(len(self))
+        lower, upper = self._bounds(query)
+        stats.bound_computations += len(self)
+        return candidates_from_bound_arrays(lower, upper, k)
 
+    def range_candidates(
+        self, query: np.ndarray, radius: float, stats: SearchStats
+    ) -> CandidateSet:
+        if self._sketch_db is None:
+            return _fallback_candidates(len(self))
+        lower, _ = self._bounds(query)
+        stats.bound_computations += len(self)
+        return candidates_in_range(lower, radius)
+
+    # ------------------------------------------------------------------
+    # Gather: the pool's per-shard candidate triples (request API only)
+    # ------------------------------------------------------------------
     def _absorb_triples(self, triples, stats: SearchStats):
         """Fold the worker pool's ``(candidates, stats, error)`` triples in.
 
@@ -289,91 +307,35 @@ class ShardRouter:
             shard_sets.append(cands)
         return shard_sets
 
-    # ------------------------------------------------------------------
-    # Gather
-    # ------------------------------------------------------------------
-    def _translate_stream(
-        self, shard: int, stream: Iterator[tuple[float, int]]
-    ) -> Iterator[tuple[float, int]]:
-        global_ids = self._global_ids[shard]
-        for lb_sq, local in stream:
-            yield lb_sq, int(global_ids[local])
-
-    def _merge_paid(self, shard_sets) -> dict[int, float]:
-        paid: dict[int, float] = {}
-        for shard, cands in enumerate(shard_sets):
-            if cands.paid:
-                global_ids = self._global_ids[shard]
-                for local, d_sq in cands.paid.items():
-                    paid[int(global_ids[local])] = d_sq
-        return paid
-
     def _merge_knn(self, shard_sets, k: int) -> CandidateSet:
+        """Per-shard candidate sets under one global σ_UB, in global ids.
+
+        The global σ_UB is rebuilt from the shards' ``top_ubs``: each of
+        the global k smallest upper bounds lies inside its own shard's
+        top-k, so the merged k-th smallest is the exact global value.
+        Paid candidates always survive (their retrieval is booked).
+        Pool payloads never stream: a worker materialises its stream.
+        """
         tracker = SigmaTracker(k)
         for cands in shard_sets:
             for upper in cands.top_ubs:
                 tracker.offer(upper)
         sigma_sq = tracker.sigma_sq()
-        paid = self._merge_paid(shard_sets)
-
-        streaming = [
-            (shard, cands)
-            for shard, cands in enumerate(shard_sets)
-            if cands.stream is not None
-        ]
-        if streaming and all(
-            cands.stream is not None or not cands.entries
-            for cands in shard_sets
-        ):
-            # Pure streaming population (the GEMINI R-tree): every shard
-            # stream is increasing in LB, so the heap-merge is too, and
-            # the verifier keeps consuming lazily — unvisited members
-            # are never bounded, exactly as in the monolithic index.
-            merged = heapq.merge(
-                *(
-                    self._translate_stream(shard, cands.stream)
-                    for shard, cands in streaming
-                )
-            )
-            return CandidateSet(
-                generated=None,
-                stream=merged,
-                paid=paid,
-                top_ubs=tracker.values(),
-            )
-
+        paid: dict[int, float] = {}
         entries: list[tuple[float, int]] = []
         generated = 0
-        for shard, cands in enumerate(shard_sets):
-            global_ids = self._global_ids[shard]
-            if cands.stream is not None:
-                # Mixed population (defensive): laziness is lost, so
-                # materialise — every streamed member was bounded.
-                materialised = [
-                    (lb_sq, int(global_ids[local]))
-                    for lb_sq, local in cands.stream
-                ]
-                generated += len(materialised)
-                entries.extend(
-                    entry
-                    for entry in materialised
-                    if entry[0] <= sigma_sq or entry[1] in paid
-                )
-                continue
-            generated += (
-                cands.generated
-                if cands.generated is not None
-                else len(cands.entries)
+        for global_ids, cands in zip(self._global_ids, shard_sets):
+            for local, d_sq in cands.paid.items():
+                paid[int(global_ids[local])] = d_sq
+            generated += cands.generated
+            entries.extend(
+                (lb_sq, int(global_ids[local]))
+                for lb_sq, local in cands.entries
             )
-            for lb_sq, local in cands.entries:
-                gid = int(global_ids[local])
-                # Re-filter under the *global* sigma: a shard's own
-                # k-th-smallest UB can only be looser.  Paid candidates
-                # always survive (their retrieval is already booked).
-                if lb_sq <= sigma_sq or gid in paid:
-                    entries.append((lb_sq, gid))
-        entries.sort()
-        obs.add("cluster.merged_candidates", len(entries))
+        entries = sorted(
+            entry for entry in entries
+            if entry[0] <= sigma_sq or entry[1] in paid
+        )
         return CandidateSet(
             entries=entries,
             generated=generated,
@@ -382,97 +344,19 @@ class ShardRouter:
             top_ubs=tracker.values(),
         )
 
-    def _merge_range(self, shard_sets) -> CandidateSet:
-        paid = self._merge_paid(shard_sets)
-        entries: list[tuple[float, int]] = []
-        generated = 0
-        generated_known = True
-        for shard, cands in enumerate(shard_sets):
-            global_ids = self._global_ids[shard]
-            if cands.stream is not None:
-                # Range streams are already radius-bounded; materialise.
-                entries.extend(
-                    (lb_sq, int(global_ids[local]))
-                    for lb_sq, local in cands.stream
-                )
-                generated_known = False
-                continue
-            if cands.generated is None:
-                generated_known = False
-            else:
-                generated += cands.generated
-            entries.extend(
-                (lb_sq, int(global_ids[local]))
-                for lb_sq, local in cands.entries
-            )
-        entries.sort()
-        obs.add("cluster.merged_candidates", len(entries))
-        return CandidateSet(
-            entries=entries,
-            generated=generated if generated_known else None,
-            paid=paid,
-        )
-
-    # ------------------------------------------------------------------
-    # Candidate generation (the engine owns verification)
-    # ------------------------------------------------------------------
-    def knn_candidates(
-        self, query: np.ndarray, k: int, stats: SearchStats
-    ) -> CandidateSet:
-        # Each shard generator receives k *unchanged*: a per-shard cap
-        # (say min(k, shard_size)) would tighten that shard's sigma
-        # below what k global answers require and could prune true
-        # neighbours.  Generators handle k > shard_size gracefully (the
-        # tracker simply never fills and sigma stays infinite).
-        with obs.span("cluster.scatter"):
-            if self._pool is not None:
-                shard_sets = self._absorb_triples(
-                    self._pool.scatter_knn(query, int(k)), stats
-                )
-            else:
-                shard_sets = self._scatter(
-                    lambda sub, sub_stats: sub.knn_candidates(
-                        query, k, sub_stats
-                    ),
-                    stats,
-                )
-        with obs.span("cluster.gather"):
-            return self._merge_knn(shard_sets, k)
-
     def gather_knn(
         self, triples, k: int, stats: SearchStats
     ) -> CandidateSet:
         """Absorb pre-scattered per-shard triples into one candidate set.
 
-        The gather half of :meth:`knn_candidates` for candidates the
-        worker pool already produced in a batched ``cands`` request
-        (see ``engine/batch.py``): ``triples`` is one
-        ``(CandidateSet, SearchStats, error)`` per shard, aligned to
-        the full shard range exactly as ``scatter_knn`` returns them,
-        so the merged result — quarantine notes, fallback scans and
-        the rebuilt global σ_UB included — is bit-identical to a
-        per-query scatter.
+        ``triples`` is one ``(CandidateSet, SearchStats, error)`` per
+        shard, aligned to the full shard range exactly as the pool's
+        ``scatter_knn`` / ``batch_candidates`` return them.  No serving
+        path calls this: single queries use the router's own filter.
+        It stays as the pool's candidate API, one gather per request.
         """
         with obs.span("cluster.gather"):
             return self._merge_knn(self._absorb_triples(triples, stats), k)
-
-    def range_candidates(
-        self, query: np.ndarray, radius: float, stats: SearchStats
-    ) -> CandidateSet:
-        with obs.span("cluster.scatter"):
-            if self._pool is not None:
-                shard_sets = self._absorb_triples(
-                    self._pool.scatter_range(query, float(radius)), stats
-                )
-            else:
-                shard_sets = self._scatter(
-                    lambda sub, sub_stats: sub.range_candidates(
-                        query, radius, sub_stats
-                    ),
-                    stats,
-                )
-        with obs.span("cluster.gather"):
-            return self._merge_range(shard_sets)
 
     # ------------------------------------------------------------------
     # Search
@@ -501,7 +385,10 @@ class ShardRouter:
         )
 
     def insert(self, values, name: str | None = None) -> int:
-        """Insert one sequence, routed to its shard; returns the global id."""
+        """Insert one sequence, routed to its shard; returns the global id.
+
+        The shard stores the row; the router's filter appends its sketch.
+        """
         if not self.supports_insert:
             raise ReproError(
                 "this router cannot insert: it needs a partitioner and "
@@ -511,6 +398,12 @@ class ShardRouter:
         shard = self._partitioner.shard_of(gid) % len(self._shards)
         local = int(self._global_ids[shard].size)
         self._shards[shard].insert(values, name)
+        if self._sketch_db is not None:
+            self._sketch_db = self._sketch_db.appended(
+                self._compressor.compress(
+                    Spectrum.from_series(np.asarray(values, dtype=np.float64))
+                )
+            )
         self._global_ids[shard] = np.append(self._global_ids[shard], gid)
         self._shard_of = np.append(self._shard_of, shard)
         self._local_of = np.append(self._local_of, local)

@@ -2,7 +2,7 @@
 
 One shared verification/accounting core (:mod:`repro.engine.core`), a
 string-keyed registry of the index structures — the six monolithic ones
-plus the sharded scatter-gather router
+plus the sharded router
 (:mod:`repro.engine.registry`), a batched multi-query entry point
 (:mod:`repro.engine.batch`), and the opt-in approximate tier's policy
 object (:mod:`repro.engine.approx`).  See ``docs/ENGINE.md``,

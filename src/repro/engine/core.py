@@ -107,6 +107,7 @@ __all__ = [
     "SigmaTracker",
     "block_distances_sq",
     "candidates_from_bound_arrays",
+    "candidates_in_range",
     "execute_knn",
     "execute_range",
     "fetch_block",
@@ -208,12 +209,13 @@ class CandidateSet:
         order, consumed lazily so unvisited members are never bounded.
     top_ubs:
         The k smallest *plain-distance* upper bounds the traversal saw
-        (ascending).  A scatter-gather router merges the per-shard tuples
-        into one global :class:`SigmaTracker`: each of the global k
-        smallest upper bounds necessarily sits inside its own shard's
-        top-k, so the merged k-th smallest equals the exact global
+        (ascending).  A router gathering per-shard candidate sets
+        (``ShardRouter.gather_knn``) merges the tuples into one global
+        :class:`SigmaTracker`: each of the global k smallest upper
+        bounds necessarily sits inside its own shard's top-k, so the
+        merged k-th smallest equals the exact global
         :math:`\\sigma_{UB}` — cross-shard pruning is then no weaker than
-        a monolithic traversal (see docs/SHARDING.md).
+        a monolithic traversal.
     """
 
     entries: list[tuple[float, int]] = field(default_factory=list)
@@ -296,6 +298,21 @@ def candidates_from_bound_arrays(
         generated=count,
         sigma_sq=sigma * sigma,
         top_ubs=tuple(np.sort(smallest).tolist()),
+    )
+
+
+def candidates_in_range(lower: np.ndarray, radius: float) -> CandidateSet:
+    """Range filter over a whole-database lower-bound array.
+
+    Keeps every member whose lower bound is within ``radius`` (plus
+    :data:`RANGE_SLACK`), in id order; the verifier needs no LB order
+    for a fixed radius.
+    """
+    survivor_ids = np.flatnonzero(lower <= radius + RANGE_SLACK)
+    lb_sq = lower[survivor_ids] ** 2
+    return CandidateSet(
+        entries=list(zip(lb_sq.tolist(), survivor_ids.tolist())),
+        generated=int(lower.size),
     )
 
 
@@ -623,7 +640,7 @@ def _activate_policy(policy: ApproxPolicy, stats: SearchStats) -> ApproxPolicy:
     """The policy actually applied to this candidate set.
 
     A candidate set that is already degraded — the generator fell back
-    to a linear scan, or a shard's scatter leg failed — carries zero
+    to a linear scan, or a gathered shard's generator failed — carries zero
     lower bounds for the affected members, so neither the ε slack nor
     the patience stop has an ordered stream to reason about.  Degraded
     serving promises "exact over every readable member"; approximation
@@ -711,22 +728,20 @@ def execute_knn(
 
 
 def _knn_pipeline(
-    index, query, k: int, policy: ApproxPolicy, generate=None
+    index, query, k: int, policy: ApproxPolicy
 ) -> tuple[list[Neighbor], SearchStats]:
     """One validated k-NN query from candidate generation to neighbours.
 
     Guarded generation, policy activation, refinement, the accounting
     invariant and the approx counters, in that order, for every caller:
     :func:`execute_knn`, each query of a :func:`~repro.engine.search_many`
-    batch and each per-shard sub-search of a pool worker.  ``generate``
-    replaces the index's own ``knn_candidates`` (a ``stats -> CandidateSet``
-    callable) when the candidates were already scattered.  The caller
+    batch and each per-shard sub-search of a pool worker.  The caller
     publishes the returned stats.
     """
-    if generate is None:
-        generate = partial(index.knn_candidates, query, k)
     size = len(index)
-    cands, stats = _generate_guarded(index, generate, size)
+    cands, stats = _generate_guarded(
+        index, partial(index.knn_candidates, query, k), size
+    )
     active = _activate_policy(policy, stats)
     with _refine_span(active):
         best = _refine_knn(index, query, k, cands, stats, size, active)

@@ -81,7 +81,7 @@ def _build_sharded(matrix, **kwargs):
 #: Builders keyed by registry name.  The classes are imported lazily so
 #: that :mod:`repro.index` modules (which import the engine core) and
 #: this registry never form an import cycle.  "sharded" is the
-#: scatter-gather router over N partitions (``shards=``, ``policy=``,
+#: router over N partitions (``shards=``, ``policy=``,
 #: ``backend=`` select the split and the per-shard structure; the shard
 #: count defaults to the ``REPRO_SHARDS`` environment variable).
 INDEX_BUILDERS: dict[str, Callable] = {

@@ -48,9 +48,9 @@ import numpy as np
 
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
-    RANGE_SLACK,
     CandidateSet,
     candidates_from_bound_arrays,
+    candidates_in_range,
 )
 from repro.index.base import IndexBase, SketchIndexBase
 from repro.index.results import SearchStats
@@ -98,12 +98,7 @@ class FlatSketchIndex(SketchIndexBase):
     ) -> CandidateSet:
         lower, _ = self._bounds(query)
         stats.bound_computations += len(self)
-        survivor_ids = np.flatnonzero(lower <= radius + RANGE_SLACK)
-        lb_sq = lower[survivor_ids] ** 2
-        return CandidateSet(
-            entries=list(zip(lb_sq.tolist(), survivor_ids.tolist())),
-            generated=len(self),
-        )
+        return candidates_in_range(lower, radius)
 
     # ``bench/trace.py`` wraps only methods in a class's own ``__dict__``,
     # so the engine entry points are bound here by name.

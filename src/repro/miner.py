@@ -100,7 +100,7 @@ class QueryLogMiner:
         lazily after ingestion instead of updated in place.
     shards / shard_policy:
         ``shards=N`` partitions the live index into N shards behind a
-        scatter-gather :class:`~repro.cluster.ShardRouter`
+        flat-filtered :class:`~repro.cluster.ShardRouter`
         (``index_backend`` then names the per-shard structure).  New
         series are routed to their shard by the deterministic
         :class:`~repro.cluster.Partitioner` (``shard_policy`` is

@@ -725,16 +725,18 @@ class SequencePageStore:
         self._file.seek(self._offset_of(seq_id))
         return self._file.read(self._pages_per_sequence * self.page_size)
 
-    def read(self, seq_id: int) -> np.ndarray:
+    def read(self, seq_id: int, *, cached: bool = True) -> np.ndarray:
         """Fetch a sequence by id, charging its pages to :attr:`stats`.
 
         Raises :class:`~repro.exceptions.CorruptionError` (or its
         subclass :class:`~repro.exceptions.TornWriteError`) when a
-        format-2 page fails validation.
+        format-2 page fails validation.  ``cached=False`` reads around
+        the hot-read cache: from disk, through the CRC, without
+        consulting or filling the cache.
         """
         if not 0 <= seq_id < self._count:
             raise KeyNotFoundError(seq_id)
-        cache = self._cache
+        cache = self._cache if cached else None
         if cache is not None:
             cached = cache.get(seq_id)
             if cached is not None:
@@ -758,7 +760,7 @@ class SequencePageStore:
             cache.put(seq_id, data)
         return self._decode(block[None])[0]
 
-    def read_many(self, seq_ids) -> np.ndarray:
+    def read_many(self, seq_ids, *, cached: bool = True) -> np.ndarray:
         """Fetch several sequences as a ``(len(seq_ids), n)`` matrix.
 
         Returns, raises and counts exactly what :meth:`read` called per
@@ -771,6 +773,7 @@ class SequencePageStore:
         side effect; a block that fails one (a bad page, a short file)
         is read by the per-id loop instead, which then raises exactly
         where, and after exactly the side effects, it always did.
+        ``cached=False`` is :meth:`read`'s cache bypass, per block.
         """
         ids = _checked_ids(seq_ids, self._count)
         if not ids.size:
@@ -778,7 +781,7 @@ class SequencePageStore:
         requests = ids.tolist()
         block_bytes = self._pages_per_sequence * self.page_size
         raw = np.empty((len(ids), block_bytes), dtype=np.uint8)
-        cache = self._cache
+        cache = self._cache if cached else None
         if cache is None:
             replay, misses = None, np.arange(len(ids))
         else:
@@ -787,15 +790,15 @@ class SequencePageStore:
             flat = memoryview(raw).cast("B")
             for position, block in replay.hits:
                 if len(block) != block_bytes:  # per-id reads raise on it
-                    return self._read_each(requests)
+                    return self._read_each(requests, cached)
                 flat[position * block_bytes : (position + 1) * block_bytes] = block
         if misses.size and not self._read_into(raw, ids[misses], misses):
-            return self._read_each(requests)
+            return self._read_each(requests, cached)
         if replay is not None:
             for position, source in replay.repeats:
                 raw[position] = raw[source]
         if self._failed_pages(raw).size:
-            return self._read_each(requests)
+            return self._read_each(requests, cached)
         self.stats.charge_many(
             self._offset_of(ids[misses]) // self.page_size,
             self._pages_per_sequence,
@@ -805,9 +808,11 @@ class SequencePageStore:
             cache.commit(replay, raw)
         return self._decode(raw)
 
-    def _read_each(self, seq_ids: list[int]) -> np.ndarray:
+    def _read_each(self, seq_ids: list[int], cached: bool = True) -> np.ndarray:
         """:meth:`read` per id, in order: the reference ``read_many``."""
-        return np.stack([self.read(seq_id) for seq_id in seq_ids])
+        return np.stack(
+            [self.read(seq_id, cached=cached) for seq_id in seq_ids]
+        )
 
     def _read_into(
         self, raw: np.ndarray, seq_ids: np.ndarray, rows: np.ndarray

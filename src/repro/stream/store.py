@@ -744,7 +744,12 @@ class StreamStore:
         return [(seg, row, name) for name, (seg, row) in ordered]
 
     def _gather_rows(self, visible: list[tuple[int, int, str]]) -> np.ndarray:
-        """Read the visible rows (CRC-validated) as one matrix."""
+        """Read the visible rows from disk, CRC-validated, as one matrix.
+
+        The reads go around each segment's hot-read cache: a sealed
+        change re-reads every row through the checksums, so a byte that
+        flipped on disk after a cached read is still caught here.
+        """
         out = np.empty(
             (len(visible), self.sequence_length), dtype=np.float64
         )
@@ -754,7 +759,7 @@ class StreamStore:
         for seg_idx, pairs in by_segment.items():
             _, store = self._segments[seg_idx]
             out[[out_row for out_row, _ in pairs]] = store.read_many(
-                [row for _, row in pairs]
+                [row for _, row in pairs], cached=False
             )
         return out
 

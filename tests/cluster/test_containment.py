@@ -115,57 +115,38 @@ def test_range_search_skips_the_poisoned_shard(matrix, queries, poisoned):
 
 
 def test_generator_failure_degrades_that_shard_only(matrix, queries):
-    """A shard whose *generator* dies is served by its local fallback."""
+    """A failing filter kernel gives the engine's global fallback.
 
-    class ExplodingGenerators:
-        """Index whose candidate generators always fail."""
+    The router bounds every query with one kernel over the whole
+    population, so there is no per-shard generator left to fail alone:
+    a kernel failure falls back to one exhaustive scan of every shard,
+    noted on the router's quarantine.  Answers stay *identical* to the
+    monolithic index, flagged degraded.
+    """
 
-        def __init__(self, inner):
-            self._inner = inner
-            self.obs_name = inner.obs_name
+    def failing_kernel(bounds, sketch_db):
+        raise OSError("filter offline")
 
-        def __len__(self):
-            return len(self._inner)
-
-        @property
-        def sequence_length(self):
-            return self._inner.sequence_length
-
-        def knn_candidates(self, query, k, stats):
-            raise OSError("shard offline")
-
-        def range_candidates(self, query, radius, stats):
-            raise OSError("shard offline")
-
-        def fetch(self, seq_id):
-            return self._inner.fetch(seq_id)
-
-        def result_name(self, seq_id):
-            return self._inner.result_name(seq_id)
-
-    # In-process generators only: the injection below patches the local
-    # shard objects, which a pooled router (REPRO_SHARD_WORKERS) never
-    # consults.  The pooled death drills live in test_pool.py.
     router = build_sharded(
         matrix, shards=3, backend="flat", seed=0, worker_pool=False
     )
-    router._shards[2] = ExplodingGenerators(router._shards[2])
+    router._kernel = failing_kernel
     mono = get_index("flat", matrix)
     for query in queries:
         expected, _ = mono.search(query, k=K)
         hits, stats = router.search(query, k=K)
-        # The fallback scan still verifies the shard exhaustively, so
-        # answers stay *identical* to the monolithic index.
         assert [(h.distance, h.seq_id) for h in hits] == [
             (h.distance, h.seq_id) for h in expected
         ]
         assert stats.degraded
+        assert stats.full_retrievals == len(matrix)
         assert (
             stats.candidates_pruned
             + stats.full_retrievals
             + stats.quarantined
             == len(matrix)
         )
+    assert quarantine_of(router).generator_failures == len(queries)
 
 
 def test_router_composes_with_faulty_index_wrapper(matrix, queries):

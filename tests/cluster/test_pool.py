@@ -1,14 +1,14 @@
 """Persistent shard worker pool: bit-identity, worker death, hygiene.
 
 The contract under test (see ``docs/CONCURRENCY.md``): a pooled router
-is indistinguishable from the serial scatter-gather — same candidates,
-same answers bit for bit, same accounting invariant — except that the
-per-shard generators run in long-lived worker processes.  Worker death
-never hangs a gather and never changes an answer's *exactness*: the
-dead shard is served by the parent's exhaustive fallback (degraded but
-correct), and the worker is respawned from its spec for later requests.
-Every exit path — success, exception, kill — must leave zero worker
-processes and zero ``/dev/shm`` segments behind.
+answers exactly like a serial one — same answers bit for bit, same
+accounting invariant.  Single queries are bounded by the router's own
+filter in the parent; the pool serves builds and exact batches.  Worker
+death never hangs a batch and never changes its answer: the batch runs
+in the parent instead (exact, not degraded), and the worker is
+respawned from its spec for later batches.  Every exit path — success,
+exception, kill — must leave zero worker processes and zero
+``/dev/shm`` segments behind.
 """
 
 import filecmp
@@ -20,10 +20,11 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import ShardWorkerPool, build_sharded, open_sharded
 from repro.engine import search_many
-from repro.exceptions import ReproError, WorkerCrashError
-from repro.resilience.quarantine import quarantine_of
+from repro.exceptions import ReproError
+from repro.index.results import SearchStats
 from repro.resilience.retry import active_policy, policy_context
 from repro.storage.shm import SEGMENT_PREFIX
 
@@ -158,60 +159,111 @@ def test_env_switch_enables_pool(matrix, monkeypatch):
     router.close()
 
 
+def test_candidate_request_api_gathers_the_filters_candidates(
+    matrix, queries
+):
+    """No serving path sends ``knn`` / ``range`` / ``cands`` any more.
+
+    The request API still works: per-shard candidates gathered under
+    the rebuilt global σ_UB are the router's own filter's candidates.
+    """
+    with build_sharded(
+        matrix, shards=4, backend="flat", worker_pool=True
+    ) as router:
+        pool = router.worker_pool
+        batched = pool.batch_candidates(np.stack(queries), 5)
+        for query, triples in zip(queries, batched):
+            gathered = router.gather_knn(
+                pool.scatter_knn(query, 5), 5, SearchStats()
+            )
+            assert gathered == router.gather_knn(triples, 5, SearchStats())
+            own = router.knn_candidates(query, 5, SearchStats())
+            assert gathered.entries == own.entries
+            assert gathered.sigma_sq == own.sigma_sq
+        assert len(pool.scatter_range(queries[0], 5.0)) == 4
+
+
 # ----------------------------------------------------------------------
 # Worker-kill drills
 # ----------------------------------------------------------------------
-def test_sigkill_mid_flight_degrades_and_stays_exact(matrix, queries):
-    """SIGKILL with no respawn budget: degraded answer, invariant holds.
+# Single queries never reach the pool (the router bounds them with its
+# own filter), so every drill kills a worker under an exact batch, the
+# pool's one serving op.  The contract: a killed worker costs the batch
+# its parallelism, never its answer.
+def _serial_batch(matrix, queries, k=5):
+    with build_sharded(
+        matrix, shards=4, backend="flat", worker_pool=False
+    ) as serial:
+        return [
+            as_pairs(neighbors)
+            for neighbors, _ in search_many(serial, np.stack(queries), k=k)
+        ]
 
-    The oracle is a *serial* router whose same shard's generator fails:
-    the pooled degraded answer (exhaustive fallback for the dead shard,
-    its failure noted on the router's quarantine) must match it bit for
-    bit.
+
+def _dead_victim(router, respawn=False):
+    """Kill one worker; without ``respawn`` its budget is spent first."""
+    pool = router.worker_pool
+    victim = next(s for s, pid in pool.pids().items() if pid)
+    if not respawn:
+        pool._respawns[victim] = pool._max_respawns  # no resurrection
+    _kill_and_wait(pool, victim)
+    return pool, victim
+
+
+def _counters(registry):
+    return registry.snapshot()["counters"]
+
+
+def test_sigkill_mid_flight_degrades_and_stays_exact(matrix, queries):
+    """A dead worker the pool cannot respawn: the parent runs the batch.
+
+    Answers equal the serial batch, nothing is degraded (the router's
+    filter needs no worker), the invariant holds, and the pool books
+    the shard's fallback.  Single queries never noticed the death.
     """
-    query = queries[0]
+    expected = _serial_batch(matrix, queries)
     with build_sharded(
         matrix, shards=4, backend="flat", worker_pool=True
     ) as router:
-        pool = router.worker_pool
-        victim = next(s for s, pid in pool.pids().items() if pid)
-        pool._respawns[victim] = pool._max_respawns  # no resurrection
-        _kill_and_wait(pool, victim)
-        neighbors, stats = router.search(query, k=5)
-        assert stats.degraded
-        assert_invariant(stats, len(router))
-        assert quarantine_of(router).generator_failures >= 1
-        got = as_pairs(neighbors)
-
-    serial = build_sharded(
-        matrix, shards=4, backend="flat", worker_pool=False
-    )
-    def boom(*args, **kwargs):
-        raise ReproError("injected generator failure")
-    serial._shards[victim].knn_candidates = boom
-    expected, expected_stats = serial.search(query, k=5)
-    serial.close()
-    assert expected_stats.degraded
-    assert got == as_pairs(expected)
+        _dead_victim(router)
+        registry = obs.enable()
+        try:
+            results = search_many(router, np.stack(queries), k=5)
+        finally:
+            obs.disable()
+        assert [as_pairs(neighbors) for neighbors, _ in results] == expected
+        for _, stats in results:
+            assert not stats.degraded
+            assert_invariant(stats, len(router))
+        counters = _counters(registry)
+        assert counters["cluster.pool.fallbacks"] >= 1
+        assert "cluster.fanout_shards" not in counters
+        for query, want in zip(queries, expected):
+            neighbors, stats = router.search(query, k=5)
+            assert as_pairs(neighbors) == want
+            assert not stats.degraded
 
 
 def test_sigkill_then_respawn_serves_clean(matrix, queries):
-    query = queries[0]
+    expected = _serial_batch(matrix, queries)
     with build_sharded(
         matrix, shards=4, backend="flat", worker_pool=True
     ) as router:
-        pool = router.worker_pool
-        clean = as_pairs(router.search(query, k=5)[0])
-        victim = next(s for s, pid in pool.pids().items() if pid)
-        old_pid = pool.pids()[victim]
-        _kill_and_wait(pool, victim)
-        neighbors, stats = router.search(query, k=5)
-        # Death was noticed between requests: the worker is rebuilt
-        # from its spec and the answer is clean, not degraded.
-        assert not stats.degraded
-        assert as_pairs(neighbors) == clean
+        pool, victim = _dead_victim(router, respawn=True)
+        registry = obs.enable()
+        try:
+            results = search_many(router, np.stack(queries), k=5)
+        finally:
+            obs.disable()
+        # Death was noticed before the batch was sent: the worker is
+        # rebuilt from its spec and the pool serves the batch itself.
+        assert [as_pairs(neighbors) for neighbors, _ in results] == expected
+        assert not any(stats.degraded for _, stats in results)
+        counters = _counters(registry)
+        assert counters["cluster.fanout_shards"] == 4
+        assert "cluster.pool.fallbacks" not in counters
         assert pool.respawn_count(victim) == 1
-        assert pool.pids()[victim] not in (None, old_pid)
+        assert pool.pids()[victim] is not None
         assert all(pool.heartbeat().values())
 
 
@@ -232,36 +284,45 @@ def test_sigkill_during_batch_falls_back_and_stays_exact(matrix, queries):
         victim = next(s for s, pid in pool.pids().items() if pid)
         _kill_and_wait(pool, victim)
         results = search_many(router, queries, k=5)
-        # Whether the batch hit the dead worker (per-query fallback) or
-        # a respawned one, the answers are the serial answers.
+        # Whether the batch hit the dead worker (the parent's per-query
+        # loop) or a respawned one, the answers are the serial answers.
         assert [as_pairs(neighbors) for neighbors, _ in results] == expected
 
 
 def test_degrade_disabled_raises_worker_crash(matrix, queries):
+    """With degradation disabled a worker death no longer raises.
+
+    A dead worker costs an exact batch its parallelism only, and single
+    queries never touch the pool, so nothing degrades and nothing
+    raises :class:`WorkerCrashError`: the answer is the exact one.
+    """
+    expected = _serial_batch(matrix, queries)
     with build_sharded(
         matrix, shards=4, backend="flat", worker_pool=True
     ) as router:
-        pool = router.worker_pool
-        victim = next(s for s, pid in pool.pids().items() if pid)
-        pool._respawns[victim] = pool._max_respawns
-        _kill_and_wait(pool, victim)
+        _dead_victim(router)
         with policy_context(active_policy().with_(degrade=False)):
-            with pytest.raises(WorkerCrashError):
-                router.search(queries[0], k=5)
+            results = search_many(router, np.stack(queries), k=5)
+            neighbors, stats = router.search(queries[0], k=5)
+        assert [as_pairs(hits) for hits, _ in results] == expected
+        assert as_pairs(neighbors) == expected[0]
+        assert not stats.degraded
 
 
 def test_exhausted_budget_stays_degraded(matrix, queries):
+    """An exhausted respawn budget leaves the *pool* degraded: the shard
+    stays down and every exact batch runs in the parent, exactly."""
+    expected = _serial_batch(matrix, queries)
     with build_sharded(
         matrix, shards=4, backend="flat", worker_pool=True
     ) as router:
-        pool = router.worker_pool
-        victim = next(s for s, pid in pool.pids().items() if pid)
-        pool._respawns[victim] = pool._max_respawns
-        _kill_and_wait(pool, victim)
+        pool, victim = _dead_victim(router)
         for _ in range(2):
-            _, stats = router.search(queries[0], k=5)
-            assert stats.degraded
-            assert_invariant(stats, len(router))
+            results = search_many(router, np.stack(queries), k=5)
+            assert [as_pairs(hits) for hits, _ in results] == expected
+            for _, stats in results:
+                assert not stats.degraded
+                assert_invariant(stats, len(router))
         assert pool.respawn_count(victim) == pool._max_respawns
         assert pool.heartbeat()[victim] is False
 

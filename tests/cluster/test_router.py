@@ -187,9 +187,13 @@ class TestInsert:
 
 class TestObservability:
     def test_scatter_gather_spans_and_shard_tags(self, matrix, queries):
-        # In-process scatter: pooled generators run in worker processes,
-        # whose per-shard spans land in the workers' registries, not
-        # this one (docs/CONCURRENCY.md).
+        """One filter span per query in the parent; shard tags per batch.
+
+        Single queries (and every batch on a serial router) are bounded
+        by the router's filter under ``index.sharded.search``; only an
+        exact pooled batch reaches the shards, whose merged sub-search
+        stats land under their shard-addressed prefixes.
+        """
         router = build_sharded(
             matrix, shards=3, backend="flat", seed=0, worker_pool=False
         )
@@ -201,14 +205,27 @@ class TestObservability:
             obs.disable()
         snapshot = registry.snapshot()
         histograms = snapshot["histograms"]
-        # Span names nest under their parents; the scatter/gather stages
-        # and the per-shard generators must all appear somewhere.
-        assert any("cluster.scatter" in name for name in histograms)
-        assert any("cluster.gather" in name for name in histograms)
-        assert any("shard00.generate" in name for name in histograms)
-        counters = snapshot["counters"]
+        assert "span.index.sharded.search.cluster.filter" in histograms
+        assert "span.engine.search_many.cluster.filter" in histograms
+        assert not any("scatter" in name for name in histograms)
+        assert not any("shard00" in name for name in snapshot["counters"])
+        assert (
+            snapshot["counters"]["index.sharded.search.queries"]
+            == 1 + len(queries)
+        )
+
+        with build_sharded(
+            matrix, shards=3, backend="flat", seed=0, worker_pool=True
+        ) as pooled:
+            registry = obs.enable()
+            try:
+                pooled.search(queries[0], k=3)
+                search_many(pooled, np.stack(queries), k=2)
+            finally:
+                obs.disable()
+        counters = registry.snapshot()["counters"]
         assert counters["cluster.fanout_shards"] == 3
-        assert counters["cluster.merged_candidates"] > 0
+        assert counters["cluster.pool.requests"] == 3  # the batch only
         assert (
             counters["index.sharded.shard00.search.queries"] == len(queries)
         )
