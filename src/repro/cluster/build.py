@@ -18,7 +18,7 @@ recipe on either transport:
    stand-ins for pooled shards.
 
 With a ``directory``, each shard gets its own checksummed page-store
-file (pagestore format v2) and the split is described by a CRC-checked
+file (pagestore format 3) and the split is described by a CRC-checked
 :class:`~repro.cluster.ShardManifest`; :func:`open_sharded` checks every
 file's population against it before any index is built or any worker
 is spawned.

@@ -1,7 +1,7 @@
 """The on-disk description of a sharded population.
 
 A sharded build with a ``directory`` writes one page-store file per
-shard (pagestore format v2, self-checksummed) plus ``shards.json`` — the
+shard (pagestore format 3, self-checksummed) plus ``shards.json`` — the
 manifest tying them together: which partition policy and seed produced
 the split, how many members each shard holds, and which file serves
 which shard.  The manifest carries its own CRC32 over the canonical JSON

@@ -6,7 +6,8 @@ of course.  This package is the cross-cutting answer, threaded through
 the same seams PR 1 (obs) and PR 2 (the unified engine) created:
 
 * **hardened storage** — :class:`~repro.storage.SequencePageStore`
-  writes per-page CRC32 checksums (format 2) and surfaces corruption as
+  writes a CRC32 per sequence record (format 3; format-2 files, with a
+  CRC32 per page, stay readable) and surfaces corruption as
   typed :class:`~repro.exceptions.CorruptionError` /
   :class:`~repro.exceptions.TornWriteError`;
 * **fault injection** (:mod:`repro.resilience.faults`) — a seeded,

@@ -13,16 +13,19 @@ touched and (an estimate of) random seeks.
 cost, so "index in memory" and "index on disk" are the same code path with
 a different store plugged in.
 
-File layout (format 2, the default): a checksummed header page (magic,
-page size, sequence length, header CRC32), then each sequence serialised
-as consecutive float64 pages.  Every data page reserves its final four
-bytes for a CRC32 of the page payload, so a flipped bit, a half-written
-page or a truncated file surfaces as a typed
+File layout (format 3, what every new store writes): a checksummed
+header page (magic, page size, sequence length, header CRC32), then one
+record per sequence: the row's raw float64 bytes followed by a CRC32 of
+those bytes, at a stride of ``8 * sequence_length + 4`` bytes.  A flipped
+bit, a zeroed record or a truncated file surfaces as a typed
 :class:`~repro.exceptions.CorruptionError` /
 :class:`~repro.exceptions.TornWriteError` instead of silently feeding
-garbage floats to the query engine.  Format-1 files (the pre-checksum
-layout) remain fully readable; they simply have no checksums to verify.
-See ``docs/RESILIENCE.md`` for the fault model.
+garbage floats to the query engine.  Format-2 files, which checksum every
+``page_size`` page and zero-pad each row to whole pages, stay readable and
+appendable: both formats are one *checksummed unit* repeated (a page under
+format 2, the whole record under format 3), and every encoder, checker and
+reader below is written over that unit.  See ``docs/RESILIENCE.md`` for
+the fault model.
 
 Reads have two physical paths with identical semantics and accounting:
 
@@ -36,16 +39,16 @@ Reads have two physical paths with identical semantics and accounting:
   syscalls.
 
 CRC validation, the :class:`~repro.storage.cache.SequenceCache` and
-every :class:`IOStats` charge are the same on both — pages are *logical*
-I/O units, charged whether the bytes arrive via ``read(2)`` or a page
-fault.
+every :class:`IOStats` charge are the same on both — a read is charged
+the ``page_size`` pages its record's byte range touches, whether the
+bytes arrive via ``read(2)`` or a page fault.
 
 :meth:`SequencePageStore.read_many` handles a block of ids as arrays:
 one bounds check, one planning pass over the cache
 (:meth:`~repro.storage.cache.SequenceCache.replay`), one gather of the
-disk reads, one CRC pass over every page, counters charged in aggregate
-and the payloads copied straight into the result, one strided copy per
-page column.  Everything it reports — bytes, :class:`IOStats`, cache
+disk reads, one CRC pass over every checksummed unit, counters charged in
+aggregate and the payloads copied straight into the result, one strided
+copy per unit column.  Everything it reports — bytes, :class:`IOStats`, cache
 counters and LRU order — equals what :meth:`SequencePageStore.read`
 called per id in request order reports.  A block that fails any check
 is handed to that per-id loop whole, so errors, and the side effects
@@ -112,18 +115,19 @@ def fsync_enabled_from_env(default: bool = False) -> bool:
         return False
     return bool(default)
 
-_MAGIC_V1 = b"RPRSEQ1\x00"
-_MAGIC_V2 = b"RPRSEQ2\x00"
-_HEADER_V1 = struct.Struct("<8sIQ")  # magic, page_size, sequence_length
-_HEADER_V2 = struct.Struct("<8sIQI")  # ... + CRC32 of the preceding fields
-#: Bytes reserved at the end of every format-2 data page for its CRC32.
-_PAGE_CRC_BYTES = 4
-_PAGE_CRC = struct.Struct("<I")
+_MAGIC_V3 = b"RPRSEQ3\x00"
+#: Header magic -> format version; any other magic, format 1 included,
+#: is rejected at open.
+_FORMATS = {b"RPRSEQ2\x00": 2, _MAGIC_V3: 3}
+_HEADER_FIELDS = struct.Struct("<8sIQ")  # magic, page_size, sequence_length
+_HEADER = struct.Struct("<8sIQI")  # ... + CRC32 of the preceding fields
+#: Bytes closing every checksummed unit: the CRC32 of the unit's payload.
+_CRC_BYTES = 4
+_CRC = struct.Struct("<I")
 # Bulk appends encode + write in chunks of roughly this many bytes so
 # the scratch buffer stays within the CPU cache and the allocator arena.
 _BULK_CHUNK_BYTES = 4 << 20
-#: Upper sanity bound for header fields — a corrupted header must not be
-#: able to request absurd allocations before the CRC check existed (v1).
+#: Upper sanity bound for header fields.
 _MAX_PAGE_SIZE = 1 << 24
 _MAX_SEQUENCE_LENGTH = 1 << 40
 #: ``preadv(2)``, and the most buffers one call accepts (``EINVAL``
@@ -143,23 +147,28 @@ def _checked_ids(seq_ids, count: int) -> np.ndarray:
 
 @dataclass
 class IOStats:
-    """Running I/O counters for a sequence store."""
+    """Running I/O counters for a sequence store.
+
+    A read is charged the pages its record's byte range touches, and a
+    seek wherever it does not start at the record that follows the one
+    read before it.
+    """
 
     read_calls: int = 0
     pages_read: int = 0
     seeks: int = 0
-    _last_page: int | None = field(default=None, repr=False)
+    _next_record: int | None = field(default=None, repr=False)
 
-    def charge(self, first_page: int, page_count: int) -> None:
-        """Record one read of ``page_count`` pages starting at ``first_page``."""
+    def charge(self, record: int, page_count: int) -> None:
+        """Record one read of ``record``, touching ``page_count`` pages."""
         self.read_calls += 1
         self.pages_read += page_count
         obs.add("storage.read_calls")
         obs.add("storage.pages_read", page_count)
-        if self._last_page is None or first_page != self._last_page:
+        if record != self._next_record:
             self.seeks += 1
             obs.add("storage.seeks")
-        self._last_page = first_page + page_count
+        self._next_record = record + 1
 
     def charge_cached(self) -> None:
         """Record one read served from the sequence cache.
@@ -173,37 +182,36 @@ class IOStats:
         obs.add("storage.pages_read", 0)
 
     def charge_many(
-        self, first_pages: np.ndarray, page_count: int, cached: int
+        self, records: np.ndarray, page_counts: np.ndarray, cached: int
     ) -> None:
-        """Record a block: one read at each of ``first_pages``, in request
-        order, plus ``cached`` cache hits.
+        """Record a block: one read of each of ``records``, in request
+        order, touching ``page_counts`` pages, plus ``cached`` cache hits.
 
         Leaves every counter where :meth:`charge` per read and
         :meth:`charge_cached` per hit, in request order, leave them:
         hits move no head, so only the reads' order decides the seeks.
         """
-        reads = len(first_pages)
+        reads = len(records)
+        pages = int(page_counts.sum())
         self.read_calls += reads + cached
         obs.add("storage.read_calls", reads + cached)
-        obs.add("storage.pages_read", reads * page_count)
+        obs.add("storage.pages_read", pages)
         if not reads:
             return
-        self.pages_read += reads * page_count
-        seeks = int(
-            np.count_nonzero(first_pages[1:] != first_pages[:-1] + page_count)
-        )
-        if self._last_page is None or first_pages[0] != self._last_page:
+        self.pages_read += pages
+        seeks = int(np.count_nonzero(records[1:] != records[:-1] + 1))
+        if int(records[0]) != self._next_record:
             seeks += 1
         if seeks:
             self.seeks += seeks
             obs.add("storage.seeks", seeks)
-        self._last_page = int(first_pages[-1]) + page_count
+        self._next_record = int(records[-1]) + 1
 
     def reset(self) -> None:
         self.read_calls = 0
         self.pages_read = 0
         self.seeks = 0
-        self._last_page = None
+        self._next_record = None
 
 
 class SequencePageStore:
@@ -216,11 +224,13 @@ class SequencePageStore:
     sequence_length:
         Length of every stored sequence (fixed per store).
     page_size:
-        Simulated disk page size in bytes (default 4096).  In the
-        checksummed format each page carries ``page_size - 4`` bytes of
-        payload; the final four hold the page's CRC32.
+        Simulated disk page size in bytes (default 4096).  Under format
+        3 it only aligns the header (data starts at ``page_size``) and
+        sets the accounting unit: a read is charged the pages its
+        record touches.  Format-2 files also checksum per page: each
+        carries ``page_size - 4`` bytes of payload and its CRC32.
     verify_checksums:
-        Verify every data page's CRC32 on read (default).  Turning it
+        Verify every record's CRC32 on read (default).  Turning it
         off trades integrity detection for a little CPU — the overhead
         benchmark prices both paths.
     cache_bytes:
@@ -254,7 +264,7 @@ class SequencePageStore:
         self.path = os.fspath(path)
         self.sequence_length = int(sequence_length)
         self.page_size = int(page_size)
-        self.format_version = 2
+        self.format_version = 3
         self.verify_checksums = bool(verify_checksums)
         self.stats = IOStats()
         self._init_fsync(fsync)
@@ -263,17 +273,12 @@ class SequencePageStore:
         self._init_geometry()
         self._count = 0
         self._file = open(self.path, "w+b")
-        header = _HEADER_V2.pack(
-            _MAGIC_V2,
-            self.page_size,
-            self.sequence_length,
-            zlib.crc32(
-                _HEADER_V1.pack(_MAGIC_V2, self.page_size, self.sequence_length)
-            ),
+        fields = _HEADER_FIELDS.pack(
+            _MAGIC_V3, self.page_size, self.sequence_length
         )
-        self._file.write(header)
-        self._data_offset = self._align(_HEADER_V2.size)
-        self._file.write(b"\x00" * (self._data_offset - _HEADER_V2.size))
+        self._file.write(fields + _CRC.pack(zlib.crc32(fields)))
+        self._data_offset = self._align(_HEADER.size)
+        self._file.write(b"\x00" * (self._data_offset - _HEADER.size))
         self._file.flush()
 
     @staticmethod
@@ -290,12 +295,19 @@ class SequencePageStore:
             )
 
     def _init_geometry(self) -> None:
-        bytes_per_sequence = self.sequence_length * 8
-        payload = self.page_size
-        if self.format_version >= 2:
-            payload -= _PAGE_CRC_BYTES
-        self._payload_per_page = payload
-        self._pages_per_sequence = -(-bytes_per_sequence // payload)
+        """Size the checksummed unit: a page (format 2) or the record (3).
+
+        A record is ``units`` units of ``payload`` bytes plus a CRC32
+        each; under format 3 that is one unit, the row and its CRC.
+        """
+        row_bytes = self.sequence_length * 8
+        if self.format_version == 2:
+            self._unit = self.page_size
+        else:
+            self._unit = row_bytes + _CRC_BYTES
+        self._payload = self._unit - _CRC_BYTES
+        self._units = -(-row_bytes // self._payload)
+        self._record_bytes = self._units * self._unit
 
     def _init_cache(self, cache_bytes: int | None) -> None:
         budget = (
@@ -349,54 +361,45 @@ class SequencePageStore:
         """Reopen an existing store file, validating its header.
 
         The sequence length and page size are read back from the
-        (checksummed, for format-2 files) header; passing ``page_size``
-        asserts the expectation.  The sequence count is recovered from
-        the file size, so a store survives process restarts.
+        checksummed header; passing ``page_size`` asserts the
+        expectation.  The sequence count is recovered from the file
+        size, so a store survives process restarts.  A reopened store
+        keeps writing its own format (2 or 3); any other header,
+        format 1 included, raises
+        :class:`~repro.exceptions.CorruptionError`.
 
-        A format-2 file whose size is not a whole number of sequences
-        records a torn write — a crash mid-append.  By default that
-        raises :class:`~repro.exceptions.TornWriteError`; with
-        ``repair=True`` the partial trailing sequence is truncated away
-        (the self-healing path: everything fully written stays
-        readable).  Format-1 files keep their historical
-        floor-to-whole-sequences behaviour.
+        A file whose size is not a whole number of records records a
+        torn write — a crash mid-append.  By default that raises
+        :class:`~repro.exceptions.TornWriteError`; with ``repair=True``
+        the partial trailing record is truncated away (the self-healing
+        path: everything fully written stays readable).
         """
         path = os.fspath(path)
         try:
             with open(path, "rb") as probe:
-                raw_header = probe.read(_HEADER_V2.size)
+                raw_header = probe.read(_HEADER.size)
                 file_size = os.path.getsize(path)
         except OSError as exc:
             raise StorageError(f"cannot open store file {path!r}: {exc}")
-        if len(raw_header) < _HEADER_V1.size:
+        if len(raw_header) < _HEADER.size:
             raise TornWriteError(
                 f"{path!r} is too short to be a sequence store"
             )
-        magic = raw_header[:8]
-        if magic == _MAGIC_V2:
-            if len(raw_header) < _HEADER_V2.size:
-                raise TornWriteError(
-                    f"{path!r}: truncated format-2 header"
-                )
-            magic, stored_page_size, sequence_length, stored_crc = (
-                _HEADER_V2.unpack(raw_header)
-            )
-            expected_crc = zlib.crc32(raw_header[: _HEADER_V1.size])
-            if stored_crc != expected_crc:
-                raise CorruptionError(
-                    f"{path!r}: header CRC mismatch "
-                    f"(stored {stored_crc:#010x}, "
-                    f"computed {expected_crc:#010x})"
-                )
-            version = 2
-        elif magic == _MAGIC_V1:
-            magic, stored_page_size, sequence_length = _HEADER_V1.unpack(
-                raw_header[: _HEADER_V1.size]
-            )
-            version = 1
-        else:
+        magic, stored_page_size, sequence_length, stored_crc = _HEADER.unpack(
+            raw_header
+        )
+        version = _FORMATS.get(magic)
+        if version is None:
             raise CorruptionError(
-                f"{path!r} is not a sequence store (bad magic {magic!r})"
+                f"{path!r} is not a sequence store of a supported format "
+                f"(magic {magic!r})"
+            )
+        expected_crc = zlib.crc32(raw_header[: _HEADER_FIELDS.size])
+        if stored_crc != expected_crc:
+            raise CorruptionError(
+                f"{path!r}: header CRC mismatch "
+                f"(stored {stored_crc:#010x}, "
+                f"computed {expected_crc:#010x})"
             )
         try:
             cls._validate_geometry(sequence_length, stored_page_size)
@@ -422,23 +425,18 @@ class SequencePageStore:
         store._init_mmap(use_mmap)
         store._init_geometry()
         store._file = open(path, "r+b")
-        header_size = _HEADER_V2.size if version == 2 else _HEADER_V1.size
-        store._data_offset = store._align(header_size)
+        store._data_offset = store._align(_HEADER.size)
         payload_bytes = max(file_size - store._data_offset, 0)
-        sequence_bytes = store._pages_per_sequence * store.page_size
-        store._count = payload_bytes // sequence_bytes
-        if version == 2 and payload_bytes % sequence_bytes:
+        store._count, torn = divmod(payload_bytes, store._record_bytes)
+        if torn:
             if not repair:
                 store._file.close()
                 raise TornWriteError(
                     f"{path!r}: trailing partial sequence "
-                    f"({payload_bytes % sequence_bytes} bytes past the "
-                    f"last whole sequence) — reopen with repair=True to "
-                    f"truncate it"
+                    f"({torn} bytes past the last whole sequence) — "
+                    f"reopen with repair=True to truncate it"
                 )
-            store._file.truncate(
-                store._data_offset + store._count * sequence_bytes
-            )
+            store._file.truncate(store._offset_of(store._count))
             store._file.flush()
             obs.add("resilience.storage_repairs")
         return store
@@ -473,8 +471,20 @@ class SequencePageStore:
 
     @property
     def pages_per_sequence(self) -> int:
-        """Pages charged for reading one sequence."""
-        return self._pages_per_sequence
+        """The ``page_size`` pages one record spans when page aligned.
+
+        A read is charged the pages its record's byte range touches.
+        Format-2 records are page aligned, so that is always this many;
+        format-3 records sit at a stride of ``8 * n + 4`` bytes, so one
+        that straddles an extra page boundary is charged one page more.
+        """
+        return -(-self._record_bytes // self.page_size)
+
+    def _pages_of(self, seq_ids):
+        """The pages each of ``seq_ids``' records touches (scalar or array)."""
+        start = self._offset_of(seq_ids)
+        last = start + self._record_bytes - 1
+        return last // self.page_size - start // self.page_size + 1
 
     def append(self, values) -> int:
         """Store a sequence; returns its integer id (dense, starting at 0)."""
@@ -487,7 +497,7 @@ class SequencePageStore:
         seq_id = self._count
         self._file.seek(self._offset_of(seq_id))
         self._file.write(self._encode_block(arr.tobytes()))
-        obs.add("storage.page_writes", self._pages_per_sequence)
+        obs.add("storage.page_writes", int(self._pages_of(seq_id)))
         self._count += 1
         self._maybe_sync()
         return seq_id
@@ -495,7 +505,7 @@ class SequencePageStore:
     def append_matrix(self, matrix: np.ndarray) -> list[int]:
         """Store every row of a ``(count, sequence_length)`` matrix.
 
-        The bulk ingest path: pages and CRCs are encoded in vectorised
+        The bulk ingest path: records and CRCs are encoded in vectorised
         passes over a preallocated buffer (:meth:`_encode_matrix`) and
         written in a few megabyte-sized sequential chunks, instead of
         one encode + seek + write per row.  The chunking keeps the
@@ -515,21 +525,18 @@ class SequencePageStore:
             )
         first = self._count
         self._file.seek(self._offset_of(first))
-        block_bytes = self._pages_per_sequence * self.page_size
-        chunk_rows = max(1, _BULK_CHUNK_BYTES // block_bytes)
+        chunk_rows = max(1, _BULK_CHUNK_BYTES // self._record_bytes)
         for start in range(0, count, chunk_rows):
             encoded = self._encode_matrix(matrix[start : start + chunk_rows])
             self._file.write(encoded.data)
-        obs.add("storage.page_writes", count * self._pages_per_sequence)
+        ids = np.arange(first, first + count)
+        obs.add("storage.page_writes", int(self._pages_of(ids).sum()))
         self._count += count
         self._maybe_sync()
-        return list(range(first, first + count))
+        return ids.tolist()
 
-    def _offset_of(self, seq_id: int) -> int:
-        return (
-            self._data_offset
-            + seq_id * self._pages_per_sequence * self.page_size
-        )
+    def _offset_of(self, seq_id):
+        return self._data_offset + seq_id * self._record_bytes
 
     def flush(self) -> None:
         """Push buffered writes to the OS, without forcing them to disk.
@@ -551,128 +558,118 @@ class SequencePageStore:
             self.sync()
 
     def _encode_block(self, payload: bytes) -> bytes:
-        """Serialise one sequence as zero-padded, checksummed pages."""
-        if self.format_version == 1:
-            block_size = self._pages_per_sequence * self.page_size
-            return payload + b"\x00" * (block_size - len(payload))
+        """Serialise one sequence as its record: zero-padded,
+        checksummed units."""
+        width = self._payload
         block = bytearray()
-        for start in range(0, self._payload_per_page * self._pages_per_sequence,
-                           self._payload_per_page):
-            chunk = payload[start : start + self._payload_per_page]
-            if len(chunk) < self._payload_per_page:
-                chunk = chunk + b"\x00" * (self._payload_per_page - len(chunk))
+        for start in range(0, width * self._units, width):
+            chunk = payload[start : start + width].ljust(width, b"\x00")
             block += chunk
-            block += _PAGE_CRC.pack(zlib.crc32(chunk))
+            block += _CRC.pack(zlib.crc32(chunk))
         return bytes(block)
 
     def _encode_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Serialise a whole ``(count, n)`` matrix of sequences at once.
 
-        Fills a single preallocated page buffer: the payload bytes are
-        scattered page-column by page-column (at most
-        ``pages_per_sequence`` assignments), each page's CRC32 runs over
-        a view of its payload, and the checksums land in the last four
-        bytes of every page — no per-row bytes objects and no final
-        ``tobytes`` copy.  The buffer's bytes are exactly
+        Fills a single preallocated record buffer: the payload bytes are
+        scattered unit-column by unit-column (one assignment under
+        format 3), each unit's CRC32 runs over a view of its payload,
+        and the checksums land in the last four bytes of every unit —
+        no per-row bytes objects and no final ``tobytes`` copy.  The
+        buffer's bytes are exactly
         ``b"".join(self._encode_block(row.tobytes()) ...)``; callers
         write its memoryview directly.
         """
         count = matrix.shape[0]
-        pages = self._pages_per_sequence
-        row_bytes = self.sequence_length * 8
-        raw = matrix.view(np.uint8).reshape(count, row_bytes)
-        if self.format_version == 1:
-            buf = np.zeros((count, pages * self.page_size), dtype=np.uint8)
-            buf[:, :row_bytes] = raw
-            return buf.reshape(-1)
-        payload = self._payload_per_page
-        buf = np.zeros((count, pages, self.page_size), dtype=np.uint8)
-        for page in range(pages):
-            chunk = raw[:, page * payload : (page + 1) * payload]
-            buf[:, page, : chunk.shape[1]] = chunk
-        flat = buf.reshape(count * pages, self.page_size)
+        units, payload = self._units, self._payload
+        raw = matrix.view(np.uint8).reshape(count, self.sequence_length * 8)
+        buf = np.zeros((count, units, self._unit), dtype=np.uint8)
+        for unit in range(units):
+            chunk = raw[:, unit * payload : (unit + 1) * payload]
+            buf[:, unit, : chunk.shape[1]] = chunk
+        flat = buf.reshape(count * units, self._unit)
         payloads = flat[:, :payload]
-        checksums = np.empty(count * pages, dtype="<u4")
-        for index in range(count * pages):
+        checksums = np.empty(count * units, dtype="<u4")
+        for index in range(count * units):
             checksums[index] = zlib.crc32(payloads[index])
-        flat[:, payload:] = checksums.view(np.uint8).reshape(-1, _PAGE_CRC_BYTES)
+        flat[:, payload:] = checksums.view(np.uint8).reshape(-1, _CRC_BYTES)
         return buf.reshape(-1)
 
     # ------------------------------------------------------------------
     # Block checks and decoding: one checker, one decoder, any count
     # ------------------------------------------------------------------
-    def _failed_pages(self, raw: np.ndarray) -> np.ndarray:
-        """Pages of the C-contiguous uint8 blocks ``raw`` whose CRC fails.
+    def _failed_units(self, raw: np.ndarray) -> np.ndarray:
+        """Checksummed units of the C-contiguous uint8 records ``raw``
+        whose CRC fails.
 
-        Returns flat page numbers (``row * pages_per_sequence + page``),
-        ascending; empty for format 1 or with verification off.  Pure:
-        no counter moves.  The stored CRCs are read as one ``<u4`` view,
-        and ``zlib.crc32`` is the only call made per page.
+        Returns flat unit numbers (``row * units + unit``), ascending;
+        empty with verification off.  Pure: no counter moves.  The
+        stored CRCs are read as one ``<u4`` view, and ``zlib.crc32`` is
+        the only call made per unit.
         """
-        if self.format_version == 1 or not self.verify_checksums:
+        if not self.verify_checksums:
             return np.empty(0, dtype=np.intp)
-        pages = raw.reshape(-1, self.page_size)
-        payload = self._payload_per_page
-        stored = pages[:, payload:].view("<u4")[:, 0]
+        units = raw.reshape(-1, self._unit)
+        payload = self._payload
+        stored = units[:, payload:].view("<u4")[:, 0]
         flat = memoryview(raw).cast("B")
         crc32 = zlib.crc32
         computed = np.fromiter(
             [
                 crc32(flat[start : start + payload])
-                for start in range(0, len(flat), self.page_size)
+                for start in range(0, len(flat), self._unit)
             ],
             dtype=np.uint32,
-            count=len(pages),
+            count=len(units),
         )
         return np.flatnonzero(computed != stored)
 
     def _check_block(self, seq_id: int, block: np.ndarray) -> None:
-        """Raise the typed error for the first fault of one raw block.
+        """Raise the typed error for the first fault of one raw record.
 
-        :class:`~repro.exceptions.TornWriteError` for a short block or a
-        page never written, :class:`~repro.exceptions.CorruptionError`
+        :class:`~repro.exceptions.TornWriteError` for a short record or
+        a unit never written, :class:`~repro.exceptions.CorruptionError`
         for a CRC mismatch.
         """
-        expected = self._pages_per_sequence * self.page_size
-        if len(block) < expected:
+        if len(block) < self._record_bytes:
             raise TornWriteError(
                 f"store {self.path!r}: sequence {seq_id} is truncated "
-                f"({len(block)} of {expected} bytes on disk)"
+                f"({len(block)} of {self._record_bytes} bytes on disk)"
             )
-        failed = self._failed_pages(block)
+        failed = self._failed_units(block)
         if not failed.size:
             return
-        page = int(failed[0])
-        page_bytes = block[page * self.page_size : (page + 1) * self.page_size]
-        stored = int(page_bytes[self._payload_per_page :].view("<u4")[0])
-        computed = zlib.crc32(page_bytes[: self._payload_per_page])
+        unit = int(failed[0])
+        unit_bytes = block[unit * self._unit : (unit + 1) * self._unit]
+        stored = int(unit_bytes[self._payload :].view("<u4")[0])
+        computed = zlib.crc32(unit_bytes[: self._payload])
+        where = f"sequence {seq_id} unit {unit} of {self._units}"
         obs.add("resilience.corrupt_pages")
-        if not page_bytes.any():
+        if not unit_bytes.any():
             raise TornWriteError(
-                f"store {self.path!r}: sequence {seq_id} page "
-                f"{page} was never written (torn write)"
+                f"store {self.path!r}: {where} was never written "
+                f"(torn write)"
             )
         raise CorruptionError(
-            f"store {self.path!r}: sequence {seq_id} page "
-            f"{page} CRC mismatch (stored {stored:#010x}, "
-            f"computed {computed:#010x})"
+            f"store {self.path!r}: {where} CRC mismatch "
+            f"(stored {stored:#010x}, computed {computed:#010x})"
         )
 
     def _decode(self, raw: np.ndarray) -> np.ndarray:
-        """The ``(m, sequence_length)`` payloads of ``m`` raw blocks.
+        """The ``(m, sequence_length)`` payloads of ``m`` raw records.
 
-        Copies straight into the result, one strided copy per page
-        column; the page tails (CRC and padding) are skipped.
+        Copies straight into the result, one strided copy per unit
+        column; the unit tails (CRC and padding) are skipped.
         """
         count = raw.shape[0]
         out = np.empty((count, self.sequence_length), dtype=np.float64)
         dest = out.view(np.uint8)
-        pages = raw.reshape(count, self._pages_per_sequence, self.page_size)
+        units = raw.reshape(count, self._units, self._unit)
         row_bytes = dest.shape[1]
-        payload = self._payload_per_page
-        for page, start in enumerate(range(0, row_bytes, payload)):
+        payload = self._payload
+        for unit, start in enumerate(range(0, row_bytes, payload)):
             width = min(payload, row_bytes - start)
-            dest[:, start : start + width] = pages[:, page, :width]
+            dest[:, start : start + width] = units[:, unit, :width]
         return out
 
     # ------------------------------------------------------------------
@@ -692,7 +689,7 @@ class SequencePageStore:
                 pass
 
     def _block_view(self) -> np.ndarray | None:
-        """A read-only ``(count, block_bytes)`` uint8 view over the map.
+        """A read-only ``(count, record bytes)`` uint8 view over the map.
 
         Returns ``None`` when mapping is disabled or impossible (empty
         store, file shorter than the expected data region), in which
@@ -701,8 +698,7 @@ class SequencePageStore:
         """
         if not self._use_mmap or self._count == 0 or self._file.closed:
             return None
-        block_bytes = self._pages_per_sequence * self.page_size
-        needed = self._data_offset + self._count * block_bytes
+        needed = self._offset_of(self._count)
         if self._mmap is None or self._mmap_rows < self._count:
             self._file.flush()
             try:
@@ -715,7 +711,7 @@ class SequencePageStore:
             self._mmap = mapped
             self._mmap_rows = self._count
         return self._mmap[self._data_offset : needed].reshape(
-            self._count, block_bytes
+            self._count, self._record_bytes
         )
 
     def _read_block(self, seq_id: int) -> bytes:
@@ -723,14 +719,14 @@ class SequencePageStore:
         if view is not None:
             return view[seq_id].tobytes()
         self._file.seek(self._offset_of(seq_id))
-        return self._file.read(self._pages_per_sequence * self.page_size)
+        return self._file.read(self._record_bytes)
 
     def read(self, seq_id: int, *, cached: bool = True) -> np.ndarray:
         """Fetch a sequence by id, charging its pages to :attr:`stats`.
 
         Raises :class:`~repro.exceptions.CorruptionError` (or its
-        subclass :class:`~repro.exceptions.TornWriteError`) when a
-        format-2 page fails validation.  ``cached=False`` reads around
+        subclass :class:`~repro.exceptions.TornWriteError`) when the
+        record fails validation.  ``cached=False`` reads around
         the hot-read cache: from disk, through the CRC, without
         consulting or filling the cache.
         """
@@ -751,8 +747,7 @@ class SequencePageStore:
                     cache.invalidate(seq_id)
                     raise
                 return self._decode(block[None])[0]
-        offset = self._offset_of(seq_id)
-        self.stats.charge(offset // self.page_size, self._pages_per_sequence)
+        self.stats.charge(seq_id, int(self._pages_of(seq_id)))
         data = self._read_block(seq_id)
         block = np.frombuffer(data, dtype=np.uint8)
         self._check_block(seq_id, block)
@@ -768,9 +763,9 @@ class SequencePageStore:
         (seeks in request order), cache hits, misses, evictions and LRU
         order — but handles the block as arrays: the cache is planned
         in one pass (:meth:`SequenceCache.replay`), the disk reads are
-        one gather, every page is CRC-checked in one pass, and the
+        one gather, every record is CRC-checked in one pass, and the
         counters are charged in aggregate.  The checks run before any
-        side effect; a block that fails one (a bad page, a short file)
+        side effect; a block that fails one (a bad record, a short file)
         is read by the per-id loop instead, which then raises exactly
         where, and after exactly the side effects, it always did.
         ``cached=False`` is :meth:`read`'s cache bypass, per block.
@@ -779,7 +774,7 @@ class SequencePageStore:
         if not ids.size:
             return np.empty((0, self.sequence_length), dtype=np.float64)
         requests = ids.tolist()
-        block_bytes = self._pages_per_sequence * self.page_size
+        block_bytes = self._record_bytes
         raw = np.empty((len(ids), block_bytes), dtype=np.uint8)
         cache = self._cache if cached else None
         if cache is None:
@@ -797,12 +792,10 @@ class SequencePageStore:
         if replay is not None:
             for position, source in replay.repeats:
                 raw[position] = raw[source]
-        if self._failed_pages(raw).size:
+        if self._failed_units(raw).size:
             return self._read_each(requests, cached)
         self.stats.charge_many(
-            self._offset_of(ids[misses]) // self.page_size,
-            self._pages_per_sequence,
-            cached=len(ids) - len(misses),
+            ids[misses], self._pages_of(ids[misses]), cached=len(ids) - len(misses)
         )
         if replay is not None:
             cache.commit(replay, raw)
@@ -863,7 +856,7 @@ class SequencePageStore:
         """Verify every stored sequence; return the ids that fail.
 
         A maintenance pass (it bypasses :attr:`stats`, so experiment I/O
-        counters stay meaningful): each sequence's pages are read and
+        counters stay meaningful): each sequence's record is read and
         checksum-validated, and the ids of corrupt or torn sequences are
         returned instead of raised — feed them to the engine's
         quarantine, or re-ingest them from the source of truth.

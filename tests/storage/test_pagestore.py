@@ -1,5 +1,6 @@
 """Tests for the disk-backed sequence store and its I/O accounting."""
 
+import os
 import struct
 import zlib
 
@@ -15,6 +16,7 @@ from repro.exceptions import (
     TornWriteError,
 )
 from repro.storage import MemorySequenceStore, SequencePageStore
+from tests.storage.format2 import write_format2
 
 
 @pytest.fixture
@@ -44,15 +46,19 @@ class TestSequencePageStore:
             store.append(np.zeros(100))
 
     def test_pages_per_sequence(self, tmp_path):
-        # A 4096-byte page carries 4092 payload bytes (4 are the CRC32):
-        # 511 float64 = 4088 bytes fit one page.
+        # A record is the row and its CRC32: 511 float64 + 4 = 4092
+        # bytes fit one 4096-byte page.
         with SequencePageStore(tmp_path / "a.dat", 511) as s:
             assert s.pages_per_sequence == 1
-        # 512 floats = 4096 bytes spill into a second page.
+        # 512 floats + 4 = 4100 bytes spill into a second page, and the
+        # records follow each other at that stride, after the header page.
         with SequencePageStore(tmp_path / "b.dat", 512) as s:
             assert s.pages_per_sequence == 2
+            s.append_matrix(np.zeros((3, 512)))
+            s.flush()
+            assert os.path.getsize(s.path) == 4096 + 3 * 4100
 
-    def test_io_accounting(self, store):
+    def test_io_accounting(self, store, tmp_path):
         store.append_matrix(np.zeros((4, 512)))
         per_seq = store.pages_per_sequence
         assert per_seq == 2
@@ -63,6 +69,19 @@ class TestSequencePageStore:
         assert store.stats.read_calls == 3
         assert store.stats.pages_read == 3 * per_seq
         assert store.stats.seeks == 2
+        # A read is charged the pages its record touches.  132-byte
+        # records: record 30 sits inside page 1, record 31 straddles
+        # the boundary into page 2.
+        with SequencePageStore(tmp_path / "small.dat", 16, cache_bytes=0) as small:
+            small.append_matrix(np.zeros((32, 16)))
+            assert small.pages_per_sequence == 1
+            small.read(30)
+            small.read(31)  # the next record: no seek, though it shares a page
+            assert small.stats.pages_read == 1 + 2
+            assert small.stats.seeks == 1
+            small.read_many([31, 30])
+            assert small.stats.pages_read == 3 + 2 + 1
+            assert small.stats.seeks == 3
 
     def test_stats_reset(self, store):
         store.append(np.zeros(512))
@@ -73,14 +92,14 @@ class TestSequencePageStore:
         assert store.stats.seeks == 0
 
     def test_stats_reset_clears_seek_position(self, store):
-        # Regression: reset() must also forget the last page touched,
+        # Regression: reset() must also forget where the head stands,
         # otherwise the first read after a reset can ride the stale
         # position and be miscounted as sequential (zero seeks).
         store.append_matrix(np.zeros((3, 512)))
         store.read(0)
         store.read(1)
         store.stats.reset()
-        assert store.stats._last_page is None
+        assert store.stats._next_record is None
         store.read(2)  # would look sequential against the stale position
         assert store.stats.seeks == 1
 
@@ -165,7 +184,7 @@ class TestReopen:
 class TestCorruptionDetection:
     """Round trips through deliberate damage: every fault gets a type."""
 
-    LENGTH = 512  # 2 checksummed pages per sequence
+    LENGTH = 512  # 4,100-byte records
 
     def _filled(self, tmp_path, rows=4):
         path = tmp_path / "victim.dat"
@@ -194,9 +213,7 @@ class TestCorruptionDetection:
 
     def test_flipped_crc_itself_is_detected(self, tmp_path):
         path, _, offsets = self._filled(tmp_path)
-        with SequencePageStore.open(path) as probe:
-            crc_offset = offsets[1] + probe.page_size - 1
-        self._damage(path, crc_offset)
+        self._damage(path, offsets[2] - 1)  # record 1 ends with its CRC
         with SequencePageStore.open(path) as store:
             with pytest.raises(CorruptionError):
                 store.read(1)
@@ -267,65 +284,94 @@ class TestCorruptionDetection:
                 store.read(0)
 
 
-class TestFormatV1Compatibility:
-    """Pre-checksum files stay readable (and keep their floor recovery)."""
+class TestFileFormat:
+    """What new stores write: format 3, one ``row || crc32`` record each."""
 
-    def _write_v1(self, path, matrix, page_size=4096):
-        header = struct.Struct("<8sIQ").pack(
-            b"RPRSEQ1\x00", page_size, matrix.shape[1]
-        )
-        bytes_per_seq = matrix.shape[1] * 8
-        pages = -(-bytes_per_seq // page_size)
-        block_size = pages * page_size
-        with open(path, "wb") as out:
-            out.write(header)
-            out.write(b"\x00" * (page_size - len(header)))
-            for row in matrix:
-                payload = row.astype(np.float64).tobytes()
-                out.write(payload + b"\x00" * (block_size - len(payload)))
-
-    def test_v1_file_reads_back(self, tmp_path):
-        path = tmp_path / "legacy.dat"
-        matrix = np.random.default_rng(6).normal(size=(3, 512))
-        self._write_v1(path, matrix)
-        with SequencePageStore.open(path) as store:
-            assert store.format_version == 1
-            assert len(store) == 3
-            # v1 packs a full 4096-byte payload per page: one page/seq.
-            assert store.pages_per_sequence == 1
-            for i, row in enumerate(matrix):
-                np.testing.assert_array_equal(store.read(i), row)
-
-    def test_v1_partial_tail_floors_silently(self, tmp_path):
-        path = tmp_path / "legacy_torn.dat"
-        matrix = np.random.default_rng(7).normal(size=(2, 512))
-        self._write_v1(path, matrix)
-        with open(path, "r+b") as raw:
-            raw.seek(0, 2)
-            raw.truncate(raw.tell() - 100)
-        with SequencePageStore.open(path) as store:
-            assert len(store) == 1  # historical floor behaviour
-            np.testing.assert_array_equal(store.read(0), matrix[0])
-
-    def test_new_stores_are_v2(self, tmp_path):
+    def test_new_stores_are_v3(self, tmp_path):
         with SequencePageStore(tmp_path / "new.dat", 16) as store:
-            assert store.format_version == 2
+            assert store.format_version == 3
         with SequencePageStore.open(tmp_path / "new.dat") as reopened:
-            assert reopened.format_version == 2
+            assert reopened.format_version == 3
+        assert (tmp_path / "new.dat").read_bytes()[:8] == b"RPRSEQ3\x00"
 
     def test_zlib_crc_convention(self, tmp_path):
-        # The on-disk CRC is plain zlib.crc32 of the page payload — pin
-        # the convention so other tooling can validate files.
+        # A record is the row's raw bytes, then plain zlib.crc32 of them
+        # — pin the convention so other tooling can validate files.
+        row = np.arange(4.0)
         with SequencePageStore(tmp_path / "pin.dat", 4) as store:
-            store.append(np.arange(4.0))
-            payload_size = store.page_size - 4
-            offset = store._offset_of(0)
-            page_size = store.page_size
+            store.append(row)
+            store.append(row * 2)
+            offset = store._offset_of(1)
         with open(tmp_path / "pin.dat", "rb") as raw:
             raw.seek(offset)
-            page = raw.read(page_size)
-        stored = struct.Struct("<I").unpack(page[payload_size:])[0]
-        assert stored == zlib.crc32(page[:payload_size])
+            record = raw.read()
+        assert record == (row * 2).tobytes() + struct.pack(
+            "<I", zlib.crc32((row * 2).tobytes())
+        )
+
+    def test_format1_is_unsupported(self, tmp_path):
+        path = tmp_path / "legacy.dat"
+        header = struct.pack("<8sIQ", b"RPRSEQ1\x00", 4096, 512)
+        path.write_bytes(header.ljust(4096, b"\x00") + bytes(4096))
+        with pytest.raises(CorruptionError, match="supported format"):
+            SequencePageStore.open(path)
+
+
+class TestFormatV2Compatibility:
+    """Page-checksummed format-2 files stay readable and appendable."""
+
+    def _filled(self, tmp_path, rows=4):
+        path = tmp_path / "v2.dat"
+        matrix = np.random.default_rng(6).normal(size=(rows, 512))
+        record = write_format2(path, matrix)
+        return path, matrix, record
+
+    def test_reads_back(self, tmp_path):
+        path, matrix, record = self._filled(tmp_path)
+        with SequencePageStore.open(path, cache_bytes=0) as store:
+            assert store.format_version == 2
+            assert len(store) == len(matrix)
+            # 4092 payload bytes a page: 512 floats take two pages.
+            assert store.pages_per_sequence == 2 and record == 8192
+            for i, row in enumerate(matrix):
+                np.testing.assert_array_equal(store.read(i), row)
+            np.testing.assert_array_equal(
+                store.read_many([3, 0, 0, 2]), matrix[[3, 0, 0, 2]]
+            )
+            assert store.stats.pages_read == 8 * 2
+
+    def test_scrub_and_reads_find_a_damaged_page(self, tmp_path):
+        path, matrix, record = self._filled(tmp_path)
+        with open(path, "r+b") as raw:
+            raw.seek(4096 + 2 * record + 4096 + 10)  # record 2, page 1
+            raw.write(b"\xff")
+        with SequencePageStore.open(path) as store:
+            assert store.scrub() == (2,)
+            with pytest.raises(CorruptionError, match="unit 1 of 2"):
+                store.read(2)
+            with pytest.raises(CorruptionError):
+                store.read_many([0, 2])
+            np.testing.assert_array_equal(store.read(3), matrix[3])
+
+    def test_repair_truncates_a_torn_tail(self, tmp_path):
+        path, matrix, record = self._filled(tmp_path)
+        with open(path, "r+b") as raw:
+            raw.truncate(4096 + 3 * record + 700)
+        with pytest.raises(TornWriteError):
+            SequencePageStore.open(path)
+        with SequencePageStore.open(path, repair=True) as store:
+            assert len(store) == 3
+            np.testing.assert_array_equal(store.read_many(range(3)), matrix[:3])
+
+    def test_appends_after_reopen_keep_writing_format_2(self, tmp_path):
+        path, matrix, _ = self._filled(tmp_path, rows=2)
+        more = np.random.default_rng(7).normal(size=(3, 512))
+        with SequencePageStore.open(path) as store:
+            assert store.append(more[0]) == 2
+            assert store.append_matrix(more[1:]) == [3, 4]
+            assert store.format_version == 2
+        write_format2(tmp_path / "whole.dat", np.vstack([matrix, more]))
+        assert path.read_bytes() == (tmp_path / "whole.dat").read_bytes()
 
 
 class TestMemorySequenceStore:

@@ -1,10 +1,10 @@
 """``read_many`` is the per-id ``read`` loop, observable for observable.
 
 The batched reader plans the cache, gathers a block's disk reads, checks
-every page and charges the counters as arrays.  The law it must keep:
-for any block of ids — duplicates, unsorted, adjacent runs — under any
-cache budget, with mmap on or off, checksums on or off, either file
-format and any damage on disk, ``store.read_many(ids)`` returns, raises
+every checksummed unit and charges the counters as arrays.  The law it
+must keep: for any block of ids — duplicates, unsorted, adjacent runs —
+under any cache budget, with mmap on or off, checksums on or off,
+format 2 or 3 and any damage on disk, ``store.read_many(ids)`` returns, raises
 and counts exactly what ``[twin.read(i) for i in ids]`` does on a twin
 store opened over the same file.  "Counts" is every logical observable:
 :class:`IOStats` (``read_calls``, ``pages_read``, ``seeks``, the head
@@ -14,7 +14,6 @@ counters each call moves.
 """
 
 import os
-import struct
 import tempfile
 
 import numpy as np
@@ -25,13 +24,14 @@ import repro.obs as obs
 from repro.exceptions import StorageError
 from repro.storage import SequencePageStore
 from repro.stream import StreamStore
+from tests.storage.format2 import write_format2
 
-PAGE_SIZE = 128  # small pages: one to three per row at these lengths
+PAGE_SIZE = 128  # small pages: format 2 takes one to three per row here
 BUDGETS = ("none", "under one block", "a few blocks", "everything")
 DAMAGE = st.one_of(
     st.none(),
     st.tuples(
-        st.sampled_from(["flip", "zero page", "truncate"]),
+        st.sampled_from(["flip", "zero unit", "truncate"]),
         st.floats(0, 1, exclude_max=True),
     ),
 )
@@ -45,24 +45,19 @@ IDS = st.one_of(
 
 
 def write_store(path, matrix, fmt):
-    """A format-``fmt`` store file holding ``matrix``; its block bytes."""
+    """A format-``fmt`` store file holding ``matrix``; its record bytes."""
     if fmt == 2:
-        with SequencePageStore(path, matrix.shape[1], page_size=PAGE_SIZE) as store:
-            store.append_matrix(matrix)
-            return store.pages_per_sequence * PAGE_SIZE
-    # Format 1 has no writer any more: header page, then zero-padded rows.
-    header = struct.Struct("<8sIQ").pack(b"RPRSEQ1\x00", PAGE_SIZE, matrix.shape[1])
-    block = -(-matrix.shape[1] * 8 // PAGE_SIZE) * PAGE_SIZE
-    with open(path, "wb") as out:
-        out.write(header + b"\x00" * (PAGE_SIZE - len(header)))
-        for row in matrix:
-            out.write(row.tobytes().ljust(block, b"\x00"))
-    return block
+        return write_format2(path, matrix, PAGE_SIZE)
+    with SequencePageStore(path, matrix.shape[1], page_size=PAGE_SIZE) as store:
+        store.append_matrix(matrix)
+        return store._record_bytes
 
 
-def damage_file(path, rows, block, kind, where):
-    """Flip a byte, zero a page or cut the tail, somewhere in the rows."""
-    data = PAGE_SIZE + int(where * rows * block)
+def damage_file(path, store, kind, where):
+    """Flip a byte, zero a checksummed unit or cut the tail, somewhere in
+    the records of ``store``."""
+    first = store._offset_of(0)
+    data = first + int(where * len(store) * store._record_bytes)
     with open(path, "r+b") as raw:
         if kind == "truncate":
             raw.truncate(data)
@@ -72,9 +67,8 @@ def damage_file(path, rows, block, kind, where):
             raw.seek(data)
             raw.write(bytes([byte ^ 0x01]))
         else:
-            page = data - data % PAGE_SIZE
-            raw.seek(page)
-            raw.write(bytes(PAGE_SIZE))
+            raw.seek(data - (data - first) % store._unit)
+            raw.write(bytes(store._unit))
 
 
 def budget_bytes(label, rows, block):
@@ -99,7 +93,7 @@ def outcome(call):
 
 def state(store):
     stats, cache = store.stats, store.cache
-    io = (stats.read_calls, stats.pages_read, stats.seeks, stats._last_page)
+    io = (stats.read_calls, stats.pages_read, stats.seeks, stats._next_record)
     if cache is None:
         return io, None
     return io, (
@@ -116,7 +110,7 @@ def state(store):
 @given(
     rows=st.integers(2, 12),
     length=st.sampled_from([5, 16, 31, 40]),
-    fmt=st.sampled_from([1, 2]),
+    fmt=st.sampled_from([2, 3]),
     budget=st.sampled_from(BUDGETS),
     use_mmap=st.booleans(),
     verify=st.booleans(),
@@ -126,12 +120,12 @@ def state(store):
 # A miss evicts an id the same block asks for later: that request misses
 # too, though the id was cached when the block began.
 @example(
-    rows=4, length=16, fmt=2, budget="a few blocks", use_mmap=False,
+    rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=False,
     verify=True, damage=None, blocks=[[0, 1, 2], [3, 0]],
 )
 # An id twice in one block: a miss, then a hit on what the miss inserted.
 @example(
-    rows=4, length=16, fmt=2, budget="a few blocks", use_mmap=True,
+    rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=True,
     verify=True, damage=None, blocks=[[2, 2, 1, 2]],
 )
 def test_read_many_is_the_per_id_loop(
@@ -150,7 +144,7 @@ def test_read_many_is_the_per_id_loop(
         with SequencePageStore.open(path, **options) as batched, \
                 SequencePageStore.open(path, **options) as per_id:
             if damage is not None:
-                damage_file(path, rows, block, *damage)
+                damage_file(path, batched, *damage)
             for ids in blocks:
                 ids = [seq_id % rows for seq_id in ids]
                 assert outcome(lambda: batched.read_many(ids)) == outcome(
