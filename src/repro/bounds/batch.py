@@ -24,8 +24,8 @@ correction for its (few) stored positions, turning an
 The kernels lean on the database's canonical structure-of-arrays layout
 (:meth:`SketchDatabase.soa_blocks`): every per-field block is one
 contiguous array, so the gathers and einsum reductions below run over
-unit-stride memory whether the database was built in-process, attached
-from a shared-memory arena, or loaded from disk.  Query-side tables live
+unit-stride memory whether the database was built in-process, sliced
+for a shard, or loaded from disk.  Query-side tables live
 in :class:`BatchBounds`; the terms that depend only on the database are
 cached on it by :meth:`SketchDatabase.kernel_terms`, which asserts that
 contract.  Every kernel starts from one shared pass (:meth:`BatchBounds._rows`)

@@ -17,9 +17,9 @@ layer (see ``docs/SHARDING.md``):
   does, then verifies through the shards' stores.  The shared verifier,
   the obs accounting and the resilience guards all apply unchanged.
 * :class:`ShardWorkerPool` — one persistent worker process per
-  populated shard, each holding its warm index over zero-copy
-  shared-memory views of the shard's matrix and sketch blocks; it
-  builds the shards and serves exact ``search_many`` batches; enabled
+  populated shard, each holding its warm index built from its
+  :class:`ShardSpec` (the shard's rows, or its page store); it builds
+  the shards and serves exact ``search_many`` batches; enabled
   with ``worker_pool=True`` or the ``REPRO_SHARD_WORKERS`` environment
   switch (see ``docs/CONCURRENCY.md``).
 

@@ -6,8 +6,9 @@ shards under a deterministic :class:`~repro.cluster.Partitioner`;
 recipe on either transport:
 
 1. **Specs** — one :class:`~repro.cluster.ShardSpec` per populated
-   shard: backend, kwargs, names, and the shard's page-store file when
-   the population is persisted.
+   shard: backend, kwargs, names, the shard's rows and sketch slice on
+   a fresh build, and the shard's page-store file when the population
+   is persisted.
 2. **Build** — every shard index comes out of the one builder,
    ``pool._build_shard_index``: called in process for the serial
    transport, or by each worker of a
@@ -54,12 +55,7 @@ from repro.cluster.pool import (
 from repro.cluster.router import ShardRouter
 from repro.compression.database import SketchDatabase
 from repro.exceptions import CorruptionError, ReproError
-from repro.storage.pagestore import SequencePageStore
-from repro.storage.shm import (
-    MatrixSequenceStore,
-    SharedArena,
-    stage_sketch_database,
-)
+from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
 from repro.tools.envparse import parse_env_int
 
 __all__ = [
@@ -131,25 +127,29 @@ def _shard_file(shard: int) -> str:
 
 def _specs(
     key, members, n, index_kwargs, *, seed, files, directory, write_store,
-    names=None,
+    names=None, matrix=None, sketches=None,
 ) -> list[ShardSpec]:
     """The build recipe of every populated shard.
 
     ``seed`` also seeds backends with construction randomness unless
     ``index_kwargs`` carries its own.  A reopen passes the manifest's
-    seed, so it rebuilds the very trees the first build made.
+    seed, so it rebuilds the very trees the first build made.  A fresh
+    build passes the population's ``matrix`` and ``sketches``: each spec
+    carries its shard's rows, and ``flat`` specs their sketch slice.
     """
+    if key != "flat":
+        sketches = None  # other backends compress (or ignore) their rows
     if key in _SEEDED_BACKENDS and "seed" not in index_kwargs:
         index_kwargs = {**index_kwargs, "seed": seed}
     return [
         ShardSpec(
             shard=shard,
             backend=key,
-            size=int(rows.size),
+            size=int(ids.size),
             sequence_length=n,
             obs_name=f"index.sharded.shard{shard:02d}",
             names=(
-                tuple(names[int(i)] for i in rows)
+                tuple(names[int(i)] for i in ids)
                 if names is not None
                 else None
             ),
@@ -160,68 +160,43 @@ def _specs(
                 else None
             ),
             write_store=write_store,
+            rows=matrix[ids] if matrix is not None else None,
+            sketch_db=sketches.take(ids) if sketches is not None else None,
         )
-        for shard, rows in enumerate(members)
-        if rows.size
+        for shard, ids in enumerate(members)
+        if ids.size
     ]
-
-
-def _stage(arena: SharedArena, specs, matrix, members, sketches) -> None:
-    """Publish every spec's rows, norms and sketch view into ``arena``.
-
-    The norms are the workers' attach-time integrity handshake.
-    """
-    for spec in specs:
-        prefix = f"shard{spec.shard:02d}"
-        rows = members[spec.shard]
-        sub_matrix = np.ascontiguousarray(matrix[rows])
-        spec.matrix_key, spec.norms_key = f"{prefix}.matrix", f"{prefix}.norms"
-        arena.stage(spec.matrix_key, sub_matrix)
-        arena.stage(
-            spec.norms_key, np.einsum("ij,ij->i", sub_matrix, sub_matrix)
-        )
-        if sketches is not None:
-            spec.sketch_meta = stage_sketch_database(
-                arena, f"{prefix}.sketches", sketches.take(rows)
-            )
-    arena.seal()
 
 
 def _serve(
     specs, members, partitioner, n, pooled, filter_kwargs, *,
-    matrix=None, sketches=None, stores=None,
+    sketches=None, stores=None,
 ) -> ShardRouter:
     """Build ``specs`` in process or on a warm pool; wire one router.
 
-    ``matrix`` / ``sketches`` (a fresh build) are the whole population
-    and its sketch database: the router's filter, and sliced per shard
-    for ``flat`` shards; ``stores`` (a reopen) maps shards to the
-    parent's count-checked page stores, from which the router reads its
-    filter's rows.  ``filter_kwargs`` configure the router's filter
-    (:func:`_filter_kwargs`).  Any failure — staging, spawn, a worker
-    refusing to warm, a build — closes every store, the pool and the
-    arena before the exception propagates: no orphan processes, no
-    leaked ``/dev/shm`` segments.
+    ``sketches`` (a fresh build) is the whole population's sketch
+    database, the router's filter; ``stores`` (a reopen) maps shards to
+    the parent's count-checked page stores, from which the router reads
+    its filter's rows.  ``filter_kwargs`` configure the router's filter
+    (:func:`_filter_kwargs`).  Any failure — spawn, a worker refusing to
+    warm, a build — closes every store and the pool before the
+    exception propagates: no orphan processes.
     """
-    shard_sketches = (
-        sketches if specs and specs[0].backend == "flat" else None
-    )
     stores = {} if stores is None else stores
     subs = {}
-    pool = arena = None
+    pool = None
     try:
         if pooled:
-            if matrix is not None:
-                arena = SharedArena()
-                _stage(arena, specs, matrix, members, shard_sketches)
-            pool = ShardWorkerPool(specs, arena, shard_count=len(members))
+            pool = ShardWorkerPool(specs, shard_count=len(members))
             pool.start()  # warm-up = parallel store writes + index builds
             for spec in specs:
                 if spec.shard not in stores:
+                    # The parent's read handle: the finished page store,
+                    # or a store over the very rows a respawn builds from.
                     stores[spec.shard] = (
                         _open_shard_store(spec.store_path, spec.size)
                         if spec.store_path is not None
-                        else MatrixSequenceStore(arena.array(spec.matrix_key))
+                        else MemorySequenceStore.over(spec.rows)
                     )
                 subs[spec.shard] = ShardStub(
                     spec.shard, spec.size, n, stores[spec.shard],
@@ -229,16 +204,8 @@ def _serve(
                 )
         else:
             for spec in specs:
-                rows = members[spec.shard]
                 subs[spec.shard], _ = _build_shard_index(
-                    spec,
-                    matrix=matrix[rows] if matrix is not None else None,
-                    sketch_db=(
-                        shard_sketches.take(rows)
-                        if shard_sketches is not None
-                        else None
-                    ),
-                    store=stores.get(spec.shard),
+                    spec, store=stores.get(spec.shard)
                 )
         return ShardRouter(
             [(subs.get(shard), rows) for shard, rows in enumerate(members)],
@@ -253,8 +220,6 @@ def _serve(
             store.close()
         if pool is not None:
             pool.close()
-        elif arena is not None:
-            arena.close()
         raise
 
 
@@ -344,11 +309,12 @@ def build_sharded(
     specs = _specs(
         key, members, n, index_kwargs, seed=seed, files=files,
         directory=directory, write_store=directory is not None, names=names,
+        matrix=matrix, sketches=sketches,
     )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
     router = _serve(
         specs, members, partitioner, n, pooled, filter_kwargs,
-        matrix=matrix, sketches=sketches,
+        sketches=sketches,
     )
     if directory is not None:
         try:
@@ -385,7 +351,7 @@ def open_sharded(
     the one recorded in the manifest.  ``worker_pool`` follows the same
     ``REPRO_SHARD_WORKERS`` default as :func:`build_sharded`; a pooled
     reopen warms one worker per populated shard from its page-store
-    file (no shared-memory arena — the stores are the source of truth).
+    file (the stores are the source of truth).
     """
     directory = os.fspath(directory)
     manifest = ShardManifest.load(directory)

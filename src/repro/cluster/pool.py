@@ -1,4 +1,4 @@
-"""Persistent shard workers: long-lived processes over shared memory.
+"""Persistent shard workers: one long-lived process per shard.
 
 Shard workers pay off only when the per-shard state stays warm: a
 process started per call spends more on start-up, pickling and
@@ -12,11 +12,9 @@ are bounded by the router's own filter in the parent and never come
 here:
 
 * :class:`ShardWorkerPool` — one **persistent process per populated
-  shard**.  A worker attaches the shard's sequence matrix and packed
-  sketch blocks as zero-copy read-only views from a
-  :class:`~repro.storage.shm.SharedArena` (or opens the shard's
-  checksummed page store), builds its engine index **once**, and then
-  serves requests over a duplex pipe until told to stop.
+  shard**.  A worker builds its engine index **once** from its spec
+  (the shard's rows, or its checksummed page store), and then serves
+  requests over a duplex pipe until told to stop.
 * :class:`ShardSpec` — the picklable recipe every shard index is built
   from, in a worker or in process (:func:`_build_shard_index` is the
   one builder); respawning a crashed worker replays the spec.
@@ -55,6 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.compression.database import SketchDatabase
 from repro.engine.batch import _shard_batch
 from repro.engine.core import CandidateSet, _fallback_candidates
 from repro.engine.registry import get_index
@@ -64,14 +63,7 @@ from repro.exceptions import (
     WorkerCrashError,
 )
 from repro.index.results import SearchStats
-from repro.storage.pagestore import SequencePageStore
-from repro.storage.shm import (
-    ArenaMeta,
-    MatrixSequenceStore,
-    SharedArena,
-    SketchBlocksMeta,
-    attach_sketch_database,
-)
+from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
 
 __all__ = [
     "ShardSpec",
@@ -114,12 +106,18 @@ def default_start_method() -> str:
 class ShardSpec:
     """Everything needed to (re)build one shard, picklable.
 
+    ``rows`` are the shard's sequences and ``sketch_db`` its slice of the
+    population's sketches (``flat`` shards only): a worker inherits them
+    under ``fork`` and receives them pickled under ``spawn``.  A reopen
+    carries no rows; the builder reads them from ``store_path``.
+
     ``write_store`` is ``True`` only for the *first* build of a
     directory-backed shard (the builder writes the checksummed page
     store itself — in a worker, this is how ``build_sharded`` reuses the
     pool for parallel builds); after a successful warm-up the pool flips
-    it off, so a respawned worker reopens the finished file instead of
-    rewriting it.
+    it off and drops the rows, so a respawned worker reopens the
+    finished file instead of rewriting it.  An in-memory spec keeps its
+    rows: they are what a respawn builds from.
     """
 
     shard: int
@@ -131,9 +129,8 @@ class ShardSpec:
     index_kwargs: dict = field(default_factory=dict)
     store_path: str | None = None
     write_store: bool = False
-    matrix_key: str | None = None
-    norms_key: str | None = None
-    sketch_meta: SketchBlocksMeta | None = None
+    rows: np.ndarray | None = None
+    sketch_db: SketchDatabase | None = None
 
 
 # ----------------------------------------------------------------------
@@ -156,44 +153,23 @@ def _open_shard_store(path: str, size: int) -> SequencePageStore:
     return store
 
 
-def _build_shard_index(
-    spec: ShardSpec,
-    arena: SharedArena | None = None,
-    *,
-    matrix: np.ndarray | None = None,
-    sketch_db=None,
-    store=None,
-):
+def _build_shard_index(spec: ShardSpec, *, store=None):
     """Build one shard's index from its spec: the only way one is made.
 
-    The rows come from ``matrix`` (an in-process build), from the arena
-    block ``spec.matrix_key`` (a pooled build), or from the shard's page
-    store (a reopen, or a respawn after the first build wrote it); a
-    ``store`` the caller already opened and count-checked is used as
-    is.  Every path feeds the same sub-matrix, sketches, names and
-    kwargs to the registry, so a worker's index is bit-identical to an
-    in-process one (construction is deterministic under the shared
-    seed).  Returns ``(index, store)``.
+    The rows come from ``spec.rows`` (a fresh build, or an in-memory
+    respawn) or from the shard's page store (a reopen, or a respawn
+    after the first build wrote it); a ``store`` the caller already
+    opened and count-checked is used as is.  In process, in a fresh
+    worker and in a respawned one, the same sub-matrix, sketches, names
+    and kwargs reach the registry, so a worker's index is bit-identical
+    to an in-process one (construction is deterministic under the
+    shared seed).  Returns ``(index, store)``.
     """
-    if matrix is None and spec.matrix_key is not None:
-        matrix = arena.array(spec.matrix_key)
-        if spec.norms_key is not None:
-            # Shared-memory integrity handshake: recompute the per-row
-            # squared norms from the attached bytes and compare bitwise
-            # with what the parent published.  Same op on the same bytes
-            # is bit-equal, so any mismatch means a torn or misattached
-            # segment — fail the warm-up instead of serving wrong bounds.
-            published = arena.array(spec.norms_key)
-            recomputed = np.einsum("ij,ij->i", matrix, matrix)
-            if not np.array_equal(published, recomputed):
-                raise CorruptionError(
-                    f"shard {spec.shard}: shared-memory matrix failed the "
-                    "norm handshake (torn or misattached segment)"
-                )
+    rows = spec.rows
     if spec.store_path is not None and spec.write_store:
         with obs.span("ingest.store_write"):
             store = SequencePageStore(spec.store_path, spec.sequence_length)
-            store.append_matrix(matrix)
+            store.append_matrix(rows)
             # Close-and-reopen so every byte is flushed before the
             # parent (which opens this file the moment a worker reports
             # ready) can read a torn tail out of our write buffer.
@@ -202,15 +178,13 @@ def _build_shard_index(
     elif spec.store_path is not None:
         if store is None:
             store = _open_shard_store(spec.store_path, spec.size)
-        matrix = store.read_many(range(spec.size))
-    elif arena is not None:
-        store = MatrixSequenceStore(matrix)
+        rows = store.read_many(range(spec.size))
+    else:
+        store = MemorySequenceStore.over(rows)
 
     kwargs = dict(spec.index_kwargs)
-    if spec.sketch_meta is not None:
-        sketch_db = attach_sketch_database(arena, spec.sketch_meta)
-    if sketch_db is not None:
-        kwargs["sketch_db"] = sketch_db
+    if spec.sketch_db is not None:
+        kwargs["sketch_db"] = spec.sketch_db
     if store is not None and spec.backend not in _STORE_BACKENDS:
         store.close()  # matrix-backed structure; the file stays for reopen
         store = None
@@ -218,7 +192,7 @@ def _build_shard_index(
         kwargs["store"] = store
     names = list(spec.names) if spec.names is not None else None
     with obs.span("ingest.build"):
-        sub = get_index(spec.backend, matrix, names=names, **kwargs)
+        sub = get_index(spec.backend, rows, names=names, **kwargs)
     sub.obs_name = spec.obs_name
     return sub, store
 
@@ -263,16 +237,13 @@ def _candidate_payload(sub, op: str, query, arg):
         return _fallback_candidates(len(sub)), fallback_stats, error
 
 
-def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
+def _worker_main(spec: ShardSpec, conn) -> None:
     """Worker entry point: warm once, then serve until told to stop."""
-    arena = None
     store = None
     sub = None
     try:
         try:
-            if arena_meta is not None:
-                arena = SharedArena.attach(arena_meta)
-            sub, store = _build_shard_index(spec, arena)
+            sub, store = _build_shard_index(spec)
             conn.send(("ready", os.getpid(), len(sub)))
         except Exception as exc:
             try:
@@ -320,8 +291,6 @@ def _worker_main(spec: ShardSpec, arena_meta: ArenaMeta | None, conn) -> None:
                 store.close()
             except Exception:
                 pass
-        if arena is not None:
-            arena.close()
         try:
             conn.close()
         except Exception:
@@ -336,8 +305,9 @@ class ShardStub:
 
     The router's filter and verifier run in the parent, so the stub
     serves the data plane only (``len``/``fetch``/``result_name``/
-    ``store``) from the parent's own handle on the shard's bytes — the
-    shared-memory view or a read handle on the checksummed page store.
+    ``store``) from the parent's own handle on the shard's bytes — a
+    store over the spec's rows or a read handle on the checksummed page
+    store.
     Sub-searches never pass through it: ``search_many`` asks the pool
     for every shard at once (``batch_search``).
     """
@@ -389,10 +359,6 @@ class ShardWorkerPool:
     ----------
     specs:
         One :class:`ShardSpec` per populated shard.
-    arena:
-        The sealed :class:`SharedArena` the specs reference (``None``
-        when shards are store-backed only).  The pool *owns* it: it is
-        closed and unlinked at :meth:`close`.
     shard_count:
         Total shards including empty ones; scatter results are aligned
         to this.
@@ -404,7 +370,6 @@ class ShardWorkerPool:
     def __init__(
         self,
         specs: Sequence[ShardSpec],
-        arena: SharedArena | None = None,
         *,
         shard_count: int | None = None,
         start_method: str | None = None,
@@ -413,7 +378,6 @@ class ShardWorkerPool:
         self._specs = {spec.shard: spec for spec in specs}
         if len(self._specs) != len(specs):
             raise ReproError("duplicate shard in worker-pool specs")
-        self._arena = arena
         self._shard_count = (
             int(shard_count)
             if shard_count is not None
@@ -464,10 +428,9 @@ class ShardWorkerPool:
     def _spawn(self, shard: int) -> None:
         spec = self._specs[shard]
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        arena_meta = self._arena.meta if self._arena is not None else None
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(spec, arena_meta, child_conn),
+            args=(spec, child_conn),
             name=f"repro-shard-worker-{shard:02d}",
             daemon=True,
         )
@@ -499,7 +462,9 @@ class ShardWorkerPool:
                 f"spec says {spec.size}"
             )
         else:
-            spec.write_store = False  # respawns reopen, never rewrite
+            if spec.store_path is not None:
+                # Respawns reopen the finished store, never rewrite it.
+                spec.write_store, spec.rows = False, None
             return True
         self._note_death(shard)
         if initial:
@@ -539,12 +504,11 @@ class ShardWorkerPool:
         return self._respawns.get(shard, 0)
 
     def close(self) -> None:
-        """Drain and stop every worker, then release the shared arena.
+        """Drain and stop every worker.
 
         Idempotent, and deterministic even on exception paths: stop is
         offered politely first, then escalated terminate -> kill so the
-        call can never leak an orphan process, and the arena segment is
-        unlinked last (no ``/dev/shm`` residue).
+        call can never leak an orphan process.
         """
         if self._closed:
             return
@@ -572,8 +536,6 @@ class ShardWorkerPool:
         self._procs.clear()
         self._conns.clear()
         self._dead.clear()
-        if self._arena is not None:
-            self._arena.close()
         self._publish_worker_gauge()
 
     def __enter__(self) -> "ShardWorkerPool":

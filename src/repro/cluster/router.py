@@ -426,8 +426,7 @@ class ShardRouter:
     def close(self) -> None:
         """Close shard stores, then shut the worker pool down (if any).
 
-        Store handles first (parent-side reads stop), pool last — its
-        shutdown unlinks the shared-memory arena the stores may view.
+        Store handles first (parent-side reads stop), pool last.
         """
         for sub in self._shards:
             store = getattr(sub, "store", None)

@@ -20,11 +20,10 @@ The packing is the system's canonical **structure-of-arrays (SoA)
 layout**: every field is one C-contiguous block, named by
 :attr:`SketchDatabase.SOA_FIELDS`, plus lazily precomputed per-row
 sketch norms (:attr:`SketchDatabase.norms_sq`).  Everything that moves a
-database across a boundary — shared-memory publication
-(:mod:`repro.storage.shm`), ``.npz`` persistence, row-subset views —
+database across a boundary — ``.npz`` persistence, row-subset views —
 round-trips exactly these blocks through :meth:`SketchDatabase.from_soa`
-/ :meth:`SketchDatabase.soa_blocks`, so there is one layout and one
-integrity handshake (the norms block) instead of per-consumer re-packing.
+/ :meth:`SketchDatabase.soa_blocks`, so there is one layout instead of
+per-consumer re-packing.
 
 The batch bound kernels in :mod:`repro.bounds.batch` consume this layout;
 :meth:`SketchDatabase.sketch` recovers an individual
@@ -38,11 +37,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.compression.base import SpectralSketch
-from repro.exceptions import (
-    CompressionError,
-    CorruptionError,
-    SeriesMismatchError,
-)
+from repro.exceptions import CompressionError, SeriesMismatchError
 from repro.spectral.dft import Spectrum
 
 __all__ = ["SketchDatabase", "sketch_norms_sq"]
@@ -66,8 +61,7 @@ def sketch_norms_sq(
 
     Computed as ``w * (re*re + im*im)`` — exact IEEE products summed
     row-wise — so any two processes holding the same field blocks derive
-    the *bitwise* same norms.  That determinism is what lets the norms
-    block double as the shared-memory integrity handshake.
+    the *bitwise* same norms.
     """
     re = np.ascontiguousarray(coefficients.real)
     im = np.ascontiguousarray(coefficients.imag)
@@ -206,23 +200,13 @@ class SketchDatabase:
         basis: str,
         method: str,
         names: Sequence[str] | None = None,
-        copy: bool = False,
-        verify_norms: np.ndarray | None = None,
     ) -> "SketchDatabase":
         """Assemble a database directly from SoA field blocks.
 
         The single internal constructor every packed-array path funnels
-        through (batch compression, row-subset views, ``.npz`` load,
-        shared-memory attach), so dtype normalisation and contiguity
-        live in one place.  ``copy=False`` keeps zero-copy semantics:
-        blocks already contiguous in their canonical dtype — including
-        read-only shared-memory views — are adopted as-is.
-
-        ``verify_norms`` is the integrity handshake: when given, the
-        per-row sketch norms are recomputed from the adopted blocks and
-        compared *bitwise* against the caller's precomputed block,
-        raising :class:`~repro.exceptions.CorruptionError` on any
-        mismatch (torn shared-memory segment, stale attach).
+        through (batch compression, row-subset views, ``.npz`` load), so
+        dtype normalisation and contiguity live in one place.  Blocks
+        already contiguous in their canonical dtype are adopted as-is.
         """
         missing = [f for f in cls.SOA_FIELDS if f not in fields]
         if missing:
@@ -236,22 +220,12 @@ class SketchDatabase:
         db.names = tuple(names) if names is not None else None
         for field in cls.SOA_FIELDS:
             block = np.ascontiguousarray(fields[field], _SOA_DTYPES[field])
-            if copy and block is fields[field]:
-                block = block.copy()
             attr = "_widths" if field == "widths" else field
             setattr(db, attr, block)
         if db.positions.ndim != 2 or db.positions.shape != db.weights.shape:
             raise CompressionError(
                 "SoA blocks disagree on (count, width) shape"
             )
-        if verify_norms is not None:
-            norms = sketch_norms_sq(db.weights, db.coefficients)
-            if not np.array_equal(verify_norms, norms):
-                raise CorruptionError(
-                    "sketch SoA integrity handshake failed: published "
-                    "norms do not match the attached field blocks"
-                )
-            db._norms_cache = np.ascontiguousarray(norms)
         return db
 
     def soa_blocks(self) -> dict[str, np.ndarray]:
@@ -259,9 +233,9 @@ class SketchDatabase:
 
         Each returned array is C-contiguous in its canonical dtype; the
         contiguous version is cached back onto the instance, so callers
-        that publish these blocks (``.npz`` save, shared-memory staging)
-        and callers that compute over them (bound kernels, the block
-        verifier) observe the very same memory.
+        that publish these blocks (``.npz`` save) and callers that
+        compute over them (bound kernels, the block verifier) observe
+        the very same memory.
         """
         blocks: dict[str, np.ndarray] = {}
         for field in self.SOA_FIELDS:
@@ -280,8 +254,7 @@ class SketchDatabase:
 
         Computed lazily on first access and cached; row-subset views
         slice the cache (row norms are row-local, so slicing and
-        recomputing agree bitwise).  Doubles as the shared-memory
-        integrity handshake — see :func:`sketch_norms_sq`.
+        recomputing agree bitwise; see :func:`sketch_norms_sq`).
         """
         cached = getattr(self, "_norms_cache", None)
         if cached is None or cached.shape[0] != len(self):

@@ -12,10 +12,7 @@ object (:mod:`repro.engine.approx`).  See ``docs/ENGINE.md``,
 from repro.engine.approx import (
     DEFAULT_EPSILON,
     DEFAULT_PATIENCE,
-    EPSILON_ENV,
-    PATIENCE_ENV,
     ApproxPolicy,
-    env_approx_policy,
     resolve_policy,
 )
 from repro.engine.batch import search_many
@@ -37,8 +34,6 @@ __all__ = [
     "DEFAULT_EPSILON",
     "DEFAULT_PATIENCE",
     "DEFAULT_VERIFY_BLOCK",
-    "EPSILON_ENV",
-    "PATIENCE_ENV",
     "RANGE_SLACK",
     "VERIFY_BLOCK_ENV",
     "ApproxPolicy",
@@ -47,7 +42,6 @@ __all__ = [
     "SigmaTracker",
     "available_indexes",
     "block_distances_sq",
-    "env_approx_policy",
     "execute_knn",
     "execute_range",
     "get_index",

@@ -37,23 +37,13 @@ import math
 from dataclasses import dataclass
 
 from repro.exceptions import ReproError
-from repro.tools.envparse import parse_env_float, parse_env_optional_int
 
 __all__ = [
     "DEFAULT_EPSILON",
     "DEFAULT_PATIENCE",
-    "EPSILON_ENV",
-    "PATIENCE_ENV",
     "ApproxPolicy",
-    "env_approx_policy",
     "resolve_policy",
 ]
-
-#: Environment override for the relative pruning slack ε.
-EPSILON_ENV = "REPRO_APPROX_EPSILON"
-
-#: Environment override for the early-stop patience (unset: no stop).
-PATIENCE_ENV = "REPRO_APPROX_PATIENCE"
 
 #: The documented opt-in knobs (:meth:`ApproxPolicy.default`), tuned
 #: once for recall@10 >= 0.95 with measurable work saved
@@ -128,18 +118,10 @@ class ApproxPolicy:
         return (self.epsilon, self.patience)
 
 
-def env_approx_policy() -> ApproxPolicy:
-    """The policy selected by ``REPRO_APPROX_*`` (exact when unset)."""
-    return ApproxPolicy(
-        epsilon=parse_env_float(EPSILON_ENV, 0.0, minimum=0.0),
-        patience=parse_env_optional_int(PATIENCE_ENV, minimum=1),
-    )
-
-
 def resolve_policy(policy: ApproxPolicy | None) -> ApproxPolicy:
-    """An explicit policy wins; ``None`` defers to the environment."""
+    """An explicit policy as given; ``None`` is the exact policy."""
     if policy is None:
-        return env_approx_policy()
+        return ApproxPolicy()
     if not isinstance(policy, ApproxPolicy):
         raise ReproError(
             f"policy must be an ApproxPolicy or None, got {policy!r}"

@@ -63,9 +63,7 @@ def search_many(
         Neighbours per query.
     policy:
         An :class:`~repro.engine.ApproxPolicy` opting the whole batch
-        into the approximate tier; ``None`` defers to the
-        ``REPRO_APPROX_*`` knobs.  The policy is resolved once here, so
-        a batch is never split across two readings of the environment.
+        into the approximate tier; ``None`` is exact.
 
     Each query's answer and stats are what ``index.search(query, k,
     policy)`` returns, except that an exact batch on a pooled router

@@ -714,8 +714,7 @@ def execute_knn(
 ) -> tuple[list[Neighbor], SearchStats]:
     """The ``k`` nearest neighbours of ``query`` (exact under sound bounds).
 
-    ``policy`` opts into the approximate tier; ``None`` defers to the
-    ``REPRO_APPROX_*`` environment knobs (exact when unset).
+    ``policy`` opts into the approximate tier; ``None`` is exact.
     """
     policy = resolve_policy(policy)
     query = _validate_query(index, query)

@@ -116,8 +116,7 @@ class QueryLogMiner:
     approx_policy:
         An :class:`~repro.engine.ApproxPolicy` opting every
         :meth:`similar` / :meth:`similar_many` call into the
-        approximate tier (``None``, the default, defers to the
-        ``REPRO_APPROX_*`` environment knobs — unset means exact).
+        approximate tier (``None``, the default, means exact).
         Only the sketch-index similarity path is affected; DTW,
         periods and bursts always run exact (see ``docs/APPROX.md``).
     """
@@ -403,14 +402,14 @@ class QueryLogMiner:
     # ------------------------------------------------------------------
     @property
     def approx_policy(self) -> ApproxPolicy | None:
-        """The configured similarity policy (``None``: environment)."""
+        """The configured similarity policy (``None``: exact)."""
         return self._approx_policy
 
     def similar(self, query, k: int = 5) -> list[Neighbor]:
         """Queries with the most similar demand shape (k-NN).
 
         Exact unless the miner was built with a non-exact
-        ``approx_policy`` (or the ``REPRO_APPROX_*`` knobs are set).
+        ``approx_policy``.
         ``query`` may be an ingested name, a :class:`TimeSeries` or a raw
         sequence; an ingested name excludes itself from the results.
         """

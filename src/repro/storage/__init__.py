@@ -9,27 +9,15 @@ from repro.storage.pagestore import (
     SequencePageStore,
     fsync_enabled_from_env,
 )
-from repro.storage.shm import (
-    ArenaMeta,
-    MatrixSequenceStore,
-    SharedArena,
-    attach_sketch_database,
-    stage_sketch_database,
-)
 from repro.storage.table import Predicate, Row, Table, eq, ge, gt, le, lt
 
 __all__ = [
-    "ArenaMeta",
     "BPlusTree",
     "FSYNC_ENV",
     "IOStats",
     "fsync_enabled_from_env",
-    "MatrixSequenceStore",
     "SequenceCache",
-    "SharedArena",
-    "attach_sketch_database",
     "cache_budget_from_env",
-    "stage_sketch_database",
     "MemorySequenceStore",
     "SequencePageStore",
     "Predicate",

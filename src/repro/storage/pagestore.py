@@ -898,6 +898,18 @@ class MemorySequenceStore:
         self._matrix = np.empty((0, self.sequence_length), dtype=np.float64)
         self._count = 0
 
+    @classmethod
+    def over(cls, matrix: np.ndarray) -> "MemorySequenceStore":
+        """A store whose rows *are* ``matrix``: adopted, not copied.
+
+        The caller hands the array over; an append grows into a new
+        buffer, so the adopted rows are never written.
+        """
+        matrix = as_float_matrix(matrix)
+        store = cls(matrix.shape[1])
+        store._matrix, store._count = matrix, len(matrix)
+        return store
+
     def __len__(self) -> int:
         return self._count
 

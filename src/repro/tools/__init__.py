@@ -7,11 +7,7 @@ environment-knob parser, which depends on nothing but the exception
 hierarchy.
 """
 
-from repro.tools.envparse import (
-    parse_env_float,
-    parse_env_int,
-    parse_env_optional_int,
-)
+from repro.tools.envparse import parse_env_int
 
 __all__ = [
     "sparkline",
@@ -19,9 +15,7 @@ __all__ = [
     "burst_chart",
     "S2Shell",
     "build_workspace",
-    "parse_env_float",
     "parse_env_int",
-    "parse_env_optional_int",
 ]
 
 _PLOTTING = ("sparkline", "line_chart", "burst_chart")

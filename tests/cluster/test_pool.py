@@ -7,12 +7,10 @@ filter in the parent; the pool serves builds and exact batches.  Worker
 death never hangs a batch and never changes its answer: the batch runs
 in the parent instead (exact, not degraded), and the worker is
 respawned from its spec for later batches.  Every exit path — success,
-exception, kill — must leave zero worker processes and zero
-``/dev/shm`` segments behind.
+exception, kill — must leave zero worker processes behind.
 """
 
 import filecmp
-import glob
 import os
 import signal
 import time
@@ -26,14 +24,9 @@ from repro.engine import search_many
 from repro.exceptions import ReproError
 from repro.index.results import SearchStats
 from repro.resilience.retry import active_policy, policy_context
-from repro.storage.shm import SEGMENT_PREFIX
 
 BACKENDS = ("flat", "vptree", "mvptree", "mtree", "rtree", "scan")
 SHARD_COUNTS = (1, 2, 4, 7)
-
-
-def _segments():
-    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 def as_pairs(neighbors):
@@ -49,18 +42,15 @@ def assert_invariant(stats, size):
 
 @pytest.fixture(autouse=True)
 def no_leaked_state():
-    """Every test must clean up its workers and its shared memory.
+    """Every test must clean up its workers.
 
     Measured as a delta: when the whole suite runs with
     ``REPRO_SHARD_WORKERS`` set, earlier tests' unclosed routers leave
     daemon workers behind (they die with the interpreter), and those
     must not be billed to this test.
     """
-    segments_before = _segments()
     workers_before = {proc.pid for proc in _live_workers()}
     yield
-    leaked = _segments() - segments_before
-    assert not leaked, f"leaked shared-memory segment(s): {sorted(leaked)}"
     new_workers = [
         proc for proc in _live_workers() if proc.pid not in workers_before
     ]
@@ -244,11 +234,25 @@ def test_sigkill_mid_flight_degrades_and_stays_exact(matrix, queries):
             assert not stats.degraded
 
 
-def test_sigkill_then_respawn_serves_clean(matrix, queries):
+@pytest.mark.parametrize(
+    "persisted", [False, True], ids=["memory", "directory"]
+)
+def test_sigkill_then_respawn_serves_clean(
+    matrix, queries, persisted, tmp_path
+):
+    """In memory, the respawn builds from the spec's rows; from a
+    directory, it reopens the page store the first build wrote, and
+    never rewrites it under the parent's open read handle."""
     expected = _serial_batch(matrix, queries)
+    directory = tmp_path / "shards"
     with build_sharded(
-        matrix, shards=4, backend="flat", worker_pool=True
+        matrix, shards=4, backend="flat", worker_pool=True,
+        directory=directory if persisted else None,
     ) as router:
+        written = {
+            path.name: path.stat().st_mtime_ns
+            for path in directory.glob("shard-*.pages")
+        }
         pool, victim = _dead_victim(router, respawn=True)
         registry = obs.enable()
         try:
@@ -265,6 +269,10 @@ def test_sigkill_then_respawn_serves_clean(matrix, queries):
         assert pool.respawn_count(victim) == 1
         assert pool.pids()[victim] is not None
         assert all(pool.heartbeat().values())
+        assert {
+            path.name: path.stat().st_mtime_ns
+            for path in directory.glob("shard-*.pages")
+        } == written
 
 
 def test_sigkill_during_batch_falls_back_and_stays_exact(matrix, queries):
@@ -330,13 +338,13 @@ def test_exhausted_budget_stays_degraded(matrix, queries):
 # ----------------------------------------------------------------------
 # Lifecycle hygiene
 # ----------------------------------------------------------------------
-def test_close_reaps_workers_and_segments(matrix):
+def test_close_reaps_workers(matrix):
     router = build_sharded(
         matrix, shards=4, backend="flat", worker_pool=True
     )
     pool = router.worker_pool
     pids = [pid for pid in pool.pids().values() if pid]
-    assert pids and _segments()
+    assert pids
     router.close()
     assert pool.closed
     for pid in pids:
@@ -376,7 +384,7 @@ def test_spec_size_mismatch_fails_warmup(matrix):
         obs_name="index.sharded.shard00",
         store_path="/nonexistent/path.pages",
     )
-    pool = ShardWorkerPool([spec], None, shard_count=1)
+    pool = ShardWorkerPool([spec], shard_count=1)
     with pytest.raises(ReproError):
         pool.start()
     assert pool.closed

@@ -186,26 +186,3 @@ def test_batched_search_exact_policy_identical(matrix, queries):
     assert explicit == plain
     for _, stats in explicit:
         assert_exact_flags(stats)
-
-
-def test_env_knobs_unset_mean_exact(matrix, queries, monkeypatch):
-    """No knobs, no policy argument: the engine stays the exact engine."""
-    monkeypatch.delenv("REPRO_APPROX_EPSILON", raising=False)
-    monkeypatch.delenv("REPRO_APPROX_PATIENCE", raising=False)
-    index = get_index("flat", matrix)
-    _, stats = index.search(queries[0], k=5)
-    assert stats.approximate is False
-    assert stats.skipped_approx == 0
-
-
-def test_explicit_exact_policy_overrides_env_knobs(
-    matrix, queries, monkeypatch
-):
-    """An explicit exact policy wins over aggressive environment knobs."""
-    index = get_index("flat", matrix)
-    plain = run_knn(index, queries[0], 5, None)
-    monkeypatch.setenv("REPRO_APPROX_EPSILON", "0.5")
-    monkeypatch.setenv("REPRO_APPROX_PATIENCE", "1")
-    explicit = run_knn(index, queries[0], 5, EXACT)
-    assert explicit == plain
-    assert_exact_flags(explicit[1])

@@ -11,8 +11,7 @@ and what it must still honour:
   quarantined + skipped_approx == database_size`` for every answer;
 * the flags — ``approximate`` set whenever a non-exact policy is in
   effect, ``stopped_early`` only when patience actually fired;
-* the knobs — ``REPRO_APPROX_*`` select the policy when no argument is
-  passed, and invalid values fail loudly;
+* the knobs — invalid ``ApproxPolicy`` values fail loudly;
 * range search — ε may only lose matches in the
   ``(radius/(1+epsilon), radius]`` annulus.
 """
@@ -248,37 +247,6 @@ def test_blocked_verifier_identical_under_any_policy(
             dataclasses.asdict(stats),
         )
         assert blocked == scalar, (backend, block, policy)
-
-
-class TestEnvKnobs:
-    def test_env_policy_applies_without_argument(
-        self, matrix, queries, monkeypatch
-    ):
-        index = get_index("flat", matrix)
-        monkeypatch.setenv("REPRO_APPROX_EPSILON", "2.0")
-        _, stats = index.search(queries[0], k=3)
-        assert stats.approximate is True
-        assert stats.skipped_approx > 0
-
-    def test_env_patience_applies(self, matrix, queries, monkeypatch):
-        index = get_index("flat", matrix)
-        monkeypatch.setenv("REPRO_APPROX_PATIENCE", "1")
-        _, stats = index.search(queries[0], k=3)
-        assert stats.approximate is True
-        assert stats.stopped_early is True
-
-    def test_invalid_env_epsilon_raises(self, matrix, queries, monkeypatch):
-        index = get_index("flat", matrix)
-        monkeypatch.setenv("REPRO_APPROX_EPSILON", "-1")
-        with pytest.raises(ReproError, match="REPRO_APPROX_EPSILON"):
-            index.search(queries[0], k=3)
-
-    def test_batch_reads_env_once(self, matrix, queries, monkeypatch):
-        """The resolved policy is pinned for the whole batch."""
-        index = get_index("flat", matrix)
-        monkeypatch.setenv("REPRO_APPROX_EPSILON", "2.0")
-        results = search_many(index, np.stack(queries), k=3)
-        assert all(stats.approximate for _, stats in results)
 
 
 def test_batched_approx_matches_per_query(matrix, queries):

@@ -1,6 +1,6 @@
 """The shared environment-knob parser: loud, typed, variable-naming.
 
-Every ``REPRO_*`` knob goes through one helper family
+Every numeric ``REPRO_*`` knob goes through one helper
 (:mod:`repro.tools.envparse`), so a mistyped value fails the same way
 everywhere: a typed error that names the variable and echoes the raw
 value, never a silent fall-through to the default.
@@ -9,7 +9,7 @@ value, never a silent fall-through to the default.
 import pytest
 
 from repro.exceptions import ReproError, StorageError
-from repro.tools import parse_env_float, parse_env_int, parse_env_optional_int
+from repro.tools import parse_env_int
 
 VAR = "REPRO_TEST_KNOB"
 
@@ -48,60 +48,6 @@ class TestParseEnvInt:
         monkeypatch.setenv(VAR, "junk")
         with pytest.raises(StorageError, match=VAR):
             parse_env_int(VAR, 7, error=StorageError)
-
-
-class TestParseEnvOptionalInt:
-    def test_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv(VAR, raising=False)
-        assert parse_env_optional_int(VAR) is None
-
-    def test_blank_is_none(self, monkeypatch):
-        monkeypatch.setenv(VAR, "")
-        assert parse_env_optional_int(VAR) is None
-
-    def test_set_value_parses(self, monkeypatch):
-        monkeypatch.setenv(VAR, "3")
-        assert parse_env_optional_int(VAR) == 3
-
-    def test_junk_raises(self, monkeypatch):
-        monkeypatch.setenv(VAR, "later")
-        with pytest.raises(ReproError, match=VAR):
-            parse_env_optional_int(VAR)
-
-    def test_minimum_enforced(self, monkeypatch):
-        monkeypatch.setenv(VAR, "0")
-        with pytest.raises(ReproError, match=VAR):
-            parse_env_optional_int(VAR, minimum=1)
-
-
-class TestParseEnvFloat:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv(VAR, raising=False)
-        assert parse_env_float(VAR, 0.25) == 0.25
-
-    def test_set_value_parses(self, monkeypatch):
-        monkeypatch.setenv(VAR, "0.5")
-        assert parse_env_float(VAR, 0.0) == 0.5
-
-    def test_integer_literal_is_a_float(self, monkeypatch):
-        monkeypatch.setenv(VAR, "2")
-        assert parse_env_float(VAR, 0.0) == 2.0
-
-    def test_junk_raises(self, monkeypatch):
-        monkeypatch.setenv(VAR, "half")
-        with pytest.raises(ReproError, match=VAR):
-            parse_env_float(VAR, 0.0)
-
-    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-    def test_non_finite_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(VAR, raw)
-        with pytest.raises(ReproError, match=VAR):
-            parse_env_float(VAR, 0.0)
-
-    def test_minimum_enforced(self, monkeypatch):
-        monkeypatch.setenv(VAR, "-0.1")
-        with pytest.raises(ReproError, match=VAR):
-            parse_env_float(VAR, 0.0, minimum=0.0)
 
 
 class TestKnobsAreWired:
@@ -144,18 +90,3 @@ class TestKnobsAreWired:
         monkeypatch.setenv("REPRO_CACHE_BYTES", "a-lot")
         with pytest.raises(StorageError, match="REPRO_CACHE_BYTES"):
             cache_budget_from_env()
-
-    def test_approx_epsilon(self, monkeypatch):
-        from repro.engine import env_approx_policy
-
-        monkeypatch.setenv("REPRO_APPROX_EPSILON", "loose")
-        with pytest.raises(ReproError, match="REPRO_APPROX_EPSILON"):
-            env_approx_policy()
-
-    def test_approx_patience(self, monkeypatch):
-        from repro.engine import env_approx_policy
-
-        monkeypatch.delenv("REPRO_APPROX_EPSILON", raising=False)
-        monkeypatch.setenv("REPRO_APPROX_PATIENCE", "0")
-        with pytest.raises(ReproError, match="REPRO_APPROX_PATIENCE"):
-            env_approx_policy()
