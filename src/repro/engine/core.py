@@ -279,6 +279,10 @@ def candidates_from_bound_arrays(
     ordering in a handful of numpy operations, producing the same
     :class:`CandidateSet` a tree traversal would.
     """
+    # An LB is never above its own UB: where the two coincide (an
+    # all-zero row: both are |q|), rounding can put the LB an ulp above
+    # the UB that sets sigma, and the filter must still keep the row.
+    lower = np.minimum(lower, upper)
     count = int(lower.size)
     finite = upper[np.isfinite(upper)]
     if finite.size >= k:

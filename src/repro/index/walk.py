@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.engine.core import CandidateSet, SigmaTracker
 
 __all__ = ["BoundedWalk"]
@@ -34,7 +36,9 @@ class BoundedWalk:
     def __init__(
         self, lower, upper, stats, k=None, deleted=frozenset()
     ) -> None:
-        self.lower: list[float] = lower.tolist()
+        # An LB is never above its own UB, as in the flat filter
+        # (:func:`~repro.engine.core.candidates_from_bound_arrays`).
+        self.lower: list[float] = np.minimum(lower, upper).tolist()
         self.upper: list[float] = upper.tolist()
         self.examined: list[tuple[float, int]] = []
         self.sigma = math.inf

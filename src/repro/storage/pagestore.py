@@ -29,12 +29,13 @@ the fault model.
 
 Reads have two physical paths with identical semantics and accounting:
 
-* **buffered** (default) — :meth:`SequencePageStore.read` is a ``seek``
-  + ``read`` on the backing file; :meth:`SequencePageStore.read_many`
+* **buffered** (default) — :meth:`SequencePageStore.read` is one
+  ``preadv(2)`` of the record; :meth:`SequencePageStore.read_many`
   sorts a block's disk reads by offset and reads each run of adjacent
-  sequences with one ``preadv(2)`` straight into the block buffer;
+  sequences with one ``preadv(2)`` straight into the buffers that keep
+  them (cache frames, or a scratch buffer);
 * **memory-mapped** (``use_mmap=True`` or ``REPRO_MMAP=1``) — the file
-  is mapped once and raw blocks are gathered as numpy slices of the
+  is mapped once and raw records are gathered as numpy slices of the
   map, so ``read_many`` serves a whole candidate block with zero
   syscalls.
 
@@ -44,15 +45,17 @@ the ``page_size`` pages its record's byte range touches, whether the
 bytes arrive via ``read(2)`` or a page fault.
 
 :meth:`SequencePageStore.read_many` handles a block of ids as arrays:
-one bounds check, one planning pass over the cache
-(:meth:`~repro.storage.cache.SequenceCache.replay`), one gather of the
-disk reads, one CRC pass over every checksummed unit, counters charged in
-aggregate and the payloads copied straight into the result, one strided
-copy per unit column.  Everything it reports — bytes, :class:`IOStats`, cache
-counters and LRU order — equals what :meth:`SequencePageStore.read`
-called per id in request order reports.  A block that fails any check
-is handed to that per-id loop whole, so errors, and the side effects
-before them, are the loop's own.
+one bounds check, one array plan over the cache
+(:meth:`~repro.storage.cache.SequenceCache.plan`), one gather of the
+disk reads straight into the cache frames that will hold them, one CRC
+pass over every checksummed unit where it lies, counters charged in
+aggregate, one gather of the payloads into the result, and a commit
+that moves only the cache's indices.  Everything it reports — bytes,
+:class:`IOStats`, cache counters and LRU order — equals what
+:meth:`SequencePageStore.read` called per id in request order reports.
+A block that fails any check is handed to that per-id loop whole, so
+errors, and the side effects before them, are the loop's own; the
+cached records are untouched, because the misses went to spare frames.
 """
 
 from __future__ import annotations
@@ -72,7 +75,11 @@ from repro.exceptions import (
     StorageError,
     TornWriteError,
 )
-from repro.storage.cache import SequenceCache, cache_budget_from_env
+from repro.storage.cache import (
+    SequenceCache,
+    cache_budget_from_env,
+    frame_bytes,
+)
 from repro.timeseries.preprocessing import as_float_array, as_float_matrix
 
 __all__ = [
@@ -268,9 +275,9 @@ class SequencePageStore:
         self.verify_checksums = bool(verify_checksums)
         self.stats = IOStats()
         self._init_fsync(fsync)
+        self._init_geometry()
         self._init_cache(cache_bytes)
         self._init_mmap(use_mmap)
-        self._init_geometry()
         self._count = 0
         self._file = open(self.path, "w+b")
         fields = _HEADER_FIELDS.pack(
@@ -315,7 +322,9 @@ class SequencePageStore:
         )
         if budget < 0:
             raise StorageError(f"cache_bytes must be >= 0, got {budget}")
-        self._cache = SequenceCache(budget) if budget else None
+        self._cache = (
+            SequenceCache(budget, self._record_bytes) if budget else None
+        )
 
     def _init_mmap(self, use_mmap: bool | None) -> None:
         self._use_mmap = (
@@ -421,9 +430,9 @@ class SequencePageStore:
         store.verify_checksums = bool(verify_checksums)
         store.stats = IOStats()
         store._init_fsync(fsync)
+        store._init_geometry()
         store._init_cache(cache_bytes)
         store._init_mmap(use_mmap)
-        store._init_geometry()
         store._file = open(path, "r+b")
         store._data_offset = store._align(_HEADER.size)
         payload_bytes = max(file_size - store._data_offset, 0)
@@ -598,31 +607,37 @@ class SequencePageStore:
     # ------------------------------------------------------------------
     # Block checks and decoding: one checker, one decoder, any count
     # ------------------------------------------------------------------
-    def _failed_units(self, raw: np.ndarray) -> np.ndarray:
-        """Checksummed units of the C-contiguous uint8 records ``raw``
-        whose CRC fails.
+    def _failed_units(self, records: np.ndarray, rows=None) -> np.ndarray:
+        """Checksummed units of the records ``records[rows]`` (every row
+        by default) whose CRC fails.
 
-        Returns flat unit numbers (``row * units + unit``), ascending;
-        empty with verification off.  Pure: no counter moves.  The
-        stored CRCs are read as one ``<u4`` view, and ``zlib.crc32`` is
-        the only call made per unit.
+        ``records`` is a C-contiguous 2-D uint8 array holding a record
+        at the start of each row.  Returns flat unit numbers
+        (``i * units + unit`` for the ``i``-th record checked),
+        ascending; empty with verification off.  Pure: no counter moves.
+        The stored CRCs are read through one ``<u4`` view, and
+        ``zlib.crc32`` is the only call made per unit.
         """
         if not self.verify_checksums:
             return np.empty(0, dtype=np.intp)
-        units = raw.reshape(-1, self._unit)
-        payload = self._payload
-        stored = units[:, payload:].view("<u4")[:, 0]
-        flat = memoryview(raw).cast("B")
+        unit, payload, stride = self._unit, self._payload, records.shape[1]
+        units = records[:, : self._record_bytes].reshape(
+            len(records), self._units, unit
+        )
+        stored = units[:, :, payload:].view("<u4")
+        if rows is None:
+            rows = np.arange(len(records))
+        else:
+            stored = stored[rows]
+        starts = rows[:, None] * stride + np.arange(0, self._record_bytes, unit)
+        flat = memoryview(records).cast("B")
         crc32 = zlib.crc32
         computed = np.fromiter(
-            [
-                crc32(flat[start : start + payload])
-                for start in range(0, len(flat), self._unit)
-            ],
+            [crc32(flat[start : start + payload]) for start in starts.ravel().tolist()],
             dtype=np.uint32,
-            count=len(units),
+            count=stored.size,
         )
-        return np.flatnonzero(computed != stored)
+        return (computed != stored.ravel()).nonzero()[0]
 
     def _check_block(self, seq_id: int, block: np.ndarray) -> None:
         """Raise the typed error for the first fault of one raw record.
@@ -636,7 +651,7 @@ class SequencePageStore:
                 f"store {self.path!r}: sequence {seq_id} is truncated "
                 f"({len(block)} of {self._record_bytes} bytes on disk)"
             )
-        failed = self._failed_units(block)
+        failed = self._failed_units(block[None])
         if not failed.size:
             return
         unit = int(failed[0])
@@ -655,22 +670,33 @@ class SequencePageStore:
             f"(stored {stored:#010x}, computed {computed:#010x})"
         )
 
-    def _decode(self, raw: np.ndarray) -> np.ndarray:
-        """The ``(m, sequence_length)`` payloads of ``m`` raw records.
+    def _decode(self, records: np.ndarray, rows=None) -> np.ndarray:
+        """The ``(len(rows), sequence_length)`` payloads of
+        ``records[rows]`` (every row by default), laid out as for
+        :meth:`_failed_units`.
 
-        Copies straight into the result, one strided copy per unit
-        column; the unit tails (CRC and padding) are skipped.
+        Format 3 is one gather through a float64 view of the rows (each
+        starts with its payload, 8-byte aligned); format 2 gathers its
+        units and drops their tails (CRC and padding).
         """
-        count = raw.shape[0]
-        out = np.empty((count, self.sequence_length), dtype=np.float64)
-        dest = out.view(np.uint8)
-        units = raw.reshape(count, self._units, self._unit)
-        row_bytes = dest.shape[1]
-        payload = self._payload
-        for unit, start in enumerate(range(0, row_bytes, payload)):
-            width = min(payload, row_bytes - start)
-            dest[:, start : start + width] = units[:, unit, :width]
-        return out
+        count = len(records)
+        if self._units == 1:
+            rows_view = np.ndarray(
+                (count, self.sequence_length),
+                dtype=np.float64,
+                buffer=records,
+                strides=(records.shape[1], 8),
+            )
+            return rows_view.copy() if rows is None else rows_view[rows]
+        units = records[:, : self._record_bytes].reshape(
+            count, self._units, self._unit
+        )
+        if rows is not None:
+            units = units[rows]
+        payloads = units[:, :, : self._payload].reshape(len(units), -1)
+        return np.ascontiguousarray(
+            payloads[:, : 8 * self.sequence_length]
+        ).view(np.float64)
 
     # ------------------------------------------------------------------
     # Raw block access: buffered or memory-mapped
@@ -714,45 +740,61 @@ class SequencePageStore:
             self._count, self._record_bytes
         )
 
-    def _read_block(self, seq_id: int) -> bytes:
+    def _read_record(self, seq_id: int, target: np.ndarray) -> np.ndarray:
+        """Read ``seq_id``'s record into the start of the uint8 buffer
+        ``target``; returns the part of it that arrived (short at a cut
+        tail)."""
+        target = target[: self._record_bytes]
         view = self._block_view()
         if view is not None:
-            return view[seq_id].tobytes()
-        self._file.seek(self._offset_of(seq_id))
-        return self._file.read(self._record_bytes)
+            target[:] = view[seq_id]
+            return target
+        file, offset = self._file, self._offset_of(seq_id)
+        if _PREADV is not None and type(file) is io.BufferedRandom:
+            file.flush()  # appends may still sit in the file object's buffer
+            return target[: _PREADV(file.fileno(), [target], offset)]
+        # A wrapped file (fault injection) must see every read.
+        file.seek(offset)
+        data = file.read(self._record_bytes)
+        target[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        return target[: len(data)]
 
     def read(self, seq_id: int, *, cached: bool = True) -> np.ndarray:
         """Fetch a sequence by id, charging its pages to :attr:`stats`.
 
         Raises :class:`~repro.exceptions.CorruptionError` (or its
         subclass :class:`~repro.exceptions.TornWriteError`) when the
-        record fails validation.  ``cached=False`` reads around
-        the hot-read cache: from disk, through the CRC, without
-        consulting or filling the cache.
+        record fails validation.  A miss is read straight into a spare
+        cache frame and admitted once it validates.  ``cached=False``
+        reads around the hot-read cache: from disk, through the CRC,
+        without consulting or filling the cache.
         """
         if not 0 <= seq_id < self._count:
             raise KeyNotFoundError(seq_id)
         cache = self._cache if cached else None
         if cache is not None:
-            cached = cache.get(seq_id)
-            if cached is not None:
+            block = cache.get(seq_id)
+            if block is not None:
                 self.stats.charge_cached()
-                block = np.frombuffer(cached, dtype=np.uint8)
                 try:
                     self._check_block(seq_id, block)
                 except CorruptionError:
-                    # A block that no longer validates (e.g. checksum
+                    # A record that no longer validates (e.g. checksum
                     # verification was toggled on after it was cached)
                     # must not be served again.
                     cache.invalidate(seq_id)
                     raise
                 return self._decode(block[None])[0]
         self.stats.charge(seq_id, int(self._pages_of(seq_id)))
-        data = self._read_block(seq_id)
-        block = np.frombuffer(data, dtype=np.uint8)
+        if cache is not None and cache.capacity:
+            frame = cache.spare()
+            target = cache.frames[frame]
+        else:
+            frame, target = None, np.empty(self._record_bytes, dtype=np.uint8)
+        block = self._read_record(seq_id, target)
         self._check_block(seq_id, block)
-        if cache is not None:
-            cache.put(seq_id, data)
+        if frame is not None:
+            cache.admit(seq_id, frame)
         return self._decode(block[None])[0]
 
     def read_many(self, seq_ids, *, cached: bool = True) -> np.ndarray:
@@ -761,87 +803,111 @@ class SequencePageStore:
         Returns, raises and counts exactly what :meth:`read` called per
         id in request order would — payload bytes, :class:`IOStats`
         (seeks in request order), cache hits, misses, evictions and LRU
-        order — but handles the block as arrays: the cache is planned
-        in one pass (:meth:`SequenceCache.replay`), the disk reads are
-        one gather, every record is CRC-checked in one pass, and the
-        counters are charged in aggregate.  The checks run before any
-        side effect; a block that fails one (a bad record, a short file)
-        is read by the per-id loop instead, which then raises exactly
-        where, and after exactly the side effects, it always did.
-        ``cached=False`` is :meth:`read`'s cache bypass, per block.
+        order — but handles the block as arrays: the cache plans the
+        block in one pass (:meth:`SequenceCache.plan`), the misses are
+        one gather straight into the plan's spare frames, every record
+        is CRC-checked and decoded where it lies, and the counters are
+        charged in aggregate.  The checks run before any side effect; a
+        block that fails one (a bad record, a short file), or that asks
+        for an id twice, is read by the per-id loop instead, which then
+        raises exactly where, and after exactly the side effects, it
+        always did.  ``cached=False`` is :meth:`read`'s cache bypass,
+        per block.
         """
         ids = _checked_ids(seq_ids, self._count)
-        if not ids.size:
-            return np.empty((0, self.sequence_length), dtype=np.float64)
-        requests = ids.tolist()
-        block_bytes = self._record_bytes
-        raw = np.empty((len(ids), block_bytes), dtype=np.uint8)
+        if len(ids) < 2:  # nothing to batch: the per-id path is cheaper
+            return self._read_each(ids.tolist(), cached)
         cache = self._cache if cached else None
-        if cache is None:
-            replay, misses = None, np.arange(len(ids))
+        plan = None if cache is None else cache.plan(ids)
+        if cache is not None and plan is None:  # an id repeats
+            return self._read_each(ids.tolist(), cached)
+        misses = np.arange(len(ids)) if plan is None else plan.misses
+        # Misses with no cache frame (every request, without a cache)
+        # go to the rows of a scratch buffer.
+        scratch = misses if plan is None else misses[: len(misses) - plan.taken]
+        # (records, rows holding the block's, their positions or None for
+        # all, the misses' ids, the rows they are read into)
+        parts = []
+        if len(scratch) < len(ids):
+            framed = misses[len(scratch) :]
+            held = (plan.frames >= 0).nonzero()[0] if scratch.size else None
+            rows = plan.frames if held is None else plan.frames[held]
+            parts.append(
+                (cache.frames, rows, held, ids[framed], plan.frames[framed])
+            )
+        if scratch.size:
+            raw = np.empty(
+                (len(scratch), frame_bytes(self._record_bytes)), dtype=np.uint8
+            )
+            where = scratch if parts else None
+            rows = np.arange(len(scratch))
+            parts.append((raw, None, where, ids[scratch], rows))
+        for records, rows, _, read_ids, read_rows in parts:
+            if (
+                not self._read_into(records, read_ids, read_rows)
+                or self._failed_units(records, rows).size
+            ):
+                return self._read_each(ids.tolist(), cached)
+        if len(parts) == 1:
+            out = self._decode(*parts[0][:2])
         else:
-            replay = cache.replay(requests, block_bytes)
-            misses = np.array(replay.misses, dtype=np.intp)
-            flat = memoryview(raw).cast("B")
-            for position, block in replay.hits:
-                if len(block) != block_bytes:  # per-id reads raise on it
-                    return self._read_each(requests, cached)
-                flat[position * block_bytes : (position + 1) * block_bytes] = block
-        if misses.size and not self._read_into(raw, ids[misses], misses):
-            return self._read_each(requests, cached)
-        if replay is not None:
-            for position, source in replay.repeats:
-                raw[position] = raw[source]
-        if self._failed_units(raw).size:
-            return self._read_each(requests, cached)
+            out = np.empty((len(ids), self.sequence_length), dtype=np.float64)
+            for records, rows, where, *_ in parts:
+                out[where] = self._decode(records, rows)
         self.stats.charge_many(
             ids[misses], self._pages_of(ids[misses]), cached=len(ids) - len(misses)
         )
-        if replay is not None:
-            cache.commit(replay, raw)
-        return self._decode(raw)
+        if plan is not None:
+            cache.commit(plan, ids)
+        return out
 
     def _read_each(self, seq_ids: list[int], cached: bool = True) -> np.ndarray:
         """:meth:`read` per id, in order: the reference ``read_many``."""
-        return np.stack(
-            [self.read(seq_id, cached=cached) for seq_id in seq_ids]
-        )
+        rows = [self.read(seq_id, cached=cached) for seq_id in seq_ids]
+        if not rows:
+            return np.empty((0, self.sequence_length), dtype=np.float64)
+        return np.stack(rows)
 
     def _read_into(
-        self, raw: np.ndarray, seq_ids: np.ndarray, rows: np.ndarray
+        self, records: np.ndarray, seq_ids: np.ndarray, rows: np.ndarray
     ) -> bool:
-        """Copy the on-disk blocks of ``seq_ids`` into ``raw[rows]``.
+        """Read the on-disk records of ``seq_ids`` into the start of
+        ``records[rows]``.
 
         Memory-mapped, one fancy-index gather.  Buffered, the ids are
         sorted by offset, adjacent ones joined into runs, and each run
         is one ``preadv(2)`` into the rows it fills (split at
-        ``IOV_MAX`` rows).  Returns False when the blocks cannot all be
+        ``IOV_MAX`` rows).  Returns False when the records cannot all be
         read that way — a short file, a closed one, or a backing file
         object that is not the store's own (fault injection wraps it
         and must see every ``read``) — and the caller reads per id.
         """
+        if not seq_ids.size:
+            return True
         view = self._block_view()
         if view is not None:
-            raw[rows] = view[seq_ids]
+            records[rows, : self._record_bytes] = view[seq_ids]
             return True
         file = self._file
         if _PREADV is None or type(file) is not io.BufferedRandom or file.closed:
             return False
         file.flush()  # appends may still sit in the file object's buffer
-        block_bytes = raw.shape[1]
-        order = np.argsort(seq_ids, kind="stable")
+        stride, block_bytes = records.shape[1], self._record_bytes
+        order = seq_ids.argsort(kind="stable")
         ordered = seq_ids[order]
         # A read starts where the ids stop being adjacent, and every
         # IOV_MAX rows into a run.
-        position = np.arange(len(ordered))
         new_run = np.empty(len(ordered), dtype=bool)
         new_run[0] = True
-        np.not_equal(np.diff(ordered), 1, out=new_run[1:])
-        run_start = np.maximum.accumulate(np.where(new_run, position, 0))
-        starts = np.flatnonzero(new_run | ((position - run_start) % _IOV_MAX == 0))
-        flat = memoryview(raw).cast("B")
+        np.not_equal(ordered[1:], ordered[:-1] + 1, out=new_run[1:])
+        if len(ordered) > _IOV_MAX:
+            position = np.arange(len(ordered))
+            run_start = np.maximum.accumulate(np.where(new_run, position, 0))
+            new_run |= (position - run_start) % _IOV_MAX == 0
+        starts = new_run.nonzero()[0]
+        flat = memoryview(records).cast("B")
         buffers = [
-            flat[row * block_bytes : (row + 1) * block_bytes]
+            flat[row * stride : row * stride + block_bytes]
             for row in rows[order].tolist()
         ]
         fd = file.fileno()
@@ -867,10 +933,10 @@ class SequencePageStore:
         a stale cached copy.
         """
         bad: list[int] = []
+        buffer = np.empty(self._record_bytes, dtype=np.uint8)
         for seq_id in range(self._count):
-            block = np.frombuffer(self._read_block(seq_id), dtype=np.uint8)
             try:
-                self._check_block(seq_id, block)
+                self._check_block(seq_id, self._read_record(seq_id, buffer))
             except CorruptionError:
                 bad.append(seq_id)
         if bad:

@@ -151,9 +151,9 @@ class TestRouterStore:
                     assert getattr(ours.store.cache, name) == getattr(
                         theirs.store.cache, name
                     )
-                assert list(ours.store.cache._blocks) == list(
-                    theirs.store.cache._blocks
-                )
+                assert [i for i, _ in ours.store.cache.items()] == [
+                    i for i, _ in theirs.store.cache.items()
+                ]
 
 
 class TestInsert:

@@ -101,3 +101,19 @@ def test_any_block_size_equals_block_zero(db, backend, block, policy, data):
             np.testing.assert_allclose(
                 [d for d, _ in hits], brute[ids], atol=1e-9
             )
+
+
+def test_a_row_whose_bounds_round_apart_keeps_its_place():
+    """An all-zero row's LB and UB are both ``|q|``.  On this database
+    rounding puts its LB an ulp above its UB, which is sigma at k = 1:
+    the SUB filter must not prune the row that sets sigma."""
+    rng = np.random.default_rng(187)
+    rows = [zscore(rng.normal(size=LENGTH)) for _ in range(rng.integers(3, 15))]
+    rows.append(zscore(np.full(LENGTH, 2.0)))
+    matrix = np.array(rows)[rng.permutation(len(rows))]
+    query = zscore(rng.normal(size=LENGTH))
+    nearest = int(np.argmin(((matrix - query) ** 2).sum(axis=1)))
+    assert not matrix[nearest].any()
+    for backend in BACKENDS:
+        hits, _ = get_index(backend, matrix).search(query, k=1)
+        assert [h.seq_id for h in hits] == [nearest], backend

@@ -1,12 +1,12 @@
 """The hot-read sequence cache: LRU semantics, budgets, counters.
 
-The cache stores *raw checksummed blocks* in front of the page store's
-block reader, bounded by a byte budget (``cache_bytes`` or the
-``REPRO_CACHE_BYTES`` environment variable).  These tests pin its
-contract: hits return the same data as disk, the budget is enforced by
-least-recently-used eviction, counters balance (``hits + misses`` equals
-the read calls that consulted the cache), and stores with caching
-disabled behave exactly as before.
+The cache stores *raw checksummed records*, one per frame of the
+store's record size, in front of the page store's reader, bounded by a
+byte budget (``cache_bytes`` or the ``REPRO_CACHE_BYTES`` environment
+variable).  These tests pin its contract: hits return the same data as
+disk, the budget is enforced by least-recently-used eviction, counters
+balance (``hits + misses`` equals the read calls that consulted the
+cache), and stores with caching disabled behave exactly as before.
 """
 
 import numpy as np
@@ -26,30 +26,32 @@ def _store(tmp_path, rows=8, length=64, **kwargs):
 
 class TestSequenceCache:
     def test_lru_eviction_under_byte_budget(self):
-        cache = SequenceCache(budget_bytes=30)
+        cache = SequenceCache(budget_bytes=30, record_bytes=10)
         cache.put(0, b"x" * 10)
         cache.put(1, b"y" * 10)
         cache.put(2, b"z" * 10)
         assert len(cache) == 3 and cache.current_bytes == 30
         cache.get(0)  # refresh 0; 1 becomes least recent
         cache.put(3, b"w" * 10)
-        assert 1 not in cache and {0, 2, 3} <= set(cache._blocks)
+        assert 1 not in cache and {0, 2, 3} <= {i for i, _ in cache.items()}
         assert cache.evictions == 1
 
     def test_oversized_block_never_cached(self):
-        cache = SequenceCache(budget_bytes=8)
+        cache = SequenceCache(budget_bytes=8, record_bytes=12)
         cache.put(0, b"toolongtofit")
         assert len(cache) == 0 and cache.current_bytes == 0
 
     def test_put_replaces_stale_entry(self):
-        cache = SequenceCache(budget_bytes=64)
+        cache = SequenceCache(budget_bytes=64, record_bytes=10)
         cache.put(0, b"a" * 10)
-        cache.put(0, b"b" * 20)
-        assert cache.current_bytes == 20
-        assert cache.get(0) == b"b" * 20
+        cache.put(0, b"b" * 10)
+        assert cache.current_bytes == 10
+        assert cache.get(0).tobytes() == b"b" * 10
+        with pytest.raises(StorageError):
+            cache.put(1, b"c" * 20)
 
     def test_invalidate_and_clear_count(self):
-        cache = SequenceCache(budget_bytes=64)
+        cache = SequenceCache(budget_bytes=64, record_bytes=1)
         cache.put(0, b"a")
         cache.put(1, b"b")
         assert cache.invalidate(0) and not cache.invalidate(0)
@@ -58,7 +60,7 @@ class TestSequenceCache:
 
     def test_negative_budget_rejected(self):
         with pytest.raises(StorageError):
-            SequenceCache(-1)
+            SequenceCache(-1, record_bytes=1)
 
 
 class TestStoreIntegration:

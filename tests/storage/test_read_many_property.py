@@ -102,7 +102,7 @@ def state(store):
         cache.evictions,
         cache.invalidations,
         cache.current_bytes,
-        list(cache._blocks.items()),  # LRU order, oldest first, with bytes
+        cache.items(),  # LRU order, oldest first, with bytes
     )
 
 
@@ -127,6 +127,24 @@ def state(store):
 @example(
     rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=True,
     verify=True, damage=None, blocks=[[2, 2, 1, 2]],
+)
+# A block longer than the cache: its early hit on 2 is evicted by the
+# misses after it, in the same block.
+@example(
+    rows=8, length=16, fmt=3, budget="a few blocks", use_mmap=False,
+    verify=True, damage=None, blocks=[[0, 1, 2], [2, 3, 4, 5]],
+)
+# All hits: in reverse LRU order on a full cache, then a block longer
+# than the capacity (only repeats make one).
+@example(
+    rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=False,
+    verify=True, damage=None, blocks=[[0, 1, 2], [2, 1, 0], [0, 1, 2, 0, 1, 2, 0]],
+)
+# A damaged block on a full cache: the block's misses were read beside
+# the cached records, which must all still be there for the last block.
+@example(
+    rows=6, length=16, fmt=3, budget="a few blocks", use_mmap=False,
+    verify=True, damage=("flip", 0.55), blocks=[[0, 1, 2], [3, 4], [2, 1, 0]],
 )
 def test_read_many_is_the_per_id_loop(
     rows, length, fmt, budget, use_mmap, verify, damage, blocks
