@@ -5,34 +5,33 @@ fig. 18 retrieves overlapping bursts with
 
     SELECT * FROM bursts WHERE startDate < :q_end AND endDate > :q_start
 
-through a B-tree index.  The benchmark checks the plan returns exactly
-the overlap-positive rows and times the indexed probe against a full
-scan on a thousands-of-rows burst table.
+through a B-tree index.  The benchmark loads a thousands-of-rows burst
+table into ``BurstDatabase``'s sqlite schema, checks that every form of
+the plan returns exactly the overlap-positive sequences, and times three
+of them.
 
-It also counts what each form of the plan walks.  As written the plan
-bounds ``startDate`` on one side only, so the probe examines every burst
-that starts before the query ends.  No stored burst is longer than
-``longest`` days (a check constraint or a column statistic in a DBMS; a
-running maximum in ``BurstDatabase``), so an overlapping one starts at
-or after ``q_start - longest + 1``: a second bound on the same column,
-which ``Table.select`` merges into one B-tree range.
+As written the plan bounds ``startDate`` on one side only, so the probe
+walks every burst that starts before the query ends.  No stored burst is
+longer than ``longest`` days (a running maximum in ``BurstDatabase``),
+so an overlapping one starts at or after ``q_start - longest + 1``: a
+second bound on the same column, and sqlite walks one two-sided range of
+the ``start`` index.  The third form reads the whole table
+(``NOT INDEXED``), and the indexed probe must beat it.
 """
+
+from time import perf_counter
 
 import numpy as np
 
-from repro.bursts import Burst, overlap
+from repro.bursts import Burst, BurstDatabase, overlap
+from repro.bursts.query import OVERLAP_SQL
 from repro.evaluation import format_table
-from repro.storage import Table, ge, le
 
-
-def build_burst_table(rows, index=True):
-    table = Table("bursts", ["sequence", "start", "end", "avg"])
-    if index:
-        table.create_index("start")
-        table.create_index("end")
-    for row in rows:
-        table.insert(*row)
-    return table
+ONE_SIDED_SQL = (
+    "SELECT sequence FROM bursts INDEXED BY bursts_start"
+    " WHERE start <= ? AND end >= ? AND window = ?"
+)
+SCAN_SQL = OVERLAP_SQL.replace("FROM bursts", "FROM bursts NOT INDEXED")
 
 
 def random_bursts(count, horizon=1024, seed=0):
@@ -41,8 +40,19 @@ def random_bursts(count, horizon=1024, seed=0):
     for i in range(count):
         start = int(rng.integers(0, horizon - 2))
         end = int(min(start + rng.integers(1, 60), horizon - 1))
-        rows.append((f"seq-{i}", start, end, float(rng.normal(2, 0.5))))
+        rows.append((f"seq-{i}", start, end))
     return rows
+
+
+def best_ms(runs, repeats=300):
+    """Fastest of ``repeats`` calls of each run, in ms, taken in turn."""
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(repeats):
+        for label, run in runs.items():
+            began = perf_counter()
+            run()
+            best[label] = min(best[label], perf_counter() - began)
+    return {label: seconds * 1e3 for label, seconds in best.items()}
 
 
 def test_fig17_overlap_geometry(report, benchmark):
@@ -64,57 +74,69 @@ def test_fig17_overlap_geometry(report, benchmark):
 
 def test_fig18_overlap_plan_correct_and_indexed(report, benchmark):
     rows = random_bursts(4000)
-    indexed = build_burst_table(rows, index=True)
-    scanned = build_burst_table(rows, index=False)
+    db = BurstDatabase()
+    window = db.windows[0]
+    db.sql.executemany(
+        "INSERT INTO bursts VALUES (?, ?, ?, ?)",
+        [(name, window, start, end) for name, start, end in rows],
+    )
     query = Burst(500, 540, 2.0)
-
-    predicates = [le("start", query.end), ge("end", query.start)]
-    via_index = {r.row_id for r in indexed.select(predicates)}
-    via_scan = {r.row_id for r in scanned.select(predicates)}
-    assert via_index == via_scan
-    assert indexed.index_probe_count >= 1
-    assert scanned.scan_count >= 1
-
-    # Ground truth from overlap geometry.
+    longest = max(end - start + 1 for _, start, end in rows)
+    lowest = query.start - longest + 1
+    bounded = (lowest, query.end, query.start, window)
+    probes = {
+        "indexed, two-sided start bound": (OVERLAP_SQL, bounded),
+        "indexed, one-sided start bound": (
+            ONE_SIDED_SQL,
+            (query.end, query.start, window),
+        ),
+        "full scan (NOT INDEXED)": (SCAN_SQL, bounded),
+    }
     truth = {
-        i
-        for i, (_, start, end, _) in enumerate(rows)
+        name
+        for name, start, end in rows
         if overlap(Burst(start, end, 0.0), query) > 0
     }
-    assert via_index == truth
 
-    # The same plan with the second bound on ``start``: same rows, and
-    # the probe walks only the bursts that start inside the bounded range.
-    one_sided = indexed.rows_examined
-    longest = max(end - start + 1 for _, start, end, _ in rows)
-    lowest = query.start - longest + 1
-    via_bounded = {
-        r.row_id for r in indexed.select([ge("start", lowest)] + predicates)
-    }
-    bounded = indexed.rows_examined - one_sided
-    assert via_bounded == truth
-    assert one_sided == sum(start <= query.end for _, start, _, _ in rows)
-    assert bounded == sum(
-        lowest <= start <= query.end for _, start, _, _ in rows
+    def plan(sql, params):
+        return [row[-1] for row in db.sql.execute("EXPLAIN QUERY PLAN " + sql, params)]
+
+    def probe(sql, params):
+        return {name for (name,) in db.sql.execute(sql, params)}
+
+    for sql, params in probes.values():
+        assert probe(sql, params) == truth
+    index = "SEARCH bursts USING COVERING INDEX bursts_start"
+    assert plan(*probes["indexed, two-sided start bound"]) == [
+        f"{index} (start>? AND start<?)"
+    ]
+    assert plan(*probes["indexed, one-sided start bound"]) == [f"{index} (start<?)"]
+    assert plan(*probes["full scan (NOT INDEXED)"]) == ["SCAN bursts"]
+
+    # What each index probe walks: the rows in its ``start`` range.
+    one_sided = sum(start <= query.end for _, start, _ in rows)
+    two_sided = sum(lowest <= start <= query.end for _, start, _ in rows)
+    ms = best_ms(
+        {label: lambda form=form: probe(*form) for label, form in probes.items()}
     )
-    assert bounded <= one_sided
+    assert (
+        ms["indexed, two-sided start bound"] < ms["full scan (NOT INDEXED)"]
+    ), ms
 
     report(
         format_table(
             ("quantity", "value"),
             [
                 ("burst rows", len(rows)),
-                ("rows overlapping the query burst", len(truth)),
-                ("selectivity", len(truth) / len(rows)),
+                ("sequences overlapping the query burst", len(truth)),
                 ("longest stored burst (days)", longest),
-                ("rows examined, one-sided plan", one_sided),
-                ("rows examined, bounded plan", bounded),
-                ("examined rows returned, one-sided", len(truth) / one_sided),
-                ("examined rows returned, bounded", len(truth) / bounded),
+                ("rows in the start range, one-sided", one_sided),
+                ("rows in the start range, two-sided", two_sided),
+                *((f"ms per probe, {label}", value) for label, value in ms.items()),
             ],
             digits=4,
         ),
-        "fig 18: the B-tree plan returns exactly the overlap-positive rows",
+        "fig 18: the sqlite plan returns exactly the overlap-positive rows",
     )
 
-    benchmark(indexed.select, predicates)
+    benchmark(probe, *probes["indexed, two-sided start bound"])

@@ -82,8 +82,8 @@ def main() -> None:
     print("=== query-by-burst over the full catalog (fig. 19) ===")
     burst_db = BurstDatabase()
     burst_db.add_collection(collection)
-    print(f"  burst table holds {len(burst_db.table)} triplet rows, "
-          f"B-tree indexed on start/end\n")
+    print(f"  burst table holds {burst_db.row_count()} triplet rows, "
+          f"sqlite-indexed on start\n")
     for query in ("world trade center", "hurricane", "christmas"):
         matches = burst_db.query(query, top=3)
         print(f"  query = {query}")

@@ -23,9 +23,8 @@ The package mirrors the paper's structure:
 * :mod:`repro.periods` — the exponential-threshold period detector of
   section 5;
 * :mod:`repro.bursts` — burst detection, compaction, similarity and
-  DBMS-backed query-by-burst of section 6;
-* :mod:`repro.storage` — the relational substrate (B+tree, table, page
-  store);
+  query-by-burst of section 6 over a stdlib ``sqlite3`` table;
+* :mod:`repro.storage` — the page store and its cache;
 * :mod:`repro.stream` — crash-safe streaming ingest: WAL-backed live
   tier, generational manifests, seal + recoverable compaction;
 * :mod:`repro.datagen` — the synthetic MSN-style query-log source;

@@ -11,9 +11,17 @@ The pipeline the paper describes:
    (``B.startDate <= Q.endDate AND B.endDate >= Q.startDate``), and the
    qualifying *sequences* are ranked by ``BSim``.
 
-This realises "a fast alternative of weighted Euclidean matching, where
-the focus is given on the bursty portion of a sequence" with no custom
-index structure — just the relational substrate in :mod:`repro.storage`.
+The DBMS is an off-the-shelf one, as in the paper: an in-memory table of
+the standard library's :mod:`sqlite3`.  Its B-tree index on ``start``
+also carries ``end``, ``window`` and ``sequence``, so a probe reads the
+index alone (a covering index); the paper's second index, on ``end``,
+serves no plan once ``start`` is bounded on both sides, and is left out.
+One :class:`BurstDatabase` holds the table, the running ``longest`` span
+and the ranking; a flavour supplies only its feature extractor and its
+scorer.  The paper's flavour stores moving-average triplets per detector
+window and ranks by ``BSim``; :class:`BurstRegionDatabase` stores the
+regions of any :class:`~repro.bursts.protocol.BurstModel` and ranks by
+:func:`region_overlap_score`.
 
 Example
 -------
@@ -35,6 +43,7 @@ Two spring spikes overlap each other; the autumn spike matches neither:
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,7 +56,6 @@ from repro.bursts.protocol import BurstModel, BurstRegion
 from repro.bursts.registry import get_burst_model
 from repro.bursts.similarity import burst_similarity
 from repro.exceptions import IngestionError, UnknownQueryError
-from repro.storage.table import Predicate, Table, eq, ge, le
 from repro.timeseries.preprocessing import zscore
 from repro.timeseries.series import TimeSeries
 
@@ -57,6 +65,27 @@ __all__ = [
     "BurstRegionDatabase",
     "region_overlap_score",
 ]
+
+_SCHEMA = """
+CREATE TABLE bursts (
+    sequence TEXT NOT NULL,
+    window INTEGER NOT NULL,
+    start INTEGER NOT NULL,
+    end INTEGER NOT NULL
+);
+CREATE INDEX bursts_start ON bursts (start, end, window, sequence);
+CREATE INDEX bursts_sequence ON bursts (sequence);
+"""
+
+#: The fig. 18 plan with both bounds on ``start``: a stored row
+#: overlapping ``[q.start, q.end]`` ends on or after ``q.start`` and is at
+#: most ``longest`` days long, so it starts no earlier than
+#: ``q.start - longest + 1``.  The planner walks that one range of the
+#: ``start`` index; ``end`` and ``window`` filter what it yields.
+OVERLAP_SQL = (
+    "SELECT sequence FROM bursts"
+    " WHERE start BETWEEN ? AND ? AND end >= ? AND window = ?"
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -71,35 +100,27 @@ class BurstMatch:
 
 
 def _overlapping_sequences(
-    table: Table,
+    sql: sqlite3.Connection,
     spans: Sequence[Burst | BurstRegion],
     longest: int,
-    extra: Sequence[Predicate] = (),
+    window: int,
 ) -> set[str]:
-    """Sequence names with a stored row overlapping any of ``spans``.
+    """Sequence names with a stored ``window`` row overlapping any span.
 
-    Runs the fig. 18 plan once per span, as a bounded probe: a stored
-    row overlapping ``[start, end]`` ends on or after ``start`` and is at
-    most ``longest`` days long, so it starts no earlier than ``start -
-    longest + 1``.  Both bounds on ``start`` merge into one B-tree
-    range; ``end`` and the ``extra`` predicates filter what it yields.
+    Runs :data:`OVERLAP_SQL` once per span.
     """
     names: set[str] = set()
     for span in spans:
-        rows = table.select(
-            [
-                ge("start", span.start - longest + 1),
-                le("start", span.end),
-                ge("end", span.start),
-                *extra,
-            ]
+        rows = sql.execute(
+            OVERLAP_SQL, (span.start - longest + 1, span.end, span.start, window)
         )
-        names.update(row["sequence"] for row in rows)
+        names.update(name for (name,) in rows)
+    obs.add("bursts.probes", len(spans))
     return names
 
 
 class BurstDatabase:
-    """Burst features of many sequences inside a relational table.
+    """Burst features of many sequences inside one relational table.
 
     Parameters
     ----------
@@ -117,6 +138,10 @@ class BurstDatabase:
         On by default, as in the paper.
     """
 
+    #: Scores a candidate's stored spans against the query's; 0.0 is no
+    #: match.  A flavour replaces it together with :meth:`_extract`.
+    _score = staticmethod(burst_similarity)
+
     def __init__(
         self,
         detectors: Sequence[BurstDetector] | None = None,
@@ -129,17 +154,26 @@ class BurstDatabase:
         )
         if not self.detectors:
             raise ValueError("at least one burst detector is required")
+        self._open(standardize, tuple(d.window for d in self.detectors))
+
+    def _open(self, standardize: bool, windows: tuple[int, ...]) -> None:
+        """The state every flavour shares: one table, keyed by window."""
         self.standardize = standardize
-        self.table = Table(
-            "bursts", ["sequence", "window", "start", "end", "average"]
-        )
-        self.table.create_index("start")
-        self.table.create_index("end")
+        self.windows = windows
+        self.sql = sqlite3.connect(":memory:")
+        self.sql.executescript(_SCHEMA)
         # Longest span ever stored, in days.  Never lowered on removal:
         # a stale bound makes the probe looser, never unsound.
         self.longest = 0
-        self._known: dict[str, dict[int, list[Burst]]] = {}
-        self._row_ids: dict[str, list[int]] = {}
+        self._known: dict[str, dict[int, Sequence]] = {}
+
+    def _extract(self, prepared: np.ndarray, window: int | None) -> dict:
+        """Burst triplets per detector window (only ``window``'s if given)."""
+        return {
+            detector.window: compact_bursts(prepared, detector.detect(prepared))
+            for detector in self.detectors
+            if window is None or detector.window == window
+        }
 
     # ------------------------------------------------------------------
     # Loading
@@ -154,15 +188,16 @@ class BurstDatabase:
     def names(self) -> tuple[str, ...]:
         return tuple(self._known)
 
-    def _features(
-        self, values, window: int | None = None
-    ) -> dict[int, list[Burst]]:
-        """Burst triplets per detector window for one sequence.
+    def row_count(self) -> int:
+        """Rows in the relational table, over every stored sequence."""
+        return self.sql.execute("SELECT COUNT(*) FROM bursts").fetchone()[0]
 
-        A query compares under one ``window`` and runs only that
-        detector.  Rejects non-finite input with a typed
+    def _features(self, values, window: int | None = None) -> dict:
+        """Spans per window for one sequence.
+
+        Rejects non-finite input with a typed
         :class:`~repro.exceptions.IngestionError` before anything lands
-        in the relational table — a NaN would otherwise corrupt the
+        in the table — a NaN would otherwise corrupt the
         standardisation, the detector thresholds and every stored row.
         """
         if isinstance(values, TimeSeries):
@@ -175,14 +210,7 @@ class BurstDatabase:
                 f"{values[bad]!r} at position {bad}"
             )
         prepared = zscore(values) if self.standardize else values
-        features: dict[int, list[Burst]] = {}
-        for detector in self.detectors:
-            if window is None or detector.window == window:
-                annotation = detector.detect(prepared)
-                features[detector.window] = compact_bursts(
-                    prepared, annotation
-                )
-        return features
+        return self._extract(prepared, window)
 
     def add(self, series: TimeSeries) -> int:
         """Extract and store a named series' burst features.
@@ -197,41 +225,31 @@ class BurstDatabase:
             )
         with obs.span("bursts.add"):
             features = self._features(series)
-            row_ids: list[int] = []
-            for window, bursts in features.items():
-                for burst in bursts:
-                    self.longest = max(self.longest, len(burst))
-                    row_ids.append(
-                        self.table.insert(
-                            sequence=series.name,
-                            window=window,
-                            start=burst.start,
-                            end=burst.end,
-                            average=burst.average,
-                        )
-                    )
+            rows = [
+                (series.name, window, span.start, span.end)
+                for window, spans in features.items()
+                for span in spans
+            ]
+            self.sql.executemany("INSERT INTO bursts VALUES (?, ?, ?, ?)", rows)
+            self.longest = max(
+                [self.longest] + [end - start + 1 for *_, start, end in rows]
+            )
         self._known[series.name] = features
-        self._row_ids[series.name] = row_ids
-        obs.add("bursts.rows_stored", len(row_ids))
-        return len(row_ids)
+        obs.add("bursts.rows_stored", len(rows))
+        return len(rows)
 
     def add_collection(self, collection) -> int:
         """Add every series of a :class:`TimeSeriesCollection`."""
         return sum(self.add(series) for series in collection)
 
     def remove(self, name: str) -> int:
-        """Delete a sequence's burst features (table rows included).
-
-        Returns the number of burst rows removed.  The B-tree indexes are
-        maintained by the table's own delete path.
-        """
+        """Delete a sequence's burst features; returns the rows removed."""
         if name not in self._known:
             raise UnknownQueryError(name)
-        row_ids = self._row_ids.pop(name)
-        for row_id in row_ids:
-            self.table.delete(row_id)
         del self._known[name]
-        return len(row_ids)
+        return self.sql.execute(
+            "DELETE FROM bursts WHERE sequence = ?", (name,)
+        ).rowcount
 
     def replace(self, series: TimeSeries) -> int:
         """Re-extract a sequence's features (e.g. after new log days)."""
@@ -239,15 +257,15 @@ class BurstDatabase:
             self.remove(series.name)
         return self.add(series)
 
-    def bursts_of(self, name: str, window: int | None = None) -> list[Burst]:
-        """Stored burst triplets of a sequence (optionally one window)."""
+    def bursts_of(self, name: str, window: int | None = None) -> list:
+        """Stored spans of a sequence (optionally one window's)."""
         try:
             features = self._known[name]
         except KeyError:
             raise UnknownQueryError(name) from None
         if window is not None:
             return list(features.get(window, []))
-        return [burst for bursts in features.values() for burst in bursts]
+        return [span for spans in features.values() for span in spans]
 
     # ------------------------------------------------------------------
     # Query-by-burst
@@ -260,6 +278,8 @@ class BurstDatabase:
         exclude: str | None = None,
     ) -> list[BurstMatch]:
         """Rank stored sequences by burst similarity to ``values``.
+
+        Matches order by similarity, then name, both descending.
 
         Parameters
         ----------
@@ -275,23 +295,23 @@ class BurstDatabase:
             Sequence name to omit from the results (typically the query
             itself when it is part of the database).
         """
-        window = window if window is not None else self.detectors[0].window
-        if window not in {d.window for d in self.detectors}:
+        window = window if window is not None else self.windows[0]
+        if window not in self.windows:
             raise ValueError(
                 f"window {window} is not covered by this database"
             )
         with obs.span("bursts.query"):
             if isinstance(values, str):
                 exclude = exclude if exclude is not None else values
-                query_bursts = self.bursts_of(values, window)
+                spans = self.bursts_of(values, window)
             else:
-                query_bursts = self._features(values, window)[window]
-            if not query_bursts:
+                spans = self._features(values, window)[window]
+            if not spans:
                 obs.add("bursts.queries")
                 return []
 
             candidates = _overlapping_sequences(
-                self.table, query_bursts, self.longest, [eq("window", window)]
+                self.sql, spans, self.longest, window
             )
             # Plain tuples order as BurstMatch does, without a Python
             # ``__lt__`` per comparison; only the survivors become matches.
@@ -299,33 +319,13 @@ class BurstDatabase:
             for name in candidates:
                 if name == exclude:
                     continue
-                score = burst_similarity(
-                    query_bursts, self._known[name].get(window, [])
-                )
+                score = self._score(spans, self._known[name].get(window, []))
                 if score > 0.0:
                     scored.append((score, name))
             scored.sort(reverse=True)
         obs.add("bursts.queries")
         obs.add("bursts.candidate_sequences", len(candidates))
         return [BurstMatch(*pair) for pair in scored[:top]]
-
-    def query_many(
-        self,
-        queries: Sequence,
-        top: int = 10,
-        window: int | None = None,
-    ) -> list[list[BurstMatch]]:
-        """:meth:`query` for a batch of queries, one result list each.
-
-        The batched companion to the engine's ``search_many``: one span
-        covers the whole batch, and named queries exclude themselves
-        exactly as in :meth:`query`.
-        """
-        with obs.span("bursts.query_many"):
-            return [
-                self.query(values, top=top, window=window)
-                for values in queries
-            ]
 
 
 # ----------------------------------------------------------------------
@@ -357,20 +357,16 @@ def region_overlap_score(
     return float(score)
 
 
-class BurstRegionDatabase:
+class BurstRegionDatabase(BurstDatabase):
     """Query-by-burst over scored regions from any registered model.
 
-    The classic :class:`BurstDatabase` stores the paper's compacted
-    triplets from moving-average detectors and ranks by ``BSim``.  This
-    sibling generalises both halves: regions come from *any*
-    :class:`~repro.bursts.protocol.BurstModel` (so Kleinberg or MACD
-    bursts are queryable the same way) and ranking uses
-    :func:`region_overlap_score`, which reads the model's region
+    Regions come from *any* :class:`~repro.bursts.protocol.BurstModel`
+    (so Kleinberg or MACD bursts are queryable the same way) and ranking
+    uses :func:`region_overlap_score`, which reads the model's region
     weights instead of flattening every burst to its average value.
-
-    The relational shape is preserved deliberately: one table
-    ``[sequence, start, end, weight, level]`` with B-tree indexes on
-    ``start`` and ``end``, probed by the same fig. 18 overlap plan.
+    Everything else — the table, the fig. 18 probe, ``remove`` and the
+    ranking — is :class:`BurstDatabase`'s.  A model yields one region
+    list per sequence, stored under the single window key ``0``.
 
     Parameters
     ----------
@@ -384,6 +380,8 @@ class BurstRegionDatabase:
         queries of very different volumes share one database.
     """
 
+    _score = staticmethod(region_overlap_score)
+
     def __init__(
         self,
         model: BurstModel | str = "ma",
@@ -391,124 +389,7 @@ class BurstRegionDatabase:
         **model_kwargs,
     ) -> None:
         self.model = get_burst_model(model, **model_kwargs)
-        self.standardize = bool(standardize)
-        self.table = Table(
-            "burst_regions",
-            ["sequence", "start", "end", "weight", "level"],
-        )
-        self.table.create_index("start")
-        self.table.create_index("end")
-        self.longest = 0  # as in BurstDatabase: a running maximum
-        self._known: dict[str, tuple[BurstRegion, ...]] = {}
-        self._row_ids: dict[str, list[int]] = {}
+        self._open(bool(standardize), (0,))
 
-    def __len__(self) -> int:
-        return len(self._known)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._known
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._known)
-
-    def _features(self, values) -> tuple[BurstRegion, ...]:
-        if isinstance(values, TimeSeries):
-            values = values.values
-        values = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise IngestionError(
-                f"burst features need finite values; got "
-                f"{values[bad]!r} at position {bad}"
-            )
-        prepared = zscore(values) if self.standardize else values
-        return tuple(self.model.detect(prepared))
-
-    def add(self, series: TimeSeries) -> int:
-        """Extract and store a named series' regions; returns the count."""
-        if not series.name:
-            raise UnknownQueryError("burst database members must be named")
-        if series.name in self._known:
-            raise UnknownQueryError(
-                f"series {series.name!r} is already in the burst database"
-            )
-        with obs.span("bursts.region_add"):
-            regions = self._features(series)
-            self.longest = max(
-                self.longest, max(map(len, regions), default=0)
-            )
-            row_ids = [
-                self.table.insert(
-                    sequence=series.name,
-                    start=region.start,
-                    end=region.end,
-                    weight=region.weight,
-                    level=region.level,
-                )
-                for region in regions
-            ]
-        self._known[series.name] = regions
-        self._row_ids[series.name] = row_ids
-        obs.add("bursts.region_rows_stored", len(row_ids))
-        return len(row_ids)
-
-    def add_collection(self, collection) -> int:
-        """Add every series of a :class:`TimeSeriesCollection`."""
-        return sum(self.add(series) for series in collection)
-
-    def remove(self, name: str) -> int:
-        """Delete a sequence's regions (table rows included)."""
-        if name not in self._known:
-            raise UnknownQueryError(name)
-        row_ids = self._row_ids.pop(name)
-        for row_id in row_ids:
-            self.table.delete(row_id)
-        del self._known[name]
-        return len(row_ids)
-
-    def regions_of(self, name: str) -> tuple[BurstRegion, ...]:
-        """Stored regions of a sequence."""
-        try:
-            return self._known[name]
-        except KeyError:
-            raise UnknownQueryError(name) from None
-
-    def query(
-        self,
-        values,
-        top: int = 10,
-        exclude: str | None = None,
-    ) -> list[BurstMatch]:
-        """Rank stored sequences by weighted region overlap with ``values``.
-
-        ``values`` may be a raw sequence, a :class:`TimeSeries`, or the
-        name of a stored sequence (which then excludes itself, as in
-        :meth:`BurstDatabase.query`).  Results order by
-        ``(-score, name)`` — deterministic under ties.
-        """
-        with obs.span("bursts.region_query"):
-            if isinstance(values, str):
-                exclude = exclude if exclude is not None else values
-                query_regions = self.regions_of(values)
-            else:
-                query_regions = self._features(values)
-            if not query_regions:
-                obs.add("bursts.region_queries")
-                return []
-            candidates = _overlapping_sequences(
-                self.table, query_regions, self.longest
-            )
-            scored = []
-            for name in candidates:
-                if name == exclude:
-                    continue
-                score = region_overlap_score(
-                    query_regions, self._known[name]
-                )
-                if score > 0.0:
-                    scored.append((-score, name))
-            scored.sort()
-        obs.add("bursts.region_queries")
-        obs.add("bursts.region_candidates", len(candidates))
-        return [BurstMatch(-loss, name) for loss, name in scored[:top]]
+    def _extract(self, prepared: np.ndarray, window: int | None) -> dict:
+        return {0: tuple(self.model.detect(prepared))}

@@ -56,7 +56,7 @@ class AdaptiveEnergyCompressor:
         """Compress, growing k until the energy target is met."""
         magnitudes = spectrum.magnitudes.copy()
         if len(magnitudes) > 0:
-            magnitudes[0] = 0.0  # DC is zero on standardised data anyway
+            magnitudes[0] = 0.0  # DC never competes for a slot
         powers = spectrum.weights * magnitudes**2
         total = float(powers.sum())
         # Rank coefficients best-first with the same deterministic
@@ -75,7 +75,11 @@ class AdaptiveEnergyCompressor:
             chosen = order[: min(needed, order.size)]
         if self.max_k is not None:
             chosen = chosen[: self.max_k]
-        min_power = float(magnitudes[chosen].min())
+        # The local copy zeroes DC, so the cap reads the spectrum itself:
+        # DC is always omitted, and minPower must bound it too.
+        min_power = max(
+            float(magnitudes[chosen].min()), float(spectrum.magnitudes[0])
+        )
         indexes = np.sort(chosen)
         return _sketch_from_indexes(
             spectrum, indexes, True, min_power, self.method

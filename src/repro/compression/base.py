@@ -10,12 +10,13 @@ modelled here as :class:`SpectralSketch`:
 * ``error`` — optionally, the energy of the omitted coefficients
   (``T.err`` in the paper's pseudocode),
 * ``min_power`` — for best-coefficient selections, the magnitude of the
-  smallest retained *best* coefficient (``minPower``); its existence is the
+  smallest retained *best* coefficient (``minPower``), raised to ``|X_0|``
+  when DC is larger (DC is never selected); its existence is the
   ``minProperty``: every omitted coefficient has magnitude ``<= min_power``.
 
-``min_power`` is recomputable from the stored coefficients, so it costs no
-extra storage under the paper's budget accounting; it is materialised on
-the object purely for speed and clarity.  When a method pads its selection
+On standardised rows DC is zero, so ``min_power`` is recomputable from the
+stored coefficients and costs no extra storage under the paper's budget
+accounting; it is materialised on the object for speed and clarity.  When a method pads its selection
 with the *middle* (Nyquist) coefficient — which need not be one of the best
 — ``min_power`` still describes only the best-coefficient subset, keeping
 the ``minProperty`` sound.

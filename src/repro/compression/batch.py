@@ -275,8 +275,12 @@ def _batch_best(
     # Each row selects exactly k columns, so row-major nonzero() gives
     # the frequency-sorted positions as one rectangle.
     best = np.nonzero(selected)[1].reshape(count, k) + 1
-    # minPower is defined over the best selection only, before padding.
-    min_powers = np.take_along_axis(magnitudes, best, axis=1).min(axis=1)
+    # minPower is defined over the best selection only, before padding,
+    # and capped by the always-omitted DC magnitude (as in best_k).
+    min_powers = np.maximum(
+        np.take_along_axis(magnitudes, best, axis=1).min(axis=1),
+        magnitudes[:, 0],
+    )
 
     errors = np.full(count, np.nan)
     if store_error:

@@ -81,8 +81,13 @@ class BestKCompressor:
                 f"signal ({best.size} available)"
             )
         # minPower is defined over the *best* selection only, before any
-        # middle-coefficient padding.
-        min_power = float(spectrum.magnitudes[best].min())
+        # middle-coefficient padding.  DC is never selected, so it is
+        # always omitted: the cap keeps every omitted magnitude, DC
+        # included, at most minPower on rows with a non-zero mean.
+        min_power = max(
+            float(spectrum.magnitudes[best].min()),
+            float(spectrum.magnitudes[0]),
+        )
         indexes = _append_middle(spectrum, best) if self.store_middle else best
         return _sketch_from_indexes(
             spectrum, indexes, self.store_error, min_power, self.method

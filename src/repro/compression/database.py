@@ -13,8 +13,11 @@ produced by one compressor into rectangular numpy arrays:
 Sketch widths can differ by one (a method that pads with the middle
 coefficient skips the pad when the middle is already among the best), so
 shorter rows are padded with a zero-weight entry at the DC position —
-which contributes nothing to any distance term and marks a coefficient
-(the all-zero DC of standardised data) as "stored" harmlessly.
+which contributes nothing to any distance term.  The pad sits at DC's
+position, but DC is zero only on standardised rows, so the pad is not
+harmless by being zero: it is sound on any row because its zero weight
+drops it from every sum, which leaves DC an omitted coefficient, and
+every compressor caps ``minPower`` at ``|X_0|``.
 
 The packing is the system's canonical **structure-of-arrays (SoA)
 layout**: every field is one C-contiguous block, named by

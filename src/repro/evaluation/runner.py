@@ -132,8 +132,8 @@ def run_report(
     print(f"  halloween long-term bursts: {spans}", file=out)
     burst_db = BurstDatabase()
     burst_db.add_collection(collection)
-    ranked = burst_db.query_many(_QUERY_BY_BURST, top=3)
-    for name, matches in zip(_QUERY_BY_BURST, ranked):
+    for name in _QUERY_BY_BURST:
+        matches = burst_db.query(name, top=3)
         print(
             f"  {name:<20s} -> {', '.join(m.name for m in matches)}",
             file=out,

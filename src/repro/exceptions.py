@@ -31,7 +31,7 @@ class CompressionError(ReproError, ValueError):
 
 
 class StorageError(ReproError):
-    """A failure inside the relational/storage substrate."""
+    """A failure inside the storage substrate."""
 
 
 class CorruptionError(StorageError):
@@ -83,11 +83,7 @@ class IngestionError(ReproError, ValueError):
 
 
 class KeyNotFoundError(StorageError, KeyError):
-    """A key was not present in a storage structure (B-tree, table, store)."""
-
-
-class SchemaError(StorageError, ValueError):
-    """A table operation referenced columns that do not exist."""
+    """A key was not present in a sequence store or the stream tier."""
 
 
 class UnknownQueryError(ReproError, KeyError):

@@ -10,7 +10,7 @@ like this query?", "when does it recur?", "what bursts with it?".
   :class:`~repro.datagen.LogAggregator` pipeline) or ready-made daily
   count series; new series are inserted into the live VP-tree (the
   dynamic-maintenance extension) and their burst features land in the
-  relational burst table;
+  sqlite burst table;
 * **similarity** — exact k-NN over the compressed index, plus DTW search
   (built lazily, since its envelopes cost a pass over the data);
 * **periods** — per-query significant periods and shared periods across
@@ -385,8 +385,7 @@ class QueryLogMiner:
     def _live_region_db(self) -> BurstRegionDatabase:
         if self._region_db is None:
             db = BurstRegionDatabase(self._burst_model)
-            for name in self._order:
-                db.add(self._series[name])
+            db.add_collection(self._series[name] for name in self._order)
             self._region_db = db
         return self._region_db
 

@@ -1,6 +1,5 @@
-"""Relational/storage substrate: B+tree, table, disk-backed sequence store."""
+"""Storage substrate: the disk-backed sequence store and its cache."""
 
-from repro.storage.btree import BPlusTree
 from repro.storage.cache import SequenceCache, cache_budget_from_env
 from repro.storage.pagestore import (
     FSYNC_ENV,
@@ -9,10 +8,8 @@ from repro.storage.pagestore import (
     SequencePageStore,
     fsync_enabled_from_env,
 )
-from repro.storage.table import Predicate, Row, Table, eq, ge, gt, le, lt
 
 __all__ = [
-    "BPlusTree",
     "FSYNC_ENV",
     "IOStats",
     "fsync_enabled_from_env",
@@ -20,12 +17,4 @@ __all__ = [
     "cache_budget_from_env",
     "MemorySequenceStore",
     "SequencePageStore",
-    "Predicate",
-    "Row",
-    "Table",
-    "eq",
-    "ge",
-    "gt",
-    "le",
-    "lt",
 ]

@@ -158,23 +158,23 @@ class TestBurstRegionDatabase:
         db = self._db()
         matches = db.query(_spiky(center=42, seed=9))
         assert {m.name for m in matches} == {"march", "april"}
-        keys = [(-m.similarity, m.name) for m in matches]
-        assert keys == sorted(keys)
+        keys = [(m.similarity, m.name) for m in matches]
+        assert keys == sorted(keys, reverse=True)
 
     def test_rows_live_in_the_relational_table(self):
         db = self._db()
-        rows = db.table.select([])
-        assert len(rows) == sum(len(db.regions_of(n)) for n in db.names)
-        assert {row["sequence"] for row in rows} == set(db.names)
+        rows = [name for (name,) in db.sql.execute("SELECT sequence FROM bursts")]
+        assert len(rows) == sum(len(db.bursts_of(n)) for n in db.names)
+        assert set(rows) == set(db.names)
 
     def test_remove_deletes_the_rows(self):
         db = self._db()
         removed = db.remove("march")
         assert removed > 0
         assert "march" not in db
-        assert all(
-            row["sequence"] != "march" for row in db.table.select([])
-        )
+        assert db.sql.execute(
+            "SELECT COUNT(*) FROM bursts WHERE sequence = 'march'"
+        ).fetchone() == (0,)
         assert all(m.name != "march" for m in db.query("april"))
 
     def test_duplicate_and_unnamed_adds_are_rejected(self):
@@ -205,7 +205,7 @@ class TestBurstRegionDatabase:
         scaled.add(TimeSeries(values, name="q"))
         # Same spans either way for this clean spike, different weights
         # (area over the cutoff in z-units vs raw counts).
-        assert raw.regions_of("q") != scaled.regions_of("q")
+        assert raw.bursts_of("q") != scaled.bursts_of("q")
 
     def test_any_registered_model_backs_the_database(self):
         db = BurstRegionDatabase("kleinberg")

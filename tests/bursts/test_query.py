@@ -1,6 +1,7 @@
 """Tests for the DBMS-backed query-by-burst engine."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.bursts.query import (
     region_overlap_score,
 )
 from repro.exceptions import UnknownQueryError
-from repro.storage import Table
 from repro.timeseries import TimeSeries, TimeSeriesCollection
 
 
@@ -50,7 +50,7 @@ class TestLoading:
         db = BurstDatabase(detectors=[BurstDetector(window=14)])
         inserted = db.add(bursty_series("x", [100]))
         assert inserted >= 1
-        assert len(db.table) == inserted
+        assert db.row_count() == inserted
 
     def test_names_and_contains(self, database):
         assert set(database.names) == {"spring-a", "spring-b", "autumn", "double"}
@@ -164,10 +164,10 @@ class TestQuery:
 
 class TestRemoveAndReplace:
     def test_remove_clears_rows_and_results(self, database):
-        before_rows = len(database.table)
+        before_rows = database.row_count()
         removed = database.remove("spring-b")
         assert removed >= 1
-        assert len(database.table) == before_rows - removed
+        assert database.row_count() == before_rows - removed
         assert "spring-b" not in database
         names = [m.name for m in database.query("spring-a")]
         assert "spring-b" not in names
@@ -201,6 +201,36 @@ class TestRemoveAndReplace:
 # query == brute force, under mutation, for both database classes
 # ----------------------------------------------------------------------
 DAYS = 96
+#: How sqlite plans ``start BETWEEN ? AND ?``: one two-sided range.
+TWO_SIDED = "SEARCH bursts USING COVERING INDEX bursts_start (start>? AND start<?)"
+START_RANGE = re.compile(r"start BETWEEN (-?\d+) AND (-?\d+)")
+
+
+def probed(db, run):
+    """``run()``, and the rows in the ``start`` range of each probe it ran.
+
+    The statements come from sqlite's trace hook with their bound values
+    inlined, so each is the probe exactly as executed: it must plan as
+    one two-sided range on the ``start`` index, and ``COUNT(*)`` over
+    that range is the number of rows the probe examines.
+    """
+    statements = []
+    db.sql.set_trace_callback(statements.append)
+    try:
+        result = run()
+    finally:
+        db.sql.set_trace_callback(None)
+    ranges = []
+    for statement in statements:
+        plan = [row[-1] for row in db.sql.execute("EXPLAIN QUERY PLAN " + statement)]
+        assert TWO_SIDED in plan, plan
+        lo, hi = map(int, START_RANGE.search(statement).groups())
+        ranges.append(
+            db.sql.execute(
+                "SELECT COUNT(*) FROM bursts WHERE start BETWEEN ? AND ?", (lo, hi)
+            ).fetchone()[0]
+        )
+    return result, ranges
 
 
 @st.composite
@@ -251,10 +281,10 @@ class Regions:
         self.db = BurstRegionDatabase(model, **kwargs)
 
     def stored(self, name, window=None):
-        return self.db.regions_of(name)
+        return self.db.bursts_of(name)
 
     def extracted(self, values, window):
-        return self.db._features(values)
+        return self.db._features(values)[0]
 
     def replace(self, series):
         if series.name in self.db:
@@ -267,10 +297,7 @@ class Regions:
             for name in self.db.names
             if name != exclude
         ]
-        return sorted(
-            (pair for pair in scored if pair[0] > 0.0),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
+        return sorted((pair for pair in scored if pair[0] > 0.0), reverse=True)
 
 
 @pytest.mark.parametrize(
@@ -335,41 +362,43 @@ def test_query_equals_brute_force_under_mutation(build, data):
             spans = side.extracted(query, window)
             excluded = exclude
         examined = sum(
-            span.start - longest + 1 <= row["start"] <= span.end
+            span.start - longest + 1 <= row.start <= span.end
             for span in spans
-            for row in db.table.all_rows()
+            for name in db.names
+            for row in side.stored(name)
         )
-        before = db.table.rows_examined
-        answer = db.query(query, top=top, exclude=exclude, **kwargs)
+        answer, ranges = probed(
+            db, lambda: db.query(query, top=top, exclude=exclude, **kwargs)
+        )
         assert answer == [
             BurstMatch(score, name)
             for score, name in side.ranked(spans, window, excluded)[:top]
         ]
-        assert db.table.rows_examined - before == examined
+        assert len(ranges) == len(spans)
+        assert sum(ranges) == examined
 
 
 def test_a_probe_examines_exactly_the_bounded_start_range():
     """Fig. 18 benchmark table: 4,000 random bursts, counted not timed."""
     rng = np.random.default_rng(0)
-    table = Table("bursts", ["sequence", "start", "end", "avg"])
-    table.create_index("start")
-    table.create_index("end")
-    starts, longest = [], 0
+    db = BurstDatabase()
+    window = db.windows[0]
+    rows, longest = [], 0
     for i in range(4000):
         start = int(rng.integers(0, 1022))
         end = int(min(start + rng.integers(1, 60), 1023))
-        table.insert(f"seq-{i}", start, end, float(rng.normal(2, 0.5)))
-        starts.append(start)
+        rows.append((f"seq-{i}", window, start, end))
         longest = max(longest, end - start + 1)
+    db.sql.executemany("INSERT INTO bursts VALUES (?, ?, ?, ?)", rows)
     query = Burst(500, 540, 2.0)
     with obs.observed() as registry:
-        names = _overlapping_sequences(table, [query], longest)
-        mirrored = registry.counter("storage.table.rows_examined").value
-    bounded = sum(query.start - longest + 1 <= s <= query.end for s in starts)
-    assert table.rows_examined == mirrored == bounded
-    assert bounded < sum(s <= query.end for s in starts) / 3  # the one-sided walk
+        names, ranges = probed(
+            db, lambda: _overlapping_sequences(db.sql, [query], longest, window)
+        )
+        assert registry.counter("bursts.probes").value == 1
+    bounded = sum(query.start - longest + 1 <= row[2] <= query.end for row in rows)
+    assert ranges == [bounded]
+    assert bounded < sum(row[2] <= query.end for row in rows) / 3  # the one-sided walk
     assert names == {
-        row["sequence"]
-        for row in table.all_rows()
-        if overlap(Burst(row["start"], row["end"], 0.0), query)
+        row[0] for row in rows if overlap(Burst(row[2], row[3], 0.0), query)
     }

@@ -7,7 +7,10 @@ every :class:`~repro.index.results.SearchStats` field must equal the
 block-0 run, the extended pruning invariant must close, and an exact
 policy must agree with a numpy brute force.  The databases carry planted
 duplicate rows (exact distance ties, broken by id) and a constant row;
-rows and queries are standardised, as the sketch bounds require.
+rows and queries are standardised, where the sketch bounds are tight.
+A second law draws raw rows, whose DC is not zero (offsets, counts,
+unnormalised noise): the bounds are sound on any finite row, so every
+backend must still agree with brute force there.
 """
 
 import dataclasses
@@ -117,3 +120,44 @@ def test_a_row_whose_bounds_round_apart_keeps_its_place():
     for backend in BACKENDS:
         hits, _ = get_index(backend, matrix).search(query, k=1)
         assert [h.seq_id for h in hits] == [nearest], backend
+
+
+ROW_CLASSES = ("centred", "offset", "counts", "unnormalised")
+
+
+@st.composite
+def raw_databases(draw):
+    """``(matrix, query)`` of one row class: DC is zero only if centred."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    kind = draw(st.sampled_from(ROW_CLASSES))
+    shape = (draw(st.integers(5, 30)) + 1, LENGTH)
+    if kind == "counts":
+        rows = rng.poisson(draw(st.sampled_from((3.0, 40.0))), size=shape)
+    else:
+        rows = rng.normal(size=shape)
+        if kind == "centred":
+            rows -= rows.mean(axis=1, keepdims=True)
+        elif kind == "offset":
+            rows += draw(st.sampled_from((-20.0, 5.0)))
+    rows = rows.astype(np.float64)
+    return rows[:-1], rows[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_databases(), st.sampled_from(BACKENDS), st.data())
+def test_any_finite_row_agrees_with_brute_force(db, backend, data):
+    matrix, query = db
+    k = data.draw(st.integers(1, 5), label="k")
+    index = get_index(backend, matrix)
+    brute = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+    truth = np.sort(brute)
+    radius = truth[k - 1] * (1 + 1e-9) + 1e-9
+    for expected, (hits, _) in (
+        (truth[:k], index.search(query, k=k)),
+        (truth[truth <= radius], index.range_search(query, radius)),
+    ):
+        distances = [h.distance for h in hits]
+        np.testing.assert_allclose(distances, expected, rtol=1e-9)
+        np.testing.assert_allclose(
+            distances, brute[[h.seq_id for h in hits]], rtol=1e-9
+        )

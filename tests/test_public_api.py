@@ -59,7 +59,6 @@ class TestPublicApi:
             CompressionError,
             KeyNotFoundError,
             ReproError,
-            SchemaError,
             SeriesLengthError,
             SeriesMismatchError,
             StorageError,
@@ -72,11 +71,9 @@ class TestPublicApi:
             CompressionError,
             StorageError,
             KeyNotFoundError,
-            SchemaError,
             UnknownQueryError,
         ):
             assert issubclass(exc, ReproError), exc
         # Catchability as stdlib categories where it matters.
         assert issubclass(KeyNotFoundError, KeyError)
-        assert issubclass(SchemaError, ValueError)
         assert issubclass(UnknownQueryError, KeyError)
