@@ -6,9 +6,9 @@ shards under a deterministic :class:`~repro.cluster.Partitioner`;
 recipe on either transport:
 
 1. **Specs** — one :class:`~repro.cluster.ShardSpec` per populated
-   shard: backend, kwargs, names, the shard's rows and sketch slice on
-   a fresh build, and the shard's page-store file when the population
-   is persisted.
+   shard: backend, kwargs, names, the shard's rows and its sketch and
+   row-code slices on a fresh build, and the shard's page-store file
+   when the population is persisted.
 2. **Build** — every shard index comes out of the one builder,
    ``pool._build_shard_index``: called in process for the serial
    transport, or by each worker of a
@@ -53,6 +53,7 @@ from repro.cluster.pool import (
     _open_shard_store,
 )
 from repro.cluster.router import ShardRouter
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.exceptions import CorruptionError, ReproError
 from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
@@ -127,18 +128,20 @@ def _shard_file(shard: int) -> str:
 
 def _specs(
     key, members, n, index_kwargs, *, seed, files, directory, write_store,
-    names=None, matrix=None, sketches=None,
+    names=None, matrix=None, sketches=None, codes=None,
 ) -> list[ShardSpec]:
     """The build recipe of every populated shard.
 
     ``seed`` also seeds backends with construction randomness unless
     ``index_kwargs`` carries its own.  A reopen passes the manifest's
     seed, so it rebuilds the very trees the first build made.  A fresh
-    build passes the population's ``matrix`` and ``sketches``: each spec
-    carries its shard's rows, and ``flat`` specs their sketch slice.
+    build passes the population's ``matrix``, ``sketches`` and row
+    ``codes``: each spec carries its shard's rows, and ``flat`` specs
+    their sketch and code slices.
     """
     if key != "flat":
-        sketches = None  # other backends compress (or ignore) their rows
+        # Other backends compress and quantise (or ignore) their rows.
+        sketches = codes = None
     if key in _SEEDED_BACKENDS and "seed" not in index_kwargs:
         index_kwargs = {**index_kwargs, "seed": seed}
     return [
@@ -162,6 +165,7 @@ def _specs(
             write_store=write_store,
             rows=matrix[ids] if matrix is not None else None,
             sketch_db=sketches.take(ids) if sketches is not None else None,
+            row_codes=codes.take(ids) if codes is not None else None,
         )
         for shard, ids in enumerate(members)
         if ids.size
@@ -170,14 +174,15 @@ def _specs(
 
 def _serve(
     specs, members, partitioner, n, pooled, filter_kwargs, *,
-    sketches=None, stores=None,
+    sketches=None, codes=None, stores=None,
 ) -> ShardRouter:
     """Build ``specs`` in process or on a warm pool; wire one router.
 
-    ``sketches`` (a fresh build) is the whole population's sketch
-    database, the router's filter; ``stores`` (a reopen) maps shards to
-    the parent's count-checked page stores, from which the router reads
-    its filter's rows.  ``filter_kwargs`` configure the router's filter
+    ``sketches`` and ``codes`` (a fresh build) are the whole
+    population's sketch database and row codes, the router's filter;
+    ``stores`` (a reopen) maps shards to the parent's count-checked page
+    stores, from which the router reads its filter's rows.
+    ``filter_kwargs`` configure the router's filter
     (:func:`_filter_kwargs`).  Any failure — spawn, a worker refusing to
     warm, a build — closes every store and the pool before the
     exception propagates: no orphan processes.
@@ -213,6 +218,7 @@ def _serve(
             sequence_length=n,
             pool=pool,
             sketch_db=sketches,
+            row_codes=codes,
             **filter_kwargs,
         )
     except BaseException:
@@ -282,12 +288,13 @@ def build_sharded(
     members = partitioner.members(total)
     files = [_shard_file(shard) for shard in range(len(members))]
 
-    # One compression pass for the whole population: the router's filter,
-    # also sliced into shard-local views for flat shards, which then skip
-    # per-shard recompression (the views are bit-identical to what
-    # a per-shard compression would produce, since sketches are per-row).
+    # One compression and one quantisation pass for the whole population:
+    # the router's filter, also sliced into shard-local views for flat
+    # shards, which then skip per-shard recomputation (the views are
+    # bit-identical to what a per-shard pass would produce, since
+    # sketches and codes are per-row).
     filter_kwargs = _filter_kwargs(key, index_kwargs)
-    sketches = None
+    sketches = codes = None
     if total and filter_kwargs["filtered"]:
         compressor = (
             filter_kwargs.get("compressor")
@@ -295,6 +302,7 @@ def build_sharded(
         )
         with obs.span("ingest.compress"):
             sketches = SketchDatabase.from_matrix(matrix, compressor)
+            codes = RowCodes.from_matrix(matrix)
 
     if directory is not None:
         directory = os.fspath(directory)
@@ -309,12 +317,12 @@ def build_sharded(
     specs = _specs(
         key, members, n, index_kwargs, seed=seed, files=files,
         directory=directory, write_store=directory is not None, names=names,
-        matrix=matrix, sketches=sketches,
+        matrix=matrix, sketches=sketches, codes=codes,
     )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
     router = _serve(
         specs, members, partitioner, n, pooled, filter_kwargs,
-        sketches=sketches,
+        sketches=sketches, codes=codes,
     )
     if directory is not None:
         try:

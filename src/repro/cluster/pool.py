@@ -53,6 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.engine.batch import _shard_batch
 from repro.engine.core import CandidateSet, _fallback_candidates
@@ -106,9 +107,10 @@ def default_start_method() -> str:
 class ShardSpec:
     """Everything needed to (re)build one shard, picklable.
 
-    ``rows`` are the shard's sequences and ``sketch_db`` its slice of the
-    population's sketches (``flat`` shards only): a worker inherits them
-    under ``fork`` and receives them pickled under ``spawn``.  A reopen
+    ``rows`` are the shard's sequences, and ``sketch_db`` and
+    ``row_codes`` its slices of the population's sketches and row codes
+    (``flat`` shards only): a worker inherits them under ``fork`` and
+    receives them pickled under ``spawn``.  A reopen
     carries no rows; the builder reads them from ``store_path``.
 
     ``write_store`` is ``True`` only for the *first* build of a
@@ -131,6 +133,7 @@ class ShardSpec:
     write_store: bool = False
     rows: np.ndarray | None = None
     sketch_db: SketchDatabase | None = None
+    row_codes: RowCodes | None = None
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +188,8 @@ def _build_shard_index(spec: ShardSpec, *, store=None):
     kwargs = dict(spec.index_kwargs)
     if spec.sketch_db is not None:
         kwargs["sketch_db"] = spec.sketch_db
+    if spec.row_codes is not None:
+        kwargs["row_codes"] = spec.row_codes
     if store is not None and spec.backend not in _STORE_BACKENDS:
         store.close()  # matrix-backed structure; the file stays for reopen
         store = None

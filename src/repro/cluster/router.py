@@ -8,12 +8,14 @@ accounting, the resilience guards, :class:`~repro.resilience.FaultyIndex`
 two resident halves (fig. 23) the way the paper keeps them:
 
 * **the filter** — one :class:`~repro.compression.SketchDatabase` over
-  the whole population, in global-id order, held by the router.  A
+  the whole population, in global-id order, and its
+  :class:`~repro.compression.codes.RowCodes`, held by the router.  A
   single k-NN or range query is bounded against it in one kernel pass
   and filtered exactly as the ``flat`` index filters (the SUB filter of
   :func:`~repro.engine.core.candidates_from_bound_arrays`, or the range
-  survivors), so answers and every :class:`SearchStats` field equal
-  ``get_index("flat", matrix)`` with the same compressor;
+  survivors, then the engine's row-code stage), so answers and every
+  :class:`SearchStats` field equal ``get_index("flat", matrix)`` with
+  the same compressor;
 * **the rows** — partitioned across the shards' stores, read by the
   verifier through :class:`_RouterStore` (one ``read_many`` per shard
   per verification block).
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro import obs
 from repro.bounds.batch import BatchBounds, get_batch_kernel
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     CandidateSet,
@@ -110,10 +113,10 @@ class ShardRouter:
         warm process per populated shard); single queries never leave
         the parent.  The router owns the pool and shuts it down in
         :meth:`close`.
-    sketch_db:
-        The filter: the whole population's sketches in global-id order.
-        ``None`` reads every row through the shard stores (one read per
-        shard) and compresses them with ``compressor``.
+    sketch_db / row_codes:
+        The filter: the whole population's sketches and row codes in
+        global-id order.  Either left ``None`` is built from every row,
+        read through the shard stores (one read per shard).
     compressor / bound_method:
         The filter's compressor (default
         :attr:`SketchIndexBase.DEFAULT_COMPRESSOR`) and batch bound
@@ -134,6 +137,7 @@ class ShardRouter:
         pool=None,
         *,
         sketch_db: SketchDatabase | None = None,
+        row_codes: RowCodes | None = None,
         compressor=None,
         bound_method: str | None = "best_min_error_safe",
         filtered: bool = True,
@@ -183,17 +187,25 @@ class ShardRouter:
             bound_method or self._compressor.method
         )
         if not (filtered and total):
-            sketch_db = None  # every query scans the whole population
-        elif sketch_db is None:
-            sketch_db = SketchDatabase.from_matrix(
-                self._store.read_many(np.arange(total)), self._compressor
-            )
-        elif len(sketch_db) != total:
-            raise ReproError(
-                f"the filter holds {len(sketch_db)} sketches but the "
-                f"shards hold {total} members"
-            )
+            # Every query scans the whole population.
+            sketch_db = row_codes = None
+        else:
+            for part in (sketch_db, row_codes):
+                if part is not None and len(part) != total:
+                    raise ReproError(
+                        f"the filter holds {len(part)} rows but the "
+                        f"shards hold {total} members"
+                    )
+            if sketch_db is None or row_codes is None:
+                rows = self._store.read_many(np.arange(total))
+                if sketch_db is None:
+                    sketch_db = SketchDatabase.from_matrix(
+                        rows, self._compressor
+                    )
+                if row_codes is None:
+                    row_codes = RowCodes.from_matrix(rows)
         self._sketch_db = sketch_db
+        self._row_codes = row_codes
 
     # ------------------------------------------------------------------
     # EngineIndex surface
@@ -208,6 +220,11 @@ class ShardRouter:
     @property
     def store(self) -> _RouterStore:
         return self._store
+
+    @property
+    def row_codes(self) -> RowCodes | None:
+        """The filter's resident row codes (``None`` without a filter)."""
+        return self._row_codes
 
     @property
     def shard_count(self) -> int:
@@ -387,7 +404,8 @@ class ShardRouter:
     def insert(self, values, name: str | None = None) -> int:
         """Insert one sequence, routed to its shard; returns the global id.
 
-        The shard stores the row; the router's filter appends its sketch.
+        The shard stores the row; the router's filter appends its sketch
+        and its row code.
         """
         if not self.supports_insert:
             raise ReproError(
@@ -399,11 +417,11 @@ class ShardRouter:
         local = int(self._global_ids[shard].size)
         self._shards[shard].insert(values, name)
         if self._sketch_db is not None:
+            values = np.asarray(values, dtype=np.float64)
             self._sketch_db = self._sketch_db.appended(
-                self._compressor.compress(
-                    Spectrum.from_series(np.asarray(values, dtype=np.float64))
-                )
+                self._compressor.compress(Spectrum.from_series(values))
             )
+            self._row_codes = self._row_codes.appended(values)
         self._global_ids[shard] = np.append(self._global_ids[shard], gid)
         self._shard_of = np.append(self._shard_of, shard)
         self._local_of = np.append(self._local_of, local)

@@ -10,6 +10,7 @@ from repro.compression.best_k import (
     BestMinErrorCompressor,
 )
 from repro.compression.budget import BEST_METHODS, FIRST_METHODS, StorageBudget
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.compression.first_k import (
     FirstKCompressor,
@@ -20,6 +21,7 @@ from repro.compression.first_k import (
 __all__ = [
     "SpectralSketch",
     "SketchDatabase",
+    "RowCodes",
     "FirstKCompressor",
     "GeminiCompressor",
     "WangCompressor",

@@ -57,6 +57,17 @@ block (charged to :class:`~repro.storage.pagestore.IOStats`, discarded
 unread), so ``store.stats.read_calls >= stats.full_retrievals`` under
 blocking, with equality at block size 0.
 
+**Row-code stage.**  Between generation and refinement,
+:func:`_code_stage` bounds every sketch survivor of an index that holds
+resident :class:`~repro.compression.codes.RowCodes` (the sketch indexes
+and the shard router's filter): a k-NN set's lower bounds are raised to
+``max(sketch, code)``, the entries above the k-th smallest code upper
+bound are dropped and the rest re-sorted, so termination fires after
+about k + 5 rows; a range set loses the entries the codes prove outside
+the radius.  Dropped entries are booked as pruned.  The sketch measures
+(``candidates_after_sub_filter`` and the traversal counters) are left as
+the generator made them; streams and degraded sets skip the stage.
+
 **Approximate tier (opt-in).**  ``execute_knn``/``execute_range`` accept
 an :class:`~repro.engine.approx.ApproxPolicy`: ``epsilon`` relaxes the
 k-NN termination rule against the running best-so-far cutoff (every
@@ -207,6 +218,10 @@ class CandidateSet:
         Alternative to ``entries`` for incremental generators (the GEMINI
         R-tree): an iterator yielding ``(LB^2, seq_id)`` in increasing
         order, consumed lazily so unvisited members are never bounded.
+    code_pruned:
+        Entries the row-code stage (:func:`_code_stage`) dropped: sketch
+        survivors, still counted in ``candidates_after_sub_filter``,
+        that the codes proved outside the answer.
     top_ubs:
         The k smallest *plain-distance* upper bounds the traversal saw
         (ascending).  A router gathering per-shard candidate sets
@@ -224,6 +239,7 @@ class CandidateSet:
     paid: dict[int, float] = field(default_factory=dict)
     stream: Iterator[tuple[float, int]] | None = None
     top_ubs: tuple[float, ...] = ()
+    code_pruned: int = 0
 
 
 class SigmaTracker:
@@ -635,6 +651,61 @@ def _generate_guarded(index, generate, size: int):
 
 
 # ----------------------------------------------------------------------
+# The row-code stage (docs/ENGINE.md, "The row-code stage")
+# ----------------------------------------------------------------------
+def _code_stage(
+    index, query, cands: CandidateSet, stats: SearchStats,
+    k: int | None = None, radius: float | None = None,
+) -> CandidateSet:
+    """Prune a sketch-filtered candidate set with resident row codes.
+
+    An index holding :class:`~repro.compression.codes.RowCodes`
+    (``row_codes``) gets lower and upper bounds of every entry from
+    memory, before any row is read, and the entries its codes prove out
+    are dropped, counted in ``code_pruned``:
+
+    * k-NN (``k``): each ``LB^2`` is raised to ``max(sketch, code)``, and
+      an entry whose raised bound exceeds the k-th smallest code upper
+      bound — itself at least the k-th nearest distance — is dropped.
+      The survivors, re-sorted, leave the LB-ordered termination of
+      :func:`_refine_knn` about k + 5 rows to read.
+    * range (``radius``): an entry whose code bound clears
+      ``radius + RANGE_SLACK`` is dropped.
+
+    Either way a dropped entry is one the exact loop would prune, so
+    answers and the pruning ledger are unchanged.  (Only the M-tree pays
+    distances during traversal, and it holds no codes.)  The stage is
+    skipped where it cannot help or must not act: no codes, a streaming
+    generator, a degraded (fallback-scan) set — approximation is
+    suspended there too, and the scan stays exhaustive — and a k-NN set
+    of at most ``k`` entries, all of which refinement reads anyway.
+    """
+    codes = getattr(index, "row_codes", None)
+    entries = cands.entries
+    if codes is None or cands.stream is not None or stats.degraded:
+        return cands
+    if len(entries) <= (k or 0):
+        return cands
+    table = np.array(entries)
+    sketch_sq = table[:, 0]
+    ids = table[:, 1].astype(np.intp)
+    lower, upper = codes.bounds_sq(query, ids)
+    if radius is None:
+        lower = np.maximum(sketch_sq, lower)
+        keep = lower <= np.partition(upper, k - 1)[k - 1]
+        lower, ids = lower[keep], ids[keep]
+        order = np.argsort(lower, kind="stable")
+        kept = list(zip(lower[order].tolist(), ids[order].tolist()))
+    else:
+        keep = (lower <= (radius + RANGE_SLACK) ** 2).tolist()
+        kept = [entry for entry, inside in zip(entries, keep) if inside]
+    dropped = len(entries) - len(kept)
+    if dropped:
+        obs.add("engine.codes.pruned", dropped)
+    return replace(cands, entries=kept, code_pruned=dropped)
+
+
+# ----------------------------------------------------------------------
 # Approximate-tier bookkeeping (docs/APPROX.md)
 # ----------------------------------------------------------------------
 _EXACT_POLICY = ApproxPolicy()
@@ -745,6 +816,7 @@ def _knn_pipeline(
     cands, stats = _generate_guarded(
         index, partial(index.knn_candidates, query, k), size
     )
+    cands = _code_stage(index, query, cands, stats, k=k)
     active = _activate_policy(policy, stats)
     with _refine_span(active):
         best = _refine_knn(index, query, k, cands, stats, size, active)
@@ -794,7 +866,9 @@ def _refine_knn(
     paid = cands.paid
     if cands.stream is None:
         stats.candidates_after_traversal = cands.generated
-        stats.candidates_after_sub_filter = len(cands.entries)
+        stats.candidates_after_sub_filter = (
+            len(cands.entries) + cands.code_pruned
+        )
         # Members never bounded (pruned subtrees) plus those the SUB
         # filter discarded.  Traversal-paid members are all in `entries`.
         stats.candidates_pruned += size - len(cands.entries)
@@ -884,6 +958,7 @@ def execute_range(
     generate = partial(index.range_candidates, query, radius)
     with obs.span(f"{index.obs_name}.range_search"):
         cands, stats = _generate_guarded(index, generate, size)
+        cands = _code_stage(index, query, cands, stats, radius=radius)
         active = _activate_policy(policy, stats)
         with _refine_span(active):
             hits = _refine_range(
@@ -920,10 +995,11 @@ def _refine_range(
         # it is materialised and verified in prefetched blocks.
         cands = replace(cands, entries=list(cands.stream), stream=None)
     entries = cands.entries
+    admitted = len(entries) + cands.code_pruned
     stats.candidates_after_traversal = (
-        cands.generated if cands.generated is not None else len(entries)
+        cands.generated if cands.generated is not None else admitted
     )
-    stats.candidates_after_sub_filter = len(entries)
+    stats.candidates_after_sub_filter = admitted
     stats.candidates_pruned += size - len(entries)
 
     paid = cands.paid

@@ -20,7 +20,10 @@ the experiment reports two things per configuration:
   - ``BOUND_MS`` per compressed lower/upper-bound evaluation,
   - ``PAGE_MS`` per (cached) page streamed — this is what separates the
     on-disk index, which re-reads its compressed features every query,
-    from the in-memory one.
+    from the in-memory one.  Its features are the sketch of every object
+    it bounds and the ``n`` bytes of row codes of every sketch survivor
+    (``candidates_after_sub_filter``), which the engine's row-code stage
+    bounds before reading any row.
 
 All counts come from the real structures (the page store's accounting and
 the search statistics), so the *ratios* track how much work each
@@ -134,6 +137,11 @@ def _sketch_pages(index, bound_computations: int) -> int:
     return -(-bound_computations // sketches_per_page)
 
 
+def _code_pages(n: int, survivors: int) -> int:
+    """Pages of row codes one query streams: ``n`` bytes per survivor."""
+    return -(-(n * survivors) // 4096)
+
+
 def index_vs_scan_experiment(
     matrix: np.ndarray,
     queries: np.ndarray,
@@ -176,10 +184,12 @@ def index_vs_scan_experiment(
     started = time.perf_counter()
     index_full = 0
     bound_computations = 0
+    code_pages = 0
     for query in queries:
         _, stats = index.search(query, k=1)
         index_full += stats.full_retrievals
         bound_computations += stats.bound_computations
+        code_pages += _code_pages(n, stats.candidates_after_sub_filter)
     wall = time.perf_counter() - started
     index_store.close()
 
@@ -195,7 +205,7 @@ def index_vs_scan_experiment(
         wall,
         index_full,
         bound_computations,
-        _sketch_pages(index, bound_computations),
+        _sketch_pages(index, bound_computations) + code_pages,
     )
     return TimingResult(
         database_size=len(matrix),

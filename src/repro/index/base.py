@@ -8,8 +8,10 @@ validated database shape, the names, the verification store and the
 constructor knobs, ``knn_candidates`` and ``range_candidates`` and
 nothing else.  :class:`SketchIndexBase` adds the compressed half the
 three sketch structures share: the default compressor, the bound
-kernel, the packed :class:`~repro.compression.database.SketchDatabase`
-and the one kernel pass that bounds a query against all of it.
+kernel, the packed :class:`~repro.compression.database.SketchDatabase`,
+the one kernel pass that bounds a query against all of it, and the
+resident :class:`~repro.compression.codes.RowCodes` the engine's
+row-code stage bounds the sketch survivors with.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from repro.bounds.batch import BatchBounds, get_batch_kernel
 from repro.compression.best_k import BestMinErrorCompressor
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.engine.core import execute_knn, execute_range
 from repro.exceptions import SeriesMismatchError
@@ -114,8 +117,10 @@ class SketchIndexBase(IndexBase):
     The store defaults to an in-memory one built from the matrix.  The
     sketches come from ``sketch_db`` when given (a prebuilt database,
     possibly a row-subset view, whose rows must align with the matrix)
-    or from compressing the matrix.  The raw matrix stays in ``_matrix``
-    only for a subclass's build; every subclass drops it afterwards.
+    or from compressing the matrix; the row codes likewise come from
+    ``row_codes`` (a prebuilt, row-aligned set) or from quantising the
+    matrix.  The raw matrix stays in ``_matrix`` only for a subclass's
+    build; every subclass drops it afterwards.
     """
 
     #: BestMinError sketches with ``k=14`` best coefficients, the paper's
@@ -130,6 +135,7 @@ class SketchIndexBase(IndexBase):
         store=None,
         bound_method: str | None = "best_min_error_safe",
         sketch_db: SketchDatabase | None = None,
+        row_codes: RowCodes | None = None,
     ) -> None:
         super().__init__(matrix, names, store)
         self._compressor = compressor or self.DEFAULT_COMPRESSOR
@@ -145,6 +151,18 @@ class SketchIndexBase(IndexBase):
                 "sketch_db rows must align with the matrix rows"
             )
         self._sketch_db = sketch_db
+        if row_codes is None:
+            row_codes = RowCodes.from_matrix(self._matrix)
+        elif len(row_codes) != self._count:
+            raise SeriesMismatchError(
+                "row_codes rows must align with the matrix rows"
+            )
+        self._row_codes = row_codes
+
+    @property
+    def row_codes(self) -> RowCodes:
+        """The resident 8-bit codes of every row (the engine's code stage)."""
+        return self._row_codes
 
     def _default_store(self):
         return MemorySequenceStore(self._n)

@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     CandidateSet,
@@ -63,8 +64,9 @@ class FlatSketchIndex(SketchIndexBase):
 
     Parameters mirror :class:`~repro.index.VPTreeIndex` (minus the
     tree-construction knobs).  ``sketch_db`` takes a prebuilt sketch
-    database — the shard builder compresses the full population once
-    and hands each shard its ``take()`` view instead of recompressing.
+    database and ``row_codes`` prebuilt row codes — the shard builder
+    compresses and quantises the full population once and hands each
+    shard its ``take()`` views instead of recomputing.
     """
 
     obs_name = "index.flat"
@@ -77,9 +79,11 @@ class FlatSketchIndex(SketchIndexBase):
         store=None,
         bound_method: str | None = "best_min_error_safe",
         sketch_db: SketchDatabase | None = None,
+        row_codes: RowCodes | None = None,
     ) -> None:
         super().__init__(
-            matrix, compressor, names, store, bound_method, sketch_db
+            matrix, compressor, names, store, bound_method, sketch_db,
+            row_codes,
         )
         self._matrix = None  # the store holds the rows
 

@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.bounds.batch import get_batch_kernel
+from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.engine.core import RANGE_SLACK as _RANGE_SLACK, CandidateSet
 from repro.exceptions import SeriesMismatchError
@@ -219,6 +220,7 @@ class VPTreeIndex(SketchIndexBase):
         self._sketch_db = self._sketch_db.appended(
             self._compressor.compress(Spectrum.from_series(values))
         )
+        self._row_codes = self._row_codes.appended(values)
         if self._names is not None:
             self._names = (*self._names, name or f"inserted-{seq_id}")
         self._count += 1
@@ -475,9 +477,16 @@ class VPTreeIndex(SketchIndexBase):
                 index._store = SequencePageStore.open(
                     str(payload["store_path"][0])
                 )
+                # The codes are not saved: quantise the stored rows.
+                rows = index._store.read_many(
+                    range(len(index._store)), cached=False
+                )
+                index._store.stats.reset()  # the rebuild is not query I/O
             else:
+                rows = payload["raw_rows"]
                 index._store = MemorySequenceStore(index._n)
-                index._store.append_matrix(payload["raw_rows"])
+                index._store.append_matrix(rows)
+            index._row_codes = RowCodes.from_matrix(rows)
         return index
 
     # ------------------------------------------------------------------

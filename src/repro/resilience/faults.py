@@ -512,6 +512,11 @@ class FaultyIndex:
     def __len__(self) -> int:
         return len(self._inner)
 
+    @property
+    def row_codes(self):
+        """The inner index's row codes, so drills run the served path."""
+        return getattr(self._inner, "row_codes", None)
+
     def knn_candidates(self, query, k, stats):
         return self._inner.knn_candidates(query, k, stats)
 

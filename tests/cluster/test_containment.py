@@ -17,13 +17,13 @@ from repro.cluster import build_sharded
 from repro.engine import get_index, search_many
 from repro.index.distance import euclidean_early_abandon_sq
 from repro.resilience import FaultPlan, FaultyIndex, FaultyStore, quarantine_of
+from tests.coarse_codes import spiked
 
 K = 4
 POISONED = 1
 
 
-@pytest.fixture
-def poisoned(matrix):
+def poison(matrix):
     """A 4-shard flat router with every member of shard 1 unreadable."""
     # In-process only: the FaultyStore below wraps the parent's store
     # handles, which pooled workers (REPRO_SHARD_WORKERS) never touch.
@@ -38,6 +38,11 @@ def poisoned(matrix):
     return router, victims
 
 
+@pytest.fixture
+def poisoned(matrix):
+    return poison(matrix)
+
+
 def survivors_knn(matrix, victims, query, k):
     """Brute-force truth over the healthy members only."""
     exact = sorted(
@@ -48,8 +53,11 @@ def survivors_knn(matrix, victims, query, k):
     return [(math.sqrt(d_sq), seq_id) for d_sq, seq_id in exact[:k]]
 
 
-def test_healthy_shards_keep_answering(matrix, queries, poisoned):
-    router, victims = poisoned
+def test_healthy_shards_keep_answering(matrix, queries):
+    # Spiked, so that every query reads past its k answers and reaches
+    # the poisoned shard (see tests/coarse_codes.py).
+    matrix, queries = spiked(matrix), spiked(queries)
+    router, victims = poison(matrix)
     for query in queries:
         hits, stats = router.search(query, k=K)
         got = [(h.distance, h.seq_id) for h in hits]

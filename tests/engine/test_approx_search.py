@@ -27,6 +27,7 @@ from repro.engine import (
     search_many,
 )
 from repro.exceptions import ReproError
+from tests.coarse_codes import spiked
 
 BACKENDS = tuple(name for name in available_indexes() if name != "sharded")
 
@@ -100,8 +101,9 @@ def test_extended_invariant_holds(matrix, queries, backend):
 
 def test_slack_skips_save_retrievals(matrix, queries):
     """A generous ε skips fetches on the flat index and accounts them."""
-    index = get_index("flat", matrix)
-    query = queries[0]
+    # Spiked: the exact tier must read past its k answers.
+    index = get_index("flat", spiked(matrix))
+    query = spiked(queries[0])
     _, exact_stats = index.search(query, k=3)
     _, approx_stats = index.search(
         query, k=3, policy=ApproxPolicy(epsilon=2.0)
@@ -114,8 +116,9 @@ def test_slack_skips_save_retrievals(matrix, queries):
 
 def test_patience_stop_sets_flag(matrix, queries):
     """patience=1 stops after the first unimproving candidate."""
-    index = get_index("flat", matrix)
-    query = queries[0]
+    # Spiked: the exact tier must read past its k answers.
+    index = get_index("flat", spiked(matrix))
+    query = spiked(queries[0])
     _, stats = index.search(query, k=3, policy=ApproxPolicy(patience=1))
     assert stats.stopped_early is True
     assert stats.approximate is True
@@ -266,12 +269,14 @@ def test_batched_approx_matches_per_query(matrix, queries):
 
 
 def test_obs_counters_published(matrix, queries):
+    # Spiked: the exact tier must read past its k answers.
+    index = get_index("flat", spiked(matrix))
+    query = spiked(queries[0])
     registry = obs.enable()
     try:
-        index = get_index("flat", matrix)
-        index.search(queries[0], k=3, policy=ApproxPolicy(epsilon=2.0))
-        index.search(queries[0], k=3, policy=ApproxPolicy(patience=1))
-        index.search(queries[0], k=3)  # exact: no approx counters
+        index.search(query, k=3, policy=ApproxPolicy(epsilon=2.0))
+        index.search(query, k=3, policy=ApproxPolicy(patience=1))
+        index.search(query, k=3)  # exact: no approx counters
         assert registry.counter("engine.approx.queries").value == 2
         assert registry.counter("engine.approx.skipped").value > 0
         assert registry.counter("engine.approx.early_stops").value == 1

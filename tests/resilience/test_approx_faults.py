@@ -28,6 +28,7 @@ from repro.resilience import (
     policy_context,
     quarantine_of,
 )
+from tests.coarse_codes import spiked
 
 pytestmark = pytest.mark.faults
 
@@ -45,9 +46,11 @@ POLICY_IDS = ["epsilon", "patience", "both"]
 
 @pytest.fixture(scope="module")
 def workload():
+    # Spiked, so that the exact tier reads past its k answers and the
+    # queries reach the corrupt victim (see tests/coarse_codes.py).
     rng = np.random.default_rng(7)
-    matrix = rng.normal(size=(64, 32))
-    queries = rng.normal(size=(4, 32))
+    matrix = spiked(rng.normal(size=(64, 32)))
+    queries = spiked(rng.normal(size=(4, 32)))
     return matrix, queries
 
 
