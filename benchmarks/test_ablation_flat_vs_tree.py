@@ -11,6 +11,7 @@ The sweep answers the second part of ROADMAP 5.3: how much the tree
 prunes at each leaf size, with and without guidance, for k = 1 and 10.
 """
 
+import gc
 import time
 
 import numpy as np
@@ -34,10 +35,18 @@ def run_queries(index, queries, k):
         answers.append([hit.distance for hit in hits])
         for field in fields:
             totals[field] += getattr(stats, field)
-    started = time.perf_counter()
-    for query in queries:
-        index.search(query, k=k)
-    return totals, time.perf_counter() - started, answers
+    # A full collection (40-60 ms) landing in a ~50 ms loop would swamp
+    # the ratio: collect first, and keep the collector off while timing.
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        for query in queries:
+            index.search(query, k=k)
+        wall = time.perf_counter() - started
+    finally:
+        gc.enable()
+    return totals, wall, answers
 
 
 def test_ablation_flat_vs_tree(database_matrix, query_matrix, report,

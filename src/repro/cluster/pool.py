@@ -28,8 +28,8 @@ request/response): ``("ping",)``, ``("batch", queries, k)``,
 ``("cands", queries, k)``, ``("stop",)``.  Responses are
 ``("ok", payload)`` / ``("err", reason)``.  ``batch`` takes no policy:
 it runs the exact per-shard sub-search
-(:func:`~repro.engine.batch._shard_batch`); global slack and patience
-decisions cannot be made per shard, so an approximate batch runs in the
+(:func:`~repro.engine.batch._shard_batch`); global ε-slack decisions
+cannot be made per shard, so an approximate batch runs in the
 parent.  ``knn`` / ``range`` / ``cands`` answer with
 ``(CandidateSet, SearchStats, error)`` triples for
 :meth:`~repro.cluster.ShardRouter.gather_knn`; they stay as the pool's

@@ -22,10 +22,10 @@ every compressor caps ``minPower`` at ``|X_0|``.
 The packing is the system's canonical **structure-of-arrays (SoA)
 layout**: every field is one C-contiguous block, named by
 :attr:`SketchDatabase.SOA_FIELDS`, plus lazily precomputed per-row
-sketch norms (:attr:`SketchDatabase.norms_sq`).  Everything that moves a
-database across a boundary — ``.npz`` persistence, row-subset views —
-round-trips exactly these blocks through :meth:`SketchDatabase.from_soa`
-/ :meth:`SketchDatabase.soa_blocks`, so there is one layout instead of
+sketch norms (:attr:`SketchDatabase.norms_sq`).  Batch compression and
+row-subset views build databases through
+:meth:`SketchDatabase.from_soa` and read them through
+:meth:`SketchDatabase.soa_blocks`, so there is one layout instead of
 per-consumer re-packing.
 
 The batch bound kernels in :mod:`repro.bounds.batch` consume this layout;
@@ -207,7 +207,7 @@ class SketchDatabase:
         """Assemble a database directly from SoA field blocks.
 
         The single internal constructor every packed-array path funnels
-        through (batch compression, row-subset views, ``.npz`` load), so
+        through (batch compression, row-subset views), so
         dtype normalisation and contiguity live in one place.  Blocks
         already contiguous in their canonical dtype are adopted as-is.
         """
@@ -236,9 +236,9 @@ class SketchDatabase:
 
         Each returned array is C-contiguous in its canonical dtype; the
         contiguous version is cached back onto the instance, so callers
-        that publish these blocks (``.npz`` save) and callers that
-        compute over them (bound kernels, the block verifier) observe
-        the very same memory.
+        that publish these blocks and callers that compute over them
+        (bound kernels, the block verifier) observe the very same
+        memory.
         """
         blocks: dict[str, np.ndarray] = {}
         for field in self.SOA_FIELDS:
@@ -448,47 +448,6 @@ class SketchDatabase:
             # equal to recomputing over the sliced blocks.
             subset._norms_cache = np.ascontiguousarray(cached[rows])
         return subset
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path) -> None:
-        """Serialise the canonical SoA blocks to an ``.npz`` file.
-
-        The file carries exactly :meth:`soa_blocks` (including the
-        precomputed ``norms``) plus names/meta, so a saved database
-        round-trips the layout without re-materialising per-row sketches.
-        """
-        names = np.array(
-            ["" if n is None else n for n in self.names]
-            if self.names is not None
-            else [],
-            dtype=str,
-        )
-        np.savez_compressed(
-            path,
-            **self.soa_blocks(),
-            names=names,
-            meta=np.array([str(self.n), self.basis, self.method], dtype=str),
-        )
-
-    @classmethod
-    def load(cls, path) -> "SketchDatabase":
-        """Load a database previously written by :meth:`save`."""
-        with np.load(path, allow_pickle=False) as payload:
-            fields = {f: payload[f] for f in cls.SOA_FIELDS}
-            names = payload["names"]
-            n, basis, method = payload["meta"].tolist()
-            loaded = cls.from_soa(
-                fields,
-                n=int(n),
-                basis=basis,
-                method=method,
-                names=tuple(names.tolist()) if names.size else None,
-            )
-            if "norms" in payload.files:
-                loaded._norms_cache = np.ascontiguousarray(payload["norms"])
-        return loaded
 
     def check_query(self, query: Spectrum) -> None:
         """Validate that a query spectrum is comparable with this database."""

@@ -11,7 +11,6 @@ object (:mod:`repro.engine.approx`).  See ``docs/ENGINE.md``,
 
 from repro.engine.approx import (
     DEFAULT_EPSILON,
-    DEFAULT_PATIENCE,
     ApproxPolicy,
     resolve_policy,
 )
@@ -32,7 +31,6 @@ from repro.engine.registry import available_indexes, get_index
 
 __all__ = [
     "DEFAULT_EPSILON",
-    "DEFAULT_PATIENCE",
     "DEFAULT_VERIFY_BLOCK",
     "RANGE_SLACK",
     "VERIFY_BLOCK_ENV",

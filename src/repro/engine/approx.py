@@ -1,34 +1,28 @@
-"""The opt-in approximate search tier: one policy object, two knobs.
+"""The opt-in approximate search tier: one policy object, one knob.
 
 The engine is exact by construction — LB-ordered refinement around the
 :math:`\\sigma_{UB}` filter (fig. 11).  The Lernaean Hydra evaluations
-(Echihabi et al.) show that two small relaxations of exactly this loop
-buy most of the approximate-search latency win while staying honest
-about quality, and both are pure *restrictions* of the exact engine's
-work:
+(Echihabi et al.) show that relaxing exactly this loop buys most of the
+approximate-search latency win while keeping a proven quality bound,
+and the relaxation is a pure *restriction* of the exact engine's work:
 
-* **ε-relaxed pruning** (``epsilon``): k-NN refinement terminates once
-  the next lower bound exceeds :math:`cutoff / (1+\\varepsilon)`, where
-  the cutoff is the running best-so-far k-th distance — a distance the
-  engine *does* report.  Every member left behind has true distance at
-  least its lower bound, hence more than
-  :math:`reported_k / (1+\\varepsilon)` — the classic guarantee: every
-  reported distance is within :math:`(1+\\varepsilon)` of the true
-  k-th-NN distance.  (The relaxation deliberately does **not** touch
-  the σ_UB filter: the members achieving σ_UB could themselves be
-  skipped by a relaxed filter, which would void the guarantee.)  Range
-  search relaxes against its fixed radius instead, so missed matches
-  are confined to the :math:`(r/(1+\\varepsilon), r]` annulus.
-* **patience early-stop** (``patience``): refinement stops after that
-  many consecutive candidates are consumed with no top-k improvement.
-  This is a heuristic — it carries no ε-guarantee — so its quality is
-  *measured*, not assumed: ``bench/`` reports ``recall_at_10`` of the
-  default knobs against a brute-force oracle on ``knn-sharded-pool``.
+**ε-relaxed pruning** (``epsilon``): k-NN refinement terminates once
+the next lower bound exceeds :math:`cutoff / (1+\\varepsilon)`, where
+the cutoff is the running best-so-far k-th distance — a distance the
+engine *does* report.  Every member left behind has true distance at
+least its lower bound, hence more than
+:math:`reported_k / (1+\\varepsilon)` — the classic guarantee: every
+reported distance is within :math:`(1+\\varepsilon)` of the true
+k-th-NN distance.  (The relaxation deliberately does **not** touch the
+σ_UB filter: the members achieving σ_UB could themselves be skipped by
+a relaxed filter, which would void the guarantee.)  Range search
+relaxes against its fixed radius instead, so missed matches are
+confined to the :math:`(r/(1+\\varepsilon), r]` annulus.
 
-``ApproxPolicy(0.0, None)`` — the default — is bit-identical to the
-exact engine: the relaxation factor multiplies lower bounds by exactly
-``1.0`` (an IEEE no-op) and no stop counter is armed, so the exact tier
-remains the executable specification (see docs/APPROX.md).
+``ApproxPolicy(0.0)`` — the default — is bit-identical to the exact
+engine: the relaxation factor multiplies lower bounds by exactly
+``1.0`` (an IEEE no-op), so the exact tier remains the executable
+specification (see docs/APPROX.md).
 """
 
 from __future__ import annotations
@@ -40,16 +34,12 @@ from repro.exceptions import ReproError
 
 __all__ = [
     "DEFAULT_EPSILON",
-    "DEFAULT_PATIENCE",
     "ApproxPolicy",
     "resolve_policy",
 ]
 
-#: The documented opt-in knobs (:meth:`ApproxPolicy.default`), tuned
-#: once for recall@10 >= 0.95 with measurable work saved
-#: (docs/APPROX.md): 0.981 recall at 0.49x the exact tier's retrievals.
+#: The documented opt-in knob (:meth:`ApproxPolicy.default`).
 DEFAULT_EPSILON = 0.05
-DEFAULT_PATIENCE = 128
 
 
 @dataclass(frozen=True)
@@ -62,15 +52,9 @@ class ApproxPolicy:
         Relative pruning slack.  ``0.0`` keeps the exact thresholds;
         ``0.1`` lets the verifier skip any candidate provably more than
         10% further than the reported k-th distance.
-    patience:
-        Consecutive consumed candidates without a top-k improvement
-        before refinement stops (``None``: never stop early).  The unit
-        is a candidate at every verify block size, so the knob's meaning
-        does not depend on ``REPRO_VERIFY_BLOCK``.
     """
 
     epsilon: float = 0.0
-    patience: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.epsilon, (int, float)) or not math.isfinite(
@@ -84,18 +68,11 @@ class ApproxPolicy:
             raise ReproError(
                 f"ApproxPolicy.epsilon must be >= 0, got {self.epsilon!r}"
             )
-        if self.patience is not None and (
-            not isinstance(self.patience, int) or self.patience < 1
-        ):
-            raise ReproError(
-                f"ApproxPolicy.patience must be None or an integer >= 1, "
-                f"got {self.patience!r}"
-            )
 
     @property
     def exact(self) -> bool:
         """``True`` when this policy cannot change any answer."""
-        return self.epsilon == 0.0 and self.patience is None
+        return self.epsilon == 0.0
 
     @property
     def relax_sq(self) -> float:
@@ -110,12 +87,12 @@ class ApproxPolicy:
 
     @classmethod
     def default(cls) -> "ApproxPolicy":
-        """The documented opt-in knobs; ``bench/`` measures their recall."""
-        return cls(epsilon=DEFAULT_EPSILON, patience=DEFAULT_PATIENCE)
+        """The documented opt-in knob; ``bench/`` measures its recall."""
+        return cls(epsilon=DEFAULT_EPSILON)
 
-    def wire(self) -> tuple[float, int | None]:
-        """The policy as a plain ``(epsilon, patience)`` tuple."""
-        return (self.epsilon, self.patience)
+    def wire(self) -> tuple[float]:
+        """The policy as a plain ``(epsilon,)`` tuple."""
+        return (self.epsilon,)
 
 
 def resolve_policy(policy: ApproxPolicy | None) -> ApproxPolicy:

@@ -74,17 +74,15 @@ k-NN termination rule against the running best-so-far cutoff (every
 reported distance stays within :math:`(1+\\varepsilon)` of the true
 k-th-NN distance, because the cutoff is itself a reported distance) and
 the range filter against the fixed radius (missed matches confined to
-the :math:`(r/(1+\\varepsilon), r]` annulus); ``patience`` stops
-LB-ordered refinement after that many consecutive candidates without a
-top-k improvement (heuristic; recall is measured, see docs/APPROX.md).
-Members the policy skips are accounted as ``skipped_approx`` — the
-invariant extends to ``pruned + retrievals + quarantined +
-skipped_approx == database_size`` — and the relaxation
-lives *only* in this verifier, never in the candidate generators, so a
-shard router's gathered candidate stream sees exactly the thresholds a
-monolithic index would: sharded-approx ≡ monolithic-approx bit-for-bit.
-The default exact policy multiplies lower bounds by exactly ``1.0`` and
-arms no stop counter, so the exact tier remains the executable spec.
+the :math:`(r/(1+\\varepsilon), r]` annulus).  Members the policy
+skips are accounted as ``skipped_approx`` — the invariant extends to
+``pruned + retrievals + quarantined + skipped_approx == database_size``
+— and the relaxation lives *only* in this verifier, never in the
+candidate generators, so a shard router's gathered candidate stream
+sees exactly the thresholds a monolithic index would: sharded-approx ≡
+monolithic-approx bit-for-bit.
+The default exact policy multiplies lower bounds by exactly ``1.0``, so
+the exact tier remains the executable spec.
 """
 
 from __future__ import annotations
@@ -391,7 +389,7 @@ def _fetch_block_guarded(index, ids: list[int]) -> np.ndarray | None:
 
 
 def _prefetch_block(
-    index, query, block, paid, slack=None
+    index, query, block, paid
 ) -> dict[int, float | None] | None:
     """Bulk-fetch one candidate block and compute its exact distances.
 
@@ -399,22 +397,12 @@ def _prefetch_block(
     with already-quarantined ids mapped to ``None`` (their stats are
     applied when the loop consumes them, in entry order), or ``None``
     when the bulk fetch failed and the block must be consumed per id.
-
-    ``slack`` is the *range* loop's active ε relaxation, a
-    ``(relax_sq, radius_threshold_sq)`` pair: entries whose relaxed
-    lower bound clears the threshold are left unfetched, and the loop
-    accounts them as slack skips with the same predicate.  The threshold
-    must be a constant of the query — k-NN refinement never passes one,
-    because its relaxation lives in the termination rule, against a
-    cutoff that moves.
     """
     quarantine = getattr(index, "_resilience_quarantine", None)
     outcomes: dict[int, float | None] = {}
     fetch_ids: list[int] = []
-    for lb_sq, seq_id in block:
+    for _, seq_id in block:
         if seq_id in paid:
-            continue
-        if slack is not None and lb_sq * slack[0] > slack[1]:
             continue
         if quarantine is not None and seq_id in quarantine:
             outcomes[seq_id] = None
@@ -431,9 +419,7 @@ def _prefetch_block(
     return outcomes
 
 
-def _candidate_blocks(
-    index, query, cands: CandidateSet, slack=None, stop=None
-):
+def _candidate_blocks(index, query, cands: CandidateSet, stop=None):
     """Yield ``(block, prefetched)`` pairs in LB order, lazily.
 
     ``block`` is a run of ``(LB^2, seq_id)`` entries and ``prefetched``
@@ -484,7 +470,7 @@ def _candidate_blocks(
                     yield entries[start:], None
                     return
         block = entries[start:end]
-        yield block, _prefetch_block(index, query, block, cands.paid, slack)
+        yield block, _prefetch_block(index, query, block, cands.paid)
         start = end
 
 
@@ -716,11 +702,11 @@ def _activate_policy(policy: ApproxPolicy, stats: SearchStats) -> ApproxPolicy:
 
     A candidate set that is already degraded — the generator fell back
     to a linear scan, or a gathered shard's generator failed — carries zero
-    lower bounds for the affected members, so neither the ε slack nor
-    the patience stop has an ordered stream to reason about.  Degraded
-    serving promises "exact over every readable member"; approximation
-    is suspended rather than compounded on top of it, and fallback-scan
-    candidates are therefore never counted as ``skipped_approx``.
+    lower bounds for the affected members, so the ε slack has no ordered
+    stream to reason about.  Degraded serving promises "exact over every
+    readable member"; approximation is suspended rather than compounded
+    on top of it, and fallback-scan candidates are therefore never
+    counted as ``skipped_approx``.
     """
     if policy.exact:
         return _EXACT_POLICY
@@ -770,8 +756,6 @@ def _publish_approx(stats: SearchStats) -> None:
         return
     if stats.skipped_approx:
         obs.add("engine.approx.skipped", stats.skipped_approx)
-    if stats.stopped_early:
-        obs.add("engine.approx.early_stops")
 
 
 def _refine_span(policy: ApproxPolicy):
@@ -853,9 +837,7 @@ def _refine_knn(
     is what makes the relaxation sound: every member left behind is
     provably more than ``reported_kth/(1+ε)`` away (relaxing the σ_UB
     filter instead would not be — the members *achieving* σ_UB could
-    themselves be skipped).  ``patience`` consecutive consumed
-    candidates without a top-k improvement stop refinement early; its
-    unit is a candidate at every block size.
+    themselves be skipped).
 
     Blocking (:func:`_candidate_blocks`) and the distance source
     (:func:`_distance_sq`) never change a decision, so results and
@@ -874,15 +856,11 @@ def _refine_knn(
         stats.candidates_pruned += size - len(cands.entries)
 
     relax_sq = policy.relax_sq
-    patience = policy.patience
-
     best: list[tuple[float, int]] = []  # max-heap of (-d^2, -seq_id)
     cutoff_sq = math.inf
     cutoff_id = -1
     consumed = 0
     terminated = False
-    stopped = False
-    unimproved = 0
     stop = (k, relax_sq, lambda: cutoff_sq)  # reads the running cutoff
     for block, prefetched in _candidate_blocks(index, query, cands, stop=stop):
         for lb_sq, seq_id in block:
@@ -897,7 +875,6 @@ def _refine_knn(
             d_sq = _distance_sq(
                 index, query, seq_id, paid, prefetched, cutoff_sq, stats
             )
-            improved = False
             if d_sq is not None and not (
                 len(best) == k and (d_sq, seq_id) >= (cutoff_sq, cutoff_id)
             ):
@@ -908,25 +885,14 @@ def _refine_knn(
                 if len(best) == k:
                     cutoff_sq = -best[0][0]
                     cutoff_id = -best[0][1]
-                improved = True
-            if patience is not None and len(best) == k:
-                unimproved = 0 if improved else unimproved + 1
-                if unimproved >= patience:
-                    stats.stopped_early = stopped = True
-                    break
-        if terminated or stopped:
+        if terminated:
             break
 
     if cands.stream is not None:
         # A stream bounds members lazily, so nothing behind the stopping
-        # point was ever bounded.  After an LB termination the stream's
-        # increasing order prunes all of it; a patience stop proves
-        # nothing about it, so it is the policy's skip.
-        if stopped:
-            stats.skipped_approx += size - consumed
-        else:
-            stats.candidates_pruned += size - consumed
-    elif terminated or stopped:
+        # point was ever bounded, and its increasing order prunes it all.
+        stats.candidates_pruned += size - consumed
+    elif terminated:
         _classify_remaining(
             index, cands.entries[consumed:], paid, cutoff_sq, stats
         )
@@ -947,8 +913,7 @@ def execute_range(
     ``policy`` opts into the approximate tier: candidates whose relaxed
     lower bound clears the radius are skipped, so only hits in the
     ``(radius/(1+ε), radius]`` annulus can be missed; every hit reported
-    is still exact.  ``patience`` does not apply — range verification
-    has no evolving top-k to watch.
+    is still exact.
     """
     policy = resolve_policy(policy)
     query = _validate_query(index, query)
@@ -984,9 +949,11 @@ def _refine_range(
     The abandon threshold is the constant radius-plus-slack, and every
     entry is consumed: no termination, hence no prefetch overshoot
     (``read_calls`` matches ``full_retrievals`` at every block size).
-    Under an ε policy, entries whose relaxed lower bound clears that
-    threshold are neither fetched nor prefetched; they are accounted as
-    slack skips.
+    Under an ε policy, the entries whose relaxed lower bound clears that
+    threshold are masked out before any block is read and accounted as
+    slack skips.  The threshold is a constant of the query and a masked
+    row is never read, so its quarantine state cannot change during the
+    query.
     """
     slack_sq = (radius + RANGE_SLACK) ** 2
     radius_sq = radius * radius
@@ -1003,21 +970,22 @@ def _refine_range(
     stats.candidates_pruned += size - len(entries)
 
     paid = cands.paid
-    # The ε slack reuses the verification threshold (radius plus the
-    # floating-point slack), so at ε=0 the predicate is exactly the
-    # filter the generator already applied and can never fire.
-    slack = (policy.relax_sq, slack_sq) if policy.epsilon > 0.0 else None
-    quarantine = getattr(index, "_resilience_quarantine", None)
-    hits: list[Neighbor] = []
-    for block, prefetched in _candidate_blocks(index, query, cands, slack):
-        for lb_sq, seq_id in block:
-            if (
-                slack is not None
-                and seq_id not in paid
-                and lb_sq * slack[0] > slack[1]
-            ):
+    if policy.epsilon > 0.0:
+        # The ε slack reuses the verification threshold, so at ε=0 the
+        # mask would be exactly the generator's own filter.
+        relax_sq = policy.relax_sq
+        quarantine = getattr(index, "_resilience_quarantine", None)
+        kept = []
+        for entry in entries:
+            lb_sq, seq_id = entry
+            if seq_id not in paid and lb_sq * relax_sq > slack_sq:
                 _note_policy_skip(quarantine, seq_id, stats)
-                continue
+            else:
+                kept.append(entry)
+        cands = replace(cands, entries=kept)
+    hits: list[Neighbor] = []
+    for block, prefetched in _candidate_blocks(index, query, cands):
+        for _, seq_id in block:
             d_sq = _distance_sq(
                 index, query, seq_id, paid, prefetched, slack_sq, stats
             )

@@ -80,8 +80,7 @@ class SearchStats:
         report.
     skipped_approx:
         Candidates an opt-in :class:`~repro.engine.ApproxPolicy` skipped
-        inside the ε slack or left unrefined at a patience stop —
-        neither pruned (exact search might have examined them) nor
+        inside the ε slack — neither pruned (exact search might have examined them) nor
         retrieved.  Always 0 for an exact policy; the invariant becomes
         ``pruned + retrievals + quarantined + skipped_approx ==
         database_size``.  Quarantined members keep their own bucket even
@@ -91,8 +90,10 @@ class SearchStats:
         whether or not it actually changed anything.  An exact answer
         always carries ``False``.
     stopped_early:
-        ``True`` when patience ran out and refinement stopped before
-        its exact termination point (a subset of ``approximate``).
+        Always ``False``: no policy stops refinement before its
+        ε-relaxed termination point.  The field stays because the
+        benchmark harness (``bench/oracle.py``, ``bench/knn.py``) reads
+        it.
     """
 
     full_retrievals: int = 0

@@ -236,10 +236,6 @@ class SequencePageStore:
         sets the accounting unit: a read is charged the pages its
         record touches.  Format-2 files also checksum per page: each
         carries ``page_size - 4`` bytes of payload and its CRC32.
-    verify_checksums:
-        Verify every record's CRC32 on read (default).  Turning it
-        off trades integrity detection for a little CPU — the overhead
-        benchmark prices both paths.
     cache_bytes:
         Byte budget for the hot-read :class:`SequenceCache` in front of
         the block reader.  ``None`` (default) consults the
@@ -262,7 +258,6 @@ class SequencePageStore:
         path,
         sequence_length: int,
         page_size: int = 4096,
-        verify_checksums: bool = True,
         cache_bytes: int | None = None,
         use_mmap: bool | None = None,
         fsync: bool | None = None,
@@ -272,7 +267,6 @@ class SequencePageStore:
         self.sequence_length = int(sequence_length)
         self.page_size = int(page_size)
         self.format_version = 3
-        self.verify_checksums = bool(verify_checksums)
         self.stats = IOStats()
         self._init_fsync(fsync)
         self._init_geometry()
@@ -362,7 +356,6 @@ class SequencePageStore:
         page_size: int | None = None,
         *,
         repair: bool = False,
-        verify_checksums: bool = True,
         cache_bytes: int | None = None,
         use_mmap: bool | None = None,
         fsync: bool | None = None,
@@ -427,7 +420,6 @@ class SequencePageStore:
         store.sequence_length = int(sequence_length)
         store.page_size = int(stored_page_size)
         store.format_version = version
-        store.verify_checksums = bool(verify_checksums)
         store.stats = IOStats()
         store._init_fsync(fsync)
         store._init_geometry()
@@ -614,12 +606,10 @@ class SequencePageStore:
         ``records`` is a C-contiguous 2-D uint8 array holding a record
         at the start of each row.  Returns flat unit numbers
         (``i * units + unit`` for the ``i``-th record checked),
-        ascending; empty with verification off.  Pure: no counter moves.
+        ascending.  Pure: no counter moves.
         The stored CRCs are read through one ``<u4`` view, and
         ``zlib.crc32`` is the only call made per unit.
         """
-        if not self.verify_checksums:
-            return np.empty(0, dtype=np.intp)
         unit, payload, stride = self._unit, self._payload, records.shape[1]
         units = records[:, : self._record_bytes].reshape(
             len(records), self._units, unit

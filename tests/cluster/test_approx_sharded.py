@@ -38,12 +38,8 @@ SHARD_COUNTS = (1, 2, 4, 7)
 #: the monolithic index — is promised there.
 FULL_STREAM_BACKENDS = ("flat", "scan")
 
-POLICIES = [
-    ApproxPolicy(epsilon=0.5),
-    ApproxPolicy(patience=3),
-    ApproxPolicy(epsilon=0.25, patience=5),
-]
-POLICY_IDS = ["epsilon", "patience", "both"]
+POLICIES = [ApproxPolicy(epsilon=0.5)]
+POLICY_IDS = ["epsilon"]
 
 
 def snap(hits, stats):

@@ -27,12 +27,7 @@ from tests.engine.conftest import make_db
 BACKENDS = ("flat", "vptree", "mvptree", "mtree", "rtree", "scan")
 #: Shard backends that take the caller's ``compressor``.
 SKETCH_BACKENDS = ("flat", "vptree", "mvptree")
-POLICIES = (
-    None,
-    ApproxPolicy(epsilon=0.5),
-    ApproxPolicy(patience=3),
-    ApproxPolicy(epsilon=0.25, patience=5),
-)
+POLICIES = (None, ApproxPolicy(epsilon=0.5))
 COMPRESSORS = (None, BestMinErrorCompressor(6))
 
 
@@ -147,5 +142,4 @@ def test_router_after_inserts_answers_like_flat(matrix, queries):
     full = np.vstack([matrix, extra])
     mono = reference("vptree", full, names)
     for query in list(queries) + [extra[3]]:
-        for policy in (None, ApproxPolicy(patience=3)):
-            assert_answers_alike(router, mono, query, 5, 8.0, policy)
+        assert_answers_alike(router, mono, query, 5, 8.0)

@@ -4,7 +4,7 @@ A sketch index bounds every sketch survivor from its resident row codes
 before reading any row (``docs/ENGINE.md``, "The row-code stage").  On
 ordinary rows that bound is tight, and an exact k-NN query reads little
 more than its k answers.  Tests whose premise is that the exact tier
-reads *more* — a patience stop, an ε skip, a corrupt row that some
+reads *more* — an ε skip, a corrupt row that some
 query must reach — pass their rows and queries through :func:`spiked`.
 The same large spike on the same day of every series stretches each
 row's quantisation step to about ``SPIKE / 255``, and with it the code

@@ -1,10 +1,9 @@
 """The canonical structure-of-arrays surface of :class:`SketchDatabase`.
 
-Every packed-array path — batch compression, row views, ``.npz``
-serialisation — funnels through ``from_soa`` / ``soa_blocks``, so this
-file locks that API: field set and dtypes, contiguity caching, the
-precomputed norms block and their bitwise determinism, and round-trips
-through each boundary.
+Every packed-array path — batch compression, row views — funnels
+through ``from_soa`` / ``soa_blocks``, so this file locks that API:
+field set and dtypes, contiguity caching, the precomputed norms block
+and their bitwise determinism, and round-trips through each boundary.
 """
 
 import numpy as np
@@ -145,15 +144,6 @@ class TestNormsHandshake:
 
 
 class TestRoundTrips:
-    def test_save_load_preserves_blocks_and_norms(self, db, tmp_path):
-        path = tmp_path / "db.npz"
-        db.save(path)
-        loaded = SketchDatabase.load(path)
-        assert_databases_equal(db, loaded)
-        # The norms travel in the file: load seeds the cache instead of
-        # recomputing, and the cached block is bitwise identical.
-        assert loaded._norms_cache.tobytes() == db.norms_sq.tobytes()
-
     def test_take_slices_blocks_and_norms_bitwise(self, db):
         rows = [7, 2, 2, 9]
         view = db.take(rows)

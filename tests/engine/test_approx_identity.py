@@ -1,14 +1,13 @@
-"""The exactness contract: ``ApproxPolicy(0.0, None)`` is a no-op.
+"""The exactness contract: ``ApproxPolicy(0.0)`` is a no-op.
 
-ISSUE 10's hardest requirement, as tests: with ``epsilon=0`` and
-``patience=None`` the approximate tier must be *bit-identical* to the
+With ``epsilon=0`` the approximate tier must be *bit-identical* to the
 exact engine — same ids, same float distances, same ordering, and the
 same :class:`~repro.index.results.SearchStats` field for field — for
 every backend, shard count in {1, 2, 4, 7}, and storage mode (cache,
 mmap, worker pool), mirroring ``test_block_identity.py``.  The exact
 relaxation factor multiplies lower bounds by exactly ``1.0`` (an IEEE
-no-op) and arms no stop counter, so nothing may drift: not results,
-not accounting, not the ``approximate`` flag.
+no-op), so nothing may drift: not results, not accounting, not the
+``approximate`` flag.
 """
 
 import dataclasses
@@ -23,7 +22,7 @@ from repro.storage.pagestore import SequencePageStore
 
 BACKENDS = tuple(name for name in available_indexes() if name != "sharded")
 SHARD_COUNTS = (1, 2, 4, 7)
-EXACT = ApproxPolicy(epsilon=0.0, patience=None)
+EXACT = ApproxPolicy(epsilon=0.0)
 
 
 def snap(hits, stats):

@@ -1,4 +1,4 @@
-"""Approximate-tier semantics: the guarantee, the knobs, the accounting.
+"""Approximate-tier semantics: the guarantee, the knob, the accounting.
 
 What a non-exact :class:`~repro.engine.ApproxPolicy` is allowed to do
 and what it must still honour:
@@ -9,9 +9,9 @@ and what it must still honour:
   skipped;
 * the extended accounting invariant — ``pruned + retrievals +
   quarantined + skipped_approx == database_size`` for every answer;
-* the flags — ``approximate`` set whenever a non-exact policy is in
-  effect, ``stopped_early`` only when patience actually fired;
-* the knobs — invalid ``ApproxPolicy`` values fail loudly;
+* the flag — ``approximate`` set whenever a non-exact policy is in
+  effect;
+* the knob — invalid ``ApproxPolicy`` values fail loudly;
 * range search — ε may only lose matches in the
   ``(radius/(1+epsilon), radius]`` annulus.
 """
@@ -47,11 +47,6 @@ class TestPolicyValidation:
         with pytest.raises(ReproError, match="epsilon"):
             ApproxPolicy(epsilon=bad)
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5])
-    def test_bad_patience_rejected(self, bad):
-        with pytest.raises(ReproError, match="patience"):
-            ApproxPolicy(patience=bad)
-
     def test_policy_argument_type_checked(self, matrix):
         index = get_index("flat", matrix)
         with pytest.raises(ReproError, match="ApproxPolicy"):
@@ -83,11 +78,7 @@ class TestEpsilonGuarantee:
 def test_extended_invariant_holds(matrix, queries, backend):
     index = get_index(backend, matrix)
     size = len(index)
-    for policy in (
-        ApproxPolicy(epsilon=1.0),
-        ApproxPolicy(patience=1),
-        ApproxPolicy(epsilon=0.5, patience=2),
-    ):
+    for policy in (ApproxPolicy(epsilon=1.0), ApproxPolicy(epsilon=0.5)):
         for query in queries:
             _, stats = index.search(query, k=3, policy=policy)
             assert (
@@ -114,52 +105,14 @@ def test_slack_skips_save_retrievals(matrix, queries):
     assert approx_stats.stopped_early is False
 
 
-def test_patience_stop_sets_flag(matrix, queries):
-    """patience=1 stops after the first unimproving candidate."""
-    # Spiked: the exact tier must read past its k answers.
-    index = get_index("flat", spiked(matrix))
-    query = spiked(queries[0])
-    _, stats = index.search(query, k=3, policy=ApproxPolicy(patience=1))
-    assert stats.stopped_early is True
-    assert stats.approximate is True
-    # Epsilon stayed 0: nothing may be skipped by slack, only left
-    # unrefined at the stop.
-    _, exact_stats = index.search(query, k=3)
-    assert stats.full_retrievals <= exact_stats.full_retrievals
-
-
-def test_huge_patience_never_fires(matrix, queries):
-    index = get_index("flat", matrix)
-    query = queries[0]
-    exact_hits, exact_stats = index.search(query, k=5)
-    hits, stats = index.search(
-        query, k=5, policy=ApproxPolicy(patience=10_000)
-    )
-    assert stats.stopped_early is False
-    assert stats.approximate is True
-    assert [(h.distance, h.seq_id) for h in hits] == [
-        (h.distance, h.seq_id) for h in exact_hits
-    ]
-    assert stats.full_retrievals == exact_stats.full_retrievals
-
-
-def test_stream_backend_patience_counts_unconsumed_skipped(matrix, queries):
-    """R-tree streams: a patience stop leaves the tail bounded nowhere,
-    so it is the policy's skip (``skipped_approx``), never a prune — the
-    stream pruned nothing it did not reach — and the invariant closes."""
+def test_stream_backend_books_the_tail_pruned(matrix, queries):
+    """R-tree streams bound members lazily: whatever the stream did not
+    reach when refinement terminated is pruned, under ε as when exact."""
     index = get_index("rtree", matrix)
-    _, stats = index.search(queries[0], k=3, policy=ApproxPolicy(patience=1))
-    assert stats.stopped_early is True
-    assert stats.candidates_pruned == 0
-    assert stats.skipped_approx == len(index) - stats.full_retrievals
-    assert stats.skipped_approx > 0
-    # An LB termination on the same stream is still a genuine prune.
-    _, exact_stats = index.search(queries[0], k=3)
-    assert exact_stats.skipped_approx == 0
-    assert (
-        exact_stats.candidates_pruned + exact_stats.full_retrievals
-        == len(index)
-    )
+    for policy in (None, ApproxPolicy(epsilon=2.0)):
+        _, stats = index.search(queries[0], k=3, policy=policy)
+        assert stats.skipped_approx == 0
+        assert stats.candidates_pruned + stats.full_retrievals == len(index)
 
 
 def test_scan_backend_policy_is_inert(matrix, queries):
@@ -197,40 +150,17 @@ def test_range_epsilon_misses_only_the_annulus(matrix, queries, backend):
                 assert hit.seq_id in reported, (backend, hit)
 
 
-def test_range_patience_does_not_apply(matrix, queries):
-    """Range refinement has no top-k to stop improving; patience is a
-    k-NN knob and must not fire."""
-    index = get_index("flat", matrix)
-    query = queries[0]
-    far, _ = index.search(query, k=9)
-    exact_hits, _ = index.range_search(query, radius=far[4].distance)
-    hits, stats = index.range_search(
-        query,
-        radius=far[4].distance,
-        policy=ApproxPolicy(patience=1),
-    )
-    assert stats.stopped_early is False
-    assert [(h.distance, h.seq_id) for h in hits] == [
-        (h.distance, h.seq_id) for h in exact_hits
-    ]
-
-
 @pytest.mark.parametrize("backend", LB_BACKENDS)
 @pytest.mark.parametrize(
     "policy",
-    [
-        ApproxPolicy(epsilon=0.5),
-        ApproxPolicy(patience=2),
-        ApproxPolicy(epsilon=0.3, patience=4),
-    ],
-    ids=["epsilon", "patience", "both"],
+    [ApproxPolicy(epsilon=0.5)],
+    ids=["epsilon"],
 )
 def test_blocked_verifier_identical_under_any_policy(
     matrix, queries, backend, policy, monkeypatch
 ):
-    """The blocked path replays the scalar decisions for *every* policy:
-    ε relaxes the same termination comparison and patience is counted
-    per consumed candidate inside the replay, so results and stats are
+    """The blocked path replays the scalar decisions under ε too: it
+    relaxes the same termination comparison, so results and stats are
     bit-identical regardless of ``REPRO_VERIFY_BLOCK``."""
     import dataclasses
 
@@ -257,7 +187,7 @@ def test_batched_approx_matches_per_query(matrix, queries):
     import dataclasses
 
     index = get_index("flat", matrix)
-    policy = ApproxPolicy(epsilon=0.5, patience=3)
+    policy = ApproxPolicy(epsilon=0.5)
     batch = np.stack(queries)
     batched = search_many(index, batch, k=5, policy=policy)
     for query, (hits, stats) in zip(queries, batched):
@@ -275,11 +205,9 @@ def test_obs_counters_published(matrix, queries):
     registry = obs.enable()
     try:
         index.search(query, k=3, policy=ApproxPolicy(epsilon=2.0))
-        index.search(query, k=3, policy=ApproxPolicy(patience=1))
         index.search(query, k=3)  # exact: no approx counters
-        assert registry.counter("engine.approx.queries").value == 2
+        assert registry.counter("engine.approx.queries").value == 1
         assert registry.counter("engine.approx.skipped").value > 0
-        assert registry.counter("engine.approx.early_stops").value == 1
         prefix = f"{index.obs_name}.search"
         assert registry.counter(f"{prefix}.skipped_approx").value > 0
     finally:

@@ -5,7 +5,8 @@ or the per-id scalar kernel at 0/1), never what the loop decides — so
 for any database, backend, ``k``, block size and policy, the answer *and*
 every :class:`~repro.index.results.SearchStats` field must equal the
 block-0 run, the extended pruning invariant must close, and an exact
-policy must agree with a numpy brute force.  The databases carry planted
+policy must agree with a numpy brute force.  Every ε policy keeps the
+(1+ε) guarantee against that brute force, at every block size.  The databases carry planted
 duplicate rows (exact distance ties, broken by id) and a constant row;
 rows and queries are standardised, where the sketch bounds are tight.
 A second law draws raw rows, whose DC is not zero (offsets, counts,
@@ -23,15 +24,11 @@ from hypothesis import strategies as st
 
 from repro.engine import ApproxPolicy, available_indexes, get_index
 from repro.timeseries import zscore
+from tests.coarse_codes import spiked
 
 BACKENDS = tuple(name for name in available_indexes() if name != "sharded")
 BLOCK_SIZES = (0, 1, 2, 3, 7, 256)
-POLICIES = (
-    ApproxPolicy(),
-    ApproxPolicy(epsilon=0.3),
-    ApproxPolicy(patience=2),
-    ApproxPolicy(epsilon=0.3, patience=2),
-)
+POLICIES = (ApproxPolicy(), ApproxPolicy(epsilon=0.3))
 LENGTH = 32
 
 
@@ -104,6 +101,48 @@ def test_any_block_size_equals_block_zero(db, backend, block, policy, data):
             np.testing.assert_allclose(
                 [d for d, _ in hits], brute[ids], atol=1e-9
             )
+
+
+EPSILONS = (0.05, 0.3, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    databases(),
+    st.sampled_from(BACKENDS),
+    st.sampled_from((0, 1, 3, 256)),
+    st.sampled_from(EPSILONS),
+    st.data(),
+)
+def test_every_epsilon_answer_keeps_its_guarantee(db, backend, block, epsilon, data):
+    """The (1+ε) law: a k-NN answer holds k members at their true
+    distances, none beyond ``(1+ε)`` times the true k-th; a range answer
+    holds no outsider and misses only the ``(r/(1+ε), r]`` annulus.
+    Tight row codes leave the relaxed loop little to skip, so half the
+    draws are spiked, where the codes are coarse (tests/coarse_codes.py)."""
+    matrix, query = db
+    if data.draw(st.booleans(), label="coarse codes"):
+        matrix, query = spiked(matrix), spiked(query)
+    k = data.draw(st.integers(1, len(matrix)), label="k")
+    policy = ApproxPolicy(epsilon=epsilon)
+    index = get_index(backend, matrix)
+    brute = np.sqrt(((matrix - query) ** 2).sum(axis=1))
+    truth = np.sort(brute)
+
+    hits, _ = run(index, block, lambda ix: ix.search(query, k=k, policy=policy))
+    ids = [i for _, i in hits]
+    assert len(set(ids)) == len(ids) == k
+    np.testing.assert_allclose([d for d, _ in hits], brute[ids], atol=1e-9)
+    assert max(d for d, _ in hits) <= (1 + epsilon) * truth[k - 1] + 1e-9
+
+    radius = truth[k - 1] * (1 + 1e-9) + 1e-9
+    hits, _ = run(
+        index, block, lambda ix: ix.range_search(query, radius, policy=policy)
+    )
+    reported = {i for _, i in hits}
+    assert all(brute[i] <= radius + 1e-9 for i in reported)
+    inner = np.flatnonzero(brute < radius / (1 + epsilon) - 1e-9)
+    assert set(inner.tolist()) <= reported
 
 
 def test_a_row_whose_bounds_round_apart_keeps_its_place():

@@ -1,11 +1,9 @@
-"""Round-trip persistence tests for collections and sketch databases."""
+"""Round-trip persistence tests for time-series collections."""
 
 import numpy as np
 import pytest
 
-from repro import QueryLogGenerator, SketchDatabase, StorageBudget
-from repro.bounds import batch_bounds
-from repro.spectral import Spectrum
+from repro import QueryLogGenerator
 from repro.timeseries import TimeSeriesCollection
 
 
@@ -31,41 +29,3 @@ class TestCollectionPersistence:
         loaded = TimeSeriesCollection.load(path)
         series = loaded[collection.names[0]]
         assert series.standardize().is_standardized()
-
-
-class TestSketchDatabasePersistence:
-    @pytest.mark.parametrize("method", ["gemini", "wang", "best_min_error"])
-    def test_roundtrip_preserves_bounds(self, collection, tmp_path, method):
-        matrix = collection.standardize().as_matrix()
-        db = SketchDatabase.from_matrix(
-            matrix,
-            StorageBudget(8).compressor(method),
-            names=list(collection.names),
-        )
-        path = tmp_path / f"{method}.npz"
-        db.save(path)
-        loaded = SketchDatabase.load(path)
-
-        assert loaded.n == db.n
-        assert loaded.method == db.method
-        assert loaded.names == db.names
-        query = Spectrum.from_series(matrix[0])
-        lb_a, ub_a = batch_bounds(query, db)
-        lb_b, ub_b = batch_bounds(query, loaded)
-        np.testing.assert_allclose(lb_a, lb_b)
-        np.testing.assert_allclose(ub_a, ub_b)
-
-    def test_sketches_roundtrip(self, collection, tmp_path):
-        matrix = collection.standardize().as_matrix()
-        db = SketchDatabase.from_matrix(
-            matrix, StorageBudget(8).compressor("best_min_error")
-        )
-        path = tmp_path / "db.npz"
-        db.save(path)
-        loaded = SketchDatabase.load(path)
-        for row in (0, len(db) - 1):
-            a, b = db.sketch(row), loaded.sketch(row)
-            np.testing.assert_array_equal(a.positions, b.positions)
-            np.testing.assert_allclose(a.coefficients, b.coefficients)
-            assert a.error == pytest.approx(b.error)
-            assert a.min_power == pytest.approx(b.min_power)

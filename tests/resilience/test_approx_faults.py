@@ -36,12 +36,8 @@ BACKENDS = available_indexes()
 K = 3
 FAST = RetryPolicy(sleep=lambda s: None)
 
-POLICIES = [
-    ApproxPolicy(epsilon=1.0),
-    ApproxPolicy(patience=2),
-    ApproxPolicy(epsilon=0.5, patience=4),
-]
-POLICY_IDS = ["epsilon", "patience", "both"]
+POLICIES = [ApproxPolicy(epsilon=1.0)]
+POLICY_IDS = ["epsilon"]
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +87,7 @@ def test_quarantine_is_never_counted_skipped_approx(name, workload, policy):
 def test_transient_faults_keep_approx_answers_identical(name, workload):
     """Bounded retries are invisible to the policy's decisions."""
     matrix, queries = workload
-    policy = ApproxPolicy(epsilon=0.5, patience=8)
+    policy = ApproxPolicy(epsilon=0.5)
     baseline = [
         get_index(name, matrix).search(query, K, policy=policy)
         for query in queries
@@ -143,7 +139,7 @@ class _BrokenGenerator:
 
 
 def test_fallback_scan_suspends_the_policy(workload):
-    """A degraded candidate set is served exactly: no slack, no stop."""
+    """A degraded candidate set is served exactly: no slack."""
     matrix, queries = workload
     exact_degraded = _BrokenGenerator(
         get_index("vptree", matrix), ReproError("traversal exploded")
@@ -151,7 +147,7 @@ def test_fallback_scan_suspends_the_policy(workload):
     approx_degraded = _BrokenGenerator(
         get_index("vptree", matrix), ReproError("traversal exploded")
     )
-    policy = ApproxPolicy(epsilon=2.0, patience=1)
+    policy = ApproxPolicy(epsilon=2.0)
     with obs.observed() as registry, policy_context(FAST):
         expected = [exact_degraded.search(query, K) for query in queries]
         got = [

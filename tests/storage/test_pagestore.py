@@ -272,17 +272,6 @@ class TestCorruptionDetection:
             # Maintenance reads bypass the experiment's I/O accounting.
             assert store.stats.pages_read == 0
 
-    def test_verify_checksums_off_skips_detection(self, tmp_path):
-        path, matrix, offsets = self._filled(tmp_path)
-        self._damage(path, offsets[0] + 100)
-        with SequencePageStore.open(path, verify_checksums=False) as store:
-            garbled = store.read(0)  # no raise: caller opted out
-            assert garbled.shape == matrix[0].shape
-            assert not np.array_equal(garbled, matrix[0])
-        with SequencePageStore.open(path) as store:
-            with pytest.raises(CorruptionError):
-                store.read(0)
-
 
 class TestFileFormat:
     """What new stores write: format 3, one ``row || crc32`` record each."""

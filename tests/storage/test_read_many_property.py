@@ -113,7 +113,6 @@ def state(store):
     fmt=st.sampled_from([2, 3]),
     budget=st.sampled_from(BUDGETS),
     use_mmap=st.booleans(),
-    verify=st.booleans(),
     damage=DAMAGE,
     blocks=st.lists(IDS, min_size=1, max_size=3),
 )
@@ -121,33 +120,33 @@ def state(store):
 # too, though the id was cached when the block began.
 @example(
     rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=False,
-    verify=True, damage=None, blocks=[[0, 1, 2], [3, 0]],
+    damage=None, blocks=[[0, 1, 2], [3, 0]],
 )
 # An id twice in one block: a miss, then a hit on what the miss inserted.
 @example(
     rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=True,
-    verify=True, damage=None, blocks=[[2, 2, 1, 2]],
+    damage=None, blocks=[[2, 2, 1, 2]],
 )
 # A block longer than the cache: its early hit on 2 is evicted by the
 # misses after it, in the same block.
 @example(
     rows=8, length=16, fmt=3, budget="a few blocks", use_mmap=False,
-    verify=True, damage=None, blocks=[[0, 1, 2], [2, 3, 4, 5]],
+    damage=None, blocks=[[0, 1, 2], [2, 3, 4, 5]],
 )
 # All hits: in reverse LRU order on a full cache, then a block longer
 # than the capacity (only repeats make one).
 @example(
     rows=4, length=16, fmt=3, budget="a few blocks", use_mmap=False,
-    verify=True, damage=None, blocks=[[0, 1, 2], [2, 1, 0], [0, 1, 2, 0, 1, 2, 0]],
+    damage=None, blocks=[[0, 1, 2], [2, 1, 0], [0, 1, 2, 0, 1, 2, 0]],
 )
 # A damaged block on a full cache: the block's misses were read beside
 # the cached records, which must all still be there for the last block.
 @example(
     rows=6, length=16, fmt=3, budget="a few blocks", use_mmap=False,
-    verify=True, damage=("flip", 0.55), blocks=[[0, 1, 2], [3, 4], [2, 1, 0]],
+    damage=("flip", 0.55), blocks=[[0, 1, 2], [3, 4], [2, 1, 0]],
 )
 def test_read_many_is_the_per_id_loop(
-    rows, length, fmt, budget, use_mmap, verify, damage, blocks
+    rows, length, fmt, budget, use_mmap, damage, blocks
 ):
     matrix = np.random.default_rng(rows * 100 + length).normal(size=(rows, length))
     with tempfile.TemporaryDirectory() as directory:
@@ -156,7 +155,6 @@ def test_read_many_is_the_per_id_loop(
         options = dict(
             cache_bytes=budget_bytes(budget, rows, block),
             use_mmap=use_mmap,
-            verify_checksums=verify,
         )
         # Both twins open before any damage: a cut tail must not stop open().
         with SequencePageStore.open(path, **options) as batched, \
