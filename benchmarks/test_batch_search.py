@@ -16,6 +16,7 @@ The measured configuration and speedups append to the ``BENCH_batch.json``
 trend at the repo root (one timestamped entry per run).
 """
 
+import gc
 import json
 import math
 import os
@@ -31,6 +32,21 @@ from repro.evaluation import format_table
 
 BENCH_JSON = REPO_ROOT / "BENCH_batch.json"
 
+#: Alternated runs per leg; each leg's best counts.
+REPEATS = 3
+
+
+def timed(run):
+    """``run()``'s wall clock and result, with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        result = run()
+        return time.perf_counter() - started, result
+    finally:
+        gc.enable()
+
 
 def test_batch_search_throughput(database_matrix, query_matrix, report):
     matrix = database_matrix[:4096]
@@ -43,18 +59,13 @@ def test_batch_search_throughput(database_matrix, query_matrix, report):
     compressor = StorageBudget(16).compressor("best_min_error")
     index = get_index("flat", matrix, compressor=compressor)
 
-    started = time.perf_counter()
-    singles = [index.search(query, k=k) for query in queries]
-    single_wall = time.perf_counter() - started
-
-    started = time.perf_counter()
-    serial = search_many(index, queries, k=k)
-    serial_wall = time.perf_counter() - started
-
-    # One warm worker per shard over the same matrix, started during
-    # the untimed build; take the better of two runs, as steady-state
-    # throughput is what the path exists for.
-    pooled_wall = math.inf
+    # One warm worker per shard over the same matrix, started during the
+    # untimed build.  Each leg's wall is the best of REPEATS alternated
+    # runs with the collector off: steady-state throughput is what the
+    # paths exist for, and one collection or one burst of other load on
+    # the host should not decide the ratio.
+    walls = dict.fromkeys(("singles", "serial", "pooled"), math.inf)
+    results = {}
     with build_sharded(
         matrix,
         shards=shards,
@@ -62,10 +73,17 @@ def test_batch_search_throughput(database_matrix, query_matrix, report):
         compressor=compressor,
         worker_pool=True,
     ) as router:
-        for _ in range(2):
-            started = time.perf_counter()
-            pooled = search_many(router, queries, k=k)
-            pooled_wall = min(pooled_wall, time.perf_counter() - started)
+        legs = {
+            "singles": lambda: [index.search(query, k=k) for query in queries],
+            "serial": lambda: search_many(index, queries, k=k),
+            "pooled": lambda: search_many(router, queries, k=k),
+        }
+        for _ in range(REPEATS):
+            for leg, run in legs.items():
+                wall, results[leg] = timed(run)
+                walls[leg] = min(walls[leg], wall)
+    singles, serial, pooled = results.values()
+    single_wall, serial_wall, pooled_wall = walls.values()
 
     def as_pairs(results):
         return [[(h.distance, h.seq_id) for h in hits] for hits, _ in results]

@@ -339,22 +339,24 @@ class ShardRouter:
                 tracker.offer(upper)
         sigma_sq = tracker.sigma_sq()
         paid: dict[int, float] = {}
-        entries: list[tuple[float, int]] = []
         generated = 0
         for global_ids, cands in zip(self._global_ids, shard_sets):
             for local, d_sq in cands.paid.items():
                 paid[int(global_ids[local])] = d_sq
             generated += cands.generated
-            entries.extend(
-                (lb_sq, int(global_ids[local]))
-                for lb_sq, local in cands.entries
-            )
-        entries = sorted(
-            entry for entry in entries
-            if entry[0] <= sigma_sq or entry[1] in paid
-        )
-        return CandidateSet(
-            entries=entries,
+        lb_sq = np.concatenate([cands.lb_sq for cands in shard_sets])
+        ids = np.concatenate([
+            global_ids[cands.ids]
+            for global_ids, cands in zip(self._global_ids, shard_sets)
+        ])
+        keep = lb_sq <= sigma_sq
+        if paid:
+            keep |= np.isin(ids, list(paid))
+        lb_sq, ids = lb_sq[keep], ids[keep]
+        order = np.lexsort((ids, lb_sq))
+        return CandidateSet.from_arrays(
+            lb_sq[order],
+            ids[order],
             generated=generated,
             sigma_sq=sigma_sq,
             paid=paid,

@@ -29,7 +29,7 @@ stored with an infinite ``step``, which the bounds map to 0 and
 Codes are per row and their build is exact-order independent (the code
 sums are integers), so :meth:`take` of a built database is bitwise equal
 to building over the selected rows — the premise of sharded ≡
-monolithic — and :meth:`appended` equals a rebuild.
+monolithic — and :meth:`appended` and :meth:`stacked` equal a rebuild.
 """
 
 from __future__ import annotations
@@ -139,11 +139,16 @@ class RowCodes:
     def appended(self, values) -> "RowCodes":
         """A new set with the row ``values`` quantised and appended."""
         row = RowCodes.from_matrix(np.asarray(values, dtype=np.float64)[None])
+        return RowCodes.stacked((self, row))
+
+    @staticmethod
+    def stacked(parts) -> "RowCodes":
+        """The rows of ``parts``, one set after another, as one set."""
         return RowCodes(
-            np.concatenate((self.lo, row.lo)),
-            np.concatenate((self.step, row.step)),
-            np.concatenate((self.codes, row.codes)),
-            np.concatenate((self.norms_sq, row.norms_sq)),
+            np.concatenate([part.lo for part in parts]),
+            np.concatenate([part.step for part in parts]),
+            np.concatenate([part.codes for part in parts]),
+            np.concatenate([part.norms_sq for part in parts]),
         )
 
     def bounds_sq(

@@ -59,14 +59,18 @@ blocking, with equality at block size 0.
 
 **Row-code stage.**  Between generation and refinement,
 :func:`_code_stage` bounds every sketch survivor of an index that holds
-resident :class:`~repro.compression.codes.RowCodes` (the sketch indexes
-and the shard router's filter): a k-NN set's lower bounds are raised to
-``max(sketch, code)``, the entries above the k-th smallest code upper
-bound are dropped and the rest re-sorted, so termination fires after
-about k + 5 rows; a range set loses the entries the codes prove outside
-the radius.  Dropped entries are booked as pruned.  The sketch measures
+resident :class:`~repro.compression.codes.RowCodes` (the sketch indexes,
+the shard router's filter, and the stream union over either): a k-NN
+set's lower bounds are raised to ``max(sketch, code)``, the entries
+above the k-th smallest code upper bound are dropped and the rest
+re-sorted, so termination fires after about k + 5 rows; a range set
+loses the entries the codes prove outside the radius.  Dropped entries
+are booked as pruned.  The sketch measures
 (``candidates_after_sub_filter`` and the traversal counters) are left as
-the generator made them; streams and degraded sets skip the stage.
+the generator made them; streams and degraded sets skip the stage.  A
+candidate set holds its survivors as two arrays, ``lb_sq`` and ``ids``,
+so the stage bounds them without building a pair per entry; only its
+survivors (about k + 10) become Python pairs for refinement.
 
 **Approximate tier (opt-in).**  ``execute_knn``/``execute_range`` accept
 an :class:`~repro.engine.approx.ApproxPolicy`: ``epsilon`` relaxes the
@@ -87,11 +91,12 @@ the exact tier remains the executable spec.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from bisect import bisect_right
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Protocol, runtime_checkable
 
@@ -191,17 +196,47 @@ class EngineIndex(Protocol):
         ...
 
 
+class _Survivors:
+    """The ``entries`` field of :class:`CandidateSet`: pairs in, arrays kept.
+
+    Setting it converts ``(LB^2, seq_id)`` pairs into the set's
+    ``lb_sq`` / ``ids`` arrays, the one stored form; reading it derives
+    the pairs back, as Python numbers.  Reading on the class gives the
+    field's default, an empty tuple.
+    """
+
+    def __get__(self, cands, owner=None):
+        if cands is None:
+            return ()
+        return list(zip(cands.lb_sq.tolist(), cands.ids.tolist()))
+
+    def __set__(self, cands, pairs) -> None:
+        pairs = list(pairs)
+        cands.lb_sq = np.array([lb for lb, _ in pairs], dtype=np.float64)
+        cands.ids = np.array([seq_id for _, seq_id in pairs], dtype=np.intp)
+
+
 @dataclass
 class CandidateSet:
     """What one traversal hands to the shared verifier.
 
+    The survivors are stored once, as two aligned arrays.  Producers that
+    bound with numpy (the flat filter, the range filter, the tree walk,
+    the stream union) hand theirs over through :meth:`from_arrays`,
+    ascending by ``(LB^2, seq_id)``; a generator that collects Python
+    pairs passes ``entries=[...]``, converted on the way in.
+
     Attributes
     ----------
-    entries:
-        ``(LB^2, seq_id)`` pairs surviving the generator's filter
+    lb_sq / ids:
+        ``float64`` lower bounds and ``intp`` sequence ids of the
+        members surviving the generator's filter
         (:math:`LB \\le \\sigma_{UB}` for k-NN, :math:`LB \\le r` for
-        range search), sorted ascending.  Lower bounds are *squared*
+        range search), ascending for k-NN.  Lower bounds are *squared*
         distances.
+    entries:
+        The same survivors as ``(LB^2, seq_id)`` pairs of Python
+        numbers, derived from the arrays on each read.
     generated:
         Candidates bounded during the traversal, before the SUB filter
         (for the k-NN accounting).  ``None`` marks a streaming generator
@@ -213,7 +248,7 @@ class CandidateSet:
         already counted as ``full_retrievals``), keyed by sequence id.
         The verifier reuses them instead of re-fetching.
     stream:
-        Alternative to ``entries`` for incremental generators (the GEMINI
+        Alternative to the arrays for incremental generators (the GEMINI
         R-tree): an iterator yielding ``(LB^2, seq_id)`` in increasing
         order, consumed lazily so unvisited members are never bounded.
     code_pruned:
@@ -231,13 +266,32 @@ class CandidateSet:
         a monolithic traversal.
     """
 
-    entries: list[tuple[float, int]] = field(default_factory=list)
+    entries: list[tuple[float, int]] = _Survivors()
     generated: int | None = 0
     sigma_sq: float = math.inf
     paid: dict[int, float] = field(default_factory=dict)
     stream: Iterator[tuple[float, int]] | None = None
     top_ubs: tuple[float, ...] = ()
     code_pruned: int = 0
+
+    @classmethod
+    def from_arrays(
+        cls, lb_sq: np.ndarray, ids: np.ndarray, **fields
+    ) -> "CandidateSet":
+        """A set holding the survivor arrays ``(lb_sq, ids)`` as given."""
+        cands = cls(**fields)
+        cands.lb_sq, cands.ids = lb_sq, ids
+        return cands
+
+    def survivors(
+        self, lb_sq: np.ndarray, ids: np.ndarray, **changes
+    ) -> "CandidateSet":
+        """A copy holding ``(lb_sq, ids)`` as its survivors."""
+        kept = copy.copy(self)
+        kept.lb_sq, kept.ids = lb_sq, ids
+        for name, value in changes.items():
+            setattr(kept, name, value)
+        return kept
 
 
 class SigmaTracker:
@@ -307,12 +361,10 @@ def candidates_from_bound_arrays(
         smallest = finite
         sigma = math.inf
         survivor_ids = np.arange(count)
-    lb = lower[survivor_ids]
-    order = np.argsort(lb, kind="stable")
-    lb_sq = lb[order] ** 2
-    ids = survivor_ids[order]
-    return CandidateSet(
-        entries=list(zip(lb_sq.tolist(), ids.tolist())),
+    lb_sq, ids = _ascending(lower[survivor_ids] ** 2, survivor_ids)
+    return CandidateSet.from_arrays(
+        lb_sq,
+        ids,
         generated=count,
         sigma_sq=sigma * sigma,
         top_ubs=tuple(np.sort(smallest).tolist()),
@@ -323,15 +375,22 @@ def candidates_in_range(lower: np.ndarray, radius: float) -> CandidateSet:
     """Range filter over a whole-database lower-bound array.
 
     Keeps every member whose lower bound is within ``radius`` (plus
-    :data:`RANGE_SLACK`), in id order; the verifier needs no LB order
-    for a fixed radius.
+    :data:`RANGE_SLACK`), ascending by ``(LB^2, seq_id)`` like every
+    array producer.
     """
     survivor_ids = np.flatnonzero(lower <= radius + RANGE_SLACK)
-    lb_sq = lower[survivor_ids] ** 2
-    return CandidateSet(
-        entries=list(zip(lb_sq.tolist(), survivor_ids.tolist())),
-        generated=int(lower.size),
-    )
+    lb_sq, ids = _ascending(lower[survivor_ids] ** 2, survivor_ids)
+    return CandidateSet.from_arrays(lb_sq, ids, generated=int(lower.size))
+
+
+def _ascending(lb_sq: np.ndarray, ids: np.ndarray):
+    """``(lb_sq, ids)`` reordered ascending by ``(LB^2, seq_id)``.
+
+    ``ids`` must already ascend, so a stable sort on the bounds alone
+    breaks their ties by id.
+    """
+    order = np.argsort(lb_sq, kind="stable")
+    return lb_sq[order], ids[order].astype(np.intp, copy=False)
 
 
 def fetch_block(index, ids) -> np.ndarray:
@@ -422,14 +481,16 @@ def _prefetch_block(
 def _candidate_blocks(index, query, cands: CandidateSet, stop=None):
     """Yield ``(block, prefetched)`` pairs in LB order, lazily.
 
-    ``block`` is a run of ``(LB^2, seq_id)`` entries and ``prefetched``
+    ``block`` is a run of ``(LB^2, seq_id)`` pairs and ``prefetched``
     what :func:`_prefetch_block` made of it, or ``None`` when its
-    distances must come per id.  Laziness matters: a loop that stops
-    never reads the blocks behind its stopping point, quarantine
-    membership is re-sampled per block (a per-id fetch may quarantine
-    rows mid-query), and a stream — single-item blocks, never
-    prefetched — never bounds a member the loop did not reach.  Block
-    size 0 or 1 is the whole entry list as one unprefetched block.
+    distances must come per id.  The candidate arrays become pairs
+    here, once per query, after the code stage has cut them down.
+    Laziness matters: a loop that stops never reads the blocks behind
+    its stopping point, quarantine membership is re-sampled per block (a
+    per-id fetch may quarantine rows mid-query), and a stream —
+    single-item blocks, never prefetched — never bounds a member the
+    loop did not reach.  Block size 0 or 1 is the whole entry list as
+    one unprefetched block.
 
     ``stop`` is the k-NN loop's termination rule, a ``(k, relax_sq,
     cutoff_sq)`` triple whose ``cutoff_sq`` reads the loop's running
@@ -606,8 +667,8 @@ def _retry_fetch(index, seq_id: int, first_error: OSError):
 
 def _fallback_candidates(size: int) -> CandidateSet:
     """The degenerate exhaustive candidate set (linear-scan fallback)."""
-    return CandidateSet(
-        entries=[(0.0, seq_id) for seq_id in range(size)], generated=size
+    return CandidateSet.from_arrays(
+        np.zeros(size), np.arange(size, dtype=np.intp), generated=size
     )
 
 
@@ -667,28 +728,25 @@ def _code_stage(
     of at most ``k`` entries, all of which refinement reads anyway.
     """
     codes = getattr(index, "row_codes", None)
-    entries = cands.entries
     if codes is None or cands.stream is not None or stats.degraded:
         return cands
-    if len(entries) <= (k or 0):
+    ids = cands.ids
+    if ids.size <= (k or 0):
         return cands
-    table = np.array(entries)
-    sketch_sq = table[:, 0]
-    ids = table[:, 1].astype(np.intp)
     lower, upper = codes.bounds_sq(query, ids)
     if radius is None:
-        lower = np.maximum(sketch_sq, lower)
+        lower = np.maximum(cands.lb_sq, lower)
         keep = lower <= np.partition(upper, k - 1)[k - 1]
-        lower, ids = lower[keep], ids[keep]
+        lower, kept = lower[keep], ids[keep]
         order = np.argsort(lower, kind="stable")
-        kept = list(zip(lower[order].tolist(), ids[order].tolist()))
+        lb_sq, kept = lower[order], kept[order]
     else:
-        keep = (lower <= (radius + RANGE_SLACK) ** 2).tolist()
-        kept = [entry for entry, inside in zip(entries, keep) if inside]
-    dropped = len(entries) - len(kept)
+        keep = lower <= (radius + RANGE_SLACK) ** 2
+        lb_sq, kept = cands.lb_sq[keep], ids[keep]
+    dropped = ids.size - kept.size
     if dropped:
         obs.add("engine.codes.pruned", dropped)
-    return replace(cands, entries=kept, code_pruned=dropped)
+    return cands.survivors(lb_sq, kept, code_pruned=dropped)
 
 
 # ----------------------------------------------------------------------
@@ -731,8 +789,13 @@ def _note_policy_skip(quarantine, seq_id: int, stats: SearchStats) -> None:
         stats.skipped_approx += 1
 
 
+def _unpaid_mask(ids: np.ndarray, paid) -> np.ndarray:
+    """Which ``ids`` the traversal did not already pay a distance for."""
+    return np.array([seq_id not in paid for seq_id in ids.tolist()], bool)
+
+
 def _classify_remaining(
-    index, remaining, paid, cutoff_sq: float, stats: SearchStats
+    index, lb_sq, ids, paid, cutoff_sq: float, stats: SearchStats
 ) -> None:
     """Account the entries a stopped refinement loop left unexamined.
 
@@ -741,14 +804,14 @@ def _classify_remaining(
     approximate policy it is what the exact engine would have pruned
     too, and anything else is the policy's skip.
     """
+    if paid:
+        unpaid = _unpaid_mask(ids, paid)
+        lb_sq, ids = lb_sq[unpaid], ids[unpaid]
+    above = lb_sq > cutoff_sq
+    stats.candidates_pruned += int(np.count_nonzero(above))
     quarantine = getattr(index, "_resilience_quarantine", None)
-    for lb_sq, seq_id in remaining:
-        if seq_id in paid:
-            continue
-        if lb_sq > cutoff_sq:
-            stats.candidates_pruned += 1
-        else:
-            _note_policy_skip(quarantine, seq_id, stats)
+    for seq_id in ids[~above].tolist():
+        _note_policy_skip(quarantine, seq_id, stats)
 
 
 def _publish_approx(stats: SearchStats) -> None:
@@ -847,13 +910,12 @@ def _refine_knn(
     """
     paid = cands.paid
     if cands.stream is None:
+        count = int(cands.ids.size)
         stats.candidates_after_traversal = cands.generated
-        stats.candidates_after_sub_filter = (
-            len(cands.entries) + cands.code_pruned
-        )
+        stats.candidates_after_sub_filter = count + cands.code_pruned
         # Members never bounded (pruned subtrees) plus those the SUB
-        # filter discarded.  Traversal-paid members are all in `entries`.
-        stats.candidates_pruned += size - len(cands.entries)
+        # filter discarded.  Traversal-paid members are all in `ids`.
+        stats.candidates_pruned += size - count
 
     relax_sq = policy.relax_sq
     best: list[tuple[float, int]] = []  # max-heap of (-d^2, -seq_id)
@@ -894,7 +956,8 @@ def _refine_knn(
         stats.candidates_pruned += size - consumed
     elif terminated:
         _classify_remaining(
-            index, cands.entries[consumed:], paid, cutoff_sq, stats
+            index, cands.lb_sq[consumed:], cands.ids[consumed:], paid,
+            cutoff_sq, stats,
         )
     return [(-neg_d, -neg_id) for neg_d, neg_id in best]
 
@@ -960,29 +1023,27 @@ def _refine_range(
     if cands.stream is not None:
         # A range stream is radius-bounded and consumed to its end, so
         # it is materialised and verified in prefetched blocks.
-        cands = replace(cands, entries=list(cands.stream), stream=None)
-    entries = cands.entries
-    admitted = len(entries) + cands.code_pruned
+        streamed = CandidateSet(entries=cands.stream)
+        cands = cands.survivors(streamed.lb_sq, streamed.ids, stream=None)
+    count = int(cands.ids.size)
+    admitted = count + cands.code_pruned
     stats.candidates_after_traversal = (
         cands.generated if cands.generated is not None else admitted
     )
     stats.candidates_after_sub_filter = admitted
-    stats.candidates_pruned += size - len(entries)
+    stats.candidates_pruned += size - count
 
     paid = cands.paid
     if policy.epsilon > 0.0:
         # The ε slack reuses the verification threshold, so at ε=0 the
         # mask would be exactly the generator's own filter.
-        relax_sq = policy.relax_sq
+        skip = cands.lb_sq * policy.relax_sq > slack_sq
+        if paid:
+            skip &= _unpaid_mask(cands.ids, paid)
         quarantine = getattr(index, "_resilience_quarantine", None)
-        kept = []
-        for entry in entries:
-            lb_sq, seq_id = entry
-            if seq_id not in paid and lb_sq * relax_sq > slack_sq:
-                _note_policy_skip(quarantine, seq_id, stats)
-            else:
-                kept.append(entry)
-        cands = replace(cands, entries=kept)
+        for seq_id in cands.ids[skip].tolist():
+            _note_policy_skip(quarantine, seq_id, stats)
+        cands = cands.survivors(cands.lb_sq[~skip], cands.ids[~skip])
     hits: list[Neighbor] = []
     for block, prefetched in _candidate_blocks(index, query, cands):
         for _, seq_id in block:

@@ -48,8 +48,9 @@ class LinearScanIndex(IndexBase):
     def _all_candidates(self) -> CandidateSet:
         # Every member, trivially bounded from below by zero, in id order:
         # the verifier then scans them all with early abandoning.
-        return CandidateSet(
-            entries=[(0.0, seq_id) for seq_id in range(len(self))],
+        return CandidateSet.from_arrays(
+            np.zeros(len(self)),
+            np.arange(len(self), dtype=np.intp),
             generated=len(self),
         )
 

@@ -205,5 +205,10 @@ class MVPTreeIndex(SketchIndexBase):
         walk = BoundedWalk(*self._bounds(query), stats)
         bound = radius + RANGE_SLACK
         self._walk(self._root, walk, bound)
-        near = ((lb * lb, i) for lb, i in walk.examined if not lb > bound)
+        lower = walk.lower
+        near = (
+            (lower[i] * lower[i], i)
+            for i in walk.examined
+            if not lower[i] > bound
+        )
         return CandidateSet(entries=sorted(near), generated=None)

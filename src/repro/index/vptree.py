@@ -326,7 +326,10 @@ class VPTreeIndex(SketchIndexBase):
         # absorbs the floating-point error of a computed lb.  ``** 2`` is
         # deliberate: ``lb * lb`` differs from it in the last bit for about
         # one float in a thousand, and stored LB^2 values carry this form.
-        near = ((lb ** 2, i) for lb, i in walk.examined if not lb > bound)
+        lower = walk.lower
+        near = (
+            (lower[i] ** 2, i) for i in walk.examined if not lower[i] > bound
+        )
         return CandidateSet(entries=sorted(near), generated=None)
 
     def _range_walk(self, node, walk: BoundedWalk, bound: float) -> None:

@@ -25,7 +25,7 @@ class BoundedWalk:
 
     Built from the kernel's two bound arrays, ``lower`` / ``upper`` are
     lists of Python floats indexed by sequence id.  ``examined`` holds
-    ``(LB, seq_id)`` of every live object met, in visit order, and
+    the id of every live object met, in visit order, and
     ``sigma`` the k-th smallest upper bound among them
     (``inf`` until k are met, and throughout a range walk: ``k=None``).
     A tombstoned object is counted in ``stats.bound_computations`` like
@@ -38,9 +38,10 @@ class BoundedWalk:
     ) -> None:
         # An LB is never above its own UB, as in the flat filter
         # (:func:`~repro.engine.core.candidates_from_bound_arrays`).
-        self.lower: list[float] = np.minimum(lower, upper).tolist()
+        self._lower = np.minimum(lower, upper)
+        self.lower: list[float] = self._lower.tolist()
         self.upper: list[float] = upper.tolist()
-        self.examined: list[tuple[float, int]] = []
+        self.examined: list[int] = []
         self.sigma = math.inf
         self.stats = stats
         self._deleted = deleted
@@ -49,23 +50,30 @@ class BoundedWalk:
     def examine(self, seq_ids) -> None:
         """Meet the compressed objects ``seq_ids`` (a list or tuple)."""
         self.stats.bound_computations += len(seq_ids)
-        lower, upper, deleted = self.lower, self.upper, self._deleted
+        upper, deleted = self.upper, self._deleted
         examined, tracker = self.examined, self._tracker
         for seq_id in seq_ids:
             if seq_id in deleted:
                 continue
-            examined.append((lower[seq_id], seq_id))
+            examined.append(seq_id)
             # Only an upper bound below sigma changes the k smallest.
             if tracker is not None and upper[seq_id] < self.sigma:
                 tracker.offer(upper[seq_id])
                 self.sigma = tracker.sigma()
 
     def knn_result(self) -> CandidateSet:
-        """The examined objects that pass the SUB filter, by LB."""
+        """The examined objects that pass the SUB filter, ascending by
+        ``(LB^2, seq_id)``."""
         sigma = self.sigma
-        near = ((lb * lb, i) for lb, i in self.examined if lb <= sigma)
-        return CandidateSet(
-            entries=sorted(near),
+        ids = np.array(self.examined, dtype=np.intp)
+        lb = self._lower[ids]
+        near = lb <= sigma
+        lb, ids = lb[near], ids[near]
+        lb_sq = lb * lb
+        order = np.lexsort((ids, lb_sq))
+        return CandidateSet.from_arrays(
+            lb_sq[order],
+            ids[order],
             generated=len(self.examined),
             sigma_sq=sigma * sigma,
             top_ubs=self._tracker.values(),

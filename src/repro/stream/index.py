@@ -12,13 +12,17 @@ union unchanged.
 Soundness of the union: the inner backend's :math:`\\sigma_{UB}` filter
 is computed over sealed members only, which can only make it *weaker*
 (larger) than the true union filter — a weaker filter admits more
-candidates, never misses one.  Live members bypass the filter entirely:
-they are injected with a lower bound of ``0.0`` (trivially sound and
-trivially sorted first), so each one is exactly verified rather than
-pruned.  The live tier is small by construction — it is sealed into a
-segment long before exact-verifying it would dominate — so the engine's
-accounting stays honest: injected live candidates count as *generated*
-and are then retrieved or abandoned like any other candidate.
+candidates, never misses one.  Live members bypass the sketch filter:
+they enter the candidate set with a sketch lower bound of ``0.0``
+(trivially sound) and count as *generated*.  The engine's row-code
+stage then bounds live and sealed entries alike: the union's
+:attr:`StreamIndex.row_codes` are the inner backend's codes for the
+sealed ids followed by codes of the z-scored live snapshot, quantised
+once per live tier.  A live entry whose code bound proves it out of the
+answer is pruned like a sealed one, so a query reads about k + 10 rows
+of the union instead of every live row.  An inner backend without codes
+(``scan``, ``mtree``, ``rtree``) leaves the union without them, and
+every live member is then exactly verified.
 
 Identifier layout: sealed rows keep their inner ids ``0..S-1``
 unchanged (identity translation — the inner index *is* the sealed
@@ -29,10 +33,10 @@ from __future__ import annotations
 
 import copy
 import itertools
-import math
 
 import numpy as np
 
+from repro.compression.codes import RowCodes
 from repro.engine.core import (
     CandidateSet,
     execute_knn,
@@ -96,14 +100,16 @@ class StreamIndex:
         self._live = np.ascontiguousarray(live_matrix, dtype=np.float64)
         self._names = self._sealed_names + tuple(live_names)
         self.store = _UnionStore(self)
+        self._codes = None  # this live tier's union codes, on first use
 
     def with_live(
         self, live_matrix: np.ndarray, live_names: tuple[str, ...]
     ) -> "StreamIndex":
         """A new union of the same inner (sealed) index and a new live tier.
 
-        Nothing sealed is re-read or rebuilt.  The inner index is shared,
-        not copied, so it must be closed once, through one of the unions.
+        Nothing sealed is re-read or rebuilt, and the new union quantises
+        its own live rows.  The inner index is shared, not copied, so it
+        must be closed once, through one of the unions.
         """
         union = copy.copy(self)
         union._set_live(live_matrix, live_names)
@@ -121,6 +127,23 @@ class StreamIndex:
     def sequence_length(self) -> int:
         return self._length
 
+    @property
+    def row_codes(self) -> RowCodes | None:
+        """Codes of every union member, in union id order.
+
+        The inner backend's codes for the sealed ids, then the live
+        snapshot's, quantised on first use; ``None`` when the inner
+        backend holds no codes or there is no sealed tier.
+        """
+        if self._codes is None:
+            sealed = getattr(self._inner, "row_codes", None)
+            if sealed is None:
+                return None
+            self._codes = RowCodes.stacked(
+                (sealed, RowCodes.from_matrix(self._live))
+            )
+        return self._codes
+
     def __len__(self) -> int:
         return self._sealed_count + self._live.shape[0]
 
@@ -136,8 +159,7 @@ class StreamIndex:
     def _read_many(self, seq_ids) -> np.ndarray:
         ids = np.asarray(seq_ids, dtype=np.intp)
         live = ids >= self._sealed_count
-        # LB order puts the live tier first, so most blocks sit wholly
-        # in one tier and need no second copy.
+        # A block wholly in one tier needs no second copy.
         if live.all():
             return self._live[ids - self._sealed_count]
         if not live.any():
@@ -147,55 +169,50 @@ class StreamIndex:
         out[live] = self._live[ids[live] - self._sealed_count]
         return out
 
-    def _live_entries(self) -> list[tuple[float, int]]:
-        base = self._sealed_count
-        return [(0.0, base + i) for i in range(self._live.shape[0])]
+    def _live_set(self) -> CandidateSet:
+        count = self._live.shape[0]
+        return CandidateSet.from_arrays(
+            np.zeros(count),
+            np.arange(count, dtype=np.intp) + self._sealed_count,
+            generated=count,
+        )
 
     def knn_candidates(self, query, k, stats) -> CandidateSet:
-        live = self._live_entries()
         if self._inner is None:
-            return CandidateSet(
-                entries=live, generated=len(live), sigma_sq=math.inf
-            )
-        inner = self._inner.knn_candidates(query, k, stats)
-        return self._union(inner, live)
+            return self._live_set()
+        return self._union(self._inner.knn_candidates(query, k, stats))
 
     def range_candidates(self, query, radius, stats) -> CandidateSet:
-        # Every live member's lower bound of 0 is <= any radius, so the
-        # whole live tier survives the range filter — by construction.
-        live = self._live_entries()
+        # Every live member's sketch bound of 0 is <= any radius, so the
+        # whole live tier enters the range set — by construction.
         if self._inner is None:
-            return CandidateSet(
-                entries=live, generated=len(live), sigma_sq=math.inf
-            )
-        inner = self._inner.range_candidates(query, radius, stats)
-        return self._union(inner, live)
+            return self._live_set()
+        return self._union(self._inner.range_candidates(query, radius, stats))
 
-    def _union(
-        self, inner: CandidateSet, live: list[tuple[float, int]]
-    ) -> CandidateSet:
-        """Prepend the live tier to an inner (sealed-only) candidate set.
+    def _union(self, inner: CandidateSet) -> CandidateSet:
+        """Merge the live tier into an inner (sealed-only) candidate set.
 
         Sealed ids pass through untouched (identity translation).  Live
-        entries sort first (lower bound 0.0), so an entry list stays
-        ascending and a chained stream stays non-decreasing — the order
-        contract both refinement paths rely on.
+        entries carry a lower bound of 0.0 and ids above every sealed
+        id, so they go right after the inner zeros: the arrays stay
+        ascending by ``(LB^2, seq_id)``, and a chained stream stays
+        non-decreasing — the order contract refinement relies on.
         """
+        live = self._live_set()
         if inner.stream is not None:
             return CandidateSet(
-                entries=[],
                 generated=None,
                 sigma_sq=inner.sigma_sq,
                 paid=inner.paid,
-                stream=itertools.chain(iter(live), inner.stream),
+                stream=itertools.chain(live.entries, inner.stream),
                 top_ubs=inner.top_ubs,
             )
-        return CandidateSet(
-            entries=live + inner.entries,
-            generated=(inner.generated or 0) + len(live),
-            sigma_sq=inner.sigma_sq,
-            paid=inner.paid,
-            top_ubs=inner.top_ubs,
+        zeros = int(np.searchsorted(inner.lb_sq, 0.0, side="right"))
+        lb_sq, ids = inner.lb_sq, inner.ids
+        return inner.survivors(
+            np.concatenate((lb_sq[:zeros], live.lb_sq, lb_sq[zeros:])),
+            np.concatenate((ids[:zeros], live.ids, ids[zeros:])),
+            generated=(inner.generated or 0) + live.generated,
         )
 
     # ------------------------------------------------------------------
