@@ -9,12 +9,10 @@ both baselines and measures those claims on the synthetic query logs.
 
 import time
 
-import numpy as np
-
 from repro.bursts import (
     BurstDetector,
-    ElasticBurstDetector,
-    KleinbergDetector,
+    ElasticModel,
+    KleinbergModel,
     compact_bursts,
 )
 from repro.evaluation import format_table
@@ -30,8 +28,8 @@ def _days(intervals):
 def test_ablation_burst_baselines(catalog_2002, report, benchmark):
     names = ("halloween", "easter", "christmas", "thanksgiving")
     ma_detector = BurstDetector.long_term()
-    kleinberg = KleinbergDetector(gamma=1.0)
-    elastic = ElasticBurstDetector(
+    kleinberg = KleinbergModel(gamma=1.0)
+    elastic = ElasticModel(
         lambda w: 0.0 + 3.0 * w, lengths=(4, 8, 16, 32)
     )
 
@@ -58,7 +56,7 @@ def test_ablation_burst_baselines(catalog_2002, report, benchmark):
         shifted = standardized.values - standardized.values.min()
         offset = float(standardized.values.min())
         threshold = lambda w, off=offset: (0.8 - off) * w  # noqa: E731
-        eb = ElasticBurstDetector(threshold, lengths=(4, 8, 16, 32))
+        eb = ElasticModel(threshold, lengths=(4, 8, 16, 32))
         started = time.perf_counter()
         eb_bursts = eb.detect(shifted)
         eb_seconds += time.perf_counter() - started

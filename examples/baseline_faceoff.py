@@ -20,8 +20,8 @@ import time
 from repro import QueryLogGenerator, StorageBudget, get_index
 from repro.bursts import (
     BurstDetector,
-    ElasticBurstDetector,
-    KleinbergDetector,
+    ElasticModel,
+    KleinbergModel,
     compact_bursts,
 )
 from repro.index import distances_to_query
@@ -85,7 +85,7 @@ def burst_faceoff() -> None:
         )
 
     started = time.perf_counter()
-    kleinberg = KleinbergDetector().detect(series.values)
+    kleinberg = KleinbergModel().detect(series.values)
     kb_time = time.perf_counter() - started
     print(f"  kleinberg automaton [11]: {kb_time * 1000:.2f} ms")
     for burst in kleinberg:
@@ -96,7 +96,7 @@ def burst_faceoff() -> None:
 
     shifted = standardized.values - standardized.values.min()
     offset = float(standardized.values.min())
-    elastic = ElasticBurstDetector(
+    elastic = ElasticModel(
         lambda w: (0.8 - offset) * w, lengths=(4, 8, 16, 32)
     )
     started = time.perf_counter()
@@ -111,7 +111,7 @@ def burst_faceoff() -> None:
         widest = max(windows, key=len)
         print(
             f"    e.g. window days {widest.start}..{widest.end} "
-            f"(sum {widest.total:.1f})"
+            f"(sum {widest.weight:.1f})"
         )
     print(
         f"\n  the paper's claims in numbers: MA is "

@@ -2,13 +2,8 @@
 
 from repro.bursts.compaction import Burst, compact_bursts, expand_bursts
 from repro.bursts.detection import BurstAnnotation, BurstDetector
-from repro.bursts.elastic import (
-    ElasticBurst,
-    ElasticBurstDetector,
-    ShiftedWaveletTree,
-)
+from repro.bursts.elastic import ShiftedWaveletTree
 from repro.bursts.kernel import TrailingMA, burst_cutoff
-from repro.bursts.kleinberg import KleinbergBurst, KleinbergDetector
 from repro.bursts.leaderboard import BurstinessLeaderboard, LeaderboardEntry
 from repro.bursts.models import (
     ElasticModel,
@@ -41,7 +36,6 @@ from repro.bursts.similarity import (
     overlap,
     value_similarity,
 )
-from repro.bursts.streaming import OnlineBurstDetector
 from repro.bursts.weighted import (
     burst_weight_vector,
     rank_by_weighted_euclidean,
@@ -51,7 +45,6 @@ from repro.bursts.weighted import (
 __all__ = [
     "BurstAnnotation",
     "BurstDetector",
-    "OnlineBurstDetector",
     "TrailingMA",
     "burst_cutoff",
     "BurstModel",
@@ -80,10 +73,6 @@ __all__ = [
     "region_overlap_score",
     "BurstinessLeaderboard",
     "LeaderboardEntry",
-    "KleinbergBurst",
-    "KleinbergDetector",
-    "ElasticBurst",
-    "ElasticBurstDetector",
     "ShiftedWaveletTree",
     "burst_weight_vector",
     "weighted_euclidean",

@@ -119,8 +119,8 @@ class BurstDetector:
             window = min(self.window, arr.size)
             if self.mode == "trailing" and arr.size:
                 # The shared batch/online kernel: the same implementation
-                # the streaming OnlineBurstDetector extends one value at
-                # a time, so online-equivalence is structural, not
+                # the ``ma`` model's online form extends one value at a
+                # time, so online-equivalence is structural, not
                 # coincidental (see bursts/kernel.py).
                 smoothed = TrailingMA(window).extend(arr)
             else:

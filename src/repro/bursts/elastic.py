@@ -18,34 +18,24 @@ elastic burst detection in data streams* (KDD 2003):
   window the cell guards)``), then verifies the actual windows inside
   alarmed cells only.
 
-The ablation benchmark contrasts its output and costs with the paper's
+:class:`ElasticModel` reports every qualifying window as a
+:class:`~repro.bursts.protocol.BurstRegion` weighted by its sum; its
+online form checks only the windows ending at each new day.  The
+ablation benchmark contrasts its output and costs with the paper's
 moving-average detector and quantifies the storage claim (SWT cells vs
 compact burst triplets).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.bursts.protocol import BurstModel, BurstRegion, OnlineDetector
 from repro.timeseries.preprocessing import as_float_array
-from repro.timeseries.series import TimeSeries
 
-__all__ = ["ElasticBurst", "ShiftedWaveletTree", "ElasticBurstDetector"]
-
-
-@dataclass(frozen=True, order=True)
-class ElasticBurst:
-    """One qualifying window: ``sum(x[start .. end]) >= threshold(len)``."""
-
-    start: int
-    end: int
-    total: float
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
+__all__ = ["ShiftedWaveletTree", "ElasticModel"]
 
 
 class ShiftedWaveletTree:
@@ -98,50 +88,66 @@ class ShiftedWaveletTree:
         return level
 
 
-class ElasticBurstDetector:
+class ElasticModel(BurstModel):
     """Find every window whose aggregate beats a length-based threshold.
+
+    Negative inputs are clipped to zero point-by-point before detection
+    — the SWT's no-false-dismissal guarantee needs non-negative data,
+    and a *pointwise* transform keeps every prefix's inputs stable so
+    the incremental form stays bit-identical.  The threshold function
+    must be pure (a fixed function of the window length, never of the
+    data) for the same reason, and non-decreasing in the window length
+    for the SWT filter to be admissible.
 
     Parameters
     ----------
     threshold:
-        ``f(window_length) -> float``; must be non-decreasing in the
-        window length for the SWT filter to be admissible.
+        ``f(window_length) -> float``.  The default is the affine
+        ``f(w) = offset + rate * w``, tuned for z-scored series where a
+        sustained burst runs 2+ sigmas above the mean.
     lengths:
         The window lengths to monitor (the "elastic" part).
     """
 
+    name = "elastic"
+
     def __init__(
         self,
-        threshold: Callable[[int], float],
-        lengths: Sequence[int] = (1, 2, 4, 8, 16, 32),
+        threshold: Callable[[int], float] | None = None,
+        lengths: Sequence[int] = (7, 14, 30),
+        offset: float = 4.0,
+        rate: float = 1.0,
     ) -> None:
         if not lengths:
             raise ValueError("need at least one window length")
         if any(length < 1 for length in lengths):
             raise ValueError("window lengths must be >= 1")
+        self.offset = float(offset)
+        self.rate = float(rate)
+        if threshold is None:
+            threshold = lambda w: self.offset + self.rate * w  # noqa: E731
         self.threshold = threshold
         self.lengths = tuple(sorted(set(int(w) for w in lengths)))
 
-    def detect(self, values) -> list[ElasticBurst]:
-        """All qualifying windows, with SWT pruning then exact checks.
+    def detect(self, values) -> list[BurstRegion]:
+        """All qualifying windows, with SWT pruning then exact checks."""
+        arr = np.maximum(as_float_array(values), 0.0)
+        return [BurstRegion(*window) for window in zip(*self.windows(arr))]
+
+    def online(self) -> OnlineDetector:
+        return _OnlineElastic(self.threshold, self.lengths)
+
+    def windows(self, values) -> tuple[list[int], list[int], list[float]]:
+        """Every qualifying window as parallel ``(starts, ends, totals)``
+        lists, ordered like :meth:`detect`.
 
         Requires non-negative data (count streams, as in Zhu & Shasha):
         the no-false-dismissal guarantee relies on a containing window's
-        sum dominating the contained window's sum.
+        sum dominating the contained window's sum.  Per length, one
+        vectorised pass: the start positions inside alarmed guard-level
+        cells become a coverage mask, and only those windows are summed
+        and compared.
         """
-        return [
-            ElasticBurst(*window) for window in zip(*self.windows(values))
-        ]
-
-    def windows(self, values) -> tuple[list[int], list[int], list[float]]:
-        """:meth:`detect` as parallel ``(starts, ends, totals)`` lists.
-
-        Per length, one vectorised pass: the start positions inside
-        alarmed guard-level cells become a coverage mask, and only those
-        windows are summed and compared.
-        """
-        if isinstance(values, TimeSeries):
-            values = values.values
         arr = as_float_array(values)
         if arr.min() < 0:
             raise ValueError(
@@ -177,11 +183,9 @@ class ElasticBurstDetector:
             starts[order].tolist(), ends[order].tolist(), totals[order].tolist()
         )
 
-    def detect_naive(self, values) -> list[ElasticBurst]:
+    def detect_naive(self, values) -> list[BurstRegion]:
         """Reference implementation: test every window exhaustively."""
-        if isinstance(values, TimeSeries):
-            values = values.values
-        arr = as_float_array(values)
+        arr = np.maximum(as_float_array(values), 0.0)
         prefix = np.concatenate(([0.0], np.cumsum(arr)))
         found = []
         for length in self.lengths:
@@ -191,7 +195,7 @@ class ElasticBurstDetector:
             sums = prefix[length:] - prefix[:-length]
             for start in np.flatnonzero(sums >= cutoff):
                 found.append(
-                    ElasticBurst(
+                    BurstRegion(
                         int(start), int(start) + length - 1, float(sums[start])
                     )
                 )
@@ -200,7 +204,60 @@ class ElasticBurstDetector:
 
     def storage_cells(self, values) -> int:
         """SWT cells retained for monitoring (the storage comparison)."""
-        if isinstance(values, TimeSeries):
-            values = values.values
         tree = ShiftedWaveletTree(values)
         return int(sum(level.size for level in tree.levels.values()))
+
+
+class _OnlineElastic(OnlineDetector):
+    """Incremental elastic form: check the windows ending at each new day.
+
+    A window's sum never changes once its last day has arrived, so the
+    qualifying set is append-only: pushing day ``i`` evaluates exactly
+    the ``len(lengths)`` windows that end at ``i``, through the same
+    prefix-sum arithmetic (``prefix[end] - prefix[start]``, sequential
+    accumulation identical to ``np.cumsum``) the batch SWT verifies
+    alarmed cells with.
+    """
+
+    def __init__(
+        self, threshold: Callable[[int], float], lengths: tuple[int, ...]
+    ) -> None:
+        super().__init__()
+        self._threshold = threshold
+        self._lengths = lengths
+        self._prefix = [0.0]
+        self._found: list[BurstRegion] = []
+
+    def _absorb(self, value: float) -> bool:
+        clipped = max(float(value), 0.0)
+        self._prefix.append(self._prefix[-1] + clipped)
+        size = len(self._prefix) - 1
+        bursting = False
+        for length in self._lengths:
+            if length > size:
+                continue
+            total = self._prefix[size] - self._prefix[size - length]
+            if total >= self._threshold(length):
+                self._found.append(
+                    BurstRegion(size - length, size - 1, float(total))
+                )
+                bursting = True
+        return bursting
+
+    def regions(self) -> list[BurstRegion]:
+        return sorted(self._found)
+
+    @property
+    def decision_statistic(self) -> float:
+        """Best margin (sum − threshold) over the windows ending today."""
+        size = len(self._prefix) - 1
+        margins = [
+            (self._prefix[size] - self._prefix[size - w]) - self._threshold(w)
+            for w in self._lengths
+            if w <= size
+        ]
+        return max(margins) if margins else float("-inf")
+
+    @property
+    def decision_threshold(self) -> float:
+        return 0.0

@@ -1,12 +1,8 @@
 """The one trailing moving-average kernel shared by batch and online paths.
 
-Before this module existed the repo held *two* implementations of the
-paper's §6.1 recipe: :func:`repro.timeseries.preprocessing.moving_average`
-(vectorised, used by the batch :class:`~repro.bursts.detection
-.BurstDetector`) and a hand-rolled prefix-sum recurrence inside
-``bursts/streaming.py``.  The online-equivalence tests then had to prove
-two independent codepaths agree — a proof that silently weakens every
-time either side is edited.  Now both sides call here:
+The batch :class:`~repro.bursts.detection.BurstDetector` and the online
+form of the ``ma`` model both call here, so the online-equivalence tests
+never have to prove that two independent codepaths agree:
 
 * :class:`TrailingMA` is the stateful kernel.  :meth:`TrailingMA.push`
   extends the smoothed series in O(1) through the prefix-sum recurrence;

@@ -13,8 +13,9 @@ variant of Kleinberg's model:
 * a transition cost ``gamma * (j - i) * log(n)`` for climbing from state
   ``i`` to ``j`` (descending is free), discouraging spurious bursts;
 * the optimal state sequence is found by Viterbi dynamic programming,
-  and every maximal run in a state ``>= 1`` is reported as a burst with
-  its level (supporting Kleinberg's hierarchical bursts when ``k > 2``).
+  and every maximal run in a state ``>= 1`` is reported as a
+  :class:`~repro.bursts.protocol.BurstRegion` with its peak level
+  (Kleinberg's hierarchical bursts when ``k > 2``) and its burst weight.
 
 The ablation benchmark compares this model-based detector with the
 paper's moving-average detector on the synthetic query logs: they agree
@@ -26,31 +27,25 @@ also simpler and less computationally intensive").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
+from repro.bursts.protocol import BurstModel, BurstRegion, mask_regions
 from repro.timeseries.preprocessing import as_float_array
-from repro.timeseries.series import TimeSeries
 
-__all__ = ["KleinbergBurst", "KleinbergDetector"]
-
-
-@dataclass(frozen=True, order=True)
-class KleinbergBurst:
-    """A maximal run of days spent in a bursty automaton state."""
-
-    start: int
-    end: int
-    level: int
-
-    def __len__(self) -> int:
-        return self.end - self.start + 1
+__all__ = ["KleinbergModel"]
 
 
-class KleinbergDetector:
-    """Batched two-(or multi-)state Kleinberg burst detector.
+class KleinbergModel(BurstModel):
+    """Batched two-(or multi-)state Kleinberg burst automaton.
+
+    The online form is the replay fallback, honestly so: the Poisson
+    base rate is the mean of *all* days seen and the Viterbi path is a
+    global optimum, so one new day can legitimately re-label history.
+    Regions may therefore retract between prefixes; the equivalence
+    contract (online == batch at every prefix) still holds exactly,
+    because the online form *is* the batch form.
 
     Parameters
     ----------
@@ -64,6 +59,8 @@ class KleinbergDetector:
         Number of automaton states ``k >= 2``; 2 reproduces the classic
         two-state detector, more states give a burst hierarchy.
     """
+
+    name = "kleinberg"
 
     def __init__(
         self, scaling: float = 2.0, gamma: float = 1.0, states: int = 2
@@ -116,8 +113,6 @@ class KleinbergDetector:
         the baseline.  Summed over a bursty run it is the run's burst
         weight (zero on baseline days by construction).
         """
-        if isinstance(counts, TimeSeries):
-            counts = counts.values
         arr = np.maximum(np.round(as_float_array(counts)), 0.0)
         n = arr.size
         rates = self._rates(arr)
@@ -162,21 +157,12 @@ class KleinbergDetector:
             path.append(best_from[path[-1]])
         return np.array(path[::-1], dtype=np.intp)
 
-    def detect(self, counts) -> list[KleinbergBurst]:
-        """Maximal bursty runs (state >= 1), with their peak level."""
-        states = self.state_sequence(counts)
-        bursts: list[KleinbergBurst] = []
-        start = None
-        level = 0
-        for day, state in enumerate(states):
-            if state >= 1:
-                if start is None:
-                    start, level = day, int(state)
-                else:
-                    level = max(level, int(state))
-            elif start is not None:
-                bursts.append(KleinbergBurst(start, day - 1, level))
-                start = None
-        if start is not None:
-            bursts.append(KleinbergBurst(start, len(states) - 1, level))
-        return bursts
+    def detect(self, values) -> list[BurstRegion]:
+        """Maximal bursty runs (state >= 1), with peak level and weight."""
+        states, savings = self.weighted_states(values)
+        regions: list[BurstRegion] = []
+        for start, end in mask_regions(states >= 1):
+            level = int(states[start : end + 1].max())
+            weight = float(np.sum(savings[start : end + 1]))
+            regions.append(BurstRegion(start, end, weight, level=level))
+        return regions

@@ -9,8 +9,9 @@ registry     mathematics                     online form
                                              kernel, O(n) cutoff)
 ``kleinberg``  2-(or k-)state Poisson         replay (Viterbi and the
              automaton, Viterbi [11]         base rate are global)
+             (``bursts/kleinberg.py``)
 ``elastic``  Zhu & Shasha SWT windows [17]   incremental (windows
-                                             ending at the new day)
+             (``bursts/elastic.py``)         ending at the new day)
 ``macd``     EMA crossover (fast − slow vs   incremental (the batch
              signal line)                    form *is* a replayed
                                              online state)
@@ -38,17 +39,17 @@ disagreement cases — live in ``tests/bursts/test_agreement.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 import numpy as np
 
+from repro import obs
 from repro.bursts.detection import (
     LONG_TERM_WINDOW,
     BurstAnnotation,
     BurstDetector,
 )
-from repro.bursts.elastic import ElasticBurstDetector
-from repro.bursts.kleinberg import KleinbergDetector
+from repro.bursts.elastic import ElasticModel
+from repro.bursts.kernel import TrailingMA, burst_cutoff, prefix_cutoffs
+from repro.bursts.kleinberg import KleinbergModel
 from repro.bursts.protocol import (
     BurstModel,
     BurstRegion,
@@ -56,9 +57,7 @@ from repro.bursts.protocol import (
     RegionAlert,
     mask_regions,
 )
-from repro.bursts.streaming import OnlineBurstDetector
 from repro.timeseries.preprocessing import as_float_array
-from repro.timeseries.series import TimeSeries
 
 __all__ = [
     "MovingAverageModel",
@@ -66,12 +65,6 @@ __all__ = [
     "ElasticModel",
     "MACDModel",
 ]
-
-
-def _values_of(values) -> np.ndarray:
-    if isinstance(values, TimeSeries):
-        values = values.values
-    return as_float_array(values)
 
 
 # ----------------------------------------------------------------------
@@ -121,27 +114,62 @@ class MovingAverageModel(BurstModel):
 
 
 class _OnlineMovingAverage(OnlineDetector):
-    """Incremental MA form over the shared kernel."""
+    """The incremental MA form: §6.1's recipe one day at a time.
+
+    1. the trailing moving average extends in O(1) per pushed value
+       through the shared :class:`~repro.bursts.kernel.TrailingMA`
+       kernel, the implementation the batch detector runs vectorised,
+       so every smoothed value is bit-identical to the batch
+       computation on the same prefix by construction;
+    2. the cutoff ``mean(MA) + x * std(MA)`` is recomputed over the
+       accumulated smoothed array with the shared
+       :func:`~repro.bursts.kernel.burst_cutoff` reduction (O(n) per
+       push — the honest price of an exactly matching cutoff, since one
+       new day moves the global mean and std);
+    3. the burst decision for the newest day falls out of the fresh
+       cutoff.
+
+    :meth:`annotation` equals ``BurstDetector(window, x).detect`` of
+    the prefix field for field (asserted by
+    ``tests/stream/test_alerts.py``).  Only the ``"trailing"``
+    alignment exists here: a centered window reads days that have not
+    happened yet.
+    """
 
     def __init__(self, window: int, threshold_sigmas: float) -> None:
         super().__init__()
-        self._detector = OnlineBurstDetector(window, threshold_sigmas)
+        self.threshold_sigmas = threshold_sigmas
+        self._kernel = TrailingMA(window)
+        self._cutoff = 0.0
 
     def _absorb(self, value: float) -> bool:
-        return self._detector._absorb(value)
+        latest = self._kernel.push(value)
+        self._cutoff = burst_cutoff(
+            self._kernel.smoothed, self.threshold_sigmas
+        )
+        obs.add("bursts.online_pushes")
+        return latest > self._cutoff
 
     def _absorb_block(self, arr: np.ndarray) -> list[RegionAlert]:
         """One kernel pass; rising edges from one array comparison.
 
-        An alert's region is the one :meth:`regions` held at its firing
+        :func:`~repro.bursts.kernel.prefix_cutoffs` gives the cutoff that
+        stood after each day of the block, so day ``j`` bursts iff
+        ``latest[j] > cutoffs[j]``, as it would pushed alone.  An
+        alert's region is the one :meth:`regions` held at its firing
         prefix (the run ending at the alert day, under *that* prefix's
         cutoff), cut from the arrays, not rebuilt with every region.
         """
         first = self._size
-        latest, cutoffs = self._detector.extend(arr)
+        latest = self._kernel.extend(arr)
+        cutoffs = prefix_cutoffs(
+            self._kernel.smoothed, self.threshold_sigmas, first
+        )
+        self._cutoff = float(cutoffs[-1])
+        obs.add("bursts.online_pushes", latest.size)
         flags = latest > cutoffs
         rising = flags & ~np.concatenate(([self._bursting], flags[:-1]))
-        smoothed = self._detector.smoothed if rising.any() else None
+        smoothed = self._kernel.smoothed
         alerts = []
         for j in np.flatnonzero(rising).tolist():
             day, cutoff = first + j, float(cutoffs[j])
@@ -155,154 +183,32 @@ class _OnlineMovingAverage(OnlineDetector):
         self._size += arr.size
         return alerts
 
-    def regions(self) -> list[BurstRegion]:
-        if len(self._detector) == 0:
-            return []
-        return _annotation_regions(self._detector.annotation())
-
-    @property
-    def decision_statistic(self) -> float:
-        return float(self._detector.smoothed[-1])
-
-    @property
-    def decision_threshold(self) -> float:
-        return self._detector.cutoff
-
-
-# ----------------------------------------------------------------------
-# "kleinberg" — the automaton baseline [11]
-# ----------------------------------------------------------------------
-class KleinbergModel(BurstModel):
-    """Kleinberg's burst automaton as a pluggable model.
-
-    The online form is the replay fallback — honestly so: the Poisson
-    base rate is the mean of *all* days seen and the Viterbi path is a
-    global optimum, so one new day can legitimately re-label history.
-    Regions may therefore retract between prefixes; the equivalence
-    contract (online == batch at every prefix) still holds exactly,
-    because the online form *is* the batch form.
-    """
-
-    name = "kleinberg"
-
-    def __init__(
-        self, scaling: float = 2.0, gamma: float = 1.0, states: int = 2
-    ) -> None:
-        self._detector = KleinbergDetector(
-            scaling=scaling, gamma=gamma, states=states
+    def annotation(self) -> BurstAnnotation:
+        """The batch-identical :class:`BurstAnnotation` for all days seen."""
+        if self._kernel.size == 0:
+            raise ValueError("no values pushed yet")
+        smoothed = self._kernel.smoothed_copy()
+        return BurstAnnotation(
+            mask=smoothed > self._cutoff,
+            smoothed=smoothed,
+            cutoff=self._cutoff,
+            window=self._kernel.effective_window,
         )
-        self.scaling = self._detector.scaling
-        self.gamma = self._detector.gamma
-        self.states = self._detector.states
-
-    def detect(self, values) -> list[BurstRegion]:
-        arr = _values_of(values)
-        states, savings = self._detector.weighted_states(arr)
-        regions: list[BurstRegion] = []
-        for start, end in mask_regions(states >= 1):
-            level = int(states[start : end + 1].max())
-            weight = float(np.sum(savings[start : end + 1]))
-            regions.append(BurstRegion(start, end, weight, level=level))
-        return regions
-
-
-# ----------------------------------------------------------------------
-# "elastic" — Zhu & Shasha's SWT windows [17]
-# ----------------------------------------------------------------------
-class ElasticModel(BurstModel):
-    """Elastic (any-window-length) burst detection as a pluggable model.
-
-    Negative inputs are clipped to zero point-by-point before detection
-    — the SWT's no-false-dismissal guarantee needs non-negative data,
-    and a *pointwise* transform keeps every prefix's inputs stable so
-    the incremental form stays bit-identical.  The threshold function
-    must be pure (a fixed function of the window length, never of the
-    data) for the same reason; the default is the affine
-    ``f(w) = offset + rate * w``, tuned for z-scored series where a
-    sustained burst runs 2+ sigmas above the mean.
-    """
-
-    name = "elastic"
-
-    def __init__(
-        self,
-        threshold: Callable[[int], float] | None = None,
-        lengths: Sequence[int] = (7, 14, 30),
-        offset: float = 4.0,
-        rate: float = 1.0,
-    ) -> None:
-        self.offset = float(offset)
-        self.rate = float(rate)
-        if threshold is None:
-            threshold = lambda w: self.offset + self.rate * w  # noqa: E731
-        self.threshold = threshold
-        self._detector = ElasticBurstDetector(threshold, lengths=lengths)
-        self.lengths = self._detector.lengths
-
-    def detect(self, values) -> list[BurstRegion]:
-        arr = np.maximum(_values_of(values), 0.0)
-        return [
-            BurstRegion(*window)
-            for window in zip(*self._detector.windows(arr))
-        ]
-
-    def online(self) -> OnlineDetector:
-        return _OnlineElastic(self.threshold, self.lengths)
-
-
-class _OnlineElastic(OnlineDetector):
-    """Incremental elastic form: check the windows ending at each new day.
-
-    A window's sum never changes once its last day has arrived, so the
-    qualifying set is append-only: pushing day ``i`` evaluates exactly
-    the ``len(lengths)`` windows that end at ``i``, through the same
-    prefix-sum arithmetic (``prefix[end] - prefix[start]``, sequential
-    accumulation identical to ``np.cumsum``) the batch SWT verifies
-    alarmed cells with.
-    """
-
-    def __init__(
-        self, threshold: Callable[[int], float], lengths: tuple[int, ...]
-    ) -> None:
-        super().__init__()
-        self._threshold = threshold
-        self._lengths = lengths
-        self._prefix = [0.0]
-        self._found: list[BurstRegion] = []
-
-    def _absorb(self, value: float) -> bool:
-        clipped = max(float(value), 0.0)
-        self._prefix.append(self._prefix[-1] + clipped)
-        size = len(self._prefix) - 1
-        bursting = False
-        for length in self._lengths:
-            if length > size:
-                continue
-            total = self._prefix[size] - self._prefix[size - length]
-            if total >= self._threshold(length):
-                self._found.append(
-                    BurstRegion(size - length, size - 1, float(total))
-                )
-                bursting = True
-        return bursting
 
     def regions(self) -> list[BurstRegion]:
-        return sorted(self._found)
+        # The kernel counts the day being absorbed before the base class
+        # does, and an alert reads regions in between.
+        if self._kernel.size == 0:
+            return []
+        return _annotation_regions(self.annotation())
 
     @property
     def decision_statistic(self) -> float:
-        """Best margin (sum − threshold) over the windows ending today."""
-        size = len(self._prefix) - 1
-        margins = [
-            (self._prefix[size] - self._prefix[size - w]) - self._threshold(w)
-            for w in self._lengths
-            if w <= size
-        ]
-        return max(margins) if margins else float("-inf")
+        return float(self._kernel.smoothed[-1])
 
     @property
     def decision_threshold(self) -> float:
-        return 0.0
+        return self._cutoff
 
 
 # ----------------------------------------------------------------------
@@ -394,7 +300,7 @@ class MACDModel(BurstModel):
         return _MACDState(self.fast, self.slow, self.signal)
 
     def detect(self, values) -> list[BurstRegion]:
-        arr = _values_of(values)
+        arr = as_float_array(values)
         state = self._state()
         for value in arr:
             state.push(value)

@@ -1,10 +1,9 @@
 """The pluggable detector protocol: one batch/online contract, any model.
 
-The repo grew four burst detectors with four incompatible surfaces
-(:class:`~repro.bursts.detection.BurstDetector`,
-:class:`~repro.bursts.kleinberg.KleinbergDetector`,
-:class:`~repro.bursts.elastic.ElasticBurstDetector`, and the MACD
-crossover model).  This module is the unification seam:
+Every burst detector (the paper's moving average, Kleinberg's
+automaton, Zhu & Shasha's elastic windows and the MACD crossover) is one
+:class:`BurstModel` with one output type.  This module holds the
+protocol:
 
 * :class:`BurstRegion` — the common output currency: an inclusive
   ``[start, end]`` day span with a model-specific ``weight`` (how

@@ -1019,7 +1019,6 @@ def _refine_range(
     query.
     """
     slack_sq = (radius + RANGE_SLACK) ** 2
-    radius_sq = radius * radius
     if cands.stream is not None:
         # A range stream is radius-bounded and consumed to its end, so
         # it is materialised and verified in prefetched blocks.
@@ -1050,10 +1049,13 @@ def _refine_range(
             d_sq = _distance_sq(
                 index, query, seq_id, paid, prefetched, slack_sq, stats
             )
-            if d_sq is not None and d_sq <= radius_sq:
+            if d_sq is None:
+                continue
+            # Admit on the distance reported, so a radius read off an
+            # answer admits that answer's row.
+            distance = math.sqrt(d_sq)
+            if distance <= radius:
                 hits.append(
-                    Neighbor(
-                        math.sqrt(d_sq), seq_id, index.result_name(seq_id)
-                    )
+                    Neighbor(distance, seq_id, index.result_name(seq_id))
                 )
     return hits

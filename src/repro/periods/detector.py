@@ -152,9 +152,9 @@ class PeriodDetector:
         The same selection rule :meth:`detect` applies (band mean →
         exponential-tail threshold → ``max_period`` filter), factored
         out so the online monitor can evaluate it against the sliding
-        periodogram's recurrence-grade powers without building the full
-        result object.  With ``interpolate=False`` (the default) this
-        equals ``{p.index for p in detect(values)}`` exactly.
+        periodogram's powers without building the full result object.
+        With ``interpolate=False`` (the default) this equals
+        ``{p.index for p in detect(values)}`` exactly.
         """
         band = np.asarray(power, dtype=np.float64)[self.min_index :]
         if band.size == 0:

@@ -8,24 +8,13 @@ where air-travel queries' weekly periodicity collapses after the event)
 is exactly as alert-worthy as a burst.
 
 :class:`OnlinePeriodDetector` maintains a sliding
-:class:`~repro.spectral.online.OnlinePeriodogram` and, per pushed day,
-re-evaluates the detector's significance rule.  Cost is kept streaming-
-grade by a two-tier scheme:
-
-1. every push evaluates the rule against the periodogram's
-   **recurrence-grade** powers (O(n), no FFT) — drift-bounded by the
-   sliding periodogram's energy guard, and bit-exact during the growing
-   phase and right after refreshes;
-2. only when that cheap evaluation *disagrees with the currently
-   confirmed period set* does the detector run the **authoritative**
-   batch detection on the exact window spectrum (O(n log n)) — so quiet
-   days never pay for an FFT, and every alert carries a full,
-   batch-identical :class:`~repro.periods.detector
-   .PeriodDetectionResult`.
-
-A drift-induced false disagreement costs one exact recheck and raises
-no alert; a real change is confirmed exactly before alerting.  Alerts
-report both directions (periods gained and periods lost).
+:class:`~repro.spectral.online.OnlinePeriodogram`, whose powers are the
+batch periodogram's of the current window, and per pushed day evaluates
+the detector's significance rule on them.  Only a day whose significant
+set differs from the confirmed one runs the full batch detection, so
+quiet days build no :class:`~repro.periods.detector
+.PeriodDetectionResult`, and every alert carries a batch-identical one.
+Alerts report both directions (periods gained and periods lost).
 """
 
 from __future__ import annotations
@@ -153,35 +142,30 @@ class OnlinePeriodDetector:
         self._pgram.push(value)
         if self._pgram.size < self.min_samples:
             return []
-        cheap = self._detector.significant_indexes(
+        current = self._detector.significant_indexes(
             self._pgram.power, self._pgram.n
         )
-        if cheap == self._indexes and self._result is not None:
-            return []  # quiet day: no FFT spent
-        # Disagreement (or first evaluation): confirm on the exact
-        # window spectrum before believing it.
+        if current == self._indexes and self._result is not None:
+            return []  # quiet day
         result = self._detector.detect(self._pgram.values())
-        confirmed = frozenset(p.index for p in result.periods)
         by_index = {p.index: p for p in result.periods}
         previous, self._result = self._indexes, result
-        if confirmed == previous:
-            self._known.update(by_index)  # keep "last known" powers fresh
-            obs.add("periods.online_false_changes")
-            return []  # recurrence drift or already-confirmed state
+        if current == previous:
+            return []  # the first evaluation found no period
         gained = tuple(
             sorted(
-                (by_index[i] for i in confirmed - previous), reverse=True
+                (by_index[i] for i in current - previous), reverse=True
             )
         )
         lost = tuple(
             sorted(
-                (self._known[i] for i in previous - confirmed),
+                (self._known[i] for i in previous - current),
                 reverse=True,
             )
         )
-        self._indexes = confirmed
+        self._indexes = current
         self._known.update(by_index)
-        for index in previous - confirmed:
+        for index in previous - current:
             self._known.pop(index, None)
         obs.add("periods.online_changes")
         return [

@@ -1,49 +1,16 @@
-"""Incremental periodogram maintenance: the sliding DFT.
+"""The periodogram of a sliding window, fed one value per day.
 
-The batch pipeline recomputes :func:`~repro.spectral.periodogram
-.periodogram` from scratch — an O(n log n) ``rfft`` per call.  A stream
-sees one completed day at a time, and recomputing the whole transform
-daily to watch for period changes wastes almost all of that work: when a
-length-``n`` window slides by one sample (drop ``x_old``, admit
-``x_new``), every *unnormalised* DFT coefficient obeys the exact
-recurrence
+A stream sees one completed day at a time.  :class:`OnlinePeriodogram`
+keeps the latest ``window`` values in a ring buffer and, on every push,
+takes the exact ``rfft`` of the window as it now stands, so every read
+(:attr:`~OnlinePeriodogram.power`, :meth:`~OnlinePeriodogram.periodogram`,
+:meth:`~OnlinePeriodogram.spectrum`) is **bit-identical** to the batch
+:func:`~repro.spectral.periodogram.periodogram` of the current window
+contents, at every prefix (asserted by
+``tests/spectral/test_online_periodogram.py``).
 
-.. math::
-
-    S_k' = (S_k - x_{old} + x_{new}) \\; e^{+j 2 \\pi k / n}
-
-— the classic *sliding DFT* — so the half spectrum updates in O(n)
-multiply-adds instead of O(n log n).
-
-Float drift and the bit-identity contract
------------------------------------------
-The recurrence is exact in real arithmetic but accumulates rounding in
-floats: after many slides the maintained coefficients drift away from
-what a fresh ``rfft`` of the window would produce.  This class therefore
-keeps **two grades** of answer:
-
-* :attr:`power` — the recurrence-grade spectrum, O(n) per push, with a
-  drift *guard*: every slide cross-checks the coefficients' Parseval
-  energy against the window's running time-domain energy (itself
-  maintained incrementally and re-anchored exactly at every refresh),
-  and a relative mismatch beyond ``drift_tolerance`` (or
-  ``refresh_every`` slides, whichever first) triggers a full ``rfft``
-  recompute.  Between refreshes the powers are approximate but
-  drift-bounded.  The slide path is deliberately allocation-light —
-  in-place coefficient updates, scalar energy bookkeeping, one
-  ``vdot`` for the guard — so a push costs a handful of O(n)
-  vector ops, measurably cheaper than a fresh ``rfft``
-  (``benchmarks/test_detector_models.py`` prices both).
-* :meth:`periodogram` / :meth:`spectrum` — the authoritative grade:
-  refreshes first whenever the recurrence state is dirty, so the result
-  is **bit-identical** to the batch :func:`~repro.spectral.periodogram
-  .periodogram` of the current window contents, at every prefix
-  (asserted by ``tests/spectral/test_online_periodogram.py``).
-
-While the buffer is still filling (fewer than ``window`` samples seen)
-every bin's value depends on the prefix length, so there is nothing to
-slide: pushes in the growing phase recompute the exact ``rfft`` of the
-prefix directly and the state is never dirty.
+Until ``window`` values have arrived the whole prefix is analysed, as a
+batch caller would analyse it.
 """
 
 from __future__ import annotations
@@ -68,57 +35,25 @@ class OnlinePeriodogram:
     window:
         Analysis window length ``n``.  Until ``n`` samples arrive the
         whole prefix is analysed (matching what a batch caller would
-        do); afterwards the window slides and the DFT recurrence takes
-        over.
-    drift_tolerance:
-        Relative Parseval-energy mismatch beyond which the recurrence
-        state is declared drifted and recomputed exactly.
-    refresh_every:
-        Unconditional exact-recompute cadence (slides between
-        refreshes), bounding worst-case drift even when the energy
-        guard stays quiet.
+        do); afterwards the window slides.
     """
 
-    def __init__(
-        self,
-        window: int,
-        drift_tolerance: float = 1e-9,
-        refresh_every: int = 512,
-    ) -> None:
+    def __init__(self, window: int) -> None:
         window = int(window)
         if window < 4:
             raise ValueError(
                 f"window must be >= 4 for spectral analysis, got {window}"
             )
-        if drift_tolerance <= 0.0:
-            raise ValueError(
-                f"drift_tolerance must be positive, got {drift_tolerance}"
-            )
-        if refresh_every < 1:
-            raise ValueError(
-                f"refresh_every must be >= 1, got {refresh_every}"
-            )
         self.window = window
-        self.drift_tolerance = float(drift_tolerance)
-        self.refresh_every = int(refresh_every)
-        self._buffer = np.zeros(window, dtype=np.float64)
-        self._pos = 0  # next write slot once the buffer is full
+        # Once full, each value is written twice, at ``slot`` and
+        # ``slot + window``, so the window is always one contiguous view.
+        self._buffer = np.zeros(2 * window, dtype=np.float64)
+        self._pos = 0  # oldest slot once the buffer is full
         self._size = 0  # total values pushed (not capped)
+        # The normalised half spectrum of the current window.
         self._coeffs = np.zeros(0, dtype=np.complex128)
-        self._dirty = False
-        self._since_refresh = 0
-        # Running time-domain window energy, maintained by scalar
-        # updates on the slide path and re-anchored exactly (recomputed
-        # from the buffer) at every refresh.
-        self._energy = 0.0
-        # e^{+j 2 pi k / n} for k = 0 .. n//2 — the slide twiddles.
-        self._twiddle = np.exp(
-            2j * np.pi * np.arange(window // 2 + 1) / window
-        )
-        #: Diagnostics: total pushes, recurrence slides, exact recomputes.
+        #: Diagnostics: total pushes.
         self.pushes = 0
-        self.slides = 0
-        self.refreshes = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -133,7 +68,7 @@ class OnlinePeriodogram:
 
     @property
     def full(self) -> bool:
-        """Whether the sliding phase has begun."""
+        """Whether the window has started to slide."""
         return self._size >= self.window
 
     @property
@@ -143,50 +78,31 @@ class OnlinePeriodogram:
 
     def values(self) -> np.ndarray:
         """The current window contents, oldest first (a copy)."""
+        return self._window().copy()
+
+    def _window(self) -> np.ndarray:
         if not self.full:
-            return self._buffer[: self._size].copy()
-        return np.concatenate(
-            (self._buffer[self._pos :], self._buffer[: self._pos])
-        )
+            return self._buffer[: self._size]
+        return self._buffer[self._pos : self._pos + self.window]
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def push(self, value) -> None:
-        """Absorb one completed day.
-
-        O(n log n) while the buffer is filling (exact prefix ``rfft``),
-        O(n) afterwards (recurrence slide + drift guard), except when
-        the guard demands an exact refresh.
-        """
+        """Absorb one completed day: one ``rfft`` of the window."""
         value = float(value)  # scalar validation: the push path is hot
         if not math.isfinite(value):
             raise SeriesLengthError("sequence contains NaN or infinite values")
         if not self.full:
             self._buffer[self._size] = value
-            self._size += 1
-            self._energy += value * value
-            # Growing phase: every bin depends on the prefix length, so
-            # recompute exactly; the state is never dirty here.
-            self._coeffs = np.fft.rfft(self._buffer[: self._size])
-            self._dirty = False
         else:
-            oldest = self._buffer[self._pos]
             self._buffer[self._pos] = value
+            self._buffer[self._pos + self.window] = value
             self._pos = (self._pos + 1) % self.window
-            self._size += 1
-            self._energy += value * value - oldest * oldest
-            # In place: one scalar add, one vector multiply, no
-            # temporaries — the whole point of sliding instead of
-            # recomputing.
-            self._coeffs += value - oldest
-            self._coeffs *= self._twiddle
-            self._dirty = True
-            self._since_refresh += 1
-            self.slides += 1
-            obs.add("spectral.online_slides")
-            if self._since_refresh >= self.refresh_every or self._drifted():
-                self._refresh()
+        self._size += 1
+        # The batch path's arithmetic (``half_spectrum``), so the reads
+        # below are bit-identical to it.
+        self._coeffs = np.fft.rfft(self._window()) / math.sqrt(self.n)
         self.pushes += 1
         obs.add("spectral.online_pushes")
 
@@ -196,68 +112,22 @@ class OnlinePeriodogram:
             self.push(value)
 
     # ------------------------------------------------------------------
-    # Drift guard
-    # ------------------------------------------------------------------
-    def _drifted(self) -> bool:
-        # Parseval over the half spectrum without materialising the
-        # weight product: sum(w_k |S_k|^2) = 2 sum|S_k|^2 - |S_0|^2
-        # (- |S_{n/2}|^2 for even n), one vdot and scalar corrections.
-        coeffs = self._coeffs
-        total = 2.0 * float(np.vdot(coeffs, coeffs).real)
-        total -= abs(coeffs[0]) ** 2
-        if self.window % 2 == 0:
-            total -= abs(coeffs[-1]) ** 2
-        energy_spec = total / self.window
-        scale = max(self._energy, 1e-30)
-        return abs(self._energy - energy_spec) > self.drift_tolerance * scale
-
-    def _refresh(self) -> None:
-        """Exact recompute of the maintained coefficients and energy."""
-        window = self.values()
-        self._coeffs = np.fft.rfft(window)
-        self._energy = float(np.dot(window, window))
-        self._dirty = False
-        self._since_refresh = 0
-        self.refreshes += 1
-        obs.add("spectral.online_refreshes")
-
-    # ------------------------------------------------------------------
     # Read paths
     # ------------------------------------------------------------------
     @property
     def power(self) -> np.ndarray:
-        """Recurrence-grade periodogram powers (drift-bounded, O(bins)).
-
-        ``|S_k|^2 / n`` over the maintained (possibly slid) coefficients
-        — within ``drift_tolerance`` of the exact answer by the energy
-        guard, but not necessarily bit-identical between refreshes.  Use
-        :meth:`periodogram` when exactness matters.
-        """
-        if self._size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return np.abs(self._coeffs) ** 2 / self.n
+        """The batch periodogram's powers of the current window."""
+        return np.abs(self._coeffs) ** 2
 
     def periodogram(self) -> Periodogram:
-        """The batch-identical :class:`Periodogram` of the current window.
-
-        Refreshes the recurrence state first when it is dirty, so the
-        returned powers are bit-identical to
-        ``periodogram(self.values())`` — the authoritative read path.
-        """
+        """The batch-identical :class:`Periodogram` of the current window."""
         if self._size == 0:
             raise ValueError("no values pushed yet")
-        if self._dirty:
-            self._refresh()
-        coefficients = self._coeffs / math.sqrt(self.n)
-        return Periodogram(np.abs(coefficients) ** 2, self.n)
+        return Periodogram(self.power, self.n)
 
     def spectrum(self) -> Spectrum:
         """The batch-identical complex :class:`Spectrum` of the window."""
         if self._size == 0:
             raise ValueError("no values pushed yet")
-        if self._dirty:
-            self._refresh()
         n = self.n
-        return Spectrum(
-            self._coeffs / math.sqrt(n), half_weights(n), n
-        )
+        return Spectrum(self._coeffs, half_weights(n), n)

@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bursts import (
-    BurstRegion,
-    ElasticBurst,
-    ElasticBurstDetector,
-    ShiftedWaveletTree,
-)
-from repro.bursts.models import ElasticModel
+from repro.bursts import BurstRegion, ElasticModel, ShiftedWaveletTree
+
+#: Dyadic window lengths up to 32 days.
+DYADIC = (1, 2, 4, 8, 16, 32)
 
 
 def linear_threshold(scale=10.0, per_unit=2.0):
@@ -63,9 +60,9 @@ class TestElasticBurstDetector:
         rng = np.random.default_rng(0)
         counts = rng.poisson(5.0, size=365).astype(float)
         counts[200:208] += 40.0
-        detector = ElasticBurstDetector(linear_threshold(30.0, 8.0))
-        fast = detector.detect(counts)
-        naive = detector.detect_naive(counts)
+        model = ElasticModel(linear_threshold(30.0, 8.0), lengths=DYADIC)
+        fast = model.detect(counts)
+        naive = model.detect_naive(counts)
         assert fast == naive
         assert fast, "the planted burst must qualify at some window length"
 
@@ -76,10 +73,8 @@ class TestElasticBurstDetector:
         counts = rng.poisson(3.0, size=128).astype(float)
         spikes = rng.integers(0, 120, size=2)
         counts[spikes] += rng.integers(10, 60, size=2)
-        detector = ElasticBurstDetector(
-            lambda w: 12.0 + 4.0 * w, lengths=(1, 2, 4, 8)
-        )
-        assert detector.detect(counts) == detector.detect_naive(counts)
+        model = ElasticModel(lambda w: 12.0 + 4.0 * w, lengths=(1, 2, 4, 8))
+        assert model.detect(counts) == model.detect_naive(counts)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -101,43 +96,36 @@ class TestElasticBurstDetector:
         spikes = rng.integers(0, n, size=2)
         counts[spikes] += rng.integers(10, 60, size=2)
         offset, rate = threshold
-        detector = ElasticBurstDetector(
-            lambda w: offset + rate * w, lengths=lengths
-        )
-        naive = detector.detect_naive(counts)
-        assert detector.detect(counts) == naive
-
-        # The model clips negatives to zero first and emits the same
-        # windows as regions, straight from the arrays.
-        signed = counts - rng.integers(0, 5, size=n)
         model = ElasticModel(lengths=lengths, offset=offset, rate=rate)
-        assert model.detect(signed) == [
-            BurstRegion(b.start, b.end, b.total)
-            for b in detector.detect_naive(np.maximum(signed, 0.0))
-        ]
+        assert model.detect(counts) == model.detect_naive(counts)
+
+        # Negatives are clipped to zero first.
+        signed = counts - rng.integers(0, 5, size=n)
+        assert model.detect(signed) == model.detect_naive(
+            np.maximum(signed, 0.0)
+        )
 
     def test_elasticity_finds_slow_wide_bursts(self):
         """A burst too weak per-day still qualifies over a wide window."""
         counts = np.full(200, 1.0)
         counts[100:140] = 3.0  # mild, long elevation
-        detector = ElasticBurstDetector(
-            lambda w: 10.0 + 1.8 * w, lengths=(1, 4, 16, 32)
-        )
-        found = detector.detect(counts)
+        model = ElasticModel(lambda w: 10.0 + 1.8 * w, lengths=(1, 4, 16, 32))
+        found = model.detect(counts)
         assert found
         assert all(len(burst) >= 16 for burst in found)
         assert not [b for b in found if len(b) == 1]
 
     def test_negative_values_rejected(self):
-        detector = ElasticBurstDetector(linear_threshold())
+        """The SWT pass itself refuses what ``detect`` clips."""
+        model = ElasticModel(linear_threshold(), lengths=DYADIC)
         with pytest.raises(ValueError):
-            detector.detect(np.array([1.0, -1.0, 2.0]))
+            model.windows(np.array([1.0, -1.0, 2.0]))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ElasticBurstDetector(linear_threshold(), lengths=())
+            ElasticModel(linear_threshold(), lengths=())
         with pytest.raises(ValueError):
-            ElasticBurstDetector(linear_threshold(), lengths=(0,))
+            ElasticModel(linear_threshold(), lengths=(0,))
 
     def test_storage_cells_exceed_triplets(self):
         """The paper's storage claim: SWT state vs compact triplets."""
@@ -145,8 +133,8 @@ class TestElasticBurstDetector:
         from repro.datagen import QueryLogGenerator
 
         series = QueryLogGenerator(seed=0).series("halloween")
-        detector = ElasticBurstDetector(linear_threshold())
-        cells = detector.storage_cells(series.values)
+        model = ElasticModel(linear_threshold(), lengths=DYADIC)
+        cells = model.storage_cells(series.values)
 
         standardized = series.standardize()
         triplets = compact_bursts(
@@ -155,7 +143,7 @@ class TestElasticBurstDetector:
         assert cells > 10 * max(len(triplets), 1) * 3
 
     def test_burst_ordering(self):
-        a = ElasticBurst(1, 3, 10.0)
-        b = ElasticBurst(2, 3, 5.0)
+        a = BurstRegion(1, 3, 10.0)
+        b = BurstRegion(2, 3, 5.0)
         assert a < b
         assert len(a) == 3

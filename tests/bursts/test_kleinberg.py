@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bursts import KleinbergBurst, KleinbergDetector
+from repro.bursts import BurstRegion, KleinbergModel
 
 
 def bursty_counts(n=200, start=120, width=20, base=50.0, boost=4.0, seed=0):
@@ -18,17 +18,17 @@ def bursty_counts(n=200, start=120, width=20, base=50.0, boost=4.0, seed=0):
 class TestParameters:
     def test_validation(self):
         with pytest.raises(ValueError):
-            KleinbergDetector(scaling=1.0)
+            KleinbergModel(scaling=1.0)
         with pytest.raises(ValueError):
-            KleinbergDetector(gamma=0.0)
+            KleinbergModel(gamma=0.0)
         with pytest.raises(ValueError):
-            KleinbergDetector(states=1)
+            KleinbergModel(states=1)
 
 
 class TestTwoState:
     def test_finds_planted_burst(self):
         counts = bursty_counts()
-        bursts = KleinbergDetector().detect(counts)
+        bursts = KleinbergModel().detect(counts)
         assert len(bursts) == 1
         burst = bursts[0]
         assert 115 <= burst.start <= 125
@@ -41,21 +41,21 @@ class TestTwoState:
         # With Kleinberg's default gamma a lucky day can flicker into the
         # burst state; anything beyond a couple of isolated days would be
         # a real false-positive problem.
-        bursts = KleinbergDetector().detect(counts)
+        bursts = KleinbergModel().detect(counts)
         assert sum(len(b) for b in bursts) <= 2
         # A stricter transition cost removes even those.
-        assert KleinbergDetector(gamma=3.0).detect(counts) == []
+        assert KleinbergModel(gamma=3.0).detect(counts) == []
 
     def test_state_sequence_shape(self):
         counts = bursty_counts()
-        states = KleinbergDetector().state_sequence(counts)
+        states = KleinbergModel().state_sequence(counts)
         assert states.shape == (200,)
         assert set(np.unique(states)) <= {0, 1}
 
     def test_higher_gamma_is_more_conservative(self):
         counts = bursty_counts(boost=2.0, width=6, seed=3)
-        eager = KleinbergDetector(gamma=0.5).detect(counts)
-        strict = KleinbergDetector(gamma=20.0).detect(counts)
+        eager = KleinbergModel(gamma=0.5).detect(counts)
+        strict = KleinbergModel(gamma=20.0).detect(counts)
         eager_days = sum(len(b) for b in eager)
         strict_days = sum(len(b) for b in strict)
         assert strict_days <= eager_days
@@ -63,13 +63,13 @@ class TestTwoState:
     def test_two_separated_bursts(self):
         counts = bursty_counts(n=300, start=50, width=15, seed=4)
         counts[200:215] *= 4.0
-        bursts = KleinbergDetector().detect(counts)
+        bursts = KleinbergModel().detect(counts)
         assert len(bursts) == 2
         assert bursts[0].end < bursts[1].start
 
     def test_burst_at_stream_end(self):
         counts = bursty_counts(n=150, start=130, width=20, seed=5)
-        bursts = KleinbergDetector().detect(counts)
+        bursts = KleinbergModel().detect(counts)
         assert bursts
         assert bursts[-1].end == 149
 
@@ -81,8 +81,8 @@ class TestHierarchical:
         rates[100:120] *= 2.2   # moderate burst (may fragment)
         rates[200:220] *= 9.0   # extreme burst
         counts = rng.poisson(rates).astype(float)
-        detector = KleinbergDetector(states=4)
-        bursts = detector.detect(counts)
+        model = KleinbergModel(states=4)
+        bursts = model.detect(counts)
         moderate = [b for b in bursts if b.end < 150]
         extreme = [b for b in bursts if b.start >= 150]
         assert moderate and extreme
@@ -93,9 +93,9 @@ class TestHierarchical:
         assert 215 <= extreme[0].end <= 225
 
     def test_burst_dataclass(self):
-        burst = KleinbergBurst(10, 14, 2)
+        burst = BurstRegion(10, 14, 3.5, level=2)
         assert len(burst) == 5
-        assert burst < KleinbergBurst(20, 21, 1)
+        assert burst < BurstRegion(20, 21, 0.5, level=1)
 
 
 class TestAgreementWithMovingAverage:
@@ -105,7 +105,7 @@ class TestAgreementWithMovingAverage:
         from repro.datagen import QueryLogGenerator
 
         series = QueryLogGenerator(seed=0).series("halloween")
-        kleinberg = KleinbergDetector().detect(series.values)
+        kleinberg = KleinbergModel().detect(series.values)
         standardized = series.standardize()
         annotation = BurstDetector.long_term().detect(standardized)
         ma_bursts = compact_bursts(standardized, annotation)
@@ -121,13 +121,13 @@ class TestAgreementWithMovingAverage:
         assert overlap > 0.5
 
 
-def numpy_viterbi(detector, n, emission):
+def numpy_viterbi(model, n, emission):
     """The per-day numpy recurrence ``_viterbi`` replaced: the oracle."""
-    k = detector.states
+    k = model.states
     transition = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
-            transition[i, j] = detector._transition_cost(i, j, n)
+            transition[i, j] = model._transition_cost(i, j, n)
     cost = np.full(k, np.inf)
     cost[0] = emission[0, 0]
     for j in range(1, k):
@@ -171,11 +171,11 @@ class TestViterbiAgainstTheNumpyRecurrence:
         scaling=st.sampled_from([1.5, 2.0, 4.0]),
     )
     def test_state_sequence_is_the_oracles(self, states, counts, gamma, scaling):
-        detector = KleinbergDetector(scaling=scaling, gamma=gamma, states=states)
+        model = KleinbergModel(scaling=scaling, gamma=gamma, states=states)
         arr = np.asarray(counts, dtype=np.float64)
-        emission = detector._emission_costs(arr, detector._rates(arr))
-        want = numpy_viterbi(detector, arr.size, emission)
-        got = detector.state_sequence(arr)
+        emission = model._emission_costs(arr, model._rates(arr))
+        want = numpy_viterbi(model, arr.size, emission)
+        got = model.state_sequence(arr)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -200,18 +200,18 @@ class TestViterbiAgainstTheNumpyRecurrence:
                 )
             )
         )
-        detector = KleinbergDetector(states=states)
+        model = KleinbergModel(states=states)
         np.testing.assert_array_equal(
-            detector._viterbi(n, emission), numpy_viterbi(detector, n, emission)
+            model._viterbi(n, emission), numpy_viterbi(model, n, emission)
         )
 
     @pytest.mark.parametrize("states", [2, 3, 4])
     def test_the_named_tie_cases(self, states):
-        detector = KleinbergDetector(states=states)
+        model = KleinbergModel(states=states)
         for counts in ([0], [5], [0, 0], [3, 3], [0] * 30, [7] * 30, [10**9, 0]):
             arr = np.asarray(counts, dtype=np.float64)
-            emission = detector._emission_costs(arr, detector._rates(arr))
+            emission = model._emission_costs(arr, model._rates(arr))
             np.testing.assert_array_equal(
-                detector.state_sequence(arr),
-                numpy_viterbi(detector, arr.size, emission),
+                model.state_sequence(arr),
+                numpy_viterbi(model, arr.size, emission),
             )

@@ -168,7 +168,7 @@ class TestKleinbergModel:
     def test_regions_match_the_state_sequence(self):
         values = _bursty_counts(seed=5)
         model = KleinbergModel()
-        states = model._detector.state_sequence(values)
+        states = model.state_sequence(values)
         flagged = {
             day
             for region in model.detect(values)
@@ -179,7 +179,7 @@ class TestKleinbergModel:
     def test_level_is_the_peak_state(self):
         values = _bursty_counts(seed=5)
         model = KleinbergModel(states=3)
-        states = model._detector.state_sequence(values)
+        states = model.state_sequence(values)
         for region in model.detect(values):
             assert region.level == int(
                 states[region.start : region.end + 1].max()
@@ -188,7 +188,7 @@ class TestKleinbergModel:
     def test_weight_sums_the_emission_savings(self):
         values = _bursty_counts(seed=5)
         model = KleinbergModel()
-        _, savings = model._detector.weighted_states(values)
+        _, savings = model.weighted_states(values)
         for region in model.detect(values):
             assert region.weight == float(
                 np.sum(savings[region.start : region.end + 1])

@@ -112,12 +112,11 @@ def test_range_search_skips_the_poisoned_shard(matrix, queries, poisoned):
     radius = math.sqrt(truth_sq[len(matrix) // 3][0])
     hits, stats = router.range_search(query, radius=radius)
     got = [(h.distance, h.seq_id) for h in hits]
-    # Compare in squared space, as the engine does: sqrt-then-square
-    # rounding can drop the exact boundary member on both sides alike.
+    # The boundary member is admitted: the radius is its own distance.
     assert got == [
         (math.sqrt(d_sq), seq_id)
         for d_sq, seq_id in truth_sq
-        if d_sq <= radius * radius
+        if math.sqrt(d_sq) <= radius
     ]
     assert set(stats.quarantined_ids) <= victims
 

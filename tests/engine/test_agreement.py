@@ -27,12 +27,14 @@ def brute_force_knn(matrix, query, k):
 
 
 def brute_force_range(matrix, query, radius):
-    radius_sq = radius * radius
+    """Every row whose reported distance is at most ``radius``."""
     return sorted(
-        (math.sqrt(d_sq), seq_id)
+        (distance, seq_id)
         for seq_id, row in enumerate(matrix)
-        for d_sq in [euclidean_early_abandon_sq(query, row, math.inf)]
-        if d_sq <= radius_sq
+        for distance in [
+            math.sqrt(euclidean_early_abandon_sq(query, row, math.inf))
+        ]
+        if distance <= radius
     )
 
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bursts.detection import BurstDetector
-from repro.bursts.streaming import OnlineBurstDetector
-from repro.bursts.models import MACDModel
+from repro.bursts.models import MACDModel, MovingAverageModel
 from repro.stream import LiveBurstMonitor, LivePeriodMonitor, PeriodAlert
 
 
@@ -17,13 +16,15 @@ def _series(days: int = 60, seed: int = 11) -> np.ndarray:
 
 
 class TestOnlineBurstDetector:
+    """The ``ma`` model's online form against the batch detector."""
+
     @pytest.mark.parametrize("window", [1, 7, 30])
     def test_bit_identical_to_batch_on_every_prefix(self, window):
         values = _series()
         batch = BurstDetector(window, 1.5, mode="trailing")
-        online = OnlineBurstDetector(window, 1.5)
+        online = MovingAverageModel(window, 1.5).online()
         for i in range(1, values.size + 1):
-            online.push(values[i - 1])
+            online.push(i - 1, values[i - 1])
             expected = batch.detect(values[:i])
             got = online.annotation()
             assert got.window == expected.window
@@ -33,17 +34,17 @@ class TestOnlineBurstDetector:
 
     def test_push_return_matches_final_mask_entry(self):
         values = _series(days=50, seed=3)
-        online = OnlineBurstDetector(7, 1.5)
-        for value in values:
-            bursting = online.push(value)
-            assert bursting == bool(online.annotation().mask[-1])
+        online = MovingAverageModel(7, 1.5).online()
+        for day, value in enumerate(values):
+            online.push(day, value)
+            assert online.bursting == bool(online.annotation().mask[-1])
 
     def test_growth_past_initial_capacity(self):
         # Initial buffers hold 15 smoothed values; push far beyond.
-        online = OnlineBurstDetector(7, 1.5)
+        online = MovingAverageModel(7, 1.5).online()
         values = _series(days=200, seed=5)
-        for value in values:
-            online.push(value)
+        for day, value in enumerate(values):
+            online.push(day, value)
         assert len(online) == 200
         expected = BurstDetector(7, 1.5, mode="trailing").detect(values)
         np.testing.assert_array_equal(
@@ -52,14 +53,14 @@ class TestOnlineBurstDetector:
 
     def test_rejects_bad_parameters_and_values(self):
         with pytest.raises(ValueError):
-            OnlineBurstDetector(0)
+            MovingAverageModel(0)
         with pytest.raises(ValueError):
-            OnlineBurstDetector(7, 0.0)
+            MovingAverageModel(7, 0.0)
         with pytest.raises(ValueError):
-            OnlineBurstDetector(7).annotation()
-        detector = OnlineBurstDetector(7)
+            MovingAverageModel(7).online().annotation()
+        detector = MovingAverageModel(7).online()
         with pytest.raises(Exception):
-            detector.push(float("nan"))
+            detector.push(0, float("nan"))
 
 
 class TestLiveBurstMonitor:
