@@ -12,8 +12,8 @@ layer (see ``docs/SHARDING.md``):
   index (any registry backend) and optionally its own page-store file,
   described by a CRC-checked :class:`ShardManifest`;
 * :class:`ShardRouter` — an :class:`~repro.engine.core.EngineIndex` over
-  the shards: it holds one filter (the whole population's sketches) and
-  bounds every single query against it exactly as the ``flat`` index
+  the shards: it holds one filter (the whole population's row codes)
+  and bounds every single query with it exactly as the ``flat`` index
   does, then verifies through the shards' stores.  The shared verifier,
   the obs accounting and the resilience guards all apply unchanged.
 * :class:`ShardWorkerPool` — one persistent worker process per

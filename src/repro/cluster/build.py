@@ -6,8 +6,8 @@ shards under a deterministic :class:`~repro.cluster.Partitioner`;
 recipe on either transport:
 
 1. **Specs** — one :class:`~repro.cluster.ShardSpec` per populated
-   shard: backend, kwargs, names, the shard's rows and its sketch and
-   row-code slices on a fresh build, and the shard's page-store file
+   shard: backend, kwargs, names, the shard's rows and (``flat``) its
+   row-code slice on a fresh build, and the shard's page-store file
    when the population is persisted.
 2. **Build** — every shard index comes out of the one builder,
    ``pool._build_shard_index``: called in process for the serial
@@ -54,7 +54,6 @@ from repro.cluster.pool import (
 )
 from repro.cluster.router import ShardRouter
 from repro.compression.codes import RowCodes
-from repro.compression.database import SketchDatabase
 from repro.exceptions import CorruptionError, ReproError
 from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
 from repro.tools.envparse import parse_env_int
@@ -109,39 +108,25 @@ def _canonical_backend(backend: str) -> str:
     return key
 
 
-def _filter_kwargs(key: str, index_kwargs) -> dict:
-    """The router's filter: the caller's ``compressor`` / ``bound_method``.
-
-    A ``scan`` population keeps no filter (the scan is the baseline).
-    """
-    kwargs = {
-        name: index_kwargs[name]
-        for name in ("compressor", "bound_method")
-        if name in index_kwargs
-    }
-    return {**kwargs, "filtered": key != "scan"}
-
-
 def _shard_file(shard: int) -> str:
     return f"shard-{shard:02d}.pages"
 
 
 def _specs(
     key, members, n, index_kwargs, *, seed, files, directory, write_store,
-    names=None, matrix=None, sketches=None, codes=None,
+    names=None, matrix=None, codes=None,
 ) -> list[ShardSpec]:
     """The build recipe of every populated shard.
 
     ``seed`` also seeds backends with construction randomness unless
     ``index_kwargs`` carries its own.  A reopen passes the manifest's
     seed, so it rebuilds the very trees the first build made.  A fresh
-    build passes the population's ``matrix``, ``sketches`` and row
-    ``codes``: each spec carries its shard's rows, and ``flat`` specs
-    their sketch and code slices.
+    build passes the population's ``matrix`` and row ``codes``: each
+    spec carries its shard's rows, and ``flat`` specs their code slices.
     """
     if key != "flat":
-        # Other backends compress and quantise (or ignore) their rows.
-        sketches = codes = None
+        # Other backends quantise (or ignore) their own rows.
+        codes = None
     if key in _SEEDED_BACKENDS and "seed" not in index_kwargs:
         index_kwargs = {**index_kwargs, "seed": seed}
     return [
@@ -164,7 +149,6 @@ def _specs(
             ),
             write_store=write_store,
             rows=matrix[ids] if matrix is not None else None,
-            sketch_db=sketches.take(ids) if sketches is not None else None,
             row_codes=codes.take(ids) if codes is not None else None,
         )
         for shard, ids in enumerate(members)
@@ -173,19 +157,18 @@ def _specs(
 
 
 def _serve(
-    specs, members, partitioner, n, pooled, filter_kwargs, *,
-    sketches=None, codes=None, stores=None,
+    specs, members, partitioner, n, pooled, filtered, *,
+    codes=None, stores=None,
 ) -> ShardRouter:
     """Build ``specs`` in process or on a warm pool; wire one router.
 
-    ``sketches`` and ``codes`` (a fresh build) are the whole
-    population's sketch database and row codes, the router's filter;
-    ``stores`` (a reopen) maps shards to the parent's count-checked page
-    stores, from which the router reads its filter's rows.
-    ``filter_kwargs`` configure the router's filter
-    (:func:`_filter_kwargs`).  Any failure — spawn, a worker refusing to
-    warm, a build — closes every store and the pool before the
-    exception propagates: no orphan processes.
+    ``codes`` (a fresh build) are the whole population's row codes, the
+    router's filter; ``stores`` (a reopen) maps shards to the parent's
+    count-checked page stores, from which the router reads its filter's
+    rows.  ``filtered`` is ``False`` for a ``scan`` population, which
+    keeps no filter (the scan is the baseline).  Any failure — spawn, a
+    worker refusing to warm, a build — closes every store and the pool
+    before the exception propagates: no orphan processes.
     """
     stores = {} if stores is None else stores
     subs = {}
@@ -217,9 +200,8 @@ def _serve(
             partitioner=partitioner,
             sequence_length=n,
             pool=pool,
-            sketch_db=sketches,
             row_codes=codes,
-            **filter_kwargs,
+            filtered=filtered,
         )
     except BaseException:
         for store in stores.values():
@@ -274,7 +256,7 @@ def build_sharded(
         ``router.close()`` (or a ``with`` block), and do not support
         dynamic inserts.
     """
-    from repro.index.base import SketchIndexBase, as_database
+    from repro.index.base import as_database
 
     matrix, names = as_database(matrix, names)
     key = _canonical_backend(backend)
@@ -288,20 +270,14 @@ def build_sharded(
     members = partitioner.members(total)
     files = [_shard_file(shard) for shard in range(len(members))]
 
-    # One compression and one quantisation pass for the whole population:
-    # the router's filter, also sliced into shard-local views for flat
-    # shards, which then skip per-shard recomputation (the views are
-    # bit-identical to what a per-shard pass would produce, since
-    # sketches and codes are per-row).
-    filter_kwargs = _filter_kwargs(key, index_kwargs)
-    sketches = codes = None
-    if total and filter_kwargs["filtered"]:
-        compressor = (
-            filter_kwargs.get("compressor")
-            or SketchIndexBase.DEFAULT_COMPRESSOR
-        )
+    # One quantisation pass for the whole population: the router's
+    # filter, also sliced into shard-local views for flat shards, which
+    # then skip per-shard recomputation (the views are bit-identical to
+    # what a per-shard pass would produce, since codes are per-row).
+    filtered = key != "scan"
+    codes = None
+    if total and filtered:
         with obs.span("ingest.compress"):
-            sketches = SketchDatabase.from_matrix(matrix, compressor)
             codes = RowCodes.from_matrix(matrix)
 
     if directory is not None:
@@ -317,12 +293,11 @@ def build_sharded(
     specs = _specs(
         key, members, n, index_kwargs, seed=seed, files=files,
         directory=directory, write_store=directory is not None, names=names,
-        matrix=matrix, sketches=sketches, codes=codes,
+        matrix=matrix, codes=codes,
     )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
     router = _serve(
-        specs, members, partitioner, n, pooled, filter_kwargs,
-        sketches=sketches, codes=codes,
+        specs, members, partitioner, n, pooled, filtered, codes=codes,
     )
     if directory is not None:
         try:
@@ -398,5 +373,5 @@ def open_sharded(
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
     return _serve(
         specs, members, partitioner, manifest.sequence_length, pooled,
-        _filter_kwargs(key, index_kwargs), stores=stores,
+        key != "scan", stores=stores,
     )

@@ -54,9 +54,8 @@ import numpy as np
 
 from repro import obs
 from repro.compression.codes import RowCodes
-from repro.compression.database import SketchDatabase
 from repro.engine.batch import _shard_batch
-from repro.engine.core import CandidateSet, _fallback_candidates
+from repro.engine.core import CandidateSet, population_candidates
 from repro.engine.registry import get_index
 from repro.exceptions import (
     CorruptionError,
@@ -107,11 +106,10 @@ def default_start_method() -> str:
 class ShardSpec:
     """Everything needed to (re)build one shard, picklable.
 
-    ``rows`` are the shard's sequences, and ``sketch_db`` and
-    ``row_codes`` its slices of the population's sketches and row codes
-    (``flat`` shards only): a worker inherits them under ``fork`` and
-    receives them pickled under ``spawn``.  A reopen
-    carries no rows; the builder reads them from ``store_path``.
+    ``rows`` are the shard's sequences, and ``row_codes`` its slice of
+    the population's row codes (``flat`` shards only): a worker inherits
+    them under ``fork`` and receives them pickled under ``spawn``.  A
+    reopen carries no rows; the builder reads them from ``store_path``.
 
     ``write_store`` is ``True`` only for the *first* build of a
     directory-backed shard (the builder writes the checksummed page
@@ -132,7 +130,6 @@ class ShardSpec:
     store_path: str | None = None
     write_store: bool = False
     rows: np.ndarray | None = None
-    sketch_db: SketchDatabase | None = None
     row_codes: RowCodes | None = None
 
 
@@ -163,7 +160,7 @@ def _build_shard_index(spec: ShardSpec, *, store=None):
     respawn) or from the shard's page store (a reopen, or a respawn
     after the first build wrote it); a ``store`` the caller already
     opened and count-checked is used as is.  In process, in a fresh
-    worker and in a respawned one, the same sub-matrix, sketches, names
+    worker and in a respawned one, the same sub-matrix, codes, names
     and kwargs reach the registry, so a worker's index is bit-identical
     to an in-process one (construction is deterministic under the
     shared seed).  Returns ``(index, store)``.
@@ -186,8 +183,6 @@ def _build_shard_index(spec: ShardSpec, *, store=None):
         store = MemorySequenceStore.over(rows)
 
     kwargs = dict(spec.index_kwargs)
-    if spec.sketch_db is not None:
-        kwargs["sketch_db"] = spec.sketch_db
     if spec.row_codes is not None:
         kwargs["row_codes"] = spec.row_codes
     if store is not None and spec.backend not in _STORE_BACKENDS:
@@ -239,7 +234,7 @@ def _candidate_payload(sub, op: str, query, arg):
         fallback_stats = SearchStats()
         fallback_stats.degraded = True
         error = _portable_error(exc)
-        return _fallback_candidates(len(sub)), fallback_stats, error
+        return population_candidates(len(sub)), fallback_stats, error
 
 
 def _worker_main(spec: ShardSpec, conn) -> None:
@@ -687,7 +682,7 @@ class ShardWorkerPool:
         error = WorkerCrashError(
             f"shard {spec.shard} worker unavailable: {reason}"
         )
-        return _fallback_candidates(spec.size), stats, error
+        return population_candidates(spec.size), stats, error
 
     def scatter_candidates(self, op: str, query, arg) -> list:
         """One ``(candidates, stats, error)`` triple per shard.

@@ -7,15 +7,13 @@ accounting, the resilience guards, :class:`~repro.resilience.FaultyIndex`
 — works against a sharded population unchanged.  It splits the paper's
 two resident halves (fig. 23) the way the paper keeps them:
 
-* **the filter** — one :class:`~repro.compression.SketchDatabase` over
-  the whole population, in global-id order, and its
-  :class:`~repro.compression.codes.RowCodes`, held by the router.  A
-  single k-NN or range query is bounded against it in one kernel pass
-  and filtered exactly as the ``flat`` index filters (the SUB filter of
-  :func:`~repro.engine.core.candidates_from_bound_arrays`, or the range
-  survivors, then the engine's row-code stage), so answers and every
-  :class:`SearchStats` field equal ``get_index("flat", matrix)`` with
-  the same compressor;
+* **the filter** — the whole population's
+  :class:`~repro.compression.codes.RowCodes`, in global-id order, held
+  by the router.  A single k-NN or range query hands the engine every
+  member at lower bound 0, exactly as the ``flat`` index does, and the
+  engine's row-code stage bounds them all in one kernel pass, so
+  answers and every :class:`SearchStats` field equal
+  ``get_index("flat", matrix)``;
 * **the rows** — partitioned across the shards' stores, read by the
   verifier through :class:`_RouterStore` (one ``read_many`` per shard
   per verification block).
@@ -35,25 +33,19 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.bounds.batch import BatchBounds, get_batch_kernel
 from repro.compression.codes import RowCodes
-from repro.compression.database import SketchDatabase
 from repro.engine.core import (
     CandidateSet,
     SigmaTracker,
-    _fallback_candidates,
-    candidates_from_bound_arrays,
-    candidates_in_range,
     execute_knn,
     execute_range,
     fetch_block,
+    population_candidates,
 )
 from repro.exceptions import KeyNotFoundError, ReproError
-from repro.index.base import SketchIndexBase
 from repro.index.results import Neighbor, SearchStats
 from repro.resilience.quarantine import quarantine_of
 from repro.resilience.retry import active_policy
-from repro.spectral.dft import Spectrum
 
 __all__ = ["ShardRouter"]
 
@@ -113,14 +105,10 @@ class ShardRouter:
         warm process per populated shard); single queries never leave
         the parent.  The router owns the pool and shuts it down in
         :meth:`close`.
-    sketch_db / row_codes:
-        The filter: the whole population's sketches and row codes in
-        global-id order.  Either left ``None`` is built from every row,
-        read through the shard stores (one read per shard).
-    compressor / bound_method:
-        The filter's compressor (default
-        :attr:`SketchIndexBase.DEFAULT_COMPRESSOR`) and batch bound
-        kernel, with the ``flat`` index's defaults and meaning.
+    row_codes:
+        The filter: the whole population's row codes in global-id order.
+        Left ``None``, they are quantised from every row, read through
+        the shard stores (one read per shard).
     filtered:
         ``False`` keeps no filter: every query's candidates are the
         whole population at a lower bound of zero, in id order — the
@@ -136,10 +124,7 @@ class ShardRouter:
         sequence_length: int | None = None,
         pool=None,
         *,
-        sketch_db: SketchDatabase | None = None,
         row_codes: RowCodes | None = None,
-        compressor=None,
-        bound_method: str | None = "best_min_error_safe",
         filtered: bool = True,
     ) -> None:
         if not shards:
@@ -182,29 +167,17 @@ class ShardRouter:
         self._n = int(sequence_length)
         self._store = _RouterStore(self)
         self._pool = pool
-        self._compressor = compressor or SketchIndexBase.DEFAULT_COMPRESSOR
-        self._kernel = get_batch_kernel(
-            bound_method or self._compressor.method
-        )
         if not (filtered and total):
-            # Every query scans the whole population.
-            sketch_db = row_codes = None
-        else:
-            for part in (sketch_db, row_codes):
-                if part is not None and len(part) != total:
-                    raise ReproError(
-                        f"the filter holds {len(part)} rows but the "
-                        f"shards hold {total} members"
-                    )
-            if sketch_db is None or row_codes is None:
-                rows = self._store.read_many(np.arange(total))
-                if sketch_db is None:
-                    sketch_db = SketchDatabase.from_matrix(
-                        rows, self._compressor
-                    )
-                if row_codes is None:
-                    row_codes = RowCodes.from_matrix(rows)
-        self._sketch_db = sketch_db
+            row_codes = None  # every query scans the whole population
+        elif row_codes is None:
+            row_codes = RowCodes.from_matrix(
+                self._store.read_many(np.arange(total))
+            )
+        elif len(row_codes) != total:
+            raise ReproError(
+                f"the filter holds {len(row_codes)} rows but the "
+                f"shards hold {total} members"
+            )
         self._row_codes = row_codes
 
     # ------------------------------------------------------------------
@@ -276,31 +249,21 @@ class ShardRouter:
         return self._shards[shard].result_name(local)
 
     # ------------------------------------------------------------------
-    # Candidate generation: the one filter (the engine owns verification)
+    # Candidate generation: everyone, for the engine's code stage
     # ------------------------------------------------------------------
-    def _bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """LB and UB of the query against every sketch: one kernel pass."""
-        with obs.span("cluster.filter"):
-            bounds = BatchBounds(Spectrum.from_series(query))
-            return self._kernel(bounds, self._sketch_db)
-
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        if self._sketch_db is None:
-            return _fallback_candidates(len(self))
-        lower, upper = self._bounds(query)
-        stats.bound_computations += len(self)
-        return candidates_from_bound_arrays(lower, upper, k)
+        if self._row_codes is not None:
+            stats.bound_computations += len(self)
+        return population_candidates(len(self))
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
     ) -> CandidateSet:
-        if self._sketch_db is None:
-            return _fallback_candidates(len(self))
-        lower, _ = self._bounds(query)
-        stats.bound_computations += len(self)
-        return candidates_in_range(lower, radius)
+        if self._row_codes is not None:
+            stats.bound_computations += len(self)
+        return population_candidates(len(self))
 
     # ------------------------------------------------------------------
     # Gather: the pool's per-shard candidate triples (request API only)
@@ -406,8 +369,8 @@ class ShardRouter:
     def insert(self, values, name: str | None = None) -> int:
         """Insert one sequence, routed to its shard; returns the global id.
 
-        The shard stores the row; the router's filter appends its sketch
-        and its row code.
+        The shard stores the row; the router's filter appends its row
+        code.
         """
         if not self.supports_insert:
             raise ReproError(
@@ -418,11 +381,7 @@ class ShardRouter:
         shard = self._partitioner.shard_of(gid) % len(self._shards)
         local = int(self._global_ids[shard].size)
         self._shards[shard].insert(values, name)
-        if self._sketch_db is not None:
-            values = np.asarray(values, dtype=np.float64)
-            self._sketch_db = self._sketch_db.appended(
-                self._compressor.compress(Spectrum.from_series(values))
-            )
+        if self._row_codes is not None:
             self._row_codes = self._row_codes.appended(values)
         self._global_ids[shard] = np.append(self._global_ids[shard], gid)
         self._shard_of = np.append(self._shard_of, shard)

@@ -18,13 +18,14 @@ doubles.  :meth:`RowCodes.bounds_sq` turns them into rigorous lower and
 upper bounds of the squared distance to a query: by the triangle
 inequality ``|d(x, q) - ‖x̂ - q‖| <= ‖x - x̂‖``, and every coordinate is
 off by at most ``step / 2``, so ``‖x - x̂‖ <= √n · step / 2``.  ``‖x̂ - q‖²`` is
-expanded as ``‖x̂‖² - 2(lo·Σq + step·code·q) + ‖q‖²`` with the dot
-product in float32; a computed slack covers the query's rounding to
-float32, the float32 dot product (Higham's γₙ, which holds for any
-summation order) and the float64 cancellation, so the bound holds for
-every finite input.  A row whose range, or ``‖x̂‖²``, overflows is
-stored with an infinite ``step``, which the bounds map to 0 and
-``inf``; so does any overflow at query time.
+expanded as ``‖x̂‖² - 2(lo·Σq + step·code·q) + ‖q‖²``; the query is
+quantised to 15 bits, ``q = s · q_int + r``, so ``code · q_int`` is an
+exact integer GEMM (:func:`_integer_dots`) and one query and a block of
+queries get the same bounds bit for bit.  A computed slack covers
+``|code · r| <= 255 ‖r‖₁`` and the float64 cancellation, so the bound
+holds for every finite input.  A row whose range, or ``‖x̂‖²``,
+overflows is stored with an infinite ``step``, which the bounds map to 0
+and ``inf``; so does any overflow at query time.
 
 Codes are per row and their build is exact-order independent (the code
 sums are integers), so :meth:`take` of a built database is bitwise equal
@@ -36,6 +37,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
+
 __all__ = ["RowCodes"]
 
 #: Quantisation levels above ``lo``: codes run 0..255.
@@ -44,11 +47,18 @@ LEVELS = 255
 #: Rows quantised per pass of the build (keeps its temporaries in cache).
 _BUILD_CHUNK = 256
 
-#: Candidates bounded per pass of :meth:`RowCodes.bounds_sq`.
-_QUERY_CHUNK = 512
+#: Code rows converted to float32 per GEMM of :meth:`RowCodes.bounds_sq`,
+#: into one reused buffer (the codes themselves stay ``uint8``).
+_ROW_CHUNK = 512
+
+#: Columns per exact float32 GEMM (see :func:`_integer_dots`).
+_COLUMN_CHUNK = 512
+
+#: A query is quantised to ``|q_int| <= 16383``: 15 bits, two 7-bit halves.
+_QUERY_LEVELS = 16383
+_HALF = 128.0
 
 _U64 = float(np.finfo(np.float64).eps) / 2
-_U32 = float(np.finfo(np.float32).eps) / 2
 
 #: A step below this is treated as unusable: its own rounding is no
 #: longer relative to the row's range (subnormal territory).
@@ -152,39 +162,44 @@ class RowCodes:
         )
 
     def bounds_sq(
-        self, query: np.ndarray, ids: np.ndarray
+        self, queries: np.ndarray, ids: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of ``‖row - query‖²`` for rows ``ids``.
+        """Lower and upper bounds of ``‖row - query‖²`` for a query block.
 
-        Sound for every finite query and row, and on the right side of
-        the verifier's own computed squared distance: a final relative
-        margin covers that computation's rounding.  Where anything
-        overflows the bounds are 0 and ``inf``.
+        ``queries`` is one query or a ``(q, n)`` block; the bounds are
+        ``(q, len(ids))`` arrays, 1-D for one query.  ``ids=None`` bounds
+        every row with no gather, counted as one filter pass under
+        ``bounds.kernel_calls`` / ``bounds.pairs``.  A bound depends only
+        on its query and row, bit for bit, and is sound for every finite
+        input, on the right side of the verifier's own computed squared
+        distance; where anything overflows the bounds are 0 and ``inf``.
         """
-        query = np.asarray(query, dtype=np.float64)
-        n = query.size
-        lower = np.empty(len(ids))
-        upper = np.empty(len(ids))
+        queries = np.asarray(queries, dtype=np.float64)
+        block = np.atleast_2d(queries)
+        count, n = len(self) if ids is None else len(ids), block.shape[1]
+        if ids is None:
+            obs.add("bounds.kernel_calls")
+            obs.add("bounds.pairs", len(block) * count)
+        lower, upper = np.empty((2, len(block), count))
+        # Rows per pass: the float64 temporaries stay near 2**15 values.
+        span = _ROW_CHUNK * max(1, 64 // len(block))
         with np.errstate(all="ignore"):
-            q32 = query.astype(np.float32)
-            sum_q = float(query.sum())
-            l1 = float(np.abs(query).sum())
-            q_sq = float(np.einsum("i,i->", query, query))
-            # |fl32(code·q32) - code·q| <= 255 (γₙ ‖q32‖₁ + ‖q32 - q‖₁).
-            gamma = n * _U32 / (1.0 - n * _U32)
-            q32_64 = q32.astype(np.float64)
-            dot_err = LEVELS * (
-                gamma * float(np.abs(q32_64).sum())
-                + float(np.abs(q32_64 - query).sum())
-            ) * (1.0 + 4 * n * _U64)
-            for start in range(0, len(ids), _QUERY_CHUNK):
-                rows = slice(start, start + _QUERY_CHUNK)
-                chunk = ids[rows]
-                dots = np.einsum(
-                    "ij,j->i", self.codes[chunk].astype(np.float32), q32
-                ).astype(np.float64)
-                lo = self.lo[chunk]
-                step = self.step[chunk]
+            halves, scale, dot_err, sum_q, l1, q_sq = _quantised(block)
+            buffer = np.empty((min(count, _ROW_CHUNK), n), dtype=np.float32)
+            for start in range(0, count, span):
+                rows = slice(start, min(start + span, count))
+                chunk = rows if ids is None else ids[rows]
+                source = self.codes[chunk]
+                dots = np.empty((len(block), len(source)))
+                for first in range(0, len(source), _ROW_CHUNK):
+                    codes = buffer[: len(source) - first]
+                    np.copyto(codes, source[first : first + _ROW_CHUNK])
+                    dots[:, first : first + len(codes)] = _integer_dots(
+                        codes, halves
+                    )
+                dots *= scale  # s · (code · q_int), one rounding
+                lo, step = self.lo[chunk], self.step[chunk]
+                abs_lo, err = np.abs(lo), step * dot_err
                 d_sq = (
                     self.norms_sq[chunk]
                     - 2.0 * (lo * sum_q + step * dots)
@@ -193,19 +208,71 @@ class RowCodes:
                 # Every magnitude the float64 expression rounds against;
                 # n (|lo| + 255 step)² bounds ‖x̂‖² and its build error.
                 magnitude = (
-                    n * (np.abs(lo) + LEVELS * step) ** 2
-                    + 2.0 * (np.abs(lo) * l1 + step * (np.abs(dots) + dot_err))
+                    n * (abs_lo + LEVELS * step) ** 2
+                    + 2.0 * (abs_lo * l1 + step * np.abs(dots) + err)
                     + q_sq
                 )
-                slack = 2.0 * step * dot_err + 4 * (n + 16) * _U64 * magnitude
+                slack = 2.0 * err + 4 * (n + 16) * _U64 * magnitude
                 radius = np.sqrt(n) * step * _HALF_STEP
                 # fmax maps NaN to 0 for the lower bound; maximum keeps
                 # it, and the upper bound turns it into inf below.
                 near = np.sqrt(np.fmax(d_sq - slack, 0.0))
                 far = np.sqrt(np.maximum(d_sq + slack, 0.0))
-                lower[rows] = np.fmax(near - radius, 0.0) ** 2
-                upper[rows] = (far + radius) ** 2
+                lower[:, rows] = np.fmax(near - radius, 0.0) ** 2
+                upper[:, rows] = (far + radius) ** 2
         # The verifier's squared distance is itself off by up to γₙ.
         margin = 4 * (n + 16) * _U64
         upper[np.isnan(upper)] = np.inf
-        return lower * (1.0 - margin), upper * (1.0 + margin)
+        lower *= 1.0 - margin
+        upper *= 1.0 + margin
+        return (lower[0], upper[0]) if queries.ndim == 1 else (lower, upper)
+
+
+def _quantised(block: np.ndarray):
+    """Each query of ``block`` as ``s · q_int`` plus a bounded residual.
+
+    ``s = max|q| / 16383`` and ``q_int = rint(q / s) = 128 · hi + lo``,
+    ``hi`` in [-128, 127] and ``lo`` in [0, 127] (``q_int = 0`` where
+    ``s`` is unusably small).  Returns the ``(n, 2q)`` float32 halves
+    (``hi`` columns, then ``lo``) and ``(q, 1)`` columns of ``s``, the
+    dot error ``255 · ‖q - s · q_int‖₁``, ``Σq``, ``‖q‖₁`` and ``‖q‖²``.
+    Each is reduced along its own row, so no block changes a query's
+    bits (``tests/compression/test_code_kernel.py`` holds this).
+    """
+    magnitude = np.abs(block)
+    scale = magnitude.max(axis=1, keepdims=True) / _QUERY_LEVELS
+    scale *= scale >= _MIN_STEP
+    q_int = np.rint(block / np.where(scale > 0, scale, np.inf))
+    high = np.floor(q_int / _HALF)
+    halves = np.concatenate(
+        (high, q_int - _HALF * high), dtype=np.float32
+    ).T
+    off = np.abs(block - q_int * scale).sum(axis=1, keepdims=True)
+    l1 = magnitude.sum(axis=1, keepdims=True)
+    # With p = fl(s·q_int): |q - s·q_int| <= (1 + 2u) |fl(q - p)| + 2u |p|
+    # and |p| <= |q| + (1 + 2u) |fl(q - p)|; the float64 sums are off by
+    # at most γₙ, and the factor's 4(n + 6)u covers all of it.
+    dot_err = (off + 2 * _U64 * l1) * (
+        LEVELS * (1.0 + 4 * (block.shape[1] + 6) * _U64)
+    )
+    sum_q = block.sum(axis=1, keepdims=True)
+    q_sq = np.einsum("ij,ij->i", block, block)[:, None]
+    return halves, scale, dot_err, sum_q, l1, q_sq
+
+
+def _integer_dots(codes: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """``code · q_int`` of every query and row, exact, as ``(q, rows)``.
+
+    Over at most 512 columns every partial sum of ``code · half`` is an
+    integer below 255 · 128 · 512 < 2²⁴ in magnitude, so the float32
+    GEMM is exact in any summation order, block shape or BLAS thread
+    count; the chunk sums of longer rows add in float64, exact as
+    integers below 2⁵³.
+    """
+    total = (codes[:, :_COLUMN_CHUNK] @ halves[:_COLUMN_CHUNK]).astype(
+        np.float64
+    )
+    for c in range(_COLUMN_CHUNK, codes.shape[1], _COLUMN_CHUNK):
+        total += codes[:, c : c + _COLUMN_CHUNK] @ halves[c : c + _COLUMN_CHUNK]
+    queries = halves.shape[1] // 2
+    return (_HALF * total[:, :queries] + total[:, queries:]).T

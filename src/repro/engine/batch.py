@@ -6,7 +6,9 @@ guarded generation, policy activation, the one refinement loop, the
 accounting invariant — so its result and stats are exactly the
 single-query ones.
 What this module adds is the *batch axis*: validation amortised once per
-matrix, an ``engine.search_many`` obs span, and — for an exact batch on
+matrix, one row-code kernel call per block of queries (exact, so each
+query gets the bounds a single search computes, bit for bit), an
+``engine.search_many`` obs span, and — for an exact batch on
 a :class:`~repro.cluster.ShardRouter` backed by a persistent
 :class:`~repro.cluster.ShardWorkerPool` — one full sub-search per shard
 on the already-warm workers, merged by the parent into global top-k
@@ -28,6 +30,9 @@ from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 
 __all__ = ["search_many"]
+
+#: Queries per row-code kernel call: at most 64, and about 2**18 bounds.
+QUERY_BLOCK, BLOCK_BOUNDS = 64, 1 << 18
 
 
 def _validate(index, queries) -> np.ndarray:
@@ -82,9 +87,7 @@ def search_many(
         if policy.exact and getattr(index, "worker_pool", None) is not None:
             results = _pooled_fanout(index, queries, k)
         if results is None:
-            results = [
-                _knn_pipeline(index, query, k, policy) for query in queries
-            ]
+            results = _pipelines(index, queries, k, policy)
 
     prefix = f"{index.obs_name}.search"
     for _, stats in results:
@@ -98,10 +101,30 @@ def _shard_batch(sub, queries, k: int) -> list:
     The per-shard half of :func:`_pooled_fanout`, run by each pool
     worker for its ``batch`` request.
     """
-    sub_k = min(k, len(sub))
-    return [
-        _knn_pipeline(sub, query, sub_k, _EXACT_POLICY) for query in queries
-    ]
+    return _pipelines(sub, queries, min(k, len(sub)), _EXACT_POLICY)
+
+
+def _pipelines(index, queries, k: int, policy: ApproxPolicy) -> list:
+    """:func:`_knn_pipeline` for every query, one code-kernel call a block.
+
+    On an index with row codes a block of queries is bounded against
+    every row in one :meth:`~repro.compression.codes.RowCodes.bounds_sq`
+    call, and each query's code stage takes its row of the block.
+    """
+    codes = getattr(index, "row_codes", None)
+    if codes is None:
+        return [_knn_pipeline(index, query, k, policy) for query in queries]
+    size = max(1, min(QUERY_BLOCK, BLOCK_BOUNDS // max(len(codes), 1)))
+    results = []
+    for start in range(0, len(queries), size):
+        block = queries[start : start + size]
+        with obs.span("engine.codes"):
+            lower, upper = codes.bounds_sq(block)
+        results.extend(
+            _knn_pipeline(index, query, k, policy, (lower[i], upper[i]))
+            for i, query in enumerate(block)
+        )
+    return results
 
 
 def _pooled_fanout(router, queries, k):

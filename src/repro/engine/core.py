@@ -57,20 +57,21 @@ block (charged to :class:`~repro.storage.pagestore.IOStats`, discarded
 unread), so ``store.stats.read_calls >= stats.full_retrievals`` under
 blocking, with equality at block size 0.
 
-**Row-code stage.**  Between generation and refinement,
-:func:`_code_stage` bounds every sketch survivor of an index that holds
-resident :class:`~repro.compression.codes.RowCodes` (the sketch indexes,
-the shard router's filter, and the stream union over either): a k-NN
-set's lower bounds are raised to ``max(sketch, code)``, the entries
-above the k-th smallest code upper bound are dropped and the rest
-re-sorted, so termination fires after about k + 5 rows; a range set
-loses the entries the codes prove outside the radius.  Dropped entries
-are booked as pruned.  The sketch measures
-(``candidates_after_sub_filter`` and the traversal counters) are left as
-the generator made them; streams and degraded sets skip the stage.  A
-candidate set holds its survivors as two arrays, ``lb_sq`` and ``ids``,
-so the stage bounds them without building a pair per entry; only its
-survivors (about k + 10) become Python pairs for refinement.
+**Row-code stage.**  Inside guarded generation, :func:`_code_stage`
+bounds every candidate of an index that holds resident
+:class:`~repro.compression.codes.RowCodes` (the coded indexes, the shard
+router, and the stream union over either): a k-NN set's lower bounds
+are raised to ``max(set, code)``, the entries above the k-th smallest
+code upper bound are dropped and the rest re-sorted, so termination
+fires after about k + 5 rows; a range set keeps the entries whose code
+bound's square root is within the radius.  Dropped entries are booked
+as pruned.  On ``flat``, the router and the stream union over ``flat``
+the generator hands over every member at lower bound 0, and this stage
+*is* the filter: one exact kernel pass over all the codes.  Streams and
+degraded sets skip the stage.  A candidate set holds its survivors as
+two arrays, ``lb_sq`` and ``ids``, so the stage bounds them without
+building a pair per entry; only its survivors (about k + 10) become
+Python pairs for refinement.
 
 **Approximate tier (opt-in).**  ``execute_knn``/``execute_range`` accept
 an :class:`~repro.engine.approx.ApproxPolicy`: ``epsilon`` relaxes the
@@ -121,7 +122,7 @@ __all__ = [
     "SigmaTracker",
     "block_distances_sq",
     "candidates_from_bound_arrays",
-    "candidates_in_range",
+    "population_candidates",
     "execute_knn",
     "execute_range",
     "fetch_block",
@@ -252,9 +253,9 @@ class CandidateSet:
         R-tree): an iterator yielding ``(LB^2, seq_id)`` in increasing
         order, consumed lazily so unvisited members are never bounded.
     code_pruned:
-        Entries the row-code stage (:func:`_code_stage`) dropped: sketch
-        survivors, still counted in ``candidates_after_sub_filter``,
-        that the codes proved outside the answer.
+        Entries the row-code stage (:func:`_code_stage`) dropped: still
+        counted in ``candidates_after_sub_filter``, but proved outside
+        the answer by the codes.
     top_ubs:
         The k smallest *plain-distance* upper bounds the traversal saw
         (ascending).  A router gathering per-shard candidate sets
@@ -369,18 +370,6 @@ def candidates_from_bound_arrays(
         sigma_sq=sigma * sigma,
         top_ubs=tuple(np.sort(smallest).tolist()),
     )
-
-
-def candidates_in_range(lower: np.ndarray, radius: float) -> CandidateSet:
-    """Range filter over a whole-database lower-bound array.
-
-    Keeps every member whose lower bound is within ``radius`` (plus
-    :data:`RANGE_SLACK`), ascending by ``(LB^2, seq_id)`` like every
-    array producer.
-    """
-    survivor_ids = np.flatnonzero(lower <= radius + RANGE_SLACK)
-    lb_sq, ids = _ascending(lower[survivor_ids] ** 2, survivor_ids)
-    return CandidateSet.from_arrays(lb_sq, ids, generated=int(lower.size))
 
 
 def _ascending(lb_sq: np.ndarray, ids: np.ndarray):
@@ -665,8 +654,13 @@ def _retry_fetch(index, seq_id: int, first_error: OSError):
     return False, error
 
 
-def _fallback_candidates(size: int) -> CandidateSet:
-    """The degenerate exhaustive candidate set (linear-scan fallback)."""
+def population_candidates(size: int) -> CandidateSet:
+    """Every member at lower bound 0, in id order.
+
+    The exhaustive set: a degraded query's linear-scan fallback, and the
+    generator of every index whose filter is the engine's row-code stage
+    (``flat``, the shard router), which bounds each member from memory.
+    """
     return CandidateSet.from_arrays(
         np.zeros(size), np.arange(size, dtype=np.intp), generated=size
     )
@@ -694,46 +688,64 @@ def _generate_guarded(index, generate, size: int):
         obs.add("resilience.fallback_scans")
         fresh = SearchStats()
         fresh.degraded = True
-        return _fallback_candidates(size), fresh
+        return population_candidates(size), fresh
 
 
 # ----------------------------------------------------------------------
 # The row-code stage (docs/ENGINE.md, "The row-code stage")
 # ----------------------------------------------------------------------
 def _code_stage(
-    index, query, cands: CandidateSet, stats: SearchStats,
-    k: int | None = None, radius: float | None = None,
+    index, query, stats: SearchStats, *, k: int | None = None,
+    radius: float | None = None, bounds=None,
 ) -> CandidateSet:
-    """Prune a sketch-filtered candidate set with resident row codes.
+    """The generator's candidate set, pruned with resident row codes.
 
-    An index holding :class:`~repro.compression.codes.RowCodes`
+    One unit for :func:`_generate_guarded`: a failing code kernel, like a
+    failing traversal, degrades the query to the exhaustive scan.  An
+    index holding :class:`~repro.compression.codes.RowCodes`
     (``row_codes``) gets lower and upper bounds of every entry from
     memory, before any row is read, and the entries its codes prove out
     are dropped, counted in ``code_pruned``:
 
-    * k-NN (``k``): each ``LB^2`` is raised to ``max(sketch, code)``, and
+    * k-NN (``k``): each ``LB^2`` is raised to ``max(set, code)``, and
       an entry whose raised bound exceeds the k-th smallest code upper
       bound — itself at least the k-th nearest distance — is dropped.
       The survivors, re-sorted, leave the LB-ordered termination of
       :func:`_refine_knn` about k + 5 rows to read.
-    * range (``radius``): an entry whose code bound clears
-      ``radius + RANGE_SLACK`` is dropped.
+    * range (``radius``): an entry is kept iff ``sqrt(code LB^2) <=
+      radius``: the code bound is at most the verifier's computed
+      ``d_sq``, and ``sqrt`` is monotone and correctly rounded.
 
     Either way a dropped entry is one the exact loop would prune, so
     answers and the pruning ledger are unchanged.  (Only the M-tree pays
-    distances during traversal, and it holds no codes.)  The stage is
-    skipped where it cannot help or must not act: no codes, a streaming
-    generator, a degraded (fallback-scan) set — approximation is
-    suspended there too, and the scan stays exhaustive — and a k-NN set
-    of at most ``k`` entries, all of which refinement reads anyway.
+    distances during traversal, and it holds no codes.)  A set of every
+    member at lower bound 0 (``flat``, the router, the stream union over
+    ``flat``) is bounded in one pass over all the codes, with no gather:
+    there the codes are the filter.  ``bounds`` are the query's code
+    bounds of every row, when a batch made them in one block call.  The
+    stage is skipped where it cannot help or must not act: no codes, a
+    streaming generator, a degraded (fallback-scan) set — approximation
+    is suspended there too, and the scan stays exhaustive — and a k-NN
+    set of at most ``k`` entries, all of which refinement reads anyway.
     """
+    if radius is None:
+        cands = index.knn_candidates(query, k, stats)
+    else:
+        cands = index.range_candidates(query, radius, stats)
     codes = getattr(index, "row_codes", None)
     if codes is None or cands.stream is not None or stats.degraded:
         return cands
     ids = cands.ids
     if ids.size <= (k or 0):
         return cands
-    lower, upper = codes.bounds_sq(query, ids)
+    if bounds is None:
+        every = ids.size == len(codes) and not cands.lb_sq.any()
+        with obs.span("engine.codes"):
+            lower, upper = codes.bounds_sq(query, None if every else ids)
+        if every:
+            lower, upper = lower[ids], upper[ids]
+    else:
+        lower, upper = bounds[0][ids], bounds[1][ids]
     if radius is None:
         lower = np.maximum(cands.lb_sq, lower)
         keep = lower <= np.partition(upper, k - 1)[k - 1]
@@ -741,7 +753,7 @@ def _code_stage(
         order = np.argsort(lower, kind="stable")
         lb_sq, kept = lower[order], kept[order]
     else:
-        keep = lower <= (radius + RANGE_SLACK) ** 2
+        keep = np.sqrt(lower) <= radius
         lb_sq, kept = cands.lb_sq[keep], ids[keep]
     dropped = ids.size - kept.size
     if dropped:
@@ -849,7 +861,7 @@ def execute_knn(
 
 
 def _knn_pipeline(
-    index, query, k: int, policy: ApproxPolicy
+    index, query, k: int, policy: ApproxPolicy, bounds=None
 ) -> tuple[list[Neighbor], SearchStats]:
     """One validated k-NN query from candidate generation to neighbours.
 
@@ -857,13 +869,12 @@ def _knn_pipeline(
     invariant and the approx counters, in that order, for every caller:
     :func:`execute_knn`, each query of a :func:`~repro.engine.search_many`
     batch and each per-shard sub-search of a pool worker.  The caller
-    publishes the returned stats.
+    publishes the returned stats; ``bounds`` go to :func:`_code_stage`.
     """
     size = len(index)
     cands, stats = _generate_guarded(
-        index, partial(index.knn_candidates, query, k), size
+        index, partial(_code_stage, index, query, k=k, bounds=bounds), size
     )
-    cands = _code_stage(index, query, cands, stats, k=k)
     active = _activate_policy(policy, stats)
     with _refine_span(active):
         best = _refine_knn(index, query, k, cands, stats, size, active)
@@ -983,10 +994,9 @@ def execute_range(
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     size = len(index)
-    generate = partial(index.range_candidates, query, radius)
+    generate = partial(_code_stage, index, query, radius=radius)
     with obs.span(f"{index.obs_name}.range_search"):
         cands, stats = _generate_guarded(index, generate, size)
-        cands = _code_stage(index, query, cands, stats, radius=radius)
         active = _activate_policy(policy, stats)
         with _refine_span(active):
             hits = _refine_range(

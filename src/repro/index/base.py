@@ -6,12 +6,13 @@ engine (:mod:`repro.engine.core`) verifies them all the same way.
 validated database shape, the names, the verification store and the
 ``search`` / ``range_search`` entry points — so a backend writes its
 constructor knobs, ``knn_candidates`` and ``range_candidates`` and
-nothing else.  :class:`SketchIndexBase` adds the compressed half the
-three sketch structures share: the default compressor, the bound
-kernel, the packed :class:`~repro.compression.database.SketchDatabase`,
-the one kernel pass that bounds a query against all of it, and the
-resident :class:`~repro.compression.codes.RowCodes` the engine's
-row-code stage bounds the sketch survivors with.
+nothing else.  :class:`CodedIndexBase` adds the resident
+:class:`~repro.compression.codes.RowCodes` the engine's row-code stage
+bounds candidates with, and the in-memory store default; ``flat`` is
+that and nothing more.  :class:`SketchIndexBase` adds the compressed
+half the two sketch trees share: the default compressor, the bound
+kernel, the packed :class:`~repro.compression.database.SketchDatabase`
+and the one kernel pass that bounds a query against all of it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.index.results import Neighbor, SearchStats
 from repro.spectral.dft import Spectrum
 from repro.storage.pagestore import MemorySequenceStore
 
-__all__ = ["IndexBase", "SketchIndexBase", "as_database"]
+__all__ = ["CodedIndexBase", "IndexBase", "SketchIndexBase", "as_database"]
 
 
 def as_database(
@@ -111,46 +112,22 @@ class IndexBase:
         return execute_range(self, query, radius, policy)
 
 
-class SketchIndexBase(IndexBase):
-    """An index over compressed sketches, verified from a store.
+class CodedIndexBase(IndexBase):
+    """An index with resident row codes, verified from a store.
 
-    The store defaults to an in-memory one built from the matrix.  The
-    sketches come from ``sketch_db`` when given (a prebuilt database,
-    possibly a row-subset view, whose rows must align with the matrix)
-    or from compressing the matrix; the row codes likewise come from
-    ``row_codes`` (a prebuilt, row-aligned set) or from quantising the
-    matrix.  The raw matrix stays in ``_matrix`` only for a subclass's
-    build; every subclass drops it afterwards.
+    The store defaults to an in-memory one built from the matrix; the
+    codes come from ``row_codes`` (prebuilt, row-aligned) or from
+    quantising the matrix.
     """
-
-    #: BestMinError sketches with ``k=14`` best coefficients, the paper's
-    #: middle configuration.  Compressors are stateless, so one is shared.
-    DEFAULT_COMPRESSOR = BestMinErrorCompressor(14)
 
     def __init__(
         self,
         matrix: np.ndarray,
-        compressor=None,
         names: Sequence[str] | None = None,
         store=None,
-        bound_method: str | None = "best_min_error_safe",
-        sketch_db: SketchDatabase | None = None,
         row_codes: RowCodes | None = None,
     ) -> None:
         super().__init__(matrix, names, store)
-        self._compressor = compressor or self.DEFAULT_COMPRESSOR
-        self.bound_method = bound_method or self._compressor.method
-        self._kernel = get_batch_kernel(self.bound_method)
-        if sketch_db is None:
-            # Batched compression, bit-identical to compressing per row.
-            sketch_db = SketchDatabase.from_matrix(
-                self._matrix, self._compressor
-            )
-        elif len(sketch_db) != self._count:
-            raise SeriesMismatchError(
-                "sketch_db rows must align with the matrix rows"
-            )
-        self._sketch_db = sketch_db
         if row_codes is None:
             row_codes = RowCodes.from_matrix(self._matrix)
         elif len(row_codes) != self._count:
@@ -166,6 +143,35 @@ class SketchIndexBase(IndexBase):
 
     def _default_store(self):
         return MemorySequenceStore(self._n)
+
+
+class SketchIndexBase(CodedIndexBase):
+    """A coded index over sketches of its matrix, compressed at build.
+
+    The raw matrix stays in ``_matrix`` only for a subclass's build;
+    every subclass drops it afterwards.
+    """
+
+    #: BestMinError sketches with ``k=14`` best coefficients, the paper's
+    #: middle configuration.  Compressors are stateless, so one is shared.
+    DEFAULT_COMPRESSOR = BestMinErrorCompressor(14)
+
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        compressor=None,
+        names: Sequence[str] | None = None,
+        store=None,
+        bound_method: str | None = "best_min_error_safe",
+    ) -> None:
+        super().__init__(matrix, names, store)
+        self._compressor = compressor or self.DEFAULT_COMPRESSOR
+        self.bound_method = bound_method or self._compressor.method
+        self._kernel = get_batch_kernel(self.bound_method)
+        # Batched compression, bit-identical to compressing per row.
+        self._sketch_db = SketchDatabase.from_matrix(
+            self._matrix, self._compressor
+        )
 
     def _bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """LB and UB of the query against every sketch: one kernel pass."""

@@ -1,28 +1,32 @@
-"""A flat (tree-less) compressed index — section 7.3's protocol as an API.
+"""A flat (tree-less) index: the resident row codes are the filter.
 
 The paper evaluates pruning power with an index-free protocol: bound the
 query against *every* compressed object, discard those whose lower bound
 exceeds the smallest upper bound, then verify the survivors in
-increasing-lower-bound order with early termination.  On modern
-vector-friendly hardware that flat protocol is itself an excellent index
-— one fused kernel call bounds the whole database — so this module
-promotes it to a first-class structure with the same API as the VP-tree.
+increasing-lower-bound order with early termination.  This structure
+runs that protocol on the compressed form that prunes best: the 8-bit
+row codes (:class:`~repro.compression.codes.RowCodes`, the VA-file idea
+that Hydra-1 treats as the filter an index must beat).  It hands the
+engine every member at lower bound 0, and the engine's row-code stage
+bounds them all in one exact integer kernel pass, keeps the members
+whose code bound beats the k-th code upper bound (or the radius) and
+verifies about k + 5 rows.  No sketch is built or bounded.
 
 When to choose which:
 
-* :class:`FlatSketchIndex` — minimal memory, no build cost beyond
-  compression, perfectly predictable performance; bounds are computed for
-  every object (vectorised), so cost is Θ(D·k) per query plus
+* :class:`FlatSketchIndex` — minimal build (one quantisation pass), one
+  byte per value resident, perfectly predictable performance: every
+  object is bounded (vectorised), so cost is Θ(D·n) per query plus
   verification.
-* :class:`~repro.index.VPTreeIndex` — the paper's index: after the same
-  kernel pass it examines only the objects its walk reaches (the unit of
-  fig. 23's cost model); costs a build pass and a Python walk per query.
+* :class:`~repro.index.VPTreeIndex` — the paper's index over
+  best-coefficient sketches: a kernel pass over the sketches, then only
+  the objects its walk reaches (the unit of fig. 23's cost model); costs
+  a build pass and a Python walk per query.
 
 The ablation benchmark compares them head to head.
 
-This module only *generates* candidates (the vectorised bound pass and
-SUB filter); exact verification runs in the shared engine core
-(:mod:`repro.engine.core`), like every other structure.
+Candidate generation here is trivial and verification runs in the shared
+engine core (:mod:`repro.engine.core`), like every other structure.
 
 Example
 -------
@@ -47,26 +51,21 @@ from typing import Sequence
 import numpy as np
 
 from repro.compression.codes import RowCodes
-from repro.compression.database import SketchDatabase
-from repro.engine.core import (
-    CandidateSet,
-    candidates_from_bound_arrays,
-    candidates_in_range,
-)
-from repro.index.base import IndexBase, SketchIndexBase
+from repro.engine.core import CandidateSet, population_candidates
+from repro.index.base import CodedIndexBase, IndexBase
 from repro.index.results import SearchStats
 
 __all__ = ["FlatSketchIndex"]
 
 
-class FlatSketchIndex(SketchIndexBase):
-    """k-NN and range search over a packed sketch database, no tree.
+class FlatSketchIndex(CodedIndexBase):
+    """k-NN and range search over resident row codes, no tree.
 
-    Parameters mirror :class:`~repro.index.VPTreeIndex` (minus the
-    tree-construction knobs).  ``sketch_db`` takes a prebuilt sketch
-    database and ``row_codes`` prebuilt row codes — the shard builder
-    compresses and quantises the full population once and hands each
-    shard its ``take()`` views instead of recomputing.
+    ``row_codes`` takes prebuilt codes — the shard builder quantises the
+    full population once and hands each shard its ``take()`` view
+    instead of recomputing.  ``compressor``, ``bound_method`` and
+    ``sketch_db`` are accepted for the callers that still pass them and
+    are unused: no sketch is built.
     """
 
     obs_name = "index.flat"
@@ -78,31 +77,26 @@ class FlatSketchIndex(SketchIndexBase):
         names: Sequence[str] | None = None,
         store=None,
         bound_method: str | None = "best_min_error_safe",
-        sketch_db: SketchDatabase | None = None,
+        sketch_db=None,
         row_codes: RowCodes | None = None,
     ) -> None:
-        super().__init__(
-            matrix, compressor, names, store, bound_method, sketch_db,
-            row_codes,
-        )
+        super().__init__(matrix, names, store, row_codes)
         self._matrix = None  # the store holds the rows
 
     # ------------------------------------------------------------------
-    # Candidate generation (the engine owns verification)
+    # Candidate generation: everyone, bounded by the engine's code stage
     # ------------------------------------------------------------------
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        lower, upper = self._bounds(query)
         stats.bound_computations += len(self)
-        return candidates_from_bound_arrays(lower, upper, k)
+        return population_candidates(len(self))
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
     ) -> CandidateSet:
-        lower, _ = self._bounds(query)
         stats.bound_computations += len(self)
-        return candidates_in_range(lower, radius)
+        return population_candidates(len(self))
 
     # ``bench/trace.py`` wraps only methods in a class's own ``__dict__``,
     # so the engine entry points are bound here by name.

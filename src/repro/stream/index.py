@@ -9,20 +9,21 @@ therefore every statistic, every quarantine path and the
 ``pruned + retrievals + quarantined == db`` invariant — applies to the
 union unchanged.
 
-Soundness of the union: the inner backend's :math:`\\sigma_{UB}` filter
-is computed over sealed members only, which can only make it *weaker*
-(larger) than the true union filter — a weaker filter admits more
-candidates, never misses one.  Live members bypass the sketch filter:
-they enter the candidate set with a sketch lower bound of ``0.0``
-(trivially sound) and count as *generated*.  The engine's row-code
-stage then bounds live and sealed entries alike: the union's
-:attr:`StreamIndex.row_codes` are the inner backend's codes for the
-sealed ids followed by codes of the z-scored live snapshot, quantised
-once per live tier.  A live entry whose code bound proves it out of the
-answer is pruned like a sealed one, so a query reads about k + 10 rows
-of the union instead of every live row.  An inner backend without codes
-(``scan``, ``mtree``, ``rtree``) leaves the union without them, and
-every live member is then exactly verified.
+Soundness of the union: the inner backend's filter is computed over
+sealed members only, which can only make it *weaker* than the true
+union filter — a weaker filter admits more candidates, never misses
+one.  Live members bypass it: they enter the candidate set with a lower
+bound of ``0.0`` (trivially sound) and count as *generated*.  The
+engine's row-code stage then bounds live and sealed entries alike: the
+union's :attr:`StreamIndex.row_codes` are the inner backend's codes for
+the sealed ids followed by codes of the z-scored live snapshot,
+quantised once per live tier.  A live entry whose code bound proves it
+out of the answer is pruned like a sealed one, so a query reads about
+k + 10 rows of the union instead of every live row.  Over ``flat`` the
+whole union arrives at lower bound 0 and the codes are its only filter:
+no sketch is built at seal time or bounded at query time.  An inner
+backend without codes (``scan``, ``mtree``, ``rtree``) leaves the union
+without them, and every live member is then exactly verified.
 
 Identifier layout: sealed rows keep their inner ids ``0..S-1``
 unchanged (identity translation — the inner index *is* the sealed

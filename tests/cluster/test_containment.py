@@ -125,19 +125,19 @@ def test_generator_failure_degrades_that_shard_only(matrix, queries):
     """A failing filter kernel gives the engine's global fallback.
 
     The router bounds every query with one kernel over the whole
-    population, so there is no per-shard generator left to fail alone:
-    a kernel failure falls back to one exhaustive scan of every shard,
-    noted on the router's quarantine.  Answers stay *identical* to the
-    monolithic index, flagged degraded.
+    population's row codes, so there is no per-shard generator left to
+    fail alone: a kernel failure falls back to one exhaustive scan of
+    every shard, noted on the router's quarantine.  Answers stay
+    *identical* to the monolithic index, flagged degraded.
     """
 
-    def failing_kernel(bounds, sketch_db):
+    def failing_kernel(queries, ids=None):
         raise OSError("filter offline")
 
     router = build_sharded(
         matrix, shards=3, backend="flat", seed=0, worker_pool=False
     )
-    router._kernel = failing_kernel
+    router.row_codes.bounds_sq = failing_kernel
     mono = get_index("flat", matrix)
     for query in queries:
         expected, _ = mono.search(query, k=K)

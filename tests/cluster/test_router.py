@@ -190,7 +190,9 @@ class TestObservability:
         """One filter span per query in the parent; shard tags per batch.
 
         Single queries (and every batch on a serial router) are bounded
-        by the router's filter under ``index.sharded.search``; only an
+        by the router's row codes, one engine ``engine.codes`` kernel
+        pass under ``index.sharded.search`` (or per query block under
+        ``engine.search_many``); only an
         exact pooled batch reaches the shards, whose merged sub-search
         stats land under their shard-addressed prefixes.
         """
@@ -205,8 +207,8 @@ class TestObservability:
             obs.disable()
         snapshot = registry.snapshot()
         histograms = snapshot["histograms"]
-        assert "span.index.sharded.search.cluster.filter" in histograms
-        assert "span.engine.search_many.cluster.filter" in histograms
+        assert "span.index.sharded.search.engine.codes" in histograms
+        assert "span.engine.search_many.engine.codes" in histograms
         assert not any("scatter" in name for name in histograms)
         assert not any("shard00" in name for name in snapshot["counters"])
         assert (

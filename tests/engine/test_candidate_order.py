@@ -2,7 +2,7 @@
 
 A :class:`~repro.engine.core.CandidateSet` stores its survivors as two
 arrays, ``lb_sq`` (``float64``) and ``ids`` (``intp``).  Every producer
-that hands arrays over — the flat filter, the range filter, the tree
+that hands arrays over — the SUB filter over bound arrays, the tree
 walk and the stream union — must put them in the order
 ``sorted(zip(lb_sq, ids))`` gives, ties broken by id, which is the
 order the verifier's termination rule and the tree walks' sorted pair
@@ -14,11 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.core import (
-    CandidateSet,
-    candidates_from_bound_arrays,
-    candidates_in_range,
-)
+from repro.engine.core import CandidateSet, candidates_from_bound_arrays
 from repro.index.results import SearchStats
 from repro.index.walk import BoundedWalk
 from repro.stream.index import StreamIndex
@@ -54,15 +50,6 @@ def test_bound_arrays_filter(bounds, k):
     lower, upper = bounds
     k = min(k, lower.size)
     assert_ascending(candidates_from_bound_arrays(lower, upper, k))
-
-
-@settings(max_examples=100, deadline=None)
-@given(bounds=bound_arrays(), radius=st.sampled_from(LEVELS))
-def test_range_filter(bounds, radius):
-    lower, _ = bounds
-    cands = candidates_in_range(lower, radius)
-    assert_ascending(cands)
-    assert cands.ids.size == np.count_nonzero(lower <= radius + 1e-7)
 
 
 @settings(max_examples=100, deadline=None)

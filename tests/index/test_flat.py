@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.compression import StorageBudget, WangCompressor
 from repro.exceptions import SeriesMismatchError
 from repro.index import FlatSketchIndex, VPTreeIndex, distances_to_query
@@ -78,9 +79,12 @@ class TestKnn:
         np.testing.assert_allclose([h.distance for h in hits], truth, atol=1e-9)
 
     def test_sub_filter_engages(self, matrix, index):
-        _, stats = index.search(matrix[0], k=1)
-        assert stats.candidates_after_sub_filter < len(matrix)
-        assert stats.full_retrievals <= stats.candidates_after_sub_filter
+        """The row codes are the filter: every row bounded, few read."""
+        with obs.observed() as registry:
+            _, stats = index.search(matrix[0], k=1)
+        assert registry.counter("engine.codes.pruned").value > 0
+        assert stats.candidates_after_sub_filter == len(matrix)
+        assert stats.full_retrievals <= 1 + 5
         assert stats.bound_computations == len(matrix)
 
     def test_pruning_accounts_for_every_object(self, matrix, index):
@@ -111,14 +115,18 @@ class TestRange:
 
 
 class TestConfiguration:
-    def test_wang_sketches(self, matrix):
-        index = FlatSketchIndex(
+    def test_wang_sketches(self, matrix, index):
+        """Sketch arguments are accepted and unused: the codes filter."""
+        wang = FlatSketchIndex(
             matrix, compressor=WangCompressor(8), bound_method=None
         )
-        assert index.bound_method == "wang"
         rng = np.random.default_rng(5)
         query = zscore(rng.normal(size=64))
-        hits, _ = index.search(query, k=1)
+        with obs.observed() as registry:
+            hits, stats = wang.search(query, k=1)
+        assert (hits, stats) == index.search(query, k=1)
+        assert registry.counter("engine.codes.pruned").value > 0
+        assert stats.full_retrievals <= 1 + 5
         truth = float(distances_to_query(matrix, query).min())
         assert hits[0].distance == pytest.approx(truth, abs=1e-9)
 
