@@ -26,7 +26,6 @@ import numpy as np
 
 from _bench_io import REPO_ROOT, append_trend
 from repro.cluster import build_sharded
-from repro.compression import StorageBudget
 from repro.engine import get_index, search_many
 from repro.evaluation import format_table
 
@@ -56,8 +55,7 @@ def test_batch_search_throughput(database_matrix, query_matrix, report):
     queries = np.vstack([query_matrix] * 16)
     k = 5
     shards = max(2, os.cpu_count() or 1)
-    compressor = StorageBudget(16).compressor("best_min_error")
-    index = get_index("flat", matrix, compressor=compressor)
+    index = get_index("flat", matrix)
 
     # One warm worker per shard over the same matrix, started during the
     # untimed build.  Each leg's wall is the best of REPEATS alternated
@@ -70,7 +68,6 @@ def test_batch_search_throughput(database_matrix, query_matrix, report):
         matrix,
         shards=shards,
         backend="flat",
-        compressor=compressor,
         worker_pool=True,
     ) as router:
         legs = {

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.compression import StorageBudget
 from repro.index import FlatSketchIndex
 from repro.obs import MetricsRegistry
 
@@ -56,9 +55,7 @@ def _observability_off():
 def test_obs_overhead_disabled(database_matrix, query_matrix, report):
     matrix = database_matrix[:1024]
     queries = query_matrix[:10]
-    index = FlatSketchIndex(
-        matrix, compressor=StorageBudget(16).compressor("best_min_error")
-    )
+    index = FlatSketchIndex(matrix)
 
     # Baseline: per-query latency with observability disabled (the
     # default state every non-observed run is in).

@@ -8,9 +8,10 @@ layer (see ``docs/SHARDING.md``):
 * :class:`Partitioner` — deterministic assignment of sequence ids to N
   shards (``hash`` or ``round_robin`` policy);
 * :func:`build_sharded` / :func:`open_sharded` — split one database
-  population into N self-contained shards, each with its own engine
-  index (any registry backend) and optionally its own page-store file,
-  described by a CRC-checked :class:`ShardManifest`;
+  population into N self-contained shards, each its rows and its slice
+  of the population's row codes (``flat``) or its rows alone
+  (``scan``), optionally in its own page-store file, described by a
+  CRC-checked :class:`ShardManifest`;
 * :class:`ShardRouter` — an :class:`~repro.engine.core.EngineIndex` over
   the shards: it holds one filter (the whole population's row codes)
   and bounds every single query with it exactly as the ``flat`` index
@@ -18,7 +19,7 @@ layer (see ``docs/SHARDING.md``):
   the obs accounting and the resilience guards all apply unchanged.
 * :class:`ShardWorkerPool` — one persistent worker process per
   populated shard, each holding its warm index built from its
-  :class:`ShardSpec` (the shard's rows, or its page store); it builds
+  :class:`ShardSpec` (the shard's rows and code slice); it builds
   the shards and serves exact ``search_many`` batches; enabled
   with ``worker_pool=True`` or the ``REPRO_SHARD_WORKERS`` environment
   switch (see ``docs/CONCURRENCY.md``).
@@ -27,7 +28,7 @@ The registry exposes the whole stack as just another backend::
 
     from repro.engine import get_index
 
-    router = get_index("sharded", matrix, shards=4, backend="vptree")
+    router = get_index("sharded", matrix, shards=4)  # flat shards
     neighbors, stats = router.search(query, k=5)
 """
 

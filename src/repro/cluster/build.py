@@ -6,9 +6,9 @@ shards under a deterministic :class:`~repro.cluster.Partitioner`;
 recipe on either transport:
 
 1. **Specs** — one :class:`~repro.cluster.ShardSpec` per populated
-   shard: backend, kwargs, names, the shard's rows and (``flat``) its
-   row-code slice on a fresh build, and the shard's page-store file
-   when the population is persisted.
+   shard: backend, names, the shard's rows and (``flat``) its slice of
+   the population's row codes, quantised once, and the shard's
+   page-store file when the population is persisted.
 2. **Build** — every shard index comes out of the one builder,
    ``pool._build_shard_index``: called in process for the serial
    transport, or by each worker of a
@@ -24,13 +24,18 @@ file (pagestore format 3) and the split is described by a CRC-checked
 file's population against it before any index is built or any worker
 is spawned.
 
+A shard is its rows and its code slice (``flat``) or its rows alone
+(``scan``, the paper's unfiltered baseline): the router's filter covers
+the whole population, so no query consults anything else on a shard.
+
 The default shard count comes from the ``REPRO_SHARDS`` environment
 variable (else 2), and ``REPRO_SHARD_WORKERS`` (any integer >= 1)
 selects the pooled transport — which is how the CI matrix runs the
 whole tier-1 suite against a 4-shard or a pooled router without
 touching any test; ``worker_pool=True``/``False`` overrides the
 environment per call.  Pooled routers serve the same bit-identical
-answers but cannot accept dynamic inserts (see ``docs/CONCURRENCY.md``;
+answers but, unlike serial ones over ``flat`` shards, cannot accept
+dynamic inserts (see ``docs/CONCURRENCY.md``;
 ``docs/PERFORMANCE.md`` has the measured table behind the choice of
 these two transports).
 """
@@ -68,9 +73,8 @@ __all__ = [
 #: Fallback shard count when ``REPRO_SHARDS`` is unset or blank.
 DEFAULT_SHARDS = 2
 
-#: Registry backends with seeded construction randomness; ``seed`` is
-#: shared between the partitioner and their per-shard constructors.
-_SEEDED_BACKENDS = frozenset({"vptree", "mvptree"})
+#: What a shard can be: its rows and row codes, or its rows alone.
+SHARD_BACKENDS = ("flat", "scan")
 
 
 def default_shard_count() -> int:
@@ -95,15 +99,13 @@ def default_worker_pool() -> bool:
 
 
 def _canonical_backend(backend: str) -> str:
-    from repro.engine.registry import _ALIASES, INDEX_BUILDERS
-
-    key = _ALIASES.get(backend, backend)
-    if key in ("sharded", "shard"):
+    key = "scan" if backend == "linear_scan" else backend
+    if key in ("sharded", "shard", "cluster"):
         raise ReproError("shards cannot themselves be sharded")
-    if key not in INDEX_BUILDERS:
-        known = ", ".join(sorted(set(INDEX_BUILDERS) - {"sharded"}))
+    if key not in SHARD_BACKENDS:
         raise ReproError(
-            f"unknown shard backend {backend!r}; available: {known}"
+            f"unknown shard backend {backend!r}; a shard is "
+            f"{' or '.join(SHARD_BACKENDS)}"
         )
     return key
 
@@ -113,22 +115,11 @@ def _shard_file(shard: int) -> str:
 
 
 def _specs(
-    key, members, n, index_kwargs, *, seed, files, directory, write_store,
-    names=None, matrix=None, codes=None,
+    key, members, n, matrix, codes, *, files, directory, write_store,
+    names=None,
 ) -> list[ShardSpec]:
-    """The build recipe of every populated shard.
-
-    ``seed`` also seeds backends with construction randomness unless
-    ``index_kwargs`` carries its own.  A reopen passes the manifest's
-    seed, so it rebuilds the very trees the first build made.  A fresh
-    build passes the population's ``matrix`` and row ``codes``: each
-    spec carries its shard's rows, and ``flat`` specs their code slices.
-    """
-    if key != "flat":
-        # Other backends quantise (or ignore) their own rows.
-        codes = None
-    if key in _SEEDED_BACKENDS and "seed" not in index_kwargs:
-        index_kwargs = {**index_kwargs, "seed": seed}
+    """The build recipe of every populated shard: its rows of
+    ``matrix`` and its ``take()`` slice of the row ``codes``."""
     return [
         ShardSpec(
             shard=shard,
@@ -141,14 +132,13 @@ def _specs(
                 if names is not None
                 else None
             ),
-            index_kwargs=dict(index_kwargs),
             store_path=(
                 os.path.join(directory, files[shard])
                 if directory is not None
                 else None
             ),
             write_store=write_store,
-            rows=matrix[ids] if matrix is not None else None,
+            rows=matrix[ids],
             row_codes=codes.take(ids) if codes is not None else None,
         )
         for shard, ids in enumerate(members)
@@ -156,17 +146,23 @@ def _specs(
     ]
 
 
+def _quantise(key, matrix):
+    """The population's row codes in one pass (``None`` for ``scan``)."""
+    if key == "scan" or not len(matrix):
+        return None
+    with obs.span("ingest.compress"):
+        return RowCodes.from_matrix(matrix)
+
+
 def _serve(
-    specs, members, partitioner, n, pooled, filtered, *,
-    codes=None, stores=None,
+    specs, members, partitioner, n, pooled, codes, stores=None,
 ) -> ShardRouter:
     """Build ``specs`` in process or on a warm pool; wire one router.
 
-    ``codes`` (a fresh build) are the whole population's row codes, the
-    router's filter; ``stores`` (a reopen) maps shards to the parent's
-    count-checked page stores, from which the router reads its filter's
-    rows.  ``filtered`` is ``False`` for a ``scan`` population, which
-    keeps no filter (the scan is the baseline).  Any failure — spawn, a
+    ``codes`` are the whole population's row codes, the router's filter
+    (``None`` for ``scan``, the unfiltered baseline); ``stores`` (a
+    reopen) maps shards to the parent's count-checked page stores.  Any
+    failure — spawn, a
     worker refusing to warm, a build — closes every store and the pool
     before the exception propagates: no orphan processes.
     """
@@ -201,7 +197,6 @@ def _serve(
             sequence_length=n,
             pool=pool,
             row_codes=codes,
-            filtered=filtered,
         )
     except BaseException:
         for store in stores.values():
@@ -222,9 +217,8 @@ def build_sharded(
     directory: str | os.PathLike | None = None,
     partitioner: Partitioner | None = None,
     worker_pool: bool | None = None,
-    **index_kwargs,
 ) -> ShardRouter:
-    """Partition ``matrix`` into shard indexes behind one router.
+    """Partition ``matrix`` into shards behind one router.
 
     Parameters
     ----------
@@ -233,12 +227,11 @@ def build_sharded(
     shards / policy / seed:
         Partitioner configuration (``shards``/``policy`` are ignored
         when an explicit ``partitioner`` is supplied).  ``shards=None``
-        takes :func:`default_shard_count`; ``seed`` also seeds the
-        per-shard constructors of backends with construction randomness
-        unless ``index_kwargs`` carries its own ``seed``.
+        takes :func:`default_shard_count`.
     backend:
-        Any non-sharded registry backend; one instance is built per
-        populated shard, with ``**index_kwargs`` forwarded.
+        ``"flat"`` (each shard holds its rows and its slice of the
+        population's row codes; the router filters with the codes) or
+        ``"scan"`` (rows alone, no filter: the paper's baseline).
     directory:
         When given, each shard's sequences are persisted to its own
         page-store file there and a checksummed manifest is written, so
@@ -254,7 +247,7 @@ def build_sharded(
         environment switch).  Pooled routers return bit-identical
         answers, shut their workers down deterministically via
         ``router.close()`` (or a ``with`` block), and do not support
-        dynamic inserts.
+        dynamic inserts; a serial router over ``flat`` shards does.
     """
     from repro.index.base import as_database
 
@@ -270,15 +263,9 @@ def build_sharded(
     members = partitioner.members(total)
     files = [_shard_file(shard) for shard in range(len(members))]
 
-    # One quantisation pass for the whole population: the router's
-    # filter, also sliced into shard-local views for flat shards, which
-    # then skip per-shard recomputation (the views are bit-identical to
-    # what a per-shard pass would produce, since codes are per-row).
-    filtered = key != "scan"
-    codes = None
-    if total and filtered:
-        with obs.span("ingest.compress"):
-            codes = RowCodes.from_matrix(matrix)
+    # The router's filter, also sliced into each flat shard's codes (a
+    # slice is bit-identical to quantising the shard anew).
+    codes = _quantise(key, matrix)
 
     if directory is not None:
         directory = os.fspath(directory)
@@ -291,14 +278,11 @@ def build_sharded(
                 SequencePageStore(os.path.join(directory, file), n).close()
 
     specs = _specs(
-        key, members, n, index_kwargs, seed=seed, files=files,
-        directory=directory, write_store=directory is not None, names=names,
-        matrix=matrix, codes=codes,
+        key, members, n, matrix, codes, files=files, directory=directory,
+        write_store=directory is not None, names=names,
     )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
-    router = _serve(
-        specs, members, partitioner, n, pooled, filtered, codes=codes,
-    )
+    router = _serve(specs, members, partitioner, n, pooled, codes)
     if directory is not None:
         try:
             ShardManifest(
@@ -322,7 +306,6 @@ def open_sharded(
     *,
     backend: str | None = None,
     worker_pool: bool | None = None,
-    **index_kwargs,
 ) -> ShardRouter:
     """Rebuild a sharded router from a directory written by
     :func:`build_sharded`.
@@ -330,11 +313,13 @@ def open_sharded(
     The manifest's CRC and per-shard counts, and every shard file's
     population, are verified before any index is built or any worker is
     spawned; a mismatch raises
-    :class:`~repro.exceptions.CorruptionError`.  ``backend`` defaults to
-    the one recorded in the manifest.  ``worker_pool`` follows the same
-    ``REPRO_SHARD_WORKERS`` default as :func:`build_sharded`; a pooled
-    reopen warms one worker per populated shard from its page-store
-    file (the stores are the source of truth).
+    :class:`~repro.exceptions.CorruptionError`.  ``backend`` (``"flat"``
+    or ``"scan"``) defaults to the one recorded in the manifest; any
+    other is refused.  The parent reads every shard's rows and quantises
+    them once, as :func:`build_sharded` does its matrix, on either
+    transport.  ``worker_pool`` follows the same ``REPRO_SHARD_WORKERS``
+    default as :func:`build_sharded`; a respawned worker reopens its
+    page-store file (the stores are the source of truth).
     """
     directory = os.fspath(directory)
     manifest = ShardManifest.load(directory)
@@ -350,6 +335,8 @@ def open_sharded(
                 f"per manifest but the partitioner assigns {rows.size}"
             )
 
+    n = manifest.sequence_length
+    matrix = np.empty((manifest.total, n))
     stores: dict[int, SequencePageStore] = {}
     try:
         for shard, rows in enumerate(members):
@@ -358,20 +345,18 @@ def open_sharded(
             )
             if rows.size:
                 stores[shard] = store
+                matrix[rows] = store.read_many(range(rows.size), cached=False)
             else:
                 store.close()
+        codes = _quantise(key, matrix)
     except BaseException:
         for store in stores.values():
             store.close()
         raise
 
     specs = _specs(
-        key, members, manifest.sequence_length, index_kwargs,
-        seed=manifest.seed, files=manifest.files, directory=directory,
-        write_store=False,
+        key, members, n, matrix, codes, files=manifest.files,
+        directory=directory, write_store=False,
     )
     pooled = default_worker_pool() if worker_pool is None else bool(worker_pool)
-    return _serve(
-        specs, members, partitioner, manifest.sequence_length, pooled,
-        key != "scan", stores=stores,
-    )
+    return _serve(specs, members, partitioner, n, pooled, codes, stores)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,10 +106,10 @@ def default_start_method() -> str:
 class ShardSpec:
     """Everything needed to (re)build one shard, picklable.
 
-    ``rows`` are the shard's sequences, and ``row_codes`` its slice of
-    the population's row codes (``flat`` shards only): a worker inherits
-    them under ``fork`` and receives them pickled under ``spawn``.  A
-    reopen carries no rows; the builder reads them from ``store_path``.
+    ``backend`` is ``"flat"`` or ``"scan"``.  ``rows`` are the shard's
+    sequences, and ``row_codes`` its slice of the population's row codes
+    (``flat`` shards only): a worker inherits them under ``fork`` and
+    receives them pickled under ``spawn``.
 
     ``write_store`` is ``True`` only for the *first* build of a
     directory-backed shard (the builder writes the checksummed page
@@ -126,7 +126,6 @@ class ShardSpec:
     sequence_length: int
     obs_name: str
     names: tuple | None = None
-    index_kwargs: dict = field(default_factory=dict)
     store_path: str | None = None
     write_store: bool = False
     rows: np.ndarray | None = None
@@ -136,9 +135,6 @@ class ShardSpec:
 # ----------------------------------------------------------------------
 # The one shard builder (run in a worker, or in process)
 # ----------------------------------------------------------------------
-#: Registry backends whose constructors accept a ``store=`` keyword.
-_STORE_BACKENDS = frozenset({"flat", "vptree", "mvptree", "scan"})
-
 
 def _open_shard_store(path: str, size: int) -> SequencePageStore:
     """Open a shard's page store, refusing a file of the wrong population."""
@@ -156,14 +152,13 @@ def _open_shard_store(path: str, size: int) -> SequencePageStore:
 def _build_shard_index(spec: ShardSpec, *, store=None):
     """Build one shard's index from its spec: the only way one is made.
 
-    The rows come from ``spec.rows`` (a fresh build, or an in-memory
-    respawn) or from the shard's page store (a reopen, or a respawn
-    after the first build wrote it); a ``store`` the caller already
-    opened and count-checked is used as is.  In process, in a fresh
-    worker and in a respawned one, the same sub-matrix, codes, names
-    and kwargs reach the registry, so a worker's index is bit-identical
-    to an in-process one (construction is deterministic under the
-    shared seed).  Returns ``(index, store)``.
+    The rows come from ``spec.rows`` (a build or a reopen, which read
+    them in the parent) or, for a worker respawned after its first
+    build wrote the page store, from that store; a ``store`` the caller
+    already opened and count-checked is used as is.  In process, in a
+    fresh worker and in a respawned one, the same rows, code slice and
+    names reach the registry, so a worker's index is bit-identical to
+    an in-process one.  Returns ``(index, store)``.
     """
     rows = spec.rows
     if spec.store_path is not None and spec.write_store:
@@ -178,18 +173,14 @@ def _build_shard_index(spec: ShardSpec, *, store=None):
     elif spec.store_path is not None:
         if store is None:
             store = _open_shard_store(spec.store_path, spec.size)
-        rows = store.read_many(range(spec.size))
+        if rows is None:
+            rows = store.read_many(range(spec.size))
     else:
         store = MemorySequenceStore.over(rows)
 
-    kwargs = dict(spec.index_kwargs)
+    kwargs = {"store": store}
     if spec.row_codes is not None:
         kwargs["row_codes"] = spec.row_codes
-    if store is not None and spec.backend not in _STORE_BACKENDS:
-        store.close()  # matrix-backed structure; the file stays for reopen
-        store = None
-    if store is not None:
-        kwargs["store"] = store
     names = list(spec.names) if spec.names is not None else None
     with obs.span("ingest.build"):
         sub = get_index(spec.backend, rows, names=names, **kwargs)
@@ -209,10 +200,10 @@ def _portable_error(exc: BaseException) -> BaseException:
 def _candidate_payload(sub, op: str, query, arg):
     """One shard's generator run, as a ``gather_knn`` triple.
 
-    Streams are materialised (iterators cannot cross processes; a
-    consumed k-NN stream has bounded every member), and a generator
-    failure is answered with the shard's exhaustive fallback plus the
-    error, which the router's gather records on its quarantine.
+    Flat and scan shards never stream, so the set crosses the pipe as
+    is.  A generator failure is answered with the shard's exhaustive
+    fallback plus the error, which the router's gather records on its
+    quarantine.
     """
     stats = SearchStats()
     try:
@@ -220,15 +211,6 @@ def _candidate_payload(sub, op: str, query, arg):
             cands = sub.knn_candidates(query, int(arg), stats)
         else:
             cands = sub.range_candidates(query, float(arg), stats)
-        if cands.stream is not None:
-            entries = list(cands.stream)
-            cands = CandidateSet(
-                entries=entries,
-                generated=len(entries) if op == "knn" else cands.generated,
-                sigma_sq=cands.sigma_sq,
-                paid=cands.paid,
-                top_ubs=cands.top_ubs,
-            )
         return cands, stats, None
     except (ReproError, OSError) as exc:
         fallback_stats = SearchStats()

@@ -107,12 +107,9 @@ class ShardRouter:
         :meth:`close`.
     row_codes:
         The filter: the whole population's row codes in global-id order.
-        Left ``None``, they are quantised from every row, read through
-        the shard stores (one read per shard).
-    filtered:
-        ``False`` keeps no filter: every query's candidates are the
-        whole population at a lower bound of zero, in id order — the
-        ``scan`` backend's, so a sharded scan stays the paper's baseline.
+        ``None`` keeps no filter: every query's candidates are the whole
+        population at a lower bound of zero, in id order — the ``scan``
+        backend's, so a sharded scan stays the paper's baseline.
     """
 
     obs_name = "index.sharded"
@@ -125,7 +122,6 @@ class ShardRouter:
         pool=None,
         *,
         row_codes: RowCodes | None = None,
-        filtered: bool = True,
     ) -> None:
         if not shards:
             raise ReproError("a ShardRouter needs at least one shard")
@@ -167,13 +163,7 @@ class ShardRouter:
         self._n = int(sequence_length)
         self._store = _RouterStore(self)
         self._pool = pool
-        if not (filtered and total):
-            row_codes = None  # every query scans the whole population
-        elif row_codes is None:
-            row_codes = RowCodes.from_matrix(
-                self._store.read_many(np.arange(total))
-            )
-        elif len(row_codes) != total:
+        if row_codes is not None and len(row_codes) != total:
             raise ReproError(
                 f"the filter holds {len(row_codes)} rows but the "
                 f"shards hold {total} members"
@@ -294,7 +284,7 @@ class ShardRouter:
         the global k smallest upper bounds lies inside its own shard's
         top-k, so the merged k-th smallest is the exact global value.
         Paid candidates always survive (their retrieval is booked).
-        Pool payloads never stream: a worker materialises its stream.
+        Flat and scan shards never stream.
         """
         tracker = SigmaTracker(k)
         for cands in shard_sets:

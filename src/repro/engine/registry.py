@@ -16,15 +16,15 @@ supports ``search``, ``range_search`` and
 :func:`~repro.engine.batch.search_many`.
 
 The six structures derive from :mod:`repro.index.base`, which holds
-their shared construction rules once.  The sketch-based structures
-("flat", "vptree", "mvptree") accept the compression keywords
-(``compressor``, ``bound_method``); the exact/feature-space baselines
-("mtree", "rtree", "scan") have no sketch to configure and reject them.
-The sketch structures and "scan" accept a verification ``store``: an
-empty one is filled from the matrix, and a non-empty one must hold
-exactly the matrix's rows or the builder raises
-:class:`~repro.exceptions.SeriesMismatchError`.  All builders accept
-``names``.
+their shared construction rules once.  The sketch trees ("vptree",
+"mvptree") accept the compression keywords (``compressor``,
+``bound_method``); "flat" filters with row codes and the
+exact/feature-space baselines ("mtree", "rtree", "scan") have no sketch
+to configure, so they reject them.  "flat", the sketch trees and "scan"
+accept a verification ``store``: an empty one is filled from the
+matrix, and a non-empty one must hold exactly the matrix's rows or the
+builder raises :class:`~repro.exceptions.SeriesMismatchError`.  All
+builders accept ``names``.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _build_sharded(matrix, **kwargs):
 #: Builders keyed by registry name.  The classes are imported lazily so
 #: that :mod:`repro.index` modules (which import the engine core) and
 #: this registry never form an import cycle.  "sharded" is the
-#: router over N partitions (``shards=``, ``policy=``,
-#: ``backend=`` select the split and the per-shard structure; the shard
+#: router over N partitions (``shards=`` and ``policy=`` select the
+#: split, ``backend=`` "flat" or "scan" what a shard holds; the shard
 #: count defaults to the ``REPRO_SHARDS`` environment variable).
 INDEX_BUILDERS: dict[str, Callable] = {
     "flat": _build_flat,

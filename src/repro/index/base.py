@@ -8,11 +8,12 @@ validated database shape, the names, the verification store and the
 constructor knobs, ``knn_candidates`` and ``range_candidates`` and
 nothing else.  :class:`CodedIndexBase` adds the resident
 :class:`~repro.compression.codes.RowCodes` the engine's row-code stage
-bounds candidates with, and the in-memory store default; ``flat`` is
-that and nothing more.  :class:`SketchIndexBase` adds the compressed
-half the two sketch trees share: the default compressor, the bound
-kernel, the packed :class:`~repro.compression.database.SketchDatabase`
-and the one kernel pass that bounds a query against all of it.
+bounds candidates with, the in-memory store default and the one row
+append that dynamic inserts share; ``flat`` is that and nothing more.
+:class:`SketchIndexBase` adds the compressed half the two sketch trees
+share: the default compressor, the bound kernel, the packed
+:class:`~repro.compression.database.SketchDatabase` and the one kernel
+pass that bounds a query against all of it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
 from repro.spectral.dft import Spectrum
 from repro.storage.pagestore import MemorySequenceStore
+from repro.timeseries.preprocessing import as_float_array
 
 __all__ = ["CodedIndexBase", "IndexBase", "SketchIndexBase", "as_database"]
 
@@ -143,6 +145,22 @@ class CodedIndexBase(IndexBase):
 
     def _default_store(self):
         return MemorySequenceStore(self._n)
+
+    def _append(self, values, name: str | None) -> int:
+        """Append one row to the store, the codes and the names;
+        returns its sequence id."""
+        values = as_float_array(values)
+        if values.size != self._n:
+            raise SeriesMismatchError(
+                f"sequence length {values.size} does not match the index "
+                f"length {self._n}"
+            )
+        seq_id = self._store.append(values)
+        self._row_codes = self._row_codes.appended(values)
+        if self._names is not None:
+            self._names = (*self._names, name or f"inserted-{seq_id}")
+        self._count += 1
+        return seq_id
 
 
 class SketchIndexBase(CodedIndexBase):

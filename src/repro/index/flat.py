@@ -63,9 +63,9 @@ class FlatSketchIndex(CodedIndexBase):
 
     ``row_codes`` takes prebuilt codes — the shard builder quantises the
     full population once and hands each shard its ``take()`` view
-    instead of recomputing.  ``compressor``, ``bound_method`` and
-    ``sketch_db`` are accepted for the callers that still pass them and
-    are unused: no sketch is built.
+    instead of recomputing.  ``sketch_db`` is accepted for the one
+    caller that still passes it (the end-to-end benchmark's flat
+    workload) and is unused: no sketch is built.
     """
 
     obs_name = "index.flat"
@@ -73,15 +73,19 @@ class FlatSketchIndex(CodedIndexBase):
     def __init__(
         self,
         matrix: np.ndarray,
-        compressor=None,
+        *,
         names: Sequence[str] | None = None,
         store=None,
-        bound_method: str | None = "best_min_error_safe",
-        sketch_db=None,
         row_codes: RowCodes | None = None,
+        sketch_db=None,
     ) -> None:
         super().__init__(matrix, names, store, row_codes)
         self._matrix = None  # the store holds the rows
+
+    def insert(self, values, name: str | None = None) -> int:
+        """Add a sequence to the store and its code to the filter;
+        returns its sequence id."""
+        return self._append(values, name)
 
     # ------------------------------------------------------------------
     # Candidate generation: everyone, bounded by the engine's code stage

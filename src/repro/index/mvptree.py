@@ -205,10 +205,4 @@ class MVPTreeIndex(SketchIndexBase):
         walk = BoundedWalk(*self._bounds(query), stats)
         bound = radius + RANGE_SLACK
         self._walk(self._root, walk, bound)
-        lower = walk.lower
-        near = (
-            (lower[i] * lower[i], i)
-            for i in walk.examined
-            if not lower[i] > bound
-        )
-        return CandidateSet(entries=sorted(near), generated=None)
+        return walk.range_result(bound)

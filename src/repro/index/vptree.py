@@ -205,25 +205,16 @@ class VPTreeIndex(SketchIndexBase):
         maintenance cost.  Routing and rebuilds read sequences through the
         store, so their I/O is visible in ``store.stats``.
         """
-        values = as_float_array(values)
         if self._compressor is None:
             raise SeriesMismatchError(
                 "a loaded index is search-only: its compressor "
                 "configuration is not serialised; rebuild to insert"
             )
-        if values.size != self._n:
-            raise SeriesMismatchError(
-                f"sequence length {values.size} does not match the index "
-                f"length {self._n}"
-            )
-        seq_id = self._store.append(values)
+        values = as_float_array(values)
+        seq_id = self._append(values, name)
         self._sketch_db = self._sketch_db.appended(
             self._compressor.compress(Spectrum.from_series(values))
         )
-        self._row_codes = self._row_codes.appended(values)
-        if self._names is not None:
-            self._names = (*self._names, name or f"inserted-{seq_id}")
-        self._count += 1
 
         node = self._root
         parent, went_left = None, False
@@ -322,15 +313,7 @@ class VPTreeIndex(SketchIndexBase):
         walk = BoundedWalk(*self._bounds(query), stats, deleted=self._deleted)
         bound = radius + _RANGE_SLACK
         self._range_walk(self._root, walk, bound)
-        # lb > bound rejects without touching the full sequence; the slack
-        # absorbs the floating-point error of a computed lb.  ``** 2`` is
-        # deliberate: ``lb * lb`` differs from it in the last bit for about
-        # one float in a thousand, and stored LB^2 values carry this form.
-        lower = walk.lower
-        near = (
-            (lower[i] ** 2, i) for i in walk.examined if not lower[i] > bound
-        )
-        return CandidateSet(entries=sorted(near), generated=None)
+        return walk.range_result(bound)
 
     def _range_walk(self, node, walk: BoundedWalk, bound: float) -> None:
         walk.stats.nodes_visited += 1

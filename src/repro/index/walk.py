@@ -78,3 +78,19 @@ class BoundedWalk:
             sigma_sq=sigma * sigma,
             top_ubs=self._tracker.values(),
         )
+
+    def range_result(self, bound: float) -> CandidateSet:
+        """The examined objects whose LB is not above ``bound`` (the
+        radius plus the range slack), ascending by ``(LB^2, seq_id)``."""
+        ids = np.array(self.examined, dtype=np.intp)
+        lb = self._lower[ids]
+        near = ~(lb > bound)
+        lb, ids = lb[near], ids[near]
+        # libm's pow, the form ``lb ** 2`` takes on a Python float: an
+        # array's ``** 2`` is an exact square, which differs from it in
+        # the last bit for about one value in a thousand.
+        lb_sq = np.float_power(lb, 2)
+        order = np.lexsort((ids, lb_sq))
+        return CandidateSet.from_arrays(
+            lb_sq[order], ids[order], generated=None
+        )

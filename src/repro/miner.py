@@ -65,8 +65,8 @@ __all__ = ["QueryLogMiner"]
 #: tree exact either way; a full rebuild restores balance).
 _REBUILD_GROWTH = 2.0
 
-#: Registry spellings of the shard router itself — ``shards=N`` selects
-#: the per-shard backend, so these are not valid values for it.
+#: Registry spellings of the shard router itself — ``shards=N`` builds
+#: the router, so these are not valid values beside it.
 _ROUTER_BACKENDS = frozenset({"sharded", "shard", "cluster"})
 
 
@@ -94,19 +94,20 @@ class QueryLogMiner:
     seed:
         Seed for the index-construction randomness.
     index_backend:
-        Engine registry name of the similarity structure (see
-        :func:`repro.engine.get_index`); defaults to the paper's
+        Engine registry name of the monolithic similarity structure
+        (see :func:`repro.engine.get_index`); defaults to the paper's
         ``"vptree"``.  Backends without dynamic insertion are rebuilt
         lazily after ingestion instead of updated in place.
     shards / shard_policy:
-        ``shards=N`` partitions the live index into N shards behind a
-        flat-filtered :class:`~repro.cluster.ShardRouter`
-        (``index_backend`` then names the per-shard structure).  New
-        series are routed to their shard by the deterministic
-        :class:`~repro.cluster.Partitioner` (``shard_policy`` is
-        ``"hash"`` or ``"round_robin"``); rebuilds re-partition and
-        rebuild shard by shard.  ``shards=None`` (the default) keeps the
-        monolithic index.
+        ``shards=N`` partitions the live index into N ``flat`` shards
+        behind a :class:`~repro.cluster.ShardRouter` filtered by the
+        population's row codes — or N ``scan`` shards, unfiltered, when
+        ``index_backend="scan"``.  New series are routed to their shard
+        by the deterministic :class:`~repro.cluster.Partitioner`
+        (``shard_policy`` is ``"hash"`` or ``"round_robin"``) and
+        inserted in place; a router that cannot insert (``scan`` shards,
+        an empty shard) is rebuilt lazily instead.  ``shards=None`` (the
+        default) keeps the monolithic index.
     dead_letter_capacity:
         Upper bound on the dead-letter buffer.  Sustained bad input must
         not grow memory without limit, so once the buffer is full the
@@ -121,10 +122,8 @@ class QueryLogMiner:
         periods and bursts always run exact (see ``docs/APPROX.md``).
     """
 
-    #: Backends that take the miner's compressor (sketch-based ones).
-    _SKETCH_BACKENDS = frozenset({"flat", "vptree", "mvptree"})
-    #: Backends with seeded construction randomness.
-    _SEEDED_BACKENDS = frozenset({"vptree", "mvptree"})
+    #: The sketch trees: they take the miner's compressor and seed.
+    _SKETCH_BACKENDS = frozenset({"vptree", "mvptree"})
 
     def __init__(
         self,
@@ -151,8 +150,9 @@ class QueryLogMiner:
         # registry names, but deserve the specific error under shards=N.
         if shards is not None and index_backend in _ROUTER_BACKENDS:
             raise SeriesMismatchError(
-                "shards=N wraps a per-shard backend; pass that backend "
-                "(e.g. index_backend='vptree'), not 'sharded'"
+                "shards=N builds the router itself, over flat shards "
+                "(scan shards with index_backend='scan'); 'sharded' is "
+                "not a per-shard backend"
             )
         if index_backend not in available_indexes():
             raise SeriesMismatchError(
@@ -342,11 +342,7 @@ class QueryLogMiner:
 
     def _live_index(self):
         if self._index is None:
-            kwargs: dict = {"names": list(self._order)}
-            if self._backend in self._SKETCH_BACKENDS:
-                kwargs["compressor"] = self._compressor
-            if self._backend in self._SEEDED_BACKENDS:
-                kwargs["seed"] = self._seed
+            names = list(self._order)
             with obs.span("miner.index_build"):
                 if self._partitioner is not None:
                     # The live index absorbs dynamic inserts between
@@ -356,11 +352,15 @@ class QueryLogMiner:
                     self._index = build_sharded(
                         self._matrix(),
                         partitioner=self._partitioner,
-                        backend=self._backend,
+                        backend="scan" if self._backend == "scan" else "flat",
+                        names=names,
                         worker_pool=False,
-                        **kwargs,
                     )
                 else:
+                    kwargs: dict = {"names": names}
+                    if self._backend in self._SKETCH_BACKENDS:
+                        kwargs["compressor"] = self._compressor
+                        kwargs["seed"] = self._seed
                     self._index = get_index(
                         self._backend, self._matrix(), **kwargs
                     )

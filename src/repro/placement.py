@@ -83,15 +83,11 @@ class PlacementPlan:
         return float(loads.max() / loads.mean())
 
 
-def _knn_graph(
-    collection: TimeSeriesCollection, neighbors: int, compressor=None
-) -> nx.Graph:
+def _knn_graph(collection: TimeSeriesCollection, neighbors: int) -> nx.Graph:
     """Mutual-k-NN graph over demand shapes (edges weighted by affinity)."""
     standardized = collection.standardize()
     matrix = standardized.as_matrix()
-    index = FlatSketchIndex(
-        matrix, compressor=compressor, names=list(collection.names)
-    )
+    index = FlatSketchIndex(matrix, names=list(collection.names))
     names = collection.names
     graph = nx.Graph()
     graph.add_nodes_from(names)
@@ -116,7 +112,6 @@ def plan_placement(
     collection: TimeSeriesCollection,
     servers: int,
     neighbors: int = 3,
-    compressor=None,
 ) -> PlacementPlan:
     """Plan a balanced, similarity-preserving server assignment.
 
@@ -128,8 +123,6 @@ def plan_placement(
         Number of servers to spread the queries over.
     neighbors:
         k for the mutual-k-NN similarity graph.
-    compressor:
-        Optional compressor for the underlying index.
     """
     if servers < 1:
         raise ValueError(f"servers must be >= 1, got {servers}")
@@ -138,7 +131,7 @@ def plan_placement(
     if neighbors < 1:
         raise ValueError(f"neighbors must be >= 1, got {neighbors}")
 
-    graph = _knn_graph(collection, neighbors, compressor)
+    graph = _knn_graph(collection, neighbors)
     communities = [
         tuple(sorted(community))
         for community in nx.community.greedy_modularity_communities(

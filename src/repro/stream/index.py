@@ -72,7 +72,9 @@ class StreamIndex:
     live_matrix / live_names:
         The live tier's z-scored snapshot and its names.
     kwargs:
-        Forwarded to the registry builder (compressor, shards, …).
+        Forwarded to the registry builder: tree knobs such as
+        ``compressor``, or for ``"sharded"`` the split (``shards``,
+        ``policy``) and the shard backend (``"flat"`` or ``"scan"``).
     """
 
     def __init__(

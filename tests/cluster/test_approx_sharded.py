@@ -9,15 +9,15 @@ that buys, as tests:
   scan) sharded-approx is *bit-identical* to monolithic-approx — same
   ids, same float distances, same approx accounting — for every shard
   count in {1, 2, 4, 7};
-* the ε-guarantee holds through the router for every backend (the
-  sharded answer's k-th distance is within ``(1+ε)`` of the exact
-  sharded answer's);
+* the ε-guarantee holds through the router against every structure
+  (the sharded answer's k-th distance is within ``(1+ε)`` of the exact
+  answer, which the router and the monolithic structure agree on);
 * ``search_many`` over a router under a policy equals the per-query
   ``router.search`` loop — results and stats — with and without the
   worker pool (the pooled batch ships candidates over the ``cands``
   protocol op and verifies at the parent);
 * the extended accounting invariant closes against the *global*
-  database size.
+  database size, for the router as for every monolithic structure.
 """
 
 import dataclasses
@@ -27,15 +27,15 @@ import pytest
 
 from repro.cluster import build_sharded
 from repro.engine import ApproxPolicy, available_indexes, get_index, search_many
+from tests.engine.conftest import answers, shard_backend
 
 BACKENDS = tuple(name for name in available_indexes() if name != "sharded")
 SHARD_COUNTS = (1, 2, 4, 7)
 
-#: Backends whose candidate stream is the entire population in both the
-#: monolithic and sharded layouts, making approx decisions replayable
-#: bit for bit.  Tree traversals may *generate* different candidate
-#: sets per layout, so only the ε-guarantee — not bit-identity against
-#: the monolithic index — is promised there.
+#: Shard backends: the candidate stream is the entire population in
+#: both the monolithic and sharded layouts, making approx decisions
+#: replayable bit for bit.  Tree traversals generate other candidate
+#: sets, so against a tree only the ε-guarantee is promised.
 FULL_STREAM_BACKENDS = ("flat", "scan")
 
 POLICIES = [ApproxPolicy(epsilon=0.5)]
@@ -77,9 +77,13 @@ def test_full_stream_backends_bit_identical_to_monolithic(
 def test_epsilon_guarantee_through_router(matrix, queries, backend, shards):
     epsilon = 0.5
     policy = ApproxPolicy(epsilon=epsilon)
-    router = build_sharded(matrix, shards=shards, backend=backend)
+    router = build_sharded(
+        matrix, shards=shards, backend=shard_backend(backend)
+    )
+    mono = get_index(backend, matrix)
     for query in queries:
         exact_hits, _ = router.search(query, k=5)
+        assert answers(exact_hits) == answers(mono.search(query, k=5)[0])
         approx_hits, stats = router.search(query, k=5, policy=policy)
         assert len(approx_hits) == 5
         assert stats.approximate is True
@@ -92,16 +96,20 @@ def test_epsilon_guarantee_through_router(matrix, queries, backend, shards):
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_extended_invariant_is_global(matrix, queries, backend, shards):
-    router = build_sharded(matrix, shards=shards, backend=backend)
+    router = build_sharded(
+        matrix, shards=shards, backend=shard_backend(backend)
+    )
+    mono = get_index(backend, matrix)
     for policy in POLICIES:
-        _, stats = router.search(queries[0], k=3, policy=policy)
-        assert (
-            stats.candidates_pruned
-            + stats.full_retrievals
-            + stats.quarantined
-            + stats.skipped_approx
-            == len(matrix)
-        ), (backend, shards, policy)
+        for index in (router, mono):
+            _, stats = index.search(queries[0], k=3, policy=policy)
+            assert (
+                stats.candidates_pruned
+                + stats.full_retrievals
+                + stats.quarantined
+                + stats.skipped_approx
+                == len(matrix)
+            ), (backend, shards, policy)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])

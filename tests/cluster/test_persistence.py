@@ -6,16 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster import Partitioner, build_sharded, open_sharded
+from repro.cluster import Partitioner, ShardManifest, build_sharded, open_sharded
 from repro.cluster.manifest import MANIFEST_NAME
-from repro.engine import available_indexes
+from repro.engine import get_index
 from repro.exceptions import CorruptionError, ReproError
 from repro.storage.pagestore import SequencePageStore
-from tests.index.fig11_reference import vantage_ids
-
-SHARD_BACKENDS = tuple(
-    name for name in available_indexes() if name != "sharded"
-)
+from tests.engine.conftest import STRUCTURES, answers, shard_backend
 
 
 def test_build_writes_one_file_per_shard_plus_manifest(matrix, tmp_path):
@@ -35,26 +31,17 @@ def test_build_writes_one_file_per_shard_plus_manifest(matrix, tmp_path):
 @pytest.mark.parametrize("backend", ["flat", "vptree", "scan"])
 def test_round_trip_is_bit_identical(matrix, queries, backend, tmp_path):
     with build_sharded(
-        matrix, shards=3, backend=backend, directory=tmp_path, seed=4
+        matrix, shards=3, backend=shard_backend(backend), directory=tmp_path,
+        seed=4,
     ) as router:
         expected = [router.search(query, k=5) for query in queries]
+    mono = get_index(backend, matrix)
     with open_sharded(tmp_path) as reopened:
         assert len(reopened) == len(matrix)
         for query, (hits, _) in zip(queries, expected):
             got, _ = reopened.search(query, k=5)
-            assert [(h.distance, h.seq_id) for h in got] == [
-                (h.distance, h.seq_id) for h in hits
-            ]
-
-
-#: Counters of how much of a candidate *stream* was bounded.  The R-tree
-#: streams lazily in process (members the verifier never reaches are
-#: never bounded), and a worker must materialise the stream to ship it.
-STREAM_COUNTERS = (
-    "bound_computations",
-    "candidates_after_traversal",
-    "candidates_after_sub_filter",
-)
+            assert answers(got) == answers(hits)
+            assert answers(got) == answers(mono.search(query, k=5)[0])
 
 
 def _answers(router, queries, radii):
@@ -73,27 +60,19 @@ def _answers(router, queries, radii):
         ]
 
 
-def _without(answers, fields):
-    return [
-        (hits, {k: v for k, v in stats.items() if k not in fields})
-        for hits, stats in answers
-    ]
-
-
-@pytest.mark.parametrize("backend", SHARD_BACKENDS)
+@pytest.mark.parametrize("backend", STRUCTURES)
 def test_every_router_over_one_directory_agrees(
     matrix, queries, backend, tmp_path
 ):
     """Serial or pooled, built or reopened: one directory, one answer.
 
-    A reopen equals its transport's build on every field; the two
-    transports equal each other on every field but a streaming
-    backend's stream counters.
+    The four routers equal each other on every field, and their exact
+    answers equal the monolithic structure's.
     """
 
     def build(worker_pool):
         return build_sharded(
-            matrix, shards=3, backend=backend, seed=3,
+            matrix, shards=3, backend=shard_backend(backend), seed=3,
             directory=tmp_path, worker_pool=worker_pool,
         )
 
@@ -109,20 +88,17 @@ def test_every_router_over_one_directory_agrees(
     )
     assert serial_open == serial_build
     assert pooled_open == pooled_build
-    skip = STREAM_COUNTERS if backend == "rtree" else ()
-    assert _without(pooled_build, skip) == _without(serial_build, skip)
-
-
-def test_reopen_reseeds_the_trees_from_the_manifest(matrix, tmp_path):
-    with build_sharded(
-        matrix, shards=2, backend="vptree", seed=3, leaf_size=2,
-        directory=tmp_path, worker_pool=False,
-    ) as built:
-        expected = [vantage_ids(sub) for sub, _ in built.shard_views()]
-    with open_sharded(tmp_path, worker_pool=False, leaf_size=2) as reopened:
-        assert [
-            vantage_ids(sub) for sub, _ in reopened.shard_views()
-        ] == expected
+    assert pooled_build == serial_build
+    mono = get_index(backend, matrix)
+    assert [
+        [(d, i) for d, i, _ in hits] for hits, _ in serial_build
+    ] == [
+        answers(hits)
+        for query, radius in zip(queries, radii)
+        for hits, _ in (
+            mono.search(query, k=5), mono.range_search(query, radius)
+        )
+    ]
 
 
 def test_reopen_with_a_different_backend(matrix, queries, tmp_path):
@@ -137,15 +113,19 @@ def test_reopen_with_a_different_backend(matrix, queries, tmp_path):
     ]
 
 
-def test_matrix_backed_backend_round_trips(matrix, queries, tmp_path):
-    """Backends without a ``store=`` hook still persist via shard files."""
+@pytest.mark.parametrize("backend", ["vptree", "mtree", "sharded"])
+def test_manifest_with_another_backend_is_refused(matrix, tmp_path, backend):
+    """A shard is flat or scan: a manifest recording any other backend
+    (one written before the shard backend narrowed) is refused by name."""
     build_sharded(
-        matrix, shards=2, backend="mtree", directory=tmp_path
+        matrix, shards=2, backend="flat", directory=tmp_path
     ).close()
-    with open_sharded(tmp_path) as reopened:
-        got, _ = reopened.search(queries[0], k=3)
-    assert got[0].distance >= 0.0
-    assert len(got) == 3
+    manifest = ShardManifest.load(tmp_path)
+    dataclasses.replace(manifest, backend=backend).save(tmp_path)
+    with pytest.raises(ReproError, match="flat or scan|cannot themselves"):
+        open_sharded(tmp_path)
+    with pytest.raises(ReproError, match="flat or scan"):
+        build_sharded(matrix, shards=2, backend="vptree")
 
 
 def test_empty_shards_round_trip(tmp_path):

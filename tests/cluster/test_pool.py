@@ -20,12 +20,12 @@ import pytest
 
 from repro import obs
 from repro.cluster import ShardWorkerPool, build_sharded, open_sharded
-from repro.engine import search_many
+from repro.engine import get_index, search_many
 from repro.exceptions import ReproError
 from repro.index.results import SearchStats
 from repro.resilience.retry import active_policy, policy_context
+from tests.engine.conftest import STRUCTURES, shard_backend
 
-BACKENDS = ("flat", "vptree", "mvptree", "mtree", "rtree", "scan")
 SHARD_COUNTS = (1, 2, 4, 7)
 
 
@@ -66,19 +66,23 @@ def _kill_and_wait(pool, shard):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: pooled == serial scatter, every backend x shard count
+# Bit-identity: pooled == serial == monolithic, every structure x shard
+# count
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", STRUCTURES)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_pool_agrees_with_serial_scatter(matrix, queries, backend, shards):
+    shard = shard_backend(backend)
     serial = build_sharded(
-        matrix, shards=shards, backend=backend, worker_pool=False
+        matrix, shards=shards, backend=shard, worker_pool=False
     )
+    mono = get_index(backend, matrix)
     expected_knn, expected_stats = [], []
     for query in queries:
         neighbors, stats = serial.search(query, k=5)
         expected_knn.append(as_pairs(neighbors))
         expected_stats.append(stats)
+        assert expected_knn[-1] == as_pairs(mono.search(query, k=5)[0])
     radius = expected_knn[0][-1][0] * 1.1
     expected_range = as_pairs(serial.range_search(queries[0], radius)[0])
     expected_batch = [
@@ -88,7 +92,7 @@ def test_pool_agrees_with_serial_scatter(matrix, queries, backend, shards):
     serial.close()
 
     with build_sharded(
-        matrix, shards=shards, backend=backend, worker_pool=True
+        matrix, shards=shards, backend=shard, worker_pool=True
     ) as router:
         assert router.worker_pool is not None
         for query, expected, serial_stats in zip(

@@ -9,13 +9,13 @@ from repro.engine import get_index, search_many
 from repro.exceptions import KeyNotFoundError, ReproError
 
 
-def split(matrix, shards, policy="hash", seed=0):
+def split(matrix, shards, policy="hash", seed=0, backend="flat"):
     """Hand-rolled ``(index, global_ids)`` pairs for direct construction."""
     members = Partitioner(shards, policy=policy, seed=seed).members(
         len(matrix)
     )
     return [
-        (get_index("flat", matrix[rows]) if rows.size else None, rows)
+        (get_index(backend, matrix[rows]) if rows.size else None, rows)
         for rows in members
     ]
 
@@ -111,13 +111,13 @@ class TestRouterStore:
     def test_read_many_equals_stacked_fetch(self, matrix, backend):
         """Ids spanning shards, repeated and unsorted, as one block.
 
-        ``mtree`` / ``rtree`` shards keep no store, so their rows come
-        through ``fetch_block``'s per-row fallback.
+        ``build_sharded`` makes only stored shards, but a router built
+        directly may hold any sub-index: ``mtree`` / ``rtree`` keep no
+        store, so their rows come through ``fetch_block``'s per-row
+        fallback.
         """
         ids = [len(matrix) - 1, 4, 4, 0, 33, 17, 4, 61, 2]
-        with build_sharded(
-            matrix, shards=3, backend=backend, worker_pool=False
-        ) as router:
+        with ShardRouter(split(matrix, 3, backend=backend)) as router:
             expected = np.stack([router.fetch(gid) for gid in ids])
             assert np.array_equal(router.store.read_many(ids), expected)
             assert router.store.read_many([]).shape == (0, matrix.shape[1])
@@ -161,7 +161,7 @@ class TestInsert:
         # Pooled routers are read-only (docs/CONCURRENCY.md): inserts
         # need the live in-process sub-indexes.
         router = build_sharded(
-            matrix, shards=3, backend="vptree", seed=1,
+            matrix, shards=3, backend="flat", seed=1,
             names=[f"q{i}" for i in range(len(matrix))],
             worker_pool=False,
         )
@@ -174,8 +174,8 @@ class TestInsert:
         assert (hits[0].seq_id, hits[0].distance) == (gid, 0.0)
         assert hits[0].name == "newbie"
 
-    def test_flat_shards_cannot_insert(self, matrix):
-        router = build_sharded(matrix, shards=3, backend="flat")
+    def test_scan_shards_cannot_insert(self, matrix):
+        router = build_sharded(matrix, shards=3, backend="scan")
         assert not router.supports_insert
         with pytest.raises(ReproError, match="cannot insert"):
             router.insert(matrix[0])

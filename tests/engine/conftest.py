@@ -9,6 +9,7 @@ back in the same (id-ordered) sequence everywhere.
 import numpy as np
 import pytest
 
+from repro.engine import available_indexes
 from repro.timeseries import zscore
 
 
@@ -36,6 +37,30 @@ def make_db(count=96, n=64, seed=0, duplicates=6):
     for i in range(duplicates):
         rows.append(rows[i].copy())
     return np.array(rows)
+
+
+#: Every structure but the router itself: what a sharded population's
+#: exact answers must equal.
+STRUCTURES = tuple(name for name in available_indexes() if name != "sharded")
+
+
+def shard_backend(structure: str) -> str:
+    """The shard backend of a router compared with ``structure``.
+
+    A shard is its rows and its slice of the row codes (``flat``) or its
+    rows alone (``scan``, the unfiltered baseline).  Sharded-vs-
+    monolithic suites keep a structure dimension — a router's exact
+    answers must equal every structure's, which checks the router
+    against implementations that share none of its filter — and build
+    the router over ``scan`` shards for the scan baseline and ``flat``
+    shards for every filtered structure.
+    """
+    return "scan" if structure == "scan" else "flat"
+
+
+def answers(hits):
+    """A result list as ``(distance, seq_id)`` pairs."""
+    return [(h.distance, h.seq_id) for h in hits]
 
 
 @pytest.fixture(scope="package")

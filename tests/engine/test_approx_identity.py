@@ -19,6 +19,7 @@ from repro.engine import ApproxPolicy, available_indexes, get_index, search_many
 from repro.index.flat import FlatSketchIndex
 from repro.index.vptree import VPTreeIndex
 from repro.storage.pagestore import SequencePageStore
+from tests.engine.conftest import shard_backend
 
 BACKENDS = tuple(name for name in available_indexes() if name != "sharded")
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -92,25 +93,36 @@ class TestMonolithic:
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSharded:
+    """A router over ``shard_backend(backend)`` shards; its exact answers
+    also equal the monolithic ``backend``'s."""
+
     def test_knn_exact_policy_identical(self, matrix, queries, backend, shards):
-        router = build_sharded(matrix, shards=shards, backend=backend)
+        router = build_sharded(
+            matrix, shards=shards, backend=shard_backend(backend)
+        )
+        mono = get_index(backend, matrix)
         for query in queries:
             for k in (1, 5):
                 plain = run_knn(router, query, k, None)
                 explicit = run_knn(router, query, k, EXACT)
                 assert explicit == plain, (backend, shards, k)
                 assert_exact_flags(explicit[1])
+                assert explicit[0] == run_knn(mono, query, k, None)[0]
 
     def test_range_exact_policy_identical(
         self, matrix, queries, backend, shards
     ):
-        router = build_sharded(matrix, shards=shards, backend=backend)
+        router = build_sharded(
+            matrix, shards=shards, backend=shard_backend(backend)
+        )
+        mono = get_index(backend, matrix)
         query = queries[0]
         far, _ = router.search(query, k=9)
         for radius in (far[4].distance, 0.0):
             plain = run_range(router, query, radius, None)
             explicit = run_range(router, query, radius, EXACT)
             assert explicit == plain, (backend, shards, radius)
+            assert explicit[0] == run_range(mono, query, radius, None)[0]
 
 
 @pytest.mark.parametrize(
@@ -153,9 +165,9 @@ def test_worker_pool_modes(matrix, queries, pooled):
     must round-trip to answers indistinguishable from a policy-less
     serial router.
     """
-    reference = build_sharded(matrix, shards=3, backend="vptree")
+    reference = build_sharded(matrix, shards=3, backend="flat")
     router = build_sharded(
-        matrix, shards=3, backend="vptree", worker_pool=pooled
+        matrix, shards=3, backend="flat", worker_pool=pooled
     )
     try:
         assert (router.worker_pool is not None) == pooled

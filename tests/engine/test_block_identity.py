@@ -25,6 +25,7 @@ from repro.engine import available_indexes, get_index
 from repro.index.flat import FlatSketchIndex
 from repro.index.vptree import VPTreeIndex
 from repro.storage.pagestore import SequencePageStore
+from tests.engine.conftest import shard_backend
 
 BACKENDS = tuple(name for name in available_indexes() if name != "sharded")
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -96,26 +97,39 @@ class TestMonolithic:
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSharded:
+    """A router over ``shard_backend(backend)`` shards; its blocked
+    answers also equal the monolithic ``backend``'s scalar ones."""
+
     def test_knn_blocked_equals_scalar(
         self, matrix, queries, backend, shards, monkeypatch
     ):
-        router = build_sharded(matrix, shards=shards, backend=backend)
+        router = build_sharded(
+            matrix, shards=shards, backend=shard_backend(backend)
+        )
+        mono = get_index(backend, matrix)
         for query in queries:
             for k in (1, 5):
                 scalar = run_knn(monkeypatch, router, query, k, 0)
                 blocked = run_knn(monkeypatch, router, query, k, 7)
                 assert blocked == scalar, (backend, shards, k)
+                assert blocked[0] == run_knn(monkeypatch, mono, query, k, 0)[0]
 
     def test_range_blocked_equals_scalar(
         self, matrix, queries, backend, shards, monkeypatch
     ):
-        router = build_sharded(matrix, shards=shards, backend=backend)
+        router = build_sharded(
+            matrix, shards=shards, backend=shard_backend(backend)
+        )
+        mono = get_index(backend, matrix)
         query = queries[0]
         far, _ = router.search(query, k=9)
         for radius in (far[4].distance, 0.0):
             scalar = run_range(monkeypatch, router, query, radius, 0)
             blocked = run_range(monkeypatch, router, query, radius, 7)
             assert blocked == scalar, (backend, shards, radius)
+            assert blocked[0] == run_range(
+                monkeypatch, mono, query, radius, 0
+            )[0]
 
 
 @pytest.mark.parametrize(
@@ -175,9 +189,9 @@ def test_worker_pool_modes(matrix, queries, pooled, monkeypatch):
     compared against an in-process scalar reference.
     """
     monkeypatch.delenv("REPRO_VERIFY_BLOCK", raising=False)
-    reference = build_sharded(matrix, shards=3, backend="vptree")
+    reference = build_sharded(matrix, shards=3, backend="flat")
     router = build_sharded(
-        matrix, shards=3, backend="vptree", worker_pool=pooled
+        matrix, shards=3, backend="flat", worker_pool=pooled
     )
     try:
         assert (router.worker_pool is not None) == pooled

@@ -104,17 +104,22 @@ def test_pruned_counter_is_published_when_obs_is_on(walks):
 def test_router_and_inserts_carry_the_codes(walks):
     matrix, queries = walks
     router = get_index(
-        "sharded", matrix[:-10], shards=3, backend="vptree", worker_pool=False
+        "sharded", matrix[:-10], shards=3, backend="flat", worker_pool=False
     )
     tree = get_index("vptree", matrix[:-10])
+    grown = get_index("flat", matrix[:-10])
     for row in matrix[-10:]:
         router.insert(row)
         tree.insert(row)
-    assert len(router.row_codes) == len(tree.row_codes) == len(matrix)
+        grown.insert(row)
+    assert (
+        len(router.row_codes) == len(tree.row_codes) == len(grown.row_codes)
+        == len(matrix)
+    )
     flat = get_index("flat", matrix)
     for query in queries:
         expected = flat.search(query, k=5)
-        for index in (router, tree):
+        for index in (router, tree, grown):
             hits, stats = index.search(query, k=5)
             assert pairs(hits) == pairs(expected[0])
             assert stats.full_retrievals < 40

@@ -187,7 +187,7 @@ def mvptree_range(index, query, radius, stats) -> CandidateSet:
             lb = float(lb)
             if lb > bound:
                 continue
-            to_verify.append((lb * lb, int(seq_id)))
+            to_verify.append((lb ** 2, int(seq_id)))
         return lower, upper
 
     def traverse(node) -> None:

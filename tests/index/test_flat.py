@@ -1,12 +1,14 @@
 """Tests for the flat compressed index."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.compression import StorageBudget, WangCompressor
+from repro.compression import StorageBudget
 from repro.exceptions import SeriesMismatchError
 from repro.index import FlatSketchIndex, VPTreeIndex, distances_to_query
 from repro.storage import SequencePageStore
@@ -69,9 +71,7 @@ class TestKnn:
     @given(st.integers(min_value=0, max_value=800))
     def test_property_exact(self, seed):
         matrix = make_db(count=40, n=32, seed=seed)
-        index = FlatSketchIndex(
-            matrix, compressor=StorageBudget(8).compressor("best_min_error")
-        )
+        index = FlatSketchIndex(matrix)
         rng = np.random.default_rng(seed + 1)
         query = zscore(rng.normal(size=32))
         hits, _ = index.search(query, k=2)
@@ -115,20 +115,14 @@ class TestRange:
 
 
 class TestConfiguration:
-    def test_wang_sketches(self, matrix, index):
-        """Sketch arguments are accepted and unused: the codes filter."""
-        wang = FlatSketchIndex(
-            matrix, compressor=WangCompressor(8), bound_method=None
-        )
-        rng = np.random.default_rng(5)
-        query = zscore(rng.normal(size=64))
-        with obs.observed() as registry:
-            hits, stats = wang.search(query, k=1)
-        assert (hits, stats) == index.search(query, k=1)
-        assert registry.counter("engine.codes.pruned").value > 0
-        assert stats.full_retrievals <= 1 + 5
-        truth = float(distances_to_query(matrix, query).min())
-        assert hits[0].distance == pytest.approx(truth, abs=1e-9)
+    def test_rejects_sketch_arguments(self, matrix):
+        """The codes are the filter: there is no sketch to configure."""
+        for knob in (
+            {"compressor": StorageBudget(8).compressor("best_min_error")},
+            {"bound_method": "best_min_error_safe"},
+        ):
+            with pytest.raises(TypeError):
+                FlatSketchIndex(matrix, **knob)
 
     def test_disk_store(self, matrix, tmp_path, monkeypatch):
         # Scalar verify mode: strict physical/logical read equality is a
@@ -168,3 +162,65 @@ class TestConfiguration:
             index.range_search(np.zeros(5), 1.0)
         with pytest.raises(ValueError):
             index.range_search(matrix[0], -0.5)
+
+
+def snap(result):
+    hits, stats = result
+    return (
+        [(h.distance, h.seq_id, h.name) for h in hits],
+        dataclasses.asdict(stats),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@example(
+    seed=0, built=1, grown=1, named=False, on_disk=False, k=3, radius=0.0
+)  # k past the population, drawn by the explore profile
+@given(
+    seed=st.integers(0, 2**16),
+    built=st.integers(1, 30),
+    grown=st.integers(1, 12),
+    named=st.booleans(),
+    on_disk=st.booleans(),
+    k=st.integers(1, 8),
+    radius=st.floats(0.0, 10.0),
+)
+def test_grown_by_insert_answers_like_built(
+    tmp_path_factory, seed, built, grown, named, on_disk, k, radius
+):
+    """Growing ``flat`` row by row equals building it over the same rows.
+
+    Answers, names and every SearchStats field agree, with the rows in
+    memory or in a page store: an insert appends the row to the store
+    and its code to the filter, and a code is a function of its row.
+    """
+    matrix = make_db(count=built + grown, n=32, seed=seed)
+    names = [f"q{i}" for i in range(len(matrix))] if named else None
+
+    def store():
+        if not on_disk:
+            return None
+        directory = tmp_path_factory.mktemp("flat")
+        return SequencePageStore(directory / "rows.dat", matrix.shape[1])
+
+    whole = FlatSketchIndex(matrix, names=names, store=store())
+    grown_index = FlatSketchIndex(
+        matrix[:built], names=names[:built] if named else None, store=store()
+    )
+    for offset, row in enumerate(matrix[built:]):
+        seq_id = grown_index.insert(row, names[built + offset] if named else None)
+        assert seq_id == built + offset
+    assert len(grown_index) == len(whole)
+    k = min(k, len(whole))
+    query = zscore(np.random.default_rng(seed + 1).normal(size=32))
+    for probe in (query, matrix[-1]):
+        assert snap(grown_index.search(probe, k=k)) == snap(
+            whole.search(probe, k=k)
+        )
+        assert snap(grown_index.range_search(probe, radius)) == snap(
+            whole.range_search(probe, radius)
+        )
+    with pytest.raises(SeriesMismatchError):
+        grown_index.insert(np.zeros(5))
+    whole.store.close()
+    grown_index.store.close()

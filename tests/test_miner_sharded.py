@@ -52,6 +52,9 @@ class TestAgreement:
         sharded = make_miner(shards=4)
         assert isinstance(sharded._live_index(), ShardRouter)
         assert sharded._live_index().shard_count == 4
+        # Flat shards whatever the monolithic structure is.
+        for sub, _ in sharded._live_index().shard_views():
+            assert sub.row_codes is not None
 
     def test_similar_many_matches_similar(self):
         sharded = make_miner(shards=3)
@@ -71,14 +74,15 @@ class TestIngestionKeepsRouting:
             miner.add_series(
                 TimeSeries(late, name="latecomer", start=START)
             )
-        # The default vptree shards accept routed inserts in place.
+        # Flat shards accept routed inserts in place.
         assert sharded._live_index() is router
         assert as_pairs(sharded.similar("latecomer", k=4)) == as_pairs(
             mono.similar("latecomer", k=4)
         )
 
     def test_static_backend_rebuilds_the_router(self):
-        sharded = make_miner(shards=2, index_backend="flat")
+        # Scan shards keep no codes and take no inserts.
+        sharded = make_miner(shards=2, index_backend="scan")
         first = sharded._live_index()
         late = np.abs(np.cumsum(np.random.default_rng(78).normal(size=DAYS))) + 1.0
         sharded.add_series(TimeSeries(late, name="rebuilt", start=START))
