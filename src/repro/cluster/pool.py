@@ -41,6 +41,9 @@ worker death — crash, SIGKILL, OOM — is detected by the collect loop
 The batch then runs in the parent over the router's filter, exact and
 not degraded, and the pool respawns the worker from its spec before the
 next request (up to ``max_respawns``; after that the shard stays down).
+
+While a pool is open, the parent and every worker run BLAS on one
+thread (:mod:`repro.cluster.blas`), the caller's own numpy GEMMs too.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.cluster import blas
 from repro.compression.codes import RowCodes
 from repro.engine.batch import _shard_batch
 from repro.engine.core import CandidateSet, population_candidates
@@ -223,6 +227,7 @@ def _worker_main(spec: ShardSpec, conn) -> None:
     """Worker entry point: warm once, then serve until told to stop."""
     store = None
     sub = None
+    blas.one_thread()  # spawned; a forked worker inherits the one thread
     try:
         try:
             sub, store = _build_shard_index(spec)
@@ -243,7 +248,7 @@ def _worker_main(spec: ShardSpec, conn) -> None:
                 break
             try:
                 if op == "ping":
-                    conn.send(("ok", ("pong", os.getpid())))
+                    conn.send(("ok", ("pong", os.getpid(), blas.threads())))
                 elif op in ("knn", "range"):
                     payload = _candidate_payload(
                         sub, op, request[1], request[2]
@@ -394,6 +399,7 @@ class ShardWorkerPool:
         """Spawn every worker and block until all report warm."""
         if self._started:
             return self
+        blas.hold()  # released by close(), which a failed start calls
         self._started = True
         try:
             with obs.span("cluster.pool.spawn"):
@@ -518,6 +524,8 @@ class ShardWorkerPool:
         self._procs.clear()
         self._conns.clear()
         self._dead.clear()
+        if self._started:
+            blas.release()
         self._publish_worker_gauge()
 
     def __enter__(self) -> "ShardWorkerPool":
@@ -545,6 +553,9 @@ class ShardWorkerPool:
                     if proc is not None and proc.is_alive()
                 ),
             )
+            count = blas.threads()
+            if count is not None:
+                obs.set_gauge("cluster.pool.blas_threads", count)
 
     def _note_death(self, shard: int) -> None:
         obs.add("cluster.pool.deaths")

@@ -7,10 +7,13 @@ filter in the parent; the pool serves builds and exact batches.  Worker
 death never hangs a batch and never changes its answer: the batch runs
 in the parent instead (exact, not degraded), and the worker is
 respawned from its spec for later batches.  Every exit path — success,
-exception, kill — must leave zero worker processes behind.
+exception, kill — must leave zero worker processes behind.  While a pool
+is open, the parent and every worker run BLAS on one thread, and the
+last pool to close gives the parent its earlier count back.
 """
 
 import filecmp
+import gc
 import os
 import signal
 import time
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cluster import ShardWorkerPool, build_sharded, open_sharded
+from repro.cluster import ShardWorkerPool, blas, build_sharded, open_sharded
 from repro.engine import get_index, search_many
 from repro.exceptions import ReproError
 from repro.index.results import SearchStats
@@ -55,6 +58,35 @@ def no_leaked_state():
         proc for proc in _live_workers() if proc.pid not in workers_before
     ]
     assert not new_workers, f"leaked worker process(es): {new_workers}"
+
+
+needs_openblas = pytest.mark.skipif(
+    blas.threads() is None,
+    reason="no OpenBLAS thread-count entry point is loaded, so a pool "
+    "leaves the BLAS threads alone",
+)
+
+
+def _parent_blas_threads():
+    """The parent's count, once no unreachable pool is left to collect.
+
+    An unclosed pool from an earlier test may hold the count at one; if
+    the collector closed it mid-test, the restore would come early.
+    """
+    gc.collect()
+    return blas.threads()
+
+
+def _worker_blas_threads(pool):
+    """Each live worker's BLAS thread count, from its ``ping`` reply."""
+    counts = {}
+    for shard, pid in pool.pids().items():
+        if pid is not None:
+            pool._conns[shard].send(("ping",))
+            status, (pong, worker_pid, threads) = pool._collect(shard)
+            assert (status, pong, worker_pid) == ("ok", "pong", pid)
+            counts[shard] = threads
+    return counts
 
 
 def _kill_and_wait(pool, shard):
@@ -370,11 +402,13 @@ def test_failed_warmup_tears_everything_down(matrix, tmp_path):
     original = victims[1].read_bytes()
     victims[1].write_bytes(original[: len(original) // 2])  # torn file
     workers_before = {proc.pid for proc in _live_workers()}
+    threads_before = _parent_blas_threads()
     with pytest.raises(ReproError):
         open_sharded(directory, worker_pool=True)
     assert not [
         proc for proc in _live_workers() if proc.pid not in workers_before
     ]
+    assert blas.threads() == threads_before
 
 
 def test_spec_size_mismatch_fails_warmup(matrix):
@@ -389,9 +423,73 @@ def test_spec_size_mismatch_fails_warmup(matrix):
         store_path="/nonexistent/path.pages",
     )
     pool = ShardWorkerPool([spec], shard_count=1)
+    threads_before = _parent_blas_threads()
     with pytest.raises(ReproError):
         pool.start()
     assert pool.closed
+    assert blas.threads() == threads_before
+
+
+# ----------------------------------------------------------------------
+# A live pool owns the cores: one BLAS thread in every process
+# ----------------------------------------------------------------------
+# The test reads the parent's count before the first pool opens; it
+# does not assume one (CI sets OPENBLAS_NUM_THREADS for this), and an
+# unclosed pool left by an earlier test may already hold it at one.
+@needs_openblas
+def test_every_process_of_a_live_pool_runs_one_blas_thread(matrix, queries):
+    expected = _serial_batch(matrix, queries)
+    threads_before = _parent_blas_threads()
+    registry = obs.enable()
+    try:
+        with build_sharded(
+            matrix, shards=4, backend="flat", worker_pool=True
+        ) as router:
+            gauges = registry.snapshot()["gauges"]
+            assert blas.threads() == gauges["cluster.pool.blas_threads"] == 1
+            workers = _worker_blas_threads(router.worker_pool)
+            assert set(workers.values()) == {1}
+            results = search_many(router, np.stack(queries), k=5)
+            assert [as_pairs(hits) for hits, _ in results] == expected
+        assert blas.threads() == threads_before
+        assert (
+            registry.snapshot()["gauges"]["cluster.pool.blas_threads"]
+            == threads_before
+        )
+    finally:
+        obs.disable()
+
+
+@needs_openblas
+def test_the_last_pool_to_close_restores_the_parents_count(matrix):
+    threads_before = _parent_blas_threads()
+    first = build_sharded(matrix, shards=2, backend="flat", worker_pool=True)
+    try:
+        with build_sharded(
+            matrix, shards=3, backend="flat", worker_pool=True
+        ) as second:
+            assert blas.threads() == 1
+            workers = _worker_blas_threads(second.worker_pool)
+            assert set(workers.values()) == {1}
+        assert blas.threads() == 1  # the first pool is still open
+        assert set(_worker_blas_threads(first.worker_pool).values()) == {1}
+    finally:
+        first.close()
+    assert blas.threads() == threads_before
+
+
+@needs_openblas
+def test_a_respawned_worker_runs_one_blas_thread(matrix, queries):
+    threads_before = _parent_blas_threads()
+    with build_sharded(
+        matrix, shards=4, backend="flat", worker_pool=True
+    ) as router:
+        pool, victim = _dead_victim(router, respawn=True)
+        search_many(router, np.stack(queries), k=5)
+        assert pool.respawn_count(victim) == 1
+        assert _worker_blas_threads(pool) == dict.fromkeys(range(4), 1)
+        assert blas.threads() == 1
+    assert blas.threads() == threads_before
 
 
 def _live_workers():
