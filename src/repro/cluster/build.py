@@ -59,6 +59,7 @@ from repro.cluster.pool import (
 )
 from repro.cluster.router import ShardRouter
 from repro.compression.codes import RowCodes
+from repro.engine.registry import get_index
 from repro.exceptions import CorruptionError, ReproError
 from repro.storage.pagestore import MemorySequenceStore, SequencePageStore
 from repro.tools.envparse import parse_env_int
@@ -191,6 +192,13 @@ def _serve(
                 subs[spec.shard], _ = _build_shard_index(
                     spec, store=stores.get(spec.shard)
                 )
+            if codes is not None:
+                # An empty flat shard is a flat over no rows, so a serial
+                # router over flat shards takes routed inserts.
+                names = None if specs[0].names is None else []
+                empty = np.empty((0, n))
+                for shard in set(range(len(members))) - set(subs):
+                    subs[shard] = get_index("flat", empty, names=names)
         return ShardRouter(
             [(subs.get(shard), rows) for shard, rows in enumerate(members)],
             partitioner=partitioner,

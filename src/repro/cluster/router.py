@@ -15,8 +15,8 @@ two resident halves (fig. 23) the way the paper keeps them:
   answers and every :class:`SearchStats` field equal
   ``get_index("flat", matrix)``;
 * **the rows** — partitioned across the shards' stores, read by the
-  verifier through :class:`_RouterStore` (one ``read_many`` per shard
-  per verification block).
+  verifier through one :class:`~repro.storage.union.RowUnion` (one
+  ``read_many`` per shard per verification block).
 
 The shard sub-indexes (in process, or in the persistent
 :class:`~repro.cluster.ShardWorkerPool`) serve exact ``search_many``
@@ -39,52 +39,15 @@ from repro.engine.core import (
     SigmaTracker,
     execute_knn,
     execute_range,
-    fetch_block,
     population_candidates,
 )
-from repro.exceptions import KeyNotFoundError, ReproError
+from repro.exceptions import ReproError
 from repro.index.results import Neighbor, SearchStats
 from repro.resilience.quarantine import quarantine_of
 from repro.resilience.retry import active_policy
+from repro.storage.union import RowUnion
 
 __all__ = ["ShardRouter"]
-
-
-class _RouterStore:
-    """Batched reads over the per-shard stores, keyed by global id.
-
-    Exists so the engine's block fetcher (``fetch_block``) can keep
-    using one ``read_many`` call per verification block: one gather of
-    the ids' shards and local ids, then one ``fetch_block`` per shard
-    (shards in order of first appearance, ids in request order within
-    each), scattered back into request order.
-    """
-
-    def __init__(self, router: "ShardRouter") -> None:
-        self._router = router
-
-    def __len__(self) -> int:
-        return len(self._router)
-
-    def read(self, seq_id: int) -> np.ndarray:
-        return self._router.fetch(int(seq_id))
-
-    def read_many(self, seq_ids) -> np.ndarray:
-        router = self._router
-        ids = np.asarray(seq_ids, dtype=np.intp).reshape(-1)
-        outside = (ids < 0) | (ids >= router._shard_of.size)
-        if outside.any():
-            router._locate(int(ids[outside][0]))  # raises KeyNotFoundError
-        shard_of = router._shard_of[ids]
-        local_of = router._local_of[ids]
-        rows = np.empty((ids.size, router.sequence_length))
-        _, first = np.unique(shard_of, return_index=True)
-        for shard in shard_of[np.sort(first)]:
-            mask = shard_of == shard
-            rows[mask] = fetch_block(
-                router._shards[shard], local_of[mask].tolist()
-            )
-        return rows
 
 
 class ShardRouter:
@@ -93,9 +56,9 @@ class ShardRouter:
     Parameters
     ----------
     shards:
-        ``(index, global_ids)`` pairs — a sub-index plus the ascending
-        global sequence ids its local slots map to.  An empty shard may
-        be represented as ``(None, empty_array)``.
+        ``(index, global_ids)`` pairs — a sub-index with a ``store``
+        plus the ascending global sequence ids its local slots map to.
+        An empty shard may be represented as ``(None, empty_array)``.
     partitioner:
         The :class:`~repro.cluster.Partitioner` that produced the split;
         required for routing dynamic inserts.
@@ -126,47 +89,23 @@ class ShardRouter:
         if not shards:
             raise ReproError("a ShardRouter needs at least one shard")
         self._shards = [sub for sub, _ in shards]
-        self._global_ids = [
-            np.asarray(ids, dtype=np.intp) for _, ids in shards
-        ]
-        self._partitioner = partitioner
-        for sub, ids in zip(self._shards, self._global_ids):
-            if sub is None and ids.size:
-                raise ReproError("a populated shard needs an index")
-            if sub is not None and len(sub) != ids.size:
-                raise ReproError(
-                    f"shard index holds {len(sub)} members but "
-                    f"{ids.size} global ids were supplied"
-                )
-        total = int(sum(ids.size for ids in self._global_ids))
-        if total:
-            all_ids = np.concatenate(self._global_ids)
-            if not np.array_equal(np.sort(all_ids), np.arange(total)):
-                raise ReproError(
-                    "shard global ids must partition range(total) — "
-                    "every id on exactly one shard"
-                )
-        self._shard_of = np.empty(total, dtype=np.intp)
-        self._local_of = np.empty(total, dtype=np.intp)
-        for shard, ids in enumerate(self._global_ids):
-            self._shard_of[ids] = shard
-            self._local_of[ids] = np.arange(ids.size)
         if sequence_length is None:
-            populated = next(
-                (sub for sub in self._shards if sub is not None), None
-            )
-            if populated is None:
+            populated = [sub for sub in self._shards if sub is not None]
+            if not populated:
                 raise ReproError(
                     "sequence_length is required for an all-empty router"
                 )
-            sequence_length = populated.sequence_length
-        self._n = int(sequence_length)
-        self._store = _RouterStore(self)
+            sequence_length = populated[0].sequence_length
+        self._rows = RowUnion(
+            [(getattr(sub, "store", None), ids) for sub, ids in shards],
+            sequence_length,
+        )
+        self._partitioner = partitioner
         self._pool = pool
-        if row_codes is not None and len(row_codes) != total:
+        if row_codes is not None and len(row_codes) != len(self._rows):
             raise ReproError(
                 f"the filter holds {len(row_codes)} rows but the "
-                f"shards hold {total} members"
+                f"shards hold {len(self._rows)} members"
             )
         self._row_codes = row_codes
 
@@ -174,15 +113,15 @@ class ShardRouter:
     # EngineIndex surface
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return int(self._shard_of.size)
+        return len(self._rows)
 
     @property
     def sequence_length(self) -> int:
-        return self._n
+        return self._rows.sequence_length
 
     @property
-    def store(self) -> _RouterStore:
-        return self._store
+    def store(self) -> RowUnion:
+        return self._rows
 
     @property
     def row_codes(self) -> RowCodes | None:
@@ -202,7 +141,7 @@ class ShardRouter:
         """Indexes of shards that hold at least one member."""
         return [
             shard
-            for shard, ids in enumerate(self._global_ids)
+            for shard, ids in enumerate(self._rows.global_ids)
             if ids.size > 0
         ]
 
@@ -214,28 +153,19 @@ class ShardRouter:
         """
         return [
             (sub, ids)
-            for sub, ids in zip(self._shards, self._global_ids)
-            if sub is not None and len(sub) > 0
+            for sub, ids in zip(self._shards, self._rows.global_ids)
+            if ids.size
         ]
-
-    def _locate(self, seq_id: int) -> tuple[int, int]:
-        if not 0 <= seq_id < self._shard_of.size:
-            raise KeyNotFoundError(
-                f"sequence id {seq_id} out of range for "
-                f"{self._shard_of.size} sharded members"
-            )
-        return int(self._shard_of[seq_id]), int(self._local_of[seq_id])
 
     def shard_of(self, seq_id: int) -> int:
         """Which shard a global sequence id lives on."""
-        return self._locate(seq_id)[0]
+        return self._rows.locate(seq_id)[0]
 
     def fetch(self, seq_id: int) -> np.ndarray:
-        shard, local = self._locate(int(seq_id))
-        return self._shards[shard].fetch(local)
+        return self._rows.read(seq_id)
 
     def result_name(self, seq_id: int) -> str | None:
-        shard, local = self._locate(int(seq_id))
+        shard, local = self._rows.locate(seq_id)
         return self._shards[shard].result_name(local)
 
     # ------------------------------------------------------------------
@@ -293,14 +223,14 @@ class ShardRouter:
         sigma_sq = tracker.sigma_sq()
         paid: dict[int, float] = {}
         generated = 0
-        for global_ids, cands in zip(self._global_ids, shard_sets):
+        for global_ids, cands in zip(self._rows.global_ids, shard_sets):
             for local, d_sq in cands.paid.items():
                 paid[int(global_ids[local])] = d_sq
             generated += cands.generated
         lb_sq = np.concatenate([cands.lb_sq for cands in shard_sets])
         ids = np.concatenate([
             global_ids[cands.ids]
-            for global_ids, cands in zip(self._global_ids, shard_sets)
+            for global_ids, cands in zip(self._rows.global_ids, shard_sets)
         ])
         keep = lb_sq <= sigma_sq
         if paid:
@@ -350,10 +280,10 @@ class ShardRouter:
     # ------------------------------------------------------------------
     @property
     def supports_insert(self) -> bool:
-        """Whether every shard can accept routed dynamic inserts."""
+        """Whether every shard can accept routed dynamic inserts: a
+        serial router over ``flat`` shards, empty ones included."""
         return self._partitioner is not None and all(
-            sub is not None and hasattr(sub, "insert")
-            for sub in self._shards
+            hasattr(sub, "insert") for sub in self._shards
         )
 
     def insert(self, values, name: str | None = None) -> int:
@@ -365,18 +295,13 @@ class ShardRouter:
         if not self.supports_insert:
             raise ReproError(
                 "this router cannot insert: it needs a partitioner and "
-                "insert-capable, populated shard indexes"
+                "insert-capable shard indexes"
             )
-        gid = int(self._shard_of.size)
-        shard = self._partitioner.shard_of(gid) % len(self._shards)
-        local = int(self._global_ids[shard].size)
+        shard = self._partitioner.shard_of(len(self)) % len(self._shards)
         self._shards[shard].insert(values, name)
         if self._row_codes is not None:
             self._row_codes = self._row_codes.appended(values)
-        self._global_ids[shard] = np.append(self._global_ids[shard], gid)
-        self._shard_of = np.append(self._shard_of, shard)
-        self._local_of = np.append(self._local_of, local)
-        return gid
+        return self._rows.append(shard)
 
     # ------------------------------------------------------------------
     # Health / lifecycle
@@ -388,7 +313,7 @@ class ShardRouter:
         if quarantine is None:
             return grouped
         for gid in quarantine.ids():
-            shard = int(self._shard_of[gid])
+            shard = self.shard_of(gid)
             grouped[shard] = grouped.get(shard, ()) + (gid,)
         return grouped
 
@@ -397,9 +322,8 @@ class ShardRouter:
 
         Store handles first (parent-side reads stop), pool last.
         """
-        for sub in self._shards:
-            store = getattr(sub, "store", None)
-            if store is not None and hasattr(store, "close"):
+        for store in self._rows.stores:
+            if store is not None:
                 store.close()
         if self._pool is not None:
             self._pool.close()

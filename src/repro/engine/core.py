@@ -60,13 +60,13 @@ blocking, with equality at block size 0.
 **Row-code stage.**  Inside guarded generation, :func:`_code_stage`
 bounds every candidate of an index that holds resident
 :class:`~repro.compression.codes.RowCodes` (the coded indexes, the shard
-router, and the stream union over either): a k-NN set's lower bounds
+router and the stream union): a k-NN set's lower bounds
 are raised to ``max(set, code)``, the entries above the k-th smallest
 code upper bound are dropped and the rest re-sorted, so termination
 fires after about k + 5 rows; a range set keeps the entries whose code
 bound's square root is within the radius.  Dropped entries are booked
-as pruned.  On ``flat``, the router and the stream union over ``flat``
-the generator hands over every member at lower bound 0, and this stage
+as pruned.  On ``flat``, the router and the stream union the generator
+hands over every member at lower bound 0, and this stage
 *is* the filter: one exact kernel pass over all the codes.  Streams and
 degraded sets skip the stage.  A candidate set holds its survivors as
 two arrays, ``lb_sq`` and ``ids``, so the stage bounds them without
@@ -719,8 +719,8 @@ def _code_stage(
     Either way a dropped entry is one the exact loop would prune, so
     answers and the pruning ledger are unchanged.  (Only the M-tree pays
     distances during traversal, and it holds no codes.)  A set of every
-    member at lower bound 0 (``flat``, the router, the stream union over
-    ``flat``) is bounded in one pass over all the codes, with no gather:
+    member at lower bound 0 (``flat``, the router, the stream union) is
+    bounded in one pass over all the codes, with no gather:
     there the codes are the filter.  ``bounds`` are the query's code
     bounds of every row, when a batch made them in one block call.  The
     stage is skipped where it cannot help or must not act: no codes, a

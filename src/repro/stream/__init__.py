@@ -16,9 +16,9 @@ package is the LSM-style write path that absorbs it durably:
   recoverable compaction with tombstone/supersede semantics, and a
   recovery path proven by a seeded kill-point drill
   (``tests/stream/test_recovery.py``);
-* :class:`~repro.stream.index.StreamIndex` — one engine-protocol index
-  over sealed + live, so every backend (and the sharded router) queries
-  the union with the pruning invariant intact;
+* :class:`~repro.stream.index.StreamIndex` — one coded ``flat`` over
+  sealed + live: the union's row codes are its filter, and the shared
+  engine keeps the pruning invariant intact;
 * :class:`~repro.stream.alerts.LiveBurstMonitor` — real-time burst
   alerts through any registered burst model, bit-identical to the
   model's batch form on every prefix;

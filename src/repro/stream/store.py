@@ -156,9 +156,9 @@ class StreamStore:
             else None
         )
         self._segments: list[tuple[SegmentInfo, SequencePageStore]] = []
-        # Cached unions per (backend, kwargs), each tagged with the live
-        # epoch its live snapshot was taken in (see index()).
-        self._indexes: dict = {}
+        # The cached union and the live epoch its live snapshot was
+        # taken in (see index()), or None.
+        self._union: tuple[int, StreamIndex] | None = None
         self._live_epoch = 0
         self._poisoned = False
         self._closed = False
@@ -371,7 +371,7 @@ class StreamStore:
         if self._closed:
             return
         self._closed = True
-        self._drop_indexes()
+        self._union = None
         wal = getattr(self, "_wal", None)
         if wal is not None:
             wal.close()
@@ -413,17 +413,6 @@ class StreamStore:
                     store.close()
             raise
 
-    def _drop_indexes(self) -> None:
-        """Sealed visibility moved (or the store closes): close them all.
-
-        Every union cached for a key shares that key's inner index, so
-        closing the newest one closes the inner exactly once.
-        """
-        for _, index in self._indexes.values():
-            with contextlib.suppress(Exception):
-                index.close()
-        self._indexes.clear()
-
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
@@ -459,7 +448,7 @@ class StreamStore:
         # changes which sealed rows are visible between seals.
         # Anything else ends only the live epoch (see index()).
         if any(record.kind == "tomb" for record in records):
-            self._drop_indexes()
+            self._union = None
         else:
             self._live_epoch += 1
 
@@ -652,7 +641,7 @@ class StreamStore:
         # detectors only from the WAL written since the seal.
         self._forget_detectors(self._live.names)
         self._live.clear()
-        self._drop_indexes()
+        self._union = None
 
     # ------------------------------------------------------------------
     # Compaction
@@ -713,7 +702,7 @@ class StreamStore:
             self._manifest = next_manifest
             self._segments = [merged] if merged else []
             self._tombstones = set()
-            self._drop_indexes()
+            self._union = None
             crashpoint("compact.gc")
             for info, store in old_segments:
                 store.close()
@@ -763,30 +752,25 @@ class StreamStore:
             )
         return out
 
-    def index(self, backend: str = "flat", **kwargs) -> StreamIndex:
+    def index(self) -> StreamIndex:
         """An engine-protocol index over the current union snapshot.
 
-        Cached per ``(backend, kwargs)`` in two epochs.  The *sealed*
-        epoch ends only when sealed visibility changes — ``seal()``,
-        ``compact()``, or a WAL group holding a tombstone (a delete, or
-        a supersede of a sealed name); the inner index is then closed
-        and the next call re-reads every visible sealed row through the
+        Cached in two epochs.  The *sealed* epoch ends only when sealed
+        visibility changes — ``seal()``, ``compact()``, or a WAL group
+        holding a tombstone (a delete, or a supersede of a sealed name);
+        the next call then re-reads every visible sealed row through the
         checksummed page stores (silent corruption surfaces here as a
-        typed error, never as garbage distances) and rebuilds it.  Any
-        other mutation ends only the *live* epoch: the next call wraps
-        the same inner index around a fresh live snapshot
-        (:meth:`StreamIndex.with_live`).  The store owns each inner
-        index and closes it once, on the next sealed change or on
-        :meth:`close`.
+        typed error, never as garbage distances) and quantises them.
+        Any other mutation ends only the *live* epoch: the next call
+        keeps the same sealed rows and codes around a fresh live
+        snapshot (:meth:`StreamIndex.with_live`).
         """
         self._check_usable()
-        key = (backend, tuple(sorted((k, repr(v)) for k, v in kwargs.items())))
-        cached = self._indexes.get(key)
-        if cached is not None and cached[0] == self._live_epoch:
-            return cached[1]
+        if self._union is not None and self._union[0] == self._live_epoch:
+            return self._union[1]
         live = (self._live.matrix(), self._live.names)
-        if cached is not None:
-            built = cached[1].with_live(*live)
+        if self._union is not None:
+            built = self._union[1].with_live(*live)
         else:
             visible = self._visible_sealed()
             sealed_matrix = (
@@ -795,22 +779,18 @@ class StreamStore:
                 else np.empty((0, self.sequence_length), dtype=np.float64)
             )
             built = StreamIndex(
-                backend,
-                sealed_matrix,
-                tuple(name for _, _, name in visible),
-                *live,
-                **kwargs,
+                sealed_matrix, tuple(name for _, _, name in visible), *live
             )
-        self._indexes[key] = (self._live_epoch, built)
+        self._union = (self._live_epoch, built)
         return built
 
-    def search(self, query, k: int = 1, *, backend: str = "flat", **kwargs):
+    def search(self, query, k: int = 1):
         """k-NN over sealed + live through the shared engine."""
-        return self.index(backend, **kwargs).search(query, k)
+        return self.index().search(query, k)
 
-    def range_search(self, query, radius: float, *, backend: str = "flat", **kwargs):
+    def range_search(self, query, radius: float):
         """Range search over sealed + live through the shared engine."""
-        return self.index(backend, **kwargs).range_search(query, radius)
+        return self.index().range_search(query, radius)
 
     # ------------------------------------------------------------------
     # Alerts

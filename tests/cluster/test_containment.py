@@ -13,10 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster import build_sharded
+from repro.cluster import Partitioner, ShardRouter, build_sharded
+from repro.compression.codes import RowCodes
 from repro.engine import get_index, search_many
 from repro.index.distance import euclidean_early_abandon_sq
 from repro.resilience import FaultPlan, FaultyIndex, FaultyStore, quarantine_of
+from repro.storage import MemorySequenceStore
 from tests.coarse_codes import spiked
 
 K = 4
@@ -25,17 +27,17 @@ POISONED = 1
 
 def poison(matrix):
     """A 4-shard flat router with every member of shard 1 unreadable."""
-    # In-process only: the FaultyStore below wraps the parent's store
-    # handles, which pooled workers (REPRO_SHARD_WORKERS) never touch.
-    router = build_sharded(
-        matrix, shards=4, backend="flat", seed=0, worker_pool=False
-    )
-    sub = router._shards[POISONED]
-    sub._store = FaultyStore(
-        sub._store, FaultPlan(), corrupt_ids=range(len(sub))
-    )
-    victims = {int(gid) for gid in router._global_ids[POISONED]}
-    return router, victims
+    # The split build_sharded(shards=4, seed=0) makes, over in-process
+    # flat shards whose stores are built here, so shard 1's can fail.
+    members = Partitioner(4, seed=0).members(len(matrix))
+    shards = []
+    for shard, rows in enumerate(members):
+        store = MemorySequenceStore.over(matrix[rows])
+        if shard == POISONED:
+            store = FaultyStore(store, FaultPlan(), corrupt_ids=range(rows.size))
+        shards.append((get_index("flat", matrix[rows], store=store), rows))
+    router = ShardRouter(shards, row_codes=RowCodes.from_matrix(matrix))
+    return router, {int(gid) for gid in members[POISONED]}
 
 
 @pytest.fixture

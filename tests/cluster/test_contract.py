@@ -90,12 +90,8 @@ def test_router_answers_like_flat(
         router.close()
         router = open_sharded(directory, worker_pool=pooled)
     with router:
-        # Only a serial router over populated flat shards can insert.
-        assert router.supports_insert == (
-            backend == "flat"
-            and not pooled
-            and len(router.populated_shards()) == shards
-        )
+        # Only a serial router over flat shards can insert.
+        assert router.supports_insert == (backend == "flat" and not pooled)
         if router.supports_insert:
             for gid in range(count, len(full)):
                 name = names[gid] if names else None

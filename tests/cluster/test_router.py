@@ -9,13 +9,13 @@ from repro.engine import get_index, search_many
 from repro.exceptions import KeyNotFoundError, ReproError
 
 
-def split(matrix, shards, policy="hash", seed=0, backend="flat"):
+def split(matrix, shards, policy="hash", seed=0):
     """Hand-rolled ``(index, global_ids)`` pairs for direct construction."""
     members = Partitioner(shards, policy=policy, seed=seed).members(
         len(matrix)
     )
     return [
-        (get_index(backend, matrix[rows]) if rows.size else None, rows)
+        (get_index("flat", matrix[rows]) if rows.size else None, rows)
         for rows in members
     ]
 
@@ -32,8 +32,8 @@ class TestConstruction:
             ShardRouter([])
 
     def test_populated_shard_needs_an_index(self, matrix):
-        with pytest.raises(ReproError, match="needs an index"):
-            ShardRouter([(None, np.arange(3))])
+        with pytest.raises(ReproError, match="needs a store"):
+            ShardRouter([(None, np.arange(3))], sequence_length=8)
 
     def test_index_size_must_match_ids(self, matrix):
         sub = get_index("flat", matrix[:5])
@@ -95,36 +95,6 @@ class TestRouting:
 
 
 class TestRouterStore:
-    def test_read_matches_fetch(self, matrix):
-        router = ShardRouter(split(matrix, 3))
-        assert np.array_equal(router.store.read(11), matrix[11])
-        assert len(router.store) == len(matrix)
-
-    def test_read_many_reassembles_request_order(self, matrix):
-        router = ShardRouter(split(matrix, 4))
-        # Deliberately interleaves shards and repeats an id.
-        ids = [31, 2, 77, 2, 50, 13]
-        block = router.store.read_many(ids)
-        assert np.array_equal(block, matrix[ids])
-
-    @pytest.mark.parametrize("backend", ["flat", "mtree", "rtree"])
-    def test_read_many_equals_stacked_fetch(self, matrix, backend):
-        """Ids spanning shards, repeated and unsorted, as one block.
-
-        ``build_sharded`` makes only stored shards, but a router built
-        directly may hold any sub-index: ``mtree`` / ``rtree`` keep no
-        store, so their rows come through ``fetch_block``'s per-row
-        fallback.
-        """
-        ids = [len(matrix) - 1, 4, 4, 0, 33, 17, 4, 61, 2]
-        with ShardRouter(split(matrix, 3, backend=backend)) as router:
-            expected = np.stack([router.fetch(gid) for gid in ids])
-            assert np.array_equal(router.store.read_many(ids), expected)
-            assert router.store.read_many([]).shape == (0, matrix.shape[1])
-            for bad in (len(matrix), -1):
-                with pytest.raises(KeyNotFoundError, match="out of range"):
-                    router.store.read_many(ids + [bad])
-
     def test_read_many_keeps_each_stores_request_order(
         self, matrix, tmp_path, monkeypatch
     ):

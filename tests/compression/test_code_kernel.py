@@ -173,6 +173,6 @@ def test_pooled_router_batch_equals_shard_singles(database, queries):
 def test_stream_union_batch_equals_singles(database, queries):
     names = tuple(f"r{i}" for i in range(len(database)))
     union = StreamIndex(
-        "flat", database[:200], names[:200], database[200:], names[200:]
+        database[:200], names[:200], database[200:], names[200:]
     )
     assert_batch_is_singles(union, queries, 5)

@@ -68,17 +68,13 @@ def test_bounded_walk(bounds, k, data):
     seed=st.integers(0, 10_000),
     sealed_count=st.integers(0, 12),
     live_count=st.integers(0, 6),
-    backend=st.sampled_from(("flat", "scan")),
 )
-def test_stream_union(seed, sealed_count, live_count, backend):
-    # ``scan`` bounds every sealed row by 0, so the live zeros must
-    # follow the sealed zeros; ``flat`` puts a few rows at 0 as well.
+def test_stream_union(seed, sealed_count, live_count):
     rng = np.random.default_rng(seed)
     rows = np.array(
         [zscore(rng.normal(size=32)) for _ in range(sealed_count + live_count)]
     ).reshape(-1, 32)
     index = StreamIndex(
-        backend,
         rows[:sealed_count],
         tuple(f"s{i}" for i in range(sealed_count)),
         rows[sealed_count:],

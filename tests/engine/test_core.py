@@ -109,7 +109,7 @@ class TestAccountingInvariant:
         if name == "stream":
             names = [f"s{i}" for i in range(len(matrix))]
             index = StreamIndex(
-                "flat", matrix[:80], names[:80], matrix[80:], names[80:]
+                matrix[:80], names[:80], matrix[80:], names[80:]
             )
         else:
             index = get_index(name, matrix)

@@ -50,8 +50,7 @@ def indexes(matrix):
     yield get_index("flat", matrix)
     yield build_sharded(matrix, shards=2, worker_pool=False)
     yield StreamIndex(
-        "flat", matrix[:sealed], names[:sealed], matrix[sealed:],
-        names[sealed:],
+        matrix[:sealed], names[:sealed], matrix[sealed:], names[sealed:]
     )
 
 

@@ -41,9 +41,8 @@ counts = st.integers(min_value=0, max_value=60).map(float)
 class StreamStoreMachine(RuleBasedStateMachine):
     """Every mutation sequence reads like brute force over the model."""
 
-    @initialize(backend=st.sampled_from(["flat", "vptree"]))
-    def setup(self, backend):
-        self.backend = backend
+    @initialize()
+    def setup(self):
         self.directory = tempfile.mkdtemp(prefix="stream-differential-")
         self.store = StreamStore(self.directory, DAYS, fsync=False)
         self.sealed: dict[str, np.ndarray] = {}  # frozen z-scores
@@ -137,7 +136,7 @@ class StreamStoreMachine(RuleBasedStateMachine):
         reference = get_index("scan", matrix, names=names)
         k = min(K, len(names))
         for query in QUERIES:
-            hits, _ = self.store.search(query, k, backend=self.backend)
+            hits, _ = self.store.search(query, k)
             truth, _ = reference.search(query, k)
             np.testing.assert_allclose(
                 [hit.distance for hit in hits],

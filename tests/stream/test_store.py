@@ -25,8 +25,8 @@ def _counts(seed: int) -> np.ndarray:
     return rng.integers(0, 100, size=DAYS).astype(float)
 
 
-def _answers(store, query, k=4, **kwargs):
-    neighbors, _ = store.search(query, k, **kwargs)
+def _answers(store, query, k=4):
+    neighbors, _ = store.search(query, k)
     return {(n.name, round(n.distance, 12)) for n in neighbors}
 
 
@@ -183,13 +183,6 @@ class TestIndexCache:
         store.record("q", 1.0)
         assert store.index() is not first
 
-    def test_kwargs_key_the_cache(self, store):
-        store.append_many((f"q{i}", _counts(i)) for i in range(6))
-        flat = store.index("flat")
-        scan = store.index("scan")
-        assert flat is not scan
-        assert store.index("flat") is flat
-
     @staticmethod
     def _two_segments_and_live(store):
         store.append_many((f"s{i}", _counts(i)) for i in range(6))
@@ -218,7 +211,9 @@ class TestIndexCache:
         first = store.index()
         mutate(store)
         second = store.index()
-        assert second is not first and second._inner is first._inner
+        # Nothing sealed was re-read or re-quantised.
+        assert second is not first and second._sealed is first._sealed
+        assert second._sealed_codes is first._sealed_codes
         assert self._union_names(second) == store.names()
         assert store.index() is second
 
@@ -238,39 +233,9 @@ class TestIndexCache:
         first = store.index()
         mutate(store)
         second = store.index()
-        assert second._inner is not first._inner
+        assert second._sealed is not first._sealed
+        assert second._sealed_codes is not first._sealed_codes
         assert self._union_names(second) == store.names()
-
-    def test_sharded_inner_is_closed_once_and_reaps_its_workers(self, store):
-        self._two_segments_and_live(store)
-        options = {"backend": "sharded", "shards": 2, "worker_pool": True}
-
-        def watched():
-            router = store.index(**options)._inner
-            pids = [pid for pid in router.worker_pool.pids().values() if pid]
-            closes = []
-            close = router.close
-            router.close = lambda: (closes.append(1), close())
-            return router, pids, closes
-
-        def reaped(router, pids):
-            assert router.worker_pool.closed
-            for pid in pids:
-                with pytest.raises(OSError):
-                    os.kill(pid, 0)  # ESRCH: process fully reaped
-            return True
-
-        router, pids, closes = watched()
-        assert pids
-        store.record("live", 1.0)
-        store.rollover()
-        assert store.index(**options)._inner is router and closes == []
-        store.delete("s0")  # a sealed change closes it ...
-        assert closes == [1] and reaped(router, pids)
-        router, pids, closes = watched()
-        store.close()  # ... and so does close(), once
-        store.close()
-        assert closes == [1] and reaped(router, pids)
 
 
 class TestCorruption:
@@ -294,29 +259,6 @@ class TestCorruption:
         store.delete("s3")  # a sealed change re-reads every visible row
         with pytest.raises(CorruptionError):
             store.search(query, 1)
-
-
-class TestBackendAgreement:
-    @pytest.mark.parametrize(
-        "backend", ["scan", "vptree", "mvptree", "mtree", "rtree"]
-    )
-    def test_all_backends_answer_like_flat(self, store, backend):
-        store.append_many((f"s{i}", _counts(i)) for i in range(8))
-        store.seal()
-        store.append_many((f"l{i}", _counts(100 + i)) for i in range(3))
-        query = zscore(_counts(55))
-        assert _answers(store, query, backend=backend) == _answers(
-            store, query, backend="flat"
-        )
-
-    def test_sharded_router_serves_the_union(self, store):
-        store.append_many((f"s{i}", _counts(i)) for i in range(8))
-        store.seal()
-        store.append("live", _counts(99))
-        query = zscore(_counts(55))
-        assert _answers(store, query, backend="sharded", shards=2) == _answers(
-            store, query, backend="flat"
-        )
 
 
 class TestReopen:

@@ -80,6 +80,19 @@ class TestIngestionKeepsRouting:
             mono.similar("latecomer", k=4)
         )
 
+    def test_empty_shards_keep_the_router_live(self):
+        """Two series leave two of four round-robin shards empty; a third
+        lands on one of them in place."""
+        miner = QueryLogMiner(
+            start=START, days=DAYS, shards=4, shard_policy="round_robin"
+        )
+        series = [TimeSeries(DATA[n], name=n, start=START) for n in DATA][:3]
+        miner.add_series(series[0])
+        miner.add_series(series[1])
+        router = miner._live_index()
+        miner.add_series(series[2])
+        assert miner._live_index() is router and len(router) == 3
+
     def test_static_backend_rebuilds_the_router(self):
         # Scan shards keep no codes and take no inserts.
         sharded = make_miner(shards=2, index_backend="scan")
