@@ -26,7 +26,8 @@ Acceptance bars (default scale; smoke scales record and skip):
   throughput at the default workload;
 * seeding an ``ma`` detector with ``extend`` must cost at most a third
   of pushing the same days (gated at every scale: the ratio is about
-  5x from 128 to 512 days, so the smoke scale can carry the gate).
+  11x at 128 days and 37x at 512, so the smoke scale can carry the
+  gate).
 
 Appends to the ``BENCH_detectors.json`` trend at the repo root.
 ``REPRO_DETECTOR_BENCH_SIZE`` (``"series,days"``) selects a smoke

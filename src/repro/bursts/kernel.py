@@ -14,22 +14,21 @@ never have to prove that two independent codepaths agree:
   ``(prefix[i+1] - prefix[lo]) / (i + 1 - lo)`` is the same IEEE
   expression scalar-by-scalar or vectorised.
 * :func:`burst_cutoff` is the shared threshold ``mean(MA) + x*std(MA)``
-  — one numpy reduction spelling for both sides, so the cutoffs cannot
-  drift apart either.
-* :func:`prefix_cutoffs` is the bulk form of that threshold: every
-  prefix's cutoff, each equal to ``burst_cutoff(smoothed[:i], x)``
-  exactly.  It keeps two ``np.add.reduce`` calls per prefix (mean,
-  variance) because numpy sums pairwise: the association tree depends
-  on the length, so an O(n) running total (cumsum, Welford) lands an
-  ulp away from the batch detector.  Those reductions are what
-  bit-identity costs; the ``mean``/``std`` dispatch, divisions, square
-  roots and comparisons around them run once per block, not per day.
+  — one spelling for both sides, so the cutoffs cannot drift apart
+  either.  It takes the steps numpy's ``mean`` and ``std`` take (one
+  pairwise ``np.add.reduce`` each), bit for bit, without their dispatch.
+* :func:`prefix_bursts` decides each prefix's newest day against that
+  prefix's cutoff.  Numpy sums pairwise, so no O(n) running total
+  reproduces a prefix's ``mean``/``std`` to the bit, but one lands
+  within a bound it can compute: only the days that bound leaves
+  undecided, the rising edges (their alerts carry the cutoff) and the
+  last day pay an exact :func:`burst_cutoff`.
 
 ``tests/bursts/test_kernel.py`` asserts push-vs-extend bit-identity on
 random data for every window, ``tests/bursts/test_bulk_seed.py`` asserts
-``prefix_cutoffs`` against ``burst_cutoff`` prefix by prefix; the
-detector-level equivalence suites inherit both instead of re-proving
-them.
+``prefix_bursts`` against the literal ``mean() + x * std()`` at every
+prefix; the detector-level equivalence suites inherit both instead of
+re-proving them.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import numpy as np
 
 from repro.timeseries.preprocessing import as_float_array
 
-__all__ = ["TrailingMA", "burst_cutoff", "prefix_cutoffs"]
+__all__ = ["TrailingMA", "burst_cutoff", "prefix_bursts"]
 
 
 def burst_cutoff(smoothed: np.ndarray, threshold_sigmas: float) -> float:
@@ -47,28 +46,68 @@ def burst_cutoff(smoothed: np.ndarray, threshold_sigmas: float) -> float:
         raise ValueError(
             f"threshold_sigmas must be positive, got {threshold_sigmas}"
         )
-    return float(smoothed.mean() + threshold_sigmas * smoothed.std())
+    mean = np.add.reduce(smoothed) / smoothed.size
+    deviations = smoothed - mean
+    variance = np.add.reduce(deviations * deviations) / smoothed.size
+    return float(mean + threshold_sigmas * np.sqrt(variance))
 
 
-def prefix_cutoffs(
-    smoothed: np.ndarray, threshold_sigmas: float, start: int = 0
-) -> np.ndarray:
-    """:func:`burst_cutoff` of every prefix longer than ``start``, exactly.
+def prefix_bursts(
+    smoothed: np.ndarray,
+    threshold_sigmas: float,
+    start: int = 0,
+    bursting: bool = False,
+) -> tuple[np.ndarray, list[int], dict[int, float]]:
+    """Whether each day from ``start`` on beats its prefix's cutoff.
 
-    Entry ``j`` is ``burst_cutoff(smoothed[: start + j + 1], x)``: the
-    steps numpy's ``mean`` and ``std`` take, with the two ``add.reduce``
-    calls kept per prefix and the rest run once over the block.
+    Returns ``(flags, edges, exact)``: ``flags[j]`` is
+    ``smoothed[start + j] > burst_cutoff(smoothed[: start + j + 1], x)``,
+    ``edges`` the rising edges after ``bursting``, and ``exact`` maps each
+    day whose exact cutoff was computed to it: every edge, the last day,
+    and each day the estimate cannot decide.
+
+    The estimate shifts by ``c`` (the whole series' mean) and keeps
+    running sums ``P1``, ``P2`` of ``d = s - c`` and ``d²``.  With ``m``
+    the prefix length, ``r² = P2 / m``, ``u = 2⁻⁵³``, and ``μ``, ``σ``
+    the true mean and std (``σ ≤ r``, mean ``|s| ≤ |c| + r``): numpy's
+    mean is off by ``γₘ(|c| + r)`` in any summation order, and its std by
+    ``γₘ₊₅(|c| + 2r)`` (relative errors of non-negative terms, and
+    ``√(σ² + (m̂ − μ)²) − σ ≤ |m̂ − μ|``); the estimate's mean by
+    ``γₘ₊₁r``, its variance by ``ε ≤ 6γₘ₊₃r²`` and so its std by
+    ``min(√ε, ε / std)``; the four last roundings by ``5u(1 + x)(|c| +
+    2r)``.  The band ``g(1 + x)(|c| + 2r) + x·min(√(2gr²), 2gr² / std)``
+    with ``g = 4(m + 16)u`` holds each term with room for its own
+    rounding.  Underflowing squares move either std by under 10⁻¹⁶¹,
+    inside the ``(1 + x)·2⁻⁵⁰⁰`` floor.  Where ``m(1 + x)(|c| + 2r) +
+    2mr²`` overflows, some sum or square may too, and the band is inf;
+    ``~(gap > band)`` reads a NaN gap or band as undecided.
     """
-    lengths = np.arange(start + 1, smoothed.size + 1)
-    prefixes = [smoothed[:length] for length in lengths.tolist()]
-    sums = np.array([np.add.reduce(prefix) for prefix in prefixes])
-    means = sums / lengths
-    scratch = np.empty(smoothed.size, dtype=np.float64)
-    for j, prefix in enumerate(prefixes):
-        deviations = np.subtract(prefix, means[j], out=scratch[: prefix.size])
-        np.multiply(deviations, deviations, out=deviations)
-        sums[j] = np.add.reduce(deviations)
-    return means + threshold_sigmas * np.sqrt(sums / lengths)
+    x, latest = threshold_sigmas, smoothed[start:]
+    m = np.arange(start + 1, smoothed.size + 1, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        shift = np.add.reduce(smoothed) / smoothed.size
+        d = smoothed - shift
+        p2 = np.cumsum(d * d)[start:]
+        mean = np.cumsum(d)[start:] / m
+        std = np.sqrt(np.maximum(p2 / m - mean * mean, 0.0))
+        g = 4 * (m + 16) * 2.0**-53
+        err = 2 * g * p2 / m
+        scale = (1 + x) * (abs(shift) + 2 * np.sqrt(p2 / m))
+        band = g * scale + x * np.fmin(np.sqrt(err), err / std)
+        band += (1 + x) * 2.0**-500
+        band[~(m * scale + 2 * p2 < np.inf)] = np.inf
+        estimate = shift + mean + x * std
+        flags = latest > estimate
+        undecided = ~(np.abs(latest - estimate) > band)
+    exact = {}
+    for j in np.flatnonzero(undecided).tolist():
+        exact[j] = burst_cutoff(smoothed[: start + j + 1], x)
+        flags[j] = latest[j] > exact[j]
+    edges = np.flatnonzero(flags & ~np.append(bursting, flags[:-1])).tolist()
+    for j in edges + [latest.size - 1]:
+        if j not in exact:
+            exact[j] = burst_cutoff(smoothed[: start + j + 1], x)
+    return flags, edges, exact
 
 
 class TrailingMA:

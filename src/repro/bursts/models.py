@@ -48,7 +48,7 @@ from repro.bursts.detection import (
     BurstDetector,
 )
 from repro.bursts.elastic import ElasticModel
-from repro.bursts.kernel import TrailingMA, burst_cutoff, prefix_cutoffs
+from repro.bursts.kernel import TrailingMA, burst_cutoff, prefix_bursts
 from repro.bursts.kleinberg import KleinbergModel
 from repro.bursts.protocol import (
     BurstModel,
@@ -151,28 +151,29 @@ class _OnlineMovingAverage(OnlineDetector):
         return latest > self._cutoff
 
     def _absorb_block(self, arr: np.ndarray) -> list[RegionAlert]:
-        """One kernel pass; rising edges from one array comparison.
+        """One kernel pass; an exact cutoff only where a decision needs it.
 
-        :func:`~repro.bursts.kernel.prefix_cutoffs` gives the cutoff that
-        stood after each day of the block, so day ``j`` bursts iff
-        ``latest[j] > cutoffs[j]``, as it would pushed alone.  An
-        alert's region is the one :meth:`regions` held at its firing
-        prefix (the run ending at the alert day, under *that* prefix's
-        cutoff), cut from the arrays, not rebuilt with every region.
+        :func:`~repro.bursts.kernel.prefix_bursts` decides each day of
+        the block against the cutoff that stood after it, as pushed
+        alone; it computes that cutoff exactly only for the days its
+        running estimate cannot decide, the rising edges and the last
+        day (counted under ``bursts.ma.exact_cutoffs``).  An alert's
+        region is the one :meth:`regions` held at its firing prefix (the
+        run ending at the alert day, under *that* prefix's cutoff), cut
+        from the arrays, not rebuilt with every region.
         """
         first = self._size
         latest = self._kernel.extend(arr)
-        cutoffs = prefix_cutoffs(
-            self._kernel.smoothed, self.threshold_sigmas, first
-        )
-        self._cutoff = float(cutoffs[-1])
-        obs.add("bursts.online_pushes", latest.size)
-        flags = latest > cutoffs
-        rising = flags & ~np.concatenate(([self._bursting], flags[:-1]))
         smoothed = self._kernel.smoothed
+        flags, edges, exact = prefix_bursts(
+            smoothed, self.threshold_sigmas, first, self._bursting
+        )
+        self._cutoff = exact[arr.size - 1]
+        obs.add("bursts.online_pushes", latest.size)
+        obs.add("bursts.ma.exact_cutoffs", len(exact))
         alerts = []
-        for j in np.flatnonzero(rising).tolist():
-            day, cutoff = first + j, float(cutoffs[j])
+        for j in edges:
+            day, cutoff = first + j, exact[j]
             quiet = np.flatnonzero(~(smoothed[:day] > cutoff))
             start = int(quiet[-1]) + 1 if quiet.size else 0
             weight = float(np.sum(smoothed[start : day + 1] - cutoff))

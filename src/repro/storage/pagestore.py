@@ -144,10 +144,14 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX") if _PREADV is not None else 0
 
 
 def _checked_ids(seq_ids, count: int) -> np.ndarray:
-    """``seq_ids`` as an array; the first id outside ``[0, count)`` raises."""
-    ids = np.fromiter(seq_ids, dtype=np.intp)
-    outside = (ids < 0) | (ids >= count)
-    if outside.any():
+    """``seq_ids`` as an ``intp`` array, taken as it is if it is one; the
+    first id outside ``[0, count)`` raises."""
+    ids = seq_ids
+    if not (isinstance(ids, np.ndarray) and ids.dtype == np.intp):
+        ids = np.fromiter(seq_ids, dtype=np.intp)
+    # Read unsigned, a negative id lies past every count: one max checks.
+    if ids.size and ids.view(np.uintp).max() >= count:
+        outside = (ids < 0) | (ids >= count)
         raise KeyNotFoundError(int(ids[outside.argmax()]))
     return ids
 

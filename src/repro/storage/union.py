@@ -78,11 +78,11 @@ class RowUnion:
         local = self._local_of[ids]
         order = dict.fromkeys(source.tolist())
         if len(order) == 1:
-            return self.stores[source[0]].read_many(local.tolist())
+            return self.stores[source[0]].read_many(local)
         rows = np.empty((ids.size, self.sequence_length))
         for each in order:
             mask = source == each
-            rows[mask] = self.stores[each].read_many(local[mask].tolist())
+            rows[mask] = self.stores[each].read_many(local[mask])
         return rows
 
     def append(self, source: int) -> int:

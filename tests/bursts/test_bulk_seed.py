@@ -2,12 +2,13 @@
 
 ``LiveBurstMonitor.observe_series`` hands a whole history to the
 detector's ``extend``; for the paper's ``ma`` model that is one
-vectorised pass (``TrailingMA.extend`` + ``prefix_cutoffs`` + one array
-comparison) instead of a push per day.  The per-day ``observe`` loop is
-the oracle: for any series, window, cutoff factor and split point, the
-bulk-fed monitor must raise the same alerts — every field, floats
-compared with ``==`` — and leave every detector in the same state and
-the obs counters at the same values as a twin fed one day at a time.
+vectorised pass (``TrailingMA.extend`` + ``prefix_bursts``, which pays
+an exact cutoff only where a decision needs one) instead of a push per
+day.  The per-day ``observe`` loop is the oracle: for any series,
+window, cutoff factor and split point, the bulk-fed monitor must raise
+the same alerts — every field, floats compared with ``==`` — and leave
+every detector in the same state and the obs counters at the same
+values as a twin fed one day at a time.
 """
 
 import dataclasses
@@ -18,13 +19,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.bursts.kernel import burst_cutoff, prefix_cutoffs
+from repro.bursts.kernel import prefix_bursts
 from repro.bursts.models import MovingAverageModel
 from repro.bursts.registry import available_burst_models, get_burst_model
 from repro.exceptions import SeriesLengthError
 from repro.stream.alerts import LiveBurstMonitor
 
-KINDS = ("counts", "constant", "zeros", "spikes", "huge")
+KINDS = (
+    "counts",
+    "constant",
+    "zeros",
+    "spikes",
+    "huge",
+    "ties",
+    "overflow",
+    "subnormal",
+    "offset",
+)
 COUNTERS = ("bursts.online_pushes", "stream.burst_alerts")
 
 
@@ -38,6 +49,15 @@ def make_series(kind: str, days: int, seed: int) -> np.ndarray:
         return np.full(days, rng.integers(1, 1000) / 10.0)
     if kind == "zeros":
         return np.zeros(days)
+    if kind == "ties":
+        # Runs of 0 then a, n0 : n1 = x² : 1 for one drawn cutoff factor:
+        # at the end of each run of a, a == mean + x * std, to the bit
+        # where the arithmetic is exact (x = 1) and within ulps elsewhere.
+        zeros, level = [(1, 1), (4, 1), (1, 4), (9, 4), (9, 1)][
+            int(rng.integers(0, 5))
+        ]
+        a = 2.0 ** float(rng.integers(-3, 8))
+        return np.resize([0.0] * zeros + [a] * level, days)
     values = rng.poisson(40.0, size=days).astype(np.float64)
     if kind == "spikes":
         for at in rng.integers(0, days, size=max(1, days // 12)):
@@ -45,6 +65,22 @@ def make_series(kind: str, days: int, seed: int) -> np.ndarray:
     if kind == "huge":
         # Squares (the variance pass) stay finite up to ~1e153.
         values *= 10.0 ** float(rng.integers(12, 150))
+    if kind == "overflow":
+        # Up to 1e160 the squares overflow: the band is inf, so each day
+        # takes the exact cutoff, itself inf where numpy's variance is.
+        values *= 10.0 ** float(rng.integers(152, 160))
+    if kind == "subnormal":
+        # Squares underflow to zero or to subnormals; the smallest scales
+        # put the values themselves below 2**-1022.
+        values *= 2.0 ** -float(rng.integers(1000, 1075))
+    if kind == "offset":
+        # A first half far above the rest: the whole series' mean, which
+        # the running estimate shifts by, sits far from the early
+        # prefixes' means, so their variance estimate cancels; near 1e155
+        # its squares overflow (a NaN estimate) while the early
+        # prefixes' own cutoffs stay finite.
+        level = 10.0 ** float(rng.choice([7, 100, 155]))
+        values[: days // 2] = level * (1.0 + values[: days // 2] / 1000.0)
     return values
 
 
@@ -144,22 +180,48 @@ def test_every_model_observe_series_equals_observe_day_by_day(
     )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(KINDS),
     st.integers(0, 10_000),
-    st.sampled_from((0.5, 1.5, 2.0)),
+    st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)),
     st.integers(0, 299),
 )
-def test_prefix_cutoffs_equal_burst_cutoff_at_every_prefix(
+def test_prefix_bursts_decide_as_mean_plus_std_at_every_prefix(
     kind, seed, sigmas, start
 ):
     # 300 prefixes cross numpy's pairwise-sum boundaries (8 and 128
     # elements), where a prefix's sum stops being the running total.
     smoothed = make_series(kind, 300, seed)
-    expected = [burst_cutoff(smoothed[:i], sigmas) for i in range(1, 301)]
-    assert prefix_cutoffs(smoothed, sigmas).tolist() == expected
-    assert prefix_cutoffs(smoothed, sigmas, start).tolist() == expected[start:]
+    with np.errstate(all="ignore"):
+        cutoffs = np.array(
+            [
+                smoothed[:i].mean() + sigmas * smoothed[:i].std()
+                for i in range(1, 301)
+            ]
+        )
+    bursts = smoothed > cutoffs
+    bursting = bool(start) and bool(bursts[start - 1])
+    flags, edges, exact = prefix_bursts(smoothed, sigmas, start, bursting)
+    assert flags.tolist() == bursts[start:].tolist()
+    before = np.append(bursting, bursts[start:-1])
+    assert edges == np.flatnonzero(bursts[start:] & ~before).tolist()
+    assert set(edges) | {299 - start} <= set(exact)
+    for j, cutoff in exact.items():
+        assert cutoff == cutoffs[start + j] or (
+            np.isnan(cutoff) and np.isnan(cutoffs[start + j])
+        )
+
+
+def test_ma_seeding_computes_few_exact_cutoffs():
+    # A row's rising edges and last day need their cutoff; the running
+    # estimate decides nearly every other day.
+    rows = np.random.default_rng(3).poisson(40.0, size=(40, 255))
+    for row in rows.astype(np.float64):
+        with obs.observed() as registry:
+            alerts = LiveBurstMonitor(model="ma").observe_series("q", row)
+        exact = registry.snapshot()["counters"]["bursts.ma.exact_cutoffs"]
+        assert len(alerts) <= exact < 25
 
 
 @pytest.mark.parametrize("name", available_burst_models())
