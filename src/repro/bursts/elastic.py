@@ -132,7 +132,7 @@ class ElasticModel(BurstModel):
     def detect(self, values) -> list[BurstRegion]:
         """All qualifying windows, with SWT pruning then exact checks."""
         arr = np.maximum(as_float_array(values), 0.0)
-        return [BurstRegion(*window) for window in zip(*self.windows(arr))]
+        return BurstRegion.trusted(*self.windows(arr))
 
     def online(self) -> OnlineDetector:
         return _OnlineElastic(self.threshold, self.lengths)

@@ -99,6 +99,9 @@ def prefix_bursts(
         estimate = shift + mean + x * std
         flags = latest > estimate
         undecided = ~(np.abs(latest - estimate) > band)
+    if start == 0:
+        # A one-day prefix's cutoff is its value (NaN if not finite): no burst.
+        flags[0] = undecided[0] = False
     exact = {}
     for j in np.flatnonzero(undecided).tolist():
         exact[j] = burst_cutoff(smoothed[: start + j + 1], x)

@@ -129,6 +129,8 @@ class KleinbergModel(BurstModel):
         one numpy call costs; a strict ``<`` keeps the lowest state on a
         tie, as ``np.argmin`` does, and the additions are the numpy
         recurrence's in the same order, so the path is bit-for-bit its.
+        The default two states run the same additions on two scalars; a
+        back-pointer ``True`` (index 1) means the high state was cheaper.
         """
         states = range(self.states)
         # into[j][i]: the cost of entering state j from state i.
@@ -139,18 +141,28 @@ class KleinbergModel(BurstModel):
         # Streams start in the baseline state.
         cost = [days[0][0]] + [into[j][0] + days[0][j] for j in states[1:]]
         backpointers = []
-        for today in days[1:]:
-            arrived, best_from = [], []
-            for climb, emitted in zip(into, today):
-                best, source = cost[0] + climb[0], 0
-                for i in states[1:]:
-                    step = cost[i] + climb[i]
-                    if step < best:
-                        best, source = step, i
-                arrived.append(best + emitted)
-                best_from.append(source)
-            cost = arrived
-            backpointers.append(best_from)
+        if self.states == 2:
+            (stay, fall), (climb, hold) = into
+            low, high = cost
+            for e_low, e_high in days[1:]:
+                a, b, c, d = low + stay, high + fall, low + climb, high + hold
+                fell, held = b < a, d < c
+                backpointers.append((fell, held))
+                low, high = (b if fell else a) + e_low, (d if held else c) + e_high
+            cost = [low, high]
+        else:
+            for today in days[1:]:
+                arrived, best_from = [], []
+                for climb, emitted in zip(into, today):
+                    best, source = cost[0] + climb[0], 0
+                    for i in states[1:]:
+                        step = cost[i] + climb[i]
+                        if step < best:
+                            best, source = step, i
+                    arrived.append(best + emitted)
+                    best_from.append(source)
+                cost = arrived
+                backpointers.append(best_from)
 
         path = [min(states, key=cost.__getitem__)]
         for best_from in reversed(backpointers):
@@ -162,7 +174,7 @@ class KleinbergModel(BurstModel):
         states, savings = self.weighted_states(values)
         regions: list[BurstRegion] = []
         for start, end in mask_regions(states >= 1):
-            level = int(states[start : end + 1].max())
-            weight = float(np.sum(savings[start : end + 1]))
+            level = int(np.maximum.reduce(states[start : end + 1]))
+            weight = float(np.add.reduce(savings[start : end + 1]))
             regions.append(BurstRegion(start, end, weight, level=level))
         return regions

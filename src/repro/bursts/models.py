@@ -79,10 +79,8 @@ def _annotation_regions(annotation: BurstAnnotation) -> list[BurstRegion]:
     """
     smoothed, cutoff = annotation.smoothed, annotation.cutoff
     return [
-        BurstRegion(
-            start, end, float(np.sum(smoothed[start : end + 1] - cutoff))
-        )
-        for start, end in mask_regions(annotation.mask)
+        BurstRegion(s, e, float(np.add.reduce(smoothed[s : e + 1] - cutoff)))
+        for s, e in mask_regions(annotation.mask)
     ]
 
 
@@ -176,7 +174,7 @@ class _OnlineMovingAverage(OnlineDetector):
             day, cutoff = first + j, exact[j]
             quiet = np.flatnonzero(~(smoothed[:day] > cutoff))
             start = int(quiet[-1]) + 1 if quiet.size else 0
-            weight = float(np.sum(smoothed[start : day + 1] - cutoff))
+            weight = float(np.add.reduce(smoothed[start : day + 1] - cutoff))
             region = BurstRegion(start, day, weight)
             value, statistic = float(arr[j]), float(latest[j])
             alerts.append(RegionAlert(day, value, statistic, cutoff, region))
@@ -260,10 +258,8 @@ class _MACDState:
         histogram = np.asarray(self.histogram)
         mask = (histogram > 0.0) & (macd > 0.0)
         return [
-            BurstRegion(
-                start, end, float(np.sum(histogram[start : end + 1]))
-            )
-            for start, end in mask_regions(mask)
+            BurstRegion(s, e, float(np.add.reduce(histogram[s : e + 1])))
+            for s, e in mask_regions(mask)
         ]
 
 

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,26 +57,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class BurstRegion:
-    """One scored burst span (day indexes are inclusive).
-
-    Canonical ordering is ``(start, end, weight, level)`` so region
-    lists sort deterministically and equality is field-exact — the
-    online-equivalence suite compares regions with ``==``, no
-    tolerance.
-    """
-
+class _RegionFields(NamedTuple):
     start: int
     end: int
     weight: float
     level: int = 1
 
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(
-                f"region end {self.end} precedes start {self.start}"
-            )
+
+class BurstRegion(_RegionFields):
+    """One scored burst span (day indexes are inclusive).
+
+    A tuple ``(start, end, weight, level)``, the canonical ordering, so
+    region lists sort deterministically and equality is field-exact (the
+    online-equivalence suite compares regions with ``==``, no tolerance)
+    and runs in C; a region equals the plain 4-tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, weight: float, level: int = 1):
+        if end < start:
+            raise ValueError(f"region end {end} precedes start {start}")
+        return tuple.__new__(cls, (start, end, weight, level))
+
+    @classmethod
+    def _make(cls, iterable) -> BurstRegion:
+        """Through ``__new__``: namedtuple's own counts fields by ``len``."""
+        return cls(*iterable)
+
+    @classmethod
+    def trusted(cls, starts, ends, weights) -> list[BurstRegion]:
+        """Level-1 regions from parallel lists, unchecked: only for
+        kernels whose arrays give ``end >= start`` by construction."""
+        rows = zip(starts, ends, weights, repeat(1))
+        return list(map(tuple.__new__, repeat(cls), rows))
 
     def __len__(self) -> int:
         """Region length ``endDate - startDate + 1``."""

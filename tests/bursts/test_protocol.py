@@ -1,5 +1,9 @@
 """The batch/online protocol: regions, alerts, and the replay fallback."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -48,6 +52,58 @@ class TestBurstRegion:
         assert region.windowed_weight(0, 9) == 0.0
         assert region.windowed_weight(10, 19) == 8.0
         assert region.windowed_weight(15, 100) == 8.0 * 0.5
+
+
+class TestBurstRegionContract:
+    """A region is an immutable ``(start, end, weight, level)`` tuple."""
+
+    def test_repr_names_every_field(self):
+        assert repr(BurstRegion(3, 7, 1.5)) == (
+            "BurstRegion(start=3, end=7, weight=1.5, level=1)"
+        )
+
+    @pytest.mark.parametrize(
+        "clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy]
+    )
+    def test_pickle_and_deepcopy_give_back_a_region(self, clone):
+        region = BurstRegion(2, 9, 0.25, level=3)
+        twin = clone(region)
+        assert type(twin) is BurstRegion
+        assert twin == region and twin.level == 3
+
+    def test_astuple_of_an_alert_keeps_its_region(self):
+        alert = RegionAlert(4, 9.0, 2.5, 1.0, BurstRegion(3, 4, 0.5))
+        flat = dataclasses.astuple(alert)
+        assert flat == (4, 9.0, 2.5, 1.0, (3, 4, 0.5, 1))
+        assert type(flat[-1]) is BurstRegion
+
+    def test_equal_regions_hash_equal(self):
+        assert hash(BurstRegion(1, 2, 3.0)) == hash(BurstRegion(1, 2, 3.0))
+        assert len({BurstRegion(1, 2, 3.0), BurstRegion(1, 2, 3.0)}) == 1
+
+    def test_fields_cannot_be_set(self):
+        region = BurstRegion(1, 2, 3.0)
+        for name in ("start", "end", "weight", "level", "other"):
+            with pytest.raises(AttributeError):
+                setattr(region, name, 0)
+
+    def test_field_order_is_start_end_weight_level(self):
+        region = BurstRegion(1, 2, 3.0, level=4)
+        assert region._fields == ("start", "end", "weight", "level")
+        assert tuple(region) == (1, 2, 3.0, 4)
+        assert region == (1, 2, 3.0, 4)
+        assert len(region) == 2
+
+    def test_replace_checks_the_span(self):
+        region = BurstRegion(3, 7, 1.0)
+        assert region._replace(end=9) == BurstRegion(3, 9, 1.0)
+        with pytest.raises(ValueError):
+            region._replace(end=2)
+
+    def test_trusted_builder_equals_the_checked_one(self):
+        built = BurstRegion.trusted([0, 4], [2, 4], [1.5, 0.0])
+        assert built == [BurstRegion(0, 2, 1.5), BurstRegion(4, 4, 0.0)]
+        assert all(type(r) is BurstRegion for r in built)
 
 
 class TestMaskRegions:
