@@ -109,10 +109,11 @@ def _pipelines(index, queries, k: int, policy: ApproxPolicy) -> list:
 
     On an index with row codes a block of queries is bounded against
     every row in one :meth:`~repro.compression.codes.RowCodes.bounds_sq`
-    call, and each query's code stage takes its row of the block.
+    call, and each query's code stage takes its row of the block.  A
+    tree that walks on its codes bounds each query in its own walk.
     """
     codes = getattr(index, "row_codes", None)
-    if codes is None:
+    if codes is None or getattr(index, "code_walked", False):
         return [_knn_pipeline(index, query, k, policy) for query in queries]
     size = max(1, min(QUERY_BLOCK, BLOCK_BOUNDS // max(len(codes), 1)))
     results = []

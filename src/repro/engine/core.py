@@ -724,16 +724,21 @@ def _code_stage(
     there the codes are the filter.  ``bounds`` are the query's code
     bounds of every row, when a batch made them in one block call.  The
     stage is skipped where it cannot help or must not act: no codes, a
-    streaming generator, a degraded (fallback-scan) set — approximation
-    is suspended there too, and the scan stays exhaustive — and a k-NN
-    set of at most ``k`` entries, all of which refinement reads anyway.
+    walk that bounded with them already (``code_walked``, the default
+    VP-tree), a streaming generator, a degraded (fallback-scan) set —
+    approximation is suspended there too, and the scan stays exhaustive
+    — and a k-NN set of at most ``k`` entries, all of which refinement
+    reads anyway.
     """
     if radius is None:
         cands = index.knn_candidates(query, k, stats)
     else:
         cands = index.range_candidates(query, radius, stats)
     codes = getattr(index, "row_codes", None)
-    if codes is None or cands.stream is not None or stats.degraded:
+    if (
+        codes is None or getattr(index, "code_walked", False)
+        or cands.stream is not None or stats.degraded
+    ):
         return cands
     ids = cands.ids
     if ids.size <= (k or 0):
@@ -1028,7 +1033,10 @@ def _refine_range(
     row is never read, so its quarantine state cannot change during the
     query.
     """
-    slack_sq = (radius + RANGE_SLACK) ** 2
+    # No distance past this threshold has a ``sqrt`` at or below the
+    # radius: at any scale, 8u covers the half ulp of ``sqrt`` and the
+    # threshold's own roundings.
+    slack_sq = (radius + RANGE_SLACK) ** 2 * (1 + 2.0**-50)
     if cands.stream is not None:
         # A range stream is radius-bounded and consumed to its end, so
         # it is materialised and verified in prefetched blocks.

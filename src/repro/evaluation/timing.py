@@ -176,9 +176,12 @@ def index_vs_scan_experiment(
 
     # One index, costed twice: the in-memory configuration holds the
     # compressed features resident; the on-disk one re-streams them.
+    # Fig. 23 measures sketches, so the bound method is named: without
+    # sketch arguments the tree would walk on its row codes.
     index_store = SequencePageStore(f"{tmp_dir}/index.dat", n)
     index = get_index(
-        "vptree", matrix, compressor=compressor, store=index_store, seed=seed
+        "vptree", matrix, compressor=compressor, store=index_store,
+        bound_method="best_min_error_safe", seed=seed,
     )
     index_store.stats.reset()
     started = time.perf_counter()

@@ -10,10 +10,10 @@ nothing else.  :class:`CodedIndexBase` adds the resident
 :class:`~repro.compression.codes.RowCodes` the engine's row-code stage
 bounds candidates with, the in-memory store default and the one row
 append that dynamic inserts share; ``flat`` is that and nothing more.
-:class:`SketchIndexBase` adds the compressed half the two sketch trees
-share: the default compressor, the bound kernel, the packed
-:class:`~repro.compression.database.SketchDatabase` and the one kernel
-pass that bounds a query against all of it.
+:class:`SketchIndexBase` adds what the two trees share: the one pass
+that bounds a query against every row, with a sketch kernel over a
+packed :class:`~repro.compression.database.SketchDatabase` or with the
+row codes' own kernel.
 """
 
 from __future__ import annotations
@@ -29,11 +29,15 @@ from repro.compression.database import SketchDatabase
 from repro.engine.core import execute_knn, execute_range
 from repro.exceptions import SeriesMismatchError
 from repro.index.results import Neighbor, SearchStats
+from repro.index.walk import BoundedWalk, code_margin
 from repro.spectral.dft import Spectrum
 from repro.storage.pagestore import MemorySequenceStore
 from repro.timeseries.preprocessing import as_float_array
 
 __all__ = ["CodedIndexBase", "IndexBase", "SketchIndexBase", "as_database"]
+
+#: A tree's default ``bound_method``: its codes, or the safe sketch bound.
+AUTO_BOUNDS = "auto"
 
 
 def as_database(
@@ -164,7 +168,7 @@ class CodedIndexBase(IndexBase):
 
 
 class SketchIndexBase(CodedIndexBase):
-    """A coded index over sketches of its matrix, compressed at build.
+    """A coded index walked on one pass of sketch or of code bounds.
 
     The raw matrix stays in ``_matrix`` only for a subclass's build;
     every subclass drops it afterwards.
@@ -183,6 +187,12 @@ class SketchIndexBase(CodedIndexBase):
         bound_method: str | None = "best_min_error_safe",
     ) -> None:
         super().__init__(matrix, names, store)
+        self._kernel = self._sketch_db = self.bound_method = None
+        self._compressor = None
+        if bound_method == AUTO_BOUNDS:
+            if compressor is None:
+                return
+            bound_method = "best_min_error_safe"
         self._compressor = compressor or self.DEFAULT_COMPRESSOR
         self.bound_method = bound_method or self._compressor.method
         self._kernel = get_batch_kernel(self.bound_method)
@@ -191,7 +201,17 @@ class SketchIndexBase(CodedIndexBase):
             self._matrix, self._compressor
         )
 
-    def _bounds(self, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """LB and UB of the query against every sketch: one kernel pass."""
+    @property
+    def code_walked(self) -> bool:
+        """Whether the walk bounds with the codes (the code stage skips)."""
+        return self._sketch_db is None
+
+    def _begin_walk(self, query, stats, k=None, deleted=frozenset()):
+        """The query's :class:`BoundedWalk` over one pass of its bounds."""
+        if self._sketch_db is None:
+            lower_sq, upper_sq = self._row_codes.bounds_sq(query)
+            return BoundedWalk(np.sqrt(lower_sq), np.sqrt(upper_sq), stats,
+                               k, deleted, lower_sq, code_margin(self._n))
         spectrum = Spectrum.from_series(query)
-        return self._kernel(BatchBounds(spectrum), self._sketch_db)
+        bounds = self._kernel(BatchBounds(spectrum), self._sketch_db)
+        return BoundedWalk(*bounds, stats, k, deleted)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.core import RANGE_SLACK, CandidateSet
+from repro.engine.core import CandidateSet
 from repro.index.base import SketchIndexBase
 from repro.index.distance import distances_to_query
 from repro.index.results import SearchStats
@@ -81,6 +81,7 @@ class MVPTreeIndex(SketchIndexBase):
     ) -> None:
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
+        compressor = compressor or self.DEFAULT_COMPRESSOR  # sketches only
         super().__init__(matrix, compressor, names, store, bound_method)
         self._leaf_size = leaf_size
         self._rng = np.random.default_rng(seed)
@@ -192,7 +193,7 @@ class MVPTreeIndex(SketchIndexBase):
     def knn_candidates(
         self, query: np.ndarray, k: int, stats: SearchStats
     ) -> CandidateSet:
-        walk = BoundedWalk(*self._bounds(query), stats, k)
+        walk = self._begin_walk(query, stats, k)
         self._walk(self._root, walk)
         return walk.knn_result()
 
@@ -202,7 +203,7 @@ class MVPTreeIndex(SketchIndexBase):
         """Fixed-radius traversal: a quadrant is skipped when *either*
         vantage point's annulus condition proves every member farther
         than ``radius``."""
-        walk = BoundedWalk(*self._bounds(query), stats)
-        bound = radius + RANGE_SLACK
+        walk = self._begin_walk(query, stats)
+        bound = radius + walk.slack
         self._walk(self._root, walk, bound)
         return walk.range_result(bound)

@@ -9,7 +9,8 @@ Construction follows the paper exactly:
 * points at distance ``<= median`` go left (:math:`S_\\le`), the rest go
   right (:math:`S_>`);
 * after construction every vantage point and leaf object is replaced by
-  its *compressed* representation, so the index is tiny.
+  its *compressed* representation, so the index is tiny: its 8-bit row
+  codes, or sketches when it is given a compressor or bound method.
 
 Search is the two-phase algorithm of fig. 11, generalised from 1-NN to
 k-NN:
@@ -20,9 +21,9 @@ k-NN:
    id and counts it in ``SearchStats.bound_computations``.  ``sigma_UB``
    — the k-th smallest upper bound met so far — drives the pruning
    rules: the right subtree is skipped when ``UB(Q, VP) < mu - sigma_UB``
-   and the left when ``LB(Q, VP) > mu + sigma_UB``.  A *guided* heuristic
-   visits first the child whose annulus overlap with ``[LB, UB]`` is
-   larger.
+   and the left when ``LB(Q, VP) > mu + sigma_UB`` (on code bounds, with
+   :func:`~repro.index.walk.code_margin`).  A *guided* heuristic visits first
+   the child whose annulus overlap with ``[LB, UB]`` is larger.
 2. **Verification.**  Candidates with ``LB > SUB`` (smallest k-th upper
    bound) are discarded; the rest are fetched uncompressed from the
    sequence store in increasing-LB order and compared exactly with early
@@ -32,8 +33,8 @@ k-NN:
 Exactness note: with ``bound_method="best_min_error"`` the index uses the
 paper's published bounds, which are unsound in rare corner cases (see
 :mod:`repro.bounds.best_min_error`) and may then return a near-neighbour
-instead of the exact one.  ``bound_method="best_min_error_safe"`` (the
-default) uses the provably sound envelope and always returns exact
+instead of the exact one.  The row codes and the sketch default
+``"best_min_error_safe"`` are provably sound and always return exact
 results — the test suite checks this against brute force.
 """
 
@@ -47,9 +48,9 @@ import numpy as np
 from repro.bounds.batch import get_batch_kernel
 from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
-from repro.engine.core import RANGE_SLACK as _RANGE_SLACK, CandidateSet
+from repro.engine.core import CandidateSet
 from repro.exceptions import SeriesMismatchError
-from repro.index.base import IndexBase, SketchIndexBase
+from repro.index.base import AUTO_BOUNDS, IndexBase, SketchIndexBase
 from repro.index.distance import distances_to_query
 from repro.index.results import SearchStats
 from repro.index.walk import BoundedWalk
@@ -82,9 +83,8 @@ class VPTreeIndex(SketchIndexBase):
         Database as a ``(count, n)`` matrix of (ideally standardised)
         sequences.  Used with exact distances during construction only.
     compressor:
-        Any compressor from :mod:`repro.compression`; defaults to
-        BestMinError sketches with ``k=14`` best coefficients (the paper's
-        middle configuration).
+        Any compressor from :mod:`repro.compression`.  Without one or a
+        ``bound_method`` the tree walks on its row codes, with no sketch.
     names:
         Optional per-sequence names attached to results.
     store:
@@ -93,9 +93,10 @@ class VPTreeIndex(SketchIndexBase):
         :class:`repro.storage.SequencePageStore` to model the on-disk
         configuration of fig. 23.
     bound_method:
-        Bound algorithm name (see :mod:`repro.bounds.registry`).  ``None``
-        uses the compressor's own method; the constructor default is the
-        sound ``"best_min_error_safe"`` envelope.
+        Sketch bound name (see :mod:`repro.bounds.registry`), alone on
+        BestMinError ``k=14`` sketches (the paper's middle configuration).
+        ``None`` uses the compressor's own method; the default, with a
+        compressor, the sound ``"best_min_error_safe"`` envelope.
     leaf_size:
         Maximum number of objects in a leaf.
     vantage_candidates / vantage_sample:
@@ -120,7 +121,7 @@ class VPTreeIndex(SketchIndexBase):
         compressor=None,
         names: Sequence[str] | None = None,
         store=None,
-        bound_method: str | None = "best_min_error_safe",
+        bound_method: str | None = AUTO_BOUNDS,
         leaf_size: int = 16,
         vantage_candidates: int = 8,
         vantage_sample: int = 64,
@@ -205,16 +206,17 @@ class VPTreeIndex(SketchIndexBase):
         maintenance cost.  Routing and rebuilds read sequences through the
         store, so their I/O is visible in ``store.stats``.
         """
-        if self._compressor is None:
+        if self._sketch_db is not None and self._compressor is None:
             raise SeriesMismatchError(
-                "a loaded index is search-only: its compressor "
+                "a loaded sketch index is search-only: its compressor "
                 "configuration is not serialised; rebuild to insert"
             )
         values = as_float_array(values)
         seq_id = self._append(values, name)
-        self._sketch_db = self._sketch_db.appended(
-            self._compressor.compress(Spectrum.from_series(values))
-        )
+        if self._sketch_db is not None:
+            self._sketch_db = self._sketch_db.appended(
+                self._compressor.compress(Spectrum.from_series(values))
+            )
 
         node = self._root
         parent, went_left = None, False
@@ -264,7 +266,7 @@ class VPTreeIndex(SketchIndexBase):
         far — drives the subtree pruning rules; the engine applies the
         final SUB filter and verifies the survivors.
         """
-        walk = BoundedWalk(*self._bounds(query), stats, k, self._deleted)
+        walk = self._begin_walk(query, stats, k, self._deleted)
         self._knn_walk(self._root, walk)
         return walk.knn_result()
 
@@ -279,9 +281,9 @@ class VPTreeIndex(SketchIndexBase):
         walk.examine((node.vantage_id,))
         lower = walk.lower[node.vantage_id]
         upper = walk.upper[node.vantage_id]
-        sigma = walk.sigma
-        visit_left = lower <= node.median + sigma
-        visit_right = upper >= node.median - sigma
+        sigma, shrink, grow = walk.sigma, walk.shrink, walk.grow
+        visit_left = lower * shrink <= node.median * grow + sigma
+        visit_right = upper * grow >= node.median * shrink - sigma
         if not visit_left and not visit_right:
             # The annulus excludes both only through rounding; fall
             # back to the side the bounds point at.
@@ -310,8 +312,8 @@ class VPTreeIndex(SketchIndexBase):
         ``radius``; a candidate whose lower bound exceeds ``radius`` is
         rejected without touching its uncompressed form.
         """
-        walk = BoundedWalk(*self._bounds(query), stats, deleted=self._deleted)
-        bound = radius + _RANGE_SLACK
+        walk = self._begin_walk(query, stats, deleted=self._deleted)
+        bound = radius + walk.slack
         self._range_walk(self._root, walk, bound)
         return walk.range_result(bound)
 
@@ -323,11 +325,12 @@ class VPTreeIndex(SketchIndexBase):
         walk.examine((node.vantage_id,))
         # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median;
         # for the right, D(Q,R) >= median - UB(Q,VP).
-        if walk.lower[node.vantage_id] - node.median <= bound:
+        shrink, grow = walk.shrink, walk.grow
+        if walk.lower[node.vantage_id] * shrink - node.median * grow <= bound:
             self._range_walk(node.left, walk, bound)
         else:
             walk.stats.subtrees_pruned += 1
-        if node.median - walk.upper[node.vantage_id] <= bound:
+        if node.median * shrink - walk.upper[node.vantage_id] * grow <= bound:
             self._range_walk(node.right, walk, bound)
         else:
             walk.stats.subtrees_pruned += 1
@@ -343,7 +346,7 @@ class VPTreeIndex(SketchIndexBase):
     def save(self, path) -> None:
         """Serialise the whole index to one ``.npz`` file.
 
-        Saved state: the tree structure, the packed sketches, names,
+        Saved state: the tree structure, any packed sketches, names,
         tombstones and configuration — plus the raw sequences when the
         verification store is in-memory.  A disk-backed
         :class:`~repro.storage.SequencePageStore` is *not* copied; its
@@ -383,19 +386,19 @@ class VPTreeIndex(SketchIndexBase):
                 list(self._names) if self._names is not None else [], dtype=str
             ),
             "config": np.array(
-                [str(self._count), str(self._n), self.bound_method,
+                [str(self._count), str(self._n), self.bound_method or "",
                  str(int(self._guided))],
                 dtype=str,
             ),
+        }
+        db = self._sketch_db
+        if db is not None:
             # Sketch database columns: the canonical SoA blocks (same
             # layout as SketchDatabase.save, incl. precomputed norms).
-            **self._sketch_db.soa_blocks(),
-            "sketch_meta": np.array(
-                [str(self._sketch_db.n), self._sketch_db.basis,
-                 self._sketch_db.method],
-                dtype=str,
-            ),
-        }
+            payload.update(db.soa_blocks())
+            payload["sketch_meta"] = np.array(
+                [str(db.n), db.basis, db.method], dtype=str
+            )
         if isinstance(self._store, SequencePageStore):
             payload["store_path"] = np.array([self._store.path], dtype=str)
         else:
@@ -414,8 +417,8 @@ class VPTreeIndex(SketchIndexBase):
             count, n, bound_method, *guided = payload["config"].tolist()
             index._count = int(count)
             index._n = int(n)
-            index.bound_method = bound_method
-            index._kernel = get_batch_kernel(bound_method)
+            index.bound_method = bound_method or None
+            index._kernel = index._sketch_db = None
             index._deleted = set(int(i) for i in payload["deleted"])
             names = payload["names"]
             index._names = tuple(names.tolist()) if names.size else None
@@ -425,17 +428,18 @@ class VPTreeIndex(SketchIndexBase):
             index._vantage_sample = 64
             index._rng = np.random.default_rng(0)
             index._compressor = None  # unknown post-hoc; inserts disallowed
-
-            sketch_n, basis, method = payload["sketch_meta"].tolist()
-            db = SketchDatabase.from_soa(
-                {f: payload[f] for f in SketchDatabase.SOA_FIELDS},
-                n=int(sketch_n),
-                basis=basis,
-                method=method,
-            )
-            if "norms" in payload.files:
-                db._norms_cache = np.ascontiguousarray(payload["norms"])
-            index._sketch_db = db
+            if bound_method:
+                index._kernel = get_batch_kernel(bound_method)
+                sketch_n, basis, method = payload["sketch_meta"].tolist()
+                db = SketchDatabase.from_soa(
+                    {f: payload[f] for f in SketchDatabase.SOA_FIELDS},
+                    n=int(sketch_n),
+                    basis=basis,
+                    method=method,
+                )
+                if "norms" in payload.files:
+                    db._norms_cache = np.ascontiguousarray(payload["norms"])
+                index._sketch_db = db
 
             leaf_values = payload["leaf_values"].astype(np.intp)
             leaf_lengths = payload["leaf_lengths"].astype(np.intp)

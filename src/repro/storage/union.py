@@ -19,7 +19,9 @@ class RowUnion:
     order of first appearance, each store's ids in request order — so
     every store's counters, cache and LRU order end where a per-id
     ``read`` loop leaves them; a block from one source is that store's
-    read as is.
+    read as is.  A source whose global ids run contiguously (the stream
+    union's two tiers, a contiguously partitioned router) reads a block
+    that lies inside its range with no per-id mapping at all.
     """
 
     def __init__(self, sources, sequence_length: int) -> None:
@@ -44,9 +46,15 @@ class RowUnion:
             )
         self._source_of = np.empty(total, dtype=np.intp)
         self._local_of = np.empty(total, dtype=np.intp)
+        # Each source's first global id if its ids run contiguously, or -1.
+        self._starts = []
         for source, ids in enumerate(self.global_ids):
             self._source_of[ids] = source
             self._local_of[ids] = np.arange(ids.size)
+            contiguous = ids.size and np.array_equal(
+                ids, np.arange(ids[0], ids[0] + ids.size)
+            )
+            self._starts.append(int(ids[0]) if contiguous else -1)
 
     def __len__(self) -> int:
         return int(self._source_of.size)
@@ -71,9 +79,14 @@ class RowUnion:
         if not ids.size:
             return np.empty((0, self.sequence_length))
         # Blocks are a few ids: Python's min/max beat two ufunc passes.
-        listed = ids.tolist()
-        if min(listed) < 0 or max(listed) >= len(self):
+        listed = seq_ids if isinstance(seq_ids, list) else ids.tolist()
+        low, high = min(listed), max(listed)
+        if low < 0 or high >= len(self):
             self.locate(next(i for i in listed if not 0 <= i < len(self)))
+        first = int(self._source_of[low])
+        start = self._starts[first]
+        if start >= 0 and high < start + self.global_ids[first].size:
+            return self.stores[first].read_many(ids - start if start else ids)
         source = self._source_of[ids]
         local = self._local_of[ids]
         order = dict.fromkeys(source.tolist())
@@ -90,6 +103,10 @@ class RowUnion:
         global id, and return that id."""
         seq_id = len(self)
         ids = np.append(self.global_ids[source], seq_id)
+        if ids.size == 1:
+            self._starts[source] = seq_id
+        elif self._starts[source] + ids.size - 1 != seq_id:
+            self._starts[source] = -1
         self.global_ids[source] = ids
         self._source_of = np.append(self._source_of, source)
         self._local_of = np.append(self._local_of, ids.size - 1)

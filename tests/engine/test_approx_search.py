@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.compression import BestMinErrorCompressor
 from repro.engine import (
     ApproxPolicy,
     available_indexes,
@@ -93,9 +94,11 @@ def test_extended_invariant_holds(matrix, queries, backend):
 def test_slack_skips_save_retrievals(matrix, queries):
     """A generous ε skips fetches on the VP-tree and accounts them."""
     # Spiked: the exact tier must read past its k answers.  On ``flat``
-    # the row codes stop it at about k, so the tree, whose sketch is the
-    # filter, shows the skips.
-    index = get_index("vptree", spiked(matrix))
+    # and the code-walked tree the row codes stop it at about k, so the
+    # sketch tree, whose sketch is the filter, shows the skips.
+    index = get_index(
+        "vptree", spiked(matrix), compressor=BestMinErrorCompressor(14)
+    )
     query = spiked(queries[0])
     _, exact_stats = index.search(query, k=3)
     _, approx_stats = index.search(
@@ -201,9 +204,11 @@ def test_batched_approx_matches_per_query(matrix, queries):
 
 
 def test_obs_counters_published(matrix, queries):
-    # Spiked: the exact tier must read past its k answers (on the tree,
-    # as above).
-    index = get_index("vptree", spiked(matrix))
+    # Spiked: the exact tier must read past its k answers (on the sketch
+    # tree, as above).
+    index = get_index(
+        "vptree", spiked(matrix), compressor=BestMinErrorCompressor(14)
+    )
     query = spiked(queries[0])
     registry = obs.enable()
     try:

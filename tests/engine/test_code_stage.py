@@ -6,7 +6,8 @@ is ``full_retrievals``, ``early_abandons`` and ``candidates_pruned``;
 the sketch measures (``bound_computations``, the traversal counters and
 the two candidate funnels) and every answer stay what the sketch-only
 engine produces.  The sketch-only engine is the same index with its
-codes hidden.
+codes hidden.  The trees here are given a compressor: a default VP-tree
+walks on its codes, and the stage leaves its candidates alone.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.cluster import build_sharded, open_sharded
+from repro.compression import BestMinErrorCompressor
 from repro.engine import get_index
 from repro.index import VPTreeIndex
 from repro.storage import SequencePageStore
@@ -51,8 +53,12 @@ def pairs(neighbors):
 @pytest.mark.parametrize("backend", ["flat", "vptree", "mvptree"])
 def test_knn_reads_fewer_rows_for_the_same_answer(walks, backend):
     matrix, queries = walks
-    coded = get_index(backend, matrix)
-    plain = sketch_only(get_index(backend, matrix))
+    knobs = (
+        {"compressor": BestMinErrorCompressor(14)} if backend == "vptree"
+        else {}
+    )
+    coded = get_index(backend, matrix, **knobs)
+    plain = sketch_only(get_index(backend, matrix, **knobs))
     read, unread = 0, 0
     for query in queries:
         hits, stats = coded.search(query, k=5)

@@ -1,12 +1,18 @@
 """The fig. 11 traversal, one kernel call per visited node.
 
-The executable reference the sketch trees' walk is compared against
-(``test_fig11_differential.py`` and the stateful machine): at every
-node it takes the node's rows out of the sketch database and bounds
-them with their own call of the public ``get_batch_kernel`` kernel —
-nothing is computed ahead and nothing is cached.  It works on a built
+The executable reference the trees' walk is compared against
+(``test_fig11_differential.py``, ``test_fig11_code_walk.py`` and the
+stateful machine): at every node it bounds the node's rows with their
+own kernel call — the public ``get_batch_kernel`` kernel over the rows
+taken out of the sketch database, or, on a tree walked on its row
+codes, ``row_codes.bounds_sq(query, rows)`` — and nothing is computed
+ahead or cached.  It works on a built
 :class:`~repro.index.VPTreeIndex` / :class:`~repro.index.MVPTreeIndex`
 through their node objects, so both walks see the same tree.
+
+A code walk keeps each candidate's squared code bound, and its pruning
+rules hold the stated margin: ``lower * (1 - m)`` and ``upper * (1 +
+m)`` against ``median * (1 ± m)``, with no range slack.
 """
 
 import dataclasses
@@ -22,6 +28,7 @@ from repro.engine.core import (
     execute_range,
 )
 from repro.index import MVPTreeIndex, SearchStats
+from repro.index.walk import code_margin
 from repro.spectral import Spectrum
 
 
@@ -29,19 +36,42 @@ def _is_leaf(node) -> bool:
     return hasattr(node, "rows")
 
 
-def vptree_knn(index, query, k, stats) -> CandidateSet:
+def node_bounds(index, query):
+    """``bound(rows)``: LB, UB and the ``LB^2`` a candidate keeps, from
+    one kernel call over ``rows``, and the walk's ``(shrink, grow,
+    slack)``."""
+    if index.code_walked:
+        tolerance = code_margin(index.sequence_length)
+
+        def bound(rows):
+            lower_sq, upper_sq = index.row_codes.bounds_sq(query, rows)
+            return np.sqrt(lower_sq), np.sqrt(upper_sq), lower_sq
+
+        return bound, (1 - tolerance, 1 + tolerance, 0.0)
     kernel = get_batch_kernel(index.bound_method)
     batch = BatchBounds(Spectrum.from_series(query))
+
+    def bound(rows):
+        lower, upper = kernel(batch, index._sketch_db.take(rows))
+        return lower, upper, None
+
+    return bound, (1.0, 1.0, RANGE_SLACK)
+
+
+def vptree_knn(index, query, k, stats) -> CandidateSet:
+    bound, (shrink, grow, _) = node_bounds(index, query)
     tracker = SigmaTracker(k)
-    candidates: list[tuple[float, int]] = []  # (lb, seq_id)
+    candidates: list[tuple[float, float, int]] = []  # (lb, lb^2, seq_id)
 
     def note(rows):
-        lower, upper = kernel(batch, index._sketch_db.take(rows))
+        lower, upper, lower_sq = bound(rows)
         stats.bound_computations += int(rows.size)
-        for seq_id, lb, ub in zip(rows, lower, upper):
+        for i, (seq_id, lb, ub) in enumerate(zip(rows, lower, upper)):
             if int(seq_id) in index._deleted:
                 continue
-            candidates.append((float(lb), int(seq_id)))
+            lb = float(lb)
+            lb_sq = lb * lb if lower_sq is None else float(lower_sq[i])
+            candidates.append((lb, lb_sq, int(seq_id)))
             tracker.offer(float(ub))
         return lower, upper
 
@@ -54,8 +84,8 @@ def vptree_knn(index, query, k, stats) -> CandidateSet:
         lower, upper = float(lower_arr[0]), float(upper_arr[0])
 
         sigma = tracker.sigma()
-        visit_left = lower <= node.median + sigma
-        visit_right = upper >= node.median - sigma
+        visit_left = lower * shrink <= node.median * grow + sigma
+        visit_right = upper * grow >= node.median * shrink - sigma
         if not visit_left and not visit_right:
             visit_left = True
         order = []
@@ -75,7 +105,7 @@ def vptree_knn(index, query, k, stats) -> CandidateSet:
     traverse(index._root)
     sigma = tracker.sigma()
     survivors = sorted(
-        (lb * lb, seq_id) for lb, seq_id in candidates if lb <= sigma
+        (lb_sq, seq_id) for lb, lb_sq, seq_id in candidates if lb <= sigma
     )
     return CandidateSet(
         entries=survivors,
@@ -86,18 +116,18 @@ def vptree_knn(index, query, k, stats) -> CandidateSet:
 
 
 def vptree_range(index, query, radius, stats) -> CandidateSet:
-    kernel = get_batch_kernel(index.bound_method)
-    batch = BatchBounds(Spectrum.from_series(query))
+    bound, (shrink, grow, slack) = node_bounds(index, query)
     to_verify: list[tuple[float, int]] = []
 
     def consider(rows):
-        lower, upper = kernel(batch, index._sketch_db.take(rows))
+        lower, upper, lower_sq = bound(rows)
         stats.bound_computations += int(rows.size)
-        for seq_id, lb in zip(rows, lower):
+        for i, (seq_id, lb) in enumerate(zip(rows, lower)):
             seq_id = int(seq_id)
-            if seq_id in index._deleted or lb > radius + RANGE_SLACK:
+            if seq_id in index._deleted or lb > radius + slack:
                 continue
-            to_verify.append((float(lb) ** 2, seq_id))
+            lb_sq = float(lb) ** 2 if lower_sq is None else float(lower_sq[i])
+            to_verify.append((lb_sq, seq_id))
         return lower, upper
 
     def traverse(node) -> None:
@@ -107,11 +137,11 @@ def vptree_range(index, query, radius, stats) -> CandidateSet:
             return
         lower_arr, upper_arr = consider(np.array([node.vantage_id]))
         lower, upper = float(lower_arr[0]), float(upper_arr[0])
-        if lower - node.median <= radius + RANGE_SLACK:
+        if lower * shrink - node.median * grow <= radius + slack:
             traverse(node.left)
         else:
             stats.subtrees_pruned += 1
-        if node.median - upper <= radius + RANGE_SLACK:
+        if node.median * shrink - upper * grow <= radius + slack:
             traverse(node.right)
         else:
             stats.subtrees_pruned += 1

@@ -106,12 +106,28 @@ class TestSaveLoad:
         )
 
     def test_loaded_index_rejects_inserts(self, matrix, tmp_path):
-        index = VPTreeIndex(matrix, seed=8)
+        index = VPTreeIndex(
+            matrix, compressor=BestMinErrorCompressor(10), seed=8
+        )
         path = tmp_path / "ro.npz"
         index.save(path)
         loaded = VPTreeIndex.load(path)
         with pytest.raises(SeriesMismatchError):
             loaded.insert(matrix[0])
+
+    def test_code_tree_saves_no_sketch_and_inserts_after_load(
+        self, matrix, tmp_path
+    ):
+        index = VPTreeIndex(matrix, leaf_size=4, seed=15)
+        index.insert(matrix[0] + 0.01)
+        index.save(tmp_path / "codes.npz")
+        with np.load(tmp_path / "codes.npz") as payload:
+            assert "sketch_meta" not in payload.files
+        loaded = VPTreeIndex.load(tmp_path / "codes.npz")
+        assert loaded.code_walked and loaded.bound_method is None
+        row = matrix[1] + 0.01
+        seq_id = loaded.insert(row)
+        assert loaded.search(row, k=1)[0][0].seq_id == seq_id == len(matrix) + 1
 
     def test_save_after_inserts(self, matrix, tmp_path):
         index = VPTreeIndex(

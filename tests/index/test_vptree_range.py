@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SeriesMismatchError
 from repro.index import VPTreeIndex, distances_to_query
+from repro.index.vptree import _InternalNode, _LeafNode
 from repro.timeseries import zscore
 
 
@@ -98,3 +99,28 @@ class TestRangeSearch:
             index.range_search(np.zeros(10), 1.0)
         with pytest.raises(ValueError):
             index.range_search(matrix[0], -1.0)
+
+
+def test_code_walk_keeps_its_margin_at_the_median():
+    """A right-hand row one ulp past the median is still a range hit.
+
+    The build measures ``d(VP, R)`` two ulps above the verifier's
+    ``sqrt(d_sq)`` for this row, and the query is the vantage point
+    itself, whose code bounds are exact (a constant row).  A median
+    between the two puts ``R`` on the right, and a bare ``median - UB >
+    radius`` rule would prune it at the radius the verifier reports.
+    """
+    row = np.random.default_rng(14).normal(size=256)
+    zero = np.zeros(256)
+    matrix = np.stack([zero, row, 0.5 * row])
+    index = VPTreeIndex(matrix, leaf_size=1)
+    built = float(distances_to_query(row[None], zero)[0])
+    radius = index.search(zero, k=3)[0][-1].distance
+    median = np.nextafter(radius, np.inf)
+    assert radius < median < built  # the row's two distances disagree
+    index._root = _InternalNode(
+        vantage_id=0, median=float(median),
+        left=_LeafNode(rows=np.array([2])), right=_LeafNode(rows=np.array([1])),
+    )
+    hits, _ = index.range_search(zero, radius)
+    assert [h.seq_id for h in hits] == [0, 2, 1]
