@@ -63,6 +63,22 @@ class BatchBounds:
         self._prefix_wm2 = np.concatenate(([0.0], np.cumsum(wm2)))
         self.total_energy = float(self._prefix_wm2[-1])
 
+    def bounds_sq(self, kernel, db: SketchDatabase):
+        """``kernel``'s bounds on ``db``, squared and widened to hold the
+        verifier's computed ``d²``, as ``RowCodes.bounds_sq`` does.
+
+        The sums round against ``E``, the query's energy plus the row's
+        ``norms_sq`` and ``errors``, with ``γ = (n + 16) u``; a square
+        root near 0 turns ``γE`` into ``√(γE)``, so the term is ``8 √γ
+        E``, and ``1 ∓ 4γ`` covers the verifier's own ``γₙ``.  Row-local.
+        """
+        lower, upper = kernel(self, db)
+        gamma = (db.n + 16) * 2.0**-53
+        energy = self.total_energy + db.norms_sq + np.fmax(db.errors, 0.0)
+        err = 8.0 * np.sqrt(gamma) * energy
+        lower_sq = np.fmax(lower * lower - err, 0.0) * (1.0 - 4 * gamma)
+        return lower_sq, (upper * upper + err) * (1.0 + 4 * gamma)
+
     # ------------------------------------------------------------------
     # Shared row-wise pieces
     # ------------------------------------------------------------------

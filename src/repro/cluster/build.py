@@ -184,8 +184,7 @@ def _serve(
                         else MemorySequenceStore.over(spec.rows)
                     )
                 subs[spec.shard] = ShardStub(
-                    spec.shard, spec.size, n, stores[spec.shard],
-                    spec.names, spec.obs_name, pool,
+                    n, stores[spec.shard], spec.names, spec.obs_name
                 )
         else:
             for spec in specs:

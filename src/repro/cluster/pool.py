@@ -19,8 +19,8 @@ here:
   from, in a worker or in process (:func:`_build_shard_index` is the
   one builder); respawning a crashed worker replays the spec.
 * :class:`ShardStub` — the parent-side stand-in for a pooled shard.  It
-  serves the data plane only — ``len``/``fetch``/``result_name``/
-  ``store``, for the verifier and the filter that run in the parent.
+  serves the data plane only — ``result_name``/``store``, for the
+  verifier and the filter that run in the parent.
 
 Request protocol (one in-flight request per worker, strictly
 request/response): ``("ping",)``, ``("batch", queries, k)``,
@@ -291,34 +291,21 @@ class ShardStub:
     """Parent-side stand-in for a shard whose index lives in a worker.
 
     The router's filter and verifier run in the parent, so the stub
-    serves the data plane only (``len``/``fetch``/``result_name``/
-    ``store``) from the parent's own handle on the shard's bytes — a
-    store over the spec's rows or a read handle on the checksummed page
-    store.
+    serves the data plane only (``result_name``/``store``) from the
+    parent's own handle on the shard's bytes — a store over the spec's
+    rows or a read handle on the checksummed page store, which the
+    router reads and closes through its row union.
     Sub-searches never pass through it: ``search_many`` asks the pool
     for every shard at once (``batch_search``).
     """
 
     def __init__(
-        self,
-        shard: int,
-        size: int,
-        sequence_length: int,
-        store,
-        names: tuple | None,
-        obs_name: str,
-        pool: "ShardWorkerPool",
+        self, sequence_length: int, store, names: tuple | None, obs_name: str
     ) -> None:
-        self.shard = shard
-        self._size = size
         self._n = sequence_length
         self._store = store
         self._names = names
         self.obs_name = obs_name
-        self._pool = pool
-
-    def __len__(self) -> int:
-        return self._size
 
     @property
     def sequence_length(self) -> int:
@@ -328,15 +315,8 @@ class ShardStub:
     def store(self):
         return self._store
 
-    def fetch(self, seq_id: int) -> np.ndarray:
-        return self._store.read(int(seq_id))
-
     def result_name(self, seq_id: int) -> str | None:
         return self._names[seq_id] if self._names is not None else None
-
-    def close(self) -> None:
-        if self._store is not None and hasattr(self._store, "close"):
-            self._store.close()
 
 
 class ShardWorkerPool:

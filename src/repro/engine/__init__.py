@@ -17,7 +17,6 @@ from repro.engine.approx import (
 from repro.engine.batch import search_many
 from repro.engine.core import (
     DEFAULT_VERIFY_BLOCK,
-    RANGE_SLACK,
     VERIFY_BLOCK_ENV,
     CandidateSet,
     EngineIndex,
@@ -32,7 +31,6 @@ from repro.engine.registry import available_indexes, get_index
 __all__ = [
     "DEFAULT_EPSILON",
     "DEFAULT_VERIFY_BLOCK",
-    "RANGE_SLACK",
     "VERIFY_BLOCK_ENV",
     "ApproxPolicy",
     "CandidateSet",

@@ -115,7 +115,6 @@ from repro.tools.envparse import parse_env_int
 
 __all__ = [
     "DEFAULT_VERIFY_BLOCK",
-    "RANGE_SLACK",
     "VERIFY_BLOCK_ENV",
     "CandidateSet",
     "EngineIndex",
@@ -144,12 +143,6 @@ def verify_block_size() -> int:
     variable.
     """
     return parse_env_int(VERIFY_BLOCK_ENV, DEFAULT_VERIFY_BLOCK, minimum=0)
-
-
-#: Floating-point slack for range-search rejections: a computed lower
-#: bound may exceed the true distance by rounding error, so rejection
-#: requires clearing the radius by this margin.
-RANGE_SLACK = 1e-7
 
 
 @runtime_checkable
@@ -1024,7 +1017,7 @@ def _refine_range(
 ) -> list[Neighbor]:
     """Verify every candidate against the fixed radius.
 
-    The abandon threshold is the constant radius-plus-slack, and every
+    The abandon threshold is the constant squared radius, and every
     entry is consumed: no termination, hence no prefetch overshoot
     (``read_calls`` matches ``full_retrievals`` at every block size).
     Under an ε policy, the entries whose relaxed lower bound clears that
@@ -1036,7 +1029,7 @@ def _refine_range(
     # No distance past this threshold has a ``sqrt`` at or below the
     # radius: at any scale, 8u covers the half ulp of ``sqrt`` and the
     # threshold's own roundings.
-    slack_sq = (radius + RANGE_SLACK) ** 2 * (1 + 2.0**-50)
+    threshold_sq = radius * radius * (1 + 2.0**-50)
     if cands.stream is not None:
         # A range stream is radius-bounded and consumed to its end, so
         # it is materialised and verified in prefetched blocks.
@@ -1052,9 +1045,8 @@ def _refine_range(
 
     paid = cands.paid
     if policy.epsilon > 0.0:
-        # The ε slack reuses the verification threshold, so at ε=0 the
-        # mask would be exactly the generator's own filter.
-        skip = cands.lb_sq * policy.relax_sq > slack_sq
+        # The ε slack reuses the verification threshold.
+        skip = cands.lb_sq * policy.relax_sq > threshold_sq
         if paid:
             skip &= _unpaid_mask(cands.ids, paid)
         quarantine = getattr(index, "_resilience_quarantine", None)
@@ -1065,7 +1057,7 @@ def _refine_range(
     for block, prefetched in _candidate_blocks(index, query, cands):
         for _, seq_id in block:
             d_sq = _distance_sq(
-                index, query, seq_id, paid, prefetched, slack_sq, stats
+                index, query, seq_id, paid, prefetched, threshold_sq, stats
             )
             if d_sq is None:
                 continue

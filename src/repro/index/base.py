@@ -13,7 +13,7 @@ append that dynamic inserts share; ``flat`` is that and nothing more.
 :class:`SketchIndexBase` adds what the two trees share: the one pass
 that bounds a query against every row, with a sketch kernel over a
 packed :class:`~repro.compression.database.SketchDatabase` or with the
-row codes' own kernel.
+row codes' own kernel, both as sound squared bounds.
 """
 
 from __future__ import annotations
@@ -35,10 +35,6 @@ from repro.storage.pagestore import MemorySequenceStore
 from repro.timeseries.preprocessing import as_float_array
 
 __all__ = ["CodedIndexBase", "IndexBase", "SketchIndexBase", "as_database"]
-
-#: A tree's default ``bound_method``: its codes, or the safe sketch bound.
-AUTO_BOUNDS = "auto"
-
 
 def as_database(
     matrix, names: Sequence[str] | None = None
@@ -168,7 +164,9 @@ class CodedIndexBase(IndexBase):
 
 
 class SketchIndexBase(CodedIndexBase):
-    """A coded index walked on one pass of sketch or of code bounds.
+    """A coded index walked on one pass of sound squared bounds: its row
+    codes', or, given a compressor or a ``bound_method``, a sketch kernel's
+    (by default the ``"best_min_error_safe"`` envelope).
 
     The raw matrix stays in ``_matrix`` only for a subclass's build;
     every subclass drops it afterwards.
@@ -184,17 +182,15 @@ class SketchIndexBase(CodedIndexBase):
         compressor=None,
         names: Sequence[str] | None = None,
         store=None,
-        bound_method: str | None = "best_min_error_safe",
+        bound_method: str | None = None,
     ) -> None:
         super().__init__(matrix, names, store)
-        self._kernel = self._sketch_db = self.bound_method = None
-        self._compressor = None
-        if bound_method == AUTO_BOUNDS:
-            if compressor is None:
-                return
-            bound_method = "best_min_error_safe"
+        self._kernel = self._sketch_db = self._compressor = None
+        self.bound_method = bound_method
+        if compressor is None and bound_method is None:
+            return
         self._compressor = compressor or self.DEFAULT_COMPRESSOR
-        self.bound_method = bound_method or self._compressor.method
+        self.bound_method = bound_method or "best_min_error_safe"
         self._kernel = get_batch_kernel(self.bound_method)
         # Batched compression, bit-identical to compressing per row.
         self._sketch_db = SketchDatabase.from_matrix(
@@ -209,9 +205,8 @@ class SketchIndexBase(CodedIndexBase):
     def _begin_walk(self, query, stats, k=None, deleted=frozenset()):
         """The query's :class:`BoundedWalk` over one pass of its bounds."""
         if self._sketch_db is None:
-            lower_sq, upper_sq = self._row_codes.bounds_sq(query)
-            return BoundedWalk(np.sqrt(lower_sq), np.sqrt(upper_sq), stats,
-                               k, deleted, lower_sq, code_margin(self._n))
-        spectrum = Spectrum.from_series(query)
-        bounds = self._kernel(BatchBounds(spectrum), self._sketch_db)
-        return BoundedWalk(*bounds, stats, k, deleted)
+            bounds = self._row_codes.bounds_sq(query)
+        else:
+            batch = BatchBounds(Spectrum.from_series(query))
+            bounds = batch.bounds_sq(self._kernel, self._sketch_db)
+        return BoundedWalk(*bounds, code_margin(self._n), stats, k, deleted)

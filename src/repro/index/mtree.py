@@ -37,10 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.engine.core import RANGE_SLACK, CandidateSet, SigmaTracker
+from repro.engine.core import CandidateSet, SigmaTracker
 from repro.index.base import IndexBase
 from repro.index.distance import euclidean_early_abandon_sq
 from repro.index.results import SearchStats
+from repro.index.walk import code_margin
 
 __all__ = ["MTreeStats", "MTreeIndex"]
 
@@ -244,6 +245,9 @@ class MTreeIndex(IndexBase):
         """
         exact_sq: dict[int, float] = {}
         candidates: list[tuple[float, int]] = []
+        # The rules read computed distances, so each takes the walks'
+        # relative margin (:func:`~repro.index.walk.code_margin`).
+        margin = code_margin(self._n)
 
         def query_distance(seq_id: int) -> float:
             # Exact distance on the uncompressed object: the M-tree's
@@ -275,8 +279,10 @@ class MTreeIndex(IndexBase):
                 gap = 0.0
                 if node.parent_entry is not None:
                     stats.bound_computations += 1
+                    span = parent_q_distance + entry.parent_distance
                     gap = abs(parent_q_distance - entry.parent_distance)
-                    if gap - entry.radius > prune_bound():
+                    gap = max(gap - margin * span, 0.0)
+                    if gap - entry.radius * (1 + margin) > prune_bound():
                         if node.is_leaf:
                             if entry.pivot_id in exact_sq:
                                 continue  # already a (paid) candidate
@@ -292,7 +298,7 @@ class MTreeIndex(IndexBase):
                     # is the engine's job.
                     if node.parent_entry is not None:
                         candidates.append((gap * gap, entry.pivot_id))
-                        offer(parent_q_distance + entry.parent_distance)
+                        offer(span * (1 + margin))
                     else:
                         candidates.append((0.0, entry.pivot_id))
                 else:
@@ -301,7 +307,8 @@ class MTreeIndex(IndexBase):
                     # descendant leaf); its exact distance is an upper
                     # bound for the subtree.
                     offer(distance)
-                    child_d_min = max(0.0, distance - entry.radius)
+                    child_d_min = max(0.0, distance - entry.radius
+                                      - margin * (distance + entry.radius))
                     if child_d_min <= prune_bound():
                         heapq.heappush(
                             frontier,
@@ -339,14 +346,13 @@ class MTreeIndex(IndexBase):
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
     ) -> CandidateSet:
-        bound = radius + RANGE_SLACK
         candidates, exact_sq = self._traverse(
-            query, lambda: bound, lambda upper: None, stats
+            query, lambda: radius, lambda upper: None, stats
         )
         survivors = sorted(
             (lb_sq, seq_id)
             for lb_sq, seq_id in candidates
-            if lb_sq <= bound * bound or seq_id in exact_sq
+            if lb_sq <= radius * radius or seq_id in exact_sq
         )
         return CandidateSet(
             entries=survivors,

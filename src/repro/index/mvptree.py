@@ -1,4 +1,4 @@
-"""A multi-vantage-point (MVP) tree over compressed sketches.
+"""A multi-vantage-point (MVP) tree over compressed representations.
 
 Section 4.1 notes that "all possible extensions to the VP-tree, such as
 the usage of multiple vantage points [3] ... can be implemented on top of
@@ -11,7 +11,7 @@ vantage point, yielding four children per node.
 The payoff: one extra object examined per node (the second vantage
 point) buys two independent pruning tests per quadrant — each quadrant
 can be discarded by *either* vantage point's annulus condition.  The same
-compressed sketches, one-pass bounds (:mod:`repro.index.walk`) and
+bound sources, one-pass bounds and margin (:mod:`repro.index.walk`) and
 two-phase (traverse + SUB-filter + verify) search of the VP-tree are
 reused verbatim, which is precisely the paper's point.
 
@@ -75,13 +75,12 @@ class MVPTreeIndex(SketchIndexBase):
         compressor=None,
         names: Sequence[str] | None = None,
         store=None,
-        bound_method: str | None = "best_min_error_safe",
+        bound_method: str | None = None,
         leaf_size: int = 16,
         seed: int = 0,
     ) -> None:
         if leaf_size < 1:
             raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-        compressor = compressor or self.DEFAULT_COMPRESSOR  # sketches only
         super().__init__(matrix, compressor, names, store, bound_method)
         self._leaf_size = leaf_size
         self._rng = np.random.default_rng(seed)
@@ -158,12 +157,14 @@ class MVPTreeIndex(SketchIndexBase):
     # ------------------------------------------------------------------
     @staticmethod
     def _side_min_distance(
-        lower: float, upper: float, median: float, side_low: bool
+        walk: BoundedWalk, vantage: int, median: float, side_low: bool
     ) -> float:
-        """Lower bound on D(Q, x) for x on one side of a vantage median."""
+        """Lower bound on D(Q, x) for x on one side of a vantage median,
+        each term scaled by the walk's margin."""
         if side_low:  # d(x, vp) <= median  =>  D >= LB(Q,vp) - median
-            return lower - median
-        return median - upper  # d(x, vp) > median  =>  D >= median - UB
+            return walk.lower[vantage] * walk.shrink - median * walk.grow
+        # d(x, vp) > median  =>  D >= median - UB(Q,vp)
+        return median * walk.shrink - walk.upper[vantage] * walk.grow
 
     def _walk(self, node, walk: BoundedWalk, limit=None) -> None:
         """Visit the quadrants whose members may be within ``limit``, or,
@@ -174,15 +175,12 @@ class MVPTreeIndex(SketchIndexBase):
             walk.examine(node.rows.tolist())
             return
         walk.examine((node.first_id, node.second_id))
-        lb1, ub1 = walk.lower[node.first_id], walk.upper[node.first_id]
-        lb2, ub2 = walk.lower[node.second_id], walk.upper[node.second_id]
+        side = self._side_min_distance
         for quadrant in node.quadrants:
-            by_first = self._side_min_distance(
-                lb1, ub1, node.first_median, quadrant.first_side_low
-            )
-            by_second = self._side_min_distance(
-                lb2, ub2, quadrant.second_median, quadrant.second_side_low
-            )
+            by_first = side(walk, node.first_id, node.first_median,
+                            quadrant.first_side_low)
+            by_second = side(walk, node.second_id, quadrant.second_median,
+                             quadrant.second_side_low)
             if max(by_first, by_second) > (
                 walk.sigma if limit is None else limit
             ):
@@ -204,6 +202,5 @@ class MVPTreeIndex(SketchIndexBase):
         vantage point's annulus condition proves every member farther
         than ``radius``."""
         walk = self._begin_walk(query, stats)
-        bound = radius + walk.slack
-        self._walk(self._root, walk, bound)
-        return walk.range_result(bound)
+        self._walk(self._root, walk, radius)
+        return walk.range_result(radius)

@@ -31,10 +31,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.engine.core import RANGE_SLACK, CandidateSet
+from repro.engine.core import CandidateSet
 from repro.exceptions import SeriesMismatchError
 from repro.index.base import IndexBase
 from repro.index.results import SearchStats
+from repro.index.walk import code_margin
 from repro.spectral.dft import Spectrum
 from repro.timeseries.preprocessing import as_float_array
 
@@ -369,14 +370,21 @@ class GeminiRTreeIndex(IndexBase):
         self._tree = RTree(dimensions=features.shape[1], capacity=capacity)
         for row_id in range(features.shape[0]):
             self._tree.insert(features[row_id], row_id)
+        norms_sq = np.einsum("ij,ij->i", self._matrix, self._matrix)
+        self._norm = float(np.sqrt(norms_sq.max(initial=0.0)))
 
     def _feature_stream(
         self, query: np.ndarray, stats: SearchStats
     ) -> Iterator[tuple[float, int]]:
-        """``(feature_distance^2, seq_id)`` in increasing order, lazily."""
+        """``(feature_distance^2, seq_id)`` in increasing order, lazily,
+        each shrunk by the walks' margin ``m``, relative and times the
+        norms ``|q| + max |x|`` that a feature's rounding scales with."""
         features = gemini_features(query, self.k)
+        margin = code_margin(self._n)
+        slack = margin * (float(np.sqrt(np.dot(query, query))) + self._norm)
         for lower, row_id in self._tree.nearest_iter(features, stats):
             stats.bound_computations += 1
+            lower = max(lower * (1.0 - margin) - slack, 0.0)
             yield lower * lower, row_id
 
     def knn_candidates(
@@ -392,7 +400,7 @@ class GeminiRTreeIndex(IndexBase):
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
     ) -> CandidateSet:
-        bound_sq = (radius + RANGE_SLACK) ** 2
+        bound_sq = radius * radius
         return CandidateSet(
             generated=None,
             stream=itertools.takewhile(

@@ -21,7 +21,7 @@ k-NN:
    id and counts it in ``SearchStats.bound_computations``.  ``sigma_UB``
    — the k-th smallest upper bound met so far — drives the pruning
    rules: the right subtree is skipped when ``UB(Q, VP) < mu - sigma_UB``
-   and the left when ``LB(Q, VP) > mu + sigma_UB`` (on code bounds, with
+   and the left when ``LB(Q, VP) > mu + sigma_UB`` (each side scaled by
    :func:`~repro.index.walk.code_margin`).  A *guided* heuristic visits first
    the child whose annulus overlap with ``[LB, UB]`` is larger.
 2. **Verification.**  Candidates with ``LB > SUB`` (smallest k-th upper
@@ -50,7 +50,7 @@ from repro.compression.codes import RowCodes
 from repro.compression.database import SketchDatabase
 from repro.engine.core import CandidateSet
 from repro.exceptions import SeriesMismatchError
-from repro.index.base import AUTO_BOUNDS, IndexBase, SketchIndexBase
+from repro.index.base import IndexBase, SketchIndexBase
 from repro.index.distance import distances_to_query
 from repro.index.results import SearchStats
 from repro.index.walk import BoundedWalk
@@ -95,8 +95,9 @@ class VPTreeIndex(SketchIndexBase):
     bound_method:
         Sketch bound name (see :mod:`repro.bounds.registry`), alone on
         BestMinError ``k=14`` sketches (the paper's middle configuration).
-        ``None`` uses the compressor's own method; the default, with a
-        compressor, the sound ``"best_min_error_safe"`` envelope.
+        ``None`` means the row codes without a compressor and the sound
+        ``"best_min_error_safe"`` envelope with one; a compressor's own
+        method must be named.
     leaf_size:
         Maximum number of objects in a leaf.
     vantage_candidates / vantage_sample:
@@ -121,7 +122,7 @@ class VPTreeIndex(SketchIndexBase):
         compressor=None,
         names: Sequence[str] | None = None,
         store=None,
-        bound_method: str | None = AUTO_BOUNDS,
+        bound_method: str | None = None,
         leaf_size: int = 16,
         vantage_candidates: int = 8,
         vantage_sample: int = 64,
@@ -267,41 +268,8 @@ class VPTreeIndex(SketchIndexBase):
         final SUB filter and verifies the survivors.
         """
         walk = self._begin_walk(query, stats, k, self._deleted)
-        self._knn_walk(self._root, walk)
+        self._walk(self._root, walk)
         return walk.knn_result()
-
-    def _knn_walk(self, node, walk: BoundedWalk) -> None:
-        # A method, not a closure calling itself: that would be a reference
-        # cycle holding the query's bound lists until a cyclic collection.
-        stats = walk.stats
-        stats.nodes_visited += 1
-        if isinstance(node, _LeafNode):
-            walk.examine(node.rows.tolist())
-            return
-        walk.examine((node.vantage_id,))
-        lower = walk.lower[node.vantage_id]
-        upper = walk.upper[node.vantage_id]
-        sigma, shrink, grow = walk.sigma, walk.shrink, walk.grow
-        visit_left = lower * shrink <= node.median * grow + sigma
-        visit_right = upper * grow >= node.median * shrink - sigma
-        if not visit_left and not visit_right:
-            # The annulus excludes both only through rounding; fall
-            # back to the side the bounds point at.
-            visit_left = True
-        order = []
-        if visit_left:
-            order.append(node.left)
-        if visit_right:
-            order.append(node.right)
-        stats.subtrees_pruned += 2 - len(order)
-        if len(order) == 2 and self._guided:
-            # Guided traversal: larger annulus overlap first.
-            left_overlap = min(upper, node.median) - lower
-            right_overlap = upper - max(lower, node.median)
-            if right_overlap > left_overlap:
-                order.reverse()
-        for child in order:
-            self._knn_walk(child, walk)
 
     def range_candidates(
         self, query: np.ndarray, radius: float, stats: SearchStats
@@ -313,27 +281,39 @@ class VPTreeIndex(SketchIndexBase):
         rejected without touching its uncompressed form.
         """
         walk = self._begin_walk(query, stats, deleted=self._deleted)
-        bound = radius + walk.slack
-        self._range_walk(self._root, walk, bound)
-        return walk.range_result(bound)
+        self._walk(self._root, walk, radius)
+        return walk.range_result(radius)
 
-    def _range_walk(self, node, walk: BoundedWalk, bound: float) -> None:
+    def _walk(self, node, walk: BoundedWalk, radius=None) -> None:
+        """Visit the children whose members may be within ``radius``, or,
+        with ``radius=None`` (k-NN), within the walk's current ``sigma``."""
+        # A method, not a closure calling itself: that would be a reference
+        # cycle holding the query's bound lists until a cyclic collection.
         walk.stats.nodes_visited += 1
         if isinstance(node, _LeafNode):
             walk.examine(node.rows.tolist())
             return
         walk.examine((node.vantage_id,))
-        # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median;
-        # for the right, D(Q,R) >= median - UB(Q,VP).
-        shrink, grow = walk.shrink, walk.grow
-        if walk.lower[node.vantage_id] * shrink - node.median * grow <= bound:
-            self._range_walk(node.left, walk, bound)
-        else:
-            walk.stats.subtrees_pruned += 1
-        if node.median * shrink - walk.upper[node.vantage_id] * grow <= bound:
-            self._range_walk(node.right, walk, bound)
-        else:
-            walk.stats.subtrees_pruned += 1
+        lower = walk.lower[node.vantage_id]
+        upper = walk.upper[node.vantage_id]
+        limit = walk.sigma if radius is None else radius
+        # For any R in the left subtree, D(Q,R) >= LB(Q,VP) - median; for
+        # the right, D(Q,R) >= median - UB(Q,VP).  With the margin and LB
+        # <= UB the two rules never both prune.
+        order = []
+        if lower * walk.shrink - node.median * walk.grow <= limit:
+            order.append(node.left)
+        if node.median * walk.shrink - upper * walk.grow <= limit:
+            order.append(node.right)
+        walk.stats.subtrees_pruned += 2 - len(order)
+        if len(order) == 2 and self._guided:
+            # Guided traversal: larger annulus overlap first.
+            left_overlap = min(upper, node.median) - lower
+            right_overlap = upper - max(lower, node.median)
+            if right_overlap > left_overlap:
+                order.reverse()
+        for child in order:
+            self._walk(child, walk, radius)
 
     # ``bench/trace.py`` wraps only methods in a class's own ``__dict__``,
     # so the engine entry points are bound here by name.
@@ -493,8 +473,11 @@ class VPTreeIndex(SketchIndexBase):
         return depth(self._root)
 
     def compressed_size_doubles(self) -> float:
-        """Total storage of all sketches under the paper's accounting."""
+        """Total storage of the bound source under the paper's accounting:
+        every sketch, or ``n`` code bytes and three doubles a row."""
         db = self._sketch_db
+        if db is None:
+            return len(self._row_codes) * (self._n / 8 + 3)
         return float(
             sum(db.sketch(i).storage_doubles() for i in range(len(db)))
         )

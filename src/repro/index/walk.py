@@ -1,9 +1,11 @@
 """Per-query state of the trees' fig. 11 walk.
 
 A tree query bounds every row with **one** pass of its bound source (a
-sketch kernel or :meth:`~repro.compression.codes.RowCodes.bounds_sq`)
-and walks its nodes reading the bounds by sequence id.  Both sources
-are row-independent — ``kernel(batch, db.take(rows))`` equals
+sketch kernel widened by :meth:`~repro.bounds.batch.BatchBounds.bounds_sq`,
+or :meth:`~repro.compression.codes.RowCodes.bounds_sq`) and walks its
+nodes reading the bounds by sequence id.  Both sources give sound
+squared bounds, on the right side of the verifier's computed ``d_sq``,
+and both are row-independent — ``kernel(batch, db.take(rows))`` equals
 ``kernel(batch, db)[rows]`` bit for bit (``tests/bounds/test_batch.py``,
 ``tests/compression/test_code_kernel.py``) — so a bound read from the
 full pass is the bound a node-local call would return.
@@ -15,49 +17,48 @@ import math
 
 import numpy as np
 
-from repro.engine.core import RANGE_SLACK, CandidateSet, SigmaTracker
+from repro.engine.core import CandidateSet, SigmaTracker
 
 __all__ = ["BoundedWalk", "code_margin"]
 
 
 def code_margin(n: int) -> float:
-    """A code walk's relative margin on rows of length ``n``: ``4 (n + 16)
-    u`` covers a median's, a verified distance's and a ``sqrt``'s rounding."""
+    """A walk's relative margin on rows of length ``n``: ``4 (n + 16) u``
+    covers a median's, a verified distance's and a ``sqrt``'s rounding."""
     return 4 * (n + 16) * 2.0**-53
 
 
 class BoundedWalk:
     """One query's bounds, and the objects its walk has examined.
 
-    Built from the two bound arrays, ``lower`` / ``upper`` are lists of
-    Python floats indexed by sequence id.  ``examined`` holds
-    the id of every live object met, in visit order, and
-    ``sigma`` the k-th smallest upper bound among them
-    (``inf`` until k are met, and throughout a range walk: ``k=None``).
-    A tombstoned object is counted in ``stats.bound_computations`` like
+    Built from sound squared bounds, ``lower`` / ``upper`` are lists of
+    their square roots as Python floats, indexed by sequence id.
+    ``examined`` holds the id of every live object met, in visit order,
+    and ``sigma`` the k-th smallest upper bound among them (``inf``
+    until k are met, and throughout a range walk: ``k=None``).  A
+    tombstoned object is counted in ``stats.bound_computations`` like
     any other — a deleted vantage point still routes by its bounds — but
     never enters ``examined`` or ``sigma``.
 
-    On code bounds the candidates keep their squares, ``lower_sq``, as
-    ``LB^2``; the pruning rules scale bounds and medians by ``1 ∓``
-    :func:`code_margin`, and a range walk drops :data:`RANGE_SLACK`.
+    Candidates keep their squared lower bounds as ``LB^2``.  The pruning
+    rules scale bounds and medians by ``shrink, grow = 1 ∓ margin``
+    (:func:`code_margin`), and a range walk keeps an object iff its
+    ``sqrt(LB^2)`` is at most the radius: no absolute slack.
     """
 
     def __init__(
-        self, lower, upper, stats, k=None, deleted=frozenset(),
-        lower_sq=None, margin=0.0,
+        self, lower_sq, upper_sq, margin, stats, k=None, deleted=frozenset()
     ) -> None:
         # An LB is never above its own UB, as in the flat filter
         # (:func:`~repro.engine.core.candidates_from_bound_arrays`).
-        self._lower = np.minimum(lower, upper)
-        self._lower_sq = lower_sq
+        self._lower_sq = np.minimum(lower_sq, upper_sq)
+        self._lower = np.sqrt(self._lower_sq)
         self.lower: list[float] = self._lower.tolist()
-        self.upper: list[float] = upper.tolist()
+        self.upper: list[float] = np.sqrt(upper_sq).tolist()
         self.examined: list[int] = []
         self.sigma = math.inf
         self.stats = stats
         self.shrink, self.grow = 1.0 - margin, 1.0 + margin
-        self.slack = RANGE_SLACK if lower_sq is None else 0.0
         self._deleted = deleted
         self._tracker = SigmaTracker(k) if k is not None else None
 
@@ -80,32 +81,23 @@ class BoundedWalk:
         ``(LB^2, seq_id)``."""
         sigma = self.sigma
         ids = np.array(self.examined, dtype=np.intp)
-        lb = self._lower[ids]
-        near = lb <= sigma
-        lb, ids = lb[near], ids[near]
-        lb_sq = lb * lb if self._lower_sq is None else self._lower_sq[ids]
-        order = np.lexsort((ids, lb_sq))
-        return CandidateSet.from_arrays(
-            lb_sq[order],
-            ids[order],
+        ids = ids[self._lower[ids] <= sigma]
+        return self._candidates(
+            ids,
             generated=len(self.examined),
             sigma_sq=sigma * sigma,
             top_ubs=self._tracker.values(),
         )
 
-    def range_result(self, bound: float) -> CandidateSet:
-        """The examined objects whose LB is not above ``bound`` (the
-        radius plus the walk's slack), ascending by ``(LB^2, seq_id)``."""
+    def range_result(self, radius: float) -> CandidateSet:
+        """The examined objects whose LB is not above ``radius``,
+        ascending by ``(LB^2, seq_id)``."""
         ids = np.array(self.examined, dtype=np.intp)
-        lb = self._lower[ids]
-        near = ~(lb > bound)
-        lb, ids = lb[near], ids[near]
-        # libm's pow, the form ``lb ** 2`` takes on a Python float: an
-        # array's ``** 2`` is an exact square, which differs from it in
-        # the last bit for about one value in a thousand.
-        squares = self._lower_sq
-        lb_sq = np.float_power(lb, 2) if squares is None else squares[ids]
-        order = np.lexsort((ids, lb_sq))
-        return CandidateSet.from_arrays(
-            lb_sq[order], ids[order], generated=None
+        return self._candidates(
+            ids[~(self._lower[ids] > radius)], generated=None
         )
+
+    def _candidates(self, ids, **fields) -> CandidateSet:
+        lb_sq = self._lower_sq[ids]
+        order = np.lexsort((ids, lb_sq))
+        return CandidateSet.from_arrays(lb_sq[order], ids[order], **fields)

@@ -35,7 +35,6 @@ from repro.bursts.leaderboard import BurstinessLeaderboard, LeaderboardEntry
 from repro.bursts.protocol import BurstModel, BurstRegion
 from repro.bursts.query import BurstDatabase, BurstMatch, BurstRegionDatabase
 from repro.bursts.registry import get_burst_model
-from repro.compression.best_k import BestMinErrorCompressor
 from repro.datagen.components import DayGrid
 from repro.datagen.events import LogAggregator, LogRecord
 from repro.cluster import Partitioner, build_sharded
@@ -77,8 +76,6 @@ class QueryLogMiner:
     ----------
     start / days:
         The covered date window; every ingested series must match it.
-    compressor_k:
-        Best coefficients kept per sequence in the similarity index.
     detectors:
         Burst detectors for the burst table (defaults to the paper's
         long/short-term pair at 2 sigma).
@@ -96,8 +93,10 @@ class QueryLogMiner:
     index_backend:
         Engine registry name of the monolithic similarity structure
         (see :func:`repro.engine.get_index`); defaults to the paper's
-        ``"vptree"``.  Backends without dynamic insertion are rebuilt
-        lazily after ingestion instead of updated in place.
+        ``"vptree"``, which, like ``"mvptree"``, walks on its row codes
+        and takes the miner's ``seed``.  Backends without dynamic
+        insertion are rebuilt lazily after ingestion instead of updated
+        in place.
     shards / shard_policy:
         ``shards=N`` partitions the live index into N ``flat`` shards
         behind a :class:`~repro.cluster.ShardRouter` filtered by the
@@ -122,14 +121,10 @@ class QueryLogMiner:
         periods and bursts always run exact (see ``docs/APPROX.md``).
     """
 
-    #: The sketch trees: they take the miner's compressor and seed.
-    _SKETCH_BACKENDS = frozenset({"vptree", "mvptree"})
-
     def __init__(
         self,
         start: _dt.date = _dt.date(2002, 1, 1),
         days: int = 365,
-        compressor_k: int = 14,
         detectors: Sequence[BurstDetector] | None = None,
         burst_model: BurstModel | str = "ma",
         seed: int = 0,
@@ -168,7 +163,6 @@ class QueryLogMiner:
         self.grid = DayGrid(start, days)
         self._seed = seed
         self._backend = index_backend
-        self._compressor = BestMinErrorCompressor(compressor_k)
         self._period_detector = PeriodDetector(interpolate=True)
         self._burst_db = BurstDatabase(detectors=detectors)
         # Resolved eagerly so a bad name fails at construction, not on
@@ -358,8 +352,7 @@ class QueryLogMiner:
                     )
                 else:
                     kwargs: dict = {"names": names}
-                    if self._backend in self._SKETCH_BACKENDS:
-                        kwargs["compressor"] = self._compressor
+                    if self._backend in ("vptree", "mvptree"):
                         kwargs["seed"] = self._seed
                     self._index = get_index(
                         self._backend, self._matrix(), **kwargs

@@ -45,14 +45,17 @@ __all__ = ["S2Shell", "build_workspace", "main"]
 
 
 class S2Workspace:
-    """Everything the shell needs: data, index, burst DB, detectors."""
+    """Everything the shell needs: data, index, burst DB, detectors.
+
+    The index walks on its row codes; ``compressor_k`` sizes the sketch
+    the ``preview`` command shows.
+    """
 
     def __init__(self, collection, compressor_k: int = 14, seed: int = 0):
         self.collection = collection
         self.standardized = collection.standardize()
         self.index = VPTreeIndex(
             self.standardized.as_matrix(),
-            compressor=BestMinErrorCompressor(compressor_k),
             names=list(collection.names),
             seed=seed,
         )

@@ -17,8 +17,10 @@ from repro.compression import (
     WangCompressor,
 )
 from repro.exceptions import CompressionError, SeriesMismatchError
+from repro.index.distance import euclidean_early_abandon_sq
 from repro.spectral import Spectrum
 from repro.timeseries import zscore
+from tests.engine.test_duplicate_rows import KINDS, database, draw_row
 
 METHODS = {
     "gemini": GeminiCompressor,
@@ -163,6 +165,67 @@ class TestRowIndependence:
                 assert np.array_equal(
                     sub_upper, upper[rows], equal_nan=True
                 ), context
+
+
+class TestSoundSquaredBounds:
+    """``BatchBounds.bounds_sq`` holds the verifier's computed ``d_sq``.
+
+    The walks keep and prune on these squares with no slack, so the
+    bound must hold the distance the engine computes, bit for bit, also
+    at distance 0: a query that is a stored row.  The raw kernels' ``LB²``
+    exceeds a self-distance of 0 by rounding; the widening absorbs it.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        kind=st.sampled_from(KINDS),
+        n=st.sampled_from((32, 256)),
+    )
+    def test_squared_bounds_hold_the_verifiers_distance(self, seed, kind, n):
+        matrix = database(seed, 8, 2, kind, n)
+        rng = np.random.default_rng(seed)
+        sound = set(KERNEL_SKETCHES) - {"best_min_error",
+                                        "adaptive_best_min_error"}
+        for query in (draw_row(rng, kind, n), matrix[seed % len(matrix)]):
+            batch = BatchBounds(Spectrum.from_series(query))
+            d_sq = np.array([
+                euclidean_early_abandon_sq(query, row, np.inf)
+                for row in matrix
+            ])
+            for method in sorted(sound):
+                for compressor in KERNEL_SKETCHES[method]:
+                    db = SketchDatabase.from_matrix(matrix, compressor)
+                    lower_sq, upper_sq = batch.bounds_sq(
+                        get_batch_kernel(method), db
+                    )
+                    assert (lower_sq <= d_sq).all(), method
+                    assert (d_sq <= upper_sq).all(), method
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        scale=st.sampled_from((1e-9, 1e-7, 1e-5)),
+    )
+    def test_a_query_on_a_rows_stored_part_keeps_its_bound(self, seed, scale):
+        """The error envelope's tight case: the query is a row's stored
+        coefficients plus ``scale`` times its omitted part, so the
+        query's omitted energy rounds to nothing beside the row's.  A
+        ``γ E`` widening leaves ``LB² > d_sq`` on about 60% of these
+        draws; the ``√γ`` term holds them."""
+        rng = np.random.default_rng(seed)
+        row = zscore(np.cumsum(rng.normal(size=256)))
+        db = SketchDatabase.from_matrix(row[None], BestMinErrorCompressor(6))
+        spectrum = np.fft.rfft(row)
+        stored = np.zeros(spectrum.size, dtype=bool)
+        stored[db.positions[0][db.weights[0] > 0]] = True
+        part = np.fft.irfft(np.where(stored, spectrum, 0.0), row.size)
+        query = part + scale * (row - part)
+        lower_sq, upper_sq = BatchBounds(Spectrum.from_series(query)).bounds_sq(
+            get_batch_kernel("best_min_error_safe"), db
+        )
+        d_sq = euclidean_early_abandon_sq(query, row, np.inf)
+        assert lower_sq[0] <= d_sq <= upper_sq[0]
 
 
 class TestOnePassSafeKernel:

@@ -57,7 +57,8 @@ def test_bound_arrays_filter(bounds, k):
 def test_bounded_walk(bounds, k, data):
     lower, upper = bounds
     visits = data.draw(st.permutations(range(lower.size)))
-    walk = BoundedWalk(lower, upper, SearchStats(), min(k, lower.size))
+    # The tied levels serve as squared bounds, walked with no margin.
+    walk = BoundedWalk(lower, upper, 0.0, SearchStats(), min(k, lower.size))
     for start in range(0, len(visits), 3):
         walk.examine(list(visits[start : start + 3]))
     assert_ascending(walk.knn_result())

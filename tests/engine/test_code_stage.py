@@ -6,7 +6,7 @@ is ``full_retrievals``, ``early_abandons`` and ``candidates_pruned``;
 the sketch measures (``bound_computations``, the traversal counters and
 the two candidate funnels) and every answer stay what the sketch-only
 engine produces.  The sketch-only engine is the same index with its
-codes hidden.  The trees here are given a compressor: a default VP-tree
+codes hidden.  The trees here are given a compressor: a default tree
 walks on its codes, and the stage leaves its candidates alone.
 """
 
@@ -54,7 +54,7 @@ def pairs(neighbors):
 def test_knn_reads_fewer_rows_for_the_same_answer(walks, backend):
     matrix, queries = walks
     knobs = (
-        {"compressor": BestMinErrorCompressor(14)} if backend == "vptree"
+        {"compressor": BestMinErrorCompressor(14)} if backend != "flat"
         else {}
     )
     coded = get_index(backend, matrix, **knobs)

@@ -20,14 +20,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compression import BestMinErrorCompressor
 from repro.engine import ApproxPolicy, get_index
 from repro.index.distance import euclidean_early_abandon_sq
 from repro.index.results import SearchStats
 from repro.timeseries import zscore
 
 LENGTH = 32
-#: The backends whose verifier reads through a store's ``read_many``.
+#: The backends whose verifier reads through a store's ``read_many``:
+#: ``flat``, a code-walked tree and a sketch-walked one.
 BACKENDS = ("flat", "vptree", "mvptree")
+KNOBS = {"mvptree": {"compressor": BestMinErrorCompressor(14)}}
 POLICIES = (ApproxPolicy(), ApproxPolicy(epsilon=0.1), ApproxPolicy(epsilon=0.5))
 
 
@@ -84,7 +87,7 @@ def test_prefetch_stops_at_the_running_kth_distance(
         st.one_of(st.sampled_from((1, len(matrix))), st.integers(1, len(matrix))),
         label="k",
     )
-    index = get_index(backend, matrix)
+    index = get_index(backend, matrix, **KNOBS.get(backend, {}))
     scalar = search(index, query, k, policy, 0)
     recorder = _RecordingStore(index.store)
     index._store = recorder

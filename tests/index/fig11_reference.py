@@ -3,16 +3,17 @@
 The executable reference the trees' walk is compared against
 (``test_fig11_differential.py``, ``test_fig11_code_walk.py`` and the
 stateful machine): at every node it bounds the node's rows with their
-own kernel call — the public ``get_batch_kernel`` kernel over the rows
-taken out of the sketch database, or, on a tree walked on its row
-codes, ``row_codes.bounds_sq(query, rows)`` — and nothing is computed
-ahead or cached.  It works on a built
+own kernel call — ``row_codes.bounds_sq(query, rows)`` on a tree walked
+on its row codes, or the public ``get_batch_kernel`` kernel over the
+rows taken out of the sketch database, widened by ``BatchBounds.bounds_sq`` —
+and nothing is computed ahead or cached.  It works on a built
 :class:`~repro.index.VPTreeIndex` / :class:`~repro.index.MVPTreeIndex`
 through their node objects, so both walks see the same tree.
 
-A code walk keeps each candidate's squared code bound, and its pruning
-rules hold the stated margin: ``lower * (1 - m)`` and ``upper * (1 +
-m)`` against ``median * (1 ± m)``, with no range slack.
+Either source gives sound squared bounds, and one rule follows: each
+candidate keeps its ``LB^2``, the pruning rules compare ``lower * (1 -
+m)`` and ``upper * (1 + m)`` against ``median * (1 ± m)``, and a range
+walk keeps a row iff ``sqrt(LB^2) <= radius``, with no slack.
 """
 
 import dataclasses
@@ -21,7 +22,6 @@ import numpy as np
 
 from repro.bounds.batch import BatchBounds, get_batch_kernel
 from repro.engine.core import (
-    RANGE_SLACK,
     CandidateSet,
     SigmaTracker,
     execute_knn,
@@ -38,60 +38,42 @@ def _is_leaf(node) -> bool:
 
 def node_bounds(index, query):
     """``bound(rows)``: LB, UB and the ``LB^2`` a candidate keeps, from
-    one kernel call over ``rows``, and the walk's ``(shrink, grow,
-    slack)``."""
+    one kernel call over ``rows``, and the walk's ``(shrink, grow)``."""
     if index.code_walked:
-        tolerance = code_margin(index.sequence_length)
+        def bounds_sq(rows):
+            return index.row_codes.bounds_sq(query, rows)
+    else:
+        kernel = get_batch_kernel(index.bound_method)
+        batch = BatchBounds(Spectrum.from_series(query))
 
-        def bound(rows):
-            lower_sq, upper_sq = index.row_codes.bounds_sq(query, rows)
-            return np.sqrt(lower_sq), np.sqrt(upper_sq), lower_sq
-
-        return bound, (1 - tolerance, 1 + tolerance, 0.0)
-    kernel = get_batch_kernel(index.bound_method)
-    batch = BatchBounds(Spectrum.from_series(query))
+        def bounds_sq(rows):
+            return batch.bounds_sq(kernel, index._sketch_db.take(rows))
 
     def bound(rows):
-        lower, upper = kernel(batch, index._sketch_db.take(rows))
-        return lower, upper, None
+        lower_sq, upper_sq = bounds_sq(rows)
+        lower_sq = np.minimum(lower_sq, upper_sq)
+        return np.sqrt(lower_sq), np.sqrt(upper_sq), lower_sq
 
-    return bound, (1.0, 1.0, RANGE_SLACK)
+    margin = code_margin(index.sequence_length)
+    return bound, (1 - margin, 1 + margin)
 
 
-def vptree_knn(index, query, k, stats) -> CandidateSet:
-    bound, (shrink, grow, _) = node_bounds(index, query)
-    tracker = SigmaTracker(k)
-    candidates: list[tuple[float, float, int]] = []  # (lb, lb^2, seq_id)
-
-    def note(rows):
-        lower, upper, lower_sq = bound(rows)
-        stats.bound_computations += int(rows.size)
-        for i, (seq_id, lb, ub) in enumerate(zip(rows, lower, upper)):
-            if int(seq_id) in index._deleted:
-                continue
-            lb = float(lb)
-            lb_sq = lb * lb if lower_sq is None else float(lower_sq[i])
-            candidates.append((lb, lb_sq, int(seq_id)))
-            tracker.offer(float(ub))
-        return lower, upper
+def _vptree_walk(index, query, stats, note, limit):
+    """Visit the children no vantage point proves beyond ``limit()``."""
+    bound, (shrink, grow) = node_bounds(index, query)
 
     def traverse(node) -> None:
         stats.nodes_visited += 1
         if _is_leaf(node):
-            note(node.rows)
+            note(node.rows, *bound(node.rows))
             return
-        lower_arr, upper_arr = note(np.array([node.vantage_id]))
+        rows = np.array([node.vantage_id])
+        lower_arr, upper_arr, _ = note(rows, *bound(rows))
         lower, upper = float(lower_arr[0]), float(upper_arr[0])
-
-        sigma = tracker.sigma()
-        visit_left = lower * shrink <= node.median * grow + sigma
-        visit_right = upper * grow >= node.median * shrink - sigma
-        if not visit_left and not visit_right:
-            visit_left = True
         order = []
-        if visit_left:
+        if lower * shrink - node.median * grow <= limit():
             order.append(node.left)
-        if visit_right:
+        if node.median * shrink - upper * grow <= limit():
             order.append(node.right)
         stats.subtrees_pruned += 2 - len(order)
         if len(order) == 2 and index._guided:
@@ -103,6 +85,23 @@ def vptree_knn(index, query, k, stats) -> CandidateSet:
             traverse(child)
 
     traverse(index._root)
+
+
+def walk_knn(walk, index, query, k, stats) -> CandidateSet:
+    """A k-NN walk: every live row met is a candidate ``(lb, lb^2, id)``
+    and offers its upper bound to sigma; then the SUB filter."""
+    tracker = SigmaTracker(k)
+    candidates: list[tuple[float, float, int]] = []
+
+    def note(rows, lower, upper, lower_sq):
+        stats.bound_computations += int(rows.size)
+        for seq_id, lb, lb_sq, ub in zip(rows, lower, lower_sq, upper):
+            if int(seq_id) not in getattr(index, "_deleted", ()):
+                candidates.append((float(lb), float(lb_sq), int(seq_id)))
+                tracker.offer(float(ub))
+        return lower, upper, lower_sq
+
+    walk(index, query, stats, note, tracker.sigma)
     sigma = tracker.sigma()
     survivors = sorted(
         (lb_sq, seq_id) for lb, lb_sq, seq_id in candidates if lb <= sigma
@@ -115,133 +114,55 @@ def vptree_knn(index, query, k, stats) -> CandidateSet:
     )
 
 
-def vptree_range(index, query, radius, stats) -> CandidateSet:
-    bound, (shrink, grow, slack) = node_bounds(index, query)
+def walk_range(walk, index, query, radius, stats) -> CandidateSet:
+    """A range walk: every live row met whose LB is not above ``radius``."""
     to_verify: list[tuple[float, int]] = []
 
-    def consider(rows):
-        lower, upper, lower_sq = bound(rows)
+    def note(rows, lower, upper, lower_sq):
         stats.bound_computations += int(rows.size)
-        for i, (seq_id, lb) in enumerate(zip(rows, lower)):
-            seq_id = int(seq_id)
-            if seq_id in index._deleted or lb > radius + slack:
-                continue
-            lb_sq = float(lb) ** 2 if lower_sq is None else float(lower_sq[i])
-            to_verify.append((lb_sq, seq_id))
-        return lower, upper
+        for seq_id, lb, lb_sq in zip(rows, lower, lower_sq):
+            live = int(seq_id) not in getattr(index, "_deleted", ())
+            if live and not float(lb) > radius:
+                to_verify.append((float(lb_sq), int(seq_id)))
+        return lower, upper, lower_sq
 
-    def traverse(node) -> None:
-        stats.nodes_visited += 1
-        if _is_leaf(node):
-            consider(node.rows)
-            return
-        lower_arr, upper_arr = consider(np.array([node.vantage_id]))
-        lower, upper = float(lower_arr[0]), float(upper_arr[0])
-        if lower * shrink - node.median * grow <= radius + slack:
-            traverse(node.left)
-        else:
-            stats.subtrees_pruned += 1
-        if node.median * shrink - upper * grow <= radius + slack:
-            traverse(node.right)
-        else:
-            stats.subtrees_pruned += 1
-
-    traverse(index._root)
+    walk(index, query, stats, note, lambda: radius)
     return CandidateSet(entries=sorted(to_verify), generated=None)
 
 
-def _side_min_distance(lower, upper, median, side_low) -> float:
+def _side_min_distance(lower, upper, median, side_low, shrink, grow):
     if side_low:
-        return lower - median
-    return median - upper
+        return lower * shrink - median * grow
+    return median * shrink - upper * grow
 
 
-def mvptree_knn(index, query, k, stats) -> CandidateSet:
-    kernel = get_batch_kernel(index.bound_method)
-    batch = BatchBounds(Spectrum.from_series(query))
-    tracker = SigmaTracker(k)
-    candidates: list[tuple[float, int]] = []
-
-    def note(rows):
-        lower, upper = kernel(batch, index._sketch_db.take(rows))
-        stats.bound_computations += int(rows.size)
-        for seq_id, lb, ub in zip(rows, lower, upper):
-            candidates.append((float(lb), int(seq_id)))
-            tracker.offer(float(ub))
-        return lower, upper
+def _mvptree_walk(index, query, stats, note, limit):
+    """Visit the quadrants no vantage point proves beyond ``limit()``."""
+    bound, margins = node_bounds(index, query)
 
     def traverse(node) -> None:
         stats.nodes_visited += 1
         if _is_leaf(node):
-            note(node.rows)
+            note(node.rows, *bound(node.rows))
             return
-        lowers, uppers = note(np.array([node.first_id, node.second_id]))
+        rows = np.array([node.first_id, node.second_id])
+        lowers, uppers, _ = note(rows, *bound(rows))
         lb1, ub1 = float(lowers[0]), float(uppers[0])
         lb2, ub2 = float(lowers[1]), float(uppers[1])
         for quadrant in node.quadrants:
-            sigma = tracker.sigma()
             by_first = _side_min_distance(
-                lb1, ub1, node.first_median, quadrant.first_side_low
+                lb1, ub1, node.first_median, quadrant.first_side_low, *margins
             )
             by_second = _side_min_distance(
-                lb2, ub2, quadrant.second_median, quadrant.second_side_low
+                lb2, ub2, quadrant.second_median, quadrant.second_side_low,
+                *margins,
             )
-            if max(by_first, by_second) > sigma:
+            if max(by_first, by_second) > limit():
                 stats.subtrees_pruned += 1
                 continue
             traverse(quadrant.child)
 
     traverse(index._root)
-    sigma = tracker.sigma()
-    survivors = sorted(
-        (lb * lb, seq_id) for lb, seq_id in candidates if lb <= sigma
-    )
-    return CandidateSet(
-        entries=survivors,
-        generated=len(candidates),
-        sigma_sq=sigma * sigma,
-        top_ubs=tracker.values(),
-    )
-
-
-def mvptree_range(index, query, radius, stats) -> CandidateSet:
-    kernel = get_batch_kernel(index.bound_method)
-    batch = BatchBounds(Spectrum.from_series(query))
-    bound = radius + RANGE_SLACK
-    to_verify: list[tuple[float, int]] = []
-
-    def consider(rows):
-        lower, upper = kernel(batch, index._sketch_db.take(rows))
-        stats.bound_computations += int(rows.size)
-        for seq_id, lb in zip(rows, lower):
-            lb = float(lb)
-            if lb > bound:
-                continue
-            to_verify.append((lb ** 2, int(seq_id)))
-        return lower, upper
-
-    def traverse(node) -> None:
-        stats.nodes_visited += 1
-        if _is_leaf(node):
-            consider(node.rows)
-            return
-        lowers, uppers = consider(np.array([node.first_id, node.second_id]))
-        lb1, ub1 = float(lowers[0]), float(uppers[0])
-        lb2, ub2 = float(lowers[1]), float(uppers[1])
-        for quadrant in node.quadrants:
-            by_first = _side_min_distance(
-                lb1, ub1, node.first_median, quadrant.first_side_low
-            )
-            by_second = _side_min_distance(
-                lb2, ub2, quadrant.second_median, quadrant.second_side_low
-            )
-            if max(by_first, by_second) > bound:
-                stats.subtrees_pruned += 1
-                continue
-            traverse(quadrant.child)
-
-    traverse(index._root)
-    return CandidateSet(entries=sorted(to_verify), generated=None)
 
 
 class PerNodeTree:
@@ -255,8 +176,7 @@ class PerNodeTree:
     def __init__(self, index) -> None:
         self._index = index
         mvp = isinstance(index, MVPTreeIndex)
-        self._knn = mvptree_knn if mvp else vptree_knn
-        self._range = mvptree_range if mvp else vptree_range
+        self._walk = _mvptree_walk if mvp else _vptree_walk
 
     def __getattr__(self, name):
         return getattr(self._index, name)
@@ -265,10 +185,10 @@ class PerNodeTree:
         return len(self._index)
 
     def knn_candidates(self, query, k, stats) -> CandidateSet:
-        return self._knn(self._index, query, k, stats)
+        return walk_knn(self._walk, self._index, query, k, stats)
 
     def range_candidates(self, query, radius, stats) -> CandidateSet:
-        return self._range(self._index, query, radius, stats)
+        return walk_range(self._walk, self._index, query, radius, stats)
 
     def search(self, query, k=1, policy=None):
         return execute_knn(self, query, k, policy)

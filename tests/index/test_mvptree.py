@@ -94,7 +94,7 @@ class TestBehaviour:
 
     def test_works_with_wang_sketches(self, matrix):
         index = MVPTreeIndex(
-            matrix, compressor=WangCompressor(8), bound_method=None, seed=2
+            matrix, compressor=WangCompressor(8), bound_method="wang", seed=2
         )
         rng = np.random.default_rng(7)
         query = zscore(rng.normal(size=64))

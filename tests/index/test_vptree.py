@@ -12,6 +12,7 @@ from repro.compression import (
 )
 from repro.exceptions import SeriesMismatchError
 from repro.index import LinearScanIndex, VPTreeIndex, distances_to_query
+from repro.spectral import Spectrum
 from repro.storage import SequencePageStore
 from repro.timeseries import zscore
 
@@ -135,7 +136,7 @@ class TestConfigurations:
 
     def test_wang_compressor_supported(self, matrix):
         index = VPTreeIndex(
-            matrix, compressor=WangCompressor(8), bound_method=None, seed=5
+            matrix, compressor=WangCompressor(8), bound_method="wang", seed=5
         )
         assert index.bound_method == "wang"
         rng = np.random.default_rng(11)
@@ -200,6 +201,21 @@ class TestConfigurations:
         )
         raw_doubles = matrix.size
         assert index.compressed_size_doubles() < raw_doubles / 4
+
+    def test_compressed_size_counts_the_bound_source(self, matrix):
+        """A sketch tree reports its sketches; a code tree ``n`` code
+        bytes and three doubles a row."""
+        compressor = BestMinErrorCompressor(6)
+        sketched = VPTreeIndex(matrix, compressor=compressor, seed=13)
+        sketches = sum(
+            compressor.compress(Spectrum.from_series(row)).storage_doubles()
+            for row in matrix
+        )
+        assert sketched.compressed_size_doubles() == sketches
+        coded = VPTreeIndex(matrix, seed=13)
+        count, n = matrix.shape
+        assert coded.code_walked
+        assert coded.compressed_size_doubles() == count * (n / 8 + 3)
 
     def test_height_reasonable(self, index):
         # 120 points, leaf_size 8 -> expect a shallow, balanced-ish tree.

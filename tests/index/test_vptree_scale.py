@@ -1,9 +1,11 @@
-"""Scaling the database and the query by 2^e leaves the VP-tree's ids.
+"""Scaling the database and the query by 2^e leaves every tree's ids.
 
 A power of two scales every float exactly, so a tree built on ``2^e ·
-rows`` has the same vantage points and splits, and a query ``2^e · q``
-meets the same bounds times ``2^e``.  Every rule of the code walk and of
-the verifier is relative, so the answers' ids stay and their distances
+rows`` has the same vantage points, pivots, boxes and splits, and a
+query ``2^e · q`` meets the same bounds times ``2^e``.  Every rule of
+the walks — on row codes or on sound sketch bounds, in the VP-tree and
+the MVP-tree — of the M-tree's and R-tree's margined bounds and of the
+verifier is relative, so the answers' ids stay and their distances
 scale exactly; an absolute constant anywhere on the path would show at
 one end of e in [−40, 40].
 """
@@ -13,9 +15,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index import VPTreeIndex
+from repro.compression import BestMinErrorCompressor
+from repro.index import GeminiRTreeIndex, MTreeIndex, MVPTreeIndex, VPTreeIndex
 from tests.engine.test_duplicate_rows import KINDS, database, draw_row
 
+#: ``(name, class, compressor)``: both walked trees on both bound
+#: sources, then the exact-distance M-tree and the feature-space R-tree.
+TREES = (
+    ("vptree", VPTreeIndex, None),
+    ("vptree+sketch", VPTreeIndex, BestMinErrorCompressor(14)),
+    ("mvptree", MVPTreeIndex, None),
+    ("mvptree+sketch", MVPTreeIndex, BestMinErrorCompressor(14)),
+    ("mtree", MTreeIndex, None),
+    ("rtree", GeminiRTreeIndex, None),
+)
+
+
+def build(tree, matrix, leaf_size, seed):
+    _, cls, compressor = tree
+    if cls in (MTreeIndex, GeminiRTreeIndex):
+        return cls(matrix, capacity=max(leaf_size, 4))
+    return cls(matrix, compressor, leaf_size=leaf_size, seed=seed)
 BLOCK_SIZES = (0, 3, 256)
 
 
@@ -29,7 +49,7 @@ def answers(index, query, k, radius):
     ]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     unique=st.integers(6, 40),
@@ -38,14 +58,15 @@ def answers(index, query, k, radius):
     exponent=st.integers(-40, 40),
     leaf_size=st.sampled_from((1, 4, 16)),
     block=st.sampled_from(BLOCK_SIZES),
+    tree=st.sampled_from(TREES),
 )
 def test_scaled_tree_keeps_its_ids(
-    seed, unique, kind, n, exponent, leaf_size, block
+    seed, unique, kind, n, exponent, leaf_size, block, tree
 ):
     matrix = database(seed, unique, 2, kind, n)
     scale = 2.0**exponent
-    base = VPTreeIndex(matrix, leaf_size=leaf_size, seed=seed)
-    scaled = VPTreeIndex(matrix * scale, leaf_size=leaf_size, seed=seed)
+    base = build(tree, matrix, leaf_size, seed)
+    scaled = build(tree, matrix * scale, leaf_size, seed)
     rng = np.random.default_rng(seed + 1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_VERIFY_BLOCK", str(block))
